@@ -123,6 +123,29 @@ def _extremes_over_cylinder(
     return best_max, se_max, best_min, se_min
 
 
+def _report(
+    u_estimator: Callable[[float, Point], "object"],
+    sup_cyl: tuple[float, float, MetricBall],
+    inf_cyl: tuple[float, float, MetricBall],
+    radius: float,
+    lattice: LatticeSpec,
+    noise_floor: float | None,
+) -> HarnackReport:
+    """Lattice sup over the earlier cylinder ``(t_lo, t_hi, ball)`` against the
+    lattice inf over the later one.  When the inf does not clear the noise
+    floor (default three standard errors of the inf) the ratio is infinite and
+    flagged."""
+    sup_v, sup_se, _, _ = _extremes_over_cylinder(u_estimator, *sup_cyl, lattice)
+    _, _, inf_v, inf_se = _extremes_over_cylinder(u_estimator, *inf_cyl, lattice)
+    floor = noise_floor if noise_floor is not None else 3.0 * inf_se
+    unbounded = inf_v <= floor
+    return HarnackReport(
+        sup_v, sup_se, inf_v, inf_se, math.inf if unbounded else sup_v / inf_v, radius,
+        sup_cyl[:2], inf_cyl[:2], lattice,
+        flag="unbounded-at-this-resolution" if unbounded else "",
+    )
+
+
 def harnack_ratio(
     u_estimator: Callable[[float, Point], "object"],
     t0: float,
@@ -140,22 +163,9 @@ def harnack_ratio(
     """
     sup_cyl = ParabolicCylinder(t0 - 2.0 * r * r, z0, r)
     inf_cyl = ParabolicCylinder(t0, z0, r)
-    sup_v, sup_se, _, _ = _extremes_over_cylinder(
-        u_estimator, *sup_cyl.time_interval, sup_cyl.ball, lattice
-    )
-    _, _, inf_v, inf_se = _extremes_over_cylinder(
-        u_estimator, *inf_cyl.time_interval, inf_cyl.ball, lattice
-    )
-    floor = noise_floor if noise_floor is not None else 3.0 * inf_se
-    if inf_v <= floor:
-        return HarnackReport(
-            sup_v, sup_se, inf_v, inf_se, math.inf, r,
-            sup_cyl.time_interval, inf_cyl.time_interval, lattice,
-            flag="unbounded-at-this-resolution",
-        )
-    return HarnackReport(
-        sup_v, sup_se, inf_v, inf_se, sup_v / inf_v, r,
-        sup_cyl.time_interval, inf_cyl.time_interval, lattice,
+    return _report(
+        u_estimator, (*sup_cyl.time_interval, sup_cyl.ball),
+        (*inf_cyl.time_interval, inf_cyl.ball), r, lattice, noise_floor,
     )
 
 
@@ -180,29 +190,10 @@ def scale_invariant_scan(
         if not (0.0 < rho < c * R):
             raise ValueError(f"probe radius {rho} outside (0, cR) = (0, {c * R})")
         q_minus, q_plus = cylinder_sets(s, z, rho, c, d)
-        sup_v, sup_se, _, _ = _extremes_over_cylinder(
-            u_estimator, q_minus.t_lo, q_minus.t_hi, q_minus.ball, lattice
-        )
-        _, _, inf_v, inf_se = _extremes_over_cylinder(
-            u_estimator, q_plus.t_lo, q_plus.t_hi, q_plus.ball, lattice
-        )
-        floor = noise_floor if noise_floor is not None else 3.0 * inf_se
-        if inf_v <= floor:
-            reports.append(
-                HarnackReport(
-                    sup_v, sup_se, inf_v, inf_se, math.inf, rho,
-                    (q_minus.t_lo, q_minus.t_hi), (q_plus.t_lo, q_plus.t_hi),
-                    lattice, flag="unbounded-at-this-resolution",
-                )
-            )
-        else:
-            reports.append(
-                HarnackReport(
-                    sup_v, sup_se, inf_v, inf_se, sup_v / inf_v, rho,
-                    (q_minus.t_lo, q_minus.t_hi), (q_plus.t_lo, q_plus.t_hi),
-                    lattice,
-                )
-            )
+        reports.append(_report(
+            u_estimator, (q_minus.t_lo, q_minus.t_hi, q_minus.ball),
+            (q_plus.t_lo, q_plus.t_hi, q_plus.ball), rho, lattice, noise_floor,
+        ))
     return reports
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,6 +47,8 @@ __all__ = [
     "apply_singular",
     "apply_standard_batch",
     "apply_singular_batch",
+    "look_up_partial",
+    "drift_g_parts",
     "drift_identity_g",
     "drift_identity_e",
     "drift_identity_f",
@@ -148,34 +150,61 @@ class SingularOperatorSpec(_OperatorBase):
 # ---------------------------------------------------------------------------
 
 
-def drift_identity_g(op: SingularOperatorSpec, states: np.ndarray) -> np.ndarray:
-    """Bounded part of the degenerate-axis drift, shape (..., n).
+def look_up_partial(field: ScalarField, axis: int) -> ScalarField:
+    """``field.partial(axis)``.  A lookup can be costly (a lattice field
+    differentiates all of its nodes), so a stepping loop passes the drift
+    identities a cached stand-in that looks each one up once per model."""
+    return field.partial(axis)
 
-    ``g_i = b_i a_ii + x_i (d_xi a_ii + sum_j (a~_ij + delta_ij a~_ii
-    + x_j d_xj a~_ij + a~_ij (b_j - 1)) + sum_l d_yl c_il)``.
+
+PartialLookup = Callable[[ScalarField, int], ScalarField]
+
+
+def drift_g_parts(
+    op: SingularOperatorSpec, states: np.ndarray, partial: PartialLookup = look_up_partial
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two terms of ``g = b a + x * slope``, each of shape (..., n).
+
+    ``slope_i = d_xi a_ii + sum_j (a~_ij + delta_ij a~_ii + x_j d_xj a~_ij
+    + a~_ij (b_j - 1)) + sum_l d_yl c_il``; it does not depend on the state
+    when every coefficient field is constant.
     """
     n, m = op.dims.n, op.dims.m
     states = np.asarray(states, dtype=float)
-    x = states[..., :n]
     a = op.a_diag.evaluate_batch(states)
     at = op.a_tilde.evaluate_batch(states)
     b = op.b.evaluate_batch(states)
-    g = b * a
+    slope = np.empty_like(b)
     for i in range(n):
-        inner = op.a_diag[i].partial(i).evaluate_batch(states)
+        inner = partial(op.a_diag[i], i).evaluate_batch(states)
         for j in range(n):
-            dat = op.a_tilde[i, j].partial(j).evaluate_batch(states)
+            dat = partial(op.a_tilde[i, j], j).evaluate_batch(states)
             inner = inner + at[..., i, j] + states[..., j] * dat
             inner = inner + at[..., i, j] * (b[..., j] - 1.0)
             if i == j:
                 inner = inner + at[..., i, i]
         for l in range(m):
-            inner = inner + op.c[i, l].partial(n + l).evaluate_batch(states)
-        g[..., i] = g[..., i] + x[..., i] * inner
-    return g
+            inner = inner + partial(op.c[i, l], n + l).evaluate_batch(states)
+        slope[..., i] = inner
+    return b * a, slope
 
 
-def drift_identity_e(op: SingularOperatorSpec, states: np.ndarray) -> np.ndarray:
+def drift_identity_g(
+    op: SingularOperatorSpec, states: np.ndarray, partial: PartialLookup = look_up_partial
+) -> np.ndarray:
+    """Bounded part of the degenerate-axis drift, shape (..., n).
+
+    ``g_i = b_i a_ii + x_i (d_xi a_ii + sum_j (a~_ij + delta_ij a~_ii
+    + x_j d_xj a~_ij + a~_ij (b_j - 1)) + sum_l d_yl c_il)``.
+    """
+    states = np.asarray(states, dtype=float)
+    ba, slope = drift_g_parts(op, states, partial)
+    return ba + states[..., : op.dims.n] * slope
+
+
+def drift_identity_e(
+    op: SingularOperatorSpec, states: np.ndarray, partial: PartialLookup = look_up_partial
+) -> np.ndarray:
     """Bounded part of the free-axis drift, shape (..., m).
 
     ``e_l = sum_i (x_i d_xi c_il + b_i c_il) + sum_k d_yk d_lk``.
@@ -190,15 +219,17 @@ def drift_identity_e(op: SingularOperatorSpec, states: np.ndarray) -> np.ndarray
     for l in range(m):
         acc = np.zeros(states.shape[:-1])
         for i in range(n):
-            acc = acc + states[..., i] * op.c[i, l].partial(i).evaluate_batch(states)
+            acc = acc + states[..., i] * partial(op.c[i, l], i).evaluate_batch(states)
             acc = acc + b[..., i] * cval[..., i, l]
         for k in range(m):
-            acc = acc + op.d[l, k].partial(n + k).evaluate_batch(states)
+            acc = acc + partial(op.d[l, k], n + k).evaluate_batch(states)
         e[..., l] = acc
     return e
 
 
-def drift_identity_f(op: SingularOperatorSpec, states: np.ndarray) -> np.ndarray:
+def drift_identity_f(
+    op: SingularOperatorSpec, states: np.ndarray, partial: PartialLookup = look_up_partial
+) -> np.ndarray:
     """Log-drift couplings, shape (..., n+m, n).
 
     Degenerate rows: ``f_ij = d_xi b_j + sum_k x_k a~_ik d_xk b_j
@@ -214,10 +245,7 @@ def drift_identity_f(op: SingularOperatorSpec, states: np.ndarray) -> np.ndarray
         return f
     db = np.stack(
         [
-            np.stack(
-                [op.b[j].partial(axis).evaluate_batch(states) for axis in range(total)],
-                axis=-1,
-            )
+            np.stack([partial(op.b[j], axis).evaluate_batch(states) for axis in range(total)], axis=-1)
             for j in range(n)
         ],
         axis=-2,

@@ -12,7 +12,9 @@ two equations together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
+
 import numpy as np
 
 from .errors import (
@@ -22,17 +24,21 @@ from .errors import (
 )
 from .geometry import Point, StateSpaceDims
 from .operators import (
+    PartialLookup,
     SingularOperatorSpec,
     StandardOperatorSpec,
+    drift_g_parts,
     drift_identity_e,
     drift_identity_f,
     drift_identity_g,
+    look_up_partial,
 )
 
 __all__ = [
     "SdeCoefficients",
     "StandardSdeCoefficients",
     "GirsanovField",
+    "StepPlan",
     "build_sde_coefficients",
     "build_standard_sde_coefficients",
     "dispersion_sqrt",
@@ -91,32 +97,93 @@ def dispersion_sqrt(D: np.ndarray, clip: float = EIGENVALUE_CLIP) -> np.ndarray:
     return dispersion_sqrt_batch(np.asarray(D, dtype=float), clip=clip)
 
 
-def _scale_matrix(states: np.ndarray, n: int, total: int) -> np.ndarray:
-    """Diagonal ``diag(sqrt(x_1..x_n), 1..1)`` per state."""
-    s = np.ones(states.shape[:-1] + (total,))
-    if n:
-        s[..., :n] = np.sqrt(np.maximum(states[..., :n], 0.0))
-    return s
+def _diffusion_matrix(states, a, at, c, d) -> np.ndarray:
+    """``D_ii = 2 a_i + 2 x_i at_ii``, ``D_ij = 2 sqrt(x_i x_j) at_ij`` (i != j),
+    ``D_i,n+l = 4 sqrt(x_i) c_il`` and ``D_n+l,n+k = 2 d_lk``."""
+    n, m = c.shape[-2], d.shape[-1]
+    D = np.zeros(states.shape[:-1] + (n + m, n + m))
+    sx = np.sqrt(np.maximum(states[..., :n], 0.0))
+    for i in range(n):
+        D[..., i, i] = 2.0 * a[..., i] + 2.0 * states[..., i] * at[..., i, i]
+        for j in range(n):
+            if j != i:
+                D[..., i, j] = 2.0 * sx[..., i] * sx[..., j] * at[..., i, j]
+        for l in range(m):
+            D[..., i, n + l] = 4.0 * sx[..., i] * c[..., i, l]
+            D[..., n + l, i] = D[..., i, n + l]
+    D[..., n:, n:] = 2.0 * d
+    return D
 
 
 @dataclass(frozen=True)
-class SdeCoefficients:
-    """All simulation-level fields of the divergence-compatible equation."""
+class StepPlan:
+    """What a scheme step needs from one model, resolved once at build time.
+
+    ``sigma`` is the dispersion root when ``D`` has no state dependence, and
+    ``sigma_diag`` its diagonal when that root is diagonal.  A divergence-side
+    model whose fields are all constant has the drift
+    ``drift + x * drift_slope`` (the slope on the degenerate rows, None when
+    zero); ``log_drift`` is False when ``f`` vanishes (constant ``b``).
+    """
+
+    sigma: np.ndarray | None = None
+    sigma_diag: np.ndarray | None = None
+    drift: np.ndarray | None = None
+    drift_slope: np.ndarray | None = None
+    partial: PartialLookup = look_up_partial
+    log_drift: bool = False
+
+
+@dataclass(frozen=True)
+class _Coefficients:
+    """Dispersion side shared by both equations; subclasses supply ``D_batch``."""
 
     dims: StateSpaceDims
+    source: object
+    plan: StepPlan
+
+    def sigma_batch(self, states: np.ndarray) -> np.ndarray:
+        states = np.asarray(states, dtype=float)
+        if self.plan.sigma is not None:
+            return np.broadcast_to(self.plan.sigma, states.shape[:-1] + self.plan.sigma.shape)
+        return dispersion_sqrt_batch(self.D_batch(states))
+
+    def alpha_batch(self, states: np.ndarray) -> np.ndarray:
+        """Increment covariance ``alpha = S D S`` with ``S = diag(sqrt(x), 1)``."""
+        states = np.asarray(states, dtype=float)
+        s = np.ones(states.shape)
+        s[..., : self.dims.n] = np.sqrt(np.maximum(states[..., : self.dims.n], 0.0))
+        return self.D_batch(states) * s[..., :, None] * s[..., None, :]
+
+    def noise_batch(self, states: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """``sigma(z) xi`` per state for a block of standard normals ``xi``."""
+        plan = self.plan
+        if plan.sigma_diag is not None:
+            return xi * plan.sigma_diag
+        if plan.sigma is not None:
+            return xi @ plan.sigma.T
+        return np.einsum("pij,pj->pi", self.sigma_batch(states), xi)
+
+
+@dataclass(frozen=True)
+class SdeCoefficients(_Coefficients):
+    """All simulation-level fields of the divergence-compatible equation."""
+
     source: SingularOperatorSpec
-    constant_dispersion: np.ndarray | None = None
+
+    # defined on each class, as perfbench/tracer.py times methods per class
+    sigma_batch = _Coefficients.sigma_batch
 
     # -- raw identity fields -------------------------------------------------
 
     def g_batch(self, states: np.ndarray) -> np.ndarray:
-        return drift_identity_g(self.source, states)
+        return drift_identity_g(self.source, states, self.plan.partial)
 
     def e_batch(self, states: np.ndarray) -> np.ndarray:
-        return drift_identity_e(self.source, states)
+        return drift_identity_e(self.source, states, self.plan.partial)
 
     def f_batch(self, states: np.ndarray) -> np.ndarray:
-        return drift_identity_f(self.source, states)
+        return drift_identity_f(self.source, states, self.plan.partial)
 
     # -- second-order fields ---------------------------------------------------
 
@@ -126,60 +193,52 @@ class SdeCoefficients:
         ``D_i,n+l = 4 sqrt(x_i) c_il``, ``D_n+l,n+k = 2 d_lk``.
         """
         op = self.source
-        n, m = self.dims.n, self.dims.m
-        total = n + m
         states = np.asarray(states, dtype=float)
-        D = np.zeros(states.shape[:-1] + (total, total))
-        sx = np.sqrt(np.maximum(states[..., :n], 0.0))
-        a = op.a_diag.evaluate_batch(states)
-        at = op.a_tilde.evaluate_batch(states)
-        c = op.c.evaluate_batch(states)
-        d = op.d.evaluate_batch(states)
-        for i in range(n):
-            D[..., i, i] = 2.0 * a[..., i] + 2.0 * states[..., i] * at[..., i, i]
-            for j in range(n):
-                if j != i:
-                    D[..., i, j] = 2.0 * sx[..., i] * sx[..., j] * at[..., i, j]
-            for l in range(m):
-                D[..., i, n + l] = 4.0 * sx[..., i] * c[..., i, l]
-                D[..., n + l, i] = D[..., i, n + l]
-        for l in range(m):
-            for k in range(m):
-                D[..., n + l, n + k] = 2.0 * d[..., l, k]
-        return D
-
-    def sigma_batch(self, states: np.ndarray) -> np.ndarray:
-        if self.constant_dispersion is not None:
-            states = np.asarray(states, dtype=float)
-            return np.broadcast_to(
-                self.constant_dispersion,
-                states.shape[:-1] + self.constant_dispersion.shape,
-            )
-        return dispersion_sqrt_batch(self.D_batch(states))
-
-    def alpha_batch(self, states: np.ndarray) -> np.ndarray:
-        """Increment covariance ``alpha = S D S`` with ``S = diag(sqrt(x), 1)``."""
-        states = np.asarray(states, dtype=float)
-        D = self.D_batch(states)
-        s = _scale_matrix(states, self.dims.n, self.dims.total)
-        return D * s[..., :, None] * s[..., None, :]
+        return _diffusion_matrix(
+            states, op.a_diag.evaluate_batch(states), op.a_tilde.evaluate_batch(states),
+            op.c.evaluate_batch(states), op.d.evaluate_batch(states),
+        )
 
     # -- drift ----------------------------------------------------------------
 
-    def drift_batch(self, states: np.ndarray, log_clamp_eps: float = 1e-12) -> np.ndarray:
-        """Full drift vector including the clamped logarithmic terms."""
-        n, m = self.dims.n, self.dims.m
+    def log_drift_batch(
+        self, states: np.ndarray, log_clamp_eps: float = 1e-12
+    ) -> np.ndarray | None:
+        """``sum_j f_rj ln max(x_j, eps)`` for every row ``r``, shape (..., n+m);
+        None when ``f`` vanishes identically."""
+        if not self.plan.log_drift:
+            return None
         states = np.asarray(states, dtype=float)
-        g = self.g_batch(states)
-        e = self.e_batch(states)
-        f = self.f_batch(states)
-        out = np.concatenate([g, e], axis=-1)
-        if n:
-            logs = np.log(np.maximum(states[..., :n], log_clamp_eps))
-            log_sum = np.einsum("...rj,...j->...r", f, logs)
+        with np.errstate(divide="ignore"):
+            logs = np.log(np.maximum(states[..., : self.dims.n], log_clamp_eps))
+        return np.einsum("...rj,...j->...r", self.f_batch(states), logs)
+
+    def drift_batch(
+        self,
+        states: np.ndarray,
+        log_clamp_eps: float = 1e-12,
+        log_sum: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Full drift vector including the clamped logarithmic terms.
+
+        ``log_sum`` passes in a ``log_drift_batch`` result the caller already
+        has for these states.
+        """
+        n = self.dims.n
+        states = np.asarray(states, dtype=float)
+        plan = self.plan
+        if plan.drift is None:
+            out = np.concatenate([self.g_batch(states), self.e_batch(states)], axis=-1)
+        else:
+            out = np.empty(states.shape)
+            out[...] = plan.drift
+            if plan.drift_slope is not None:
+                out[..., :n] += states[..., :n] * plan.drift_slope
+        if plan.log_drift:
+            if log_sum is None:
+                log_sum = self.log_drift_batch(states, log_clamp_eps)
             out[..., :n] += states[..., :n] * log_sum[..., :n]
-            if m:
-                out[..., n:] += log_sum[..., n:]
+            out[..., n:] += log_sum[..., n:]
         return out
 
     # -- single-point conveniences ---------------------------------------------
@@ -207,12 +266,12 @@ class SdeCoefficients:
 
 
 @dataclass(frozen=True)
-class StandardSdeCoefficients:
+class StandardSdeCoefficients(_Coefficients):
     """Simulation-level fields of the standard (bounded-drift) equation."""
 
-    dims: StateSpaceDims
     source: StandardOperatorSpec
-    constant_dispersion: np.ndarray | None = None
+
+    sigma_batch = _Coefficients.sigma_batch
 
     def drift_batch(self, states: np.ndarray, log_clamp_eps: float = 0.0) -> np.ndarray:
         states = np.asarray(states, dtype=float)
@@ -225,41 +284,12 @@ class StandardSdeCoefficients:
         ``D^_i,n+l = 4 sqrt(x_i) c^_il``, ``D^_n+l,n+k = 2 d^_lk``.
         """
         std = self.source
-        n, m = self.dims.n, self.dims.m
-        total = n + m
         states = np.asarray(states, dtype=float)
-        D = np.zeros(states.shape[:-1] + (total, total))
-        sx = np.sqrt(np.maximum(states[..., :n], 0.0))
-        a = std.a_hat.evaluate_batch(states)
-        c = std.c_hat.evaluate_batch(states)
-        d = std.d_hat.evaluate_batch(states)
-        for i in range(n):
-            D[..., i, i] = 2.0 * (1.0 + states[..., i] * a[..., i, i])
-            for j in range(n):
-                if j != i:
-                    D[..., i, j] = 2.0 * sx[..., i] * sx[..., j] * a[..., i, j]
-            for l in range(m):
-                D[..., i, n + l] = 4.0 * sx[..., i] * c[..., i, l]
-                D[..., n + l, i] = D[..., i, n + l]
-        for l in range(m):
-            for k in range(m):
-                D[..., n + l, n + k] = 2.0 * d[..., l, k]
-        return D
-
-    def sigma_batch(self, states: np.ndarray) -> np.ndarray:
-        if self.constant_dispersion is not None:
-            states = np.asarray(states, dtype=float)
-            return np.broadcast_to(
-                self.constant_dispersion,
-                states.shape[:-1] + self.constant_dispersion.shape,
-            )
-        return dispersion_sqrt_batch(self.D_batch(states))
-
-    def alpha_batch(self, states: np.ndarray) -> np.ndarray:
-        states = np.asarray(states, dtype=float)
-        D = self.D_batch(states)
-        s = _scale_matrix(states, self.dims.n, self.dims.total)
-        return D * s[..., :, None] * s[..., None, :]
+        return _diffusion_matrix(
+            states, np.ones(states.shape[:-1] + (self.dims.n,)),
+            std.a_hat.evaluate_batch(states), std.c_hat.evaluate_batch(states),
+            std.d_hat.evaluate_batch(states),
+        )
 
     def b_hat(self, z: Point) -> np.ndarray:
         return self.source.b_hat.evaluate_batch(z.vector[None, :])[0]
@@ -274,38 +304,40 @@ class StandardSdeCoefficients:
         return self.sigma_batch(z.vector[None, :])[0]
 
 
-def _try_constant_dispersion(coeffs) -> np.ndarray | None:
-    """Precompute sigma when the diffusion matrix has no state dependence."""
-    dims = coeffs.dims
-    probe = np.zeros((1, dims.total))
-    probe[0, : dims.n] = 0.37
-    probe2 = np.ones((1, dims.total)) * 0.61
-    D1 = coeffs.D_batch(probe)[0]
-    D2 = coeffs.D_batch(probe2)[0]
-    if np.allclose(D1, D2, rtol=0.0, atol=1e-14):
-        return dispersion_sqrt(D1)
-    return None
+def _with_dispersion(coeffs: _Coefficients, constant_D: bool) -> _Coefficients:
+    """Attach sigma, computed once, when ``D`` has no state dependence."""
+    if not constant_D:
+        return coeffs
+    sigma = dispersion_sqrt(coeffs.D_batch(np.ones((1, coeffs.dims.total)))[0])
+    diag = np.diag(sigma).copy()
+    diag = diag if np.array_equal(sigma, np.diag(diag)) else None
+    return replace(coeffs, plan=replace(coeffs.plan, sigma=sigma, sigma_diag=diag))
 
 
 def build_sde_coefficients(op: SingularOperatorSpec) -> SdeCoefficients:
-    """Assemble all simulation fields from a divergence-compatible spec."""
-    coeffs = SdeCoefficients(dims=op.dims, source=op)
-    if op.a_tilde.is_zero and op.c.is_zero and op.a_diag.is_constant and op.d.is_constant:
-        coeffs = SdeCoefficients(
-            dims=op.dims, source=op, constant_dispersion=_try_constant_dispersion(coeffs)
-        )
-    return coeffs
+    """Assemble all simulation fields from a divergence-compatible spec.
+
+    One evaluation of the drift identities at a probe state looks up every
+    partial they read and gives the folded drift of a constant model.
+    """
+    partial = functools.cache(look_up_partial)
+    probe = np.ones((1, op.dims.total))
+    ba, slope = drift_g_parts(op, probe, partial)
+    e = drift_identity_e(op, probe, partial)
+    drift_identity_f(op, probe, partial)
+    plan = StepPlan(partial=partial, log_drift=not op.b.is_constant)
+    if all(f.is_constant for f in (op.a_diag, op.a_tilde, op.b, op.c, op.d)):
+        drift = np.concatenate([ba, e], axis=-1)[0]
+        plan = replace(plan, drift=drift, drift_slope=slope[0] if slope.any() else None)
+    constant_D = (
+        op.a_tilde.is_zero and op.c.is_zero and op.a_diag.is_constant and op.d.is_constant
+    )
+    return _with_dispersion(SdeCoefficients(op.dims, op, plan), constant_D)
 
 
 def build_standard_sde_coefficients(std: StandardOperatorSpec) -> StandardSdeCoefficients:
-    coeffs = StandardSdeCoefficients(dims=std.dims, source=std)
-    if std.a_hat.is_zero and std.c_hat.is_zero and std.d_hat.is_constant:
-        coeffs = StandardSdeCoefficients(
-            dims=std.dims,
-            source=std,
-            constant_dispersion=_try_constant_dispersion(coeffs),
-        )
-    return coeffs
+    constant_D = std.a_hat.is_zero and std.c_hat.is_zero and std.d_hat.is_constant
+    return _with_dispersion(StandardSdeCoefficients(std.dims, std, StepPlan()), constant_D)
 
 
 # ---------------------------------------------------------------------------
@@ -318,25 +350,19 @@ def _theta_rhs(
     sing: SdeCoefficients,
     states: np.ndarray,
     log_clamp_eps: float,
+    log_sum: np.ndarray | None = None,
 ) -> np.ndarray:
     n, m = sing.dims.n, sing.dims.m
     states = np.asarray(states, dtype=float)
-    f = sing.f_batch(states)
-    x = states[..., :n]
-    with np.errstate(divide="ignore"):
-        logs = (
-            np.log(np.maximum(x, log_clamp_eps)) if log_clamp_eps > 0.0 else np.log(x)
-        )
-    log_sum = np.einsum("...rj,...j->...r", f, logs) if n else np.zeros(
-        states.shape[:-1] + (m,)
-    )
+    if log_sum is None:
+        log_sum = sing.log_drift_batch(states, log_clamp_eps)
     rhs = np.zeros(states.shape[:-1] + (n + m,))
-    if n:
-        rhs[..., :n] = np.sqrt(np.maximum(x, 0.0)) * log_sum[..., :n]
+    if log_sum is not None:
+        rhs[..., :n] = np.sqrt(np.maximum(states[..., :n], 0.0)) * log_sum[..., :n]
+        rhs[..., n:] = log_sum[..., n:]
     if m:
         eh = std.source.e_hat.evaluate_batch(states)
-        e = sing.e_batch(states)
-        rhs[..., n:] = log_sum[..., n:] + eh - e
+        rhs[..., n:] = rhs[..., n:] + eh - sing.e_batch(states)
     return rhs
 
 
@@ -379,19 +405,30 @@ class GirsanovField:
 
     ``theta_batch`` uses clamped logarithms so it extends continuously by 0
     onto each degenerate face (the degenerate rows carry a ``sqrt(x_i)``
-    factor).
+    factor).  ``divisor`` is the diagonal of a constant, diagonal and
+    nonsingular standard-side dispersion, for which the solve is a division.
     """
 
     std: StandardSdeCoefficients
     sing: SdeCoefficients
+    divisor: np.ndarray | None = None
 
     @property
     def dims(self) -> StateSpaceDims:
         return self.sing.dims
 
-    def theta_batch(self, states: np.ndarray, log_clamp_eps: float = 1e-12) -> np.ndarray:
+    def theta_batch(
+        self,
+        states: np.ndarray,
+        log_clamp_eps: float = 1e-12,
+        log_sum: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Drift change per state; ``log_sum`` passes in the divergence side's
+        ``log_drift_batch`` result when the caller already has it."""
         states = np.asarray(states, dtype=float)
-        rhs = _theta_rhs(self.std, self.sing, states, log_clamp_eps)
+        rhs = _theta_rhs(self.std, self.sing, states, log_clamp_eps, log_sum)
+        if self.divisor is not None:
+            return rhs / self.divisor
         sig = self.std.sigma_batch(states)
         try:
             return np.linalg.solve(sig, rhs[..., None])[..., 0]
@@ -418,4 +455,6 @@ def make_girsanov_field(
         sing = build_sde_coefficients(sing)
     if std.dims != sing.dims:
         raise DimensionMismatchError("model pair dims mismatch")
-    return GirsanovField(std=std, sing=sing)
+    diag = std.plan.sigma_diag
+    divisor = diag if diag is not None and diag.all() else None
+    return GirsanovField(std=std, sing=sing, divisor=divisor)

@@ -250,45 +250,36 @@ class _ExactGammaParams:
 
 def _advance_block(
     coeffs,
-    params_exact,
     theta: GirsanovField | None,
     config: PathConfig,
     states: np.ndarray,
-    rng: np.random.Generator,
+    xi: np.ndarray,
     step_index: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One scheme step for a block; returns (new_states, dW, log_weight_delta)."""
-    dims = coeffs.dims
-    n, total = dims.n, dims.total
+    """One Euler step of a block from standard normals ``xi``;
+    returns (new_states, dW, log_weight_delta)."""
+    n = coeffs.dims.n
     dt = config.dt
+    eps = config.log_clamp_eps
     sqdt = np.sqrt(dt)
-    nb = states.shape[0]
-    if config.scheme == "exact-1d-gamma":
-        new = params_exact.sample(rng, states[:, 0], dt)[:, None]
-        return new, np.zeros((nb, total)), np.zeros(nb)
-
-    xi = rng.standard_normal((nb, total))
     dW = sqdt * xi
-    drift = coeffs.drift_batch(states, config.log_clamp_eps)
-    sigma = coeffs.sigma_batch(states)
-    if sigma.ndim == 2:
-        noise = xi @ sigma.T
+    if theta is not None and theta.sing is coeffs:
+        # the weight belongs to this model's own paths: f . ln x serves both
+        log_sum = coeffs.log_drift_batch(states, eps)
+        drift = coeffs.drift_batch(states, eps, log_sum)
+        th = theta.theta_batch(states, eps, log_sum)
     else:
-        noise = np.einsum("pij,pj->pi", sigma, xi)
-    logw_delta = np.zeros(nb)
-    if theta is not None:
-        th = theta.theta_batch(states, config.log_clamp_eps)
+        drift = coeffs.drift_batch(states, eps)
+        th = None if theta is None else theta.theta_batch(states, eps)
+    noise = coeffs.noise_batch(states, xi)
+    logw_delta = np.zeros(states.shape[0])
+    if th is not None:
         logw_delta = -np.einsum("pi,pi->p", th, dW) - 0.5 * dt * np.einsum(
             "pi,pi->p", th, th
         )
     new = states + drift * dt
-    if config.scheme == "euler-projected":
-        if n:
-            root_x = np.sqrt(np.maximum(states[:, :n], 0.0))
-            new[:, :n] += root_x * noise[:, :n] * sqdt
-            new[:, :n] = np.maximum(new[:, :n], 0.0)
-        new[:, n:] += noise[:, n:] * sqdt
-    else:  # euler-implicit-sqrt: drift-implicit in the sqrt chart on x-rows
+    if config.scheme == "euler-implicit-sqrt":
+        # drift-implicit in the sqrt chart on x-rows
         D = coeffs.D_batch(states)
         for i in range(n):
             y = np.sqrt(np.maximum(states[:, i], 0.0))
@@ -296,8 +287,12 @@ def _advance_block(
             disc = B * B + 2.0 * (drift[:, i] - 0.25 * D[..., i, i]) * dt
             ynew = 0.5 * (B + np.sqrt(np.maximum(disc, 0.0)))
             new[:, i] = ynew * ynew
-        new[:, n:] += noise[:, n:] * sqdt
-    if not np.all(np.isfinite(new)):
+    elif n:
+        root_x = np.sqrt(np.maximum(states[:, :n], 0.0))
+        new[:, :n] += root_x * noise[:, :n] * sqdt
+        new[:, :n] = np.maximum(new[:, :n], 0.0)
+    new[:, n:] += noise[:, n:] * sqdt
+    if not np.isfinite(new).all():
         bad = int(np.flatnonzero(~np.isfinite(new).all(axis=1))[0])
         raise NumericFailureError(
             f"non-finite state at step {step_index} (block path {bad})"
@@ -374,9 +369,12 @@ def simulate_bundle(
             if log_weights is not None:
                 log_weights[sl, record_idx[0]] = 0.0
         for k in range(1, n_steps + 1):
-            new, dW, dlogw = _advance_block(
-                coeffs, params_exact, theta, config, cur, rng, k
-            )
+            if params_exact is None:
+                xi = rng.standard_normal((nb, total))
+                new, dW, dlogw = _advance_block(coeffs, theta, config, cur, xi, k)
+            else:
+                new = params_exact.sample(rng, cur[:, 0], config.dt)[:, None]
+                dW, dlogw = np.zeros((nb, total)), np.zeros(nb)
             new = np.where(alive[:, None], new, cur)
             if theta is not None:
                 logw = logw + np.where(alive, dlogw, 0.0)
@@ -429,28 +427,18 @@ def simulate_bundle(
 
 
 def step_singular(
-    coeffs: SdeCoefficients,
+    coeffs: SdeCoefficients | StandardSdeCoefficients,
     z: Point,
     dt: float,
     xi: Sequence[float],
     config: PathConfig | None = None,
 ) -> Point:
-    """One explicit scheme step from ``z`` with given standard normals."""
-    return _single_step(coeffs, z, dt, xi, config)
+    """One explicit scheme step from ``z`` with given standard normals.
 
-
-def step_standard(
-    coeffs: StandardSdeCoefficients,
-    z: Point,
-    dt: float,
-    xi: Sequence[float],
-    config: PathConfig | None = None,
-) -> Point:
-    """One explicit scheme step of the standard (bounded-drift) equation."""
-    return _single_step(coeffs, z, dt, xi, config)
-
-
-def _single_step(coeffs, z: Point, dt: float, xi, config) -> Point:
+    This is the block step of :func:`simulate_bundle` on a single path, for
+    either equation (``step_standard`` is the same function); the exact
+    scheme, which draws no normals, steps as projected Euler here.
+    """
     dims = coeffs.dims
     if config is None:
         config = PathConfig(dt=dt, seed=0, n_paths=1, horizon=dt)
@@ -459,30 +447,11 @@ def _single_step(coeffs, z: Point, dt: float, xi, config) -> Point:
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (dims.total,):
         raise DimensionMismatchError(f"need {dims.total} normals, got {xi.shape}")
-    states = z.vector[None, :]
-    n = dims.n
-    sqdt = np.sqrt(dt)
-    drift = coeffs.drift_batch(states, config.log_clamp_eps)
-    sigma = coeffs.sigma_batch(states)
-    sig = sigma if sigma.ndim == 2 else sigma[0]
-    noise = sig @ xi
-    new = states[0] + drift[0] * dt
-    if config.scheme == "euler-implicit-sqrt":
-        D = coeffs.D_batch(states)[0]
-        for i in range(n):
-            y = np.sqrt(max(states[0, i], 0.0))
-            B = y + 0.5 * noise[i] * sqdt
-            disc = B * B + 2.0 * (drift[0, i] - 0.25 * D[i, i]) * dt
-            ynew = 0.5 * (B + np.sqrt(max(disc, 0.0)))
-            new[i] = ynew * ynew
-    else:
-        for i in range(n):
-            new[i] += np.sqrt(max(states[0, i], 0.0)) * noise[i] * sqdt
-            new[i] = max(new[i], 0.0)
-    new[n:] += noise[n:] * sqdt
-    if not np.all(np.isfinite(new)):
-        raise NumericFailureError(f"non-finite state stepping from {z}")
-    return Point.from_vector(dims, new)
+    new, _, _ = _advance_block(coeffs, None, config, z.vector[None, :], xi[None, :], 1)
+    return Point.from_vector(dims, new[0])
+
+
+step_standard = step_singular
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +473,7 @@ def bundle_to_csv(bundle: PathBundle, path: str, dims: StateSpaceDims | None = N
             for r, t in enumerate(bundle.record_times):
                 row = [i, r, f"{t:.12g}"]
                 row += [f"{v:.17g}" for v in bundle.states[i, r]]
-                row.append(int(bundle.tau[i] <= t + 1e-12))
+                row.append(int(bundle.exited[i] and bundle.tau[i] <= t + 1e-12))
                 lw = 0.0 if bundle.log_weights is None else bundle.log_weights[i, r]
                 row.append(f"{lw:.17g}")
                 writer.writerow(row)

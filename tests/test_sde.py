@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,9 +8,18 @@ from conftest import make_sing_1d, make_std_1d
 
 from kimura_lab.errors import EllipticityViolationError, InvalidMatrixError
 from kimura_lab.fields import FieldMatrix, FieldVector
-from kimura_lab.geometry import Point, StateSpaceDims
-from kimura_lab.operators import SingularOperatorSpec, StandardOperatorSpec
+from kimura_lab.geometry import DomainSpec, Point, StateSpaceDims
+from kimura_lab.operators import (
+    SingularOperatorSpec,
+    StandardOperatorSpec,
+    derive_singular_from_standard,
+    drift_identity_e,
+    drift_identity_f,
+    drift_identity_g,
+    operator_from_json,
+)
 from kimura_lab.sde import (
+    StandardSdeCoefficients,
     build_sde_coefficients,
     build_standard_sde_coefficients,
     dispersion_sqrt,
@@ -17,6 +27,7 @@ from kimura_lab.sde import (
     girsanov_theta,
     make_girsanov_field,
 )
+from kimura_lab.simulate import PathConfig, simulate_bundle
 
 
 def make_sing_coupled(gamma=0.3):
@@ -41,7 +52,7 @@ class TestCoefficientAssembly:
         assert coeffs.g(z) == pytest.approx([0.5])
         assert np.all(coeffs.f(z) == 0.0)
         assert coeffs.drift(z) == pytest.approx([0.5])
-        assert coeffs.constant_dispersion is not None
+        assert coeffs.plan.sigma is not None
 
     def test_affine_weight_log_drift(self):
         eps = 0.1
@@ -163,7 +174,7 @@ class TestStandardSide:
 
     def test_constant_dispersion_detected(self):
         coeffs = build_standard_sde_coefficients(make_std_1d(b0=0.5))
-        assert coeffs.constant_dispersion == pytest.approx(np.array([[math.sqrt(2.0)]]))
+        assert coeffs.plan.sigma == pytest.approx(np.array([[math.sqrt(2.0)]]))
 
 
 class TestGirsanovTheta:
@@ -219,3 +230,171 @@ class TestGirsanovTheta:
         # free row: sigma^ theta = e_hat - e = 0.7, sigma^_yy = sqrt(2)
         assert theta[1] == pytest.approx(0.7 / math.sqrt(2.0))
         assert theta[0] == pytest.approx(0.0)
+
+
+# ---------------------------------------------------------------------------
+# Step plan against the unfolded assembly
+# ---------------------------------------------------------------------------
+
+HARNACK_MODEL = {  # configs/harnack_scan.json
+    "kind": "singular", "dims": {"n": 1, "m": 0},
+    "b": [{"family": "constant", "value": 0.5}],
+}
+GIRSANOV_MODEL = {  # configs/girsanov_consistency.json
+    "kind": "standard", "dims": {"n": 1, "m": 0},
+    "b_hat": [{"family": "affine", "c0": 1.0, "coeffs": [0.2]}],
+}
+VALIDATE_MODEL = {  # configs/validate_model.json
+    "kind": "standard", "dims": {"n": 1, "m": 1},
+    "b_hat": [{"family": "constant", "value": 0.5}],
+    "d_hat": [[{"family": "constant", "value": 1.0}]],
+    "e_hat": [{"family": "trig", "c0": 0.0, "amplitude": 0.1, "axis": 1, "frequency": 2.0}],
+}
+AFFINE_STANDARD = {
+    "kind": "standard", "dims": {"n": 1, "m": 1},
+    "b_hat": [{"family": "affine", "c0": 0.8, "coeffs": [0.3, -0.1]}],
+    "d_hat": [[{"family": "constant", "value": 1.5}]],
+    "e_hat": [{"family": "affine", "c0": 0.2, "coeffs": [-0.4, 0.25]}],
+}
+EPS = 1e-12
+# x = 0, x below the log clamp, x past the [0, 4] solve box; y past [-4, 4]
+X_PROBES = [0.0, 1e-14, 0.3, 1.7, 5.5, 21.0]
+Y_PROBES = [-4.5, 0.2, 6.0]
+
+
+def _probe_states(dims):
+    if dims.m == 0:
+        return np.array(X_PROBES)[:, None]
+    return np.array([[x, y] for x in X_PROBES for y in Y_PROBES])
+
+
+def _unfolded_log_sum(op, states, eps):
+    n = op.dims.n
+    logs = np.log(np.maximum(states[..., :n], eps))
+    return np.einsum("...rj,...j->...r", drift_identity_f(op, states), logs)
+
+
+def _unfolded_drift(op, states, eps):
+    n = op.dims.n
+    out = np.concatenate(
+        [drift_identity_g(op, states), drift_identity_e(op, states)], axis=-1
+    )
+    log_sum = _unfolded_log_sum(op, states, eps)
+    out[..., :n] += states[..., :n] * log_sum[..., :n]
+    out[..., n:] += log_sum[..., n:]
+    return out
+
+
+def _unfolded_noise(coeffs, states, xi):
+    sigma = dispersion_sqrt_batch(coeffs.D_batch(states))
+    return np.einsum("pij,pj->pi", sigma, xi)
+
+
+def _unfolded_theta(std_op, sing_op, states, eps):
+    n = sing_op.dims.n
+    log_sum = _unfolded_log_sum(sing_op, states, eps)
+    rhs = np.zeros(states.shape)
+    rhs[:, :n] = np.sqrt(np.maximum(states[:, :n], 0.0)) * log_sum[:, :n]
+    rhs[:, n:] = (
+        log_sum[:, n:] + std_op.e_hat.evaluate_batch(states)
+        - drift_identity_e(sing_op, states)
+    )
+    sig = dispersion_sqrt_batch(build_standard_sde_coefficients(std_op).D_batch(states))
+    return np.linalg.solve(sig, rhs[..., None])[..., 0]
+
+
+def _assert_plan_matches_unfolded(coeffs, states):
+    xi = np.random.Generator(np.random.Philox(key=5)).standard_normal(states.shape)
+    if isinstance(coeffs, StandardSdeCoefficients):
+        src = coeffs.source
+        drift = np.concatenate(
+            [src.b_hat.evaluate_batch(states), src.e_hat.evaluate_batch(states)], axis=-1
+        )
+    else:
+        drift = _unfolded_drift(coeffs.source, states, EPS)
+    assert coeffs.drift_batch(states, EPS).tobytes() == drift.tobytes()
+    # every model here has a constant diagonal dispersion: noise is a product
+    assert coeffs.plan.sigma_diag is not None
+    assert coeffs.noise_batch(states, xi).tobytes() == _unfolded_noise(coeffs, states, xi).tobytes()
+
+
+class TestStepPlan:
+    def test_constant_singular_folds_to_constant_drift(self):
+        coeffs = build_sde_coefficients(operator_from_json(HARNACK_MODEL))
+        plan = coeffs.plan
+        assert plan.drift.tolist() == [0.5] and plan.drift_slope is None
+        assert not plan.log_drift
+        assert coeffs.log_drift_batch(_probe_states(coeffs.dims)) is None
+        _assert_plan_matches_unfolded(coeffs, _probe_states(coeffs.dims))
+
+    def test_affine_standard(self):
+        coeffs = build_standard_sde_coefficients(operator_from_json(AFFINE_STANDARD))
+        assert coeffs.plan.drift is None
+        _assert_plan_matches_unfolded(coeffs, _probe_states(coeffs.dims))
+
+    @pytest.mark.parametrize("model", [GIRSANOV_MODEL, VALIDATE_MODEL], ids=["1d", "n1m1"])
+    def test_derived_model_with_theta(self, model):
+        std_op = operator_from_json(model)
+        sing_op = derive_singular_from_standard(std_op)
+        pair = make_girsanov_field(std_op, sing_op)
+        states = _probe_states(std_op.dims)
+        _assert_plan_matches_unfolded(pair.sing, states)
+        _assert_plan_matches_unfolded(pair.std, states)
+        assert pair.divisor is not None  # theta by division
+        expected = _unfolded_theta(std_op, sing_op, states, EPS).tobytes()
+        assert pair.theta_batch(states, EPS).tobytes() == expected
+        shared = pair.sing.log_drift_batch(states, EPS)
+        assert shared.tobytes() == _unfolded_log_sum(sing_op, states, EPS).tobytes()
+        assert pair.theta_batch(states, EPS, shared).tobytes() == expected
+        assert pair.sing.drift_batch(states, EPS, shared).tobytes() == (
+            _unfolded_drift(sing_op, states, EPS).tobytes()
+        )
+
+    def test_constant_nondiagonal_dispersion_multiplies_the_matrix(self):
+        # matmul may sum in another order than the per-state einsum
+        dims = StateSpaceDims(0, 3)
+        d = [[1.0, 0.3, 0.1], [0.3, 1.2, -0.2], [0.1, -0.2, 0.9]]
+        coeffs = build_sde_coefficients(SingularOperatorSpec(
+            dims=dims, a_diag=FieldVector([]), a_tilde=FieldMatrix.zeros(0, 0),
+            b=FieldVector([]), c=FieldMatrix.zeros(0, 3), d=FieldMatrix(d),
+        ))
+        assert coeffs.plan.sigma is not None and coeffs.plan.sigma_diag is None
+        states = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 5.0]])
+        xi = np.array([[0.3, -1.2, 2.2], [-0.7, 0.4, 1.9]])
+        ref = _unfolded_noise(coeffs, states, xi)
+        assert np.allclose(coeffs.noise_batch(states, xi), ref, rtol=1e-14, atol=0.0)
+
+    def test_singular_standard_dispersion_keeps_the_solve(self):
+        # a zero diagonal entry is no divisor: theta goes through the solve,
+        # which reports the singular matrix
+        dims = StateSpaceDims(0, 1)
+        std = StandardOperatorSpec(
+            dims=dims, a_hat=FieldMatrix.zeros(0, 0), b_hat=FieldVector([]),
+            c_hat=FieldMatrix.zeros(0, 1), d_hat=FieldMatrix([[0.0]]),
+            e_hat=FieldVector([0.5]),
+        )
+        sing = SingularOperatorSpec(
+            dims=dims, a_diag=FieldVector([]), a_tilde=FieldMatrix.zeros(0, 0),
+            b=FieldVector([]), c=FieldMatrix.zeros(0, 1), d=FieldMatrix([[1.0]]),
+        )
+        pair = make_girsanov_field(std, sing)
+        assert pair.divisor is None
+        with pytest.raises(EllipticityViolationError):
+            pair.theta_batch(np.array([[0.0]]))
+
+    def test_lattice_partials_are_differentiated_once(self, monkeypatch):
+        calls = Counter()
+        gradient = np.gradient
+
+        def counting(values, *args, **kwargs):
+            calls[(id(values), kwargs.get("axis"))] += 1
+            return gradient(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "gradient", counting)
+        std_op = operator_from_json(GIRSANOV_MODEL)
+        pair = make_girsanov_field(std_op, derive_singular_from_standard(std_op))
+        cfg = PathConfig(dt=1e-2, seed=3, n_paths=64, horizon=1.0, record="ends")
+        simulate_bundle(pair.sing, Point((1.0,), ()), DomainSpec.full_space(std_op.dims),
+                        cfg, theta=pair)
+        assert cfg.n_steps == 100
+        assert calls and max(calls.values()) == 1

@@ -8,7 +8,7 @@ from conftest import make_sing_1d, make_std_1d, mean_se
 from kimura_lab.errors import InvalidStartError, NumericFailureError
 from kimura_lab.fields import CallableField, FieldMatrix, FieldVector
 from kimura_lab.geometry import DomainSpec, Point, StateSpaceDims
-from kimura_lab.operators import SingularOperatorSpec
+from kimura_lab.operators import SingularOperatorSpec, derive_singular_from_standard
 from kimura_lab.oracle import Besq1dModel, besq_mean
 from kimura_lab.sde import (
     build_sde_coefficients,
@@ -20,8 +20,10 @@ from kimura_lab.simulate import (
     bundle_to_csv,
     bundle_to_kimb,
     read_kimb,
+    _advance_block,
     simulate_bundle,
     step_singular,
+    step_standard,
 )
 
 DIMS1 = StateSpaceDims(1, 0)
@@ -60,6 +62,24 @@ class TestSingleStep:
         coeffs = build_sde_coefficients(make_sing_1d(b0=0.5))
         out = step_singular(coeffs, Point((0.01,), ()), 0.01, [-10.0])
         assert out.x[0] == 0.0
+
+    @pytest.mark.parametrize("scheme", ["euler-projected", "euler-implicit-sqrt"])
+    def test_single_step_is_the_block_step_row(self, scheme):
+        std_op = make_std_1d(b0=1.0, slope=0.2, a_hat=0.3)  # state-dependent sigma
+        cases = [
+            (step_singular, build_sde_coefficients(derive_singular_from_standard(std_op))),
+            (step_singular, build_sde_coefficients(make_sing_1d(b0=0.5))),
+            (step_standard, build_standard_sde_coefficients(std_op)),
+        ]
+        states = np.array([[0.0], [1e-14], [0.4], [2.5], [6.0]])
+        xi = np.array([[0.8], [-1.1], [-2.4], [0.3], [1.7]])
+        cfg = PathConfig(dt=1e-2, seed=0, n_paths=5, horizon=1.0, scheme=scheme)
+        for step, coeffs in cases:
+            block, _, _ = _advance_block(coeffs, None, cfg, states, xi, 1)
+            for row in range(len(states)):
+                z = Point((float(states[row, 0]),), ())
+                out = step(coeffs, z, cfg.dt, xi[row], cfg)
+                assert np.array(out.x).tobytes() == block[row].tobytes()
 
 
 class TestBundles:
@@ -309,6 +329,23 @@ class TestExports:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "path,step,t,x0,exited,log_weight"
         assert len(lines) == 1 + 3 * 3
+        assert not bundle.exited.any()
+        assert [line.split(",")[4] for line in lines[1:]] == ["0"] * 9
+
+    def test_csv_exited_column_marks_rows_from_the_exit_on(self, tmp_path):
+        coeffs = build_standard_sde_coefficients(make_std_1d(b0=20.0))
+        domain = DomainSpec.box(DIMS1, [(0.0, 1.0)])
+        cfg = PathConfig(dt=2e-3, seed=6, n_paths=40, horizon=0.5, record="all")
+        bundle = simulate_bundle(coeffs, Point((0.5,), ()), domain, cfg)
+        path = tmp_path / "paths.csv"
+        bundle_to_csv(bundle, str(path), dims=DIMS1)
+        rows = [line.split(",") for line in path.read_text().strip().splitlines()[1:]]
+        n_rec = len(bundle.record_times)
+        assert bundle.exited.all()
+        for i in range(bundle.n_paths):
+            flags = [int(r[4]) for r in rows[i * n_rec:(i + 1) * n_rec]]
+            k = int(bundle.tau_index[i])
+            assert flags == [0] * k + [1] * (n_rec - k)
 
 
 class TestStreamsAndIncrements:
