@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -114,6 +115,16 @@ def _coeffs_for(model, variant: str):
     return build_sde_coefficients(model)
 
 
+def _load_run(doc: dict, seed: int):
+    """``(model, variant, coeffs, domain, config)`` of a simulating command."""
+    model = _load_model(doc)
+    default = "singular" if isinstance(model, SingularOperatorSpec) else "standard"
+    variant = doc.get("variant", default)
+    coeffs = _coeffs_for(model, variant)
+    domain = _load_domain(doc, model.dims)
+    return model, variant, coeffs, domain, _path_config(doc, seed)
+
+
 def _payoff(doc, dims: StateSpaceDims):
     """Built-in payoffs: 'one', {'coordinate': i}, {'exp-neg': i}, or a field."""
     if doc in (None, "one", 1):
@@ -128,8 +139,9 @@ def _payoff(doc, dims: StateSpaceDims):
     return f.evaluate_batch
 
 
-def _point(values, dims: StateSpaceDims) -> Point:
-    return Point.from_vector(dims, np.asarray(values, dtype=float))
+def _point(doc: dict, key: str, dims: StateSpaceDims) -> Point:
+    values = np.asarray(_require(doc, key, "config"), dtype=float)
+    return Point.from_vector(dims, values)
 
 
 def _write_results(out_dir: str, doc: dict, name: str = "results.json") -> str:
@@ -138,6 +150,16 @@ def _write_results(out_dir: str, doc: dict, name: str = "results.json") -> str:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return path
+
+
+def _write_csv(out_dir: str, doc: dict, default: str, header, rows) -> str:
+    """Write ``rows`` under the config's ``output.csv`` name; returns the name."""
+    name = doc.get("output", {}).get("csv", default)
+    with open(os.path.join(out_dir, name), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return os.path.basename(name)
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +191,8 @@ def _cmd_validate(doc, seed, out_dir, threads) -> tuple[int, dict]:
 
 
 def _cmd_simulate(doc, seed, out_dir, threads) -> tuple[int, dict]:
-    model = _load_model(doc)
-    variant = doc.get("variant", "singular" if isinstance(model, SingularOperatorSpec) else "standard")
-    coeffs = _coeffs_for(model, variant)
-    domain = _load_domain(doc, model.dims)
-    config = _path_config(doc, seed)
-    z0 = _point(_require(doc, "z0", "config"), model.dims)
+    model, variant, coeffs, domain, config = _load_run(doc, seed)
+    z0 = _point(doc, "z0", model.dims)
     bundle = simulate_bundle(coeffs, z0, domain, config, n_threads=threads)
     out = doc.get("output", {})
     bundle_path = os.path.join(out_dir, out.get("bundle", "bundle.kimb"))
@@ -194,12 +212,8 @@ def _cmd_simulate(doc, seed, out_dir, threads) -> tuple[int, dict]:
 
 
 def _cmd_fk(doc, seed, out_dir, threads) -> tuple[int, dict]:
-    model = _load_model(doc)
-    variant = doc.get("variant", "singular" if isinstance(model, SingularOperatorSpec) else "standard")
-    coeffs = _coeffs_for(model, variant)
-    domain = _load_domain(doc, model.dims)
-    config = _path_config(doc, seed)
-    z0 = _point(_require(doc, "z0", "config"), model.dims)
+    model, _, coeffs, domain, config = _load_run(doc, seed)
+    z0 = _point(doc, "z0", model.dims)
     t = float(_require(doc, "t", "config"))
     mode = doc.get("mode", "semigroup")
     if mode == "semigroup":
@@ -218,12 +232,8 @@ def _cmd_fk(doc, seed, out_dir, threads) -> tuple[int, dict]:
 
 
 def _cmd_density(doc, seed, out_dir, threads) -> tuple[int, dict]:
-    model = _load_model(doc)
-    variant = doc.get("variant", "singular" if isinstance(model, SingularOperatorSpec) else "standard")
-    coeffs = _coeffs_for(model, variant)
-    domain = _load_domain(doc, model.dims)
-    config = _path_config(doc, seed)
-    z0 = _point(_require(doc, "z0", "config"), model.dims)
+    model, _, coeffs, domain, config = _load_run(doc, seed)
+    z0 = _point(doc, "z0", model.dims)
     t = float(doc.get("t", config.horizon))
     grid_doc = _require(doc, "grid", "config")
     grid = GridSpec(
@@ -232,45 +242,35 @@ def _cmd_density(doc, seed, out_dir, threads) -> tuple[int, dict]:
     )
     measure = None
     if doc.get("measure", "lebesgue") == "operator":
-        sing = coeffs.source if isinstance(model, SingularOperatorSpec) else None
-        if sing is None:
+        sing = coeffs.source
+        if not isinstance(sing, SingularOperatorSpec):
             sing = derive_singular_from_standard(model)
         measure = sing.measure()
-    from dataclasses import replace as _replace
-
-    cfg = _replace(config, record=(0.0, t), horizon=max(t, config.horizon))
+    cfg = replace(config, record=(0.0, t), horizon=max(t, config.horizon))
     bundle = simulate_bundle(coeffs, z0, domain, cfg, n_threads=threads)
-    est = estimate_density(bundle, t, grid, measure=measure, dims=model.dims)
-    out = doc.get("output", {})
-    csv_path = os.path.join(out_dir, out.get("csv", "density.csv"))
-    centers = est.cell_centers()
-    mesh = np.meshgrid(*centers, indexing="ij")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"c{j}" for j in range(len(centers))] + ["cell_mu", "density"])
-        for idx in np.ndindex(*est.values.shape):
-            row = [f"{mesh[a][idx]:.12g}" for a in range(len(centers))]
-            row += [f"{est.cell_mu[idx]:.12g}", f"{est.values[idx]:.12g}"]
-            writer.writerow(row)
+    est = estimate_density(bundle, t, grid, measure=measure)
+    mesh = np.meshgrid(*est.cell_centers(), indexing="ij")
+    rows = (
+        [f"{g[idx]:.12g}" for g in mesh]
+        + [f"{est.cell_mu[idx]:.12g}", f"{est.values[idx]:.12g}"]
+        for idx in np.ndindex(*est.values.shape)
+    )
+    header = [f"c{j}" for j in range(len(mesh))] + ["cell_mu", "density"]
     result = {
         "t": t,
         "survival_mass": est.survival_mass,
         "in_box_mass": est.in_box_mass,
         "weighted_mass": check_mass(est),
-        "csv": os.path.basename(csv_path),
+        "csv": _write_csv(out_dir, doc, "density.csv", header, rows),
     }
     return 0, result
 
 
 def _cmd_harnack(doc, seed, out_dir, threads) -> tuple[int, dict]:
-    model = _load_model(doc)
-    variant = doc.get("variant", "singular" if isinstance(model, SingularOperatorSpec) else "standard")
-    coeffs = _coeffs_for(model, variant)
-    domain = _load_domain(doc, model.dims)
-    config = _path_config(doc, seed)
+    model, _, coeffs, domain, config = _load_run(doc, seed)
     dims = model.dims
     s = float(_require(doc, "s", "config"))
-    z = _point(_require(doc, "z", "config"), dims)
+    z = _point(doc, "z", dims)
     R = float(_require(doc, "R", "config"))
     c = float(doc.get("c", 0.9))
     d = float(doc.get("d", math.sqrt(0.8)))
@@ -290,18 +290,12 @@ def _cmd_harnack(doc, seed, out_dir, threads) -> tuple[int, dict]:
         memoize_estimator(u_est), s, z, R, c, d,
         [f * c * R for f in fractions], lattice,
     )
-    out = doc.get("output", {})
-    csv_path = os.path.join(out_dir, out.get("csv", "harnack.csv"))
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rho", "ratio"])
-        for rep in reports:
-            writer.writerow([f"{rep.radius:.12g}", f"{rep.ratio:.12g}"])
+    rows = [[f"{rep.radius:.12g}", f"{rep.ratio:.12g}"] for rep in reports]
     finite = [r.ratio for r in reports if math.isfinite(r.ratio)]
     result = {
         "reports": [r.to_json() for r in reports],
         "max_ratio": max(finite) if finite else None,
-        "csv": os.path.basename(csv_path),
+        "csv": _write_csv(out_dir, doc, "harnack.csv", ["rho", "ratio"], rows),
     }
     return 0, result
 
@@ -316,17 +310,15 @@ def _cmd_girsanov(doc, seed, out_dir, threads) -> tuple[int, dict]:
     theta = make_girsanov_field(std, sing)
     domain = _load_domain(doc, model.dims)
     config = _path_config(doc, seed)
-    z0 = _point(_require(doc, "z0", "config"), model.dims)
+    z0 = _point(doc, "z0", model.dims)
     t = float(doc.get("t", config.horizon))
     payoff = _payoff(doc.get("f", {"exp-neg": 0}), model.dims)
-    from dataclasses import replace as _replace
-
-    cfg_std = _replace(config, horizon=t, record=(0.0, t), seed=seed)
+    cfg_std = replace(config, horizon=t, record=(0.0, t), seed=seed)
     # a handful of weight marks keeps memory flat for large bundles
     n_steps = int(round(t / config.dt))
     mark_steps = sorted({round(n_steps * i / 10) for i in range(11)} - {0})
     marks = tuple(k * config.dt for k in mark_steps)
-    cfg_sing = _replace(config, horizon=t, record=(0.0,) + marks, seed=seed + 1)
+    cfg_sing = replace(config, horizon=t, record=(0.0,) + marks, seed=seed + 1)
     b_std = simulate_bundle(std, z0, domain, cfg_std, n_threads=threads)
     b_sing = simulate_bundle(
         sing, z0, domain, cfg_sing, theta=theta, n_threads=threads
@@ -367,20 +359,11 @@ def _cmd_oracle_compare(doc, seed, out_dir, threads) -> tuple[int, dict]:
     bins = int(doc.get("bins", 64))
     box_hi = float(doc.get("box_hi", max(6.0 * max(b0 * t, 1e-3), x0 + 6.0)))
 
-    from .fields import ConstantField
-    from .fields import FieldMatrix, FieldVector
-
-    dims = StateSpaceDims(1, 0)
-    std = StandardOperatorSpec(
-        dims=dims,
-        a_hat=FieldMatrix.zeros(1, 1),
-        b_hat=FieldVector([ConstantField(b0)]),
-        c_hat=FieldMatrix.zeros(1, 0),
-        d_hat=FieldMatrix.zeros(0, 0),
-        e_hat=FieldVector([]),
+    std = operator_from_json(
+        {"kind": "standard", "dims": {"n": 1, "m": 0}, "b_hat": [b0]}
     )
     coeffs = build_standard_sde_coefficients(std)
-    domain = DomainSpec.full_space(dims)
+    domain = DomainSpec.full_space(std.dims)
     config = PathConfig(
         dt=dt, seed=seed, n_paths=n_paths, horizon=t, scheme=scheme,
         record=(0.0, t),

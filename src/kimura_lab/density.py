@@ -25,6 +25,7 @@ from .geometry import (
     WeightedMeasure,
     mu_ball,
     rho_batch,
+    sqrt_chart_quadrature,
 )
 from .simulate import PathBundle, PathConfig, simulate_bundle
 
@@ -83,7 +84,6 @@ class DensityEstimate:
 def _cell_measures(
     measure: WeightedMeasure | None,
     edges: Sequence[np.ndarray],
-    dims: StateSpaceDims,
     pts_per_cell: int = 8,
 ) -> np.ndarray:
     """Weighted measure of every grid cell by per-cell midpoint quadrature.
@@ -100,41 +100,16 @@ def _cell_measures(
             shape[axis] = n_cells[axis]
             vols = vols * widths.reshape(shape)
         return vols
-    node_axes = []
-    weight_axes = []
-    for axis, e in enumerate(edges):
-        if axis < dims.n:
-            ue = np.sqrt(np.maximum(e, 0.0))
-        else:
-            ue = e
-        h = np.diff(ue) / pts_per_cell
-        offs = (np.arange(pts_per_cell) + 0.5)
-        nodes_u = ue[:-1, None] + h[:, None] * offs[None, :]
-        node_axes.append(nodes_u.reshape(-1))
-        weight_axes.append(np.repeat(h, pts_per_cell))
-    grids = np.meshgrid(*node_axes, indexing="ij")
-    states = np.stack(
-        [g**2 if axis < dims.n else g for axis, g in enumerate(grids)], axis=-1
-    )
-    b = measure.weights_at(states)
-    integrand = np.ones(states.shape[:-1])
-    for axis in range(dims.n):
-        u = grids[axis]
-        expo = 2.0 * b[..., axis] - 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            integrand = integrand * 2.0 * np.where(
-                (u == 0.0) & (expo == 0.0), 1.0, u**expo
-            )
-    wgrid = np.meshgrid(*weight_axes, indexing="ij")
-    for w in wgrid:
-        integrand = integrand * w
+    chart = [
+        np.sqrt(np.maximum(e, 0.0)) if axis < measure.dims.n else e
+        for axis, e in enumerate(edges)
+    ]
+    _, weights = sqrt_chart_quadrature(measure, chart, pts_per_cell)
     # fold the per-cell sub-nodes back onto the cell lattice
     shape = []
     for k in n_cells:
         shape.extend([k, pts_per_cell])
-    integrand = integrand.reshape(shape)
-    axes_to_sum = tuple(range(1, 2 * len(n_cells), 2))
-    return integrand.sum(axis=axes_to_sum)
+    return weights.reshape(shape).sum(axis=tuple(range(1, 2 * len(n_cells), 2)))
 
 
 def estimate_density(
@@ -142,17 +117,12 @@ def estimate_density(
     t: float,
     grid: GridSpec,
     measure: WeightedMeasure | None = None,
-    dims: StateSpaceDims | None = None,
 ) -> DensityEstimate:
     """Histogram density of the alive states at a recorded time.
 
     The density is taken against the weighted measure when ``measure`` is
     given (counts / (n_paths * mu(cell))), otherwise against Lebesgue.
     """
-    dims = dims or (measure.dims if measure is not None else None)
-    if dims is None:
-        d = bundle.dims_total
-        dims = StateSpaceDims(d, 0)
     states = bundle.states_at(t)
     alive = bundle.alive_at(t)
     edges = grid.edges()
@@ -160,7 +130,7 @@ def estimate_density(
         raise DimensionMismatchError("grid box does not match state dimension")
     pts = states[alive]
     counts, _ = np.histogramdd(pts, bins=edges)
-    cell_mu = _cell_measures(measure, edges, dims)
+    cell_mu = _cell_measures(measure, edges)
     survival = float(alive.mean())
     in_box = float(counts.sum() / bundle.n_paths)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -275,12 +275,6 @@ class FieldMatrix:
     def constant(values: Sequence[Sequence[float]]) -> "FieldMatrix":
         return FieldMatrix([[ConstantField(v) for v in row] for row in values])
 
-    def check_symmetric(self, sample_states: np.ndarray, tol: float = 1e-10) -> bool:
-        vals = self.evaluate_batch(sample_states)
-        return bool(
-            np.allclose(vals, np.swapaxes(vals, -1, -2), atol=tol, rtol=0.0)
-        )
-
 
 # ---------------------------------------------------------------------------
 # Test functions (twice differentiable scalar fields with explicit derivatives)

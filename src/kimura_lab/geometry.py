@@ -39,6 +39,7 @@ __all__ = [
     "rho_batch",
     "ball_box",
     "mu_density",
+    "sqrt_chart_quadrature",
     "mu_box",
     "mu_ball",
     "mu_ball_comparator",
@@ -341,22 +342,6 @@ def mu_density(measure: WeightedMeasure, z: Point) -> float:
     return float(out)
 
 
-def mu_density_batch(measure: WeightedMeasure, states: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`mu_density`; zero-weight convention at the boundary."""
-    states = np.asarray(states, dtype=float)
-    n = measure.dims.n
-    if n == 0:
-        return np.ones(states.shape[:-1], dtype=float)
-    b = measure.weights_at(states)
-    x = np.maximum(states[..., :n], 0.0)
-    expo = b - 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factors = np.where(
-            (x == 0.0) & (expo == 0.0), 1.0, np.power(x, expo)
-        )
-    return np.prod(factors, axis=-1)
-
-
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Tensor-product midpoint rule resolution (points per axis)."""
@@ -368,9 +353,59 @@ class QuadratureConfig:
             raise ValueError("quadrature resolution must be positive")
 
 
-def _midpoint_nodes(lo: float, hi: float, k: int) -> tuple[np.ndarray, float]:
-    h = (hi - lo) / k
-    return lo + h * (np.arange(k) + 0.5), h
+def sqrt_chart_quadrature(
+    measure: WeightedMeasure,
+    chart_edges: Sequence[np.ndarray],
+    points_per_cell: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint nodes and weights of ``mu`` on a tensor lattice of chart cells.
+
+    ``chart_edges`` holds the cell edges of each axis in the chart: ``u = sqrt(x)``
+    on degenerate axes, ``y`` on free axes.  Every cell gets ``points_per_cell``
+    midpoint nodes per axis, so node axis ``i`` has ``len(chart_edges[i]) - 1``
+    runs of ``points_per_cell`` nodes, cell by cell.  The chart removes the
+    ``x^(b-1)`` endpoint singularity for ``b`` in (0, 1):
+    ``x^(b-1) dx = 2 u^(2b-1) du``, with ``0^0 = 1``.  Returns the node states,
+    shape (..., n+m), and the node weights (chart widths times
+    ``prod_i 2 u_i^(2 b_i - 1)``), so that ``sum(weights * f(states))``
+    approximates ``int f dmu``.
+
+    Raises :class:`InvalidWeightError` when a weight is not finite, or when
+    ``b_i <= 0`` on a cell whose lower edge lies on the face ``x_i = 0``.
+    """
+    dims = measure.dims
+    if len(chart_edges) != dims.total:
+        raise DimensionMismatchError(
+            f"{len(chart_edges)} edge arrays, dims need {dims.total}"
+        )
+    chart_edges = [np.asarray(e, dtype=float) for e in chart_edges]
+    offsets = np.arange(points_per_cell) + 0.5
+    nodes = []
+    weights = np.ones(())
+    for e in chart_edges:
+        h = np.diff(e) / points_per_cell
+        nodes.append((e[:-1, None] + h[:, None] * offsets).reshape(-1))
+        weights = np.multiply.outer(weights, np.repeat(h, points_per_cell))
+    grids = np.meshgrid(*nodes, indexing="ij")
+    states = np.stack(
+        [g**2 if axis < dims.n else g for axis, g in enumerate(grids)], axis=-1
+    )
+    b = measure.weights_at(states)
+    for i in range(dims.n):
+        at_face = np.repeat(chart_edges[i][:-1] <= 0.0, points_per_cell)
+        at_face = at_face.reshape((-1,) + (1,) * (dims.total - 1 - i))
+        if np.any(at_face & (b[..., i] <= 0.0)):
+            raise InvalidWeightError(
+                "non-integrable weight (b <= 0 at the degenerate boundary)"
+            )
+        u = grids[i]
+        expo = 2.0 * b[..., i] - 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            jacobian = np.where((u == 0.0) & (expo == 0.0), 1.0, u**expo)
+        weights = weights * 2.0 * jacobian
+    if not np.all(np.isfinite(weights)):
+        raise InvalidWeightError("non-finite measure weight")
+    return states, weights
 
 
 def mu_box(
@@ -381,55 +416,25 @@ def mu_box(
 ) -> float:
     """Weighted measure of an axis-aligned box by tensor midpoint quadrature.
 
-    Degenerate axes are integrated in the ``u = sqrt(x)`` chart, which removes
-    the ``x^(b-1)`` endpoint singularity for ``b`` in (0, 1):
-    ``x^(b-1) dx = 2 u^(2b-1) du``.  An optional ``indicator`` restricts the
-    integral to a sub-region (batched predicate on states).
+    One :func:`sqrt_chart_quadrature` cell per axis.  An optional
+    ``indicator`` restricts the integral to a sub-region (batched predicate on
+    states).
     """
     dims = measure.dims
     box = [(float(lo), float(hi)) for lo, hi in box]
     if len(box) != dims.total:
         raise DimensionMismatchError(f"box has {len(box)} axes, dims need {dims.total}")
-    k = quadrature.points_per_axis
-    axes = []
-    steps = []
+    edges = []
     for i, (lo, hi) in enumerate(box):
         if not np.isfinite(lo) or not np.isfinite(hi):
             raise ValueError("mu_box needs a finite box")
         if hi <= lo:
             return 0.0
-        if i < dims.n:
-            lo = max(lo, 0.0)
-            nodes_u, h = _midpoint_nodes(math.sqrt(lo), math.sqrt(hi), k)
-            axes.append(nodes_u)
-        else:
-            nodes, h = _midpoint_nodes(lo, hi, k)
-            axes.append(nodes)
-        steps.append(h)
-    grids = np.meshgrid(*axes, indexing="ij")
-    states = np.stack(
-        [g**2 if i < dims.n else g for i, g in enumerate(grids)], axis=-1
-    )
-    b = measure.weights_at(states)
-    integrand = np.ones(states.shape[:-1], dtype=float)
-    for i in range(dims.n):
-        u = grids[i]
-        if box[i][0] <= 0.0 and float(b[..., i].min()) <= 0.0:
-            raise InvalidWeightError(
-                "non-integrable weight (b <= 0 at the degenerate boundary)"
-            )
-        # x^(b-1) dx -> 2 u^(2b-1) du
-        with np.errstate(divide="ignore", invalid="ignore"):
-            expo = 2.0 * b[..., i] - 1.0
-            factor = 2.0 * np.where((u == 0.0) & (expo == 0.0), 1.0, u**expo)
-        if np.any(~np.isfinite(factor)):
-            raise InvalidWeightError(
-                "non-integrable weight (b <= 0 at the degenerate boundary)"
-            )
-        integrand *= factor
+        edges.append(np.sqrt([max(lo, 0.0), hi]) if i < dims.n else np.array([lo, hi]))
+    states, weights = sqrt_chart_quadrature(measure, edges, quadrature.points_per_axis)
     if indicator is not None:
-        integrand = integrand * indicator(states)
-    return float(integrand.sum() * np.prod(steps))
+        weights = weights * indicator(states)
+    return float(weights.sum())
 
 
 def mu_ball(
@@ -532,25 +537,31 @@ def _decode_bound(v, default: float) -> float:
 class DomainSpec:
     """Open subdomain of the state space with its boundary split.
 
-    ``membership`` tests the open set; ``contains_underline`` additionally
-    admits the degenerate boundary portion (the part of the topological
-    boundary lying inside ``{x_i = 0}`` faces), which is where simulated paths
-    are allowed to live.  ``interior_boundary_distance`` is a signed distance
-    to the non-degenerate boundary only (positive inside, negative outside,
-    +inf when there is none).
+    ``contains_underline`` tests the open set together with the degenerate
+    boundary portion (the part of the topological boundary lying inside
+    ``{x_i = 0}`` faces), which is where simulated paths are allowed to live;
+    :meth:`membership` tests the open set alone.  ``interior_boundary_distance``
+    is a signed distance to the non-degenerate boundary only (positive inside,
+    negative outside, +inf when there is none).
     """
 
     dims: StateSpaceDims
     bounding_box: tuple[tuple[float, float], ...]
     shape: str
     params: dict = field(default_factory=dict, compare=False)
-    membership: Callable[[np.ndarray], np.ndarray] = field(compare=False, default=None)
     contains_underline: Callable[[np.ndarray], np.ndarray] = field(
         compare=False, default=None
     )
     interior_boundary_distance: Callable[[np.ndarray], np.ndarray] = field(
         compare=False, default=None
     )
+
+    def membership(self, states: np.ndarray) -> np.ndarray:
+        """The open set: the underline set without the degenerate faces."""
+        states = np.asarray(states, dtype=float)
+        return self.contains_underline(states) & np.all(
+            states[..., : self.dims.n] > 0.0, axis=-1
+        )
 
     def contains(self, z: Point) -> bool:
         return bool(self.membership(z.vector[None, :])[0])
@@ -581,15 +592,12 @@ class DomainSpec:
         deg_lo_open = np.array(
             [i < dims.n and bounds[i][0] == 0.0 for i in range(dims.total)]
         )
-
-        def membership(states: np.ndarray) -> np.ndarray:
-            states = np.asarray(states, dtype=float)
-            return np.all((states > lo) & (states < hi), axis=-1)
+        # a face x_i = 0 is closed: s > nextafter(0, -inf) is s >= 0
+        above = np.where(deg_lo_open, np.nextafter(0.0, -np.inf), lo)
 
         def underline(states: np.ndarray) -> np.ndarray:
             states = np.asarray(states, dtype=float)
-            above = np.where(deg_lo_open, states >= lo, states > lo)
-            return np.all(above & (states < hi), axis=-1)
+            return np.all((states > above) & (states < hi), axis=-1)
 
         def distance(states: np.ndarray) -> np.ndarray:
             states = np.asarray(states, dtype=float)
@@ -606,7 +614,6 @@ class DomainSpec:
             bounding_box=bounds,
             shape="box",
             params={},
-            membership=membership,
             contains_underline=underline,
             interior_boundary_distance=distance,
         )
@@ -632,13 +639,6 @@ class DomainSpec:
                 for (lo, hi), (clo, chi) in zip(box, bounding_box)
             )
 
-        def membership(states: np.ndarray) -> np.ndarray:
-            states = np.asarray(states, dtype=float)
-            ok = b.contains_batch(states)
-            for i in range(dims.n):
-                ok = ok & (states[..., i] > 0.0)
-            return ok
-
         def underline(states: np.ndarray) -> np.ndarray:
             states = np.asarray(states, dtype=float)
             ok = b.contains_batch(states)
@@ -661,7 +661,6 @@ class DomainSpec:
                 "radius": radius,
                 "metric": metric,
             },
-            membership=membership,
             contains_underline=underline,
             interior_boundary_distance=distance,
         )
@@ -683,12 +682,6 @@ class DomainSpec:
         if np.any(norms == 0.0):
             raise ValueError("zero normal vector")
 
-        def membership(states: np.ndarray) -> np.ndarray:
-            states = np.asarray(states, dtype=float)
-            ok = base.membership(states)
-            slack = cvec - states @ A.T
-            return ok & np.all(slack > 0.0, axis=-1)
-
         def underline(states: np.ndarray) -> np.ndarray:
             states = np.asarray(states, dtype=float)
             ok = base.contains_underline(states)
@@ -706,7 +699,6 @@ class DomainSpec:
             bounding_box=base.bounding_box,
             shape="halfspace-intersection",
             params={"normals": A.tolist(), "offsets": cvec.tolist()},
-            membership=membership,
             contains_underline=underline,
             interior_boundary_distance=distance,
         )

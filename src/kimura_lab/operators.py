@@ -37,6 +37,7 @@ from .geometry import (
     QuadratureConfig,
     StateSpaceDims,
     WeightedMeasure,
+    sqrt_chart_quadrature,
 )
 
 __all__ = [
@@ -391,8 +392,8 @@ def bilinear_form(
 
     ``Q(u, v) = int [ sum_i x_i a_ii du_i dv_i + sum_ij x_i x_j a~_ij du_i dv_j
     + sum_il x_i c_il (du_i dv_yl + du_yl dv_i) + sum_lk d_lk du_yl dv_yk ] dmu``
-    computed by tensor midpoint quadrature in the ``u = sqrt(x)`` chart over
-    the intersection of the test-function supports with the domain box.
+    computed by :func:`~kimura_lab.geometry.sqrt_chart_quadrature` over the
+    intersection of the test-function supports with the domain box.
     """
     dims = op.dims
     n, m = dims.n, dims.m
@@ -411,21 +412,9 @@ def bilinear_form(
         )
     if any(hi <= lo for lo, hi in box):
         return 0.0
-    k = quadrature.points_per_axis
-    axes = []
-    steps = []
-    for axis, (lo, hi) in enumerate(box):
-        if axis < n:
-            ulo, uhi = math.sqrt(lo), math.sqrt(hi)
-            nodes = ulo + (uhi - ulo) / k * (np.arange(k) + 0.5)
-            steps.append((uhi - ulo) / k)
-        else:
-            nodes = lo + (hi - lo) / k * (np.arange(k) + 0.5)
-            steps.append((hi - lo) / k)
-        axes.append(nodes)
-    grids = np.meshgrid(*axes, indexing="ij")
-    states = np.stack(
-        [g**2 if axis < n else g for axis, g in enumerate(grids)], axis=-1
+    edges = [np.sqrt(pair) if i < n else np.asarray(pair) for i, pair in enumerate(box)]
+    states, weights = sqrt_chart_quadrature(
+        op.measure(), edges, quadrature.points_per_axis
     )
     gu = u.gradient(states)
     gv = v.gradient(states)
@@ -448,19 +437,7 @@ def bilinear_form(
     for l in range(m):
         for kk in range(m):
             integrand = integrand + d[..., l, kk] * gu[..., n + l] * gv[..., n + kk]
-    # weight and sqrt-chart jacobian
-    b = op.b.evaluate_batch(states)
-    for i in range(n):
-        ui = grids[i]
-        expo = 2.0 * b[..., i] - 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            factor = 2.0 * np.where((ui == 0.0) & (expo == 0.0), 1.0, ui**expo)
-        if np.any(~np.isfinite(factor)):
-            raise InvalidWeightError("non-integrable measure weight in energy form")
-        integrand = integrand * factor
-    inside = domain.contains_underline(states)
-    integrand = integrand * inside
-    return float(integrand.sum() * np.prod(steps))
+    return float(np.sum(integrand * weights * domain.contains_underline(states)))
 
 
 # ---------------------------------------------------------------------------

@@ -97,10 +97,14 @@ def dispersion_sqrt(D: np.ndarray, clip: float = EIGENVALUE_CLIP) -> np.ndarray:
     return dispersion_sqrt_batch(np.asarray(D, dtype=float), clip=clip)
 
 
-def _diffusion_matrix(states, a, at, c, d) -> np.ndarray:
+def _diffusion_matrix(states, a, at, cross, d) -> np.ndarray:
     """``D_ii = 2 a_i + 2 x_i at_ii``, ``D_ij = 2 sqrt(x_i x_j) at_ij`` (i != j),
-    ``D_i,n+l = 4 sqrt(x_i) c_il`` and ``D_n+l,n+k = 2 d_lk``."""
-    n, m = c.shape[-2], d.shape[-1]
+    ``D_i,n+l = sqrt(x_i) cross_il`` and ``D_n+l,n+k = 2 d_lk``.
+
+    With ``alpha = S D S``, ``S = diag(sqrt(x), 1)``, the generator's mixed
+    term ``1/2 (alpha_i,n+l + alpha_n+l,i) u_xiyl`` is ``x_i cross_il u_xiyl``,
+    so ``cross`` is the operator's own ``x_i u_xiyl`` coefficient."""
+    n, m = cross.shape[-2], d.shape[-1]
     D = np.zeros(states.shape[:-1] + (n + m, n + m))
     sx = np.sqrt(np.maximum(states[..., :n], 0.0))
     for i in range(n):
@@ -109,7 +113,7 @@ def _diffusion_matrix(states, a, at, c, d) -> np.ndarray:
             if j != i:
                 D[..., i, j] = 2.0 * sx[..., i] * sx[..., j] * at[..., i, j]
         for l in range(m):
-            D[..., i, n + l] = 4.0 * sx[..., i] * c[..., i, l]
+            D[..., i, n + l] = sx[..., i] * cross[..., i, l]
             D[..., n + l, i] = D[..., i, n + l]
     D[..., n:, n:] = 2.0 * d
     return D
@@ -190,13 +194,13 @@ class SdeCoefficients(_Coefficients):
     def D_batch(self, states: np.ndarray) -> np.ndarray:
         """Diffusion matrix: ``D_ii = 2 a_ii + 2 x_i a~_ii``,
         ``D_ij = 2 sqrt(x_i x_j) a~_ij`` (i != j),
-        ``D_i,n+l = 4 sqrt(x_i) c_il``, ``D_n+l,n+k = 2 d_lk``.
+        ``D_i,n+l = 2 sqrt(x_i) c_il``, ``D_n+l,n+k = 2 d_lk``.
         """
         op = self.source
         states = np.asarray(states, dtype=float)
         return _diffusion_matrix(
             states, op.a_diag.evaluate_batch(states), op.a_tilde.evaluate_batch(states),
-            op.c.evaluate_batch(states), op.d.evaluate_batch(states),
+            2.0 * op.c.evaluate_batch(states), op.d.evaluate_batch(states),
         )
 
     # -- drift ----------------------------------------------------------------
@@ -281,7 +285,7 @@ class StandardSdeCoefficients(_Coefficients):
 
     def D_batch(self, states: np.ndarray) -> np.ndarray:
         """``D^_ii = 2 (1 + x_i a^_ii)``, ``D^_ij = 2 sqrt(x_i x_j) a^_ij``,
-        ``D^_i,n+l = 4 sqrt(x_i) c^_il``, ``D^_n+l,n+k = 2 d^_lk``.
+        ``D^_i,n+l = sqrt(x_i) c^_il``, ``D^_n+l,n+k = 2 d^_lk``.
         """
         std = self.source
         states = np.asarray(states, dtype=float)
@@ -291,17 +295,8 @@ class StandardSdeCoefficients(_Coefficients):
             std.d_hat.evaluate_batch(states),
         )
 
-    def b_hat(self, z: Point) -> np.ndarray:
-        return self.source.b_hat.evaluate_batch(z.vector[None, :])[0]
-
-    def e_hat(self, z: Point) -> np.ndarray:
-        return self.source.e_hat.evaluate_batch(z.vector[None, :])[0]
-
     def D_hat(self, z: Point) -> np.ndarray:
         return self.D_batch(z.vector[None, :])[0]
-
-    def sigma_hat(self, z: Point) -> np.ndarray:
-        return self.sigma_batch(z.vector[None, :])[0]
 
 
 def _with_dispersion(coeffs: _Coefficients, constant_D: bool) -> _Coefficients:

@@ -4,10 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from conftest import make_sing_1d, make_std_1d
+
+from kimura_lab.density import GridSpec, _cell_measures, estimate_density
 from kimura_lab.errors import (
     InvalidHarnackParametersError,
+    InvalidWeightError,
     SingularEvaluationError,
 )
+from kimura_lab.fields import TestFunction
 from kimura_lab.geometry import (
     DomainSpec,
     MetricBall,
@@ -27,6 +32,9 @@ from kimura_lab.geometry import (
     rho,
     rho_batch,
 )
+from kimura_lab.operators import bilinear_form
+from kimura_lab.sde import build_standard_sde_coefficients
+from kimura_lab.simulate import PathConfig, simulate_bundle
 
 
 def p1(x):
@@ -220,12 +228,42 @@ class TestWeightedMeasure:
                 )
                 assert 1.0 / C <= ratio <= C
 
-    def test_mu_box_rejects_nonintegrable_weight(self):
-        from kimura_lab.errors import InvalidWeightError
-
-        m = WeightedMeasure.constant(StateSpaceDims(1, 0), [-0.2])
+    @pytest.mark.parametrize("integrate", ["mu_box", "bilinear_form", "estimate_density"])
+    def test_mu_box_rejects_nonintegrable_weight(self, integrate):
+        # every integral against mu runs the same check at the degenerate face
+        dims = StateSpaceDims(1, 0)
+        m = WeightedMeasure.constant(dims, [-0.2])
+        if integrate == "mu_box":
+            call = lambda: mu_box(m, [(0.0, 1.0)], QuadratureConfig(64))
+        elif integrate == "bilinear_form":
+            u = TestFunction(
+                fn=lambda s: s[..., 0],
+                grad=lambda s: np.ones_like(s),
+                hess=lambda s: np.zeros(s.shape + (1,)),
+            )
+            op = make_sing_1d(b0=-0.2)
+            dom = DomainSpec.box(dims, [(0.0, 1.0)])
+            call = lambda: bilinear_form(op, u, u, dom, QuadratureConfig(64))
+        else:
+            coeffs = build_standard_sde_coefficients(make_std_1d(b0=0.5))
+            cfg = PathConfig(dt=0.05, seed=3, n_paths=16, horizon=0.1)
+            bundle = simulate_bundle(coeffs, p1(0.5), DomainSpec.full_space(dims), cfg)
+            grid = GridSpec(box=((0.0, 1.0),), cells_per_axis=4)
+            call = lambda: estimate_density(bundle, 0.1, grid, measure=m)
         with pytest.raises(InvalidWeightError):
-            mu_box(m, [(0.0, 1.0)], QuadratureConfig(64))
+            call()
+
+    def test_density_cells_sum_to_mu_box(self):
+        # b = 1/2 and b = 1 make the chart integrand constant and linear, where
+        # the midpoint rule is exact on any partition (x-uniform cells are not
+        # u-uniform), so the cells must add up to the box to rounding
+        m = WeightedMeasure.constant(StateSpaceDims(2, 1), [0.5, 1.0])
+        box = ((0.0, 2.0), (0.3, 1.7), (-1.0, 0.5))
+        cell_mu = _cell_measures(m, GridSpec(box=box, cells_per_axis=4).edges())
+        assert cell_mu.shape == (4, 4, 4)
+        total = mu_box(m, box, QuadratureConfig(8))
+        assert cell_mu.sum() == pytest.approx(total, rel=1e-9)
+        assert total == pytest.approx(2.0 * math.sqrt(2.0) * 1.4 * 1.5, rel=1e-9)
 
 
 class TestCylinders:

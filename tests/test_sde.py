@@ -7,11 +7,13 @@ import pytest
 from conftest import make_sing_1d, make_std_1d
 
 from kimura_lab.errors import EllipticityViolationError, InvalidMatrixError
-from kimura_lab.fields import FieldMatrix, FieldVector
+from kimura_lab.fields import FieldMatrix, FieldVector, TestFunction
 from kimura_lab.geometry import DomainSpec, Point, StateSpaceDims
 from kimura_lab.operators import (
     SingularOperatorSpec,
     StandardOperatorSpec,
+    apply_singular_batch,
+    apply_standard_batch,
     derive_singular_from_standard,
     drift_identity_e,
     drift_identity_f,
@@ -71,10 +73,10 @@ class TestCoefficientAssembly:
         D = coeffs.D(z)
         assert D[0, 0] == pytest.approx(2.0)
         assert D[1, 1] == pytest.approx(2.0)
-        assert D[0, 1] == pytest.approx(4.0 * math.sqrt(x) * gamma)
-        # eigenvalues 2 +- 4 sqrt(x) gamma, positive for this coupling
+        assert D[0, 1] == pytest.approx(2.0 * math.sqrt(x) * gamma)
+        # eigenvalues 2 +- 2 sqrt(x) gamma, positive for this coupling
         w = np.linalg.eigvalsh(D)
-        assert w[0] == pytest.approx(2.0 - 4.0 * math.sqrt(x) * gamma)
+        assert w[0] == pytest.approx(2.0 - 2.0 * math.sqrt(x) * gamma)
         assert w[0] > 0.0
 
     def test_indefinite_matrix_rejected(self):
@@ -110,6 +112,75 @@ class TestCoefficientAssembly:
             cov = np.cov(dz.T) / dt
             errs.append(float(np.abs(cov - alpha).max()))
         assert errs[-1] < 0.05 * float(np.abs(alpha).max())
+
+
+COUPLED_MODELS = {
+    "n1m1": {
+        "kind": "standard", "dims": {"n": 1, "m": 1},
+        "a_hat": [[0.2]],
+        "b_hat": [{"family": "affine", "c0": 0.9, "coeffs": [0.1, -0.05]}],
+        "c_hat": [[{"family": "affine", "c0": 0.5, "coeffs": [0.0, 0.2]}]],
+        "d_hat": [[1.2]],
+        "e_hat": [{"family": "trig", "c0": 0.1, "amplitude": 0.3, "axis": 1, "frequency": 1.5}],
+    },
+    "n2m1": {
+        "kind": "standard", "dims": {"n": 2, "m": 1},
+        "a_hat": [[0.2, 0.1], [0.1, 0.3]],
+        "b_hat": [
+            {"family": "affine", "c0": 0.8, "coeffs": [0.1, 0.0, 0.05]},
+            {"family": "affine", "c0": 1.1, "coeffs": [0.0, -0.1, 0.0]},
+        ],
+        "c_hat": [[0.4], [{"family": "affine", "c0": -0.3, "coeffs": [0.0, 0.0, 0.1]}]],
+        "d_hat": [[1.0]],
+        "e_hat": [{"family": "affine", "c0": 0.2, "coeffs": [0.3, -0.2, 0.1]}],
+    },
+}
+
+
+def _quadratic_testfn(total):
+    rng = np.random.Generator(np.random.Philox(key=31))
+    A = rng.normal(size=(total, total))
+    Q = A + A.T
+    q = rng.normal(size=total)
+    return TestFunction(
+        fn=lambda s: 0.5 * np.einsum("...i,ij,...j->...", s, Q, s) + s @ q,
+        grad=lambda s: s @ Q + q,
+        hess=lambda s: np.broadcast_to(Q, s.shape[:-1] + Q.shape),
+    )
+
+
+def _sde_generator(coeffs, u, states):
+    """``1/2 tr(alpha H) + drift . grad u`` of the simulated equation."""
+    alpha = coeffs.alpha_batch(states)
+    return 0.5 * np.einsum("pij,pij->p", alpha, u.hessian(states)) + np.einsum(
+        "pi,pi->p", coeffs.drift_batch(states), u.gradient(states)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(COUPLED_MODELS))
+def test_sde_generators_match_operators_with_couplings(name):
+    # each equation's generator is its operator, and a derived pair shares D
+    std = operator_from_json(COUPLED_MODELS[name])
+    n, m = std.dims.n, std.dims.m
+    sing = derive_singular_from_standard(
+        std, lattice_box=[(0.0, 2.0)] * n + [(-1.0, 1.0)] * m, lattice_spacing=1.0 / 8.0
+    )
+    rng = np.random.Generator(np.random.Philox(key=32))
+    states = np.concatenate(
+        [rng.uniform(0.1, 1.5, (20, n)), rng.uniform(-0.8, 0.8, (20, m))], axis=-1
+    )
+    u = _quadratic_testfn(n + m)
+    std_coeffs = build_standard_sde_coefficients(std)
+    sing_coeffs = build_sde_coefficients(sing)
+    np.testing.assert_allclose(
+        _sde_generator(std_coeffs, u, states), apply_standard_batch(std, u, states), rtol=1e-12
+    )
+    np.testing.assert_allclose(
+        _sde_generator(sing_coeffs, u, states), apply_singular_batch(sing, u, states), rtol=1e-12
+    )
+    np.testing.assert_allclose(
+        sing_coeffs.D_batch(states), std_coeffs.D_batch(states), rtol=1e-12
+    )
 
 
 class TestDispersionSqrt:
