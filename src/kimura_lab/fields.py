@@ -355,12 +355,10 @@ class SmoothBump(TestFunction):
     def _gradient(self, states: np.ndarray) -> np.ndarray:
         val, d1, _ = self._parts(states)
         d = states.shape[-1]
-        total = self.amplitude * np.prod(val, axis=-1)
         out = np.zeros_like(states)
         for i in range(d):
             others = np.prod(np.delete(val, i, axis=-1), axis=-1) if d > 1 else 1.0
             out[..., i] = self.amplitude * others * d1[..., i] / self.radii[i]
-        del total
         return out
 
     def _hessian(self, states: np.ndarray) -> np.ndarray:

@@ -48,6 +48,7 @@ __all__ = [
     "apply_singular",
     "apply_standard_batch",
     "apply_singular_batch",
+    "increment_covariance",
     "look_up_partial",
     "drift_g_parts",
     "drift_identity_g",
@@ -115,6 +116,16 @@ class StandardOperatorSpec(_OperatorBase):
         if len(self.e_hat) != m:
             raise DimensionMismatchError("e_hat length does not match dims")
 
+    def diffusion_matrix(self, states: np.ndarray) -> np.ndarray:
+        """``D^`` of :func:`_diffusion_matrix` with ``a = 1``, ``a~ = a^``,
+        cross coefficient ``c^`` and free block ``d^``."""
+        states = np.asarray(states, dtype=float)
+        return _diffusion_matrix(
+            states, np.ones(states.shape[:-1] + (self.dims.n,)),
+            self.a_hat.evaluate_batch(states), self.c_hat.evaluate_batch(states),
+            self.d_hat.evaluate_batch(states),
+        )
+
 
 @dataclass(frozen=True)
 class SingularOperatorSpec(_OperatorBase):
@@ -140,10 +151,55 @@ class SingularOperatorSpec(_OperatorBase):
         if self.c.shape != (n, m) or self.d.shape != (m, m):
             raise DimensionMismatchError("c/d shapes do not match dims")
 
+    def diffusion_matrix(self, states: np.ndarray) -> np.ndarray:
+        """``D`` of :func:`_diffusion_matrix` with cross coefficient ``2 c``."""
+        states = np.asarray(states, dtype=float)
+        return _diffusion_matrix(
+            states, self.a_diag.evaluate_batch(states), self.a_tilde.evaluate_batch(states),
+            2.0 * self.c.evaluate_batch(states), self.d.evaluate_batch(states),
+        )
+
     def measure(self) -> WeightedMeasure:
         """Weighted measure carrying this operator's ``b`` as exponents."""
         floor = self.constants.b_bar if self.constants is not None else 0.0
         return WeightedMeasure(self.b.evaluate_batch, self.dims, b_floor=floor)
+
+
+# ---------------------------------------------------------------------------
+# Second-order coefficients
+# ---------------------------------------------------------------------------
+
+
+def _diffusion_matrix(states, a, at, cross, d) -> np.ndarray:
+    """``D_ij = 2 a_i delta_ij + 2 sqrt(x_i x_j) at_ij`` on the degenerate
+    block, ``D_i,n+l = sqrt(x_i) cross_il`` and ``D_n+l,n+k = 2 d_lk``, with
+    ``sqrt(x)`` read as ``sqrt(max(x, 0))``.
+
+    Every second-order quantity derives from this matrix: ``sigma sigma* = D``,
+    the increment covariance ``alpha = S D S`` with ``S = diag(sqrt(x), 1)``,
+    the generators' ``1/2 tr(alpha H)``, the energy integrand
+    ``1/2 grad u . alpha grad v`` and the validation form ``1/2 P D P`` with
+    ``P = diag(1_n, 2_m)``.  ``cross`` is the operator's own ``x_i u_xiyl``
+    coefficient."""
+    n, m = cross.shape[-2], d.shape[-1]
+    sx = np.sqrt(np.maximum(states[..., :n], 0.0))
+    D = np.empty(states.shape[:-1] + (n + m, n + m))
+    D[..., :n, :n] = 2.0 * (sx[..., :, None] * sx[..., None, :] * at)
+    diag = np.arange(n)
+    D[..., diag, diag] += 2.0 * a
+    D[..., :n, n:] = sx[..., :, None] * cross
+    D[..., n:, :n] = np.swapaxes(D[..., :n, n:], -1, -2)
+    D[..., n:, n:] = 2.0 * d
+    return D
+
+
+def increment_covariance(op, states: np.ndarray) -> np.ndarray:
+    """``alpha = S D S`` with ``S = diag(sqrt(x), 1)``: the covariance rate of
+    the SDE increments and the second-order coefficient matrix of ``op``."""
+    states = np.asarray(states, dtype=float)
+    s = np.ones(states.shape)
+    s[..., : op.dims.n] = np.sqrt(np.maximum(states[..., : op.dims.n], 0.0))
+    return op.diffusion_matrix(states) * s[..., :, None] * s[..., None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -281,32 +337,24 @@ def _clamped_log(x: np.ndarray, eps: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _generator(op, u: TestFunction, states: np.ndarray, drift: np.ndarray) -> np.ndarray:
+    """``1/2 tr(alpha H) + drift . grad u`` with ``alpha`` the increment
+    covariance of ``op``."""
+    alpha = increment_covariance(op, states)
+    return 0.5 * np.einsum("...ij,...ij->...", alpha, u.hessian(states)) + np.einsum(
+        "...i,...i->...", drift, u.gradient(states)
+    )
+
+
 def apply_standard_batch(
     op: StandardOperatorSpec, u: TestFunction, states: np.ndarray
 ) -> np.ndarray:
     """Standard generator applied to ``u`` on a batch of states."""
-    n, m = op.dims.n, op.dims.m
     states = np.asarray(states, dtype=float)
-    grad = u.gradient(states)
-    hess = u.hessian(states)
-    x = states[..., :n]
-    out = np.zeros(states.shape[:-1])
-    a = op.a_hat.evaluate_batch(states)
-    c = op.c_hat.evaluate_batch(states)
-    d = op.d_hat.evaluate_batch(states)
-    bh = op.b_hat.evaluate_batch(states)
-    eh = op.e_hat.evaluate_batch(states)
-    for i in range(n):
-        out = out + x[..., i] * hess[..., i, i] + bh[..., i] * grad[..., i]
-        for j in range(n):
-            out = out + x[..., i] * x[..., j] * a[..., i, j] * hess[..., i, j]
-        for l in range(m):
-            out = out + x[..., i] * c[..., i, l] * hess[..., i, n + l]
-    for l in range(m):
-        out = out + eh[..., l] * grad[..., n + l]
-        for k in range(m):
-            out = out + d[..., k, l] * hess[..., n + k, n + l]
-    return out
+    drift = np.concatenate(
+        [op.b_hat.evaluate_batch(states), op.e_hat.evaluate_batch(states)], axis=-1
+    )
+    return _generator(op, u, states, drift)
 
 
 def apply_standard(op: StandardOperatorSpec, u: TestFunction, z: Point) -> float:
@@ -327,42 +375,22 @@ def apply_singular_batch(
     degenerate boundary; with the default 0, boundary states produce -inf logs
     (callers should use :func:`apply_singular` for the strict contract).
     """
-    n, m = op.dims.n, op.dims.m
+    n = op.dims.n
     states = np.asarray(states, dtype=float)
-    grad = u.gradient(states)
-    hess = u.hessian(states)
     x = states[..., :n]
-    a = op.a_diag.evaluate_batch(states)
-    at = op.a_tilde.evaluate_batch(states)
-    c = op.c.evaluate_batch(states)
-    d = op.d.evaluate_batch(states)
-    out = np.zeros(states.shape[:-1])
-    for i in range(n):
-        out = out + x[..., i] * a[..., i] * hess[..., i, i]
-        for j in range(n):
-            out = out + x[..., i] * x[..., j] * at[..., i, j] * hess[..., i, j]
-        for l in range(m):
-            out = out + 2.0 * x[..., i] * c[..., i, l] * hess[..., i, n + l]
-    for l in range(m):
-        for k in range(m):
-            out = out + d[..., l, k] * hess[..., n + l, n + k]
-    g = drift_identity_g(op, states)
-    e = drift_identity_e(op, states)
-    f = drift_identity_f(op, states)
+    drift = np.concatenate(
+        [drift_identity_g(op, states), drift_identity_e(op, states)], axis=-1
+    )
     if n:
         with np.errstate(divide="ignore"):
             logs = _clamped_log(x, log_clamp_eps) if log_clamp_eps > 0.0 else np.log(x)
-        log_sum = np.einsum("...rj,...j->...r", f, logs)
+        log_sum = np.einsum("...rj,...j->...r", drift_identity_f(op, states), logs)
         # x * ln x -> 0 convention at the boundary when clamped
         if log_clamp_eps > 0.0:
             log_sum = np.where(np.isfinite(log_sum), log_sum, 0.0)
-    else:
-        log_sum = np.zeros(states.shape[:-1] + (0,))
-    for i in range(n):
-        out = out + (g[..., i] + x[..., i] * log_sum[..., i]) * grad[..., i]
-    for l in range(m):
-        out = out + (e[..., l] + log_sum[..., n + l]) * grad[..., n + l]
-    return out
+        drift[..., :n] += x * log_sum[..., :n]
+        drift[..., n:] += log_sum[..., n:]
+    return _generator(op, u, states, drift)
 
 
 def apply_singular(op: SingularOperatorSpec, u: TestFunction, z: Point) -> float:
@@ -390,9 +418,10 @@ def bilinear_form(
 ) -> float:
     """Symmetric energy form of ``op`` against its weighted measure.
 
-    ``Q(u, v) = int [ sum_i x_i a_ii du_i dv_i + sum_ij x_i x_j a~_ij du_i dv_j
-    + sum_il x_i c_il (du_i dv_yl + du_yl dv_i) + sum_lk d_lk du_yl dv_yk ] dmu``
-    computed by :func:`~kimura_lab.geometry.sqrt_chart_quadrature` over the
+    ``Q(u, v) = int 1/2 grad u . alpha grad v dmu`` with ``alpha`` the
+    increment covariance, that is ``int [ sum_i x_i a_ii du_i dv_i
+    + sum_ij x_i x_j a~_ij du_i dv_j + sum_il x_i c_il (du_i dv_yl + du_yl dv_i)
+    + sum_lk d_lk du_yl dv_yk ] dmu``, computed by :func:`~kimura_lab.geometry.sqrt_chart_quadrature` over the
     intersection of the test-function supports with the domain box.
     """
     dims = op.dims
@@ -416,27 +445,10 @@ def bilinear_form(
     states, weights = sqrt_chart_quadrature(
         op.measure(), edges, quadrature.points_per_axis
     )
-    gu = u.gradient(states)
-    gv = v.gradient(states)
-    a = op.a_diag.evaluate_batch(states)
-    at = op.a_tilde.evaluate_batch(states)
-    c = op.c.evaluate_batch(states)
-    d = op.d.evaluate_batch(states)
-    x = states[..., :n]
-    integrand = np.zeros(states.shape[:-1])
-    for i in range(n):
-        integrand = integrand + x[..., i] * a[..., i] * gu[..., i] * gv[..., i]
-        for j in range(n):
-            integrand = integrand + (
-                x[..., i] * x[..., j] * at[..., i, j] * gu[..., i] * gv[..., j]
-            )
-        for l in range(m):
-            integrand = integrand + x[..., i] * c[..., i, l] * (
-                gu[..., i] * gv[..., n + l] + gu[..., n + l] * gv[..., i]
-            )
-    for l in range(m):
-        for kk in range(m):
-            integrand = integrand + d[..., l, kk] * gu[..., n + l] * gv[..., n + kk]
+    integrand = 0.5 * np.einsum(
+        "...i,...ij,...j->...",
+        u.gradient(states), increment_covariance(op, states), v.gradient(states),
+    )
     return float(np.sum(integrand * weights * domain.contains_underline(states)))
 
 
@@ -460,12 +472,6 @@ class ValidationReport:
     form_min: float
     form_max: float
 
-    def summary(self) -> str:
-        lines = [f"{'PASS' if self.passed else 'FAIL'}"]
-        for c in self.checks:
-            lines.append(f"  [{'ok' if c.passed else 'FAIL'}] {c.name}: {c.detail}")
-        return "\n".join(lines)
-
 
 def make_validation_grid(
     dims: StateSpaceDims,
@@ -484,33 +490,12 @@ def make_validation_grid(
 
 
 def _form_matrix(op, states: np.ndarray) -> np.ndarray:
-    """Symmetric matrix of the ellipticity quadratic form at each state."""
-    n, m = op.dims.n, op.dims.m
-    total = n + m
-    N = states.shape[0]
-    G = np.zeros((N, total, total))
-    sx = np.sqrt(np.maximum(states[:, :n], 0.0))
-    if isinstance(op, StandardOperatorSpec):
-        a = op.a_hat.evaluate_batch(states)
-        c = op.c_hat.evaluate_batch(states)
-        d = op.d_hat.evaluate_batch(states)
-        diag = np.ones((N, n))
-    else:
-        a = op.a_tilde.evaluate_batch(states)
-        c = op.c.evaluate_batch(states)
-        d = op.d.evaluate_batch(states)
-        diag = op.a_diag.evaluate_batch(states)
-    for i in range(n):
-        G[:, i, i] = diag[:, i] + sx[:, i] * sx[:, i] * a[:, i, i]
-        for j in range(n):
-            if j != i:
-                G[:, i, j] = sx[:, i] * sx[:, j] * a[:, i, j]
-        for l in range(m):
-            G[:, i, n + l] = 4.0 * sx[:, i] * c[:, i, l]
-            G[:, n + l, i] = G[:, i, n + l]
-    for l in range(m):
-        for k in range(m):
-            G[:, n + l, n + k] = 4.0 * d[:, l, k]
+    """Ellipticity form ``1/2 P D P`` with ``P = diag(1_n, 2_m)`` at each state,
+    symmetrized: ``eigvalsh`` reads one triangle, and a non-symmetric ``a~``
+    fails its own symmetry check."""
+    p = np.ones(op.dims.total)
+    p[op.dims.n :] = 2.0
+    G = 0.5 * op.diffusion_matrix(states) * p[:, None] * p[None, :]
     return 0.5 * (G + np.swapaxes(G, 1, 2))
 
 

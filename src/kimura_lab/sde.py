@@ -4,10 +4,10 @@ The divergence-compatible operator induces a stochastic equation whose
 degenerate rows read ``dX_i = (g_i + X_i sum_j f_ij ln X_j) dt
 + sqrt(X_i) sum_j sigma_ij dW_j`` and whose free rows read
 ``dY_l = (e_l + sum_j f_(n+l)j ln X_j) dt + sum_j sigma_(n+l)j dW_j``.
-This module assembles ``g, e, f``, the diffusion matrix ``D`` with
-``sigma sigma* = D``, the full drift, the increment covariance ``alpha``,
-the standard-side analogues, and the drift-change field ``theta`` tying the
-two equations together.
+This module assembles ``g, e, f``, the dispersion root ``sigma`` of the
+operator's diffusion matrix ``D``, the full drift, the standard-side
+analogues, and the drift-change field ``theta`` tying the two equations
+together.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .operators import (
     drift_identity_e,
     drift_identity_f,
     drift_identity_g,
+    increment_covariance,
     look_up_partial,
 )
 
@@ -97,39 +98,19 @@ def dispersion_sqrt(D: np.ndarray, clip: float = EIGENVALUE_CLIP) -> np.ndarray:
     return dispersion_sqrt_batch(np.asarray(D, dtype=float), clip=clip)
 
 
-def _diffusion_matrix(states, a, at, cross, d) -> np.ndarray:
-    """``D_ii = 2 a_i + 2 x_i at_ii``, ``D_ij = 2 sqrt(x_i x_j) at_ij`` (i != j),
-    ``D_i,n+l = sqrt(x_i) cross_il`` and ``D_n+l,n+k = 2 d_lk``.
-
-    With ``alpha = S D S``, ``S = diag(sqrt(x), 1)``, the generator's mixed
-    term ``1/2 (alpha_i,n+l + alpha_n+l,i) u_xiyl`` is ``x_i cross_il u_xiyl``,
-    so ``cross`` is the operator's own ``x_i u_xiyl`` coefficient."""
-    n, m = cross.shape[-2], d.shape[-1]
-    D = np.zeros(states.shape[:-1] + (n + m, n + m))
-    sx = np.sqrt(np.maximum(states[..., :n], 0.0))
-    for i in range(n):
-        D[..., i, i] = 2.0 * a[..., i] + 2.0 * states[..., i] * at[..., i, i]
-        for j in range(n):
-            if j != i:
-                D[..., i, j] = 2.0 * sx[..., i] * sx[..., j] * at[..., i, j]
-        for l in range(m):
-            D[..., i, n + l] = sx[..., i] * cross[..., i, l]
-            D[..., n + l, i] = D[..., i, n + l]
-    D[..., n:, n:] = 2.0 * d
-    return D
-
-
 @dataclass(frozen=True)
 class StepPlan:
     """What a scheme step needs from one model, resolved once at build time.
 
-    ``sigma`` is the dispersion root when ``D`` has no state dependence, and
-    ``sigma_diag`` its diagonal when that root is diagonal.  A divergence-side
-    model whose fields are all constant has the drift
-    ``drift + x * drift_slope`` (the slope on the degenerate rows, None when
-    zero); ``log_drift`` is False when ``f`` vanishes (constant ``b``).
+    ``D`` is the diffusion matrix when it has no state dependence, ``sigma``
+    its dispersion root, and ``sigma_diag`` the root's diagonal when that root
+    is diagonal.  A divergence-side model whose fields are all constant has
+    the drift ``drift + x * drift_slope`` (the slope on the degenerate rows,
+    None when zero); ``log_drift`` is False when ``f`` vanishes (constant
+    ``b``).
     """
 
+    D: np.ndarray | None = None
     sigma: np.ndarray | None = None
     sigma_diag: np.ndarray | None = None
     drift: np.ndarray | None = None
@@ -140,11 +121,19 @@ class StepPlan:
 
 @dataclass(frozen=True)
 class _Coefficients:
-    """Dispersion side shared by both equations; subclasses supply ``D_batch``."""
+    """Dispersion side shared by both equations, derived from the source
+    operator's ``diffusion_matrix``."""
 
     dims: StateSpaceDims
     source: object
     plan: StepPlan
+
+    def D_batch(self, states: np.ndarray) -> np.ndarray:
+        """Diffusion matrix ``D`` with ``sigma sigma* = D``."""
+        states = np.asarray(states, dtype=float)
+        if self.plan.D is not None:
+            return np.broadcast_to(self.plan.D, states.shape[:-1] + self.plan.D.shape)
+        return self.source.diffusion_matrix(states)
 
     def sigma_batch(self, states: np.ndarray) -> np.ndarray:
         states = np.asarray(states, dtype=float)
@@ -154,10 +143,7 @@ class _Coefficients:
 
     def alpha_batch(self, states: np.ndarray) -> np.ndarray:
         """Increment covariance ``alpha = S D S`` with ``S = diag(sqrt(x), 1)``."""
-        states = np.asarray(states, dtype=float)
-        s = np.ones(states.shape)
-        s[..., : self.dims.n] = np.sqrt(np.maximum(states[..., : self.dims.n], 0.0))
-        return self.D_batch(states) * s[..., :, None] * s[..., None, :]
+        return increment_covariance(self.source, states)
 
     def noise_batch(self, states: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """``sigma(z) xi`` per state for a block of standard normals ``xi``."""
@@ -188,20 +174,6 @@ class SdeCoefficients(_Coefficients):
 
     def f_batch(self, states: np.ndarray) -> np.ndarray:
         return drift_identity_f(self.source, states, self.plan.partial)
-
-    # -- second-order fields ---------------------------------------------------
-
-    def D_batch(self, states: np.ndarray) -> np.ndarray:
-        """Diffusion matrix: ``D_ii = 2 a_ii + 2 x_i a~_ii``,
-        ``D_ij = 2 sqrt(x_i x_j) a~_ij`` (i != j),
-        ``D_i,n+l = 2 sqrt(x_i) c_il``, ``D_n+l,n+k = 2 d_lk``.
-        """
-        op = self.source
-        states = np.asarray(states, dtype=float)
-        return _diffusion_matrix(
-            states, op.a_diag.evaluate_batch(states), op.a_tilde.evaluate_batch(states),
-            2.0 * op.c.evaluate_batch(states), op.d.evaluate_batch(states),
-        )
 
     # -- drift ----------------------------------------------------------------
 
@@ -283,30 +255,19 @@ class StandardSdeCoefficients(_Coefficients):
         eh = self.source.e_hat.evaluate_batch(states)
         return np.concatenate([bh, eh], axis=-1)
 
-    def D_batch(self, states: np.ndarray) -> np.ndarray:
-        """``D^_ii = 2 (1 + x_i a^_ii)``, ``D^_ij = 2 sqrt(x_i x_j) a^_ij``,
-        ``D^_i,n+l = sqrt(x_i) c^_il``, ``D^_n+l,n+k = 2 d^_lk``.
-        """
-        std = self.source
-        states = np.asarray(states, dtype=float)
-        return _diffusion_matrix(
-            states, np.ones(states.shape[:-1] + (self.dims.n,)),
-            std.a_hat.evaluate_batch(states), std.c_hat.evaluate_batch(states),
-            std.d_hat.evaluate_batch(states),
-        )
-
     def D_hat(self, z: Point) -> np.ndarray:
         return self.D_batch(z.vector[None, :])[0]
 
 
 def _with_dispersion(coeffs: _Coefficients, constant_D: bool) -> _Coefficients:
-    """Attach sigma, computed once, when ``D`` has no state dependence."""
+    """Attach ``D`` and sigma, computed once, when ``D`` has no state dependence."""
     if not constant_D:
         return coeffs
-    sigma = dispersion_sqrt(coeffs.D_batch(np.ones((1, coeffs.dims.total)))[0])
+    D = coeffs.D_batch(np.ones((1, coeffs.dims.total)))[0]
+    sigma = dispersion_sqrt(D)
     diag = np.diag(sigma).copy()
     diag = diag if np.array_equal(sigma, np.diag(diag)) else None
-    return replace(coeffs, plan=replace(coeffs.plan, sigma=sigma, sigma_diag=diag))
+    return replace(coeffs, plan=replace(coeffs.plan, D=D, sigma=sigma, sigma_diag=diag))
 
 
 def build_sde_coefficients(op: SingularOperatorSpec) -> SdeCoefficients:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
 
 from conftest import make_flat_1d_free, make_sing_1d, make_std_1d
 
@@ -22,6 +22,7 @@ from kimura_lab.operators import (
     LatticeField,
     SingularOperatorSpec,
     StandardOperatorSpec,
+    _form_matrix,
     apply_singular,
     apply_singular_batch,
     apply_standard,
@@ -45,6 +46,27 @@ def scalar_testfn(f, d1, d2):
 
 U_LINEAR = scalar_testfn(lambda x: x, lambda x: np.ones_like(x), lambda x: np.zeros_like(x))
 U_SQUARE = scalar_testfn(lambda x: x**2, lambda x: 2 * x, lambda x: 2 * np.ones_like(x))
+
+# n=1, m=1 with a = 1, a~ = 0, constant b and a cross coupling c
+B_COUPLED, C_COUPLED = 1.5, 0.3
+SING_COUPLED = SingularOperatorSpec(
+    dims=StateSpaceDims(1, 1),
+    a_diag=FieldVector([1.0]),
+    a_tilde=FieldMatrix.zeros(1, 1),
+    b=FieldVector([B_COUPLED]),
+    c=FieldMatrix([[C_COUPLED]]),
+    d=FieldMatrix([[1.0]]),
+)
+
+
+def coupled_generator(u, states):
+    """``x u_xx + 2 x c u_xy + u_yy + b u_x + b c u_y``, written out by hand."""
+    g, h = u.gradient(states), u.hessian(states)
+    x, b, c = states[..., 0], B_COUPLED, C_COUPLED
+    return (
+        x * h[..., 0, 0] + 2.0 * x * c * h[..., 0, 1] + h[..., 1, 1]
+        + b * g[..., 0] + b * c * g[..., 1]
+    )
 
 
 class TestApplyStandard:
@@ -155,6 +177,16 @@ class TestApplySingular:
                 apply_standard(std, U_SQUARE, z)
             )
 
+    def test_coupled_generator_matches_hand_written(self):
+        u = SmoothBump([0.6, 0.1], [0.5, 0.7])
+        rng = np.random.Generator(np.random.Philox(key=22))
+        states = np.column_stack([rng.uniform(0.2, 1.0, 40), rng.uniform(-0.4, 0.6, 40)])
+        np.testing.assert_allclose(
+            apply_singular_batch(SING_COUPLED, u, states),
+            coupled_generator(u, states),
+            rtol=1e-12,
+        )
+
 
 class TestValidation:
     def test_identity_model_passes_with_unit_floor(self):
@@ -209,6 +241,22 @@ class TestValidation:
         assert full.passed
         assert small.passed
         assert small.form_min >= full.form_min - 1e-15
+
+    def test_coupled_form_matches_the_symbol(self):
+        # the symbol x xi^2 + x c^ xi eta + eta^2 has the scale-free ratio
+        # G_xy^2 / (G_xx G_yy) = x c^^2 / 4; a derived model has the same form
+        std = operator_from_json(
+            {"kind": "standard", "dims": {"n": 1, "m": 1}, "b_hat": [1.0], "c_hat": [[0.5]]}
+        )
+        sing = derive_singular_from_standard(
+            std, lattice_box=[(0.0, 1.0), (-1.0, 1.0)], lattice_spacing=0.125
+        )
+        x = 0.49
+        forms = [_form_matrix(op, np.array([[x, 0.3]]))[0] for op in (std, sing)]
+        for G in forms:
+            ratio = G[0, 1] ** 2 / (G[0, 0] * G[1, 1])
+            assert ratio == pytest.approx(x * 0.5**2 / 4.0, rel=1e-12)
+        np.testing.assert_allclose(forms[0], forms[1], rtol=1e-15)
 
 
 def bump_testfn_1d(center=0.5, radius=0.4):
@@ -276,6 +324,22 @@ class TestBilinearForm:
 
         lhs, _ = quad(integrand, 0.2, 1.0, limit=200)
         rhs = bilinear_form(op, u, v, dom, QuadratureConfig(512))
+        assert lhs == pytest.approx(rhs, rel=1e-5)
+
+    def test_coupled_integration_by_parts_identity(self):
+        # the same identity with a cross coupling; both supports stay in x > 0.25
+        dom = DomainSpec.box(SING_COUPLED.dims, [(0.0, 2.0), (-1.0, 1.0)])
+        u = SmoothBump([0.6, 0.1], [0.35, 0.5])
+        v = SmoothBump([0.7, -0.1], [0.3, 0.45])
+
+        def integrand(y, x):
+            s = np.array([[x, y]])
+            lu = coupled_generator(u, s)[0]
+            return -lu * v.value(s)[0] * x ** (B_COUPLED - 1.0)
+
+        # the estimated error bound is loose: the two sides agree to ~1e-9
+        lhs, _ = dblquad(integrand, 0.4, 0.95, -0.4, 0.35, epsabs=1e-5, epsrel=1e-5)
+        rhs = bilinear_form(SING_COUPLED, u, v, dom, QuadratureConfig(256))
         assert lhs == pytest.approx(rhs, rel=1e-5)
 
 
