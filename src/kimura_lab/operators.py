@@ -48,7 +48,6 @@ __all__ = [
     "apply_singular",
     "apply_standard_batch",
     "apply_singular_batch",
-    "increment_covariance",
     "look_up_partial",
     "drift_g_parts",
     "drift_identity_g",
@@ -89,6 +88,15 @@ class _OperatorBase:
                 f"point dims {z.dims} do not match operator dims {self.dims}"
             )
         return z.vector
+
+    def increment_covariance(self, states: np.ndarray) -> np.ndarray:
+        """``alpha = S D S`` with ``S = diag(sqrt(x), 1)`` and ``D`` this
+        operator's ``diffusion_matrix``: the covariance rate of the SDE
+        increments and the second-order coefficient matrix of the generator."""
+        states = np.asarray(states, dtype=float)
+        s = np.ones(states.shape)
+        s[..., : self.dims.n] = np.sqrt(np.maximum(states[..., : self.dims.n], 0.0))
+        return self.diffusion_matrix(states) * s[..., :, None] * s[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -191,15 +199,6 @@ def _diffusion_matrix(states, a, at, cross, d) -> np.ndarray:
     D[..., n:, :n] = np.swapaxes(D[..., :n, n:], -1, -2)
     D[..., n:, n:] = 2.0 * d
     return D
-
-
-def increment_covariance(op, states: np.ndarray) -> np.ndarray:
-    """``alpha = S D S`` with ``S = diag(sqrt(x), 1)``: the covariance rate of
-    the SDE increments and the second-order coefficient matrix of ``op``."""
-    states = np.asarray(states, dtype=float)
-    s = np.ones(states.shape)
-    s[..., : op.dims.n] = np.sqrt(np.maximum(states[..., : op.dims.n], 0.0))
-    return op.diffusion_matrix(states) * s[..., :, None] * s[..., None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +339,7 @@ def _clamped_log(x: np.ndarray, eps: float) -> np.ndarray:
 def _generator(op, u: TestFunction, states: np.ndarray, drift: np.ndarray) -> np.ndarray:
     """``1/2 tr(alpha H) + drift . grad u`` with ``alpha`` the increment
     covariance of ``op``."""
-    alpha = increment_covariance(op, states)
+    alpha = op.increment_covariance(states)
     return 0.5 * np.einsum("...ij,...ij->...", alpha, u.hessian(states)) + np.einsum(
         "...i,...i->...", drift, u.gradient(states)
     )
@@ -447,7 +446,7 @@ def bilinear_form(
     )
     integrand = 0.5 * np.einsum(
         "...i,...ij,...j->...",
-        u.gradient(states), increment_covariance(op, states), v.gradient(states),
+        u.gradient(states), op.increment_covariance(states), v.gradient(states),
     )
     return float(np.sum(integrand * weights * domain.contains_underline(states)))
 

@@ -31,7 +31,6 @@ from .operators import (
     drift_identity_e,
     drift_identity_f,
     drift_identity_g,
-    increment_covariance,
     look_up_partial,
 )
 
@@ -102,15 +101,13 @@ def dispersion_sqrt(D: np.ndarray, clip: float = EIGENVALUE_CLIP) -> np.ndarray:
 class StepPlan:
     """What a scheme step needs from one model, resolved once at build time.
 
-    ``D`` is the diffusion matrix when it has no state dependence, ``sigma``
-    its dispersion root, and ``sigma_diag`` the root's diagonal when that root
-    is diagonal.  A divergence-side model whose fields are all constant has
-    the drift ``drift + x * drift_slope`` (the slope on the degenerate rows,
-    None when zero); ``log_drift`` is False when ``f`` vanishes (constant
-    ``b``).
+    ``sigma`` is the dispersion root when ``D`` has no state dependence, and
+    ``sigma_diag`` its diagonal when that root is diagonal.  A divergence-side
+    model whose fields are all constant has the drift
+    ``drift + x * drift_slope`` (the slope on the degenerate rows, None when
+    zero); ``log_drift`` is False when ``f`` vanishes (constant ``b``).
     """
 
-    D: np.ndarray | None = None
     sigma: np.ndarray | None = None
     sigma_diag: np.ndarray | None = None
     drift: np.ndarray | None = None
@@ -130,9 +127,6 @@ class _Coefficients:
 
     def D_batch(self, states: np.ndarray) -> np.ndarray:
         """Diffusion matrix ``D`` with ``sigma sigma* = D``."""
-        states = np.asarray(states, dtype=float)
-        if self.plan.D is not None:
-            return np.broadcast_to(self.plan.D, states.shape[:-1] + self.plan.D.shape)
         return self.source.diffusion_matrix(states)
 
     def sigma_batch(self, states: np.ndarray) -> np.ndarray:
@@ -143,7 +137,7 @@ class _Coefficients:
 
     def alpha_batch(self, states: np.ndarray) -> np.ndarray:
         """Increment covariance ``alpha = S D S`` with ``S = diag(sqrt(x), 1)``."""
-        return increment_covariance(self.source, states)
+        return self.source.increment_covariance(states)
 
     def noise_batch(self, states: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """``sigma(z) xi`` per state for a block of standard normals ``xi``."""
@@ -260,14 +254,13 @@ class StandardSdeCoefficients(_Coefficients):
 
 
 def _with_dispersion(coeffs: _Coefficients, constant_D: bool) -> _Coefficients:
-    """Attach ``D`` and sigma, computed once, when ``D`` has no state dependence."""
+    """Attach sigma, computed once, when ``D`` has no state dependence."""
     if not constant_D:
         return coeffs
-    D = coeffs.D_batch(np.ones((1, coeffs.dims.total)))[0]
-    sigma = dispersion_sqrt(D)
+    sigma = dispersion_sqrt(coeffs.D_batch(np.ones((1, coeffs.dims.total)))[0])
     diag = np.diag(sigma).copy()
     diag = diag if np.array_equal(sigma, np.diag(diag)) else None
-    return replace(coeffs, plan=replace(coeffs.plan, D=D, sigma=sigma, sigma_diag=diag))
+    return replace(coeffs, plan=replace(coeffs.plan, sigma=sigma, sigma_diag=diag))
 
 
 def build_sde_coefficients(op: SingularOperatorSpec) -> SdeCoefficients:

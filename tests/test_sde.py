@@ -6,7 +6,6 @@ import pytest
 
 from conftest import make_sing_1d, make_std_1d
 
-from kimura_lab import fields
 from kimura_lab.errors import EllipticityViolationError, InvalidMatrixError
 from kimura_lab.fields import FieldMatrix, FieldVector, TestFunction
 from kimura_lab.geometry import DomainSpec, Point, StateSpaceDims
@@ -30,7 +29,7 @@ from kimura_lab.sde import (
     girsanov_theta,
     make_girsanov_field,
 )
-from kimura_lab.simulate import PathConfig, _advance_block, simulate_bundle
+from kimura_lab.simulate import PathConfig, simulate_bundle
 
 
 def make_sing_coupled(gamma=0.3):
@@ -470,23 +469,3 @@ class TestStepPlan:
                         cfg, theta=pair)
         assert cfg.n_steps == 100
         assert calls and max(calls.values()) == 1
-
-    def test_implicit_step_of_a_constant_model_evaluates_no_field(self, monkeypatch):
-        # the drift-implicit step reads D from the plan, not from the fields
-        coeffs = build_sde_coefficients(operator_from_json(HARNACK_MODEL))
-        calls = Counter()
-        for name, cls in vars(fields).items():
-            if isinstance(cls, type) and "evaluate_batch" in vars(cls):
-                def counting(self, states, _name=name, _evaluate=cls.evaluate_batch):
-                    calls[_name] += 1
-                    return _evaluate(self, states)
-
-                monkeypatch.setattr(cls, "evaluate_batch", counting)
-        states = _probe_states(coeffs.dims)
-        xi = np.random.Generator(np.random.Philox(key=6)).standard_normal(states.shape)
-        cfg = PathConfig(dt=1e-2, seed=0, n_paths=len(states), horizon=1.0,
-                         scheme="euler-implicit-sqrt")
-        new, _, _ = _advance_block(coeffs, None, cfg, states, xi, 1)
-        assert not calls
-        assert np.all(np.isfinite(new)) and np.all(new >= 0.0)
-        assert coeffs.D_batch(states).tobytes() == np.full((len(states), 1, 1), 2.0).tobytes()
