@@ -23,10 +23,15 @@ import numpy as np
 
 from .density import GridSpec, check_mass, estimate_density
 from .errors import ConfigError, KimuraLabError, NumericFailureError
-from .feynman_kac import BoundaryData, estimate_dirichlet, estimate_semigroup
+from .feynman_kac import (
+    BoundaryData,
+    estimate_dirichlet,
+    estimate_dirichlet_nodes,
+    estimate_semigroup,
+)
 from .fields import field_from_json
 from .geometry import DomainSpec, Point, StateSpaceDims
-from .harnack import LatticeSpec, memoize_estimator, scale_invariant_scan
+from .harnack import LatticeSpec, node_key, scale_invariant_scan, scan_nodes
 from .operators import (
     SingularOperatorSpec,
     StandardOperatorSpec,
@@ -281,14 +286,14 @@ def _cmd_harnack(doc, seed, out_dir, threads) -> tuple[int, dict]:
     gdata = BoundaryData(lambda times, states: g_state(states))
     t1 = float(doc.get("t1", 0.0))
 
-    def u_est(t: float, zz: Point):
-        return estimate_dirichlet(
-            coeffs, gdata, t, zz, t1, domain, config, n_threads=threads
-        )
-
+    rhos = [f * c * R for f in fractions]
+    nodes = scan_nodes(s, z, R, c, d, rhos, lattice)
+    estimates = estimate_dirichlet_nodes(
+        coeffs, gdata, nodes, t1, domain, config, n_threads=threads
+    )
+    table = {node_key(t, p): est for (t, p), est in zip(nodes, estimates)}
     reports = scale_invariant_scan(
-        memoize_estimator(u_est), s, z, R, c, d,
-        [f * c * R for f in fractions], lattice,
+        lambda t, p: table[node_key(t, p)], s, z, R, c, d, rhos, lattice
     )
     rows = [[f"{rep.radius:.12g}", f"{rep.ratio:.12g}"] for rep in reports]
     finite = [r.ratio for r in reports if math.isfinite(r.ratio)]

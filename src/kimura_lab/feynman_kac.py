@@ -31,6 +31,7 @@ __all__ = [
     "BoundaryData",
     "estimate_semigroup",
     "estimate_dirichlet",
+    "estimate_dirichlet_nodes",
     "estimate_inhomogeneous",
     "estimate_probabilistic_solution",
     "exp_moment_diagnostic",
@@ -231,19 +232,50 @@ def estimate_dirichlet(
     ``stop = (t - t1) ^ tau``; with ``t_cut`` the payoff is truncated by the
     indicator ``stop < t_cut - t1``.
     """
-    horizon = t - t1
-    if horizon < 0.0:
-        raise ValueError("t must be >= t1")
-    fp = config_fingerprint(config, op="dirichlet", t=t, t1=t1)
-    if horizon == 0.0:
-        v = float(gdata(np.array([t1]), z0.vector[None, :])[0])
-        return Estimate(v, 0.0, config.n_paths, float(config.n_paths), fp)
-    cfg = _fit_grid(config, horizon)
-    bundle = simulate_bundle(coeffs, z0, domain, cfg, n_threads=n_threads)
-    payoff, stop_time = _stop_payoff(bundle, gdata, t)
-    if t_cut is not None:
-        payoff = payoff * (stop_time < t_cut - t1)
-    return _reduce(payoff, None, bundle.fingerprint)
+    return estimate_dirichlet_nodes(
+        coeffs, gdata, [(t, z0)], t1, domain, config, t_cut=t_cut, n_threads=n_threads
+    )[0]
+
+
+def estimate_dirichlet_nodes(
+    coeffs,
+    gdata: BoundaryData,
+    nodes: Sequence[tuple[float, Point]],
+    t1: float,
+    domain: DomainSpec,
+    config: PathConfig,
+    t_cut: float | None = None,
+    n_threads: int = 1,
+) -> list[Estimate]:
+    """:func:`estimate_dirichlet` at every ``(t, z0)`` node, in node order.
+
+    Nodes with the same horizon ``t - t1`` run as the start points of one
+    bundle, so their small blocks are stepped together; every estimate is
+    bit-equal to its own :func:`estimate_dirichlet` call.
+    """
+    out: list[Estimate | None] = [None] * len(nodes)
+    by_horizon: dict[float, list[int]] = {}
+    for i, (t, z0) in enumerate(nodes):
+        horizon = t - t1
+        if horizon < 0.0:
+            raise ValueError("t must be >= t1")
+        if horizon == 0.0:
+            fp = config_fingerprint(config, op="dirichlet", t=t, t1=t1)
+            v = float(gdata(np.array([t1]), z0.vector[None, :])[0])
+            out[i] = Estimate(v, 0.0, config.n_paths, float(config.n_paths), fp)
+        else:
+            by_horizon.setdefault(horizon, []).append(i)
+    for horizon, members in by_horizon.items():
+        cfg = _fit_grid(config, horizon)
+        bundle = simulate_bundle(
+            coeffs, [nodes[i][1] for i in members], domain, cfg, n_threads=n_threads
+        )
+        for i, part in zip(members, bundle.per_start()):
+            payoff, stop_time = _stop_payoff(part, gdata, nodes[i][0])
+            if t_cut is not None:
+                payoff = payoff * (stop_time < t_cut - t1)
+            out[i] = _reduce(payoff, None, part.fingerprint)
+    return out
 
 
 def estimate_inhomogeneous(

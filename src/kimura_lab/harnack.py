@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +28,8 @@ __all__ = [
     "ChainGeometry",
     "harnack_ratio",
     "scale_invariant_scan",
+    "scan_nodes",
+    "node_key",
     "chain_geometry",
     "chain_count",
     "chain_count_bound",
@@ -99,6 +101,21 @@ def _ball_lattice(ball: MetricBall, n_space: int) -> list[Point]:
     return [Point.from_vector(dims, row) for row in flat]
 
 
+def _cylinder_nodes(
+    t_lo: float, t_hi: float, ball: MetricBall, lattice: LatticeSpec
+) -> Iterator[tuple[float, Point]]:
+    """The ``(t, z)`` lattice nodes of one cylinder, time by time."""
+    points = _ball_lattice(ball, lattice.n_space)
+    for t in np.linspace(t_lo, t_hi, lattice.n_time):
+        for p in points:
+            yield float(t), p
+
+
+def node_key(t: float, z: Point) -> tuple:
+    """Lattice nodes equal under this key are one node of a scan."""
+    return (round(float(t), 12), tuple(round(v, 12) for v in z.vector))
+
+
 def _extremes_over_cylinder(
     u_estimator: Callable[[float, Point], "object"],
     t_lo: float,
@@ -107,19 +124,16 @@ def _extremes_over_cylinder(
     lattice: LatticeSpec,
 ) -> tuple[float, float, float, float]:
     """(max, stderr at max, min, stderr at min) of the estimator on the lattice."""
-    times = np.linspace(t_lo, t_hi, lattice.n_time)
-    points = _ball_lattice(ball, lattice.n_space)
     best_max = -math.inf
     best_min = math.inf
     se_max = se_min = 0.0
-    for t in times:
-        for p in points:
-            est = u_estimator(float(t), p)
-            v = est.value
-            if v > best_max:
-                best_max, se_max = v, est.stderr
-            if v < best_min:
-                best_min, se_min = v, est.stderr
+    for t, p in _cylinder_nodes(t_lo, t_hi, ball, lattice):
+        est = u_estimator(t, p)
+        v = est.value
+        if v > best_max:
+            best_max, se_max = v, est.stderr
+        if v < best_min:
+            best_min, se_min = v, est.stderr
     return best_max, se_max, best_min, se_min
 
 
@@ -185,16 +199,41 @@ def scale_invariant_scan(
     Probe radii must satisfy ``0 < rho < c R``; the estimator's solution must
     cover ``(s - 4 R^2, s + R^2) x B_{4R}(z)``.
     """
-    reports = []
+    return [
+        _report(u_estimator, sup_cyl, inf_cyl, rho, lattice, noise_floor)
+        for rho, sup_cyl, inf_cyl in _scan_cylinders(s, z, R, c, d, rho_list)
+    ]
+
+
+def _scan_cylinders(s, z, R, c, d, rho_list):
+    """``(rho, earlier (t_lo, t_hi, ball), later (t_lo, t_hi, ball))`` per radius."""
     for rho in rho_list:
         if not (0.0 < rho < c * R):
             raise ValueError(f"probe radius {rho} outside (0, cR) = (0, {c * R})")
         q_minus, q_plus = cylinder_sets(s, z, rho, c, d)
-        reports.append(_report(
-            u_estimator, (q_minus.t_lo, q_minus.t_hi, q_minus.ball),
-            (q_plus.t_lo, q_plus.t_hi, q_plus.ball), rho, lattice, noise_floor,
-        ))
-    return reports
+        yield (
+            rho, (q_minus.t_lo, q_minus.t_hi, q_minus.ball),
+            (q_plus.t_lo, q_plus.t_hi, q_plus.ball),
+        )
+
+
+def scan_nodes(
+    s: float,
+    z: Point,
+    R: float,
+    c: float,
+    d: float,
+    rho_list: Sequence[float],
+    lattice: LatticeSpec = LatticeSpec(),
+) -> list[tuple[float, Point]]:
+    """The distinct ``(t, z)`` nodes that :func:`scale_invariant_scan` asks its
+    estimator for, in the order it first asks (one per :func:`node_key`)."""
+    nodes: dict = {}
+    for _, sup_cyl, inf_cyl in _scan_cylinders(s, z, R, c, d, rho_list):
+        for cyl in (sup_cyl, inf_cyl):
+            for t, p in _cylinder_nodes(*cyl, lattice):
+                nodes.setdefault(node_key(t, p), (t, p))
+    return list(nodes.values())
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +301,7 @@ def memoize_estimator(fn: Callable[[float, Point], "object"]):
     cache: dict = {}
 
     def wrapped(t: float, z: Point):
-        key = (round(float(t), 12), tuple(round(v, 12) for v in z.vector))
+        key = node_key(t, z)
         if key not in cache:
             cache[key] = fn(t, z)
         return cache[key]

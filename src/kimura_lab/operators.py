@@ -372,7 +372,8 @@ def apply_singular_batch(
     With ``log_clamp_eps > 0`` the logarithmic drift uses
     ``x_i * f * ln(max(x_j, eps))``, which extends continuously by 0 onto the
     degenerate boundary; with the default 0, boundary states produce -inf logs
-    (callers should use :func:`apply_singular` for the strict contract).
+    when ``b`` is not constant (callers should use :func:`apply_singular` for
+    the strict contract).  A constant ``b`` has ``f = 0`` and no log term.
     """
     n = op.dims.n
     states = np.asarray(states, dtype=float)
@@ -380,7 +381,7 @@ def apply_singular_batch(
     drift = np.concatenate(
         [drift_identity_g(op, states), drift_identity_e(op, states)], axis=-1
     )
-    if n:
+    if n and not op.b.is_constant:  # constant b: f vanishes, and so does f . ln x
         with np.errstate(divide="ignore"):
             logs = _clamped_log(x, log_clamp_eps) if log_clamp_eps > 0.0 else np.log(x)
         log_sum = np.einsum("...rj,...j->...r", drift_identity_f(op, states), logs)

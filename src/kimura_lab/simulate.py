@@ -13,6 +13,17 @@ Randomness is counter-based: normals come from independent Philox streams
 keyed by ``(seed, block_index)`` over fixed-size path blocks, so results are
 byte-identical for a given configuration no matter how many worker threads
 run the blocks.
+
+The streams do not depend on the start point, so one bundle may hold several
+start points under one configuration; start ``s`` owns paths
+``s * n_paths .. (s + 1) * n_paths - 1`` and draws exactly the normals its own
+bundle would.  Starts with fewer than ``RNG_BLOCK`` paths are packed: the
+copies of a block from several starts are stepped as one array of at most
+``RNG_BLOCK`` rows, which draws the block's normals once per step and repeats
+them for every start in it.  Each start's paths are therefore bit-equal to a
+bundle of that start alone, while a scan of many small starts takes a few
+large steps instead of many small ones.  The exact scheme draws from the
+state, so its starts are never packed.
 """
 
 from __future__ import annotations
@@ -147,18 +158,37 @@ class PathBundle:
         return self.states.shape[0]
 
     @property
+    def n_starts(self) -> int:
+        return self.n_paths // self.config.n_paths
+
+    @property
     def dims_total(self) -> int:
         return self.states.shape[2]
+
+    def per_start(self) -> list["PathBundle"]:
+        """One bundle per start point, each a view of this bundle's paths."""
+        n = self.config.n_paths
+        per_path = ("states", "tau", "tau_index", "exited", "exit_state",
+                    "log_weights", "increments")
+
+        def part(a, s):
+            return None if a is None else a[s * n:(s + 1) * n]
+
+        return [
+            replace(self, **{f: part(getattr(self, f), s) for f in per_path})
+            for s in range(self.n_starts)
+        ]
 
     def rng_stream_id(self, i: int) -> tuple[int, int, int]:
         """Counter-based stream of path ``i``: (seed, block key, column).
 
         The noise of a path is a pure function of this triple, independent of
-        the worker-thread count.
+        the worker-thread count and of the start point.
         """
         if not 0 <= i < self.n_paths:
             raise IndexError(f"path index {i} out of range")
-        return (self.config.seed, i // RNG_BLOCK, i % RNG_BLOCK)
+        p = i % self.config.n_paths
+        return (self.config.seed, p // RNG_BLOCK, p % RNG_BLOCK)
 
     def record_index(self, t: float) -> int:
         idx = np.argmin(np.abs(self.record_times - t))
@@ -257,8 +287,15 @@ def _advance_block(
     step_index: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One Euler step of a block from standard normals ``xi``;
-    returns (new_states, dW, log_weight_delta)."""
+    returns (new_states, dW, log_weight_delta).
+
+    ``states`` may stack the copies of one block from several starts; ``xi``
+    holds one row per block path and is repeated for each copy.
+    """
     n = coeffs.dims.n
+    nb = xi.shape[0]
+    if states.shape[0] > nb:
+        xi = np.tile(xi, (states.shape[0] // nb, 1))
     dt = config.dt
     eps = config.log_clamp_eps
     sqdt = np.sqrt(dt)
@@ -295,14 +332,14 @@ def _advance_block(
     if not np.isfinite(new).all():
         bad = int(np.flatnonzero(~np.isfinite(new).all(axis=1))[0])
         raise NumericFailureError(
-            f"non-finite state at step {step_index} (block path {bad})"
+            f"non-finite state at step {step_index} (block path {bad % nb})"
         )
     return new, dW, logw_delta
 
 
 def simulate_bundle(
     coeffs: SdeCoefficients | StandardSdeCoefficients,
-    z0: Point,
+    z0: Point | Sequence[Point],
     domain: DomainSpec,
     config: PathConfig,
     theta: GirsanovField | None = None,
@@ -316,19 +353,31 @@ def simulate_bundle(
     given, each path accumulates ``-theta . dW - |theta|^2 dt / 2`` while
     alive, the running log of the drift-change martingale weight.
 
-    ``observers`` receive per-step callbacks
+    ``z0`` may be a sequence of start points: the bundle then holds
+    ``config.n_paths`` paths per start, start by start, and
+    :meth:`PathBundle.per_start` splits it into bundles that are bit-equal
+    to simulating each start alone.
+
+    ``observers`` (one start point only) receive per-step callbacks
     ``observe(block_slice, k, t, prev, new, alive_before, alive_after, dW,
     logw=...)`` (``logw`` is the running per-path log weight, None without a
     drift-change field) and must write only into per-path or per-block slots
     (blocks may run concurrently).
     """
     dims = coeffs.dims
-    if z0.dims != dims:
-        raise DimensionMismatchError("start point dims do not match coefficients")
+    starts = [z0] if isinstance(z0, Point) else list(z0)
+    if not starts:
+        raise ValueError("need at least one start point")
+    for z in starts:
+        if z.dims != dims:
+            raise DimensionMismatchError("start point dims do not match coefficients")
     if domain.dims != dims:
         raise DimensionMismatchError("domain dims do not match coefficients")
-    if not domain.contains_point_underline(z0):
-        raise InvalidStartError(f"start point {z0} is outside the domain")
+    for z in starts:
+        if not domain.contains_point_underline(z):
+            raise InvalidStartError(f"start point {z} is outside the domain")
+    if observers and len(starts) > 1:
+        raise ValueError("observers watch a bundle with one start point")
     if theta is not None and config.scheme == "exact-1d-gamma":
         raise ValueError("drift-change weights are not defined for exact sampling")
 
@@ -341,33 +390,41 @@ def simulate_bundle(
     record_idx = {int(round(t / config.dt)): r for r, t in enumerate(record_times)}
     n_rec = len(record_times)
     n_paths = config.n_paths
+    n_starts = len(starts)
+    origins = np.stack([z.vector for z in starts])
 
-    states_rec = np.empty((n_paths, n_rec, total))
-    tau = np.full(n_paths, config.dt * n_steps)
-    tau_index = np.full(n_paths, n_steps, dtype=np.int64)
-    exited = np.zeros(n_paths, dtype=bool)
-    exit_state = np.tile(z0.vector, (n_paths, 1))
-    log_weights = np.zeros((n_paths, n_rec)) if theta is not None else None
+    # leading axes (start, path); flattened start by start for the bundle
+    states_rec = np.empty((n_starts, n_paths, n_rec, total))
+    tau = np.full((n_starts, n_paths), config.dt * n_steps)
+    tau_index = np.full((n_starts, n_paths), n_steps, dtype=np.int64)
+    exited = np.zeros((n_starts, n_paths), dtype=bool)
+    exit_state = np.repeat(origins[:, None, :], n_paths, axis=1)
+    log_weights = np.zeros((n_starts, n_paths, n_rec)) if theta is not None else None
     increments = (
-        np.zeros((n_paths, n_steps, total)) if config.store_increments else None
+        np.zeros((n_starts, n_paths, n_steps, total)) if config.store_increments else None
     )
 
     for obs in observers:
         obs.prepare(n_paths, dims, config)
 
-    def run_block(block: int) -> None:
+    def run_group(block: int, group: slice) -> None:
+        """Step block ``block`` of the starts in ``group`` as one array."""
         lo = block * RNG_BLOCK
         hi = min(lo + RNG_BLOCK, n_paths)
         nb = hi - lo
         sl = slice(lo, hi)
         rng = _block_rng(config.seed, block)
-        cur = np.tile(z0.vector, (nb, 1))
-        alive = np.ones(nb, dtype=bool)
-        logw = np.zeros(nb)
+        cur = np.repeat(origins[group], nb, axis=0)
+        alive = np.ones(len(cur), dtype=bool)
+        logw = np.zeros(len(cur))
+
+        def by_start(a: np.ndarray) -> np.ndarray:
+            return a.reshape((-1, nb) + a.shape[1:])
+
         if 0 in record_idx:
-            states_rec[sl, record_idx[0], :] = cur
+            states_rec[group, sl, record_idx[0]] = by_start(cur)
             if log_weights is not None:
-                log_weights[sl, record_idx[0]] = 0.0
+                log_weights[group, sl, record_idx[0]] = 0.0
         for k in range(1, n_steps + 1):
             if params_exact is None:
                 xi = rng.standard_normal((nb, total))
@@ -379,16 +436,16 @@ def simulate_bundle(
             if theta is not None:
                 logw = logw + np.where(alive, dlogw, 0.0)
             if increments is not None:
-                increments[sl, k - 1, :] = np.where(alive[:, None], dW, 0.0)
+                increments[group, sl, k - 1] = by_start(np.where(alive[:, None], dW, 0.0))
             inside = domain.contains_underline(new)
             newly = alive & ~inside
             if newly.any():
-                t_k = k * config.dt
                 idx = np.flatnonzero(newly)
-                tau[lo + idx] = t_k
-                tau_index[lo + idx] = k
-                exited[lo + idx] = True
-                exit_state[lo + idx] = new[idx]
+                start, path = group.start + idx // nb, lo + idx % nb
+                tau[start, path] = k * config.dt
+                tau_index[start, path] = k
+                exited[start, path] = True
+                exit_state[start, path] = new[idx]
             alive_after = alive & inside
             for obs in observers:
                 obs.observe(
@@ -398,30 +455,37 @@ def simulate_bundle(
             alive = alive_after
             cur = new
             if k in record_idx:
-                states_rec[sl, record_idx[k], :] = cur
+                states_rec[group, sl, record_idx[k]] = by_start(cur)
                 if log_weights is not None:
-                    log_weights[sl, record_idx[k]] = logw
+                    log_weights[group, sl, record_idx[k]] = by_start(logw)
 
-    n_blocks = (n_paths + RNG_BLOCK - 1) // RNG_BLOCK
-    if n_threads <= 1 or n_blocks == 1:
-        for b in range(n_blocks):
-            run_block(b)
+    groups = []
+    for block in range((n_paths + RNG_BLOCK - 1) // RNG_BLOCK):
+        nb = min(RNG_BLOCK, n_paths - block * RNG_BLOCK)
+        size = 1 if params_exact is not None else RNG_BLOCK // nb
+        groups += [(block, slice(s, min(s + size, n_starts))) for s in range(0, n_starts, size)]
+    if n_threads <= 1 or len(groups) == 1:
+        for group in groups:
+            run_group(*group)
     else:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(run_block, range(n_blocks)))
+            list(pool.map(lambda group: run_group(*group), groups))
+
+    def flat(a: np.ndarray | None) -> np.ndarray | None:
+        return None if a is None else a.reshape((n_starts * n_paths,) + a.shape[2:])
 
     fp = config_fingerprint(config, domain=domain.to_json(), theta=theta is not None)
     return PathBundle(
         config=config,
         domain=domain,
         record_times=record_times,
-        states=states_rec,
-        tau=tau,
-        tau_index=tau_index,
-        exited=exited,
-        exit_state=exit_state,
-        log_weights=log_weights,
-        increments=increments,
+        states=flat(states_rec),
+        tau=flat(tau),
+        tau_index=flat(tau_index),
+        exited=flat(exited),
+        exit_state=flat(exit_state),
+        log_weights=flat(log_weights),
+        increments=flat(increments),
         fingerprint=fp,
     )
 

@@ -1,9 +1,11 @@
 import json
+import os
 
 import pytest
 
 from kimura_lab.cli import main
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MODEL_HALF = {
     "kind": "standard",
     "dims": {"n": 1, "m": 0},
@@ -224,6 +226,41 @@ def test_harnack_command_writes_ratio_csv(tmp_path):
     lines = (out / "harnack.csv").read_text().strip().splitlines()
     assert lines[0] == "rho,ratio"
     assert len(lines) == 3
+
+
+def test_harnack_command_matches_the_per_node_scan(tmp_path):
+    # the committed scan at 64 paths, against one estimate_dirichlet per node
+    from kimura_lab.feynman_kac import BoundaryData, estimate_dirichlet
+    from kimura_lab.fields import field_from_json
+    from kimura_lab.geometry import DomainSpec, Point
+    from kimura_lab.harnack import LatticeSpec, memoize_estimator, scale_invariant_scan
+    from kimura_lab.operators import operator_from_json
+    from kimura_lab.sde import build_sde_coefficients
+    from kimura_lab.simulate import PathConfig
+
+    with open(os.path.join(ROOT, "configs", "harnack_scan.json")) as fh:
+        doc = json.load(fh)
+    doc["sim"]["n_paths"] = 64
+    code, out = run(tmp_path, doc)
+    assert code == 0
+    results = json.loads((out / "results.json").read_text())
+
+    coeffs = build_sde_coefficients(operator_from_json(doc["model"]))
+    domain = DomainSpec.from_json(doc["domain"])
+    config = PathConfig(seed=doc["seed"], **doc["sim"])
+    g = field_from_json(doc["g"], 1)
+    gdata = BoundaryData(lambda times, states: g.evaluate_batch(states))
+    z = Point.from_vector(domain.dims, doc["z"])
+    c, R = doc["c"], doc["R"]
+
+    def u(t, zz):
+        return estimate_dirichlet(coeffs, gdata, t, zz, 0.0, domain, config)
+
+    reports = scale_invariant_scan(
+        memoize_estimator(u), doc["s"], z, R, c, doc["d"],
+        [f * c * R for f in doc["rho_fractions"]], LatticeSpec(**doc["lattice"]),
+    )
+    assert results["reports"] == json.loads(json.dumps([r.to_json() for r in reports]))
 
 
 def test_girsanov_command_consistency(tmp_path):

@@ -13,6 +13,7 @@ from kimura_lab.errors import (
 from kimura_lab.feynman_kac import (
     BoundaryData,
     estimate_dirichlet,
+    estimate_dirichlet_nodes,
     estimate_inhomogeneous,
     estimate_probabilistic_solution,
     estimate_semigroup,
@@ -133,6 +134,36 @@ class TestDirichlet:
         est = estimate_dirichlet(coeffs_sing_half, gdata, 0.3, Point((1.0,), ()),
                                  0.3, BOX04, cfg(n_paths=100))
         assert est.value == pytest.approx(3.0)
+
+
+class TestDirichletNodes:
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    @pytest.mark.parametrize("n_paths", [512, 5000])
+    def test_each_node_matches_its_own_call(self, coeffs_sing_half, n_threads, n_paths):
+        gdata = BoundaryData(lambda times, states: 1.0 + 0.25 * states[:, 0] + 0.1 * times)
+        t1 = 0.1
+        z = [Point((x,), ()) for x in (0.5, 2.0, 3.9)]
+        # t == t1, shared and distinct horizons, a duplicate node
+        nodes = [(0.3, z[0]), (t1, z[1]), (0.3, z[2]), (0.25, z[1]), (0.3, z[0]), (0.31, z[2])]
+        c = cfg(n_paths=n_paths, seed=17)
+        many = estimate_dirichlet_nodes(
+            coeffs_sing_half, gdata, nodes, t1, BOX04, c, t_cut=0.28, n_threads=n_threads
+        )
+        for (t, z0), est in zip(nodes, many):
+            alone = estimate_dirichlet(
+                coeffs_sing_half, gdata, t, z0, t1, BOX04, c, t_cut=0.28, n_threads=n_threads
+            )
+            assert est == alone
+            assert est.value.hex() == alone.value.hex()
+            assert est.stderr.hex() == alone.stderr.hex()
+        assert many[0] == many[4]
+        assert many[1].stderr == 0.0 and many[1].value == 1.5 + 0.1 * t1
+
+    def test_node_before_t1_is_rejected(self, coeffs_sing_half):
+        gdata = BoundaryData(lambda times, states: np.ones(states.shape[0]))
+        with pytest.raises(ValueError):
+            estimate_dirichlet_nodes(coeffs_sing_half, gdata, [(0.5, ORIGIN), (0.1, ORIGIN)],
+                                     0.2, BOX04, cfg(n_paths=64))
 
 
 class TestInhomogeneous:

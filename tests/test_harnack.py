@@ -12,7 +12,9 @@ from kimura_lab.harnack import (
     chain_geometry,
     harnack_ratio,
     memoize_estimator,
+    node_key,
     scale_invariant_scan,
+    scan_nodes,
 )
 from kimura_lab.oracle import gaussian_reference
 
@@ -169,3 +171,21 @@ class TestRatioProbes:
         rep2 = harnack_ratio(memo, 1.0, Point((1.0,), ()), 0.2)
         assert len(calls) == n1
         assert rep1.ratio == rep2.ratio
+
+    @pytest.mark.parametrize("lattice", [LatticeSpec(), LatticeSpec().refine()])
+    def test_scan_nodes_are_the_memoized_misses_in_order(self, lattice):
+        misses = []
+
+        def u(t, z):
+            misses.append((t, z))
+            return FakeEstimate(1.0 + z.vector[0] - t)
+
+        args = (0.5, Point((1.0,), ()), 0.25, 0.9, math.sqrt(0.8), [0.02, 0.05, 0.09],
+                lattice)
+        reports = scale_invariant_scan(memoize_estimator(u), *args)
+        nodes = scan_nodes(*args)
+        assert [(t, z.vector.tolist()) for t, z in nodes] == [
+            (t, z.vector.tolist()) for t, z in misses
+        ]
+        table = {node_key(t, z): FakeEstimate(1.0 + z.vector[0] - t) for t, z in nodes}
+        assert scale_invariant_scan(lambda t, z: table[node_key(t, z)], *args) == reports

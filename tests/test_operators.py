@@ -153,6 +153,12 @@ class TestApplySingular:
         expected = (1.0 + eps * x) + x * eps * math.log(x)
         assert apply_singular(op, U_LINEAR, Point((x,), ())) == pytest.approx(expected)
 
+    def test_constant_weight_is_finite_on_the_face_without_a_clamp(self):
+        # f vanishes for constant b, so the default eps = 0 takes no ln 0
+        vals = apply_singular_batch(make_sing_1d(0.5), U_SQUARE, np.array([[0.0], [0.3]]))
+        assert vals[0] == 0.0
+        assert vals[1] == pytest.approx(0.9, rel=1e-14)
+
     def test_boundary_point_rejected(self):
         op = make_sing_1d(b0=1.0, slope=0.1)
         with pytest.raises(BoundaryEvaluationError):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,11 @@ from conftest import make_sing_1d, make_std_1d, mean_se
 from kimura_lab.errors import InvalidStartError, NumericFailureError
 from kimura_lab.fields import CallableField, FieldMatrix, FieldVector
 from kimura_lab.geometry import DomainSpec, Point, StateSpaceDims
-from kimura_lab.operators import SingularOperatorSpec, derive_singular_from_standard
+from kimura_lab.operators import (
+    SingularOperatorSpec,
+    derive_singular_from_standard,
+    operator_from_json,
+)
 from kimura_lab.oracle import Besq1dModel, besq_mean
 from kimura_lab.sde import (
     build_sde_coefficients,
@@ -16,6 +21,7 @@ from kimura_lab.sde import (
     make_girsanov_field,
 )
 from kimura_lab.simulate import (
+    RNG_BLOCK,
     PathConfig,
     bundle_to_csv,
     bundle_to_kimb,
@@ -372,3 +378,141 @@ class TestStreamsAndIncrements:
             dw = traj.brownian_increments[k, 0]
             x = max(x + 0.5 * 1e-2 + math.sqrt(x) * sigma * dw, 0.0)
             assert traj.states[k + 1, 0] == pytest.approx(x, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Several start points in one bundle
+# ---------------------------------------------------------------------------
+
+BOX04 = DomainSpec.box(DIMS1, [(0.0, 4.0)])
+# the last start repeats the second; 3.9 exits the box early and often
+STARTS_1D = [Point((x,), ()) for x in (0.0, 1.0, 2.0, 3.5, 3.9, 1.0)]
+
+COUPLED_N1M1 = {
+    "kind": "standard", "dims": {"n": 1, "m": 1},
+    "a_hat": [[0.2]],
+    "b_hat": [{"family": "affine", "c0": 0.9, "coeffs": [0.1, -0.05]}],
+    "c_hat": [[{"family": "affine", "c0": 0.5, "coeffs": [0.0, 0.2]}]],
+    "d_hat": [[1.2]],
+    "e_hat": [{"family": "trig", "c0": 0.1, "amplitude": 0.3, "axis": 1, "frequency": 1.5}],
+}
+
+FREE_M2 = {
+    "kind": "standard", "dims": {"n": 0, "m": 2},
+    "d_hat": [[1.0, 0.5], [0.5, 1.0]],
+    "e_hat": [0.1, -0.2],
+}
+
+
+def make_sing_coupled(gamma=0.3):
+    """n=1, m=1 model with a constant cross coupling."""
+    return SingularOperatorSpec(
+        dims=StateSpaceDims(1, 1),
+        a_diag=FieldVector([1.0]),
+        a_tilde=FieldMatrix.zeros(1, 1),
+        b=FieldVector([1.0]),
+        c=FieldMatrix([[gamma]]),
+        d=FieldMatrix([[1.0]]),
+    )
+
+
+def assert_same_bundle(a, b):
+    assert a.config == b.config and a.fingerprint == b.fingerprint
+    for name in ("record_times", "states", "tau", "tau_index", "exited", "exit_state",
+                 "log_weights", "increments"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            assert x.tobytes() == y.tobytes(), name
+
+
+def assert_packed_matches_alone(coeffs, starts, domain, config, theta=None, n_threads=1):
+    bundle = simulate_bundle(coeffs, starts, domain, config, theta=theta, n_threads=n_threads)
+    assert bundle.n_starts == len(starts)
+    assert bundle.n_paths == len(starts) * config.n_paths
+    parts = bundle.per_start()
+    for z0, part in zip(starts, parts):
+        alone = simulate_bundle(coeffs, z0, domain, config, theta=theta, n_threads=n_threads)
+        assert_same_bundle(part, alone)
+    return parts
+
+
+class TestPackedStarts:
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    @pytest.mark.parametrize("n_paths", [512, 5000])  # packed; a full block + a packed one
+    def test_harnack_model_with_exits(self, n_paths, n_threads):
+        coeffs = build_sde_coefficients(make_sing_1d(b0=0.5))
+        cfg = PathConfig(dt=2e-3, seed=42, n_paths=n_paths, horizon=0.3, record=(0.0, 0.1, 0.3))
+        parts = assert_packed_matches_alone(coeffs, STARTS_1D, BOX04, cfg, n_threads=n_threads)
+        assert parts[4].exited.mean() > 0.5 and 0 < parts[3].exited.sum() < n_paths
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_log_drift_with_increments_and_every_step_recorded(self, n_threads):
+        coeffs = build_sde_coefficients(make_sing_1d(b0=1.0, slope=0.3))
+        assert coeffs.plan.log_drift
+        cfg = PathConfig(dt=5e-3, seed=8, n_paths=700, horizon=0.2, record="all",
+                         store_increments=True)
+        assert_packed_matches_alone(coeffs, STARTS_1D, BOX04, cfg, n_threads=n_threads)
+
+    @pytest.mark.parametrize("n_paths", [512, 5000])
+    def test_drift_change_weights(self, n_paths):
+        pair = make_girsanov_field(
+            make_std_1d(b0=1.0, slope=0.2), make_sing_1d(b0=1.0, slope=0.2)
+        )
+        cfg = PathConfig(dt=5e-3, seed=19, n_paths=n_paths, horizon=0.25)
+        parts = assert_packed_matches_alone(pair.sing, STARTS_1D, BOX04, cfg, theta=pair,
+                                            n_threads=2)
+        assert np.abs(parts[0].log_weights[:, -1]).max() > 0.0
+
+    @pytest.mark.parametrize("model", ["coupled", "n1m1", "n1m1-derived", "free-m2"])
+    def test_two_dimensional_models(self, model):
+        # state-dependent sigma with affine and trig fields; a constant
+        # non-diagonal sigma (free-m2), applied as one matrix product
+        if model == "coupled":
+            coeffs = build_sde_coefficients(make_sing_coupled())
+        elif model == "free-m2":
+            coeffs = build_standard_sde_coefficients(operator_from_json(FREE_M2))
+            assert coeffs.plan.sigma is not None and coeffs.plan.sigma_diag is None
+        else:
+            std = operator_from_json(COUPLED_N1M1)
+            coeffs = (build_standard_sde_coefficients(std) if model == "n1m1"
+                      else build_sde_coefficients(derive_singular_from_standard(std)))
+        dims = coeffs.dims
+        domain = DomainSpec.box(dims, [(0.0, 3.0) if i < dims.n else (-2.0, 2.0)
+                                       for i in range(dims.total)])
+        starts = [Point.from_vector(dims, v) for v in ([0.5, 0.0], [1.9, 1.9], [0.0, -1.0])]
+        cfg = PathConfig(dt=5e-3, seed=3, n_paths=1000, horizon=0.2)
+        assert_packed_matches_alone(coeffs, starts, domain, cfg, n_threads=2)
+
+    def test_more_threads_than_cores_write_disjoint_slots(self):
+        coeffs = build_sde_coefficients(make_sing_1d(b0=0.5))
+        cfg = PathConfig(dt=5e-3, seed=23, n_paths=2000, horizon=0.1)  # two starts a group
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert_packed_matches_alone(coeffs, STARTS_1D * 2, BOX04, cfg, n_threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_exact_scheme_starts_run_one_by_one(self):
+        coeffs = build_sde_coefficients(make_sing_1d(b0=0.5))
+        cfg = PathConfig(dt=1e-2, seed=4, n_paths=300, horizon=0.2, scheme="exact-1d-gamma")
+        assert_packed_matches_alone(coeffs, STARTS_1D[:3], BOX04, cfg)
+
+    def test_stream_ids_do_not_depend_on_the_start(self):
+        coeffs = build_sde_coefficients(make_sing_1d(b0=0.5))
+        cfg = PathConfig(dt=1e-2, seed=99, n_paths=RNG_BLOCK + 10, horizon=0.02)
+        bundle = simulate_bundle(coeffs, STARTS_1D[:2], BOX04, cfg)
+        assert bundle.rng_stream_id(RNG_BLOCK + 3) == (99, 1, 3)
+        assert bundle.rng_stream_id(cfg.n_paths + 5) == (99, 0, 5)
+
+    def test_invalid_starts_and_observers_are_rejected(self):
+        coeffs = build_sde_coefficients(make_sing_1d(b0=0.5))
+        cfg = PathConfig(dt=1e-2, seed=1, n_paths=8, horizon=0.1)
+        with pytest.raises(ValueError):
+            simulate_bundle(coeffs, [], BOX04, cfg)
+        with pytest.raises(InvalidStartError):
+            simulate_bundle(coeffs, [Point((1.0,), ()), Point((5.0,), ())], BOX04, cfg)
+        with pytest.raises(ValueError, match="one start"):
+            simulate_bundle(coeffs, STARTS_1D[:2], BOX04, cfg, observers=(object(),))
