@@ -1,0 +1,88 @@
+"""Check that every committed run configuration still writes the same bytes.
+
+Runs each ``configs/*.json`` through ``kimura_lab.cli.main`` at
+``--threads 1`` and ``--threads 2``, each into a fresh temporary directory,
+and compares the sha256 of every file the run writes with
+``configs/SHA256SUMS`` (``sha256sum`` format; names are
+``<config stem>/<file>``).  Prints one line per file and thread count and
+exits 1 on any mismatch, on a listed file that was not written, on a written
+file that is not listed, or on a run that does not exit 0.  Takes no options;
+the full run takes about two minutes on a 2-core machine.
+
+    python3 scripts/config_hashes.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import glob
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from kimura_lab.cli import main  # noqa: E402
+
+THREADS = (1, 2)
+
+
+def _read_sums(path: str) -> dict[str, str]:
+    sums = {}
+    with open(path) as fh:
+        for line in fh:
+            if line.strip():
+                digest, name = line.split()
+                sums[name] = digest
+    return sums
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _run(config: str, threads: int) -> tuple[int, dict[str, str]]:
+    """Exit code and ``{file name: sha256}`` of one run in a fresh directory."""
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["--config", config, "--out", out, "--threads", str(threads)])
+        return code, {name: _sha256(os.path.join(out, name)) for name in sorted(os.listdir(out))}
+
+
+def main_check() -> int:
+    expected = _read_sums(os.path.join(ROOT, "configs", "SHA256SUMS"))
+    seen = set()
+    failures = 0
+    for config in sorted(glob.glob(os.path.join(ROOT, "configs", "*.json"))):
+        stem = os.path.splitext(os.path.basename(config))[0]
+        for threads in THREADS:
+            code, written = _run(config, threads)
+            if code != 0:
+                failures += 1
+                print(f"FAIL  {stem}  threads={threads}  exit code {code}")
+            for name, digest in written.items():
+                key = f"{stem}/{name}"
+                seen.add(key)
+                want = expected.get(key)
+                ok = digest == want
+                failures += not ok
+                note = "" if ok else ("  not listed" if want is None else f"  expected {want}")
+                print(f"{'ok  ' if ok else 'FAIL'}  {key}  threads={threads}  {digest}{note}")
+            for key in sorted(k for k in expected if k.startswith(f"{stem}/")):
+                if key.split("/", 1)[1] not in written:
+                    failures += 1
+                    print(f"FAIL  {key}  threads={threads}  not written")
+    for key in sorted(set(expected) - seen):
+        if not os.path.exists(os.path.join(ROOT, "configs", key.split("/", 1)[0] + ".json")):
+            failures += 1
+            print(f"FAIL  {key}  no such config")
+    print(f"{failures} mismatch(es)" if failures else "all outputs match configs/SHA256SUMS")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main_check())

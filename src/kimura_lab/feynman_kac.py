@@ -103,10 +103,9 @@ class BoundaryData:
     raise :class:`BoundaryDataGapError` with the offending point.
     """
 
-    def __init__(self, fn: Callable, vectorized: bool = True, continuous: bool = True):
+    def __init__(self, fn: Callable, vectorized: bool = True):
         self.fn = fn
         self.vectorized = vectorized
-        self.continuous = continuous
 
     def __call__(self, times: np.ndarray, states: np.ndarray) -> np.ndarray:
         times = np.asarray(times, dtype=float)

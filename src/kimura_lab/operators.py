@@ -79,6 +79,16 @@ class AssumptionConstants:
             raise ValueError("b_bar must be positive")
 
 
+def look_up_partial(field: ScalarField, axis: int) -> ScalarField:
+    """``field.partial(axis)``.  A lookup can be costly (a lattice field
+    differentiates all of its nodes), so a stepping loop passes the drift
+    identities a cached stand-in that looks each one up once per model."""
+    return field.partial(axis)
+
+
+PartialLookup = Callable[[ScalarField, int], ScalarField]
+
+
 class _OperatorBase:
     dims: StateSpaceDims
 
@@ -134,6 +144,18 @@ class StandardOperatorSpec(_OperatorBase):
             self.d_hat.evaluate_batch(states),
         )
 
+    def drift(
+        self, states, log_clamp_eps=0.0, partial=look_up_partial, log_sum=None
+    ) -> np.ndarray:
+        """``(b^, e^)``, shape (..., n+m).  The standard form has no log drift;
+        the other arguments are those of the divergence side and unused."""
+        states = np.asarray(states, dtype=float)
+        return np.concatenate([self.b_hat.evaluate_batch(states), self.free_drift(states)], -1)
+
+    def free_drift(self, states: np.ndarray) -> np.ndarray:
+        """Free rows of :meth:`drift`, ``e^``, shape (..., m)."""
+        return self.e_hat.evaluate_batch(np.asarray(states, dtype=float))
+
 
 @dataclass(frozen=True)
 class SingularOperatorSpec(_OperatorBase):
@@ -166,6 +188,44 @@ class SingularOperatorSpec(_OperatorBase):
             states, self.a_diag.evaluate_batch(states), self.a_tilde.evaluate_batch(states),
             2.0 * self.c.evaluate_batch(states), self.d.evaluate_batch(states),
         )
+
+    def log_drift(
+        self, states, log_clamp_eps=0.0, partial=look_up_partial
+    ) -> np.ndarray | None:
+        """``sum_j f_rj ln max(x_j, eps)`` for every row ``r``, shape (..., n+m);
+        None when ``b`` is constant, as ``f`` then vanishes.  With ``eps = 0``
+        a state on a face ``x_j = 0`` gives an infinite log."""
+        if self.b.is_constant:
+            return None
+        states = np.asarray(states, dtype=float)
+        with np.errstate(divide="ignore"):
+            logs = np.log(np.maximum(states[..., : self.dims.n], log_clamp_eps))
+        return np.einsum("...rj,...j->...r", drift_identity_f(self, states, partial), logs)
+
+    def drift(
+        self, states, log_clamp_eps=0.0, partial=look_up_partial, log_sum=None
+    ) -> np.ndarray:
+        """``(g + x * (f . ln x), e + f . ln x)``, shape (..., n+m), with the
+        :meth:`log_drift` ``f . ln x``; ``log_sum`` passes in that result when
+        the caller already has it for these states."""
+        n = self.dims.n
+        states = np.asarray(states, dtype=float)
+        if log_sum is None:
+            log_sum = self.log_drift(states, log_clamp_eps, partial)
+        g = drift_identity_g(self, states, partial)
+        if log_sum is not None:
+            g = g + states[..., :n] * log_sum[..., :n]
+        return np.concatenate([g, self.free_drift(states, log_clamp_eps, partial, log_sum)], -1)
+
+    def free_drift(
+        self, states, log_clamp_eps=0.0, partial=look_up_partial, log_sum=None
+    ) -> np.ndarray:
+        """Free rows of :meth:`drift`, ``e + f_y . ln x``, shape (..., m)."""
+        states = np.asarray(states, dtype=float)
+        if log_sum is None:
+            log_sum = self.log_drift(states, log_clamp_eps, partial)
+        e = drift_identity_e(self, states, partial)
+        return e if log_sum is None else e + log_sum[..., self.dims.n :]
 
     def measure(self) -> WeightedMeasure:
         """Weighted measure carrying this operator's ``b`` as exponents."""
@@ -202,18 +262,8 @@ def _diffusion_matrix(states, a, at, cross, d) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Drift identities shared by pointwise application and the SDE assembly
+# Drift identities behind the divergence-side drift
 # ---------------------------------------------------------------------------
-
-
-def look_up_partial(field: ScalarField, axis: int) -> ScalarField:
-    """``field.partial(axis)``.  A lookup can be costly (a lattice field
-    differentiates all of its nodes), so a stepping loop passes the drift
-    identities a cached stand-in that looks each one up once per model."""
-    return field.partial(axis)
-
-
-PartialLookup = Callable[[ScalarField, int], ScalarField]
 
 
 def drift_g_parts(
@@ -327,70 +377,37 @@ def drift_identity_f(
     return f
 
 
-def _clamped_log(x: np.ndarray, eps: float) -> np.ndarray:
-    return np.log(np.maximum(x, eps))
-
-
 # ---------------------------------------------------------------------------
 # Pointwise application
 # ---------------------------------------------------------------------------
 
 
-def _generator(op, u: TestFunction, states: np.ndarray, drift: np.ndarray) -> np.ndarray:
-    """``1/2 tr(alpha H) + drift . grad u`` with ``alpha`` the increment
-    covariance of ``op``."""
+def _apply_generator_batch(
+    op, u: TestFunction, states: np.ndarray, log_clamp_eps: float = 0.0
+) -> np.ndarray:
+    """Generator ``1/2 tr(alpha H) + drift . grad u`` of ``op`` applied to
+    ``u`` on a batch of states, with ``alpha`` the increment covariance and
+    ``drift`` the spec's :meth:`drift`.
+
+    On the divergence side ``log_clamp_eps > 0`` reads the log drift as
+    ``ln max(x_j, eps)``, which keeps it finite on the degenerate boundary;
+    with the default 0, boundary states give infinite logs when ``b`` is not
+    constant (:func:`apply_singular` enforces the strict contract).  A
+    constant ``b`` has ``f = 0`` and no log term.
+    """
+    states = np.asarray(states, dtype=float)
     alpha = op.increment_covariance(states)
     return 0.5 * np.einsum("...ij,...ij->...", alpha, u.hessian(states)) + np.einsum(
-        "...i,...i->...", drift, u.gradient(states)
+        "...i,...i->...", op.drift(states, log_clamp_eps), u.gradient(states)
     )
 
 
-def apply_standard_batch(
-    op: StandardOperatorSpec, u: TestFunction, states: np.ndarray
-) -> np.ndarray:
-    """Standard generator applied to ``u`` on a batch of states."""
-    states = np.asarray(states, dtype=float)
-    drift = np.concatenate(
-        [op.b_hat.evaluate_batch(states), op.e_hat.evaluate_batch(states)], axis=-1
-    )
-    return _generator(op, u, states, drift)
+apply_standard_batch = apply_singular_batch = _apply_generator_batch
 
 
 def apply_standard(op: StandardOperatorSpec, u: TestFunction, z: Point) -> float:
     vec = op._check_point(z)
     return float(apply_standard_batch(op, u, vec[None, :])[0])
-
-
-def apply_singular_batch(
-    op: SingularOperatorSpec,
-    u: TestFunction,
-    states: np.ndarray,
-    log_clamp_eps: float = 0.0,
-) -> np.ndarray:
-    """Divergence-compatible generator applied to ``u`` on a batch of states.
-
-    With ``log_clamp_eps > 0`` the logarithmic drift uses
-    ``x_i * f * ln(max(x_j, eps))``, which extends continuously by 0 onto the
-    degenerate boundary; with the default 0, boundary states produce -inf logs
-    when ``b`` is not constant (callers should use :func:`apply_singular` for
-    the strict contract).  A constant ``b`` has ``f = 0`` and no log term.
-    """
-    n = op.dims.n
-    states = np.asarray(states, dtype=float)
-    x = states[..., :n]
-    drift = np.concatenate(
-        [drift_identity_g(op, states), drift_identity_e(op, states)], axis=-1
-    )
-    if n and not op.b.is_constant:  # constant b: f vanishes, and so does f . ln x
-        with np.errstate(divide="ignore"):
-            logs = _clamped_log(x, log_clamp_eps) if log_clamp_eps > 0.0 else np.log(x)
-        log_sum = np.einsum("...rj,...j->...r", drift_identity_f(op, states), logs)
-        # x * ln x -> 0 convention at the boundary when clamped
-        if log_clamp_eps > 0.0:
-            log_sum = np.where(np.isfinite(log_sum), log_sum, 0.0)
-        drift[..., :n] += x * log_sum[..., :n]
-        drift[..., n:] += log_sum[..., n:]
-    return _generator(op, u, states, drift)
 
 
 def apply_singular(op: SingularOperatorSpec, u: TestFunction, z: Point) -> float:

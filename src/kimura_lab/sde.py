@@ -4,10 +4,10 @@ The divergence-compatible operator induces a stochastic equation whose
 degenerate rows read ``dX_i = (g_i + X_i sum_j f_ij ln X_j) dt
 + sqrt(X_i) sum_j sigma_ij dW_j`` and whose free rows read
 ``dY_l = (e_l + sum_j f_(n+l)j ln X_j) dt + sum_j sigma_(n+l)j dW_j``.
-This module assembles ``g, e, f``, the dispersion root ``sigma`` of the
-operator's diffusion matrix ``D``, the full drift, the standard-side
-analogues, and the drift-change field ``theta`` tying the two equations
-together.
+Each operator spec assembles its own drift (``drift``) and diffusion matrix
+``D`` (``diffusion_matrix``).  This module compiles a spec into a step plan,
+takes the dispersion root ``sigma`` of ``D``, and builds the drift-change
+field ``theta`` tying the two equations together.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ class StepPlan:
     ``sigma_diag`` its diagonal when that root is diagonal.  A divergence-side
     model whose fields are all constant has the drift
     ``drift + x * drift_slope`` (the slope on the degenerate rows, None when
-    zero); ``log_drift`` is False when ``f`` vanishes (constant ``b``).
+    zero); ``partial`` looks each coefficient partial up once.
     """
 
     sigma: np.ndarray | None = None
@@ -113,13 +113,12 @@ class StepPlan:
     drift: np.ndarray | None = None
     drift_slope: np.ndarray | None = None
     partial: PartialLookup = look_up_partial
-    log_drift: bool = False
 
 
 @dataclass(frozen=True)
 class _Coefficients:
-    """Dispersion side shared by both equations, derived from the source
-    operator's ``diffusion_matrix``."""
+    """Fields shared by both equations, read from the source operator's
+    ``drift`` and ``diffusion_matrix``."""
 
     dims: StateSpaceDims
     source: object
@@ -128,6 +127,27 @@ class _Coefficients:
     def D_batch(self, states: np.ndarray) -> np.ndarray:
         """Diffusion matrix ``D`` with ``sigma sigma* = D``."""
         return self.source.diffusion_matrix(states)
+
+    def drift_batch(
+        self, states: np.ndarray, log_clamp_eps: float = 1e-12, log_sum: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Full drift vector: the step plan's fold when the model has one,
+        otherwise the source operator's ``drift`` with ``ln max(x, eps)``.
+
+        ``log_sum`` passes in a ``log_drift_batch`` result the caller already
+        has for these states.  A folded model has constant fields, so no log
+        drift.
+        """
+        states = np.asarray(states, dtype=float)
+        plan = self.plan
+        if plan.drift is None:
+            return self.source.drift(states, log_clamp_eps, plan.partial, log_sum)
+        n = self.dims.n
+        out = np.empty(states.shape)
+        out[...] = plan.drift
+        if plan.drift_slope is not None:
+            out[..., :n] += states[..., :n] * plan.drift_slope
+        return out
 
     def sigma_batch(self, states: np.ndarray) -> np.ndarray:
         states = np.asarray(states, dtype=float)
@@ -156,71 +176,26 @@ class SdeCoefficients(_Coefficients):
     source: SingularOperatorSpec
 
     # defined on each class, as perfbench/tracer.py times methods per class
+    drift_batch = _Coefficients.drift_batch
     sigma_batch = _Coefficients.sigma_batch
-
-    # -- raw identity fields -------------------------------------------------
-
-    def g_batch(self, states: np.ndarray) -> np.ndarray:
-        return drift_identity_g(self.source, states, self.plan.partial)
-
-    def e_batch(self, states: np.ndarray) -> np.ndarray:
-        return drift_identity_e(self.source, states, self.plan.partial)
-
-    def f_batch(self, states: np.ndarray) -> np.ndarray:
-        return drift_identity_f(self.source, states, self.plan.partial)
-
-    # -- drift ----------------------------------------------------------------
 
     def log_drift_batch(
         self, states: np.ndarray, log_clamp_eps: float = 1e-12
     ) -> np.ndarray | None:
-        """``sum_j f_rj ln max(x_j, eps)`` for every row ``r``, shape (..., n+m);
-        None when ``f`` vanishes identically."""
-        if not self.plan.log_drift:
-            return None
-        states = np.asarray(states, dtype=float)
-        with np.errstate(divide="ignore"):
-            logs = np.log(np.maximum(states[..., : self.dims.n], log_clamp_eps))
-        return np.einsum("...rj,...j->...r", self.f_batch(states), logs)
-
-    def drift_batch(
-        self,
-        states: np.ndarray,
-        log_clamp_eps: float = 1e-12,
-        log_sum: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Full drift vector including the clamped logarithmic terms.
-
-        ``log_sum`` passes in a ``log_drift_batch`` result the caller already
-        has for these states.
-        """
-        n = self.dims.n
-        states = np.asarray(states, dtype=float)
-        plan = self.plan
-        if plan.drift is None:
-            out = np.concatenate([self.g_batch(states), self.e_batch(states)], axis=-1)
-        else:
-            out = np.empty(states.shape)
-            out[...] = plan.drift
-            if plan.drift_slope is not None:
-                out[..., :n] += states[..., :n] * plan.drift_slope
-        if plan.log_drift:
-            if log_sum is None:
-                log_sum = self.log_drift_batch(states, log_clamp_eps)
-            out[..., :n] += states[..., :n] * log_sum[..., :n]
-            out[..., n:] += log_sum[..., n:]
-        return out
+        """The source operator's ``log_drift``: ``sum_j f_rj ln max(x_j, eps)``
+        for every row ``r``, None when ``b`` is constant."""
+        return self.source.log_drift(states, log_clamp_eps, self.plan.partial)
 
     # -- single-point conveniences ---------------------------------------------
 
     def g(self, z: Point) -> np.ndarray:
-        return self.g_batch(z.vector[None, :])[0]
+        return drift_identity_g(self.source, z.vector[None, :], self.plan.partial)[0]
 
     def e(self, z: Point) -> np.ndarray:
-        return self.e_batch(z.vector[None, :])[0]
+        return drift_identity_e(self.source, z.vector[None, :], self.plan.partial)[0]
 
     def f(self, z: Point) -> np.ndarray:
-        return self.f_batch(z.vector[None, :])[0]
+        return drift_identity_f(self.source, z.vector[None, :], self.plan.partial)[0]
 
     def D(self, z: Point) -> np.ndarray:
         return self.D_batch(z.vector[None, :])[0]
@@ -241,13 +216,8 @@ class StandardSdeCoefficients(_Coefficients):
 
     source: StandardOperatorSpec
 
+    drift_batch = _Coefficients.drift_batch
     sigma_batch = _Coefficients.sigma_batch
-
-    def drift_batch(self, states: np.ndarray, log_clamp_eps: float = 0.0) -> np.ndarray:
-        states = np.asarray(states, dtype=float)
-        bh = self.source.b_hat.evaluate_batch(states)
-        eh = self.source.e_hat.evaluate_batch(states)
-        return np.concatenate([bh, eh], axis=-1)
 
     def D_hat(self, z: Point) -> np.ndarray:
         return self.D_batch(z.vector[None, :])[0]
@@ -274,7 +244,7 @@ def build_sde_coefficients(op: SingularOperatorSpec) -> SdeCoefficients:
     ba, slope = drift_g_parts(op, probe, partial)
     e = drift_identity_e(op, probe, partial)
     drift_identity_f(op, probe, partial)
-    plan = StepPlan(partial=partial, log_drift=not op.b.is_constant)
+    plan = StepPlan(partial=partial)
     if all(f.is_constant for f in (op.a_diag, op.a_tilde, op.b, op.c, op.d)):
         drift = np.concatenate([ba, e], axis=-1)[0]
         plan = replace(plan, drift=drift, drift_slope=slope[0] if slope.any() else None)
@@ -307,11 +277,15 @@ def _theta_rhs(
         log_sum = sing.log_drift_batch(states, log_clamp_eps)
     rhs = np.zeros(states.shape[:-1] + (n + m,))
     if log_sum is not None:
+        # Degenerate rows: g = b^ by derivation, so the drift gap is
+        # x_i (f . ln x)_i.  Its quotient by sqrt(x_i) is written as
+        # sqrt(x_i) (f . ln x)_i, which stays finite on the face x_i = 0.
         rhs[..., :n] = np.sqrt(np.maximum(states[..., :n], 0.0)) * log_sum[..., :n]
-        rhs[..., n:] = log_sum[..., n:]
     if m:
-        eh = std.source.e_hat.evaluate_batch(states)
-        rhs[..., n:] = rhs[..., n:] + eh - sing.e_batch(states)
+        # Free rows: the divergence-side minus the standard-side free drift.
+        rhs[..., n:] = sing.source.free_drift(
+            states, log_clamp_eps, sing.plan.partial, log_sum
+        ) - std.source.free_drift(states)
     return rhs
 
 
@@ -323,9 +297,10 @@ def girsanov_theta(
 ) -> np.ndarray:
     """Drift-change vector at one interior point.
 
-    Solves ``sigma^(z) theta = rhs(z)`` where the degenerate rows of ``rhs``
-    are ``sqrt(x_i) sum_j f_ij ln x_j`` and the free rows are
-    ``sum_j f_(n+l)j ln x_j + e^_l - e_l``.  Requires every ``x_i > 0``.
+    Solves ``sigma^(z) theta = rhs(z)``, the divergence-side minus the
+    standard-side drift in the noise coordinates: the degenerate rows of
+    ``rhs`` are ``sqrt(x_i) sum_j f_ij ln x_j`` and the free rows are
+    ``e_l + sum_j f_(n+l)j ln x_j - e^_l``.  Requires every ``x_i > 0``.
     """
     if z.dims != sing.dims or z.dims != std.dims:
         raise DimensionMismatchError("point/coefficients dims mismatch")

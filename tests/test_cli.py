@@ -276,6 +276,10 @@ def test_girsanov_command_consistency(tmp_path):
         "t": 0.5,
         "sim": {"dt": 0.002, "n_paths": 30000, "horizon": 0.5},
     }
+    assert_girsanov_consistent(tmp_path, doc)
+
+
+def assert_girsanov_consistent(tmp_path, doc):
     code, out = run(tmp_path, doc)
     assert code == 0
     results = json.loads((out / "results.json").read_text())
@@ -283,3 +287,37 @@ def test_girsanov_command_consistency(tmp_path):
     assert all(
         abs(v - 1.0) < 0.05 for v in results["mean_weight_by_time"].values()
     )
+
+
+# theta's free rows carry e + f_y ln x - e^; the opposite sign gives a
+# weighted mean of -0.68 against +0.70 (n1m1) and a gap of 0.50 against a
+# combined stderr of 0.017 (coupled, where the free row also has a log drift)
+FREE_AXIS_GIRSANOV = {
+    "n1m1": {
+        "seed": 11,
+        "model": {"kind": "standard", "dims": {"n": 1, "m": 1},
+                  "b_hat": [0.5], "d_hat": [[1.0]], "e_hat": [0.7]},
+        "z0": [1.0, 0.0], "t": 1.0,
+        "sim": {"dt": 0.01, "n_paths": 4096, "horizon": 1.0},
+    },
+    "coupled": {
+        "seed": 12,
+        "model": {
+            "kind": "standard", "dims": {"n": 1, "m": 1},
+            "a_hat": [[0.2]],
+            "b_hat": [{"family": "affine", "c0": 0.9, "coeffs": [0.4, -0.05]}],
+            "c_hat": [[0.3]],
+            "d_hat": [[1.2]],
+            "e_hat": [{"family": "trig", "c0": 0.6, "amplitude": 0.3, "axis": 1,
+                       "frequency": 1.5}],
+        },
+        "z0": [0.5, 0.0], "t": 0.5,
+        "sim": {"dt": 0.005, "n_paths": 8192, "horizon": 0.5},
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(FREE_AXIS_GIRSANOV))
+def test_girsanov_command_consistency_with_free_axis(tmp_path, case):
+    doc = {"command": "girsanov", "f": {"coordinate": 1}, **FREE_AXIS_GIRSANOV[case]}
+    assert_girsanov_consistent(tmp_path, doc)

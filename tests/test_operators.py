@@ -11,6 +11,7 @@ from kimura_lab.errors import (
     InvalidWeightError,
 )
 from kimura_lab.fields import (
+    AffineField,
     FieldMatrix,
     FieldVector,
     SmoothBump,
@@ -67,6 +68,30 @@ def coupled_generator(u, states):
         x * h[..., 0, 0] + 2.0 * x * c * h[..., 0, 1] + h[..., 1, 1]
         + b * g[..., 0] + b * c * g[..., 1]
     )
+
+
+class TestDrift:
+    def test_singular_drift_matches_hand_written(self):
+        # a = 1, a~ = 0, b = 1 + 0.2x + 0.3y, c = 0.3, d = 1:
+        # g = b, f_xx = db/dx + c db/dy = 0.29, e = c b,
+        # f_yx = x c db/dx + d db/dy = 0.06x + 0.3
+        op = SingularOperatorSpec(
+            dims=StateSpaceDims(1, 1),
+            a_diag=FieldVector([1.0]),
+            a_tilde=FieldMatrix.zeros(1, 1),
+            b=FieldVector([AffineField(1.0, [0.2, 0.3])]),
+            c=FieldMatrix([[0.3]]),
+            d=FieldMatrix([[1.0]]),
+        )
+        rng = np.random.Generator(np.random.Philox(key=23))
+        x, y = rng.uniform(0.1, 2.0, 40), rng.uniform(-1.0, 1.0, 40)
+        b = 1.0 + 0.2 * x + 0.3 * y
+        expected = np.column_stack(
+            [b + 0.29 * x * np.log(x), 0.3 * b + (0.06 * x + 0.3) * np.log(x)]
+        )
+        states = np.column_stack([x, y])
+        np.testing.assert_allclose(op.drift(states), expected, rtol=1e-12)
+        np.testing.assert_allclose(op.free_drift(states), expected[:, 1:], rtol=1e-12)
 
 
 class TestApplyStandard:

@@ -298,8 +298,8 @@ class TestGirsanovTheta:
         )
         pair = make_girsanov_field(std, sing)
         theta = girsanov_theta(pair.std, pair.sing, Point((0.5,), (0.0,)))
-        # free row: sigma^ theta = e_hat - e = 0.7, sigma^_yy = sqrt(2)
-        assert theta[1] == pytest.approx(0.7 / math.sqrt(2.0))
+        # free row: sigma^ theta = e - e_hat = -0.7, sigma^_yy = sqrt(2)
+        assert theta[1] == pytest.approx(-0.7 / math.sqrt(2.0))
         assert theta[0] == pytest.approx(0.0)
 
 
@@ -367,8 +367,8 @@ def _unfolded_theta(std_op, sing_op, states, eps):
     rhs = np.zeros(states.shape)
     rhs[:, :n] = np.sqrt(np.maximum(states[:, :n], 0.0)) * log_sum[:, :n]
     rhs[:, n:] = (
-        log_sum[:, n:] + std_op.e_hat.evaluate_batch(states)
-        - drift_identity_e(sing_op, states)
+        drift_identity_e(sing_op, states) + log_sum[:, n:]
+        - std_op.e_hat.evaluate_batch(states)
     )
     sig = dispersion_sqrt_batch(build_standard_sde_coefficients(std_op).D_batch(states))
     return np.linalg.solve(sig, rhs[..., None])[..., 0]
@@ -394,7 +394,6 @@ class TestStepPlan:
         coeffs = build_sde_coefficients(operator_from_json(HARNACK_MODEL))
         plan = coeffs.plan
         assert plan.drift.tolist() == [0.5] and plan.drift_slope is None
-        assert not plan.log_drift
         assert coeffs.log_drift_batch(_probe_states(coeffs.dims)) is None
         _assert_plan_matches_unfolded(coeffs, _probe_states(coeffs.dims))
 

@@ -450,7 +450,7 @@ class TestPackedStarts:
     @pytest.mark.parametrize("n_threads", [1, 2])
     def test_log_drift_with_increments_and_every_step_recorded(self, n_threads):
         coeffs = build_sde_coefficients(make_sing_1d(b0=1.0, slope=0.3))
-        assert coeffs.plan.log_drift
+        assert coeffs.log_drift_batch(np.array([[0.5]])) is not None
         cfg = PathConfig(dt=5e-3, seed=8, n_paths=700, horizon=0.2, record="all",
                          store_increments=True)
         assert_packed_matches_alone(coeffs, STARTS_1D, BOX04, cfg, n_threads=n_threads)
