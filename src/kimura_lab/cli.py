@@ -76,11 +76,19 @@ def _require(doc: dict, key: str, ctx: str):
     return doc[key]
 
 
+def _checked_path_config(**fields) -> PathConfig:
+    """``PathConfig(**fields)``, with a value it rejects raised as a config error."""
+    try:
+        return PathConfig(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"sim: {exc}") from exc
+
+
 def _path_config(doc: dict, seed: int) -> PathConfig:
     sim = dict(doc.get("sim", {}))
     for key in ("dt", "n_paths", "horizon"):
         _require(sim, key, "sim")
-    return PathConfig(
+    return _checked_path_config(
         dt=float(sim["dt"]),
         seed=seed,
         n_paths=int(sim["n_paths"]),
@@ -309,18 +317,20 @@ def _cmd_girsanov(doc, seed, out_dir, threads) -> tuple[int, dict]:
     model = _load_model(doc)
     if not isinstance(model, StandardOperatorSpec):
         raise ConfigError("girsanov runs need a standard-form model")
+    config = _path_config(doc, seed)
+    t = float(doc.get("t", config.horizon))
+    n_steps = int(round(t / config.dt))
+    if n_steps < 1 or abs(n_steps * config.dt - t) > 1e-9 * max(1.0, t):
+        raise ConfigError(f"t = {t} is not a positive multiple of sim.dt = {config.dt}")
     std = build_standard_sde_coefficients(model)
     sing_spec = derive_singular_from_standard(model)
     sing = build_sde_coefficients(sing_spec)
     theta = make_girsanov_field(std, sing)
     domain = _load_domain(doc, model.dims)
-    config = _path_config(doc, seed)
     z0 = _point(doc, "z0", model.dims)
-    t = float(doc.get("t", config.horizon))
     payoff = _payoff(doc.get("f", {"exp-neg": 0}), model.dims)
     cfg_std = replace(config, horizon=t, record=(0.0, t), seed=seed)
     # a handful of weight marks keeps memory flat for large bundles
-    n_steps = int(round(t / config.dt))
     mark_steps = sorted({round(n_steps * i / 10) for i in range(11)} - {0})
     marks = tuple(k * config.dt for k in mark_steps)
     cfg_sing = replace(config, horizon=t, record=(0.0,) + marks, seed=seed + 1)
@@ -369,7 +379,7 @@ def _cmd_oracle_compare(doc, seed, out_dir, threads) -> tuple[int, dict]:
     )
     coeffs = build_standard_sde_coefficients(std)
     domain = DomainSpec.full_space(std.dims)
-    config = PathConfig(
+    config = _checked_path_config(
         dt=dt, seed=seed, n_paths=n_paths, horizon=t, scheme=scheme,
         record=(0.0, t),
     )

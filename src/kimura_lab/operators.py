@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,7 +48,6 @@ __all__ = [
     "apply_singular",
     "apply_standard_batch",
     "apply_singular_batch",
-    "look_up_partial",
     "drift_g_parts",
     "drift_identity_g",
     "drift_identity_e",
@@ -77,16 +76,6 @@ class AssumptionConstants:
             raise ValueError(f"need 0 < delta <= K, got delta={self.delta}, K={self.K}")
         if self.b_bar <= 0.0:
             raise ValueError("b_bar must be positive")
-
-
-def look_up_partial(field: ScalarField, axis: int) -> ScalarField:
-    """``field.partial(axis)``.  A lookup can be costly (a lattice field
-    differentiates all of its nodes), so a stepping loop passes the drift
-    identities a cached stand-in that looks each one up once per model."""
-    return field.partial(axis)
-
-
-PartialLookup = Callable[[ScalarField, int], ScalarField]
 
 
 class _OperatorBase:
@@ -144,9 +133,7 @@ class StandardOperatorSpec(_OperatorBase):
             self.d_hat.evaluate_batch(states),
         )
 
-    def drift(
-        self, states, log_clamp_eps=0.0, partial=look_up_partial, log_sum=None
-    ) -> np.ndarray:
+    def drift(self, states, log_clamp_eps=0.0, log_sum=None) -> np.ndarray:
         """``(b^, e^)``, shape (..., n+m).  The standard form has no log drift;
         the other arguments are those of the divergence side and unused."""
         states = np.asarray(states, dtype=float)
@@ -189,9 +176,7 @@ class SingularOperatorSpec(_OperatorBase):
             2.0 * self.c.evaluate_batch(states), self.d.evaluate_batch(states),
         )
 
-    def log_drift(
-        self, states, log_clamp_eps=0.0, partial=look_up_partial
-    ) -> np.ndarray | None:
+    def log_drift(self, states, log_clamp_eps=0.0) -> np.ndarray | None:
         """``sum_j f_rj ln max(x_j, eps)`` for every row ``r``, shape (..., n+m);
         None when ``b`` is constant, as ``f`` then vanishes.  With ``eps = 0``
         a state on a face ``x_j = 0`` gives an infinite log."""
@@ -200,31 +185,27 @@ class SingularOperatorSpec(_OperatorBase):
         states = np.asarray(states, dtype=float)
         with np.errstate(divide="ignore"):
             logs = np.log(np.maximum(states[..., : self.dims.n], log_clamp_eps))
-        return np.einsum("...rj,...j->...r", drift_identity_f(self, states, partial), logs)
+        return np.einsum("...rj,...j->...r", drift_identity_f(self, states), logs)
 
-    def drift(
-        self, states, log_clamp_eps=0.0, partial=look_up_partial, log_sum=None
-    ) -> np.ndarray:
+    def drift(self, states, log_clamp_eps=0.0, log_sum=None) -> np.ndarray:
         """``(g + x * (f . ln x), e + f . ln x)``, shape (..., n+m), with the
         :meth:`log_drift` ``f . ln x``; ``log_sum`` passes in that result when
         the caller already has it for these states."""
         n = self.dims.n
         states = np.asarray(states, dtype=float)
         if log_sum is None:
-            log_sum = self.log_drift(states, log_clamp_eps, partial)
-        g = drift_identity_g(self, states, partial)
+            log_sum = self.log_drift(states, log_clamp_eps)
+        g = drift_identity_g(self, states)
         if log_sum is not None:
             g = g + states[..., :n] * log_sum[..., :n]
-        return np.concatenate([g, self.free_drift(states, log_clamp_eps, partial, log_sum)], -1)
+        return np.concatenate([g, self.free_drift(states, log_clamp_eps, log_sum)], -1)
 
-    def free_drift(
-        self, states, log_clamp_eps=0.0, partial=look_up_partial, log_sum=None
-    ) -> np.ndarray:
+    def free_drift(self, states, log_clamp_eps=0.0, log_sum=None) -> np.ndarray:
         """Free rows of :meth:`drift`, ``e + f_y . ln x``, shape (..., m)."""
         states = np.asarray(states, dtype=float)
         if log_sum is None:
-            log_sum = self.log_drift(states, log_clamp_eps, partial)
-        e = drift_identity_e(self, states, partial)
+            log_sum = self.log_drift(states, log_clamp_eps)
+        e = drift_identity_e(self, states)
         return e if log_sum is None else e + log_sum[..., self.dims.n :]
 
     def measure(self) -> WeightedMeasure:
@@ -266,9 +247,7 @@ def _diffusion_matrix(states, a, at, cross, d) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def drift_g_parts(
-    op: SingularOperatorSpec, states: np.ndarray, partial: PartialLookup = look_up_partial
-) -> tuple[np.ndarray, np.ndarray]:
+def drift_g_parts(op: SingularOperatorSpec, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two terms of ``g = b a + x * slope``, each of shape (..., n).
 
     ``slope_i = d_xi a_ii + sum_j (a~_ij + delta_ij a~_ii + x_j d_xj a~_ij
@@ -282,35 +261,31 @@ def drift_g_parts(
     b = op.b.evaluate_batch(states)
     slope = np.empty_like(b)
     for i in range(n):
-        inner = partial(op.a_diag[i], i).evaluate_batch(states)
+        inner = op.a_diag[i].partial(i).evaluate_batch(states)
         for j in range(n):
-            dat = partial(op.a_tilde[i, j], j).evaluate_batch(states)
+            dat = op.a_tilde[i, j].partial(j).evaluate_batch(states)
             inner = inner + at[..., i, j] + states[..., j] * dat
             inner = inner + at[..., i, j] * (b[..., j] - 1.0)
             if i == j:
                 inner = inner + at[..., i, i]
         for l in range(m):
-            inner = inner + partial(op.c[i, l], n + l).evaluate_batch(states)
+            inner = inner + op.c[i, l].partial(n + l).evaluate_batch(states)
         slope[..., i] = inner
     return b * a, slope
 
 
-def drift_identity_g(
-    op: SingularOperatorSpec, states: np.ndarray, partial: PartialLookup = look_up_partial
-) -> np.ndarray:
+def drift_identity_g(op: SingularOperatorSpec, states: np.ndarray) -> np.ndarray:
     """Bounded part of the degenerate-axis drift, shape (..., n).
 
     ``g_i = b_i a_ii + x_i (d_xi a_ii + sum_j (a~_ij + delta_ij a~_ii
     + x_j d_xj a~_ij + a~_ij (b_j - 1)) + sum_l d_yl c_il)``.
     """
     states = np.asarray(states, dtype=float)
-    ba, slope = drift_g_parts(op, states, partial)
+    ba, slope = drift_g_parts(op, states)
     return ba + states[..., : op.dims.n] * slope
 
 
-def drift_identity_e(
-    op: SingularOperatorSpec, states: np.ndarray, partial: PartialLookup = look_up_partial
-) -> np.ndarray:
+def drift_identity_e(op: SingularOperatorSpec, states: np.ndarray) -> np.ndarray:
     """Bounded part of the free-axis drift, shape (..., m).
 
     ``e_l = sum_i (x_i d_xi c_il + b_i c_il) + sum_k d_yk d_lk``.
@@ -325,17 +300,15 @@ def drift_identity_e(
     for l in range(m):
         acc = np.zeros(states.shape[:-1])
         for i in range(n):
-            acc = acc + states[..., i] * partial(op.c[i, l], i).evaluate_batch(states)
+            acc = acc + states[..., i] * op.c[i, l].partial(i).evaluate_batch(states)
             acc = acc + b[..., i] * cval[..., i, l]
         for k in range(m):
-            acc = acc + partial(op.d[l, k], n + k).evaluate_batch(states)
+            acc = acc + op.d[l, k].partial(n + k).evaluate_batch(states)
         e[..., l] = acc
     return e
 
 
-def drift_identity_f(
-    op: SingularOperatorSpec, states: np.ndarray, partial: PartialLookup = look_up_partial
-) -> np.ndarray:
+def drift_identity_f(op: SingularOperatorSpec, states: np.ndarray) -> np.ndarray:
     """Log-drift couplings, shape (..., n+m, n).
 
     Degenerate rows: ``f_ij = d_xi b_j + sum_k x_k a~_ik d_xk b_j
@@ -351,7 +324,7 @@ def drift_identity_f(
         return f
     db = np.stack(
         [
-            np.stack([partial(op.b[j], axis).evaluate_batch(states) for axis in range(total)], axis=-1)
+            np.stack([op.b[j].partial(axis).evaluate_batch(states) for axis in range(total)], axis=-1)
             for j in range(n)
         ],
         axis=-2,
@@ -692,7 +665,8 @@ class LatticeField(ScalarField):
 
     Evaluation outside the lattice extrapolates linearly (exact for affine
     data), so solved drift weights stay usable on rare path excursions past
-    the solve box.
+    the solve box.  Each axis's partial is differentiated once and kept, so
+    a stepping loop that asks for it on every step reuses it.
     """
 
     def __init__(self, axes: Sequence[np.ndarray], values: np.ndarray):
@@ -705,6 +679,7 @@ class LatticeField(ScalarField):
             [a[1] - a[0] if len(a) > 1 else 1.0 for a in self.axes]
         )
         self.sizes = np.array([len(a) for a in self.axes])
+        self._partials: dict[int, LatticeField] = {}
 
     def evaluate_batch(self, states: np.ndarray) -> np.ndarray:
         states = np.asarray(states, dtype=float)
@@ -724,8 +699,12 @@ class LatticeField(ScalarField):
         return out.reshape(states.shape[:-1])
 
     def partial(self, axis: int) -> "LatticeField":
-        grad = np.gradient(self.values, self.axes[axis], axis=axis)
-        return LatticeField(self.axes, grad)
+        if axis not in self._partials:
+            # threads stepping blocks at once may both differentiate on the
+            # first step; setdefault keeps one of the equal results
+            grad = np.gradient(self.values, self.axes[axis], axis=axis)
+            self._partials.setdefault(axis, LatticeField(self.axes, grad))
+        return self._partials[axis]
 
 
 def derive_singular_from_standard(

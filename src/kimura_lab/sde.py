@@ -12,7 +12,6 @@ field ``theta`` tying the two equations together.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,14 +23,12 @@ from .errors import (
 )
 from .geometry import Point, StateSpaceDims
 from .operators import (
-    PartialLookup,
     SingularOperatorSpec,
     StandardOperatorSpec,
     drift_g_parts,
     drift_identity_e,
     drift_identity_f,
     drift_identity_g,
-    look_up_partial,
 )
 
 __all__ = [
@@ -54,10 +51,10 @@ def dispersion_sqrt_batch(D: np.ndarray, clip: float = EIGENVALUE_CLIP) -> np.nd
     """Symmetric PSD square root of a batch of symmetric matrices.
 
     Eigenvalues in ``[-clip, 0)`` are treated as roundoff and clipped to 0;
-    anything more negative raises :class:`EllipticityViolationError`.  The
-    eigen-decomposition uses ascending eigenvalues and a deterministic sign
-    convention (first nonzero eigenvector component positive), so identical
-    input bytes give identical output bytes.
+    anything more negative raises :class:`EllipticityViolationError`.
+    Flipping an eigenvector's sign negates both factors of each of its terms
+    in ``(V sqrt(w)) V*``, which leaves the root unchanged bit for bit, so
+    identical input bytes give identical output bytes.
     """
     D = np.asarray(D, dtype=float)
     single = D.ndim == 2
@@ -76,17 +73,6 @@ def dispersion_sqrt_batch(D: np.ndarray, clip: float = EIGENVALUE_CLIP) -> np.nd
             f"matrix has negative eigenvalue {bad:.6g} beyond the roundoff clip"
         )
     w = np.maximum(w, 0.0)
-    # deterministic eigenvector signs: first component of magnitude > tol positive
-    k = V.shape[-1]
-    flat = V.reshape(-1, k, k)
-    for col in range(k):
-        cols = flat[:, :, col]
-        mags = np.abs(cols)
-        lead = np.argmax(mags > 1e-12, axis=1)
-        signs = np.sign(cols[np.arange(cols.shape[0]), lead])
-        signs = np.where(signs == 0.0, 1.0, signs)
-        flat[:, :, col] = cols * signs[:, None]
-    V = flat.reshape(V.shape)
     root = (V * np.sqrt(w)[..., None, :]) @ np.swapaxes(V, -1, -2)
     root = 0.5 * (root + np.swapaxes(root, -1, -2))
     return root[0] if single else root
@@ -105,14 +91,13 @@ class StepPlan:
     ``sigma_diag`` its diagonal when that root is diagonal.  A divergence-side
     model whose fields are all constant has the drift
     ``drift + x * drift_slope`` (the slope on the degenerate rows, None when
-    zero); ``partial`` looks each coefficient partial up once.
+    zero).
     """
 
     sigma: np.ndarray | None = None
     sigma_diag: np.ndarray | None = None
     drift: np.ndarray | None = None
     drift_slope: np.ndarray | None = None
-    partial: PartialLookup = look_up_partial
 
 
 @dataclass(frozen=True)
@@ -141,7 +126,7 @@ class _Coefficients:
         states = np.asarray(states, dtype=float)
         plan = self.plan
         if plan.drift is None:
-            return self.source.drift(states, log_clamp_eps, plan.partial, log_sum)
+            return self.source.drift(states, log_clamp_eps, log_sum)
         n = self.dims.n
         out = np.empty(states.shape)
         out[...] = plan.drift
@@ -184,18 +169,18 @@ class SdeCoefficients(_Coefficients):
     ) -> np.ndarray | None:
         """The source operator's ``log_drift``: ``sum_j f_rj ln max(x_j, eps)``
         for every row ``r``, None when ``b`` is constant."""
-        return self.source.log_drift(states, log_clamp_eps, self.plan.partial)
+        return self.source.log_drift(states, log_clamp_eps)
 
     # -- single-point conveniences ---------------------------------------------
 
     def g(self, z: Point) -> np.ndarray:
-        return drift_identity_g(self.source, z.vector[None, :], self.plan.partial)[0]
+        return drift_identity_g(self.source, z.vector[None, :])[0]
 
     def e(self, z: Point) -> np.ndarray:
-        return drift_identity_e(self.source, z.vector[None, :], self.plan.partial)[0]
+        return drift_identity_e(self.source, z.vector[None, :])[0]
 
     def f(self, z: Point) -> np.ndarray:
-        return drift_identity_f(self.source, z.vector[None, :], self.plan.partial)[0]
+        return drift_identity_f(self.source, z.vector[None, :])[0]
 
     def D(self, z: Point) -> np.ndarray:
         return self.D_batch(z.vector[None, :])[0]
@@ -236,18 +221,15 @@ def _with_dispersion(coeffs: _Coefficients, constant_D: bool) -> _Coefficients:
 def build_sde_coefficients(op: SingularOperatorSpec) -> SdeCoefficients:
     """Assemble all simulation fields from a divergence-compatible spec.
 
-    One evaluation of the drift identities at a probe state looks up every
-    partial they read and gives the folded drift of a constant model.
+    When every coefficient field is constant, one evaluation of the drift
+    identities at a probe state gives the folded drift.
     """
-    partial = functools.cache(look_up_partial)
-    probe = np.ones((1, op.dims.total))
-    ba, slope = drift_g_parts(op, probe, partial)
-    e = drift_identity_e(op, probe, partial)
-    drift_identity_f(op, probe, partial)
-    plan = StepPlan(partial=partial)
+    plan = StepPlan()
     if all(f.is_constant for f in (op.a_diag, op.a_tilde, op.b, op.c, op.d)):
-        drift = np.concatenate([ba, e], axis=-1)[0]
-        plan = replace(plan, drift=drift, drift_slope=slope[0] if slope.any() else None)
+        probe = np.ones((1, op.dims.total))
+        ba, slope = drift_g_parts(op, probe)
+        drift = np.concatenate([ba, drift_identity_e(op, probe)], axis=-1)[0]
+        plan = StepPlan(drift=drift, drift_slope=slope[0] if slope.any() else None)
     constant_D = (
         op.a_tilde.is_zero and op.c.is_zero and op.a_diag.is_constant and op.d.is_constant
     )
@@ -283,9 +265,8 @@ def _theta_rhs(
         rhs[..., :n] = np.sqrt(np.maximum(states[..., :n], 0.0)) * log_sum[..., :n]
     if m:
         # Free rows: the divergence-side minus the standard-side free drift.
-        rhs[..., n:] = sing.source.free_drift(
-            states, log_clamp_eps, sing.plan.partial, log_sum
-        ) - std.source.free_drift(states)
+        sing_free = sing.source.free_drift(states, log_clamp_eps, log_sum)
+        rhs[..., n:] = sing_free - std.source.free_drift(states)
     return rhs
 
 

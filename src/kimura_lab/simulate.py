@@ -229,11 +229,12 @@ class PathBundle:
         )
 
 
-def _resolve_record(config: PathConfig, dims_total: int) -> np.ndarray:
+def _resolve_record(config: PathConfig, dims_total: int, n_starts: int) -> np.ndarray:
     grid = config.grid()
     record = config.record
     if record == "auto":
-        budget = config.n_paths * (config.n_steps + 1) * dims_total
+        # the bundle records every start's paths
+        budget = n_starts * config.n_paths * (config.n_steps + 1) * dims_total
         record = "all" if budget <= _AUTO_RECORD_BUDGET else "ends"
     if record == "all":
         return grid
@@ -386,11 +387,11 @@ def simulate_bundle(
     )
     n_steps = config.n_steps
     total = dims.total
-    record_times = _resolve_record(config, total)
+    n_starts = len(starts)
+    record_times = _resolve_record(config, total, n_starts)
     record_idx = {int(round(t / config.dt)): r for r, t in enumerate(record_times)}
     n_rec = len(record_times)
     n_paths = config.n_paths
-    n_starts = len(starts)
     origins = np.stack([z.vector for z in starts])
 
     # leading axes (start, path); flattened start by start for the bundle

@@ -177,6 +177,31 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     assert "numeric" in capsys.readouterr().err
 
 
+def load_config(name):
+    with open(os.path.join(ROOT, "configs", name)) as fh:
+        return json.load(fh)
+
+
+def assert_config_error(tmp_path, capsys, doc):
+    code, _ = run(tmp_path, doc)
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(err[-1])["kind"] == "config"
+
+
+@pytest.mark.parametrize("name", ["harnack_scan.json", "oracle_compare.json"])
+def test_unknown_scheme_is_config_error(tmp_path, capsys, name):
+    doc = load_config(name)
+    doc["sim"]["scheme"] = "bogus"
+    assert_config_error(tmp_path, capsys, doc)
+
+
+def test_girsanov_time_off_the_grid_is_config_error(tmp_path, capsys):
+    doc = load_config("girsanov_consistency.json")
+    doc["t"] = 0.0005  # sim.dt is 1e-3
+    assert_config_error(tmp_path, capsys, doc)
+
+
 def test_density_command_writes_csv(tmp_path):
     doc = {
         "command": "density",
@@ -238,8 +263,7 @@ def test_harnack_command_matches_the_per_node_scan(tmp_path):
     from kimura_lab.sde import build_sde_coefficients
     from kimura_lab.simulate import PathConfig
 
-    with open(os.path.join(ROOT, "configs", "harnack_scan.json")) as fh:
-        doc = json.load(fh)
+    doc = load_config("harnack_scan.json")
     doc["sim"]["n_paths"] = 64
     code, out = run(tmp_path, doc)
     assert code == 0

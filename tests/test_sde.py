@@ -468,3 +468,18 @@ class TestStepPlan:
                         cfg, theta=pair)
         assert cfg.n_steps == 100
         assert calls and max(calls.values()) == 1
+
+    def test_lattice_weight_differentiates_each_axis_once_across_builds(self, monkeypatch):
+        calls = Counter()
+        gradient = np.gradient
+
+        def counting(values, *args, **kwargs):
+            calls[kwargs.get("axis")] += 1
+            return gradient(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "gradient", counting)
+        sing_op = derive_singular_from_standard(operator_from_json(VALIDATE_MODEL))
+        states = _probe_states(sing_op.dims)
+        for _ in range(2):
+            build_sde_coefficients(sing_op).drift_batch(states, EPS)
+        assert calls == {0: 1, 1: 1}  # the weight's x and y axes

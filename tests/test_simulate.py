@@ -173,6 +173,16 @@ class TestBundles:
         with pytest.raises(ValueError):
             PathConfig(dt=3e-3, seed=1, n_paths=10, horizon=0.01).n_steps
 
+    def test_auto_record_budget_counts_every_start(self, monkeypatch):
+        # one start records 10 paths * 6 times * 1 coordinate = 60 floats
+        monkeypatch.setattr("kimura_lab.simulate._AUTO_RECORD_BUDGET", 100)
+        coeffs = build_standard_sde_coefficients(make_std_1d(b0=0.5))
+        cfg = PathConfig(dt=0.1, seed=1, n_paths=10, horizon=0.5)
+        one = simulate_bundle(coeffs, ORIGIN, FULL1, cfg)
+        three = simulate_bundle(coeffs, [ORIGIN] * 3, FULL1, cfg)
+        assert one.record_times.tolist() == cfg.grid().tolist()
+        assert three.record_times.tolist() == [0.0, 0.5]
+
     def test_record_times_validated(self):
         coeffs = build_standard_sde_coefficients(make_std_1d(b0=0.5))
         cfg = PathConfig(dt=1e-2, seed=1, n_paths=10, horizon=0.1,
