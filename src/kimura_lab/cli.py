@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ import numpy as np
 from .density import GridSpec, check_mass, estimate_density
 from .errors import ConfigError, KimuraLabError, NumericFailureError
 from .feynman_kac import (
+    LOG_WEIGHT_CAP,
     BoundaryData,
     estimate_dirichlet,
     estimate_dirichlet_nodes,
@@ -31,7 +33,7 @@ from .feynman_kac import (
 )
 from .fields import field_from_json
 from .geometry import DomainSpec, Point, StateSpaceDims
-from .harnack import LatticeSpec, node_key, scale_invariant_scan, scan_nodes
+from .harnack import LatticeSpec, scale_invariant_scan
 from .operators import (
     SingularOperatorSpec,
     StandardOperatorSpec,
@@ -76,27 +78,31 @@ def _require(doc: dict, key: str, ctx: str):
     return doc[key]
 
 
-def _checked_path_config(**fields) -> PathConfig:
-    """``PathConfig(**fields)``, with a value it rejects raised as a config error."""
+@contextmanager
+def _checked(ctx: str):
+    """Raise a value that a conversion (``float``, ``int``) or a validating
+    constructor (``PathConfig``, ``LatticeSpec``, ...) rejects in this block
+    as a config error about ``ctx``."""
     try:
-        return PathConfig(**fields)
-    except ValueError as exc:
-        raise ConfigError(f"sim: {exc}") from exc
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{ctx}: {exc}") from exc
 
 
 def _path_config(doc: dict, seed: int) -> PathConfig:
     sim = dict(doc.get("sim", {}))
     for key in ("dt", "n_paths", "horizon"):
         _require(sim, key, "sim")
-    return _checked_path_config(
-        dt=float(sim["dt"]),
-        seed=seed,
-        n_paths=int(sim["n_paths"]),
-        horizon=float(sim["horizon"]),
-        scheme=sim.get("scheme", "euler-projected"),
-        log_clamp_eps=float(sim.get("log_clamp_eps", 1e-12)),
-        record=tuple(sim["record"]) if "record" in sim else "auto",
-    )
+    with _checked("sim"):
+        return PathConfig(
+            dt=float(sim["dt"]),
+            seed=seed,
+            n_paths=int(sim["n_paths"]),
+            horizon=float(sim["horizon"]),
+            scheme=sim.get("scheme", "euler-projected"),
+            log_clamp_eps=float(sim.get("log_clamp_eps", 1e-12)),
+            record=tuple(sim["record"]) if "record" in sim else "auto",
+        )
 
 
 def _load_model(doc: dict):
@@ -104,7 +110,8 @@ def _load_model(doc: dict):
     if isinstance(model, str):
         with open(model) as fh:
             model = json.load(fh)
-    return operator_from_json(model)
+    with _checked("model"):
+        return operator_from_json(model)
 
 
 def _load_domain(doc: dict, dims: StateSpaceDims) -> DomainSpec:
@@ -114,7 +121,8 @@ def _load_domain(doc: dict, dims: StateSpaceDims) -> DomainSpec:
     if isinstance(dom, str):
         with open(dom) as fh:
             dom = json.load(fh)
-    return DomainSpec.from_json(dom)
+    with _checked("domain"):
+        return DomainSpec.from_json(dom)
 
 
 def _coeffs_for(model, variant: str):
@@ -142,18 +150,19 @@ def _payoff(doc, dims: StateSpaceDims):
     """Built-in payoffs: 'one', {'coordinate': i}, {'exp-neg': i}, or a field."""
     if doc in (None, "one", 1):
         return lambda states: np.ones(np.asarray(states).shape[0])
-    if isinstance(doc, dict) and "coordinate" in doc:
-        i = int(doc["coordinate"])
-        return lambda states: np.asarray(states)[:, i]
-    if isinstance(doc, dict) and "exp-neg" in doc:
-        i = int(doc["exp-neg"])
-        return lambda states: np.exp(-np.asarray(states)[:, i])
-    f = field_from_json(doc, dims.total)
-    return f.evaluate_batch
+    with _checked("payoff"):
+        if isinstance(doc, dict) and "coordinate" in doc:
+            i = int(doc["coordinate"])
+            return lambda states: np.asarray(states)[:, i]
+        if isinstance(doc, dict) and "exp-neg" in doc:
+            i = int(doc["exp-neg"])
+            return lambda states: np.exp(-np.asarray(states)[:, i])
+        return field_from_json(doc, dims.total).evaluate_batch
 
 
 def _point(doc: dict, key: str, dims: StateSpaceDims) -> Point:
-    values = np.asarray(_require(doc, key, "config"), dtype=float)
+    with _checked(key):
+        values = np.asarray(_require(doc, key, "config"), dtype=float)
     return Point.from_vector(dims, values)
 
 
@@ -183,12 +192,13 @@ def _write_csv(out_dir: str, doc: dict, default: str, header, rows) -> str:
 def _cmd_validate(doc, seed, out_dir, threads) -> tuple[int, dict]:
     op = _load_model(doc)
     grid_cfg = doc.get("grid", {})
-    grid = make_validation_grid(
-        op.dims,
-        x_hi=float(grid_cfg.get("x_hi", 1.0)),
-        y_box=tuple(grid_cfg.get("y_box", (-1.0, 1.0))),
-        points_per_axis=int(grid_cfg.get("points_per_axis", 9)),
-    )
+    with _checked("grid"):
+        grid = make_validation_grid(
+            op.dims,
+            x_hi=float(grid_cfg.get("x_hi", 1.0)),
+            y_box=tuple(grid_cfg.get("y_box", (-1.0, 1.0))),
+            points_per_axis=int(grid_cfg.get("points_per_axis", 9)),
+        )
     report = validate_assumptions(op, grid)
     result = {
         "passed": report.passed,
@@ -227,7 +237,11 @@ def _cmd_simulate(doc, seed, out_dir, threads) -> tuple[int, dict]:
 def _cmd_fk(doc, seed, out_dir, threads) -> tuple[int, dict]:
     model, _, coeffs, domain, config = _load_run(doc, seed)
     z0 = _point(doc, "z0", model.dims)
-    t = float(_require(doc, "t", "config"))
+    with _checked("fk"):
+        t = float(_require(doc, "t", "config"))
+        t1 = float(doc.get("t1", 0.0))
+        t_cut = doc.get("t_cut")
+        t_cut = None if t_cut is None else float(t_cut)
     mode = doc.get("mode", "semigroup")
     if mode == "semigroup":
         f = _payoff(doc.get("f"), model.dims)
@@ -236,8 +250,8 @@ def _cmd_fk(doc, seed, out_dir, threads) -> tuple[int, dict]:
         g_state = _payoff(doc.get("g"), model.dims)
         gdata = BoundaryData(lambda times, states: g_state(states))
         est = estimate_dirichlet(
-            coeffs, gdata, t, z0, float(doc.get("t1", 0.0)), domain, config,
-            t_cut=doc.get("t_cut"), n_threads=threads,
+            coeffs, gdata, t, z0, t1, domain, config,
+            t_cut=t_cut, n_threads=threads,
         )
     else:
         raise ConfigError(f"unknown fk mode {mode!r}")
@@ -247,12 +261,13 @@ def _cmd_fk(doc, seed, out_dir, threads) -> tuple[int, dict]:
 def _cmd_density(doc, seed, out_dir, threads) -> tuple[int, dict]:
     model, _, coeffs, domain, config = _load_run(doc, seed)
     z0 = _point(doc, "z0", model.dims)
-    t = float(doc.get("t", config.horizon))
     grid_doc = _require(doc, "grid", "config")
-    grid = GridSpec(
-        box=tuple(tuple(b) for b in grid_doc["box"]),
-        cells_per_axis=int(grid_doc.get("cells", 64)),
-    )
+    with _checked("density"):
+        t = float(doc.get("t", config.horizon))
+        grid = GridSpec(
+            box=tuple(tuple(float(v) for v in b) for b in _require(grid_doc, "box", "grid")),
+            cells_per_axis=int(grid_doc.get("cells", 64)),
+        )
     measure = None
     if doc.get("measure", "lebesgue") == "operator":
         sing = coeffs.source
@@ -282,26 +297,26 @@ def _cmd_density(doc, seed, out_dir, threads) -> tuple[int, dict]:
 def _cmd_harnack(doc, seed, out_dir, threads) -> tuple[int, dict]:
     model, _, coeffs, domain, config = _load_run(doc, seed)
     dims = model.dims
-    s = float(_require(doc, "s", "config"))
     z = _point(doc, "z", dims)
-    R = float(_require(doc, "R", "config"))
-    c = float(doc.get("c", 0.9))
-    d = float(doc.get("d", math.sqrt(0.8)))
-    fractions = doc.get("rho_fractions", (0.1, 0.2, 0.4))
-    lat = doc.get("lattice", {})
-    lattice = LatticeSpec(int(lat.get("n_time", 3)), int(lat.get("n_space", 5)))
+    with _checked("harnack"):
+        s = float(_require(doc, "s", "config"))
+        R = float(_require(doc, "R", "config"))
+        c = float(doc.get("c", 0.9))
+        d = float(doc.get("d", math.sqrt(0.8)))
+        fractions = [float(f) for f in doc.get("rho_fractions", (0.1, 0.2, 0.4))]
+        lat = doc.get("lattice", {})
+        lattice = LatticeSpec(int(lat.get("n_time", 3)), int(lat.get("n_space", 5)))
+        t1 = float(doc.get("t1", 0.0))
+    if not (R > 0.0 and all(0.0 < f < 1.0 for f in fractions)):
+        raise ConfigError(f"need R > 0 and rho_fractions in (0, 1), got R={R}, {fractions}")
     g_state = _payoff(doc.get("g"), dims)
     gdata = BoundaryData(lambda times, states: g_state(states))
-    t1 = float(doc.get("t1", 0.0))
 
-    rhos = [f * c * R for f in fractions]
-    nodes = scan_nodes(s, z, R, c, d, rhos, lattice)
-    estimates = estimate_dirichlet_nodes(
-        coeffs, gdata, nodes, t1, domain, config, n_threads=threads
-    )
-    table = {node_key(t, p): est for (t, p), est in zip(nodes, estimates)}
     reports = scale_invariant_scan(
-        lambda t, p: table[node_key(t, p)], s, z, R, c, d, rhos, lattice
+        lambda nodes: estimate_dirichlet_nodes(
+            coeffs, gdata, nodes, t1, domain, config, n_threads=threads
+        ),
+        s, z, R, c, d, [f * c * R for f in fractions], lattice,
     )
     rows = [[f"{rep.radius:.12g}", f"{rep.ratio:.12g}"] for rep in reports]
     finite = [r.ratio for r in reports if math.isfinite(r.ratio)]
@@ -318,7 +333,8 @@ def _cmd_girsanov(doc, seed, out_dir, threads) -> tuple[int, dict]:
     if not isinstance(model, StandardOperatorSpec):
         raise ConfigError("girsanov runs need a standard-form model")
     config = _path_config(doc, seed)
-    t = float(doc.get("t", config.horizon))
+    with _checked("girsanov"):
+        t = float(doc.get("t", config.horizon))
     n_steps = int(round(t / config.dt))
     if n_steps < 1 or abs(n_steps * config.dt - t) > 1e-9 * max(1.0, t):
         raise ConfigError(f"t = {t} is not a positive multiple of sim.dt = {config.dt}")
@@ -340,7 +356,7 @@ def _cmd_girsanov(doc, seed, out_dir, threads) -> tuple[int, dict]:
     )
     f_std = payoff(b_std.states_at(t))
     logw = b_sing.log_weights[:, -1]
-    if not np.all(np.isfinite(logw)) or float(np.abs(logw).max()) > 700.0:
+    if not np.all(np.isfinite(logw)) or float(np.abs(logw).max()) > LOG_WEIGHT_CAP:
         raise NumericFailureError("drift-change log weight overflowed")
     w = np.exp(logw)
     f_sing = w * payoff(b_sing.states_at(b_sing.record_times[-1]))
@@ -364,25 +380,26 @@ def _cmd_girsanov(doc, seed, out_dir, threads) -> tuple[int, dict]:
 
 
 def _cmd_oracle_compare(doc, seed, out_dir, threads) -> tuple[int, dict]:
-    b0 = float(doc.get("b0", 0.5))
-    x0 = float(doc.get("x0", 0.0))
-    t = float(doc.get("t", 1.0))
     sim = doc.get("sim", {})
-    n_paths = int(sim.get("n_paths", 100_000))
-    dt = float(sim.get("dt", 1e-3))
     scheme = sim.get("scheme", "exact-1d-gamma")
-    bins = int(doc.get("bins", 64))
-    box_hi = float(doc.get("box_hi", max(6.0 * max(b0 * t, 1e-3), x0 + 6.0)))
+    with _checked("oracle-compare"):
+        b0 = float(doc.get("b0", 0.5))
+        x0 = float(doc.get("x0", 0.0))
+        t = float(doc.get("t", 1.0))
+        n_paths = int(sim.get("n_paths", 100_000))
+        dt = float(sim.get("dt", 1e-3))
+        bins = int(doc.get("bins", 64))
+        box_hi = float(doc.get("box_hi", max(6.0 * max(b0 * t, 1e-3), x0 + 6.0)))
+        config = PathConfig(
+            dt=dt, seed=seed, n_paths=n_paths, horizon=t, scheme=scheme,
+            record=(0.0, t),
+        )
 
     std = operator_from_json(
         {"kind": "standard", "dims": {"n": 1, "m": 0}, "b_hat": [b0]}
     )
     coeffs = build_standard_sde_coefficients(std)
     domain = DomainSpec.full_space(std.dims)
-    config = _checked_path_config(
-        dt=dt, seed=seed, n_paths=n_paths, horizon=t, scheme=scheme,
-        record=(0.0, t),
-    )
     bundle = simulate_bundle(coeffs, Point((x0,), ()), domain, config,
                              n_threads=threads)
     x = bundle.states_at(t)[:, 0]
@@ -461,7 +478,8 @@ def main(argv=None) -> int:
         seed = args.seed if args.seed is not None else doc.get("seed")
         if seed is None:
             raise ConfigError("a seed is mandatory (config 'seed' or --seed)")
-        seed = int(seed)
+        with _checked("seed"):
+            seed = int(seed)
         resolved = dict(doc)
         resolved["seed"] = seed
         chash = _config_hash(resolved)

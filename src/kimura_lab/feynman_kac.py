@@ -24,7 +24,7 @@ from .fields import TestFunction
 from .geometry import DomainSpec, Point, StateSpaceDims
 from .operators import SingularOperatorSpec, apply_singular_batch
 from .sde import GirsanovField, SdeCoefficients, StandardSdeCoefficients
-from .simulate import PathBundle, PathConfig, config_fingerprint, simulate_bundle
+from .simulate import PathConfig, config_fingerprint, simulate_bundle
 
 __all__ = [
     "Estimate",
@@ -192,28 +192,13 @@ def estimate_semigroup(
     config: PathConfig,
     n_threads: int = 1,
 ) -> Estimate:
-    """Killed-semigroup action ``E[ f(Z(t)) 1_{t < tau} ]`` at ``z0``.
+    """Killed-semigroup action ``E[ f(Z(t)) 1_{t < tau} ]`` at ``z0``:
+    :func:`estimate_inhomogeneous` without a source.
 
     Exited paths contribute 0, so with ``f == 1`` this is the survival
     probability (identically 1 on the full space).
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    cfg = _fit_grid(config, t)
-    bundle = simulate_bundle(coeffs, z0, domain, cfg, n_threads=n_threads)
-    alive = bundle.alive_at(t)
-    vals = np.zeros(bundle.n_paths)
-    if alive.any():
-        vals[alive] = _as_state_fn(f)(bundle.states_at(t)[alive])
-    return _reduce(vals, None, bundle.fingerprint)
-
-
-def _stop_payoff(
-    bundle: PathBundle, gdata: BoundaryData, t: float
-) -> tuple[np.ndarray, np.ndarray]:
-    stop_state, stop_time = bundle.stop_states()
-    payoff = gdata(t - stop_time, stop_state)
-    return payoff, stop_time
+    return estimate_inhomogeneous(coeffs, f, None, t, z0, domain, config, n_threads=n_threads)
 
 
 def estimate_dirichlet(
@@ -245,12 +230,17 @@ def estimate_dirichlet_nodes(
     config: PathConfig,
     t_cut: float | None = None,
     n_threads: int = 1,
+    theta: GirsanovField | None = None,
 ) -> list[Estimate]:
     """:func:`estimate_dirichlet` at every ``(t, z0)`` node, in node order.
 
     Nodes with the same horizon ``t - t1`` run as the start points of one
     bundle, so their small blocks are stepped together; every estimate is
-    bit-equal to its own :func:`estimate_dirichlet` call.
+    bit-equal to a call with that node alone.  With ``theta`` the
+    payoff carries the drift-change weight ``M(stop)``: the estimate is
+    ``E[M(stop) g(t - stop, Z(stop))]``, and log-weights beyond
+    ``LOG_WEIGHT_CAP`` raise :class:`WeightBlowupError` (the exponential
+    overflows float64).
     """
     out: list[Estimate | None] = [None] * len(nodes)
     by_horizon: dict[float, list[int]] = {}
@@ -267,13 +257,26 @@ def estimate_dirichlet_nodes(
     for horizon, members in by_horizon.items():
         cfg = _fit_grid(config, horizon)
         bundle = simulate_bundle(
-            coeffs, [nodes[i][1] for i in members], domain, cfg, n_threads=n_threads
+            coeffs, [nodes[i][1] for i in members], domain, cfg, theta=theta,
+            n_threads=n_threads,
         )
         for i, part in zip(members, bundle.per_start()):
-            payoff, stop_time = _stop_payoff(part, gdata, nodes[i][0])
+            stop_state, stop_time = part.stop_states()
+            payoff = gdata(nodes[i][0] - stop_time, stop_state)
             if t_cut is not None:
                 payoff = payoff * (stop_time < t_cut - t1)
-            out[i] = _reduce(payoff, None, part.fingerprint)
+            if theta is None:
+                out[i] = _reduce(payoff, None, part.fingerprint)
+                continue
+            # the log weight freezes at exit, so its final recorded value is log M(stop)
+            logw = part.log_weights[:, -1]
+            if np.any(np.abs(logw) > LOG_WEIGHT_CAP):
+                raise WeightBlowupError(
+                    f"|log weight| reached {float(np.abs(logw).max()):.1f}; the "
+                    "drift-change exponent overflows float64 at this horizon"
+                )
+            w = np.exp(logw)
+            out[i] = _reduce(w * payoff, w, part.fingerprint)
     return out
 
 
@@ -331,35 +334,15 @@ def estimate_probabilistic_solution(
 
     ``subcylinder`` is ``(t1', t2', domain')``; paths run under the
     divergence-form dynamics while the weight ``M`` carries the drift change
-    back to the standard model.  Log-weights beyond +-700 raise
-    :class:`WeightBlowupError` (the exponential overflows float64).
+    back to the standard model (see :func:`estimate_dirichlet_nodes`).
     """
     t1p, t2p, domain_p = subcylinder
     if not (t1p <= t <= t2p):
         raise ValueError("t must lie inside the subcylinder time interval")
-    horizon = t - t1p
-    fp = config_fingerprint(config, op="probabilistic", t=t, t1=t1p)
-    if horizon == 0.0:
-        v = float(u_boundary(np.array([t]), z0.vector[None, :])[0])
-        return Estimate(v, 0.0, config.n_paths, float(config.n_paths), fp)
-    cfg = _fit_grid(config, horizon)
-    bundle = simulate_bundle(
-        coeffs, z0, domain_p, cfg, theta=theta, n_threads=n_threads
-    )
-    stop_state, stop_time = bundle.stop_states()
-    # the log weight freezes at exit, so its final recorded value is log M(stop)
-    logw = bundle.log_weights[:, -1] if bundle.log_weights is not None else np.zeros(
-        bundle.n_paths
-    )
-    if np.any(np.abs(logw) > LOG_WEIGHT_CAP):
-        worst = float(np.abs(logw).max())
-        raise WeightBlowupError(
-            f"|log weight| reached {worst:.1f}; the drift-change exponent "
-            "overflows float64 at this horizon"
-        )
-    weights = np.exp(logw)
-    payoff = u_boundary(t - stop_time, stop_state)
-    return _reduce(weights * payoff, weights, bundle.fingerprint)
+    return estimate_dirichlet_nodes(
+        coeffs, u_boundary, [(t, z0)], t1p, domain_p, config, n_threads=n_threads,
+        theta=theta,
+    )[0]
 
 
 def exp_moment_diagnostic(

@@ -274,14 +274,11 @@ class WeightedMeasure:
     """Measure with density ``prod_i x_i^(b_i(z) - 1)`` against Lebesgue.
 
     ``b_field`` maps a batch of states of shape (..., n+m) to weights of shape
-    (..., n); it must be finite on compact sets.  ``b_floor`` is the lower
-    bound the weights are expected to satisfy on the degenerate faces (used
-    only by :meth:`validate`).
+    (..., n); it must be finite on compact sets.
     """
 
     b_field: Callable[[np.ndarray], np.ndarray]
     dims: StateSpaceDims
-    b_floor: float = 0.0
 
     @staticmethod
     def constant(dims: StateSpaceDims, values: Sequence[float]) -> "WeightedMeasure":
@@ -295,7 +292,7 @@ class WeightedMeasure:
             states = np.asarray(states, dtype=float)
             return np.broadcast_to(vals, states.shape[:-1] + (dims.n,)).copy()
 
-        return WeightedMeasure(b_field, dims, b_floor=float(vals.min(initial=np.inf)))
+        return WeightedMeasure(b_field, dims)
 
     def weights_at(self, states: np.ndarray) -> np.ndarray:
         w = np.asarray(self.b_field(np.asarray(states, dtype=float)), dtype=float)
@@ -304,16 +301,6 @@ class WeightedMeasure:
                 f"b_field returned last axis {w.shape[-1]}, expected {self.dims.n}"
             )
         return w
-
-    def validate(self, sample_states: np.ndarray, b_bar: float) -> None:
-        """Check ``b_i >= b_bar > 0`` on the sampled states (boundary slices)."""
-        if b_bar <= 0.0:
-            raise InvalidWeightError("b_bar must be positive")
-        w = self.weights_at(sample_states)
-        if w.size and w.min() < b_bar - 1e-12:
-            raise InvalidWeightError(
-                f"weight minimum {w.min():.6g} below required floor {b_bar:.6g}"
-            )
 
 
 def mu_density(measure: WeightedMeasure, z: Point) -> float:

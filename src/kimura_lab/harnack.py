@@ -28,7 +28,6 @@ __all__ = [
     "ChainGeometry",
     "harnack_ratio",
     "scale_invariant_scan",
-    "scan_nodes",
     "node_key",
     "chain_geometry",
     "chain_count",
@@ -116,19 +115,16 @@ def node_key(t: float, z: Point) -> tuple:
     return (round(float(t), 12), tuple(round(v, 12) for v in z.vector))
 
 
-def _extremes_over_cylinder(
-    u_estimator: Callable[[float, Point], "object"],
-    t_lo: float,
-    t_hi: float,
-    ball: MetricBall,
-    lattice: LatticeSpec,
-) -> tuple[float, float, float, float]:
-    """(max, stderr at max, min, stderr at min) of the estimator on the lattice."""
+NodeEstimator = Callable[[list[tuple[float, Point]]], Sequence["object"]]
+
+
+def _extremes(estimates: Sequence) -> tuple[float, float, float, float]:
+    """(max, stderr at max, min, stderr at min) over one cylinder's estimates,
+    in lattice order; the first of equal values wins."""
     best_max = -math.inf
     best_min = math.inf
     se_max = se_min = 0.0
-    for t, p in _cylinder_nodes(t_lo, t_hi, ball, lattice):
-        est = u_estimator(t, p)
+    for est in estimates:
         v = est.value
         if v > best_max:
             best_max, se_max = v, est.stderr
@@ -137,31 +133,49 @@ def _extremes_over_cylinder(
     return best_max, se_max, best_min, se_min
 
 
-def _report(
-    u_estimator: Callable[[float, Point], "object"],
-    sup_cyl: tuple[float, float, MetricBall],
-    inf_cyl: tuple[float, float, MetricBall],
-    radius: float,
+def _reports(
+    u_nodes: NodeEstimator,
+    pairs: Sequence[tuple[float, tuple, tuple]],
     lattice: LatticeSpec,
     noise_floor: float | None,
-) -> HarnackReport:
-    """Lattice sup over the earlier cylinder ``(t_lo, t_hi, ball)`` against the
+) -> list[HarnackReport]:
+    """One report per ``(radius, earlier (t_lo, t_hi, ball), later (...))``.
+
+    The cylinders are walked once: their distinct nodes (one per
+    :func:`node_key`, in first-ask order) go to ``u_nodes`` in a single call.
+    Each report is the lattice sup over the earlier cylinder against the
     lattice inf over the later one.  When the inf does not clear the noise
-    floor (default three standard errors of the inf) the ratio is infinite and
-    flagged."""
-    sup_v, sup_se, _, _ = _extremes_over_cylinder(u_estimator, *sup_cyl, lattice)
-    _, _, inf_v, inf_se = _extremes_over_cylinder(u_estimator, *inf_cyl, lattice)
-    floor = noise_floor if noise_floor is not None else 3.0 * inf_se
-    unbounded = inf_v <= floor
-    return HarnackReport(
-        sup_v, sup_se, inf_v, inf_se, math.inf if unbounded else sup_v / inf_v, radius,
-        sup_cyl[:2], inf_cyl[:2], lattice,
-        flag="unbounded-at-this-resolution" if unbounded else "",
-    )
+    floor (default three standard errors of the inf) the ratio is infinite
+    and flagged.
+    """
+    nodes: dict = {}
+
+    def walk(cyl) -> list[tuple]:
+        keys = []
+        for t, p in _cylinder_nodes(*cyl, lattice):
+            key = node_key(t, p)
+            nodes.setdefault(key, (t, p))
+            keys.append(key)
+        return keys
+
+    walks = [(walk(sup_cyl), walk(inf_cyl)) for _, sup_cyl, inf_cyl in pairs]
+    table = dict(zip(nodes, u_nodes(list(nodes.values())), strict=True))
+    out = []
+    for (radius, sup_cyl, inf_cyl), (sup_keys, inf_keys) in zip(pairs, walks):
+        sup_v, sup_se, _, _ = _extremes([table[k] for k in sup_keys])
+        _, _, inf_v, inf_se = _extremes([table[k] for k in inf_keys])
+        floor = noise_floor if noise_floor is not None else 3.0 * inf_se
+        unbounded = inf_v <= floor
+        out.append(HarnackReport(
+            sup_v, sup_se, inf_v, inf_se, math.inf if unbounded else sup_v / inf_v,
+            radius, sup_cyl[:2], inf_cyl[:2], lattice,
+            flag="unbounded-at-this-resolution" if unbounded else "",
+        ))
+    return out
 
 
 def harnack_ratio(
-    u_estimator: Callable[[float, Point], "object"],
+    u_nodes: NodeEstimator,
     t0: float,
     z0: Point,
     r: float,
@@ -171,20 +185,19 @@ def harnack_ratio(
     """Lattice sup over the earlier cylinder ending at ``t0 - 2 r^2`` against
     the lattice inf over the cylinder ending at ``t0`` (same ball radius).
 
-    The estimator must return objects with ``value`` and ``stderr``.  When the
-    inf does not clear the Monte Carlo noise floor the ratio is reported as
-    infinite with an explanatory flag.
+    ``u_nodes`` maps a list of ``(t, z)`` nodes to one estimate per node, each
+    with ``value`` and ``stderr``.  When the inf does not clear the Monte
+    Carlo noise floor the ratio is reported as infinite with an explanatory
+    flag.
     """
     sup_cyl = ParabolicCylinder(t0 - 2.0 * r * r, z0, r)
     inf_cyl = ParabolicCylinder(t0, z0, r)
-    return _report(
-        u_estimator, (*sup_cyl.time_interval, sup_cyl.ball),
-        (*inf_cyl.time_interval, inf_cyl.ball), r, lattice, noise_floor,
-    )
+    pair = (r, (*sup_cyl.time_interval, sup_cyl.ball), (*inf_cyl.time_interval, inf_cyl.ball))
+    return _reports(u_nodes, [pair], lattice, noise_floor)[0]
 
 
 def scale_invariant_scan(
-    u_estimator: Callable[[float, Point], "object"],
+    u_nodes: NodeEstimator,
     s: float,
     z: Point,
     R: float,
@@ -197,43 +210,19 @@ def scale_invariant_scan(
     """Sup/inf ratios over the offset cylinder pairs for each probe radius.
 
     Probe radii must satisfy ``0 < rho < c R``; the estimator's solution must
-    cover ``(s - 4 R^2, s + R^2) x B_{4R}(z)``.
+    cover ``(s - 4 R^2, s + R^2) x B_{4R}(z)``.  ``u_nodes`` is called once,
+    with every distinct lattice node of the scan (see :func:`harnack_ratio`).
     """
-    return [
-        _report(u_estimator, sup_cyl, inf_cyl, rho, lattice, noise_floor)
-        for rho, sup_cyl, inf_cyl in _scan_cylinders(s, z, R, c, d, rho_list)
-    ]
-
-
-def _scan_cylinders(s, z, R, c, d, rho_list):
-    """``(rho, earlier (t_lo, t_hi, ball), later (t_lo, t_hi, ball))`` per radius."""
+    pairs = []
     for rho in rho_list:
         if not (0.0 < rho < c * R):
             raise ValueError(f"probe radius {rho} outside (0, cR) = (0, {c * R})")
         q_minus, q_plus = cylinder_sets(s, z, rho, c, d)
-        yield (
+        pairs.append((
             rho, (q_minus.t_lo, q_minus.t_hi, q_minus.ball),
             (q_plus.t_lo, q_plus.t_hi, q_plus.ball),
-        )
-
-
-def scan_nodes(
-    s: float,
-    z: Point,
-    R: float,
-    c: float,
-    d: float,
-    rho_list: Sequence[float],
-    lattice: LatticeSpec = LatticeSpec(),
-) -> list[tuple[float, Point]]:
-    """The distinct ``(t, z)`` nodes that :func:`scale_invariant_scan` asks its
-    estimator for, in the order it first asks (one per :func:`node_key`)."""
-    nodes: dict = {}
-    for _, sup_cyl, inf_cyl in _scan_cylinders(s, z, R, c, d, rho_list):
-        for cyl in (sup_cyl, inf_cyl):
-            for t, p in _cylinder_nodes(*cyl, lattice):
-                nodes.setdefault(node_key(t, p), (t, p))
-    return list(nodes.values())
+        ))
+    return _reports(u_nodes, pairs, lattice, noise_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +286,9 @@ def chain_count_bound(rho: float, r: float, slack: float = 1.0) -> float:
 
 
 def memoize_estimator(fn: Callable[[float, Point], "object"]):
-    """Cache an estimator on (t, z) lattice nodes so scans reuse bundles."""
+    """Cache a per-node estimator ``(t, z) -> estimate`` on lattice nodes, so
+    scans that share nodes reuse bundles; a scan takes it as
+    ``lambda nodes: [memo(t, z) for t, z in nodes]``."""
     cache: dict = {}
 
     def wrapped(t: float, z: Point):

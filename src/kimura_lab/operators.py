@@ -210,8 +210,7 @@ class SingularOperatorSpec(_OperatorBase):
 
     def measure(self) -> WeightedMeasure:
         """Weighted measure carrying this operator's ``b`` as exponents."""
-        floor = self.constants.b_bar if self.constants is not None else 0.0
-        return WeightedMeasure(self.b.evaluate_batch, self.dims, b_floor=floor)
+        return WeightedMeasure(self.b.evaluate_batch, self.dims)
 
 
 # ---------------------------------------------------------------------------

@@ -301,17 +301,16 @@ def _advance_block(
     eps = config.log_clamp_eps
     sqdt = np.sqrt(dt)
     dW = sqdt * xi
-    if theta is not None and theta.sing is coeffs:
-        # the weight belongs to this model's own paths: f . ln x serves both
+    if theta is None:
+        drift = coeffs.drift_batch(states, eps)
+    else:
+        # theta.sing is coeffs: f . ln x serves the drift and theta
         log_sum = coeffs.log_drift_batch(states, eps)
         drift = coeffs.drift_batch(states, eps, log_sum)
         th = theta.theta_batch(states, eps, log_sum)
-    else:
-        drift = coeffs.drift_batch(states, eps)
-        th = None if theta is None else theta.theta_batch(states, eps)
     noise = coeffs.noise_batch(states, xi)
     logw_delta = np.zeros(states.shape[0])
-    if th is not None:
+    if theta is not None:
         logw_delta = -np.einsum("pi,pi->p", th, dW) - 0.5 * dt * np.einsum(
             "pi,pi->p", th, th
         )
@@ -352,7 +351,9 @@ def simulate_bundle(
     The exit time is the first grid time whose state leaves the domain (plus
     its degenerate faces); the path freezes at that state.  When ``theta`` is
     given, each path accumulates ``-theta . dW - |theta|^2 dt / 2`` while
-    alive, the running log of the drift-change martingale weight.
+    alive, the running log of the drift-change martingale weight; the paths
+    must be those of the field's own divergence side (``theta.sing is
+    coeffs``).
 
     ``z0`` may be a sequence of start points: the bundle then holds
     ``config.n_paths`` paths per start, start by start, and
@@ -379,6 +380,8 @@ def simulate_bundle(
             raise InvalidStartError(f"start point {z} is outside the domain")
     if observers and len(starts) > 1:
         raise ValueError("observers watch a bundle with one start point")
+    if theta is not None and theta.sing is not coeffs:
+        raise ValueError("a drift-change field weights the paths of its own theta.sing")
     if theta is not None and config.scheme == "exact-1d-gamma":
         raise ValueError("drift-change weights are not defined for exact sampling")
 

@@ -363,7 +363,8 @@ def _fk_estimator(coeffs, gdata, domain, n_paths, dt, seed):
     def u(t, z):
         return estimate_dirichlet(coeffs, gdata, t, z, 0.0, domain, config)
 
-    return memoize_estimator(u)
+    memo = memoize_estimator(u)
+    return lambda nodes: [memo(t, z) for t, z in nodes]
 
 
 def test_criterion_08_cylinder_ratio_probes():

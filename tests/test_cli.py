@@ -11,6 +11,25 @@ MODEL_HALF = {
     "dims": {"n": 1, "m": 0},
     "b_hat": [{"family": "constant", "value": 0.5}],
 }
+FK_DOC = {
+    "command": "fk",
+    "seed": 7,
+    "model": MODEL_HALF,
+    "z0": [0.0],
+    "t": 0.2,
+    "f": "one",
+    "sim": {"dt": 0.002, "n_paths": 3000, "horizon": 0.2},
+}
+DENSITY_DOC = {
+    "command": "density",
+    "seed": 21,
+    "model": MODEL_HALF,
+    "z0": [0.0],
+    "t": 0.5,
+    "grid": {"box": [[0.0, 6.0]], "cells": 16},
+    "measure": "operator",
+    "sim": {"dt": 0.005, "n_paths": 4000, "horizon": 0.5},
+}
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -36,16 +55,7 @@ def test_validate_reports_unit_ellipticity(tmp_path, capsys):
 
 
 def test_fk_unit_payoff_full_space(tmp_path):
-    doc = {
-        "command": "fk",
-        "seed": 7,
-        "model": MODEL_HALF,
-        "z0": [0.0],
-        "t": 0.2,
-        "f": "one",
-        "sim": {"dt": 0.002, "n_paths": 3000, "horizon": 0.2},
-    }
-    code, out = run(tmp_path, doc)
+    code, out = run(tmp_path, FK_DOC)
     assert code == 0
     results = json.loads((out / "results.json").read_text())
     assert results["estimate"]["value"] == 1.0
@@ -196,6 +206,29 @@ def test_unknown_scheme_is_config_error(tmp_path, capsys, name):
     assert_config_error(tmp_path, capsys, doc)
 
 
+@pytest.mark.parametrize("name, path, value", [
+    ("harnack_scan.json", ("sim", "dt"), "abc"),
+    ("harnack_scan.json", ("R",), "quarter"),
+    ("harnack_scan.json", ("lattice", "n_time"), "x"),
+    ("harnack_scan.json", ("lattice", "n_time"), 1),
+    ("harnack_scan.json", ("rho_fractions",), [1.5]),
+    ("oracle_compare.json", ("sim", "n_paths"), "many"),
+    ("density", ("grid", "cells"), "x"),
+    ("density", ("grid", "box"), [["a", 6.0]]),
+    ("fk", ("t_cut",), "x"),
+    ("harnack_scan.json", ("g",), {"family": "bogus"}),
+    ("harnack_scan.json", ("domain", "box"), [["a", 4.0]]),
+])
+def test_bad_config_value_is_config_error(tmp_path, capsys, name, path, value):
+    docs = {"density": DENSITY_DOC, "fk": FK_DOC}
+    doc = json.loads(json.dumps(docs[name] if name in docs else load_config(name)))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    assert_config_error(tmp_path, capsys, doc)
+
+
 def test_girsanov_time_off_the_grid_is_config_error(tmp_path, capsys):
     doc = load_config("girsanov_consistency.json")
     doc["t"] = 0.0005  # sim.dt is 1e-3
@@ -203,17 +236,7 @@ def test_girsanov_time_off_the_grid_is_config_error(tmp_path, capsys):
 
 
 def test_density_command_writes_csv(tmp_path):
-    doc = {
-        "command": "density",
-        "seed": 21,
-        "model": MODEL_HALF,
-        "z0": [0.0],
-        "t": 0.5,
-        "grid": {"box": [[0.0, 6.0]], "cells": 16},
-        "measure": "operator",
-        "sim": {"dt": 0.005, "n_paths": 4000, "horizon": 0.5},
-    }
-    code, out = run(tmp_path, doc)
+    code, out = run(tmp_path, DENSITY_DOC)
     assert code == 0
     results = json.loads((out / "results.json").read_text())
     assert results["survival_mass"] == 1.0
@@ -258,7 +281,7 @@ def test_harnack_command_matches_the_per_node_scan(tmp_path):
     from kimura_lab.feynman_kac import BoundaryData, estimate_dirichlet
     from kimura_lab.fields import field_from_json
     from kimura_lab.geometry import DomainSpec, Point
-    from kimura_lab.harnack import LatticeSpec, memoize_estimator, scale_invariant_scan
+    from kimura_lab.harnack import LatticeSpec, scale_invariant_scan
     from kimura_lab.operators import operator_from_json
     from kimura_lab.sde import build_sde_coefficients
     from kimura_lab.simulate import PathConfig
@@ -281,7 +304,7 @@ def test_harnack_command_matches_the_per_node_scan(tmp_path):
         return estimate_dirichlet(coeffs, gdata, t, zz, 0.0, domain, config)
 
     reports = scale_invariant_scan(
-        memoize_estimator(u), doc["s"], z, R, c, doc["d"],
+        lambda nodes: [u(t, zz) for t, zz in nodes], doc["s"], z, R, c, doc["d"],
         [f * c * R for f in doc["rho_fractions"]], LatticeSpec(**doc["lattice"]),
     )
     assert results["reports"] == json.loads(json.dumps([r.to_json() for r in reports]))

@@ -165,6 +165,29 @@ class TestDirichletNodes:
             estimate_dirichlet_nodes(coeffs_sing_half, gdata, [(0.5, ORIGIN), (0.1, ORIGIN)],
                                      0.2, BOX04, cfg(n_paths=64))
 
+    @pytest.mark.parametrize("n_paths", [512, 5000])
+    def test_weighted_nodes_match_each_node_alone(self, n_paths):
+        eps = 0.2
+        pair = make_girsanov_field(
+            make_std_1d(b0=1.0, slope=eps), make_sing_1d(b0=1.0, slope=eps)
+        )
+        gdata = BoundaryData(lambda times, states: 1.0 + 0.25 * states[:, 0] + 0.1 * times)
+        t1 = 0.1
+        z = [Point((x,), ()) for x in (0.5, 2.0, 3.9)]
+        # t == t1, shared and distinct horizons, a duplicate node
+        nodes = [(0.3, z[0]), (t1, z[1]), (0.3, z[2]), (0.25, z[1]), (0.3, z[0])]
+        c = cfg(n_paths=n_paths, seed=19)
+        many = estimate_dirichlet_nodes(pair.sing, gdata, nodes, t1, BOX04, c, theta=pair)
+        for (t, z0), est in zip(nodes, many):
+            alone = estimate_probabilistic_solution(
+                pair.sing, gdata, t, z0, (t1, 1.0, BOX04), pair, c
+            )
+            assert est == alone
+            for name in ("value", "stderr", "n_effective"):
+                assert getattr(est, name).hex() == getattr(alone, name).hex()
+        assert many[0] == many[4]
+        assert many[0].n_effective < n_paths  # the weights are not all equal
+
 
 class TestInhomogeneous:
     def test_zero_source_reduces_to_semigroup(self, coeffs_sing_half):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from kimura_lab.errors import InvalidHarnackParametersError
-from kimura_lab.geometry import Point, StateSpaceDims
+from kimura_lab.geometry import Point, StateSpaceDims, cylinder_sets
 from kimura_lab.harnack import (
     LatticeSpec,
+    _cylinder_nodes,
     chain_count,
     chain_count_bound,
     chain_geometry,
@@ -14,19 +15,18 @@ from kimura_lab.harnack import (
     memoize_estimator,
     node_key,
     scale_invariant_scan,
-    scan_nodes,
 )
 from kimura_lab.oracle import gaussian_reference
 
 
 class FakeEstimate:
-    def __init__(self, value):
+    def __init__(self, value, stderr=0.0):
         self.value = value
-        self.stderr = 0.0
+        self.stderr = stderr
 
 
 def exact_estimator(fn):
-    return lambda t, z: FakeEstimate(fn(t, z))
+    return lambda nodes: [FakeEstimate(fn(t, z)) for t, z in nodes]
 
 
 class TestChainGeometry:
@@ -166,26 +166,40 @@ class TestRatioProbes:
             return FakeEstimate(1.0)
 
         memo = memoize_estimator(u)
-        rep1 = harnack_ratio(memo, 1.0, Point((1.0,), ()), 0.2)
+
+        def u_nodes(nodes):
+            return [memo(t, z) for t, z in nodes]
+
+        rep1 = harnack_ratio(u_nodes, 1.0, Point((1.0,), ()), 0.2)
         n1 = len(calls)
-        rep2 = harnack_ratio(memo, 1.0, Point((1.0,), ()), 0.2)
+        rep2 = harnack_ratio(u_nodes, 1.0, Point((1.0,), ()), 0.2)
         assert len(calls) == n1
         assert rep1.ratio == rep2.ratio
 
     @pytest.mark.parametrize("lattice", [LatticeSpec(), LatticeSpec().refine()])
-    def test_scan_nodes_are_the_memoized_misses_in_order(self, lattice):
-        misses = []
+    def test_scan_asks_once_for_its_distinct_nodes_in_first_ask_order(self, lattice):
+        s, z, R, c, d = 0.5, Point((1.0,), ()), 0.25, 0.9, math.sqrt(0.8)
+        rhos = [0.02, 0.05, 0.09]
+        expected: dict = {}
+        first = []  # position of each cylinder's first node among the distinct ones
+        for rho in rhos:
+            for cyl in cylinder_sets(s, z, rho, c, d):
+                cyl_nodes = list(_cylinder_nodes(cyl.t_lo, cyl.t_hi, cyl.ball, lattice))
+                for t, p in cyl_nodes:
+                    expected.setdefault(node_key(t, p), (t, p))
+                first.append(list(expected).index(node_key(*cyl_nodes[0])))
+        calls = []
 
-        def u(t, z):
-            misses.append((t, z))
-            return FakeEstimate(1.0 + z.vector[0] - t)
+        def u_nodes(nodes):
+            calls.append(nodes)
+            # equal values everywhere: ties keep the cylinder's first node
+            return [FakeEstimate(1.0, stderr=float(i)) for i in range(len(nodes))]
 
-        args = (0.5, Point((1.0,), ()), 0.25, 0.9, math.sqrt(0.8), [0.02, 0.05, 0.09],
-                lattice)
-        reports = scale_invariant_scan(memoize_estimator(u), *args)
-        nodes = scan_nodes(*args)
-        assert [(t, z.vector.tolist()) for t, z in nodes] == [
-            (t, z.vector.tolist()) for t, z in misses
+        reports = scale_invariant_scan(u_nodes, s, z, R, c, d, rhos, lattice)
+        assert len(calls) == 1
+        assert [(t, p.vector.tolist()) for t, p in calls[0]] == [
+            (t, p.vector.tolist()) for t, p in expected.values()
         ]
-        table = {node_key(t, z): FakeEstimate(1.0 + z.vector[0] - t) for t, z in nodes}
-        assert scale_invariant_scan(lambda t, z: table[node_key(t, z)], *args) == reports
+        assert [(rep.sup_stderr, rep.inf_stderr) for rep in reports] == [
+            (float(first[2 * i]), float(first[2 * i + 1])) for i in range(len(rhos))
+        ]

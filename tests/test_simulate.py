@@ -200,6 +200,15 @@ class TestWeights:
         )
         assert np.all(bundle.log_weights == 0.0)
 
+    def test_field_weights_only_its_own_paths(self):
+        pair = make_girsanov_field(make_std_1d(b0=0.5), make_sing_1d(b0=0.5))
+        cfg = PathConfig(dt=5e-3, seed=8, n_paths=16, horizon=0.02)
+        with pytest.raises(ValueError):
+            simulate_bundle(pair.std, ORIGIN, FULL1, cfg, theta=pair)
+        other = build_sde_coefficients(make_sing_1d(b0=0.5))
+        with pytest.raises(ValueError):
+            simulate_bundle(other, ORIGIN, FULL1, cfg, theta=pair)
+
     def test_weight_is_martingale(self):
         eps = 0.2
         pair = make_girsanov_field(
