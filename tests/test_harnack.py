@@ -177,6 +177,39 @@ class TestRatioProbes:
         assert rep1.ratio == rep2.ratio
 
     @pytest.mark.parametrize("lattice", [LatticeSpec(), LatticeSpec().refine()])
+    def test_scan_nodes_are_the_memoized_misses_in_order(self, lattice):
+        # one scan per radius through a shared memo misses each node once, in
+        # the order the combined scan asks for its batch
+        misses = []
+
+        def u(t, z):
+            misses.append((t, z))
+            return FakeEstimate(1.0 + z.vector[0] - t)
+
+        memo = memoize_estimator(u)
+        head = (0.5, Point((1.0,), ()), 0.25, 0.9, math.sqrt(0.8))
+        rhos = [0.02, 0.05, 0.09]
+        per_rho = [
+            rep
+            for rho in rhos
+            for rep in scale_invariant_scan(
+                lambda nodes: [memo(t, z) for t, z in nodes], *head, [rho], lattice
+            )
+        ]
+        batches = []
+
+        def u_nodes(nodes):
+            batches.append(nodes)
+            return [FakeEstimate(1.0 + z.vector[0] - t) for t, z in nodes]
+
+        reports = scale_invariant_scan(u_nodes, *head, rhos, lattice)
+        assert len(batches) == 1
+        assert [(t, z.vector.tolist()) for t, z in batches[0]] == [
+            (t, z.vector.tolist()) for t, z in misses
+        ]
+        assert reports == per_rho
+
+    @pytest.mark.parametrize("lattice", [LatticeSpec(), LatticeSpec().refine()])
     def test_scan_asks_once_for_its_distinct_nodes_in_first_ask_order(self, lattice):
         s, z, R, c, d = 0.5, Point((1.0,), ()), 0.25, 0.9, math.sqrt(0.8)
         rhos = [0.02, 0.05, 0.09]
