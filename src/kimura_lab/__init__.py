@@ -10,9 +10,9 @@ from .errors import KimuraLabError
 from .geometry import (
     DomainSpec,
     MetricBall,
-    ParabolicCylinder,
     Point,
     QuadratureConfig,
+    SpaceTimeCylinder,
     StateSpaceDims,
     WeightedMeasure,
     cylinder_sets,
@@ -37,11 +37,11 @@ from .sde import (
     StandardSdeCoefficients,
     build_sde_coefficients,
     build_standard_sde_coefficients,
-    dispersion_sqrt,
+    dispersion_sqrt_batch,
     girsanov_theta,
     make_girsanov_field,
 )
-from .simulate import PathBundle, PathConfig, simulate_bundle, step_singular, step_standard
+from .simulate import PathBundle, PathConfig, simulate_bundle, step_singular
 
 __version__ = "0.1.0"
 
@@ -51,7 +51,7 @@ __all__ = [
     "StateSpaceDims",
     "DomainSpec",
     "MetricBall",
-    "ParabolicCylinder",
+    "SpaceTimeCylinder",
     "QuadratureConfig",
     "WeightedMeasure",
     "rho",
@@ -72,12 +72,11 @@ __all__ = [
     "GirsanovField",
     "build_sde_coefficients",
     "build_standard_sde_coefficients",
-    "dispersion_sqrt",
+    "dispersion_sqrt_batch",
     "girsanov_theta",
     "make_girsanov_field",
     "PathConfig",
     "PathBundle",
     "simulate_bundle",
     "step_singular",
-    "step_standard",
 ]

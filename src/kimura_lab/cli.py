@@ -78,19 +78,38 @@ def _require(doc: dict, key: str, ctx: str):
     return doc[key]
 
 
+def _section(doc: dict, key: str) -> dict:
+    """The config's ``key`` object, empty when absent."""
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {json.dumps(value)}")
+    return value
+
+
 @contextmanager
 def _checked(ctx: str):
     """Raise a value that a conversion (``float``, ``int``) or a validating
-    constructor (``PathConfig``, ``LatticeSpec``, ...) rejects in this block
-    as a config error about ``ctx``."""
+    constructor (``PathConfig``, ``LatticeSpec``, ...) rejects in this block,
+    or a key that a JSON reader misses, as a config error about ``ctx``."""
     try:
         yield
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"{ctx}: missing key {exc}") from exc
+
+
+def _grid_steps(t: float, dt: float) -> int:
+    """``t / dt`` as a whole number of steps; ValueError when ``t`` is off the
+    ``dt`` grid."""
+    k = int(round(t / dt))
+    if abs(k * dt - t) > 1e-9 * max(1.0, abs(t)):
+        raise ValueError(f"time {t} is not a multiple of sim.dt = {dt}")
+    return k
 
 
 def _path_config(doc: dict, seed: int) -> PathConfig:
-    sim = dict(doc.get("sim", {}))
+    sim = _section(doc, "sim")
     for key in ("dt", "n_paths", "horizon"):
         _require(sim, key, "sim")
     with _checked("sim"):
@@ -141,6 +160,8 @@ def _load_run(doc: dict, seed: int):
     model = _load_model(doc)
     default = "singular" if isinstance(model, SingularOperatorSpec) else "standard"
     variant = doc.get("variant", default)
+    if variant not in ("standard", "singular"):
+        raise ConfigError(f"variant must be 'standard' or 'singular', got {variant!r}")
     coeffs = _coeffs_for(model, variant)
     domain = _load_domain(doc, model.dims)
     return model, variant, coeffs, domain, _path_config(doc, seed)
@@ -150,12 +171,19 @@ def _payoff(doc, dims: StateSpaceDims):
     """Built-in payoffs: 'one', {'coordinate': i}, {'exp-neg': i}, or a field."""
     if doc in (None, "one", 1):
         return lambda states: np.ones(np.asarray(states).shape[0])
+
+    def index(key) -> int:
+        i = int(doc[key])
+        if not 0 <= i < dims.total:
+            raise ValueError(f"{key} index {i} outside 0..{dims.total - 1}")
+        return i
+
     with _checked("payoff"):
         if isinstance(doc, dict) and "coordinate" in doc:
-            i = int(doc["coordinate"])
+            i = index("coordinate")
             return lambda states: np.asarray(states)[:, i]
         if isinstance(doc, dict) and "exp-neg" in doc:
-            i = int(doc["exp-neg"])
+            i = index("exp-neg")
             return lambda states: np.exp(-np.asarray(states)[:, i])
         return field_from_json(doc, dims.total).evaluate_batch
 
@@ -163,7 +191,7 @@ def _payoff(doc, dims: StateSpaceDims):
 def _point(doc: dict, key: str, dims: StateSpaceDims) -> Point:
     with _checked(key):
         values = np.asarray(_require(doc, key, "config"), dtype=float)
-    return Point.from_vector(dims, values)
+        return Point.from_vector(dims, values)
 
 
 def _write_results(out_dir: str, doc: dict, name: str = "results.json") -> str:
@@ -176,7 +204,7 @@ def _write_results(out_dir: str, doc: dict, name: str = "results.json") -> str:
 
 def _write_csv(out_dir: str, doc: dict, default: str, header, rows) -> str:
     """Write ``rows`` under the config's ``output.csv`` name; returns the name."""
-    name = doc.get("output", {}).get("csv", default)
+    name = _section(doc, "output").get("csv", default)
     with open(os.path.join(out_dir, name), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -191,7 +219,7 @@ def _write_csv(out_dir: str, doc: dict, default: str, header, rows) -> str:
 
 def _cmd_validate(doc, seed, out_dir, threads) -> tuple[int, dict]:
     op = _load_model(doc)
-    grid_cfg = doc.get("grid", {})
+    grid_cfg = _section(doc, "grid")
     with _checked("grid"):
         grid = make_validation_grid(
             op.dims,
@@ -216,8 +244,10 @@ def _cmd_validate(doc, seed, out_dir, threads) -> tuple[int, dict]:
 def _cmd_simulate(doc, seed, out_dir, threads) -> tuple[int, dict]:
     model, variant, coeffs, domain, config = _load_run(doc, seed)
     z0 = _point(doc, "z0", model.dims)
+    with _checked("sim"):
+        _grid_steps(config.horizon, config.dt)
     bundle = simulate_bundle(coeffs, z0, domain, config, n_threads=threads)
-    out = doc.get("output", {})
+    out = _section(doc, "output")
     bundle_path = os.path.join(out_dir, out.get("bundle", "bundle.kimb"))
     bundle_to_kimb(bundle, bundle_path, model.dims)
     if "csv" in out:
@@ -261,20 +291,22 @@ def _cmd_fk(doc, seed, out_dir, threads) -> tuple[int, dict]:
 def _cmd_density(doc, seed, out_dir, threads) -> tuple[int, dict]:
     model, _, coeffs, domain, config = _load_run(doc, seed)
     z0 = _point(doc, "z0", model.dims)
-    grid_doc = _require(doc, "grid", "config")
+    grid_doc = _section(doc, "grid")
     with _checked("density"):
         t = float(doc.get("t", config.horizon))
         grid = GridSpec(
             box=tuple(tuple(float(v) for v in b) for b in _require(grid_doc, "box", "grid")),
             cells_per_axis=int(grid_doc.get("cells", 64)),
         )
+        cfg = replace(config, record=(0.0, t), horizon=max(t, config.horizon))
+        _grid_steps(t, cfg.dt)
+        _grid_steps(cfg.horizon, cfg.dt)
     measure = None
     if doc.get("measure", "lebesgue") == "operator":
         sing = coeffs.source
         if not isinstance(sing, SingularOperatorSpec):
             sing = derive_singular_from_standard(model)
         measure = sing.measure()
-    cfg = replace(config, record=(0.0, t), horizon=max(t, config.horizon))
     bundle = simulate_bundle(coeffs, z0, domain, cfg, n_threads=threads)
     est = estimate_density(bundle, t, grid, measure=measure)
     mesh = np.meshgrid(*est.cell_centers(), indexing="ij")
@@ -304,7 +336,7 @@ def _cmd_harnack(doc, seed, out_dir, threads) -> tuple[int, dict]:
         c = float(doc.get("c", 0.9))
         d = float(doc.get("d", math.sqrt(0.8)))
         fractions = [float(f) for f in doc.get("rho_fractions", (0.1, 0.2, 0.4))]
-        lat = doc.get("lattice", {})
+        lat = _section(doc, "lattice")
         lattice = LatticeSpec(int(lat.get("n_time", 3)), int(lat.get("n_space", 5)))
         t1 = float(doc.get("t1", 0.0))
     if not (R > 0.0 and all(0.0 < f < 1.0 for f in fractions)):
@@ -335,9 +367,9 @@ def _cmd_girsanov(doc, seed, out_dir, threads) -> tuple[int, dict]:
     config = _path_config(doc, seed)
     with _checked("girsanov"):
         t = float(doc.get("t", config.horizon))
-    n_steps = int(round(t / config.dt))
-    if n_steps < 1 or abs(n_steps * config.dt - t) > 1e-9 * max(1.0, t):
-        raise ConfigError(f"t = {t} is not a positive multiple of sim.dt = {config.dt}")
+        n_steps = _grid_steps(t, config.dt)
+    if n_steps < 1:
+        raise ConfigError(f"girsanov: t = {t} must be at least sim.dt = {config.dt}")
     std = build_standard_sde_coefficients(model)
     sing_spec = derive_singular_from_standard(model)
     sing = build_sde_coefficients(sing_spec)
@@ -380,7 +412,7 @@ def _cmd_girsanov(doc, seed, out_dir, threads) -> tuple[int, dict]:
 
 
 def _cmd_oracle_compare(doc, seed, out_dir, threads) -> tuple[int, dict]:
-    sim = doc.get("sim", {})
+    sim = _section(doc, "sim")
     scheme = sim.get("scheme", "exact-1d-gamma")
     with _checked("oracle-compare"):
         b0 = float(doc.get("b0", 0.5))
@@ -394,6 +426,7 @@ def _cmd_oracle_compare(doc, seed, out_dir, threads) -> tuple[int, dict]:
             dt=dt, seed=seed, n_paths=n_paths, horizon=t, scheme=scheme,
             record=(0.0, t),
         )
+        _grid_steps(t, dt)
 
     std = operator_from_json(
         {"kind": "standard", "dims": {"n": 1, "m": 0}, "b_hat": [b0]}
@@ -456,10 +489,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", help="output directory")
     args = parser.parse_args(argv)
 
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("KIMURA_LAB_THREADS", "1"))
-
     try:
         with open(args.config) as fh:
             doc = json.load(fh)
@@ -468,6 +497,12 @@ def main(argv=None) -> int:
         return 2
 
     try:
+        threads = args.threads
+        if threads is None:
+            with _checked("KIMURA_LAB_THREADS"):
+                threads = int(os.environ.get("KIMURA_LAB_THREADS", "1"))
+        if not isinstance(doc, dict):
+            raise ConfigError("a config must be a JSON object")
         command = doc.get("command")
         if command not in COMMANDS:
             raise ConfigError(f"config command must be one of {COMMANDS}, got {command!r}")
@@ -487,7 +522,7 @@ def main(argv=None) -> int:
         code, result = _HANDLERS[command](resolved, seed, args.out, threads)
         payload = {"command": command, "config_hash": chash, "seed": seed}
         payload.update(result)
-        out_name = doc.get("output", {}).get("results", "results.json")
+        out_name = _section(doc, "output").get("results", "results.json")
         path = _write_results(args.out, payload, out_name)
         print(f"{command} {'ok' if code == 0 else 'FAIL'} config={chash} -> {path}")
         return code

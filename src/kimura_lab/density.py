@@ -44,6 +44,10 @@ __all__ = [
     "subdomain_alive_at",
 ]
 
+CELL_QUADRATURE_POINTS = 8  # midpoint nodes per axis in each histogram cell
+ENVELOPE_QUADRATURE = QuadratureConfig(128)  # ball measures of the upper envelope
+ENVELOPE_MIN_COUNT = 5  # sparser cells are noise and skipped by the envelope check
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -82,9 +86,7 @@ class DensityEstimate:
 
 
 def _cell_measures(
-    measure: WeightedMeasure | None,
-    edges: Sequence[np.ndarray],
-    pts_per_cell: int = 8,
+    measure: WeightedMeasure | None, edges: Sequence[np.ndarray]
 ) -> np.ndarray:
     """Weighted measure of every grid cell by per-cell midpoint quadrature.
 
@@ -104,11 +106,11 @@ def _cell_measures(
         np.sqrt(np.maximum(e, 0.0)) if axis < measure.dims.n else e
         for axis, e in enumerate(edges)
     ]
-    _, weights = sqrt_chart_quadrature(measure, chart, pts_per_cell)
+    _, weights = sqrt_chart_quadrature(measure, chart, CELL_QUADRATURE_POINTS)
     # fold the per-cell sub-nodes back onto the cell lattice
     shape = []
     for k in n_cells:
-        shape.extend([k, pts_per_cell])
+        shape.extend([k, CELL_QUADRATURE_POINTS])
     return weights.reshape(shape).sum(axis=tuple(range(1, 2 * len(n_cells), 2)))
 
 
@@ -330,34 +332,28 @@ def check_symmetry(
 # ---------------------------------------------------------------------------
 
 
-def upper_bound_check(
-    est: DensityEstimate,
-    measure: WeightedMeasure,
-    z0: Point,
-    quadrature: QuadratureConfig = QuadratureConfig(128),
-    min_count: int = 5,
-) -> dict:
+def upper_bound_check(est: DensityEstimate, measure: WeightedMeasure, z0: Point) -> dict:
     """Ratio of the histogram density to the Gaussian-type envelope
     ``exp(-rho^2/(8t)) / sqrt(mu(B_sqrt(t)(z0)) mu(B_sqrt(t)(z)))`` per cell.
 
-    Cells with fewer than ``min_count`` samples are skipped (noise), as are
-    cells whose ball measure underflows.  Returns the maximum ratio (an
+    Cells with fewer than ``ENVELOPE_MIN_COUNT`` samples are skipped (noise),
+    as are cells whose ball measure underflows.  Returns the maximum ratio (an
     empirical envelope constant) and the per-cell ratio array.
     """
     t = est.t
     r = math.sqrt(t)
     dims = measure.dims
-    mu_z0 = mu_ball(measure, MetricBall(z0, r), quadrature)
+    mu_z0 = mu_ball(measure, MetricBall(z0, r), ENVELOPE_QUADRATURE)
     centers = est.cell_centers()
     mesh = np.meshgrid(*centers, indexing="ij")
     ratios = np.full(est.values.shape, np.nan)
     it = np.ndindex(*est.values.shape)
     for idx in it:
-        if est.counts[idx] < min_count:
+        if est.counts[idx] < ENVELOPE_MIN_COUNT:
             continue
         center_vec = np.array([mesh[a][idx] for a in range(len(centers))])
         z = Point.from_vector(dims, np.maximum(center_vec, 0.0))
-        mu_z = mu_ball(measure, MetricBall(z, r), quadrature)
+        mu_z = mu_ball(measure, MetricBall(z, r), ENVELOPE_QUADRATURE)
         if mu_z <= 0.0 or mu_z0 <= 0.0:
             continue
         dist = rho_batch(z0, center_vec[None, :])[0]

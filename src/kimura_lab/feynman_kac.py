@@ -98,24 +98,18 @@ def _reduce(samples: np.ndarray, weights: np.ndarray | None, fingerprint: str,
 class BoundaryData:
     """Data on the parabolic boundary (initial slice plus lateral boundary).
 
-    ``fn(times, states)`` must accept arrays (N,), (N, d) and return (N,);
-    with ``vectorized=False`` a scalar callable is looped.  Non-finite values
-    raise :class:`BoundaryDataGapError` with the offending point.
+    ``fn(times, states)`` must accept arrays (N,), (N, d) and return (N,).
+    Non-finite values raise :class:`BoundaryDataGapError` with the offending
+    point.
     """
 
-    def __init__(self, fn: Callable, vectorized: bool = True):
+    def __init__(self, fn: Callable):
         self.fn = fn
-        self.vectorized = vectorized
 
     def __call__(self, times: np.ndarray, states: np.ndarray) -> np.ndarray:
         times = np.asarray(times, dtype=float)
         states = np.asarray(states, dtype=float)
-        if self.vectorized:
-            vals = np.asarray(self.fn(times, states), dtype=float)
-        else:
-            vals = np.array(
-                [float(self.fn(t, s)) for t, s in zip(times, states)]
-            )
+        vals = np.asarray(self.fn(times, states), dtype=float)
         bad = ~np.isfinite(vals)
         if bad.any():
             i = int(np.flatnonzero(bad)[0])

@@ -30,7 +30,7 @@ __all__ = [
     "field_to_json",
 ]
 
-DEFAULT_FD_STEP = 1e-5
+FD_STEP = 1e-5
 
 
 class ScalarField:
@@ -38,9 +38,6 @@ class ScalarField:
 
     is_constant = False
     is_zero = False
-
-    def evaluate(self, z: np.ndarray) -> float:
-        return float(self.evaluate_batch(np.asarray(z, dtype=float)[None, :])[0])
 
     def evaluate_batch(self, states: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -124,45 +121,28 @@ class TrigField(ScalarField):
 
 
 class CallableField(ScalarField):
-    """Wrap an arbitrary callable; ``vectorized`` callables take (..., d) arrays."""
+    """Wrap a callable that maps a (..., d) array of states to (...,) values."""
 
-    def __init__(
-        self,
-        fn: Callable,
-        vectorized: bool = True,
-        partials: dict[int, ScalarField] | None = None,
-        fd_step: float = DEFAULT_FD_STEP,
-    ):
+    def __init__(self, fn: Callable):
         self.fn = fn
-        self.vectorized = vectorized
-        self.partials = dict(partials or {})
-        self.fd_step = fd_step
 
     def evaluate_batch(self, states: np.ndarray) -> np.ndarray:
-        states = np.asarray(states, dtype=float)
-        if self.vectorized:
-            return np.asarray(self.fn(states), dtype=float)
-        flat = states.reshape(-1, states.shape[-1])
-        out = np.array([float(self.fn(row)) for row in flat])
-        return out.reshape(states.shape[:-1])
+        return np.asarray(self.fn(np.asarray(states, dtype=float)), dtype=float)
 
-    def partial(self, axis: int) -> ScalarField:
-        if axis in self.partials:
-            return self.partials[axis]
-        return FDPartialField(self, axis, self.fd_step)
+    # defined on the class, as perfbench/tracer.py times partial per class
+    partial = ScalarField.partial
 
 
 class FDPartialField(ScalarField):
-    """Centered difference of another field; step ``h * (1 + |z_axis|)``."""
+    """Centered difference of another field; step ``FD_STEP * (1 + |z_axis|)``."""
 
-    def __init__(self, base: ScalarField, axis: int, step: float = DEFAULT_FD_STEP):
+    def __init__(self, base: ScalarField, axis: int):
         self.base = base
         self.axis = axis
-        self.step = step
 
     def evaluate_batch(self, states: np.ndarray) -> np.ndarray:
         states = np.asarray(states, dtype=float)
-        h = self.step * (1.0 + np.abs(states[..., self.axis]))
+        h = FD_STEP * (1.0 + np.abs(states[..., self.axis]))
         up = states.copy()
         up[..., self.axis] += h
         dn = states.copy()
@@ -206,16 +186,9 @@ class FieldVector:
             return np.zeros(states.shape[:-1] + (0,))
         return np.stack([e.evaluate_batch(states) for e in self.entries], axis=-1)
 
-    def evaluate(self, z: np.ndarray) -> np.ndarray:
-        return self.evaluate_batch(np.asarray(z, dtype=float)[None, :])[0]
-
     @staticmethod
     def zeros(p: int) -> "FieldVector":
         return FieldVector([ConstantField(0.0)] * p)
-
-    @staticmethod
-    def constant(values: Sequence[float]) -> "FieldVector":
-        return FieldVector([ConstantField(v) for v in values])
 
 
 class FieldMatrix:
@@ -256,9 +229,6 @@ class FieldMatrix:
         ]
         return np.stack(rows, axis=-2)
 
-    def evaluate(self, z: np.ndarray) -> np.ndarray:
-        return self.evaluate_batch(np.asarray(z, dtype=float)[None, :])[0]
-
     @staticmethod
     def zeros(p: int, q: int) -> "FieldMatrix":
         if p == 0 or q == 0:
@@ -270,10 +240,6 @@ class FieldMatrix:
         return FieldMatrix(
             [[ConstantField(1.0 if i == j else 0.0) for j in range(p)] for i in range(p)]
         )
-
-    @staticmethod
-    def constant(values: Sequence[Sequence[float]]) -> "FieldMatrix":
-        return FieldMatrix([[ConstantField(v) for v in row] for row in values])
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +257,11 @@ class TestFunction:
 
     __test__ = False  # not a pytest collection target
 
-    def __init__(self, fn, grad, hess, support_box=None, name: str = "testfn"):
+    def __init__(self, fn, grad, hess, support_box=None):
         self._fn = fn
         self._grad = grad
         self._hess = hess
         self.support_box = support_box
-        self.name = name
 
     def value(self, states: np.ndarray) -> np.ndarray:
         return np.asarray(self._fn(np.asarray(states, dtype=float)), dtype=float)
@@ -341,8 +306,7 @@ class SmoothBump(TestFunction):
         box = [
             (c - r, c + r) for c, r in zip(self.center.tolist(), self.radii.tolist())
         ]
-        super().__init__(self._value, self._gradient, self._hessian,
-                         support_box=box, name="smooth-bump")
+        super().__init__(self._value, self._gradient, self._hessian, support_box=box)
 
     def _parts(self, states: np.ndarray):
         s = (states - self.center) / self.radii
@@ -395,19 +359,27 @@ def field_from_json(doc, total_dims: int) -> ScalarField:
     """Build a field from {"family": "constant"|"affine"|"trig", ...}."""
     if isinstance(doc, (int, float)):
         return ConstantField(float(doc))
-    family = doc.get("family")
+    family = doc.get("family") if isinstance(doc, dict) else None
     if family == "constant":
         return ConstantField(float(doc["value"]))
     if family == "affine":
+        entries = doc.get("coeffs", [])
+        if len(entries) > total_dims:
+            raise ValueError(
+                f"affine field has {len(entries)} coeffs for {total_dims} coordinates"
+            )
         coeffs = np.zeros(total_dims)
-        for k, v in enumerate(doc.get("coeffs", [])):
+        for k, v in enumerate(entries):
             coeffs[k] = float(v)
         return AffineField(float(doc.get("c0", 0.0)), coeffs)
     if family == "trig":
+        axis = int(doc["axis"])
+        if not 0 <= axis < total_dims:
+            raise ValueError(f"trig axis {axis} outside 0..{total_dims - 1}")
         return TrigField(
             float(doc.get("c0", 0.0)),
             float(doc["amplitude"]),
-            int(doc["axis"]),
+            axis,
             float(doc["frequency"]),
             float(doc.get("phase", 0.0)),
         )

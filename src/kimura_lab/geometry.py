@@ -28,7 +28,6 @@ __all__ = [
     "StateSpaceDims",
     "Point",
     "MetricBall",
-    "ParabolicCylinder",
     "SpaceTimeCylinder",
     "WeightedMeasure",
     "QuadratureConfig",
@@ -202,11 +201,6 @@ class MetricBall:
         if self.metric not in ("intrinsic", "euclidean"):
             raise ValueError(f"unknown metric {self.metric!r}")
 
-    def contains(self, z: Point) -> bool:
-        if self.metric == "intrinsic":
-            return rho(self.center, z) < self.radius
-        return float(np.linalg.norm(self.center.vector - z.vector)) < self.radius
-
     def contains_batch(self, states: np.ndarray) -> np.ndarray:
         if self.metric == "intrinsic":
             return rho_batch(self.center, states) < self.radius
@@ -236,29 +230,9 @@ def ball_box(ball: MetricBall) -> list[tuple[float, float]]:
 
 
 @dataclass(frozen=True)
-class ParabolicCylinder:
-    """Space-time cylinder ``(t_end - r^2, t_end) x B_r(center)``."""
-
-    t_end: float
-    center: Point
-    radius: float
-
-    def __post_init__(self) -> None:
-        if self.radius <= 0.0:
-            raise ValueError("cylinder radius must be positive")
-
-    @property
-    def time_interval(self) -> tuple[float, float]:
-        return (self.t_end - self.radius**2, self.t_end)
-
-    @property
-    def ball(self) -> MetricBall:
-        return MetricBall(self.center, self.radius)
-
-
-@dataclass(frozen=True)
 class SpaceTimeCylinder:
-    """General time slab times a metric ball (offset cylinders of ratio scans)."""
+    """Time slab ``(t_lo, t_hi)`` times a metric ball: the cylinders of the
+    two-cylinder ratio probes."""
 
     t_lo: float
     t_hi: float
@@ -428,7 +402,6 @@ def mu_ball(
     measure: WeightedMeasure,
     ball: MetricBall,
     quadrature: QuadratureConfig = QuadratureConfig(),
-    clip_box: Sequence[tuple[float, float]] | None = None,
 ) -> float:
     """Weighted measure of a metric ball intersected with the state space.
 
@@ -438,16 +411,10 @@ def mu_ball(
     """
     if ball.center.dims != measure.dims:
         raise DimensionMismatchError("ball center does not match measure dims")
-    box = ball_box(ball)
-    if clip_box is not None:
-        box = [
-            (max(lo, float(clo)), min(hi, float(chi)))
-            for (lo, hi), (clo, chi) in zip(box, clip_box)
-        ]
     indicator = None
     if ball.metric == "euclidean":
         indicator = lambda states: ball.contains_batch(states).astype(float)
-    return mu_box(measure, box, quadrature, indicator=indicator)
+    return mu_box(measure, ball_box(ball), quadrature, indicator=indicator)
 
 
 def mu_ball_comparator(

@@ -17,8 +17,9 @@ import numpy as np
 
 from .geometry import (
     MetricBall,
-    ParabolicCylinder,
     Point,
+    SpaceTimeCylinder,
+    ball_box,
     cylinder_sets,
 )
 
@@ -84,8 +85,6 @@ class HarnackReport:
 
 def _ball_lattice(ball: MetricBall, n_space: int) -> list[Point]:
     """Tensor lattice covering a metric ball, sqrt-spaced on degenerate axes."""
-    from .geometry import ball_box
-
     box = ball_box(ball)
     dims = ball.center.dims
     axes = []
@@ -101,11 +100,11 @@ def _ball_lattice(ball: MetricBall, n_space: int) -> list[Point]:
 
 
 def _cylinder_nodes(
-    t_lo: float, t_hi: float, ball: MetricBall, lattice: LatticeSpec
+    cyl: SpaceTimeCylinder, lattice: LatticeSpec
 ) -> Iterator[tuple[float, Point]]:
     """The ``(t, z)`` lattice nodes of one cylinder, time by time."""
-    points = _ball_lattice(ball, lattice.n_space)
-    for t in np.linspace(t_lo, t_hi, lattice.n_time):
+    points = _ball_lattice(cyl.ball, lattice.n_space)
+    for t in np.linspace(cyl.t_lo, cyl.t_hi, lattice.n_time):
         for p in points:
             yield float(t), p
 
@@ -135,11 +134,11 @@ def _extremes(estimates: Sequence) -> tuple[float, float, float, float]:
 
 def _reports(
     u_nodes: NodeEstimator,
-    pairs: Sequence[tuple[float, tuple, tuple]],
+    pairs: Sequence[tuple[float, SpaceTimeCylinder, SpaceTimeCylinder]],
     lattice: LatticeSpec,
     noise_floor: float | None,
 ) -> list[HarnackReport]:
-    """One report per ``(radius, earlier (t_lo, t_hi, ball), later (...))``.
+    """One report per ``(radius, earlier cylinder, later cylinder)``.
 
     The cylinders are walked once: their distinct nodes (one per
     :func:`node_key`, in first-ask order) go to ``u_nodes`` in a single call.
@@ -150,9 +149,9 @@ def _reports(
     """
     nodes: dict = {}
 
-    def walk(cyl) -> list[tuple]:
+    def walk(cyl: SpaceTimeCylinder) -> list[tuple]:
         keys = []
-        for t, p in _cylinder_nodes(*cyl, lattice):
+        for t, p in _cylinder_nodes(cyl, lattice):
             key = node_key(t, p)
             nodes.setdefault(key, (t, p))
             keys.append(key)
@@ -168,7 +167,7 @@ def _reports(
         unbounded = inf_v <= floor
         out.append(HarnackReport(
             sup_v, sup_se, inf_v, inf_se, math.inf if unbounded else sup_v / inf_v,
-            radius, sup_cyl[:2], inf_cyl[:2], lattice,
+            radius, (sup_cyl.t_lo, sup_cyl.t_hi), (inf_cyl.t_lo, inf_cyl.t_hi), lattice,
             flag="unbounded-at-this-resolution" if unbounded else "",
         ))
     return out
@@ -190,10 +189,11 @@ def harnack_ratio(
     Carlo noise floor the ratio is reported as infinite with an explanatory
     flag.
     """
-    sup_cyl = ParabolicCylinder(t0 - 2.0 * r * r, z0, r)
-    inf_cyl = ParabolicCylinder(t0, z0, r)
-    pair = (r, (*sup_cyl.time_interval, sup_cyl.ball), (*inf_cyl.time_interval, inf_cyl.ball))
-    return _reports(u_nodes, [pair], lattice, noise_floor)[0]
+    ball = MetricBall(z0, r)
+    t_end = t0 - 2.0 * r * r
+    sup_cyl = SpaceTimeCylinder(t_end - r**2, t_end, ball)
+    inf_cyl = SpaceTimeCylinder(t0 - r**2, t0, ball)
+    return _reports(u_nodes, [(r, sup_cyl, inf_cyl)], lattice, noise_floor)[0]
 
 
 def scale_invariant_scan(
@@ -217,11 +217,7 @@ def scale_invariant_scan(
     for rho in rho_list:
         if not (0.0 < rho < c * R):
             raise ValueError(f"probe radius {rho} outside (0, cR) = (0, {c * R})")
-        q_minus, q_plus = cylinder_sets(s, z, rho, c, d)
-        pairs.append((
-            rho, (q_minus.t_lo, q_minus.t_hi, q_minus.ball),
-            (q_plus.t_lo, q_plus.t_hi, q_plus.ball),
-        ))
+        pairs.append((rho, *cylinder_sets(s, z, rho, c, d)))
     return _reports(u_nodes, pairs, lattice, noise_floor)
 
 
@@ -275,14 +271,13 @@ def chain_count(rho: float, r: float) -> int:
     return k
 
 
-def chain_count_bound(rho: float, r: float, slack: float = 1.0) -> float:
-    """Logarithmic upper bound ``ln(r / (r - rho)) / ln 2 + slack``.
+def chain_count_bound(rho: float, r: float) -> float:
+    """Logarithmic upper bound ``ln(r / (r - rho)) / ln 2 + 1``.
 
-    ``slack = 1`` suffices: the first chain condition alone forces
-    ``k >= log2(r / (r - rho))`` and one extra halving step always covers the
-    second.
+    The first chain condition alone forces ``k >= log2(r / (r - rho))``, and
+    one extra halving step always covers the second.
     """
-    return math.log(r / (r - rho)) / math.log(2.0) + slack
+    return math.log(r / (r - rho)) / math.log(2.0) + 1.0
 
 
 def memoize_estimator(fn: Callable[[float, Point], "object"]):

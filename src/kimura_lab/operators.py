@@ -63,6 +63,15 @@ __all__ = [
 ]
 
 
+# assumption checks: comparison tolerance, and the random unit directions
+# sampled against the form's exact eigenvalue range
+VALIDATION_TOL = 1e-8
+VALIDATION_DIRECTIONS = 128
+VALIDATION_SEED = 0
+# a lattice node with x_i at most this far from 0 lies on the face x_i = 0
+FACE_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class AssumptionConstants:
     """Ellipticity floor ``delta``, uniform bound ``K``, boundary-weight floor."""
@@ -492,9 +501,6 @@ def validate_assumptions(
     op,
     grid: np.ndarray,
     constants: AssumptionConstants | None = None,
-    n_directions: int = 128,
-    seed: int = 0,
-    tol: float = 1e-8,
 ) -> ValidationReport:
     """Empirical check of the coefficient assumptions on a sample grid.
 
@@ -522,23 +528,23 @@ def validate_assumptions(
     for name, block in sym_blocks:
         vals = block.evaluate_batch(states)
         asym = float(np.abs(vals - np.swapaxes(vals, -1, -2)).max(initial=0.0))
-        checks.append(
-            CheckResult(f"symmetry:{name}", asym <= tol, f"max asymmetry {asym:.3g}")
-        )
+        checks.append(CheckResult(
+            f"symmetry:{name}", asym <= VALIDATION_TOL, f"max asymmetry {asym:.3g}"
+        ))
 
     G = _form_matrix(op, states)
     eigs = np.linalg.eigvalsh(G)
     form_min = float(eigs[:, 0].min())
     form_max = float(eigs[:, -1].max())
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    dirs = rng.standard_normal((n_directions, op.dims.total))
+    rng = np.random.Generator(np.random.Philox(key=VALIDATION_SEED))
+    dirs = rng.standard_normal((VALIDATION_DIRECTIONS, op.dims.total))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     vals = np.einsum("kd,nde,ke->nk", dirs, G, dirs)
     dir_min, dir_max = float(vals.min()), float(vals.max())
     checks.append(
         CheckResult(
             "ellipticity:eigen-vs-directions",
-            dir_min >= form_min - tol and dir_max <= form_max + tol,
+            dir_min >= form_min - VALIDATION_TOL and dir_max <= form_max + VALIDATION_TOL,
             f"eig range [{form_min:.4g}, {form_max:.4g}], "
             f"sampled [{dir_min:.4g}, {dir_max:.4g}]",
         )
@@ -591,7 +597,7 @@ def validate_assumptions(
         checks.append(
             CheckResult(
                 "flat-away-from-unit-cell",
-                worst <= tol and worst_b <= tol,
+                worst <= VALIDATION_TOL and worst_b <= VALIDATION_TOL,
                 f"max coefficient deviation {worst:.3g}, drift-weight deviation "
                 f"{worst_b:.3g} on {int(away.sum())} grid points",
             )
@@ -634,10 +640,10 @@ def validate_assumptions(
         checks.append(
             CheckResult(
                 "declared-constants",
-                form_min >= constants.delta - tol
-                and form_max <= constants.K + tol
-                and K_b <= constants.K + tol
-                and (n == 0 or b_floor >= constants.b_bar - tol),
+                form_min >= constants.delta - VALIDATION_TOL
+                and form_max <= constants.K + VALIDATION_TOL
+                and K_b <= constants.K + VALIDATION_TOL
+                and (n == 0 or b_floor >= constants.b_bar - VALIDATION_TOL),
                 f"delta_hat={form_min:.4g} vs delta={constants.delta}, "
                 f"K_hat={max(form_max, K_b):.4g} vs K={constants.K}, "
                 f"b_floor={b_floor if n else float('inf'):.4g} vs b_bar={constants.b_bar}",
@@ -710,7 +716,6 @@ def derive_singular_from_standard(
     std: StandardOperatorSpec,
     lattice_box: Sequence[tuple[float, float]] | None = None,
     lattice_spacing: float = 1.0 / 64.0,
-    tol: float = 1e-10,
 ) -> SingularOperatorSpec:
     """Translate a standard spec into the divergence-compatible form.
 
@@ -779,7 +784,7 @@ def derive_singular_from_standard(
     ]
     if std.constants is not None:
         for i in range(n):
-            on_face = states[:, i] <= tol
+            on_face = states[:, i] <= FACE_TOL
             if on_face.any():
                 floor = float(b_nodes[on_face, i].min())
                 if floor < std.constants.b_bar - 1e-9:

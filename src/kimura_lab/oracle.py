@@ -167,20 +167,15 @@ def sample_exact(
 # ---------------------------------------------------------------------------
 
 
-def gaussian_reference(n_dims: int, t: float, z0, z, variance_per_t: float = 1.0):
-    """Heat kernel ``(2 pi v t)^(-n/2) exp(-|z - z0|^2 / (2 v t))``.
-
-    ``variance_per_t`` rescales the per-unit-time variance (the flat free-axis
-    model with unit coefficient has variance rate 2).
-    """
+def gaussian_reference(n_dims: int, t: float, z0, z):
+    """Unit-variance heat kernel ``(2 pi t)^(-n/2) exp(-|z - z0|^2 / (2 t))``."""
     z0 = np.asarray(z0, dtype=float)
     z = np.asarray(z, dtype=float)
-    v = variance_per_t * t
     sq = np.sum((z - z0) ** 2, axis=-1) if z.ndim > 1 or n_dims > 1 else (z - z0) ** 2
     sq = np.asarray(sq, dtype=float)
     if z.ndim == 1 and n_dims > 1:
         sq = float(np.sum((z - z0) ** 2))
-    return (2.0 * math.pi * v) ** (-n_dims / 2.0) * np.exp(-sq / (2.0 * v))
+    return (2.0 * math.pi * t) ** (-n_dims / 2.0) * np.exp(-sq / (2.0 * t))
 
 
 def lq_closed_form(q: float, t: float, n_dims: int) -> float:
@@ -220,21 +215,14 @@ class Grid1dSolver:
     ``(1/(4 w)) d/du (w dv/du)`` with ``w(u) = u^(2 b(u^2) - 1)``, which the
     scheme discretizes in flux form with interface coefficients that are exact
     on power-law steady states.  The origin is a natural (zero-flux) boundary;
-    the outer edge is absorbing by default.
+    the outer edge is absorbing.
     """
 
-    def __init__(
-        self,
-        length: float,
-        n_cells: int,
-        b_field: Callable | float = 1.0,
-        dirichlet_outer: bool = True,
-    ):
+    def __init__(self, length: float, n_cells: int, b_field: Callable | float = 1.0):
         if length <= 0.0 or n_cells < 4:
             raise ValueError("need positive length and at least 4 cells")
         self.length = float(length)
         self.n_cells = int(n_cells)
-        self.dirichlet_outer = bool(dirichlet_outer)
         if callable(b_field):
             self.b_of_x = b_field
         else:
@@ -258,10 +246,9 @@ class Grid1dSolver:
             self.kappa[j] = 1.0 / self._resistance(
                 self.u_centers[j - 1], self.u_centers[j], self.u_edges[j]
             )
-        if self.dirichlet_outer:
-            self.kappa[self.n_cells] = 1.0 / self._resistance(
-                self.u_centers[-1], self.u_edges[-1], self.u_edges[-1]
-            )
+        self.kappa[self.n_cells] = 1.0 / self._resistance(
+            self.u_centers[-1], self.u_edges[-1], self.u_edges[-1]
+        )
         self._matrix = self._assemble()
 
     def _resistance(self, u_lo: float, u_hi: float, u_if: float) -> float:

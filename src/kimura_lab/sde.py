@@ -27,8 +27,6 @@ from .operators import (
     StandardOperatorSpec,
     drift_g_parts,
     drift_identity_e,
-    drift_identity_f,
-    drift_identity_g,
 )
 
 __all__ = [
@@ -38,20 +36,21 @@ __all__ = [
     "StepPlan",
     "build_sde_coefficients",
     "build_standard_sde_coefficients",
-    "dispersion_sqrt",
     "dispersion_sqrt_batch",
     "girsanov_theta",
     "make_girsanov_field",
 ]
 
 EIGENVALUE_CLIP = 1e-12
+THETA_RESIDUAL_TOL = 1e-10
 
 
-def dispersion_sqrt_batch(D: np.ndarray, clip: float = EIGENVALUE_CLIP) -> np.ndarray:
-    """Symmetric PSD square root of a batch of symmetric matrices.
+def dispersion_sqrt_batch(D: np.ndarray) -> np.ndarray:
+    """Symmetric PSD square root of one symmetric matrix or a batch of them.
 
-    Eigenvalues in ``[-clip, 0)`` are treated as roundoff and clipped to 0;
-    anything more negative raises :class:`EllipticityViolationError`.
+    Eigenvalues in ``[-EIGENVALUE_CLIP, 0)`` (relative to the largest entry)
+    are treated as roundoff and clipped to 0; anything more negative raises
+    :class:`EllipticityViolationError`.
     Flipping an eigenvector's sign negates both factors of each of its terms
     in ``(V sqrt(w)) V*``, which leaves the root unchanged bit for bit, so
     identical input bytes give identical output bytes.
@@ -67,7 +66,7 @@ def dispersion_sqrt_batch(D: np.ndarray, clip: float = EIGENVALUE_CLIP) -> np.nd
     if asym > 1e-10 * max(scale, 1.0):
         raise InvalidMatrixError(f"matrix is not symmetric (max asymmetry {asym:.3g})")
     w, V = np.linalg.eigh(0.5 * (D + np.swapaxes(D, -1, -2)))
-    if float(w.min(initial=0.0)) < -clip * max(scale, 1.0):
+    if float(w.min(initial=0.0)) < -EIGENVALUE_CLIP * max(scale, 1.0):
         bad = float(w.min())
         raise EllipticityViolationError(
             f"matrix has negative eigenvalue {bad:.6g} beyond the roundoff clip"
@@ -76,11 +75,6 @@ def dispersion_sqrt_batch(D: np.ndarray, clip: float = EIGENVALUE_CLIP) -> np.nd
     root = (V * np.sqrt(w)[..., None, :]) @ np.swapaxes(V, -1, -2)
     root = 0.5 * (root + np.swapaxes(root, -1, -2))
     return root[0] if single else root
-
-
-def dispersion_sqrt(D: np.ndarray, clip: float = EIGENVALUE_CLIP) -> np.ndarray:
-    """Symmetric PSD square root of one matrix; see the batch form."""
-    return dispersion_sqrt_batch(np.asarray(D, dtype=float), clip=clip)
 
 
 @dataclass(frozen=True)
@@ -109,19 +103,15 @@ class _Coefficients:
     source: object
     plan: StepPlan
 
-    def D_batch(self, states: np.ndarray) -> np.ndarray:
-        """Diffusion matrix ``D`` with ``sigma sigma* = D``."""
-        return self.source.diffusion_matrix(states)
-
     def drift_batch(
         self, states: np.ndarray, log_clamp_eps: float = 1e-12, log_sum: np.ndarray | None = None
     ) -> np.ndarray:
         """Full drift vector: the step plan's fold when the model has one,
         otherwise the source operator's ``drift`` with ``ln max(x, eps)``.
 
-        ``log_sum`` passes in a ``log_drift_batch`` result the caller already
-        has for these states.  A folded model has constant fields, so no log
-        drift.
+        ``log_sum`` passes in the source's ``log_drift`` for these states
+        when the caller already has it.  A folded model has constant fields,
+        so no log drift.
         """
         states = np.asarray(states, dtype=float)
         plan = self.plan
@@ -138,11 +128,7 @@ class _Coefficients:
         states = np.asarray(states, dtype=float)
         if self.plan.sigma is not None:
             return np.broadcast_to(self.plan.sigma, states.shape[:-1] + self.plan.sigma.shape)
-        return dispersion_sqrt_batch(self.D_batch(states))
-
-    def alpha_batch(self, states: np.ndarray) -> np.ndarray:
-        """Increment covariance ``alpha = S D S`` with ``S = diag(sqrt(x), 1)``."""
-        return self.source.increment_covariance(states)
+        return dispersion_sqrt_batch(self.source.diffusion_matrix(states))
 
     def noise_batch(self, states: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """``sigma(z) xi`` per state for a block of standard normals ``xi``."""
@@ -164,36 +150,6 @@ class SdeCoefficients(_Coefficients):
     drift_batch = _Coefficients.drift_batch
     sigma_batch = _Coefficients.sigma_batch
 
-    def log_drift_batch(
-        self, states: np.ndarray, log_clamp_eps: float = 1e-12
-    ) -> np.ndarray | None:
-        """The source operator's ``log_drift``: ``sum_j f_rj ln max(x_j, eps)``
-        for every row ``r``, None when ``b`` is constant."""
-        return self.source.log_drift(states, log_clamp_eps)
-
-    # -- single-point conveniences ---------------------------------------------
-
-    def g(self, z: Point) -> np.ndarray:
-        return drift_identity_g(self.source, z.vector[None, :])[0]
-
-    def e(self, z: Point) -> np.ndarray:
-        return drift_identity_e(self.source, z.vector[None, :])[0]
-
-    def f(self, z: Point) -> np.ndarray:
-        return drift_identity_f(self.source, z.vector[None, :])[0]
-
-    def D(self, z: Point) -> np.ndarray:
-        return self.D_batch(z.vector[None, :])[0]
-
-    def sigma(self, z: Point) -> np.ndarray:
-        return self.sigma_batch(z.vector[None, :])[0]
-
-    def alpha(self, z: Point) -> np.ndarray:
-        return self.alpha_batch(z.vector[None, :])[0]
-
-    def drift(self, z: Point, log_clamp_eps: float = 1e-12) -> np.ndarray:
-        return self.drift_batch(z.vector[None, :], log_clamp_eps)[0]
-
 
 @dataclass(frozen=True)
 class StandardSdeCoefficients(_Coefficients):
@@ -204,15 +160,13 @@ class StandardSdeCoefficients(_Coefficients):
     drift_batch = _Coefficients.drift_batch
     sigma_batch = _Coefficients.sigma_batch
 
-    def D_hat(self, z: Point) -> np.ndarray:
-        return self.D_batch(z.vector[None, :])[0]
-
 
 def _with_dispersion(coeffs: _Coefficients, constant_D: bool) -> _Coefficients:
     """Attach sigma, computed once, when ``D`` has no state dependence."""
     if not constant_D:
         return coeffs
-    sigma = dispersion_sqrt(coeffs.D_batch(np.ones((1, coeffs.dims.total)))[0])
+    probe = np.ones((1, coeffs.dims.total))
+    sigma = dispersion_sqrt_batch(coeffs.source.diffusion_matrix(probe)[0])
     diag = np.diag(sigma).copy()
     diag = diag if np.array_equal(sigma, np.diag(diag)) else None
     return replace(coeffs, plan=replace(coeffs.plan, sigma=sigma, sigma_diag=diag))
@@ -256,7 +210,7 @@ def _theta_rhs(
     n, m = sing.dims.n, sing.dims.m
     states = np.asarray(states, dtype=float)
     if log_sum is None:
-        log_sum = sing.log_drift_batch(states, log_clamp_eps)
+        log_sum = sing.source.log_drift(states, log_clamp_eps)
     rhs = np.zeros(states.shape[:-1] + (n + m,))
     if log_sum is not None:
         # Degenerate rows: g = b^ by derivation, so the drift gap is
@@ -274,7 +228,6 @@ def girsanov_theta(
     std: StandardSdeCoefficients,
     sing: SdeCoefficients,
     z: Point,
-    residual_tol: float = 1e-10,
 ) -> np.ndarray:
     """Drift-change vector at one interior point.
 
@@ -297,7 +250,7 @@ def girsanov_theta(
     except np.linalg.LinAlgError as exc:
         raise EllipticityViolationError(f"standard dispersion is singular: {exc}")
     resid = float(np.abs(sig @ theta - rhs).max(initial=0.0))
-    if resid > residual_tol * max(1.0, float(np.abs(rhs).max(initial=1.0))):
+    if resid > THETA_RESIDUAL_TOL * max(1.0, float(np.abs(rhs).max(initial=1.0))):
         raise EllipticityViolationError(
             f"theta solve residual {resid:.3g} exceeds tolerance"
         )
@@ -329,7 +282,7 @@ class GirsanovField:
         log_sum: np.ndarray | None = None,
     ) -> np.ndarray:
         """Drift change per state; ``log_sum`` passes in the divergence side's
-        ``log_drift_batch`` result when the caller already has it."""
+        ``log_drift`` for these states when the caller already has it."""
         states = np.asarray(states, dtype=float)
         rhs = _theta_rhs(self.std, self.sing, states, log_clamp_eps, log_sum)
         if self.divisor is not None:
@@ -339,9 +292,6 @@ class GirsanovField:
             return np.linalg.solve(sig, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise EllipticityViolationError(f"standard dispersion is singular: {exc}")
-
-    def theta(self, z: Point, log_clamp_eps: float = 1e-12) -> np.ndarray:
-        return self.theta_batch(z.vector[None, :], log_clamp_eps)[0]
 
 
 def make_girsanov_field(

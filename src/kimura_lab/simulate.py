@@ -52,7 +52,6 @@ __all__ = [
     "PathBundle",
     "simulate_bundle",
     "step_singular",
-    "step_standard",
     "config_fingerprint",
     "bundle_to_csv",
     "bundle_to_kimb",
@@ -261,7 +260,7 @@ class _ExactGammaParams:
         if dims.n != 1 or dims.m != 0:
             raise ValueError("exact-1d-gamma needs n=1, m=0")
         probes = np.array([[0.1], [0.7], [1.9]])
-        D = coeffs.D_batch(probes)[:, 0, 0]
+        D = coeffs.source.diffusion_matrix(probes)[:, 0, 0]
         drift = coeffs.drift_batch(probes, 0.5)
         if np.ptp(D) > 1e-12 or np.ptp(drift[:, 0]) > 1e-12:
             raise ValueError(
@@ -305,7 +304,7 @@ def _advance_block(
         drift = coeffs.drift_batch(states, eps)
     else:
         # theta.sing is coeffs: f . ln x serves the drift and theta
-        log_sum = coeffs.log_drift_batch(states, eps)
+        log_sum = coeffs.source.log_drift(states, eps)
         drift = coeffs.drift_batch(states, eps, log_sum)
         th = theta.theta_batch(states, eps, log_sum)
     noise = coeffs.noise_batch(states, xi)
@@ -317,7 +316,7 @@ def _advance_block(
     new = states + drift * dt
     if config.scheme == "euler-implicit-sqrt":
         # drift-implicit in the sqrt chart on x-rows
-        D = coeffs.D_batch(states)
+        D = coeffs.source.diffusion_matrix(states)
         for i in range(n):
             y = np.sqrt(np.maximum(states[:, i], 0.0))
             B = y + 0.5 * noise[:, i] * sqdt
@@ -504,8 +503,8 @@ def step_singular(
     """One explicit scheme step from ``z`` with given standard normals.
 
     This is the block step of :func:`simulate_bundle` on a single path, for
-    either equation (``step_standard`` is the same function); the exact
-    scheme, which draws no normals, steps as projected Euler here.
+    either equation; the exact scheme, which draws no normals, steps as
+    projected Euler here.
     """
     dims = coeffs.dims
     if config is None:
@@ -517,9 +516,6 @@ def step_singular(
         raise DimensionMismatchError(f"need {dims.total} normals, got {xi.shape}")
     new, _, _ = _advance_block(coeffs, None, config, z.vector[None, :], xi[None, :], 1)
     return Point.from_vector(dims, new[0])
-
-
-step_standard = step_singular
 
 
 # ---------------------------------------------------------------------------

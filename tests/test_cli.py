@@ -30,6 +30,14 @@ DENSITY_DOC = {
     "measure": "operator",
     "sim": {"dt": 0.005, "n_paths": 4000, "horizon": 0.5},
 }
+SIMULATE_DOC = {
+    "command": "simulate",
+    "seed": 3,
+    "model": MODEL_HALF,
+    "z0": [0.0],
+    "sim": {"dt": 0.01, "n_paths": 200, "horizon": 1.0},
+}
+MISSING = object()  # a parameter value that deletes the key instead
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -218,15 +226,48 @@ def test_unknown_scheme_is_config_error(tmp_path, capsys, name):
     ("fk", ("t_cut",), "x"),
     ("harnack_scan.json", ("g",), {"family": "bogus"}),
     ("harnack_scan.json", ("domain", "box"), [["a", 4.0]]),
+    # a payoff index outside the state
+    ("harnack_scan.json", ("g",), {"coordinate": 5}),
+    ("fk", ("f",), {"exp-neg": 3}),
+    # a section of the wrong JSON type
+    ("harnack_scan.json", ("lattice",), [3, 5]),
+    ("harnack_scan.json", ("sim",), [1, 2]),
+    # a missing nested key
+    ("harnack_scan.json", ("model", "dims"), MISSING),
+    ("harnack_scan.json", ("g",), {"family": "trig", "axis": 0, "frequency": 1.0}),
+    ("harnack_scan.json", ("domain", "shape"), "ball"),
+    # field JSON that does not fit the state
+    ("harnack_scan.json", ("g",), {"family": "affine", "coeffs": [0.25, 1.0]}),
+    ("harnack_scan.json", ("g",),
+     {"family": "trig", "amplitude": 0.1, "axis": 3, "frequency": 1.0}),
+    # times off the sim.dt grid
+    ("simulate", ("sim", "dt"), 0.003),
+    ("density", ("t",), 0.2525),
+    # a start outside the state, a payoff of no known form, an unknown variant
+    ("fk", ("z0",), [-1.0]),
+    ("fk", ("f",), [1, 2]),
+    ("fk", ("variant",), "bogus"),
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, name, path, value):
-    docs = {"density": DENSITY_DOC, "fk": FK_DOC}
+    docs = {"density": DENSITY_DOC, "fk": FK_DOC, "simulate": SIMULATE_DOC}
     doc = json.loads(json.dumps(docs[name] if name in docs else load_config(name)))
     node = doc
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    if value is MISSING:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
     assert_config_error(tmp_path, capsys, doc)
+
+
+def test_bad_thread_variable_is_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("KIMURA_LAB_THREADS", "abc")
+    assert_config_error(tmp_path, capsys, FK_DOC)
+
+
+def test_config_that_is_not_an_object_is_config_error(tmp_path, capsys):
+    assert_config_error(tmp_path, capsys, [FK_DOC])
 
 
 def test_girsanov_time_off_the_grid_is_config_error(tmp_path, capsys):

@@ -16,7 +16,6 @@ from kimura_lab.fields import TestFunction
 from kimura_lab.geometry import (
     DomainSpec,
     MetricBall,
-    ParabolicCylinder,
     Point,
     QuadratureConfig,
     StateSpaceDims,
@@ -267,10 +266,6 @@ class TestWeightedMeasure:
 
 
 class TestCylinders:
-    def test_parabolic_cylinder_time_interval(self):
-        q = ParabolicCylinder(1.0, p1(0.5), 0.4)
-        assert q.time_interval == pytest.approx((1.0 - 0.16, 1.0))
-
     def test_rejects_small_d(self):
         # alpha = 8/(3 * 0.81) = 3.2922 <= beta = 3.5
         with pytest.raises(InvalidHarnackParametersError):

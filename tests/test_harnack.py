@@ -83,6 +83,13 @@ class TestRatioProbes:
         assert rep.ratio == 1.0
         assert rep.flag == ""
 
+    def test_time_windows_end_at_t0_and_two_r_squared_before(self):
+        t0, r = 1.0, 0.4
+        t_end = 1.0 - 2.0 * 0.4 * 0.4
+        doc = harnack_ratio(exact_estimator(lambda t, z: 1.0), t0, Point((0.5,), ()), r).to_json()
+        assert doc["sup_time_window"] == [t_end - 0.16, t_end]
+        assert doc["inf_time_window"] == [1.0 - 0.16, 1.0]
+
     def test_flat_kernel_solution_finite_ratio(self):
         # caloric function for the unit-variance flat model
         dims = StateSpaceDims(0, 1)
@@ -217,7 +224,7 @@ class TestRatioProbes:
         first = []  # position of each cylinder's first node among the distinct ones
         for rho in rhos:
             for cyl in cylinder_sets(s, z, rho, c, d):
-                cyl_nodes = list(_cylinder_nodes(cyl.t_lo, cyl.t_hi, cyl.ball, lattice))
+                cyl_nodes = list(_cylinder_nodes(cyl, lattice))
                 for t, p in cyl_nodes:
                     expected.setdefault(node_key(t, p), (t, p))
                 first.append(list(expected).index(node_key(*cyl_nodes[0])))

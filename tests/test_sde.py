@@ -24,7 +24,6 @@ from kimura_lab.sde import (
     StandardSdeCoefficients,
     build_sde_coefficients,
     build_standard_sde_coefficients,
-    dispersion_sqrt,
     dispersion_sqrt_batch,
     girsanov_theta,
     make_girsanov_field,
@@ -48,29 +47,28 @@ def make_sing_coupled(gamma=0.3):
 class TestCoefficientAssembly:
     def test_constant_1d_reduction(self):
         coeffs = build_sde_coefficients(make_sing_1d(b0=0.5))
-        z = Point((0.7,), ())
-        assert coeffs.D(z) == pytest.approx(np.array([[2.0]]))
-        assert coeffs.sigma(z) == pytest.approx(np.array([[math.sqrt(2.0)]]))
-        assert coeffs.g(z) == pytest.approx([0.5])
-        assert np.all(coeffs.f(z) == 0.0)
-        assert coeffs.drift(z) == pytest.approx([0.5])
+        z = np.array([[0.7]])
+        assert coeffs.source.diffusion_matrix(z)[0] == pytest.approx(np.array([[2.0]]))
+        assert coeffs.sigma_batch(z)[0] == pytest.approx(np.array([[math.sqrt(2.0)]]))
+        assert drift_identity_g(coeffs.source, z)[0] == pytest.approx([0.5])
+        assert np.all(drift_identity_f(coeffs.source, z)[0] == 0.0)
+        assert coeffs.drift_batch(z)[0] == pytest.approx([0.5])
         assert coeffs.plan.sigma is not None
 
     def test_affine_weight_log_drift(self):
         eps = 0.1
         coeffs = build_sde_coefficients(make_sing_1d(b0=1.0, slope=eps))
         x = 0.5
-        z = Point((x,), ())
-        assert coeffs.f(z)[0, 0] == pytest.approx(eps, abs=1e-9)
+        z = np.array([[x]])
+        assert drift_identity_f(coeffs.source, z)[0, 0, 0] == pytest.approx(eps, abs=1e-9)
         expected = (1.0 + eps * x) + x * eps * math.log(x)
-        assert coeffs.drift(z)[0] == pytest.approx(expected, rel=1e-9)
+        assert coeffs.drift_batch(z)[0, 0] == pytest.approx(expected, rel=1e-9)
 
     def test_cross_coupling_block(self):
         gamma = 0.3
         coeffs = build_sde_coefficients(make_sing_coupled(gamma))
         x = 0.49
-        z = Point((x,), (0.0,))
-        D = coeffs.D(z)
+        D = coeffs.source.diffusion_matrix(np.array([[x, 0.0]]))[0]
         assert D[0, 0] == pytest.approx(2.0)
         assert D[1, 1] == pytest.approx(2.0)
         assert D[0, 1] == pytest.approx(2.0 * math.sqrt(x) * gamma)
@@ -82,14 +80,14 @@ class TestCoefficientAssembly:
     def test_indefinite_matrix_rejected(self):
         D = np.array([[2.0, 3.0], [3.0, 2.0]])  # eigenvalues 5, -1
         with pytest.raises(EllipticityViolationError):
-            dispersion_sqrt(D)
+            dispersion_sqrt_batch(D)
 
     def test_alpha_is_scaled_diffusion(self):
         coeffs = build_sde_coefficients(make_sing_coupled(0.3))
         x = 0.81
-        z = Point((x,), (0.5,))
-        alpha = coeffs.alpha(z)
-        D = coeffs.D(z)
+        z = np.array([[x, 0.5]])
+        alpha = coeffs.source.increment_covariance(z)[0]
+        D = coeffs.source.diffusion_matrix(z)[0]
         assert alpha[0, 0] == pytest.approx(x * D[0, 0])
         assert alpha[0, 1] == pytest.approx(math.sqrt(x) * D[0, 1])
         assert alpha[1, 1] == pytest.approx(D[1, 1])
@@ -97,7 +95,7 @@ class TestCoefficientAssembly:
     def test_alpha_matches_empirical_increment_covariance(self):
         coeffs = build_sde_coefficients(make_sing_coupled(0.3))
         z = np.array([1.0, 0.0])
-        alpha = coeffs.alpha_batch(z[None, :])[0]
+        alpha = coeffs.source.increment_covariance(z[None, :])[0]
         rng = np.random.Generator(np.random.Philox(key=31))
         n = 400_000
         errs = []
@@ -151,7 +149,7 @@ def _quadratic_testfn(total):
 
 def _sde_generator(coeffs, u, states):
     """``1/2 tr(alpha H) + drift . grad u`` of the simulated equation."""
-    alpha = coeffs.alpha_batch(states)
+    alpha = coeffs.source.increment_covariance(states)
     return 0.5 * np.einsum("pij,pij->p", alpha, u.hessian(states)) + np.einsum(
         "pi,pi->p", coeffs.drift_batch(states), u.gradient(states)
     )
@@ -179,17 +177,17 @@ def test_sde_generators_match_operators_with_couplings(name):
         _sde_generator(sing_coeffs, u, states), apply_singular_batch(sing, u, states), rtol=1e-12
     )
     np.testing.assert_allclose(
-        sing_coeffs.D_batch(states), std_coeffs.D_batch(states), rtol=1e-12
+        sing.diffusion_matrix(states), std.diffusion_matrix(states), rtol=1e-12
     )
 
 
 class TestDispersionSqrt:
     def test_diagonal(self):
-        out = dispersion_sqrt(np.diag([2.0, 2.0]))
+        out = dispersion_sqrt_batch(np.diag([2.0, 2.0]))
         assert out == pytest.approx(np.diag([math.sqrt(2.0)] * 2))
 
     def test_two_by_two_closed_form(self):
-        out = dispersion_sqrt(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        out = dispersion_sqrt_batch(np.array([[2.0, 1.0], [1.0, 2.0]]))
         s3 = math.sqrt(3.0)
         expected = np.array(
             [[(s3 + 1) / 2, (s3 - 1) / 2], [(s3 - 1) / 2, (s3 + 1) / 2]]
@@ -197,11 +195,11 @@ class TestDispersionSqrt:
         assert out == pytest.approx(expected)
 
     def test_zero_matrix(self):
-        assert np.all(dispersion_sqrt(np.zeros((3, 3))) == 0.0)
+        assert np.all(dispersion_sqrt_batch(np.zeros((3, 3))) == 0.0)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(InvalidMatrixError):
-            dispersion_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]))
+            dispersion_sqrt_batch(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_reconstruction_on_random_psd(self):
         rng = np.random.Generator(np.random.Philox(key=32))
@@ -209,15 +207,15 @@ class TestDispersionSqrt:
             k = int(rng.integers(1, 5))
             A = rng.standard_normal((k, k))
             D = A @ A.T
-            root = dispersion_sqrt(D)
+            root = dispersion_sqrt_batch(D)
             err = np.abs(root @ root.T - D).max()
             assert err <= 1e-12 * max(np.abs(D).max(), 1.0)
             assert np.allclose(root, root.T)
 
     def test_deterministic_bytes(self):
         D = np.array([[2.0, 0.7], [0.7, 1.1]])
-        a = dispersion_sqrt(D)
-        b = dispersion_sqrt(D.copy())
+        a = dispersion_sqrt_batch(D)
+        b = dispersion_sqrt_batch(D.copy())
         assert a.tobytes() == b.tobytes()
 
     def test_batch_matches_single(self):
@@ -226,11 +224,11 @@ class TestDispersionSqrt:
         Ds = np.einsum("bij,bkj->bik", A, A)
         batch = dispersion_sqrt_batch(Ds)
         for i in range(4):
-            assert batch[i] == pytest.approx(dispersion_sqrt(Ds[i]))
+            assert batch[i] == pytest.approx(dispersion_sqrt_batch(Ds[i]))
 
     def test_roundoff_negative_clipped(self):
         D = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-14]])
-        root = dispersion_sqrt(D)
+        root = dispersion_sqrt_batch(D)
         assert np.all(np.isfinite(root))
 
 
@@ -239,9 +237,9 @@ class TestStandardSide:
         std = make_std_1d(b0=0.5, a_hat=0.3)
         coeffs = build_standard_sde_coefficients(std)
         x = 0.6
-        z = Point((x,), ())
-        assert coeffs.D_hat(z)[0, 0] == pytest.approx(2.0 * (1.0 + 0.3 * x))
-        assert coeffs.drift_batch(z.vector[None, :])[0, 0] == pytest.approx(0.5)
+        z = np.array([[x]])
+        assert coeffs.source.diffusion_matrix(z)[0, 0, 0] == pytest.approx(2.0 * (1.0 + 0.3 * x))
+        assert coeffs.drift_batch(z)[0, 0] == pytest.approx(0.5)
 
     def test_constant_dispersion_detected(self):
         coeffs = build_standard_sde_coefficients(make_std_1d(b0=0.5))
@@ -357,7 +355,7 @@ def _unfolded_drift(op, states, eps):
 
 
 def _unfolded_noise(coeffs, states, xi):
-    sigma = dispersion_sqrt_batch(coeffs.D_batch(states))
+    sigma = dispersion_sqrt_batch(coeffs.source.diffusion_matrix(states))
     return np.einsum("pij,pj->pi", sigma, xi)
 
 
@@ -370,7 +368,7 @@ def _unfolded_theta(std_op, sing_op, states, eps):
         drift_identity_e(sing_op, states) + log_sum[:, n:]
         - std_op.e_hat.evaluate_batch(states)
     )
-    sig = dispersion_sqrt_batch(build_standard_sde_coefficients(std_op).D_batch(states))
+    sig = dispersion_sqrt_batch(std_op.diffusion_matrix(states))
     return np.linalg.solve(sig, rhs[..., None])[..., 0]
 
 
@@ -394,7 +392,7 @@ class TestStepPlan:
         coeffs = build_sde_coefficients(operator_from_json(HARNACK_MODEL))
         plan = coeffs.plan
         assert plan.drift.tolist() == [0.5] and plan.drift_slope is None
-        assert coeffs.log_drift_batch(_probe_states(coeffs.dims)) is None
+        assert coeffs.source.log_drift(_probe_states(coeffs.dims), EPS) is None
         _assert_plan_matches_unfolded(coeffs, _probe_states(coeffs.dims))
 
     def test_affine_standard(self):
@@ -413,7 +411,7 @@ class TestStepPlan:
         assert pair.divisor is not None  # theta by division
         expected = _unfolded_theta(std_op, sing_op, states, EPS).tobytes()
         assert pair.theta_batch(states, EPS).tobytes() == expected
-        shared = pair.sing.log_drift_batch(states, EPS)
+        shared = pair.sing.source.log_drift(states, EPS)
         assert shared.tobytes() == _unfolded_log_sum(sing_op, states, EPS).tobytes()
         assert pair.theta_batch(states, EPS, shared).tobytes() == expected
         assert pair.sing.drift_batch(states, EPS, shared).tobytes() == (

@@ -29,7 +29,6 @@ from kimura_lab.simulate import (
     _advance_block,
     simulate_bundle,
     step_singular,
-    step_standard,
 )
 
 DIMS1 = StateSpaceDims(1, 0)
@@ -73,18 +72,18 @@ class TestSingleStep:
     def test_single_step_is_the_block_step_row(self, scheme):
         std_op = make_std_1d(b0=1.0, slope=0.2, a_hat=0.3)  # state-dependent sigma
         cases = [
-            (step_singular, build_sde_coefficients(derive_singular_from_standard(std_op))),
-            (step_singular, build_sde_coefficients(make_sing_1d(b0=0.5))),
-            (step_standard, build_standard_sde_coefficients(std_op)),
+            build_sde_coefficients(derive_singular_from_standard(std_op)),
+            build_sde_coefficients(make_sing_1d(b0=0.5)),
+            build_standard_sde_coefficients(std_op),
         ]
         states = np.array([[0.0], [1e-14], [0.4], [2.5], [6.0]])
         xi = np.array([[0.8], [-1.1], [-2.4], [0.3], [1.7]])
         cfg = PathConfig(dt=1e-2, seed=0, n_paths=5, horizon=1.0, scheme=scheme)
-        for step, coeffs in cases:
+        for coeffs in cases:
             block, _, _ = _advance_block(coeffs, None, cfg, states, xi, 1)
             for row in range(len(states)):
                 z = Point((float(states[row, 0]),), ())
-                out = step(coeffs, z, cfg.dt, xi[row], cfg)
+                out = step_singular(coeffs, z, cfg.dt, xi[row], cfg)
                 assert np.array(out.x).tobytes() == block[row].tobytes()
 
 
@@ -469,7 +468,7 @@ class TestPackedStarts:
     @pytest.mark.parametrize("n_threads", [1, 2])
     def test_log_drift_with_increments_and_every_step_recorded(self, n_threads):
         coeffs = build_sde_coefficients(make_sing_1d(b0=1.0, slope=0.3))
-        assert coeffs.log_drift_batch(np.array([[0.5]])) is not None
+        assert coeffs.source.log_drift(np.array([[0.5]]), 1e-12) is not None
         cfg = PathConfig(dt=5e-3, seed=8, n_paths=700, horizon=0.2, record="all",
                          store_increments=True)
         assert_packed_matches_alone(coeffs, STARTS_1D, BOX04, cfg, n_threads=n_threads)
