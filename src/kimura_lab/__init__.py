@@ -38,7 +38,6 @@ from .sde import (
     build_sde_coefficients,
     build_standard_sde_coefficients,
     dispersion_sqrt_batch,
-    girsanov_theta,
     make_girsanov_field,
 )
 from .simulate import PathBundle, PathConfig, simulate_bundle, step_singular
@@ -73,7 +72,6 @@ __all__ = [
     "build_sde_coefficients",
     "build_standard_sde_coefficients",
     "dispersion_sqrt_batch",
-    "girsanov_theta",
     "make_girsanov_field",
     "PathConfig",
     "PathBundle",

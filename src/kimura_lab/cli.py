@@ -25,11 +25,11 @@ import numpy as np
 from .density import GridSpec, check_mass, estimate_density
 from .errors import ConfigError, KimuraLabError, NumericFailureError
 from .feynman_kac import (
-    LOG_WEIGHT_CAP,
     BoundaryData,
     estimate_dirichlet,
     estimate_dirichlet_nodes,
     estimate_semigroup,
+    weights_from_log,
 )
 from .fields import field_from_json
 from .geometry import DomainSpec, Point, StateSpaceDims
@@ -48,7 +48,13 @@ from .sde import (
     build_standard_sde_coefficients,
     make_girsanov_field,
 )
-from .simulate import PathConfig, bundle_to_csv, bundle_to_kimb, simulate_bundle
+from .simulate import (
+    PathConfig,
+    bundle_to_csv,
+    bundle_to_kimb,
+    grid_steps,
+    simulate_bundle,
+)
 
 COMMANDS = (
     "validate",
@@ -97,15 +103,6 @@ def _checked(ctx: str):
         raise ConfigError(f"{ctx}: {exc}") from exc
     except KeyError as exc:
         raise ConfigError(f"{ctx}: missing key {exc}") from exc
-
-
-def _grid_steps(t: float, dt: float) -> int:
-    """``t / dt`` as a whole number of steps; ValueError when ``t`` is off the
-    ``dt`` grid."""
-    k = int(round(t / dt))
-    if abs(k * dt - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError(f"time {t} is not a multiple of sim.dt = {dt}")
-    return k
 
 
 def _path_config(doc: dict, seed: int) -> PathConfig:
@@ -245,7 +242,7 @@ def _cmd_simulate(doc, seed, out_dir, threads) -> tuple[int, dict]:
     model, variant, coeffs, domain, config = _load_run(doc, seed)
     z0 = _point(doc, "z0", model.dims)
     with _checked("sim"):
-        _grid_steps(config.horizon, config.dt)
+        grid_steps(config.horizon, config.dt)
     bundle = simulate_bundle(coeffs, z0, domain, config, n_threads=threads)
     out = _section(doc, "output")
     bundle_path = os.path.join(out_dir, out.get("bundle", "bundle.kimb"))
@@ -299,8 +296,8 @@ def _cmd_density(doc, seed, out_dir, threads) -> tuple[int, dict]:
             cells_per_axis=int(grid_doc.get("cells", 64)),
         )
         cfg = replace(config, record=(0.0, t), horizon=max(t, config.horizon))
-        _grid_steps(t, cfg.dt)
-        _grid_steps(cfg.horizon, cfg.dt)
+        grid_steps(t, cfg.dt)
+        grid_steps(cfg.horizon, cfg.dt)
     measure = None
     if doc.get("measure", "lebesgue") == "operator":
         sing = coeffs.source
@@ -367,7 +364,7 @@ def _cmd_girsanov(doc, seed, out_dir, threads) -> tuple[int, dict]:
     config = _path_config(doc, seed)
     with _checked("girsanov"):
         t = float(doc.get("t", config.horizon))
-        n_steps = _grid_steps(t, config.dt)
+        n_steps = grid_steps(t, config.dt)
     if n_steps < 1:
         raise ConfigError(f"girsanov: t = {t} must be at least sim.dt = {config.dt}")
     std = build_standard_sde_coefficients(model)
@@ -387,10 +384,7 @@ def _cmd_girsanov(doc, seed, out_dir, threads) -> tuple[int, dict]:
         sing, z0, domain, cfg_sing, theta=theta, n_threads=threads
     )
     f_std = payoff(b_std.states_at(t))
-    logw = b_sing.log_weights[:, -1]
-    if not np.all(np.isfinite(logw)) or float(np.abs(logw).max()) > LOG_WEIGHT_CAP:
-        raise NumericFailureError("drift-change log weight overflowed")
-    w = np.exp(logw)
+    w = weights_from_log(b_sing.log_weights[:, -1])
     f_sing = w * payoff(b_sing.states_at(b_sing.record_times[-1]))
     se = math.hypot(
         float(f_std.std(ddof=1)) / math.sqrt(len(f_std)),
@@ -426,7 +420,7 @@ def _cmd_oracle_compare(doc, seed, out_dir, threads) -> tuple[int, dict]:
             dt=dt, seed=seed, n_paths=n_paths, horizon=t, scheme=scheme,
             record=(0.0, t),
         )
-        _grid_steps(t, dt)
+        grid_steps(t, dt)
 
     std = operator_from_json(
         {"kind": "standard", "dims": {"n": 1, "m": 0}, "b_hat": [b0]}
@@ -515,6 +509,8 @@ def main(argv=None) -> int:
             raise ConfigError("a seed is mandatory (config 'seed' or --seed)")
         with _checked("seed"):
             seed = int(seed)
+            if not 0 <= seed < 2**64:
+                raise ValueError(f"a seed is a U64, got {seed}")
         resolved = dict(doc)
         resolved["seed"] = seed
         chash = _config_hash(resolved)

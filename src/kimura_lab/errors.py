@@ -41,16 +41,16 @@ class NumericFailureError(KimuraLabError):
     """NaN/Inf propagation or overflow detected during a numeric run."""
 
 
+class WeightBlowupError(NumericFailureError):
+    """A change-of-measure log weight is not finite or overflows ``exp``."""
+
+
 class InvalidStartError(KimuraLabError):
     """Simulation start point is outside the domain."""
 
 
 class BoundaryDataGapError(KimuraLabError):
     """Boundary data could not be evaluated at a sampled exit point."""
-
-
-class WeightBlowupError(KimuraLabError):
-    """A change-of-measure weight overflowed the floating-point range."""
 
 
 class InvalidTestFunctionError(KimuraLabError):

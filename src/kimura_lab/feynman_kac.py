@@ -24,7 +24,7 @@ from .fields import TestFunction
 from .geometry import DomainSpec, Point, StateSpaceDims
 from .operators import SingularOperatorSpec, apply_singular_batch
 from .sde import GirsanovField, SdeCoefficients, StandardSdeCoefficients
-from .simulate import PathConfig, config_fingerprint, simulate_bundle
+from .simulate import PathConfig, config_fingerprint, grid_steps, simulate_bundle
 
 __all__ = [
     "Estimate",
@@ -37,6 +37,7 @@ __all__ = [
     "exp_moment_diagnostic",
     "martingale_residual",
     "RunningIntegralObserver",
+    "weights_from_log",
 ]
 
 UNTRUSTED_ESS = 100.0
@@ -123,8 +124,10 @@ class RunningIntegralObserver:
     """Trapezoid accumulation of ``integrand(path_time, state)`` while alive.
 
     The node at the exit step is included (half weight), matching the stopped
-    time integral on the grid.  Snapshots are taken at the requested grid
-    times; blocks write disjoint slices so concurrent execution is safe.
+    time integral on the grid.  The integrand is evaluated once per grid node:
+    a step's start node is the previous step's end node, whose value each
+    path slot keeps.  Snapshots are taken at the requested grid times; blocks
+    write disjoint slices so concurrent execution is safe.
     """
 
     def __init__(self, integrand: Callable, snapshot_times: Sequence[float]):
@@ -136,25 +139,42 @@ class RunningIntegralObserver:
 
     def prepare(self, n_paths: int, dims: StateSpaceDims, config: PathConfig) -> None:
         self.totals = np.zeros(n_paths)
+        self._last = np.zeros(n_paths)
         self.snapshots = {
             t: np.zeros(n_paths) for t in self.snapshot_times
         }
         self._dt = config.dt
-        self._snap_steps = {}
-        for t in self.snapshot_times:
-            k = int(round(t / config.dt))
-            if abs(k * config.dt - t) > 1e-9 * max(1.0, t):
-                raise ValueError(f"snapshot time {t} is not on the grid")
-            self._snap_steps[k] = t
+        self._snap_steps = {grid_steps(t, config.dt): t for t in self.snapshot_times}
 
     def observe(self, sl, k, t, prev, new, alive_before, alive_after, dW,
                 logw=None) -> None:
-        g_prev = np.asarray(self.integrand(t - self._dt, prev), dtype=float)
+        if k == 1:
+            self._last[sl] = self.integrand(0.0, prev)
         g_new = np.asarray(self.integrand(t, new), dtype=float)
-        add = 0.5 * self._dt * (g_prev + g_new)
+        # the sum reads the start values before the slots take the end values
+        add = 0.5 * self._dt * (self._last[sl] + g_new)
+        self._last[sl] = g_new
         self.totals[sl] += np.where(alive_before, add, 0.0)
         if k in self._snap_steps:
             self.snapshots[self._snap_steps[k]][sl] = self.totals[sl]
+
+
+def weights_from_log(logw: np.ndarray) -> np.ndarray:
+    """Drift-change weights ``exp(logw)`` from final log weights.
+
+    Raises :class:`WeightBlowupError` when a log weight is not finite or
+    exceeds ``LOG_WEIGHT_CAP`` in size, where ``exp`` overflows float64.
+    """
+    logw = np.asarray(logw, dtype=float)
+    if not np.isfinite(logw).all():
+        raise WeightBlowupError("a drift-change log weight is not finite")
+    peak = float(np.abs(logw).max(initial=0.0))
+    if peak > LOG_WEIGHT_CAP:
+        raise WeightBlowupError(
+            f"|log weight| reached {peak:.1f}; the drift-change exponent "
+            "overflows float64 at this horizon"
+        )
+    return np.exp(logw)
 
 
 def _as_state_fn(f) -> Callable[[np.ndarray], np.ndarray]:
@@ -166,9 +186,10 @@ def _as_state_fn(f) -> Callable[[np.ndarray], np.ndarray]:
 def _fit_grid(config: PathConfig, horizon: float) -> PathConfig:
     """Adjust the step so the horizon is an exact grid multiple.
 
-    The step is shrunk at most (never enlarged past the requested one), so
-    lattice scans can probe arbitrary space-time points while keeping the
-    configured resolution.
+    The step becomes ``horizon / k`` with ``k = round(horizon / dt)`` (at
+    least 1), so it may exceed the requested step: a horizon of 0.25 at dt
+    0.1 runs 2 steps of 0.125.  Lattice scans can thus probe arbitrary
+    space-time points at about the configured resolution.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
@@ -232,9 +253,8 @@ def estimate_dirichlet_nodes(
     bundle, so their small blocks are stepped together; every estimate is
     bit-equal to a call with that node alone.  With ``theta`` the
     payoff carries the drift-change weight ``M(stop)``: the estimate is
-    ``E[M(stop) g(t - stop, Z(stop))]``, and log-weights beyond
-    ``LOG_WEIGHT_CAP`` raise :class:`WeightBlowupError` (the exponential
-    overflows float64).
+    ``E[M(stop) g(t - stop, Z(stop))]``, with ``M`` from
+    :func:`weights_from_log`.
     """
     out: list[Estimate | None] = [None] * len(nodes)
     by_horizon: dict[float, list[int]] = {}
@@ -263,13 +283,7 @@ def estimate_dirichlet_nodes(
                 out[i] = _reduce(payoff, None, part.fingerprint)
                 continue
             # the log weight freezes at exit, so its final recorded value is log M(stop)
-            logw = part.log_weights[:, -1]
-            if np.any(np.abs(logw) > LOG_WEIGHT_CAP):
-                raise WeightBlowupError(
-                    f"|log weight| reached {float(np.abs(logw).max()):.1f}; the "
-                    "drift-change exponent overflows float64 at this horizon"
-                )
-            w = np.exp(logw)
+            w = weights_from_log(part.log_weights[:, -1])
             out[i] = _reduce(w * payoff, w, part.fingerprint)
     return out
 

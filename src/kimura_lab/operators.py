@@ -319,10 +319,12 @@ def drift_identity_e(op: SingularOperatorSpec, states: np.ndarray) -> np.ndarray
 def drift_identity_f(op: SingularOperatorSpec, states: np.ndarray) -> np.ndarray:
     """Log-drift couplings, shape (..., n+m, n).
 
-    Degenerate rows: ``f_ij = d_xi b_j + sum_k x_k a~_ik d_xk b_j
-    + sum_l c_il d_yl b_j``.  Free rows: ``f_(n+l)j = sum_i x_i c_il d_xi b_j
-    + sum_k d_lk d_yk b_j``.  All rows vanish identically when ``b`` is
-    constant.
+    The drift ``(1/w) div(w A)`` of the weight ``w = prod_j x_j^(b_j - 1)``
+    differentiates ``ln w`` along each row of ``A``, whose degenerate
+    diagonal is ``x_i a_ii + x_i^2 a~_ii``.  Degenerate rows:
+    ``f_ij = a_ii d_xi b_j + sum_k x_k a~_ik d_xk b_j + sum_l c_il d_yl b_j``.
+    Free rows: ``f_(n+l)j = sum_i x_i c_il d_xi b_j + sum_k d_lk d_yk b_j``.
+    All rows vanish identically when ``b`` is constant.
     """
     n, m = op.dims.n, op.dims.m
     states = np.asarray(states, dtype=float)
@@ -337,12 +339,13 @@ def drift_identity_f(op: SingularOperatorSpec, states: np.ndarray) -> np.ndarray
         ],
         axis=-2,
     )  # (..., j, axis)
+    a = op.a_diag.evaluate_batch(states)
     at = op.a_tilde.evaluate_batch(states)
     cval = op.c.evaluate_batch(states)
     dval = op.d.evaluate_batch(states)
     for j in range(n):
         for i in range(n):
-            acc = db[..., j, i]
+            acc = a[..., i] * db[..., j, i]
             for k in range(n):
                 acc = acc + states[..., k] * at[..., i, k] * db[..., j, k]
             for l in range(m):

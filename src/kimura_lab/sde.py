@@ -21,7 +21,7 @@ from .errors import (
     EllipticityViolationError,
     InvalidMatrixError,
 )
-from .geometry import Point, StateSpaceDims
+from .geometry import StateSpaceDims
 from .operators import (
     SingularOperatorSpec,
     StandardOperatorSpec,
@@ -37,12 +37,10 @@ __all__ = [
     "build_sde_coefficients",
     "build_standard_sde_coefficients",
     "dispersion_sqrt_batch",
-    "girsanov_theta",
     "make_girsanov_field",
 ]
 
 EIGENVALUE_CLIP = 1e-12
-THETA_RESIDUAL_TOL = 1e-10
 
 
 def dispersion_sqrt_batch(D: np.ndarray) -> np.ndarray:
@@ -82,10 +80,10 @@ class StepPlan:
     """What a scheme step needs from one model, resolved once at build time.
 
     ``sigma`` is the dispersion root when ``D`` has no state dependence, and
-    ``sigma_diag`` its diagonal when that root is diagonal.  A divergence-side
-    model whose fields are all constant has the drift
-    ``drift + x * drift_slope`` (the slope on the degenerate rows, None when
-    zero).
+    ``sigma_diag`` its diagonal when that root is diagonal.  A model whose
+    drift fields are all constant has the drift ``drift + x * drift_slope``
+    (the slope on the degenerate rows, None when zero; always None on the
+    standard side).
     """
 
     sigma: np.ndarray | None = None
@@ -191,8 +189,13 @@ def build_sde_coefficients(op: SingularOperatorSpec) -> SdeCoefficients:
 
 
 def build_standard_sde_coefficients(std: StandardOperatorSpec) -> StandardSdeCoefficients:
+    """Assemble the simulation fields of a standard spec; its drift
+    ``(b^, e^)`` folds when both are constant."""
+    plan = StepPlan()
+    if std.b_hat.is_constant and std.e_hat.is_constant:
+        plan = StepPlan(drift=std.drift(np.ones((1, std.dims.total)))[0])
     constant_D = std.a_hat.is_zero and std.c_hat.is_zero and std.d_hat.is_constant
-    return _with_dispersion(StandardSdeCoefficients(std.dims, std, StepPlan()), constant_D)
+    return _with_dispersion(StandardSdeCoefficients(std.dims, std, plan), constant_D)
 
 
 # ---------------------------------------------------------------------------
@@ -224,47 +227,18 @@ def _theta_rhs(
     return rhs
 
 
-def girsanov_theta(
-    std: StandardSdeCoefficients,
-    sing: SdeCoefficients,
-    z: Point,
-) -> np.ndarray:
-    """Drift-change vector at one interior point.
-
-    Solves ``sigma^(z) theta = rhs(z)``, the divergence-side minus the
-    standard-side drift in the noise coordinates: the degenerate rows of
-    ``rhs`` are ``sqrt(x_i) sum_j f_ij ln x_j`` and the free rows are
-    ``e_l + sum_j f_(n+l)j ln x_j - e^_l``.  Requires every ``x_i > 0``.
-    """
-    if z.dims != sing.dims or z.dims != std.dims:
-        raise DimensionMismatchError("point/coefficients dims mismatch")
-    if any(v == 0.0 for v in z.x):
-        raise EllipticityViolationError(
-            "theta is defined for interior points only (x_i > 0)"
-        )
-    vec = z.vector[None, :]
-    rhs = _theta_rhs(std, sing, vec, log_clamp_eps=0.0)[0]
-    sig = std.sigma_batch(vec)[0]
-    try:
-        theta = np.linalg.solve(sig, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise EllipticityViolationError(f"standard dispersion is singular: {exc}")
-    resid = float(np.abs(sig @ theta - rhs).max(initial=0.0))
-    if resid > THETA_RESIDUAL_TOL * max(1.0, float(np.abs(rhs).max(initial=1.0))):
-        raise EllipticityViolationError(
-            f"theta solve residual {resid:.3g} exceeds tolerance"
-        )
-    return theta
-
-
 @dataclass(frozen=True)
 class GirsanovField:
     """Batched drift-change field for path weighting.
 
-    ``theta_batch`` uses clamped logarithms so it extends continuously by 0
-    onto each degenerate face (the degenerate rows carry a ``sqrt(x_i)``
-    factor).  ``divisor`` is the diagonal of a constant, diagonal and
-    nonsingular standard-side dispersion, for which the solve is a division.
+    ``theta`` solves ``sigma^(z) theta = rhs(z)``, the divergence-side minus
+    the standard-side drift in the noise coordinates: the degenerate rows of
+    ``rhs`` are ``sqrt(x_i) sum_j f_ij ln x_j`` and the free rows are
+    ``e_l + sum_j f_(n+l)j ln x_j - e^_l``.  ``theta_batch`` uses clamped
+    logarithms so it extends continuously by 0 onto each degenerate face (the
+    degenerate rows carry a ``sqrt(x_i)`` factor).  ``divisor`` is the
+    diagonal of a constant, diagonal and nonsingular standard-side
+    dispersion, for which the solve is a division.
     """
 
     std: StandardSdeCoefficients

@@ -48,8 +48,8 @@ from .sde import GirsanovField, SdeCoefficients, StandardSdeCoefficients
 
 __all__ = [
     "PathConfig",
-    "Trajectory",
     "PathBundle",
+    "grid_steps",
     "simulate_bundle",
     "step_singular",
     "config_fingerprint",
@@ -79,7 +79,6 @@ class PathConfig:
     scheme: str = "euler-projected"
     log_clamp_eps: float = 1e-12
     record: str | tuple[float, ...] = "auto"
-    store_increments: bool = False
 
     def __post_init__(self) -> None:
         if self.dt <= 0.0 or self.horizon <= 0.0:
@@ -93,13 +92,23 @@ class PathConfig:
 
     @property
     def n_steps(self) -> int:
-        k = int(round(self.horizon / self.dt))
-        if abs(k * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
-            raise ValueError("horizon must be an integer multiple of dt")
-        return max(k, 1)
+        return max(grid_steps(self.horizon, self.dt), 1)
 
     def grid(self) -> np.ndarray:
         return self.dt * np.arange(self.n_steps + 1)
+
+
+def grid_steps(t: float, dt: float) -> int:
+    """``t / dt`` as a whole number of steps; ValueError when ``t`` is off the
+    ``dt`` grid by more than ``1e-9 * max(1, |t|)``.
+
+    Horizons, record times, observer snapshots and the command line's times
+    all pass this one test.
+    """
+    k = int(round(t / dt))
+    if abs(k * dt - t) > 1e-9 * max(1.0, abs(t)):
+        raise ValueError(f"time {t} is not a multiple of dt = {dt}")
+    return k
 
 
 def config_fingerprint(config: PathConfig, **extra) -> str:
@@ -115,18 +124,6 @@ def config_fingerprint(config: PathConfig, **extra) -> str:
     return hashlib.sha256(
         json.dumps(doc, sort_keys=True, default=str).encode()
     ).hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Single-path view into a bundle (recorded grid only)."""
-
-    times: np.ndarray
-    states: np.ndarray
-    exited: bool
-    tau: float
-    brownian_increments: np.ndarray | None
-    log_weight: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -149,7 +146,6 @@ class PathBundle:
     exited: np.ndarray
     exit_state: np.ndarray
     log_weights: np.ndarray | None
-    increments: np.ndarray | None
     fingerprint: str
 
     @property
@@ -167,8 +163,7 @@ class PathBundle:
     def per_start(self) -> list["PathBundle"]:
         """One bundle per start point, each a view of this bundle's paths."""
         n = self.config.n_paths
-        per_path = ("states", "tau", "tau_index", "exited", "exit_state",
-                    "log_weights", "increments")
+        per_path = ("states", "tau", "tau_index", "exited", "exit_state", "log_weights")
 
         def part(a, s):
             return None if a is None else a[s * n:(s + 1) * n]
@@ -198,14 +193,16 @@ class PathBundle:
     def states_at(self, t: float) -> np.ndarray:
         return self.states[:, self.record_index(t), :]
 
-    def alive_at(self, t: float) -> np.ndarray:
-        # tau equals the horizon by convention on never-exited paths
-        return ~self.exited | (self.tau > t + 1e-12)
+    def stopped_by(self, t: float) -> np.ndarray:
+        """Paths that exited at a grid time ``<= t``; the one stop test.
 
-    def log_weights_at(self, t: float) -> np.ndarray:
-        if self.log_weights is None:
-            return np.zeros(self.n_paths)
-        return self.log_weights[:, self.record_index(t)]
+        ``tau`` equals the horizon by convention on never-exited paths, so
+        ``exited`` is part of the test.
+        """
+        return self.exited & (self.tau <= t + 1e-12)
+
+    def alive_at(self, t: float) -> np.ndarray:
+        return ~self.stopped_by(t)
 
     def stop_states(self, t: float | None = None) -> tuple[np.ndarray, np.ndarray]:
         """State and time at ``min(t, tau)`` per path (t defaults to horizon)."""
@@ -213,19 +210,8 @@ class PathBundle:
         if t is None:
             t = horizon
         stop_time = np.minimum(self.tau, t)
-        stopped = self.exited & (self.tau <= t + 1e-12)
-        out = np.where(stopped[:, None], self.exit_state, self.states_at(t))
+        out = np.where(self.stopped_by(t)[:, None], self.exit_state, self.states_at(t))
         return out, stop_time
-
-    def trajectory(self, i: int) -> Trajectory:
-        return Trajectory(
-            times=self.record_times,
-            states=self.states[i],
-            exited=bool(self.exited[i]),
-            tau=float(self.tau[i]),
-            brownian_increments=None if self.increments is None else self.increments[i],
-            log_weight=None if self.log_weights is None else self.log_weights[i],
-        )
 
 
 def _resolve_record(config: PathConfig, dims_total: int, n_starts: int) -> np.ndarray:
@@ -241,9 +227,8 @@ def _resolve_record(config: PathConfig, dims_total: int, n_starts: int) -> np.nd
         return np.array([grid[0], grid[-1]])
     times = np.asarray(sorted(set(float(t) for t in record)), dtype=float)
     for t in times:
-        k = int(round(t / config.dt))
-        if k < 0 or k > config.n_steps or abs(k * config.dt - t) > 1e-9:
-            raise ValueError(f"record time {t} is not on the simulation grid")
+        if not 0 <= grid_steps(t, config.dt) <= config.n_steps:
+            raise ValueError(f"record time {t} lies outside [0, {config.horizon}]")
     return times
 
 
@@ -253,23 +238,23 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 class _ExactGammaParams:
-    """Transition parameters of the separable 1D constant-coefficient model."""
+    """Transition parameters of the separable 1D constant-coefficient model,
+    read from the step plan: its folded drift over the speed ``D / 2``."""
 
     def __init__(self, coeffs):
         dims = coeffs.dims
         if dims.n != 1 or dims.m != 0:
             raise ValueError("exact-1d-gamma needs n=1, m=0")
-        probes = np.array([[0.1], [0.7], [1.9]])
-        D = coeffs.source.diffusion_matrix(probes)[:, 0, 0]
-        drift = coeffs.drift_batch(probes, 0.5)
-        if np.ptp(D) > 1e-12 or np.ptp(drift[:, 0]) > 1e-12:
+        plan = coeffs.plan
+        if plan.drift is None or plan.drift_slope is not None or plan.sigma is None:
             raise ValueError(
                 "exact-1d-gamma needs constant coefficients with no log drift"
             )
-        self.speed = float(D[0]) / 2.0
+        # a constant D: any state gives the row
+        self.speed = float(coeffs.source.diffusion_matrix(np.ones((1, 1)))[0, 0, 0]) / 2.0
         if self.speed <= 0.0:
             raise ValueError("degenerate diffusion coefficient must be positive")
-        self.b0 = float(drift[0, 0]) / self.speed
+        self.b0 = float(plan.drift[0]) / self.speed
         if self.b0 <= 0.0:
             raise ValueError("exact-1d-gamma needs positive boundary drift")
 
@@ -391,7 +376,7 @@ def simulate_bundle(
     total = dims.total
     n_starts = len(starts)
     record_times = _resolve_record(config, total, n_starts)
-    record_idx = {int(round(t / config.dt)): r for r, t in enumerate(record_times)}
+    record_idx = {grid_steps(t, config.dt): r for r, t in enumerate(record_times)}
     n_rec = len(record_times)
     n_paths = config.n_paths
     origins = np.stack([z.vector for z in starts])
@@ -403,9 +388,6 @@ def simulate_bundle(
     exited = np.zeros((n_starts, n_paths), dtype=bool)
     exit_state = np.repeat(origins[:, None, :], n_paths, axis=1)
     log_weights = np.zeros((n_starts, n_paths, n_rec)) if theta is not None else None
-    increments = (
-        np.zeros((n_starts, n_paths, n_steps, total)) if config.store_increments else None
-    )
 
     for obs in observers:
         obs.prepare(n_paths, dims, config)
@@ -438,8 +420,6 @@ def simulate_bundle(
             new = np.where(alive[:, None], new, cur)
             if theta is not None:
                 logw = logw + np.where(alive, dlogw, 0.0)
-            if increments is not None:
-                increments[group, sl, k - 1] = by_start(np.where(alive[:, None], dW, 0.0))
             inside = domain.contains_underline(new)
             newly = alive & ~inside
             if newly.any():
@@ -488,7 +468,6 @@ def simulate_bundle(
         exited=flat(exited),
         exit_state=flat(exit_state),
         log_weights=flat(log_weights),
-        increments=flat(increments),
         fingerprint=fp,
     )
 
@@ -530,6 +509,7 @@ def bundle_to_csv(bundle: PathBundle, path: str, dims: StateSpaceDims | None = N
         labels = [f"x{j}" for j in range(dims.n)] + [f"y{j}" for j in range(dims.m)]
     else:
         labels = [f"z{j}" for j in range(d)]
+    stopped = np.stack([bundle.stopped_by(t) for t in bundle.record_times], axis=1)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["path", "step", "t"] + labels + ["exited", "log_weight"])
@@ -537,7 +517,7 @@ def bundle_to_csv(bundle: PathBundle, path: str, dims: StateSpaceDims | None = N
             for r, t in enumerate(bundle.record_times):
                 row = [i, r, f"{t:.12g}"]
                 row += [f"{v:.17g}" for v in bundle.states[i, r]]
-                row.append(int(bundle.exited[i] and bundle.tau[i] <= t + 1e-12))
+                row.append(int(stopped[i, r]))
                 lw = 0.0 if bundle.log_weights is None else bundle.log_weights[i, r]
                 row.append(f"{lw:.17g}")
                 writer.writerow(row)

@@ -247,6 +247,9 @@ def test_unknown_scheme_is_config_error(tmp_path, capsys, name):
     ("fk", ("z0",), [-1.0]),
     ("fk", ("f",), [1, 2]),
     ("fk", ("variant",), "bogus"),
+    # seeds outside U64
+    ("fk", ("seed",), -1),
+    ("fk", ("seed",), 2**64 + 5),
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, name, path, value):
     docs = {"density": DENSITY_DOC, "fk": FK_DOC, "simulate": SIMULATE_DOC}
@@ -259,6 +262,14 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, name, path, value):
     else:
         node[path[-1]] = value
     assert_config_error(tmp_path, capsys, doc)
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64 + 5)])
+def test_seed_flag_outside_u64_is_config_error(tmp_path, capsys, seed):
+    code, _ = run(tmp_path, FK_DOC, "--seed", seed)
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(err[-1])["kind"] == "config"
 
 
 def test_bad_thread_variable_is_config_error(tmp_path, capsys, monkeypatch):

@@ -8,6 +8,7 @@ from conftest import make_sing_1d, make_std_1d, mean_se
 from kimura_lab.errors import (
     BoundaryDataGapError,
     InvalidTestFunctionError,
+    NumericFailureError,
     WeightBlowupError,
 )
 from kimura_lab.feynman_kac import (
@@ -17,8 +18,10 @@ from kimura_lab.feynman_kac import (
     estimate_inhomogeneous,
     estimate_probabilistic_solution,
     estimate_semigroup,
+    RunningIntegralObserver,
     exp_moment_diagnostic,
     martingale_residual,
+    weights_from_log,
 )
 from kimura_lab.fields import SmoothBump
 from kimura_lab.geometry import DomainSpec, Point, StateSpaceDims
@@ -221,6 +224,26 @@ class TestInhomogeneous:
         assert est.value == pytest.approx(float(direct), rel=1e-12)
 
 
+    def test_source_is_evaluated_once_per_grid_node(self, coeffs_sing_half):
+        rows = []
+
+        def integrand(r, states):
+            rows.append(len(states))
+            return np.exp(-states[:, 0])
+
+        obs = RunningIntegralObserver(integrand, snapshot_times=[0.1])
+        c = cfg(n_paths=300, dt=0.01, horizon=0.1, record="all")
+        bundle = simulate_bundle(coeffs_sing_half, Point((0.5,), ()), FULL1, c,
+                                 observers=(obs,))
+        assert sum(rows) == 300 * 11
+        # the trapezoid sum over the recorded nodes, in the observer's order
+        direct = np.zeros(300)
+        for k in range(1, 11):
+            g0, g1 = np.exp(-bundle.states[:, k - 1, 0]), np.exp(-bundle.states[:, k, 0])
+            direct += 0.5 * 0.01 * (g0 + g1)
+        assert obs.snapshots[0.1].tobytes() == direct.tobytes()
+
+
 class TestProbabilisticSolution:
     def test_zero_theta_reduces_to_dirichlet(self):
         pair = make_girsanov_field(make_std_1d(b0=0.5), make_sing_1d(b0=0.5))
@@ -258,6 +281,15 @@ class TestProbabilisticSolution:
                 (0.0, 1.0, DomainSpec.box(DIMS1, [(0.0, 50.0)])), pair,
                 cfg(n_paths=400),
             )
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 700.5])
+    def test_weight_check_rejects_nonfinite_and_capped_log_weights(self, bad):
+        logw = np.array([0.0, -0.2, bad])
+        with pytest.raises(WeightBlowupError):
+            weights_from_log(logw)
+        assert issubclass(WeightBlowupError, NumericFailureError)
+        assert weights_from_log(logw[:2]).tolist() == np.exp(logw[:2]).tolist()
 
 
 class TestExpMoment:

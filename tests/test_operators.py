@@ -16,6 +16,7 @@ from kimura_lab.fields import (
     FieldVector,
     SmoothBump,
     TestFunction,
+    TrigField,
 )
 from kimura_lab.geometry import DomainSpec, Point, QuadratureConfig, StateSpaceDims
 from kimura_lab.operators import (
@@ -374,6 +375,52 @@ class TestBilinearForm:
         lhs = float(np.sum(w * integrand))
         rhs = bilinear_form(SING_COUPLED, u, v, dom, QuadratureConfig(256))
         assert lhs == pytest.approx(rhs, rel=1e-5)
+
+
+# models with a != 1 and a non-constant b, so that f carries its a_ii factor
+IBP_MODELS = {
+    "a2-affine-b": SingularOperatorSpec(
+        dims=StateSpaceDims(1, 0), a_diag=FieldVector([2.0]),
+        a_tilde=FieldMatrix.zeros(1, 1), b=FieldVector([AffineField(1.0, [0.3])]),
+        c=FieldMatrix.zeros(1, 0), d=FieldMatrix.zeros(0, 0),
+    ),
+    "affine-a-trig-b": SingularOperatorSpec(
+        dims=StateSpaceDims(1, 0), a_diag=FieldVector([AffineField(1.5, [0.5])]),
+        a_tilde=FieldMatrix.zeros(1, 1), b=FieldVector([TrigField(1.0, 0.3, 0, 2.0)]),
+        c=FieldMatrix.zeros(1, 0), d=FieldMatrix.zeros(0, 0),
+    ),
+    "n1m1": SingularOperatorSpec(
+        dims=StateSpaceDims(1, 1), a_diag=FieldVector([1.7]),
+        a_tilde=FieldMatrix([[0.2]]), b=FieldVector([AffineField(1.0, [0.3, 0.2])]),
+        c=FieldMatrix([[0.1]]), d=FieldMatrix([[1.0]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IBP_MODELS))
+def test_generator_integrates_by_parts_against_the_energy_form(name):
+    # int (L u) v dmu = -Q(u, v) for bumps inside x > 0, with L applied by
+    # apply_singular_batch: the log drift must be that of (1/w) div(w A)
+    op = IBP_MODELS[name]
+    if op.dims.m == 0:
+        u, v = SmoothBump([0.55], [0.35]), SmoothBump([0.65], [0.3])
+        box, pts = [(0.35, 0.9)], 512
+        dom = DomainSpec.box(op.dims, [(0.0, 2.0)])
+    else:
+        u, v = SmoothBump([0.6, 0.1], [0.35, 0.5]), SmoothBump([0.7, -0.1], [0.3, 0.45])
+        box, pts = [(0.4, 0.95), (-0.4, 0.35)], 128
+        dom = DomainSpec.box(op.dims, [(0.0, 2.0), (-1.0, 1.0)])
+    # tensor Gauss-Legendre over the intersection of the supports
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    axes = [0.5 * (hi - lo) * (nodes + 1.0) + lo for lo, hi in box]
+    s = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(box))
+    w = np.ones(())
+    for lo, hi in box:
+        w = np.multiply.outer(w, 0.5 * (hi - lo) * weights)
+    density = s[:, 0] ** (op.b.evaluate_batch(s)[:, 0] - 1.0)
+    lhs = float(np.sum(w.ravel() * apply_singular_batch(op, u, s) * v.value(s) * density))
+    rhs = -bilinear_form(op, u, v, dom, QuadratureConfig(pts))
+    assert lhs == pytest.approx(rhs, rel=1e-6)
 
 
 class TestDeriveSingular:

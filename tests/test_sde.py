@@ -25,7 +25,6 @@ from kimura_lab.sde import (
     build_sde_coefficients,
     build_standard_sde_coefficients,
     dispersion_sqrt_batch,
-    girsanov_theta,
     make_girsanov_field,
 )
 from kimura_lab.simulate import PathConfig, simulate_bundle
@@ -250,8 +249,7 @@ class TestGirsanovTheta:
     def test_constant_weight_gives_zero(self):
         std = make_std_1d(b0=0.5)
         pair = make_girsanov_field(std, make_sing_1d(b0=0.5))
-        z = Point((0.8,), ())
-        assert girsanov_theta(pair.std, pair.sing, z) == pytest.approx([0.0])
+        assert pair.theta_batch(np.array([[0.8]]))[0] == pytest.approx([0.0])
         states = np.array([[0.1], [1.0], [3.0]])
         assert np.all(pair.theta_batch(states) == 0.0)
 
@@ -259,9 +257,9 @@ class TestGirsanovTheta:
         eps = 0.1
         std = make_std_1d(b0=1.0, slope=eps)
         pair = make_girsanov_field(std, make_sing_1d(b0=1.0, slope=eps))
-        assert girsanov_theta(pair.std, pair.sing, Point((1.0,), ()))[0] == pytest.approx(0.0)
+        assert pair.theta_batch(np.array([[1.0]]))[0, 0] == pytest.approx(0.0)
         x = math.exp(-2.0)
-        got = girsanov_theta(pair.std, pair.sing, Point((x,), ()))[0]
+        got = pair.theta_batch(np.array([[x]]))[0, 0]
         expected = -math.sqrt(2.0) * eps * math.exp(-1.0)
         assert got == pytest.approx(expected, rel=1e-12)
 
@@ -295,7 +293,7 @@ class TestGirsanovTheta:
             d=FieldMatrix([[1.0]]),
         )
         pair = make_girsanov_field(std, sing)
-        theta = girsanov_theta(pair.std, pair.sing, Point((0.5,), (0.0,)))
+        theta = pair.theta_batch(np.array([[0.5, 0.0]]))[0]
         # free row: sigma^ theta = e - e_hat = -0.7, sigma^_yy = sqrt(2)
         assert theta[1] == pytest.approx(-0.7 / math.sqrt(2.0))
         assert theta[0] == pytest.approx(0.0)
@@ -393,6 +391,15 @@ class TestStepPlan:
         plan = coeffs.plan
         assert plan.drift.tolist() == [0.5] and plan.drift_slope is None
         assert coeffs.source.log_drift(_probe_states(coeffs.dims), EPS) is None
+        _assert_plan_matches_unfolded(coeffs, _probe_states(coeffs.dims))
+
+    def test_constant_standard_folds_to_constant_drift(self):
+        coeffs = build_standard_sde_coefficients(operator_from_json(
+            {"kind": "standard", "dims": {"n": 1, "m": 1}, "b_hat": [0.5], "d_hat": [[1.5]],
+             "e_hat": [-0.3]}
+        ))
+        plan = coeffs.plan
+        assert plan.drift.tolist() == [0.5, -0.3] and plan.drift_slope is None
         _assert_plan_matches_unfolded(coeffs, _probe_states(coeffs.dims))
 
     def test_affine_standard(self):

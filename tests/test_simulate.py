@@ -27,6 +27,7 @@ from kimura_lab.simulate import (
     bundle_to_kimb,
     read_kimb,
     _advance_block,
+    _block_rng,
     simulate_bundle,
     step_singular,
 )
@@ -182,6 +183,21 @@ class TestBundles:
         assert one.record_times.tolist() == cfg.grid().tolist()
         assert three.record_times.tolist() == [0.0, 0.5]
 
+    @pytest.mark.parametrize("offset, ok", [(3e-9, True), (1e-7, False)])
+    def test_horizon_and_record_time_share_one_grid_test(self, offset, ok):
+        # the same time off the dt = 0.1 grid by the same amount, once as a
+        # horizon and once as a record time
+        coeffs = build_standard_sde_coefficients(make_std_1d(b0=0.5))
+        t = 5.0 + offset
+        as_horizon = PathConfig(dt=0.1, seed=1, n_paths=4, horizon=t, record="ends")
+        as_record = PathConfig(dt=0.1, seed=1, n_paths=4, horizon=5.0, record=(0.0, t))
+        for cfg in (as_horizon, as_record):
+            if ok:
+                assert simulate_bundle(coeffs, ORIGIN, FULL1, cfg).n_paths == 4
+            else:
+                with pytest.raises(ValueError, match="not a multiple of dt"):
+                    simulate_bundle(coeffs, ORIGIN, FULL1, cfg)
+
     def test_record_times_validated(self):
         coeffs = build_standard_sde_coefficients(make_std_1d(b0=0.5))
         cfg = PathConfig(dt=1e-2, seed=1, n_paths=10, horizon=0.1,
@@ -219,7 +235,7 @@ class TestWeights:
         )
         bundle = simulate_bundle(pair.sing, ORIGIN, FULL1, cfg, theta=pair)
         for t in (0.1, 0.25, 0.5):
-            w = np.exp(bundle.log_weights_at(t))
+            w = np.exp(bundle.log_weights[:, bundle.record_index(t)])
             mean, se = mean_se(w)
             assert abs(mean - 1.0) <= 3.0 * se
 
@@ -278,6 +294,21 @@ class TestSchemes:
         cfg = PathConfig(dt=0.1, seed=1, n_paths=10, horizon=0.1,
                          scheme="exact-1d-gamma")
         with pytest.raises(ValueError):
+            simulate_bundle(coeffs, ORIGIN, FULL1, cfg)
+
+    def test_exact_scheme_rejects_periodic_drift(self):
+        # b^ = 0.5 + 0.3 sin(2 pi x / 0.6) takes one value at x = 0.1, 0.7 and
+        # 1.9 while ranging over 0.2..0.8: the model is not constant
+        b_hat = {"family": "trig", "c0": 0.5, "amplitude": 0.3, "axis": 0,
+                 "frequency": 2.0 * math.pi / 0.6}
+        std = operator_from_json({"kind": "standard", "dims": {"n": 1, "m": 0},
+                                  "b_hat": [b_hat]})
+        coeffs = build_standard_sde_coefficients(std)
+        probes = np.array([[0.1], [0.7], [1.9]])
+        assert np.ptp(coeffs.drift_batch(probes)) < 1e-12
+        cfg = PathConfig(dt=0.1, seed=1, n_paths=10, horizon=0.1,
+                         scheme="exact-1d-gamma")
+        with pytest.raises(ValueError, match="constant coefficients"):
             simulate_bundle(coeffs, ORIGIN, FULL1, cfg)
 
     def test_exact_scheme_rejects_weights(self):
@@ -384,18 +415,16 @@ class TestStreamsAndIncrements:
 
     def test_stored_increments_reproduce_path(self):
         coeffs = build_standard_sde_coefficients(make_std_1d(b0=0.5))
-        cfg = PathConfig(dt=1e-2, seed=13, n_paths=32, horizon=0.1,
-                         record="all", store_increments=True)
+        cfg = PathConfig(dt=1e-2, seed=13, n_paths=32, horizon=0.1, record="all")
         bundle = simulate_bundle(coeffs, Point((0.5,), ()), FULL1, cfg)
-        traj = bundle.trajectory(3)
-        assert traj.brownian_increments.shape == (10, 1)
-        # replay the projected update from the stored noise
+        # replay the projected update of path 3 from its block's Philox normals
+        rng = _block_rng(13, 0)
         x = 0.5
         sigma = math.sqrt(2.0)
         for k in range(10):
-            dw = traj.brownian_increments[k, 0]
+            dw = math.sqrt(1e-2) * rng.standard_normal((32, 1))[3, 0]
             x = max(x + 0.5 * 1e-2 + math.sqrt(x) * sigma * dw, 0.0)
-            assert traj.states[k + 1, 0] == pytest.approx(x, rel=1e-12)
+            assert bundle.states[3, k + 1, 0] == pytest.approx(x, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +466,7 @@ def make_sing_coupled(gamma=0.3):
 def assert_same_bundle(a, b):
     assert a.config == b.config and a.fingerprint == b.fingerprint
     for name in ("record_times", "states", "tau", "tau_index", "exited", "exit_state",
-                 "log_weights", "increments"):
+                 "log_weights"):
         x, y = getattr(a, name), getattr(b, name)
         assert (x is None) == (y is None), name
         if x is not None:
@@ -469,8 +498,7 @@ class TestPackedStarts:
     def test_log_drift_with_increments_and_every_step_recorded(self, n_threads):
         coeffs = build_sde_coefficients(make_sing_1d(b0=1.0, slope=0.3))
         assert coeffs.source.log_drift(np.array([[0.5]]), 1e-12) is not None
-        cfg = PathConfig(dt=5e-3, seed=8, n_paths=700, horizon=0.2, record="all",
-                         store_increments=True)
+        cfg = PathConfig(dt=5e-3, seed=8, n_paths=700, horizon=0.2, record="all")
         assert_packed_matches_alone(coeffs, STARTS_1D, BOX04, cfg, n_threads=n_threads)
 
     @pytest.mark.parametrize("n_paths", [512, 5000])
