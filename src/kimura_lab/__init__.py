@@ -18,15 +18,13 @@ from .geometry import (
     cylinder_sets,
     mu_ball,
     mu_ball_comparator,
-    mu_density,
     rho,
 )
 from .operators import (
     AssumptionConstants,
     SingularOperatorSpec,
     StandardOperatorSpec,
-    apply_singular,
-    apply_standard,
+    apply_generator_batch,
     bilinear_form,
     derive_singular_from_standard,
     validate_assumptions,
@@ -40,7 +38,7 @@ from .sde import (
     dispersion_sqrt_batch,
     make_girsanov_field,
 )
-from .simulate import PathBundle, PathConfig, simulate_bundle, step_singular
+from .simulate import PathBundle, PathConfig, simulate_bundle
 
 __version__ = "0.1.0"
 
@@ -54,15 +52,13 @@ __all__ = [
     "QuadratureConfig",
     "WeightedMeasure",
     "rho",
-    "mu_density",
     "mu_ball",
     "mu_ball_comparator",
     "cylinder_sets",
     "AssumptionConstants",
     "StandardOperatorSpec",
     "SingularOperatorSpec",
-    "apply_standard",
-    "apply_singular",
+    "apply_generator_batch",
     "bilinear_form",
     "validate_assumptions",
     "derive_singular_from_standard",
@@ -76,5 +72,4 @@ __all__ = [
     "PathConfig",
     "PathBundle",
     "simulate_bundle",
-    "step_singular",
 ]

@@ -241,8 +241,6 @@ def _cmd_validate(doc, seed, out_dir, threads) -> tuple[int, dict]:
 def _cmd_simulate(doc, seed, out_dir, threads) -> tuple[int, dict]:
     model, variant, coeffs, domain, config = _load_run(doc, seed)
     z0 = _point(doc, "z0", model.dims)
-    with _checked("sim"):
-        grid_steps(config.horizon, config.dt)
     bundle = simulate_bundle(coeffs, z0, domain, config, n_threads=threads)
     out = _section(doc, "output")
     bundle_path = os.path.join(out_dir, out.get("bundle", "bundle.kimb"))
@@ -296,10 +294,11 @@ def _cmd_density(doc, seed, out_dir, threads) -> tuple[int, dict]:
             cells_per_axis=int(grid_doc.get("cells", 64)),
         )
         cfg = replace(config, record=(0.0, t), horizon=max(t, config.horizon))
-        grid_steps(t, cfg.dt)
-        grid_steps(cfg.horizon, cfg.dt)
+    kind = doc.get("measure", "lebesgue")
+    if kind not in ("lebesgue", "operator"):
+        raise ConfigError(f"measure must be 'lebesgue' or 'operator', got {kind!r}")
     measure = None
-    if doc.get("measure", "lebesgue") == "operator":
+    if kind == "operator":
         sing = coeffs.source
         if not isinstance(sing, SingularOperatorSpec):
             sing = derive_singular_from_standard(model)
@@ -378,7 +377,7 @@ def _cmd_girsanov(doc, seed, out_dir, threads) -> tuple[int, dict]:
     # a handful of weight marks keeps memory flat for large bundles
     mark_steps = sorted({round(n_steps * i / 10) for i in range(11)} - {0})
     marks = tuple(k * config.dt for k in mark_steps)
-    cfg_sing = replace(config, horizon=t, record=(0.0,) + marks, seed=seed + 1)
+    cfg_sing = replace(config, horizon=t, record=(0.0,) + marks, seed=(seed + 1) % 2**64)
     b_std = simulate_bundle(std, z0, domain, cfg_std, n_threads=threads)
     b_sing = simulate_bundle(
         sing, z0, domain, cfg_sing, theta=theta, n_threads=threads
@@ -420,7 +419,6 @@ def _cmd_oracle_compare(doc, seed, out_dir, threads) -> tuple[int, dict]:
             dt=dt, seed=seed, n_paths=n_paths, horizon=t, scheme=scheme,
             record=(0.0, t),
         )
-        grid_steps(t, dt)
 
     std = operator_from_json(
         {"kind": "standard", "dims": {"n": 1, "m": 0}, "b_hat": [b0]}

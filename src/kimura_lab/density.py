@@ -305,7 +305,7 @@ def check_symmetry(
     out = []
     shared_h = bandwidth
     for start, target, seed_shift in ((z0, z1, 0), (z1, z0, 1)):
-        cfg_i = replace(cfg, seed=config.seed + seed_shift)
+        cfg_i = replace(cfg, seed=(config.seed + seed_shift) % 2**64)
         bundle = simulate_bundle(coeffs, start, domain, cfg_i, n_threads=n_threads)
         if shared_h is None:
             shared_h = _silverman(_chart(bundle.states_at(t), dims.n))

@@ -9,20 +9,12 @@ class DimensionMismatchError(KimuraLabError):
     """Operands live in state spaces of different dimensions."""
 
 
-class SingularEvaluationError(KimuraLabError):
-    """A weighted quantity was evaluated where the weight is singular."""
-
-
 class InvalidWeightError(KimuraLabError):
     """A measure weight is non-integrable or violates its lower bound."""
 
 
 class InvalidHarnackParametersError(KimuraLabError):
     """Cylinder-pair parameters (c, d) are outside their admissible range."""
-
-
-class BoundaryEvaluationError(KimuraLabError):
-    """Pointwise operator evaluation requested on the degenerate boundary."""
 
 
 class NonDerivableError(KimuraLabError):

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .fields import TestFunction
 from .geometry import DomainSpec, Point, StateSpaceDims
-from .operators import SingularOperatorSpec, apply_singular_batch
+from .operators import SingularOperatorSpec, apply_generator_batch
 from .sde import GirsanovField, SdeCoefficients, StandardSdeCoefficients
 from .simulate import PathConfig, config_fingerprint, grid_steps, simulate_bundle
 
@@ -146,15 +146,14 @@ class RunningIntegralObserver:
         self._dt = config.dt
         self._snap_steps = {grid_steps(t, config.dt): t for t in self.snapshot_times}
 
-    def observe(self, sl, k, t, prev, new, alive_before, alive_after, dW,
-                logw=None) -> None:
+    def observe(self, sl, k, t, prev, new, alive, logw=None) -> None:
         if k == 1:
             self._last[sl] = self.integrand(0.0, prev)
         g_new = np.asarray(self.integrand(t, new), dtype=float)
         # the sum reads the start values before the slots take the end values
         add = 0.5 * self._dt * (self._last[sl] + g_new)
         self._last[sl] = g_new
-        self.totals[sl] += np.where(alive_before, add, 0.0)
+        self.totals[sl] += np.where(alive, add, 0.0)
         if k in self._snap_steps:
             self.snapshots[self._snap_steps[k]][sl] = self.totals[sl]
 
@@ -429,7 +428,7 @@ def martingale_residual(
     horizon = times[-1]
 
     def integrand(r, states):
-        return apply_singular_batch(op, phi, states, config.log_clamp_eps)
+        return apply_generator_batch(op, phi, states, config.log_clamp_eps)
 
     obs = RunningIntegralObserver(integrand, snapshot_times=times)
     record = tuple(t for t in times if t > 0.0)

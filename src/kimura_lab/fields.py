@@ -27,7 +27,6 @@ __all__ = [
     "TestFunction",
     "SmoothBump",
     "field_from_json",
-    "field_to_json",
 ]
 
 FD_STEP = 1e-5
@@ -385,19 +384,3 @@ def field_from_json(doc, total_dims: int) -> ScalarField:
         )
     raise ValueError(f"unknown coefficient family {doc!r}")
 
-
-def field_to_json(f: ScalarField):
-    if isinstance(f, ConstantField):
-        return {"family": "constant", "value": f.value}
-    if isinstance(f, AffineField):
-        return {"family": "affine", "c0": f.c0, "coeffs": f.coeffs.tolist()}
-    if isinstance(f, TrigField):
-        return {
-            "family": "trig",
-            "c0": f.c0,
-            "amplitude": f.amplitude,
-            "axis": f.axis,
-            "frequency": f.frequency,
-            "phase": f.phase,
-        }
-    raise ValueError(f"field {f!r} has no JSON form")

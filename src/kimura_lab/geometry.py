@@ -21,7 +21,6 @@ from .errors import (
     DimensionMismatchError,
     InvalidHarnackParametersError,
     InvalidWeightError,
-    SingularEvaluationError,
 )
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "rho",
     "rho_batch",
     "ball_box",
-    "mu_density",
     "sqrt_chart_quadrature",
     "mu_box",
     "mu_ball",
@@ -275,32 +273,6 @@ class WeightedMeasure:
                 f"b_field returned last axis {w.shape[-1]}, expected {self.dims.n}"
             )
         return w
-
-
-def mu_density(measure: WeightedMeasure, z: Point) -> float:
-    """Density of the weighted measure against Lebesgue at an interior point.
-
-    Raises :class:`SingularEvaluationError` when some ``x_i = 0`` and the
-    corresponding weight ``b_i(z) < 1`` (the density blows up there).
-    """
-    n = measure.dims.n
-    if len(z.x) != n or len(z.y) != measure.dims.m:
-        raise DimensionMismatchError("point does not match measure dims")
-    if n == 0:
-        return 1.0
-    b = measure.weights_at(z.vector[None, :])[0]
-    out = 1.0
-    for xi, bi in zip(z.x, b):
-        e = bi - 1.0
-        if xi == 0.0:
-            if e < 0.0:
-                raise SingularEvaluationError(
-                    f"x=0 with weight exponent {e:.3g} < 0"
-                )
-            out *= 0.0 if e > 0.0 else 1.0
-        else:
-            out *= xi**e
-    return float(out)
 
 
 @dataclass(frozen=True)

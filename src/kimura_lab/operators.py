@@ -1,4 +1,4 @@
-"""Degenerate diffusion generators: coefficient specs, pointwise application,
+"""Degenerate diffusion generators: coefficient specs, generator application,
 assumption validation, the energy form, and the standard -> divergence-form
 translation.
 
@@ -18,7 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    BoundaryEvaluationError,
     DimensionMismatchError,
     InvalidWeightError,
     NonDerivableError,
@@ -33,7 +32,6 @@ from .fields import (
 )
 from .geometry import (
     DomainSpec,
-    Point,
     QuadratureConfig,
     StateSpaceDims,
     WeightedMeasure,
@@ -44,10 +42,7 @@ __all__ = [
     "AssumptionConstants",
     "StandardOperatorSpec",
     "SingularOperatorSpec",
-    "apply_standard",
-    "apply_singular",
-    "apply_standard_batch",
-    "apply_singular_batch",
+    "apply_generator_batch",
     "drift_g_parts",
     "drift_identity_g",
     "drift_identity_e",
@@ -89,13 +84,6 @@ class AssumptionConstants:
 
 class _OperatorBase:
     dims: StateSpaceDims
-
-    def _check_point(self, z: Point) -> np.ndarray:
-        if z.dims != self.dims:
-            raise DimensionMismatchError(
-                f"point dims {z.dims} do not match operator dims {self.dims}"
-            )
-        return z.vector
 
     def increment_covariance(self, states: np.ndarray) -> np.ndarray:
         """``alpha = S D S`` with ``S = diag(sqrt(x), 1)`` and ``D`` this
@@ -362,47 +350,27 @@ def drift_identity_f(op: SingularOperatorSpec, states: np.ndarray) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Pointwise application
+# Generator application
 # ---------------------------------------------------------------------------
 
 
-def _apply_generator_batch(
+def apply_generator_batch(
     op, u: TestFunction, states: np.ndarray, log_clamp_eps: float = 0.0
 ) -> np.ndarray:
     """Generator ``1/2 tr(alpha H) + drift . grad u`` of ``op`` applied to
     ``u`` on a batch of states, with ``alpha`` the increment covariance and
-    ``drift`` the spec's :meth:`drift`.
+    ``drift`` the spec's :meth:`drift`; one function for both forms.
 
     On the divergence side ``log_clamp_eps > 0`` reads the log drift as
     ``ln max(x_j, eps)``, which keeps it finite on the degenerate boundary;
     with the default 0, boundary states give infinite logs when ``b`` is not
-    constant (:func:`apply_singular` enforces the strict contract).  A
-    constant ``b`` has ``f = 0`` and no log term.
+    constant.  A constant ``b`` has ``f = 0`` and no log term.
     """
     states = np.asarray(states, dtype=float)
     alpha = op.increment_covariance(states)
     return 0.5 * np.einsum("...ij,...ij->...", alpha, u.hessian(states)) + np.einsum(
         "...i,...i->...", op.drift(states, log_clamp_eps), u.gradient(states)
     )
-
-
-apply_standard_batch = apply_singular_batch = _apply_generator_batch
-
-
-def apply_standard(op: StandardOperatorSpec, u: TestFunction, z: Point) -> float:
-    vec = op._check_point(z)
-    return float(apply_standard_batch(op, u, vec[None, :])[0])
-
-
-def apply_singular(op: SingularOperatorSpec, u: TestFunction, z: Point) -> float:
-    """Pointwise application; requires all degenerate coordinates positive."""
-    vec = op._check_point(z)
-    if any(v == 0.0 for v in z.x):
-        raise BoundaryEvaluationError(
-            "log-drift terms are undefined on the degenerate boundary; "
-            "evaluate at interior points or use the clamped batch form"
-        )
-    return float(apply_singular_batch(op, u, vec[None, :])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ __all__ = [
     "besq_transition_density",
     "besq_transition_mass",
     "besq_mean",
-    "sample_exact",
     "gaussian_reference",
     "lq_closed_form",
     "gaussian_abs_moment",
@@ -150,16 +149,6 @@ def besq_transition_mass(model: Besq1dModel, t: float, edges) -> np.ndarray:
 
 def besq_mean(model: Besq1dModel, t: float) -> float:
     return model.x0 + model.b0 * t
-
-
-def sample_exact(
-    model: Besq1dModel, t: float, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Exact draws of the time-``t`` transition (noncentral chi-square form)."""
-    s = t / 2.0
-    if model.x0 == 0.0:
-        return rng.gamma(model.b0, t, size=size)
-    return s * rng.noncentral_chisquare(2.0 * model.b0, model.x0 / s, size=size)
 
 
 # ---------------------------------------------------------------------------
@@ -317,24 +306,14 @@ class Solution1D:
         return self.solver.mass(self.values[kt])
 
 
-def dirac_approx(
-    solver: Grid1dSolver, x0: float, normalization: str = "mass"
-) -> np.ndarray:
-    """Spike on the cell containing ``x0``.
-
-    ``mass`` normalization gives unit weighted mass (the choice that converges
-    to the transition density against the weighted measure); ``l2`` gives unit
-    weighted L2 norm.
-    """
+def dirac_approx(solver: Grid1dSolver, x0: float) -> np.ndarray:
+    """Spike of unit weighted mass on the cell containing ``x0``, the initial
+    value that converges to the transition density against the weighted
+    measure."""
     j = int(np.clip(np.searchsorted(solver.u_edges, math.sqrt(max(x0, 0.0))) - 1,
                     0, solver.n_cells - 1))
     v = np.zeros(solver.n_cells)
-    if normalization == "mass":
-        v[j] = 1.0 / solver.mu_cells[j]
-    elif normalization == "l2":
-        v[j] = 1.0 / math.sqrt(solver.mu_cells[j])
-    else:
-        raise ValueError("normalization must be 'mass' or 'l2'")
+    v[j] = 1.0 / solver.mu_cells[j]
     return v
 
 

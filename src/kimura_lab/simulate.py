@@ -51,7 +51,6 @@ __all__ = [
     "PathBundle",
     "grid_steps",
     "simulate_bundle",
-    "step_singular",
     "config_fingerprint",
     "bundle_to_csv",
     "bundle_to_kimb",
@@ -60,6 +59,7 @@ __all__ = [
 
 RNG_BLOCK = 4096
 SCHEMES = ("euler-projected", "euler-implicit-sqrt", "exact-1d-gamma")
+RECORD_MODES = ("auto", "all", "ends")
 _AUTO_RECORD_BUDGET = 64_000_000  # floats
 
 
@@ -70,6 +70,10 @@ class PathConfig:
     ``record`` selects which grid times are stored in the bundle: "all",
     "ends" (initial and final), an explicit tuple of grid times, or "auto"
     (all when the bundle stays small, ends otherwise).
+
+    A config is checked once, when it is built: the seed is a U64, the
+    horizon lies on the ``dt`` grid, and every explicit record time lies on
+    the grid within ``[0, horizon]``.
     """
 
     dt: float
@@ -89,6 +93,16 @@ class PathConfig:
             raise ValueError("n_paths must be >= 1")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"a seed is a U64, got {self.seed}")
+        grid_steps(self.horizon, self.dt)
+        if isinstance(self.record, str):
+            if self.record not in RECORD_MODES:
+                raise ValueError(f"record must be one of {RECORD_MODES} or a tuple of times")
+        else:
+            for t in self.record:
+                if not 0 <= grid_steps(float(t), self.dt) <= self.n_steps:
+                    raise ValueError(f"record time {t} lies outside [0, {self.horizon}]")
 
     @property
     def n_steps(self) -> int:
@@ -225,15 +239,11 @@ def _resolve_record(config: PathConfig, dims_total: int, n_starts: int) -> np.nd
         return grid
     if record == "ends":
         return np.array([grid[0], grid[-1]])
-    times = np.asarray(sorted(set(float(t) for t in record)), dtype=float)
-    for t in times:
-        if not 0 <= grid_steps(t, config.dt) <= config.n_steps:
-            raise ValueError(f"record time {t} lies outside [0, {config.horizon}]")
-    return times
+    return np.asarray(sorted(set(float(t) for t in record)), dtype=float)
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(block)])
+    key = np.array([np.uint64(seed), np.uint64(block)])
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -270,12 +280,13 @@ def _advance_block(
     states: np.ndarray,
     xi: np.ndarray,
     step_index: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One Euler step of a block from standard normals ``xi``;
-    returns (new_states, dW, log_weight_delta).
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One Euler step of a block from standard normals ``xi``; returns
+    ``(new_states, log_weight_delta)``, the delta None without ``theta``.
 
     ``states`` may stack the copies of one block from several starts; ``xi``
-    holds one row per block path and is repeated for each copy.
+    holds one row per block path and is repeated for each copy.  A single
+    step is a one-row call.
     """
     n = coeffs.dims.n
     nb = xi.shape[0]
@@ -284,7 +295,7 @@ def _advance_block(
     dt = config.dt
     eps = config.log_clamp_eps
     sqdt = np.sqrt(dt)
-    dW = sqdt * xi
+    logw_delta = None
     if theta is None:
         drift = coeffs.drift_batch(states, eps)
     else:
@@ -292,12 +303,10 @@ def _advance_block(
         log_sum = coeffs.source.log_drift(states, eps)
         drift = coeffs.drift_batch(states, eps, log_sum)
         th = theta.theta_batch(states, eps, log_sum)
-    noise = coeffs.noise_batch(states, xi)
-    logw_delta = np.zeros(states.shape[0])
-    if theta is not None:
-        logw_delta = -np.einsum("pi,pi->p", th, dW) - 0.5 * dt * np.einsum(
+        logw_delta = -np.einsum("pi,pi->p", th, sqdt * xi) - 0.5 * dt * np.einsum(
             "pi,pi->p", th, th
         )
+    noise = coeffs.noise_batch(states, xi)
     new = states + drift * dt
     if config.scheme == "euler-implicit-sqrt":
         # drift-implicit in the sqrt chart on x-rows
@@ -318,7 +327,7 @@ def _advance_block(
         raise NumericFailureError(
             f"non-finite state at step {step_index} (block path {bad % nb})"
         )
-    return new, dW, logw_delta
+    return new, logw_delta
 
 
 def simulate_bundle(
@@ -345,10 +354,10 @@ def simulate_bundle(
     to simulating each start alone.
 
     ``observers`` (one start point only) receive per-step callbacks
-    ``observe(block_slice, k, t, prev, new, alive_before, alive_after, dW,
-    logw=...)`` (``logw`` is the running per-path log weight, None without a
-    drift-change field) and must write only into per-path or per-block slots
-    (blocks may run concurrently).
+    ``observe(block_slice, k, t, prev, new, alive, logw=None)``: ``alive``
+    marks the paths alive before step ``k``, and ``logw`` is the running
+    per-path log weight (None without a drift-change field).  They must write
+    only into per-path or per-block slots (blocks may run concurrently).
     """
     dims = coeffs.dims
     starts = [z0] if isinstance(z0, Point) else list(z0)
@@ -413,10 +422,9 @@ def simulate_bundle(
         for k in range(1, n_steps + 1):
             if params_exact is None:
                 xi = rng.standard_normal((nb, total))
-                new, dW, dlogw = _advance_block(coeffs, theta, config, cur, xi, k)
+                new, dlogw = _advance_block(coeffs, theta, config, cur, xi, k)
             else:
                 new = params_exact.sample(rng, cur[:, 0], config.dt)[:, None]
-                dW, dlogw = np.zeros((nb, total)), np.zeros(nb)
             new = np.where(alive[:, None], new, cur)
             if theta is not None:
                 logw = logw + np.where(alive, dlogw, 0.0)
@@ -429,13 +437,12 @@ def simulate_bundle(
                 tau_index[start, path] = k
                 exited[start, path] = True
                 exit_state[start, path] = new[idx]
-            alive_after = alive & inside
             for obs in observers:
                 obs.observe(
-                    sl, k, k * config.dt, cur, new, alive, alive_after, dW,
+                    sl, k, k * config.dt, cur, new, alive,
                     logw=logw if theta is not None else None,
                 )
-            alive = alive_after
+            alive = alive & inside
             cur = new
             if k in record_idx:
                 states_rec[group, sl, record_idx[k]] = by_start(cur)
@@ -470,31 +477,6 @@ def simulate_bundle(
         log_weights=flat(log_weights),
         fingerprint=fp,
     )
-
-
-def step_singular(
-    coeffs: SdeCoefficients | StandardSdeCoefficients,
-    z: Point,
-    dt: float,
-    xi: Sequence[float],
-    config: PathConfig | None = None,
-) -> Point:
-    """One explicit scheme step from ``z`` with given standard normals.
-
-    This is the block step of :func:`simulate_bundle` on a single path, for
-    either equation; the exact scheme, which draws no normals, steps as
-    projected Euler here.
-    """
-    dims = coeffs.dims
-    if config is None:
-        config = PathConfig(dt=dt, seed=0, n_paths=1, horizon=dt)
-    else:
-        config = replace(config, dt=dt)
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (dims.total,):
-        raise DimensionMismatchError(f"need {dims.total} normals, got {xi.shape}")
-    new, _, _ = _advance_block(coeffs, None, config, z.vector[None, :], xi[None, :], 1)
-    return Point.from_vector(dims, new[0])
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,7 @@ class _WeightTrace:
         )
         self.sq[:, 0] = self.sums[:, 0]
 
-    def observe(self, sl, k, t, prev, new, alive_before, alive_after, dW, logw=None):
+    def observe(self, sl, k, t, prev, new, alive, logw=None):
         w = np.exp(logw)
         block = sl.start // RNG_BLOCK
         self.sums[block, k] = float(w.sum())

@@ -250,6 +250,11 @@ def test_unknown_scheme_is_config_error(tmp_path, capsys, name):
     # seeds outside U64
     ("fk", ("seed",), -1),
     ("fk", ("seed",), 2**64 + 5),
+    # record times past the horizon or off the sim.dt grid
+    ("simulate", ("sim", "record"), [0.0, 1.5]),
+    ("simulate", ("sim", "record"), [0.0, 0.015]),
+    # a density measure of no known kind
+    ("density", ("measure",), "operatr"),
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, name, path, value):
     docs = {"density": DENSITY_DOC, "fk": FK_DOC, "simulate": SIMULATE_DOC}
@@ -270,6 +275,20 @@ def test_seed_flag_outside_u64_is_config_error(tmp_path, capsys, seed):
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert json.loads(err[-1])["kind"] == "config"
+
+
+def test_girsanov_at_the_largest_seed(tmp_path):
+    # the weighted bundle's seed + 1 wraps to 0 instead of leaving U64
+    doc = {
+        "command": "girsanov",
+        "model": MODEL_HALF,
+        "z0": [1.0],
+        "t": 0.1,
+        "sim": {"dt": 0.01, "n_paths": 2000, "horizon": 0.1},
+    }
+    code, out = run(tmp_path, doc, "--seed", str(2**64 - 1))
+    assert code == 0
+    assert json.loads((out / "results.json").read_text())["seed"] == 2**64 - 1
 
 
 def test_bad_thread_variable_is_config_error(tmp_path, capsys, monkeypatch):

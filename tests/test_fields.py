@@ -7,8 +7,6 @@ from kimura_lab.fields import (
     FieldVector,
     SmoothBump,
     TrigField,
-    field_from_json,
-    field_to_json,
 )
 
 
@@ -104,18 +102,3 @@ def test_bump_vanishes_smoothly_at_edge():
     edge = np.array([[0.999999], [1.0], [1.2]])
     assert np.all(bump.value(edge) < 1e-6)
     assert np.all(np.abs(bump.gradient(edge)) < 1e-3)
-
-
-@pytest.mark.parametrize(
-    "doc",
-    [
-        {"family": "constant", "value": 2.5},
-        {"family": "affine", "c0": 1.0, "coeffs": [0.2]},
-        {"family": "trig", "c0": 0.0, "amplitude": 1.0, "axis": 0, "frequency": 2.0},
-    ],
-)
-def test_json_roundtrip(doc):
-    f = field_from_json(doc, 1)
-    back = field_from_json(field_to_json(f), 1)
-    z = np.array([[0.37]])
-    assert back.evaluate_batch(z)[0] == pytest.approx(f.evaluate_batch(z)[0])

@@ -10,7 +10,6 @@ from kimura_lab.density import GridSpec, _cell_measures, estimate_density
 from kimura_lab.errors import (
     InvalidHarnackParametersError,
     InvalidWeightError,
-    SingularEvaluationError,
 )
 from kimura_lab.fields import TestFunction
 from kimura_lab.geometry import (
@@ -27,7 +26,6 @@ from kimura_lab.geometry import (
     mu_ball,
     mu_ball_comparator,
     mu_box,
-    mu_density,
     rho,
     rho_batch,
 )
@@ -127,24 +125,23 @@ class TestIntrinsicDistance:
 
 
 class TestWeightedMeasure:
+    # the weighted measure has density prod_i x_i^(b_i - 1) against Lebesgue
     def test_flat_weight_density_is_one(self):
         m = WeightedMeasure.constant(StateSpaceDims(2, 1), [1.0, 1.0])
-        assert mu_density(m, Point((0.3, 2.0), (1.0,))) == pytest.approx(1.0)
+        box = [(0.2, 0.4), (1.5, 2.5), (0.5, 1.5)]
+        assert mu_box(m, box) == pytest.approx(0.2, rel=1e-12)
 
     def test_linear_weight(self):
         m = WeightedMeasure.constant(StateSpaceDims(1, 0), [2.0])
-        assert mu_density(m, p1(0.5)) == pytest.approx(0.5)
+        # int_0.16^0.36 x dx
+        assert mu_box(m, [(0.16, 0.36)]) == pytest.approx(0.052, rel=1e-6)
 
     def test_two_axis_product(self):
         m = WeightedMeasure.constant(StateSpaceDims(2, 0), [0.5, 3.0])
-        z = Point((0.25, 2.0), ())
-        # 0.25^{-0.5} * 2^2 = 8
-        assert mu_density(m, z) == pytest.approx(8.0)
-
-    def test_singular_evaluation_raises(self):
-        m = WeightedMeasure.constant(StateSpaceDims(1, 0), [0.5])
-        with pytest.raises(SingularEvaluationError):
-            mu_density(m, p1(0.0))
+        # int_0.16^0.36 x^-0.5 dx * int_1.5^2.5 x^2 dx = 0.4 * 49 / 12
+        assert mu_box(m, [(0.16, 0.36), (1.5, 2.5)]) == pytest.approx(
+            0.4 * 49.0 / 12.0, rel=1e-6
+        )
 
     def test_interior_flat_ball_is_lebesgue_length(self):
         m = WeightedMeasure.constant(StateSpaceDims(1, 0), [1.0])

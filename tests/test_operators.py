@@ -6,10 +6,7 @@ from scipy.integrate import quad
 
 from conftest import make_flat_1d_free, make_sing_1d, make_std_1d
 
-from kimura_lab.errors import (
-    BoundaryEvaluationError,
-    InvalidWeightError,
-)
+from kimura_lab.errors import InvalidWeightError
 from kimura_lab.fields import (
     AffineField,
     FieldMatrix,
@@ -25,9 +22,7 @@ from kimura_lab.operators import (
     SingularOperatorSpec,
     StandardOperatorSpec,
     _form_matrix,
-    apply_singular,
-    apply_singular_batch,
-    apply_standard,
+    apply_generator_batch,
     bilinear_form,
     derive_singular_from_standard,
     drift_identity_g,
@@ -44,6 +39,11 @@ def scalar_testfn(f, d1, d2):
         grad=lambda s: d1(s[..., 0])[..., None],
         hess=lambda s: d2(s[..., 0])[..., None, None],
     )
+
+
+def apply_at(op, u, z: Point) -> float:
+    """The generator at one point: a one-row batch call."""
+    return float(apply_generator_batch(op, u, z.vector[None, :])[0])
 
 
 U_LINEAR = scalar_testfn(lambda x: x, lambda x: np.ones_like(x), lambda x: np.zeros_like(x))
@@ -98,13 +98,13 @@ class TestDrift:
 class TestApplyStandard:
     def test_first_order_only(self):
         op = make_std_1d(b0=0.7)
-        assert apply_standard(op, U_LINEAR, Point((0.3,), ())) == pytest.approx(0.7)
+        assert apply_at(op, U_LINEAR, Point((0.3,), ())) == pytest.approx(0.7)
 
     def test_quadratic(self):
         op = make_std_1d(b0=0.7)
         x = 0.45
         # x u'' + b u' = 2x + 2 b x
-        assert apply_standard(op, U_SQUARE, Point((x,), ())) == pytest.approx(
+        assert apply_at(op, U_SQUARE, Point((x,), ())) == pytest.approx(
             2 * x + 2 * 0.7 * x
         )
 
@@ -115,7 +115,7 @@ class TestApplyStandard:
             grad=lambda s: 2 * s[..., 0:1],
             hess=lambda s: 2 * np.ones(s.shape[:-1] + (1, 1)),
         )
-        assert apply_standard(op, u, Point((), (0.8,))) == pytest.approx(2.0)
+        assert apply_at(op, u, Point((), (0.8,))) == pytest.approx(2.0)
 
     def test_cross_coupling_terms(self):
         # n=1, m=1 with a_hat, c_hat, e_hat all active on u = x^2 y
@@ -150,7 +150,7 @@ class TestApplyStandard:
             + 0.0                          # d_hat u_yy = 0
             + 0.2 * x * x                  # e_hat u_y
         )
-        assert apply_standard(op, u, Point((x,), (y,))) == pytest.approx(expected)
+        assert apply_at(op, u, Point((x,), (y,))) == pytest.approx(expected)
 
 
 class TestApplySingular:
@@ -158,7 +158,7 @@ class TestApplySingular:
         op = make_sing_1d(b0=0.8)
         x = 0.37
         # x u'' + b u'
-        assert apply_singular(op, U_SQUARE, Point((x,), ())) == pytest.approx(
+        assert apply_at(op, U_SQUARE, Point((x,), ())) == pytest.approx(
             2 * x + 2 * 0.8 * x
         )
 
@@ -169,7 +169,7 @@ class TestApplySingular:
             lambda x: np.zeros_like(x),
             lambda x: np.zeros_like(x),
         )
-        assert apply_singular(op, u, Point((0.5,), ())) == 0.0
+        assert apply_at(op, u, Point((0.5,), ())) == 0.0
 
     @pytest.mark.parametrize("x", [0.3, 0.9])
     def test_affine_weight_log_drift(self, x):
@@ -177,22 +177,17 @@ class TestApplySingular:
         op = make_sing_1d(b0=1.0, slope=eps)
         # b(x) u' + x (db) ln(x) u' with u = x
         expected = (1.0 + eps * x) + x * eps * math.log(x)
-        assert apply_singular(op, U_LINEAR, Point((x,), ())) == pytest.approx(expected)
+        assert apply_at(op, U_LINEAR, Point((x,), ())) == pytest.approx(expected)
 
     def test_constant_weight_is_finite_on_the_face_without_a_clamp(self):
         # f vanishes for constant b, so the default eps = 0 takes no ln 0
-        vals = apply_singular_batch(make_sing_1d(0.5), U_SQUARE, np.array([[0.0], [0.3]]))
+        vals = apply_generator_batch(make_sing_1d(0.5), U_SQUARE, np.array([[0.0], [0.3]]))
         assert vals[0] == 0.0
         assert vals[1] == pytest.approx(0.9, rel=1e-14)
 
-    def test_boundary_point_rejected(self):
-        op = make_sing_1d(b0=1.0, slope=0.1)
-        with pytest.raises(BoundaryEvaluationError):
-            apply_singular(op, U_LINEAR, Point((0.0,), ()))
-
     def test_clamped_batch_extends_to_boundary(self):
         op = make_sing_1d(b0=1.0, slope=0.1)
-        vals = apply_singular_batch(
+        vals = apply_generator_batch(
             op, U_LINEAR, np.array([[0.0]]), log_clamp_eps=1e-12
         )
         # x * ln x -> 0, so the drift reduces to b(0) = 1
@@ -205,8 +200,8 @@ class TestApplySingular:
         for _ in range(20):
             x = float(rng.uniform(0.05, 2.0))
             z = Point((x,), ())
-            assert apply_singular(sing, U_SQUARE, z) == pytest.approx(
-                apply_standard(std, U_SQUARE, z)
+            assert apply_at(sing, U_SQUARE, z) == pytest.approx(
+                apply_at(std, U_SQUARE, z)
             )
 
     def test_coupled_generator_matches_hand_written(self):
@@ -214,7 +209,7 @@ class TestApplySingular:
         rng = np.random.Generator(np.random.Philox(key=22))
         states = np.column_stack([rng.uniform(0.2, 1.0, 40), rng.uniform(-0.4, 0.6, 40)])
         np.testing.assert_allclose(
-            apply_singular_batch(SING_COUPLED, u, states),
+            apply_generator_batch(SING_COUPLED, u, states),
             coupled_generator(u, states),
             rtol=1e-12,
         )
@@ -400,7 +395,7 @@ IBP_MODELS = {
 @pytest.mark.parametrize("name", sorted(IBP_MODELS))
 def test_generator_integrates_by_parts_against_the_energy_form(name):
     # int (L u) v dmu = -Q(u, v) for bumps inside x > 0, with L applied by
-    # apply_singular_batch: the log drift must be that of (1/w) div(w A)
+    # apply_generator_batch: the log drift must be that of (1/w) div(w A)
     op = IBP_MODELS[name]
     if op.dims.m == 0:
         u, v = SmoothBump([0.55], [0.35]), SmoothBump([0.65], [0.3])
@@ -418,7 +413,7 @@ def test_generator_integrates_by_parts_against_the_energy_form(name):
     for lo, hi in box:
         w = np.multiply.outer(w, 0.5 * (hi - lo) * weights)
     density = s[:, 0] ** (op.b.evaluate_batch(s)[:, 0] - 1.0)
-    lhs = float(np.sum(w.ravel() * apply_singular_batch(op, u, s) * v.value(s) * density))
+    lhs = float(np.sum(w.ravel() * apply_generator_batch(op, u, s) * v.value(s) * density))
     rhs = -bilinear_form(op, u, v, dom, QuadratureConfig(pts))
     assert lhs == pytest.approx(rhs, rel=1e-6)
 

@@ -12,8 +12,7 @@ from kimura_lab.geometry import DomainSpec, Point, StateSpaceDims
 from kimura_lab.operators import (
     SingularOperatorSpec,
     StandardOperatorSpec,
-    apply_singular_batch,
-    apply_standard_batch,
+    apply_generator_batch,
     derive_singular_from_standard,
     drift_identity_e,
     drift_identity_f,
@@ -170,10 +169,10 @@ def test_sde_generators_match_operators_with_couplings(name):
     std_coeffs = build_standard_sde_coefficients(std)
     sing_coeffs = build_sde_coefficients(sing)
     np.testing.assert_allclose(
-        _sde_generator(std_coeffs, u, states), apply_standard_batch(std, u, states), rtol=1e-12
+        _sde_generator(std_coeffs, u, states), apply_generator_batch(std, u, states), rtol=1e-12
     )
     np.testing.assert_allclose(
-        _sde_generator(sing_coeffs, u, states), apply_singular_batch(sing, u, states), rtol=1e-12
+        _sde_generator(sing_coeffs, u, states), apply_generator_batch(sing, u, states), rtol=1e-12
     )
     np.testing.assert_allclose(
         sing.diffusion_matrix(states), std.diffusion_matrix(states), rtol=1e-12

@@ -29,7 +29,6 @@ from kimura_lab.simulate import (
     _advance_block,
     _block_rng,
     simulate_bundle,
-    step_singular,
 )
 
 DIMS1 = StateSpaceDims(1, 0)
@@ -49,25 +48,27 @@ def frozen_model():
     )
 
 
+def one_step(coeffs, x: float, xi: float, dt: float = 0.01) -> float:
+    """One projected-Euler step of a 1D path: a one-row block step."""
+    cfg = PathConfig(dt=dt, seed=0, n_paths=1, horizon=dt)
+    new, _ = _advance_block(coeffs, None, cfg, np.array([[x]]), np.array([[xi]]), 1)
+    return float(new[0, 0])
+
+
 class TestSingleStep:
     def test_zero_drift_zero_noise_is_identity(self):
         coeffs = build_sde_coefficients(frozen_model())
-        z = Point((0.4,), ())
-        out = step_singular(coeffs, z, 0.01, [1.7])
-        assert out.x == z.x
+        assert one_step(coeffs, 0.4, 1.7) == 0.4
 
     def test_boundary_drift_pushes_inward(self):
         coeffs = build_sde_coefficients(make_sing_1d(b0=1.0))
-        out = step_singular(coeffs, ORIGIN, 0.01, [5.0])
         # diffusion vanishes at x = 0, so the step is purely the drift
-        assert out.x[0] == pytest.approx(0.01)
-        out2 = step_singular(coeffs, ORIGIN, 0.01, [-5.0])
-        assert out2.x[0] == pytest.approx(0.01)
+        assert one_step(coeffs, 0.0, 5.0) == pytest.approx(0.01)
+        assert one_step(coeffs, 0.0, -5.0) == pytest.approx(0.01)
 
     def test_projection_keeps_state_nonnegative(self):
         coeffs = build_sde_coefficients(make_sing_1d(b0=0.5))
-        out = step_singular(coeffs, Point((0.01,), ()), 0.01, [-10.0])
-        assert out.x[0] == 0.0
+        assert one_step(coeffs, 0.01, -10.0) == 0.0
 
     @pytest.mark.parametrize("scheme", ["euler-projected", "euler-implicit-sqrt"])
     def test_single_step_is_the_block_step_row(self, scheme):
@@ -81,11 +82,12 @@ class TestSingleStep:
         xi = np.array([[0.8], [-1.1], [-2.4], [0.3], [1.7]])
         cfg = PathConfig(dt=1e-2, seed=0, n_paths=5, horizon=1.0, scheme=scheme)
         for coeffs in cases:
-            block, _, _ = _advance_block(coeffs, None, cfg, states, xi, 1)
+            block, _ = _advance_block(coeffs, None, cfg, states, xi, 1)
             for row in range(len(states)):
-                z = Point((float(states[row, 0]),), ())
-                out = step_singular(coeffs, z, cfg.dt, xi[row], cfg)
-                assert np.array(out.x).tobytes() == block[row].tobytes()
+                one, _ = _advance_block(
+                    coeffs, None, cfg, states[row:row + 1], xi[row:row + 1], 1
+                )
+                assert one[0].tobytes() == block[row].tobytes()
 
 
 class TestBundles:
@@ -189,21 +191,28 @@ class TestBundles:
         # horizon and once as a record time
         coeffs = build_standard_sde_coefficients(make_std_1d(b0=0.5))
         t = 5.0 + offset
-        as_horizon = PathConfig(dt=0.1, seed=1, n_paths=4, horizon=t, record="ends")
-        as_record = PathConfig(dt=0.1, seed=1, n_paths=4, horizon=5.0, record=(0.0, t))
-        for cfg in (as_horizon, as_record):
+        kwargs = [dict(horizon=t, record="ends"), dict(horizon=5.0, record=(0.0, t))]
+        for kw in kwargs:
             if ok:
+                cfg = PathConfig(dt=0.1, seed=1, n_paths=4, **kw)
                 assert simulate_bundle(coeffs, ORIGIN, FULL1, cfg).n_paths == 4
             else:
                 with pytest.raises(ValueError, match="not a multiple of dt"):
-                    simulate_bundle(coeffs, ORIGIN, FULL1, cfg)
+                    PathConfig(dt=0.1, seed=1, n_paths=4, **kw)
 
     def test_record_times_validated(self):
-        coeffs = build_standard_sde_coefficients(make_std_1d(b0=0.5))
-        cfg = PathConfig(dt=1e-2, seed=1, n_paths=10, horizon=0.1,
-                         record=(0.0, 0.055))
         with pytest.raises(ValueError):
-            simulate_bundle(coeffs, ORIGIN, FULL1, cfg)
+            PathConfig(dt=1e-2, seed=1, n_paths=10, horizon=0.1, record=(0.0, 0.055))
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(seed=-1), "U64"),
+        (dict(seed=2**64), "U64"),
+        (dict(record=(0.0, 0.5)), "outside"),
+        (dict(record="every"), "record must be one of"),
+    ])
+    def test_config_is_checked_when_built(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            PathConfig(**{**dict(dt=1e-2, seed=1, n_paths=10, horizon=0.1), **change})
 
 
 class TestWeights:
