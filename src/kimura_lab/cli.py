@@ -109,6 +109,7 @@ def _path_config(doc: dict, seed: int) -> PathConfig:
     sim = _section(doc, "sim")
     for key in ("dt", "n_paths", "horizon"):
         _require(sim, key, "sim")
+    record = sim.get("record", "auto")
     with _checked("sim"):
         return PathConfig(
             dt=float(sim["dt"]),
@@ -117,7 +118,7 @@ def _path_config(doc: dict, seed: int) -> PathConfig:
             horizon=float(sim["horizon"]),
             scheme=sim.get("scheme", "euler-projected"),
             log_clamp_eps=float(sim.get("log_clamp_eps", 1e-12)),
-            record=tuple(sim["record"]) if "record" in sim else "auto",
+            record=record if isinstance(record, str) else tuple(record),
         )
 
 
@@ -293,7 +294,8 @@ def _cmd_density(doc, seed, out_dir, threads) -> tuple[int, dict]:
             box=tuple(tuple(float(v) for v in b) for b in _require(grid_doc, "box", "grid")),
             cells_per_axis=int(grid_doc.get("cells", 64)),
         )
-        cfg = replace(config, record=(0.0, t), horizon=max(t, config.horizon))
+        # steps after t change no state nor stop time at t
+        cfg = replace(config, record=(0.0, t), horizon=max(t, config.dt))
     kind = doc.get("measure", "lebesgue")
     if kind not in ("lebesgue", "operator"):
         raise ConfigError(f"measure must be 'lebesgue' or 'operator', got {kind!r}")

@@ -136,7 +136,6 @@ def _reports(
     u_nodes: NodeEstimator,
     pairs: Sequence[tuple[float, SpaceTimeCylinder, SpaceTimeCylinder]],
     lattice: LatticeSpec,
-    noise_floor: float | None,
 ) -> list[HarnackReport]:
     """One report per ``(radius, earlier cylinder, later cylinder)``.
 
@@ -144,8 +143,8 @@ def _reports(
     :func:`node_key`, in first-ask order) go to ``u_nodes`` in a single call.
     Each report is the lattice sup over the earlier cylinder against the
     lattice inf over the later one.  When the inf does not clear the noise
-    floor (default three standard errors of the inf) the ratio is infinite
-    and flagged.
+    floor, three standard errors of the inf, the ratio is infinite and
+    flagged.
     """
     nodes: dict = {}
 
@@ -163,8 +162,7 @@ def _reports(
     for (radius, sup_cyl, inf_cyl), (sup_keys, inf_keys) in zip(pairs, walks):
         sup_v, sup_se, _, _ = _extremes([table[k] for k in sup_keys])
         _, _, inf_v, inf_se = _extremes([table[k] for k in inf_keys])
-        floor = noise_floor if noise_floor is not None else 3.0 * inf_se
-        unbounded = inf_v <= floor
+        unbounded = inf_v <= 3.0 * inf_se
         out.append(HarnackReport(
             sup_v, sup_se, inf_v, inf_se, math.inf if unbounded else sup_v / inf_v,
             radius, (sup_cyl.t_lo, sup_cyl.t_hi), (inf_cyl.t_lo, inf_cyl.t_hi), lattice,
@@ -179,7 +177,6 @@ def harnack_ratio(
     z0: Point,
     r: float,
     lattice: LatticeSpec = LatticeSpec(),
-    noise_floor: float | None = None,
 ) -> HarnackReport:
     """Lattice sup over the earlier cylinder ending at ``t0 - 2 r^2`` against
     the lattice inf over the cylinder ending at ``t0`` (same ball radius).
@@ -193,7 +190,7 @@ def harnack_ratio(
     t_end = t0 - 2.0 * r * r
     sup_cyl = SpaceTimeCylinder(t_end - r**2, t_end, ball)
     inf_cyl = SpaceTimeCylinder(t0 - r**2, t0, ball)
-    return _reports(u_nodes, [(r, sup_cyl, inf_cyl)], lattice, noise_floor)[0]
+    return _reports(u_nodes, [(r, sup_cyl, inf_cyl)], lattice)[0]
 
 
 def scale_invariant_scan(
@@ -205,7 +202,6 @@ def scale_invariant_scan(
     d: float,
     rho_list: Sequence[float],
     lattice: LatticeSpec = LatticeSpec(),
-    noise_floor: float | None = None,
 ) -> list[HarnackReport]:
     """Sup/inf ratios over the offset cylinder pairs for each probe radius.
 
@@ -218,7 +214,7 @@ def scale_invariant_scan(
         if not (0.0 < rho < c * R):
             raise ValueError(f"probe radius {rho} outside (0, cR) = (0, {c * R})")
         pairs.append((rho, *cylinder_sets(s, z, rho, c, d)))
-    return _reports(u_nodes, pairs, lattice, noise_floor)
+    return _reports(u_nodes, pairs, lattice)
 
 
 # ---------------------------------------------------------------------------

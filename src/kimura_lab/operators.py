@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -43,7 +43,6 @@ __all__ = [
     "StandardOperatorSpec",
     "SingularOperatorSpec",
     "apply_generator_batch",
-    "drift_g_parts",
     "drift_identity_g",
     "drift_identity_e",
     "drift_identity_f",
@@ -140,6 +139,17 @@ class StandardOperatorSpec(_OperatorBase):
         """Free rows of :meth:`drift`, ``e^``, shape (..., m)."""
         return self.e_hat.evaluate_batch(np.asarray(states, dtype=float))
 
+    @property
+    def drift_is_constant(self) -> bool:
+        """:meth:`drift` has no state dependence: ``b^`` and ``e^`` are constant."""
+        return self.b_hat.is_constant and self.e_hat.is_constant
+
+    @property
+    def diffusion_is_constant(self) -> bool:
+        """:meth:`diffusion_matrix` has no state dependence: its ``sqrt(x)``
+        blocks ``a^`` and ``c^`` vanish and ``d^`` is constant."""
+        return self.a_hat.is_zero and self.c_hat.is_zero and self.d_hat.is_constant
+
 
 @dataclass(frozen=True)
 class SingularOperatorSpec(_OperatorBase):
@@ -205,6 +215,22 @@ class SingularOperatorSpec(_OperatorBase):
         e = drift_identity_e(self, states)
         return e if log_sum is None else e + log_sum[..., self.dims.n :]
 
+    @property
+    def drift_is_constant(self) -> bool:
+        """:meth:`drift` has no state dependence: every field is constant and
+        ``a~ = 0``, so ``g = b a``, ``e`` is constant and ``f`` vanishes."""
+        fields = (self.a_diag, self.b, self.c, self.d)
+        return self.a_tilde.is_zero and all(f.is_constant for f in fields)
+
+    @property
+    def diffusion_is_constant(self) -> bool:
+        """:meth:`diffusion_matrix` has no state dependence: its ``sqrt(x)``
+        blocks ``a~`` and ``c`` vanish and ``a`` and ``d`` are constant."""
+        return (
+            self.a_tilde.is_zero and self.c.is_zero
+            and self.a_diag.is_constant and self.d.is_constant
+        )
+
     def measure(self) -> WeightedMeasure:
         """Weighted measure carrying this operator's ``b`` as exponents."""
         return WeightedMeasure(self.b.evaluate_batch, self.dims)
@@ -243,12 +269,12 @@ def _diffusion_matrix(states, a, at, cross, d) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def drift_g_parts(op: SingularOperatorSpec, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two terms of ``g = b a + x * slope``, each of shape (..., n).
+def drift_identity_g(op: SingularOperatorSpec, states: np.ndarray) -> np.ndarray:
+    """Bounded part of the degenerate-axis drift, shape (..., n).
 
-    ``slope_i = d_xi a_ii + sum_j (a~_ij + delta_ij a~_ii + x_j d_xj a~_ij
-    + a~_ij (b_j - 1)) + sum_l d_yl c_il``; it does not depend on the state
-    when every coefficient field is constant.
+    ``g_i = b_i a_ii + x_i (d_xi a_ii + sum_j (a~_ij + delta_ij a~_ii
+    + x_j d_xj a~_ij + a~_ij (b_j - 1)) + sum_l d_yl c_il)``, affine in ``b``:
+    ``g(b) = g(0) + (diag(a) + diag(x) a~) b``.
     """
     n, m = op.dims.n, op.dims.m
     states = np.asarray(states, dtype=float)
@@ -267,18 +293,7 @@ def drift_g_parts(op: SingularOperatorSpec, states: np.ndarray) -> tuple[np.ndar
         for l in range(m):
             inner = inner + op.c[i, l].partial(n + l).evaluate_batch(states)
         slope[..., i] = inner
-    return b * a, slope
-
-
-def drift_identity_g(op: SingularOperatorSpec, states: np.ndarray) -> np.ndarray:
-    """Bounded part of the degenerate-axis drift, shape (..., n).
-
-    ``g_i = b_i a_ii + x_i (d_xi a_ii + sum_j (a~_ij + delta_ij a~_ii
-    + x_j d_xj a~_ij + a~_ij (b_j - 1)) + sum_l d_yl c_il)``.
-    """
-    states = np.asarray(states, dtype=float)
-    ba, slope = drift_g_parts(op, states)
-    return ba + states[..., : op.dims.n] * slope
+    return b * a + states[..., :n] * slope
 
 
 def drift_identity_e(op: SingularOperatorSpec, states: np.ndarray) -> np.ndarray:
@@ -692,30 +707,31 @@ def derive_singular_from_standard(
 
     Sets ``a_ii = 1``, ``a~ = a_hat``, ``c = c_hat / 2``, ``d = d_hat`` and
     solves pointwise for the drift weights ``b`` from the requirement that the
-    bounded drift part reproduce ``b_hat``:
+    bounded drift part :func:`drift_identity_g` reproduce ``b_hat``.  With
+    ``a = 1`` that identity is affine in ``b``, so ``b`` solves
 
-        ``b_i + x_i sum_j a~_ij b_j
-          = b_hat_i - x_i (sum_j (a~_ij + delta_ij a~_ii + x_j d_xj a~_ij
-                                   - a~_ij) + sum_l d_yl c_il)``
+        ``(I + diag(x) a_hat) b = b_hat - g(0)``
 
-    The solve runs on a uniform lattice (default spacing 1/64 per axis) and
-    ``b`` is the multilinear interpolant; its derivatives come from central
-    differences of the solved node values.
+    with ``g(0)`` the identity at zero weights.  The solve runs on a uniform
+    lattice (default spacing 1/64 per axis) and ``b`` is the multilinear
+    interpolant; its derivatives come from central differences of the solved
+    node values.
     """
     dims = std.dims
-    n, m = dims.n, dims.m
+    n = dims.n
+    base = SingularOperatorSpec(
+        dims=dims,
+        a_diag=FieldVector([ConstantField(1.0)] * n),
+        a_tilde=std.a_hat,
+        b=FieldVector.zeros(n),
+        c=_half_matrix(std.c_hat),
+        d=std.d_hat,
+        constants=std.constants,
+    )
     if n == 0:
-        return SingularOperatorSpec(
-            dims=dims,
-            a_diag=FieldVector([]),
-            a_tilde=FieldMatrix.zeros(0, 0),
-            b=FieldVector([]),
-            c=_half_matrix(std.c_hat),
-            d=std.d_hat,
-            constants=std.constants,
-        )
+        return base  # no weights to solve for
     if lattice_box is None:
-        lattice_box = [(0.0, 4.0)] * n + [(-4.0, 4.0)] * m
+        lattice_box = [(0.0, 4.0)] * n + [(-4.0, 4.0)] * dims.m
     axes = []
     for lo, hi in lattice_box:
         count = max(int(round((hi - lo) / lattice_spacing)) + 1, 2)
@@ -723,24 +739,8 @@ def derive_singular_from_standard(
     grids = np.meshgrid(*axes, indexing="ij")
     states = np.stack(grids, axis=-1).reshape(-1, dims.total)
 
-    at = std.a_hat.evaluate_batch(states)
-    bh = std.b_hat.evaluate_batch(states)
-    x = states[:, :n]
-    N = states.shape[0]
-    M = np.broadcast_to(np.eye(n), (N, n, n)).copy()
-    M += x[:, :, None] * at
-    rhs = bh.copy()
-    for i in range(n):
-        inner = np.zeros(N)
-        for j in range(n):
-            dat = std.a_hat[i, j].partial(j).evaluate_batch(states)
-            inner = inner + states[:, j] * dat
-            if i == j:
-                inner = inner + at[:, i, i]
-        for l in range(m):
-            # c = c_hat / 2
-            inner = inner + 0.5 * std.c_hat[i, l].partial(n + l).evaluate_batch(states)
-        rhs[:, i] = rhs[:, i] - x[:, i] * inner
+    M = np.eye(n) + states[:, :n, None] * std.a_hat.evaluate_batch(states)
+    rhs = std.b_hat.evaluate_batch(states) - drift_identity_g(base, states)
     try:
         b_nodes = np.linalg.solve(M, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
@@ -764,15 +764,7 @@ def derive_singular_from_standard(
                         f"degenerate face, below the declared floor "
                         f"{std.constants.b_bar}"
                     )
-    return SingularOperatorSpec(
-        dims=dims,
-        a_diag=FieldVector([ConstantField(1.0)] * n),
-        a_tilde=std.a_hat,
-        b=FieldVector(b_fields),
-        c=_half_matrix(std.c_hat),
-        d=std.d_hat,
-        constants=std.constants,
-    )
+    return replace(base, b=FieldVector(b_fields))
 
 
 class _ScaledField(ScalarField):

@@ -12,7 +12,7 @@ field ``theta`` tying the two equations together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +25,6 @@ from .geometry import StateSpaceDims
 from .operators import (
     SingularOperatorSpec,
     StandardOperatorSpec,
-    drift_g_parts,
-    drift_identity_e,
 )
 
 __all__ = [
@@ -79,17 +77,14 @@ def dispersion_sqrt_batch(D: np.ndarray) -> np.ndarray:
 class StepPlan:
     """What a scheme step needs from one model, resolved once at build time.
 
-    ``sigma`` is the dispersion root when ``D`` has no state dependence, and
-    ``sigma_diag`` its diagonal when that root is diagonal.  A model whose
-    drift fields are all constant has the drift ``drift + x * drift_slope``
-    (the slope on the degenerate rows, None when zero; always None on the
-    standard side).
+    ``sigma`` is the dispersion root when the spec's ``D`` is state-free, and
+    ``sigma_diag`` its diagonal when that root is diagonal.  ``drift`` is the
+    spec's drift when it is state-free.
     """
 
     sigma: np.ndarray | None = None
     sigma_diag: np.ndarray | None = None
     drift: np.ndarray | None = None
-    drift_slope: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -112,14 +107,10 @@ class _Coefficients:
         so no log drift.
         """
         states = np.asarray(states, dtype=float)
-        plan = self.plan
-        if plan.drift is None:
+        if self.plan.drift is None:
             return self.source.drift(states, log_clamp_eps, log_sum)
-        n = self.dims.n
         out = np.empty(states.shape)
-        out[...] = plan.drift
-        if plan.drift_slope is not None:
-            out[..., :n] += states[..., :n] * plan.drift_slope
+        out[...] = self.plan.drift
         return out
 
     def sigma_batch(self, states: np.ndarray) -> np.ndarray:
@@ -130,11 +121,8 @@ class _Coefficients:
 
     def noise_batch(self, states: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """``sigma(z) xi`` per state for a block of standard normals ``xi``."""
-        plan = self.plan
-        if plan.sigma_diag is not None:
-            return xi * plan.sigma_diag
-        if plan.sigma is not None:
-            return xi @ plan.sigma.T
+        if self.plan.sigma_diag is not None:
+            return xi * self.plan.sigma_diag
         return np.einsum("pij,pj->pi", self.sigma_batch(states), xi)
 
 
@@ -159,43 +147,28 @@ class StandardSdeCoefficients(_Coefficients):
     sigma_batch = _Coefficients.sigma_batch
 
 
-def _with_dispersion(coeffs: _Coefficients, constant_D: bool) -> _Coefficients:
-    """Attach sigma, computed once, when ``D`` has no state dependence."""
-    if not constant_D:
-        return coeffs
-    probe = np.ones((1, coeffs.dims.total))
-    sigma = dispersion_sqrt_batch(coeffs.source.diffusion_matrix(probe)[0])
-    diag = np.diag(sigma).copy()
-    diag = diag if np.array_equal(sigma, np.diag(diag)) else None
-    return replace(coeffs, plan=replace(coeffs.plan, sigma=sigma, sigma_diag=diag))
+def _compile(cls, spec):
+    """Coefficients of class ``cls`` for ``spec``, with the step plan folding
+    the spec's drift and dispersion root, each evaluated once at a probe
+    state, when the spec says it is state-free."""
+    probe = np.ones((1, spec.dims.total))
+    drift = spec.drift(probe)[0] if spec.drift_is_constant else None
+    sigma = diag = None
+    if spec.diffusion_is_constant:
+        sigma = dispersion_sqrt_batch(spec.diffusion_matrix(probe)[0])
+        diag = np.diag(sigma).copy()
+        diag = diag if np.array_equal(sigma, np.diag(diag)) else None
+    return cls(spec.dims, spec, StepPlan(sigma=sigma, sigma_diag=diag, drift=drift))
 
 
 def build_sde_coefficients(op: SingularOperatorSpec) -> SdeCoefficients:
-    """Assemble all simulation fields from a divergence-compatible spec.
-
-    When every coefficient field is constant, one evaluation of the drift
-    identities at a probe state gives the folded drift.
-    """
-    plan = StepPlan()
-    if all(f.is_constant for f in (op.a_diag, op.a_tilde, op.b, op.c, op.d)):
-        probe = np.ones((1, op.dims.total))
-        ba, slope = drift_g_parts(op, probe)
-        drift = np.concatenate([ba, drift_identity_e(op, probe)], axis=-1)[0]
-        plan = StepPlan(drift=drift, drift_slope=slope[0] if slope.any() else None)
-    constant_D = (
-        op.a_tilde.is_zero and op.c.is_zero and op.a_diag.is_constant and op.d.is_constant
-    )
-    return _with_dispersion(SdeCoefficients(op.dims, op, plan), constant_D)
+    """Assemble all simulation fields from a divergence-compatible spec."""
+    return _compile(SdeCoefficients, op)
 
 
 def build_standard_sde_coefficients(std: StandardOperatorSpec) -> StandardSdeCoefficients:
-    """Assemble the simulation fields of a standard spec; its drift
-    ``(b^, e^)`` folds when both are constant."""
-    plan = StepPlan()
-    if std.b_hat.is_constant and std.e_hat.is_constant:
-        plan = StepPlan(drift=std.drift(np.ones((1, std.dims.total)))[0])
-    constant_D = std.a_hat.is_zero and std.c_hat.is_zero and std.d_hat.is_constant
-    return _with_dispersion(StandardSdeCoefficients(std.dims, std, plan), constant_D)
+    """Assemble all simulation fields from a standard spec."""
+    return _compile(StandardSdeCoefficients, std)
 
 
 # ---------------------------------------------------------------------------

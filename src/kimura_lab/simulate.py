@@ -156,7 +156,6 @@ class PathBundle:
     record_times: np.ndarray
     states: np.ndarray
     tau: np.ndarray
-    tau_index: np.ndarray
     exited: np.ndarray
     exit_state: np.ndarray
     log_weights: np.ndarray | None
@@ -177,7 +176,7 @@ class PathBundle:
     def per_start(self) -> list["PathBundle"]:
         """One bundle per start point, each a view of this bundle's paths."""
         n = self.config.n_paths
-        per_path = ("states", "tau", "tau_index", "exited", "exit_state", "log_weights")
+        per_path = ("states", "tau", "exited", "exit_state", "log_weights")
 
         def part(a, s):
             return None if a is None else a[s * n:(s + 1) * n]
@@ -256,7 +255,7 @@ class _ExactGammaParams:
         if dims.n != 1 or dims.m != 0:
             raise ValueError("exact-1d-gamma needs n=1, m=0")
         plan = coeffs.plan
-        if plan.drift is None or plan.drift_slope is not None or plan.sigma is None:
+        if plan.drift is None or plan.sigma is None:
             raise ValueError(
                 "exact-1d-gamma needs constant coefficients with no log drift"
             )
@@ -393,7 +392,6 @@ def simulate_bundle(
     # leading axes (start, path); flattened start by start for the bundle
     states_rec = np.empty((n_starts, n_paths, n_rec, total))
     tau = np.full((n_starts, n_paths), config.dt * n_steps)
-    tau_index = np.full((n_starts, n_paths), n_steps, dtype=np.int64)
     exited = np.zeros((n_starts, n_paths), dtype=bool)
     exit_state = np.repeat(origins[:, None, :], n_paths, axis=1)
     log_weights = np.zeros((n_starts, n_paths, n_rec)) if theta is not None else None
@@ -434,7 +432,6 @@ def simulate_bundle(
                 idx = np.flatnonzero(newly)
                 start, path = group.start + idx // nb, lo + idx % nb
                 tau[start, path] = k * config.dt
-                tau_index[start, path] = k
                 exited[start, path] = True
                 exit_state[start, path] = new[idx]
             for obs in observers:
@@ -471,7 +468,6 @@ def simulate_bundle(
         record_times=record_times,
         states=flat(states_rec),
         tau=flat(tau),
-        tau_index=flat(tau_index),
         exited=flat(exited),
         exit_state=flat(exit_state),
         log_weights=flat(log_weights),

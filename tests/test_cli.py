@@ -129,6 +129,19 @@ def test_simulate_writes_bundle(tmp_path):
     assert back["states"].shape[0] == 200
 
 
+@pytest.mark.parametrize("record, n_rec", [("ends", 2), ("all", 11)])
+def test_simulate_record_mode_from_config(tmp_path, record, n_rec):
+    # a record mode is a string, not a sequence of times
+    doc = dict(SIMULATE_DOC, sim={"dt": 0.01, "n_paths": 20, "horizon": 0.1, "record": record})
+    code, out = run(tmp_path, doc)
+    assert code == 0
+    from kimura_lab.simulate import read_kimb
+
+    back = read_kimb(str(out / "bundle.kimb"))
+    assert len(back["times"]) == n_rec  # n_steps + 1 for "all"
+    assert back["states"].shape[1] == n_rec
+
+
 def test_thread_count_does_not_change_artifacts(tmp_path):
     doc = {
         "command": "fk",
@@ -314,6 +327,28 @@ def test_density_command_writes_csv(tmp_path):
     lines = (out / "density.csv").read_text().strip().splitlines()
     assert lines[0] == "c0,cell_mu,density"
     assert len(lines) == 17
+
+
+def test_density_command_stops_at_t(tmp_path, monkeypatch):
+    import kimura_lab.cli as cli
+
+    horizons = []
+    simulate = cli.simulate_bundle
+
+    def recording(coeffs, z0, domain, config, **kwargs):
+        horizons.append(config.horizon)
+        return simulate(coeffs, z0, domain, config, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_bundle", recording)
+    doc = dict(DENSITY_DOC, t=0.2)  # sim.horizon is 0.5
+    ref = dict(doc, sim=dict(DENSITY_DOC["sim"], horizon=0.2))
+    (tmp_path / "long").mkdir()
+    (tmp_path / "short").mkdir()
+    assert run(tmp_path / "long", doc)[0] == 0
+    assert run(tmp_path / "short", ref)[0] == 0
+    assert horizons == [0.2, 0.2]
+    csv_long = (tmp_path / "long" / "out" / "density.csv").read_bytes()
+    assert csv_long == (tmp_path / "short" / "out" / "density.csv").read_bytes()
 
 
 def test_harnack_command_writes_ratio_csv(tmp_path):

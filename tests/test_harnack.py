@@ -128,7 +128,8 @@ class TestRatioProbes:
 
     def test_noise_floor_flags_unbounded(self):
         u = exact_estimator(lambda t, z: 0.0)
-        rep = harnack_ratio(u, 1.0, Point((1.0,), ()), 0.2, noise_floor=0.1)
+        # an inf of 0 with stderr 0 does not clear three stderr
+        rep = harnack_ratio(u, 1.0, Point((1.0,), ()), 0.2)
         assert math.isinf(rep.ratio)
         assert rep.flag == "unbounded-at-this-resolution"
 

@@ -440,14 +440,35 @@ class TestDeriveSingular:
         assert np.allclose(got, expected, atol=2e-4)
         assert got[0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_round_trip_drift_identity_at_nodes(self):
-        a1 = 0.3
-        std = make_std_1d(b0=1.0, a_hat=a1)
+    @pytest.mark.parametrize("model", ["1d", "coupled-n1m1"])
+    def test_round_trip_drift_identity_at_nodes(self, model):
+        if model == "1d":
+            std = make_std_1d(b0=1.0, a_hat=0.3)
+        else:
+            # a^ varies with x and c^ with y, so every term of the identity,
+            # 1/2 d_y c^ included, is nonzero
+            std = StandardOperatorSpec(
+                dims=StateSpaceDims(1, 1),
+                a_hat=FieldMatrix([[AffineField(0.3, [0.1, 0.0])]]),
+                b_hat=FieldVector([AffineField(1.0, [0.2, 0.1])]),
+                c_hat=FieldMatrix([[AffineField(0.2, [0.0, 0.15])]]),
+                d_hat=FieldMatrix([[1.0]]),
+                e_hat=FieldVector([0.0]),
+            )
         sing = derive_singular_from_standard(std)
-        nodes = sing.b[0].axes[0][::8][:, None]
-        g = drift_identity_g(sing, nodes)[:, 0]
-        b_hat = std.b_hat.evaluate_batch(nodes)[:, 0]
+        axes = [a[::8] for a in sing.b[0].axes]
+        nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+        g = drift_identity_g(sing, nodes)
+        b_hat = std.b_hat.evaluate_batch(nodes)
         assert np.max(np.abs(g - b_hat)) < 1e-10
+        if model == "coupled-n1m1":
+            # the scalar identity solved by hand: b (1 + x a^) = b^ - x (a^
+            # + x d_x a^ + 1/2 d_y c^), with d_x a^ = 0.1 and d_y c^ = 0.15
+            x, y = nodes[:, 0], nodes[:, 1]
+            a_hat = 0.3 + 0.1 * x
+            b_hat = 1.0 + 0.2 * x + 0.1 * y
+            expected = (b_hat - x * (a_hat + 0.1 * x + 0.075)) / (1.0 + x * a_hat)
+            assert np.max(np.abs(sing.b.evaluate_batch(nodes)[:, 0] - expected)) < 1e-10
 
     def test_weight_floor_violation_raises(self):
         std = make_std_1d(b0=0.2)

@@ -371,6 +371,8 @@ def _unfolded_theta(std_op, sing_op, states, eps):
 
 def _assert_plan_matches_unfolded(coeffs, states):
     xi = np.random.Generator(np.random.Philox(key=5)).standard_normal(states.shape)
+    # the spec says what folds
+    assert (coeffs.plan.drift is not None) == coeffs.source.drift_is_constant
     if isinstance(coeffs, StandardSdeCoefficients):
         src = coeffs.source
         drift = np.concatenate(
@@ -388,7 +390,7 @@ class TestStepPlan:
     def test_constant_singular_folds_to_constant_drift(self):
         coeffs = build_sde_coefficients(operator_from_json(HARNACK_MODEL))
         plan = coeffs.plan
-        assert plan.drift.tolist() == [0.5] and plan.drift_slope is None
+        assert plan.drift.tolist() == [0.5]
         assert coeffs.source.log_drift(_probe_states(coeffs.dims), EPS) is None
         _assert_plan_matches_unfolded(coeffs, _probe_states(coeffs.dims))
 
@@ -398,8 +400,24 @@ class TestStepPlan:
              "e_hat": [-0.3]}
         ))
         plan = coeffs.plan
-        assert plan.drift.tolist() == [0.5, -0.3] and plan.drift_slope is None
+        assert plan.drift.tolist() == [0.5, -0.3]
         _assert_plan_matches_unfolded(coeffs, _probe_states(coeffs.dims))
+
+    def test_constant_singular_with_coupling_is_not_folded(self):
+        # a~ != 0 puts x into g even with constant fields
+        op = SingularOperatorSpec(
+            dims=StateSpaceDims(1, 1), a_diag=FieldVector([1.0]),
+            a_tilde=FieldMatrix([[0.3]]), b=FieldVector([0.5]),
+            c=FieldMatrix([[0.2]]), d=FieldMatrix([[1.0]]),
+        )
+        assert not op.drift_is_constant and not op.diffusion_is_constant
+        coeffs = build_sde_coefficients(op)
+        assert coeffs.plan.drift is None and coeffs.plan.sigma is None
+        states = _probe_states(op.dims)
+        expected = np.concatenate(
+            [drift_identity_g(op, states), drift_identity_e(op, states)], axis=-1
+        )
+        assert coeffs.drift_batch(states, EPS).tobytes() == expected.tobytes()
 
     def test_affine_standard(self):
         coeffs = build_standard_sde_coefficients(operator_from_json(AFFINE_STANDARD))
@@ -424,8 +442,9 @@ class TestStepPlan:
             _unfolded_drift(sing_op, states, EPS).tobytes()
         )
 
-    def test_constant_nondiagonal_dispersion_multiplies_the_matrix(self):
-        # matmul may sum in another order than the per-state einsum
+    def test_constant_nondiagonal_dispersion_runs_the_per_state_product(self):
+        # the root is taken once, but applied by the same einsum as a
+        # state-dependent one
         dims = StateSpaceDims(0, 3)
         d = [[1.0, 0.3, 0.1], [0.3, 1.2, -0.2], [0.1, -0.2, 0.9]]
         coeffs = build_sde_coefficients(SingularOperatorSpec(
@@ -436,7 +455,7 @@ class TestStepPlan:
         states = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 5.0]])
         xi = np.array([[0.3, -1.2, 2.2], [-0.7, 0.4, 1.9]])
         ref = _unfolded_noise(coeffs, states, xi)
-        assert np.allclose(coeffs.noise_batch(states, xi), ref, rtol=1e-14, atol=0.0)
+        assert coeffs.noise_batch(states, xi).tobytes() == ref.tobytes()
 
     def test_singular_standard_dispersion_keeps_the_solve(self):
         # a zero diagonal entry is no divisor: theta goes through the solve,

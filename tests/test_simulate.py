@@ -139,7 +139,7 @@ class TestBundles:
         bundle = simulate_bundle(coeffs, Point((0.5,), ()), domain, cfg)
         assert bundle.exited.all()
         for i in range(0, 300, 37):
-            k = int(bundle.tau_index[i])
+            k = bundle.record_index(bundle.tau[i])
             tail = bundle.states[i, k:, 0]
             assert np.all(tail == tail[0])
             assert tail[0] >= 1.0  # frozen at the first outside point
@@ -408,7 +408,7 @@ class TestExports:
         assert bundle.exited.all()
         for i in range(bundle.n_paths):
             flags = [int(r[4]) for r in rows[i * n_rec:(i + 1) * n_rec]]
-            k = int(bundle.tau_index[i])
+            k = bundle.record_index(bundle.tau[i])
             assert flags == [0] * k + [1] * (n_rec - k)
 
 
@@ -474,8 +474,7 @@ def make_sing_coupled(gamma=0.3):
 
 def assert_same_bundle(a, b):
     assert a.config == b.config and a.fingerprint == b.fingerprint
-    for name in ("record_times", "states", "tau", "tau_index", "exited", "exit_state",
-                 "log_weights"):
+    for name in ("record_times", "states", "tau", "exited", "exit_state", "log_weights"):
         x, y = getattr(a, name), getattr(b, name)
         assert (x is None) == (y is None), name
         if x is not None:
@@ -523,7 +522,7 @@ class TestPackedStarts:
     @pytest.mark.parametrize("model", ["coupled", "n1m1", "n1m1-derived", "free-m2"])
     def test_two_dimensional_models(self, model):
         # state-dependent sigma with affine and trig fields; a constant
-        # non-diagonal sigma (free-m2), applied as one matrix product
+        # non-diagonal sigma (free-m2), taken once
         if model == "coupled":
             coeffs = build_sde_coefficients(make_sing_coupled())
         elif model == "free-m2":
