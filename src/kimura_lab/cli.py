@@ -342,11 +342,18 @@ def _cmd_harnack(doc, seed, out_dir, threads) -> tuple[int, dict]:
     g_state = _payoff(doc.get("g"), dims)
     gdata = BoundaryData(lambda times, states: g_state(states))
 
-    reports = scale_invariant_scan(
-        lambda nodes: estimate_dirichlet_nodes(
+    def u_nodes(nodes):
+        earliest = min(t for t, _ in nodes)
+        if earliest < t1:
+            raise ConfigError(
+                f"t1 = {t1} is later than the scan's earliest lattice time {earliest:.6g}"
+            )
+        return estimate_dirichlet_nodes(
             coeffs, gdata, nodes, t1, domain, config, n_threads=threads
-        ),
-        s, z, R, c, d, [f * c * R for f in fractions], lattice,
+        )
+
+    reports = scale_invariant_scan(
+        u_nodes, s, z, R, c, d, [f * c * R for f in fractions], lattice
     )
     rows = [[f"{rep.radius:.12g}", f"{rep.ratio:.12g}"] for rep in reports]
     finite = [r.ratio for r in reports if math.isfinite(r.ratio)]

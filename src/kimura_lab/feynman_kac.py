@@ -24,7 +24,14 @@ from .fields import TestFunction
 from .geometry import DomainSpec, Point, StateSpaceDims
 from .operators import SingularOperatorSpec, apply_generator_batch
 from .sde import GirsanovField, SdeCoefficients, StandardSdeCoefficients
-from .simulate import PathConfig, config_fingerprint, grid_steps, simulate_bundle
+from .simulate import (
+    PathBundle,
+    PathConfig,
+    config_fingerprint,
+    grid_bracket,
+    grid_steps,
+    simulate_bundle,
+)
 
 __all__ = [
     "Estimate",
@@ -182,19 +189,26 @@ def _as_state_fn(f) -> Callable[[np.ndarray], np.ndarray]:
     return f
 
 
-def _fit_grid(config: PathConfig, horizon: float) -> PathConfig:
-    """Adjust the step so the horizon is an exact grid multiple.
+def _read_at(t: float, dt: float, read: Callable[[int], np.ndarray]) -> np.ndarray:
+    """Per-path values at time ``t`` from ``read(k)``, the values at grid
+    step ``k``: step ``k`` itself on the grid, else ``p + lam (q - p)`` from
+    the bracketing steps of :func:`simulate.grid_bracket`."""
+    k, lam = grid_bracket(t, dt)
+    p = read(k)
+    if not lam:
+        return p
+    return p + lam * (read(k + 1) - p)
 
-    The step becomes ``horizon / k`` with ``k = round(horizon / dt)`` (at
-    least 1), so it may exceed the requested step: a horizon of 0.25 at dt
-    0.1 runs 2 steps of 0.125.  Lattice scans can thus probe arbitrary
-    space-time points at about the configured resolution.
-    """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
-    k = max(1, int(round(horizon / config.dt)))
-    return replace(config, dt=horizon / k, horizon=horizon,
-                   record=(0.0, horizon))
+
+def _grid_run(config: PathConfig, times: Sequence[float]) -> PathConfig:
+    """``config`` on its own ``dt``, run to the last grid step that
+    :func:`_read_at` needs for ``times`` and recording only the steps it reads."""
+    steps = set()
+    for t in times:
+        k, lam = grid_bracket(t, config.dt)
+        steps.update((k, k + 1) if lam else (k,))
+    return replace(config, horizon=max(max(steps), 1) * config.dt,
+                   record=tuple(j * config.dt for j in sorted(steps)))
 
 
 def estimate_semigroup(
@@ -248,42 +262,61 @@ def estimate_dirichlet_nodes(
 ) -> list[Estimate]:
     """:func:`estimate_dirichlet` at every ``(t, z0)`` node, in node order.
 
-    Nodes with the same horizon ``t - t1`` run as the start points of one
-    bundle, so their small blocks are stepped together; every estimate is
-    bit-equal to a call with that node alone.  With ``theta`` the
-    payoff carries the drift-change weight ``M(stop)``: the estimate is
-    ``E[M(stop) g(t - stop, Z(stop))]``, with ``M`` from
-    :func:`weights_from_log`.
+    One bundle on ``config.dt`` serves every node: each distinct start point
+    is one of its start points, and each node reads its horizon ``t - t1``
+    from its own start's paths, blending the bracketing grid steps when the
+    horizon is off the grid (:func:`simulate.grid_bracket`).  Every estimate,
+    fingerprint included, is bit-equal to a call with that node alone.  With
+    ``theta`` the payoff carries the drift-change weight ``M(stop)``: the
+    estimate is ``E[M(stop) g(t - stop, Z(stop))]``, with ``M`` from
+    :func:`weights_from_log`, and the weights blend like the payoffs.
     """
+    dom = domain.to_json()
+
+    def fingerprint(t: float) -> str:
+        return config_fingerprint(config, op="dirichlet", t=t, t1=t1, domain=dom,
+                                  theta=theta is not None)
+
     out: list[Estimate | None] = [None] * len(nodes)
-    by_horizon: dict[float, list[int]] = {}
+    by_start: dict[tuple[float, ...], list[int]] = {}
     for i, (t, z0) in enumerate(nodes):
         horizon = t - t1
         if horizon < 0.0:
             raise ValueError("t must be >= t1")
         if horizon == 0.0:
-            fp = config_fingerprint(config, op="dirichlet", t=t, t1=t1)
             v = float(gdata(np.array([t1]), z0.vector[None, :])[0])
-            out[i] = Estimate(v, 0.0, config.n_paths, float(config.n_paths), fp)
+            out[i] = Estimate(v, 0.0, config.n_paths, float(config.n_paths), fingerprint(t))
         else:
-            by_horizon.setdefault(horizon, []).append(i)
-    for horizon, members in by_horizon.items():
-        cfg = _fit_grid(config, horizon)
-        bundle = simulate_bundle(
-            coeffs, [nodes[i][1] for i in members], domain, cfg, theta=theta,
-            n_threads=n_threads,
-        )
-        for i, part in zip(members, bundle.per_start()):
-            stop_state, stop_time = part.stop_states()
-            payoff = gdata(nodes[i][0] - stop_time, stop_state)
-            if t_cut is not None:
-                payoff = payoff * (stop_time < t_cut - t1)
+            by_start.setdefault(tuple(z0.vector), []).append(i)
+    if not by_start:
+        return out
+    cfg = _grid_run(config, [nodes[i][0] - t1 for m in by_start.values() for i in m])
+    bundle = simulate_bundle(
+        coeffs, [nodes[m[0]][1] for m in by_start.values()], domain, cfg, theta=theta,
+        n_threads=n_threads,
+    )
+
+    def read(part: PathBundle, t: float, k: int) -> np.ndarray:
+        """The node's payoff at grid step ``k``, stacked over its weight with
+        ``theta``."""
+        stop_state, stop_time = part.stop_states(k * cfg.dt)
+        payoff = gdata(t - stop_time, stop_state)
+        if t_cut is not None:
+            payoff = payoff * (stop_time < t_cut - t1)
+        if theta is None:
+            return payoff
+        # the log weight freezes at exit, so at step k it is log M(k dt ^ tau)
+        w = weights_from_log(part.log_weights[:, part.record_index(k * cfg.dt)])
+        return np.stack((w * payoff, w))
+
+    for members, part in zip(by_start.values(), bundle.per_start()):
+        for i in members:
+            t = nodes[i][0]
+            vals = _read_at(t - t1, cfg.dt, lambda k: read(part, t, k))
             if theta is None:
-                out[i] = _reduce(payoff, None, part.fingerprint)
-                continue
-            # the log weight freezes at exit, so its final recorded value is log M(stop)
-            w = weights_from_log(part.log_weights[:, -1])
-            out[i] = _reduce(w * payoff, w, part.fingerprint)
+                out[i] = _reduce(vals, None, fingerprint(t))
+            else:
+                out[i] = _reduce(vals[0], vals[1], fingerprint(t))
     return out
 
 
@@ -302,29 +335,34 @@ def estimate_inhomogeneous(
 
     ``E[f(Z(h)) 1_{h < tau}] + E[int_0^{h ^ tau} gsrc(t - r, Z(r)) dr]`` with
     ``h = t - t1``; the source is integrated by the trapezoid rule on the
-    simulation grid.
+    simulation grid.  An ``h`` off the grid blends the per-path values of
+    the bracketing grid steps (:func:`simulate.grid_bracket`).
     """
     horizon = t - t1
     if horizon <= 0.0:
         raise ValueError("t must exceed t1")
+    cfg = _grid_run(config, [horizon])
     obs = None
     observers = ()
     if gsrc is not None:
         obs = RunningIntegralObserver(
-            lambda r, states: gsrc(t - r, states), snapshot_times=[horizon]
+            lambda r, states: gsrc(t - r, states), snapshot_times=cfg.record
         )
         observers = (obs,)
-    cfg = _fit_grid(config, horizon)
     bundle = simulate_bundle(
         coeffs, z0, domain, cfg, n_threads=n_threads, observers=observers
     )
-    alive = bundle.alive_at(horizon)
-    vals = np.zeros(bundle.n_paths)
-    if f is not None and alive.any():
-        vals[alive] = _as_state_fn(f)(bundle.states_at(horizon)[alive])
-    if obs is not None:
-        vals = vals + obs.snapshots[horizon]
-    return _reduce(vals, None, bundle.fingerprint)
+
+    def read(k: int) -> np.ndarray:
+        s = k * cfg.dt
+        alive = bundle.alive_at(s)
+        vals = np.zeros(bundle.n_paths)
+        if f is not None and alive.any():
+            vals[alive] = _as_state_fn(f)(bundle.states_at(s)[alive])
+        return vals if obs is None else vals + obs.snapshots[s]
+
+    fp = config_fingerprint(config, op="inhomogeneous", t=t, t1=t1, domain=domain.to_json())
+    return _reduce(_read_at(horizon, cfg.dt, read), None, fp)
 
 
 def estimate_probabilistic_solution(
@@ -365,26 +403,31 @@ def exp_moment_diagnostic(
     Runs the standard-side dynamics on the full space.  Overflow is reported
     as an infinite value with an "overflow" flag instead of an exception; the
     extra payload carries a heavy-tail indicator (max/mean of the samples).
+    A ``T`` off the grid blends the accumulated integral of the bracketing
+    grid steps before ``exp``.
     """
+    if T <= 0.0:
+        raise ValueError("T must be positive")
     domain = DomainSpec.full_space(std_coeffs.dims)
 
     def integrand(r, states):
         th = theta.theta_batch(states, config.log_clamp_eps)
         return 9.0 * np.einsum("pi,pi->p", th, th)
 
-    obs = RunningIntegralObserver(integrand, snapshot_times=[T])
-    cfg = _fit_grid(config, T)
+    cfg = _grid_run(config, [T])
+    obs = RunningIntegralObserver(integrand, snapshot_times=cfg.record)
     bundle = simulate_bundle(
         std_coeffs, z0, domain, cfg, n_threads=n_threads, observers=(obs,)
     )
-    acc = obs.snapshots[T]
+    acc = _read_at(T, cfg.dt, lambda k: obs.snapshots[k * cfg.dt])
+    fp = config_fingerprint(config, op="exp_moment", t=T)
     if np.any(acc > LOG_WEIGHT_CAP):
         return Estimate(
             value=math.inf,
             stderr=math.inf,
             n_paths=bundle.n_paths,
             n_effective=float(bundle.n_paths),
-            fingerprint=bundle.fingerprint,
+            fingerprint=fp,
             trusted=False,
             flag="overflow",
             extra={"overflow_fraction": float(np.mean(acc > LOG_WEIGHT_CAP))},
@@ -392,8 +435,7 @@ def exp_moment_diagnostic(
     samples = np.exp(acc)
     mean = float(samples.mean())
     heavy = float(samples.max() / mean) if mean > 0.0 else math.inf
-    est = _reduce(samples, None, bundle.fingerprint, extra={"max_over_mean": heavy})
-    return est
+    return _reduce(samples, None, fp, extra={"max_over_mean": heavy})
 
 
 def martingale_residual(

@@ -64,6 +64,8 @@ VALIDATION_DIRECTIONS = 128
 VALIDATION_SEED = 0
 # a lattice node with x_i at most this far from 0 lies on the face x_i = 0
 FACE_TOL = 1e-10
+# the most nodes a derived drift weight's solve lattice may have
+MAX_LATTICE_NODES = 2**20
 
 
 @dataclass(frozen=True)
@@ -715,7 +717,8 @@ def derive_singular_from_standard(
     with ``g(0)`` the identity at zero weights.  The solve runs on a uniform
     lattice (default spacing 1/64 per axis) and ``b`` is the multilinear
     interpolant; its derivatives come from central differences of the solved
-    node values.
+    node values.  A lattice of more than ``MAX_LATTICE_NODES`` nodes raises
+    :class:`NonDerivableError` before any node is built.
     """
     dims = std.dims
     n = dims.n
@@ -732,10 +735,14 @@ def derive_singular_from_standard(
         return base  # no weights to solve for
     if lattice_box is None:
         lattice_box = [(0.0, 4.0)] * n + [(-4.0, 4.0)] * dims.m
-    axes = []
-    for lo, hi in lattice_box:
-        count = max(int(round((hi - lo) / lattice_spacing)) + 1, 2)
-        axes.append(np.linspace(lo, hi, count))
+    counts = [max(int(round((hi - lo) / lattice_spacing)) + 1, 2) for lo, hi in lattice_box]
+    n_nodes = math.prod(counts)
+    if n_nodes > MAX_LATTICE_NODES:
+        raise NonDerivableError(
+            f"the drift-weight lattice would have {n_nodes} nodes, more than "
+            f"{MAX_LATTICE_NODES}; pass a smaller lattice_box or a coarser lattice_spacing"
+        )
+    axes = [np.linspace(lo, hi, count) for (lo, hi), count in zip(lattice_box, counts)]
     grids = np.meshgrid(*axes, indexing="ij")
     states = np.stack(grids, axis=-1).reshape(-1, dims.total)
 

@@ -6,6 +6,9 @@ a Gamma law from the boundary), Gaussian heat-kernel reference values with
 their integrated closed forms, and a deterministic weighted finite-volume
 solver in the square-root chart that embodies the weak (energy-form)
 formulation of the 1D problem.
+
+SciPy is imported inside the functions that use it, so importing the
+package (and the command line) does not load it.
 """
 
 from __future__ import annotations
@@ -15,9 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
-from scipy.special import gammainc, gammaln
 
 from .errors import UnstableConfigurationError
 
@@ -65,6 +65,8 @@ def _poisson_gamma_series(
     Truncates once past the Poisson mode with all current terms below
     ``1e-12`` of the running sum.
     """
+    from scipy.special import gammaln
+
     lam = model.x0 / t
     k_cap = int(lam + 12.0 * math.sqrt(lam + 1.0) + 60.0)
     total = None
@@ -101,6 +103,8 @@ def besq_transition_density(model: Besq1dModel, t: float, x) -> np.ndarray | flo
     From the boundary this is the Gamma(``b0``, ``t``) density; from interior
     starts it is the Poisson-Gamma mixture with rate ``x0 / t``.
     """
+    from scipy.special import gammaln
+
     if t <= 0.0:
         raise ValueError("t must be positive")
     x = np.asarray(x, dtype=float)
@@ -135,6 +139,8 @@ def besq_transition_density(model: Besq1dModel, t: float, x) -> np.ndarray | flo
 
 def besq_transition_mass(model: Besq1dModel, t: float, edges) -> np.ndarray:
     """Exact probability mass of each cell ``[edges[i], edges[i+1])``."""
+    from scipy.special import gammainc
+
     edges = np.asarray(edges, dtype=float)
     if np.any(np.diff(edges) <= 0.0):
         raise ValueError("edges must be increasing")
@@ -182,6 +188,8 @@ def lq_closed_form(q: float, t: float, n_dims: int) -> float:
 
 def gaussian_abs_moment(alpha: float, t: float, n_dims: int) -> float:
     """``E |Z|^alpha`` for ``Z ~ N(0, t I_n)``: ``C(alpha, n) t^(alpha/2)``."""
+    from scipy.special import gammaln
+
     if alpha <= -n_dims:
         raise ValueError("moment diverges")
     log_c = (
@@ -247,7 +255,10 @@ class Grid1dSolver:
             return math.log(u_hi / u_lo)
         return (u_hi ** (p + 1.0) - u_lo ** (p + 1.0)) / (p + 1.0)
 
-    def _assemble(self) -> sparse.csc_matrix:
+    def _assemble(self):
+        """The tridiagonal generator as a sparse CSC matrix."""
+        from scipy import sparse
+
         N = self.n_cells
         main = np.zeros(N)
         lower = np.zeros(N - 1)
@@ -333,6 +344,9 @@ def solve_parabolic_1d(
     discrete weighted L2 norm must not grow; growth beyond roundoff raises
     :class:`UnstableConfigurationError`.
     """
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
     if not (0.0 <= theta <= 1.0):
         raise ValueError("theta must lie in [0, 1]")
     n_steps = int(round(T / dt))

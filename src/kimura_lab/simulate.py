@@ -31,6 +31,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -49,6 +50,7 @@ from .sde import GirsanovField, SdeCoefficients, StandardSdeCoefficients
 __all__ = [
     "PathConfig",
     "PathBundle",
+    "grid_bracket",
     "grid_steps",
     "simulate_bundle",
     "config_fingerprint",
@@ -112,15 +114,30 @@ class PathConfig:
         return self.dt * np.arange(self.n_steps + 1)
 
 
+def grid_bracket(t: float, dt: float) -> tuple[int, float]:
+    """``(k, lam)`` with ``t = (k + lam) dt``, ``k`` whole and ``0 <= lam < 1``;
+    ``lam`` is 0 when ``t`` is within ``1e-9 * max(1, |t|)`` of the grid.
+
+    The one rule for times off the ``dt`` grid: an estimator reads a time
+    with ``lam > 0`` by blending each path's values ``p`` at step ``k`` and
+    ``q`` at step ``k + 1`` as ``p + lam (q - p)``, so equal values stay exact.
+    """
+    k = int(round(t / dt))
+    if abs(k * dt - t) <= 1e-9 * max(1.0, abs(t)):
+        return k, 0.0
+    k = math.floor(t / dt)
+    return k, t / dt - k
+
+
 def grid_steps(t: float, dt: float) -> int:
-    """``t / dt`` as a whole number of steps; ValueError when ``t`` is off the
-    ``dt`` grid by more than ``1e-9 * max(1, |t|)``.
+    """``t / dt`` as a whole number of steps: :func:`grid_bracket` with
+    ``lam = 0``, else ValueError.
 
     Horizons, record times, observer snapshots and the command line's times
     all pass this one test.
     """
-    k = int(round(t / dt))
-    if abs(k * dt - t) > 1e-9 * max(1.0, abs(t)):
+    k, lam = grid_bracket(t, dt)
+    if lam:
         raise ValueError(f"time {t} is not a multiple of dt = {dt}")
     return k
 

@@ -268,6 +268,8 @@ def test_unknown_scheme_is_config_error(tmp_path, capsys, name):
     ("simulate", ("sim", "record"), [0.0, 0.015]),
     # a density measure of no known kind
     ("density", ("measure",), "operatr"),
+    # a t1 after the scan's earliest lattice time (about 0.4733)
+    ("harnack_scan.json", ("t1",), 0.48),
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, name, path, value):
     docs = {"density": DENSITY_DOC, "fk": FK_DOC, "simulate": SIMULATE_DOC}
@@ -414,6 +416,35 @@ def test_harnack_command_matches_the_per_node_scan(tmp_path):
         [f * c * R for f in doc["rho_fractions"]], LatticeSpec(**doc["lattice"]),
     )
     assert results["reports"] == json.loads(json.dumps([r.to_json() for r in reports]))
+
+
+def test_harnack_command_runs_one_bundle(tmp_path, monkeypatch):
+    # pins: the committed scan's 90 nodes (16 times, 15 points) share one
+    # bundle on sim.dt
+    import kimura_lab.feynman_kac as fk
+
+    runs = []
+    simulate = fk.simulate_bundle
+
+    def recording(coeffs, z0, domain, config, **kwargs):
+        runs.append((len(z0), config.dt))
+        return simulate(coeffs, z0, domain, config, **kwargs)
+
+    monkeypatch.setattr(fk, "simulate_bundle", recording)
+    doc = load_config("harnack_scan.json")
+    doc["sim"]["n_paths"] = 64
+    assert run(tmp_path, doc)[0] == 0
+    assert runs == [(15, doc["sim"]["dt"])]
+
+
+@pytest.mark.parametrize("mode", ["semigroup", "dirichlet"])
+def test_fk_time_off_the_grid_runs(tmp_path, mode):
+    # pins: fk reads a t off the sim.dt grid by blending the bracketing steps
+    doc = dict(FK_DOC, t=0.2033, mode=mode, g="one")
+    code, out = run(tmp_path, doc)
+    assert code == 0
+    results = json.loads((out / "results.json").read_text())
+    assert results["estimate"]["value"] == 1.0
 
 
 def test_girsanov_command_consistency(tmp_path):

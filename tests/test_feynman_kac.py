@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -190,6 +191,82 @@ class TestDirichletNodes:
                 assert getattr(est, name).hex() == getattr(alone, name).hex()
         assert many[0] == many[4]
         assert many[0].n_effective < n_paths  # the weights are not all equal
+
+
+class TestOneTimeGrid:
+    """Estimators step on the ``dt`` they are given and read an off-grid time
+    by blending the bracketing grid steps."""
+
+    def test_grid_aligned_node_is_the_plain_bundle_read(self, coeffs_sing_half):
+        # pins: a node on the grid reads stop_states of its own start, with
+        # the shared bundle running past its horizon
+        gdata = BoundaryData(lambda times, states: 1.0 + 0.25 * states[:, 0] + 0.1 * times)
+        t1, z = 0.1, Point((3.7,), ())
+        c = cfg(n_paths=3000, seed=23)
+        nodes = [(0.5, Point((1.0,), ())), (0.3, z), (0.4567, z)]
+        est = estimate_dirichlet_nodes(coeffs_sing_half, gdata, nodes, t1, BOX04, c)[1]
+        plain = simulate_bundle(coeffs_sing_half, z, BOX04, replace(c, horizon=0.3 - t1))
+        stop_state, stop_time = plain.stop_states()
+        samples = gdata(0.3 - stop_time, stop_state)
+        assert plain.exited.any()
+        assert est.value.hex() == float(samples.mean()).hex()
+        assert est.stderr.hex() == float(samples.std(ddof=1) / math.sqrt(3000)).hex()
+
+    def test_off_grid_node_agrees_with_the_refit_step(self, coeffs_sing_half):
+        # pins: the blend of steps 25 and 26 at dt = 0.01 estimates the same
+        # quantity as the old refit run of 26 steps of 0.255 / 26
+        gdata = BoundaryData(lambda times, states: 1.0 + states[:, 0] + 0.5 * times)
+        domain = DomainSpec.box(DIMS1, [(0.0, 1.0)])
+        z, h = Point((0.7,), ()), 0.255
+        est = estimate_dirichlet(coeffs_sing_half, gdata, h, z, 0.0, domain,
+                                 cfg(n_paths=100_000, dt=0.01, seed=31))
+        refit = cfg(n_paths=100_000, dt=h / 26, seed=32, horizon=h)
+        bundle = simulate_bundle(coeffs_sing_half, z, domain, refit)
+        stop_state, stop_time = bundle.stop_states()
+        m, se = mean_se(gdata(h - stop_time, stop_state))
+        assert 0.1 < bundle.exited.mean() < 0.9
+        assert abs(est.value - m) <= 3.0 * math.hypot(est.stderr, se)
+
+    def test_every_bundle_steps_on_the_given_dt(self, coeffs_sing_half, monkeypatch):
+        # pins: no estimator rewrites dt, and the nodes of one call share one bundle
+        import kimura_lab.feynman_kac as fk
+
+        runs = []
+        simulate = fk.simulate_bundle
+
+        def recording(coeffs, z0, domain, config, **kwargs):
+            runs.append(config)
+            return simulate(coeffs, z0, domain, config, **kwargs)
+
+        monkeypatch.setattr(fk, "simulate_bundle", recording)
+        c = cfg(n_paths=200, dt=0.01)
+        gdata = BoundaryData(lambda times, states: np.ones(states.shape[0]))
+        z = [Point((x,), ()) for x in (0.5, 2.0)]
+        nodes = [(0.333, z[0]), (0.25, z[1]), (0.4, z[0]), (0.1, z[1])]
+        ests = estimate_dirichlet_nodes(coeffs_sing_half, gdata, nodes, 0.1, BOX04, c)
+        assert [e.value for e in ests] == [1.0] * 4
+        assert len(runs) == 1 and runs[0].horizon == pytest.approx(0.3)
+        gsrc = lambda t, s: np.ones(len(s))
+        est = estimate_inhomogeneous(coeffs_sing_half, None, gsrc, 0.3333, ORIGIN, FULL1, c)
+        # the blend interpolates the integral's upper limit
+        assert est.value == pytest.approx(0.3333, rel=1e-12)
+        pair = make_girsanov_field(make_std_1d(b0=0.5), make_sing_1d(b0=0.5))
+        assert exp_moment_diagnostic(pair.std, pair, ORIGIN, 0.1234, c).value == 1.0
+        assert len(runs) == 3
+        assert all(run.dt == c.dt for run in runs)
+
+
+    def test_fingerprint_names_the_estimated_time(self, coeffs_sing_half):
+        # pins: two times in one grid bracket share a bundle, yet they are
+        # two estimates with two fingerprints
+        c = cfg(n_paths=100)
+        f = lambda s: s[:, 0]
+        z = Point((1.0,), ())
+        a, b = (estimate_semigroup(coeffs_sing_half, f, t, z, BOX04, c) for t in (0.2033, 0.2039))
+        assert a.value != b.value and a.fingerprint != b.fingerprint
+        pair = make_girsanov_field(make_std_1d(b0=0.5), make_sing_1d(b0=0.5))
+        a, b = (exp_moment_diagnostic(pair.std, pair, z, t, c) for t in (0.2033, 0.2039))
+        assert a.fingerprint != b.fingerprint
 
 
 class TestInhomogeneous:

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from conftest import make_flat_1d_free, make_sing_1d, make_std_1d
 
-from kimura_lab.errors import InvalidWeightError
+from kimura_lab.errors import InvalidWeightError, NonDerivableError
 from kimura_lab.fields import (
     AffineField,
     FieldMatrix,
@@ -482,6 +482,16 @@ class TestDeriveSingular:
             constants=AssumptionConstants(1.0, 2.0, 0.5),
         )
         with pytest.raises(InvalidWeightError):
+            derive_singular_from_standard(std)
+
+    def test_oversized_default_lattice_raises_before_building(self):
+        # the default box at spacing 1/64 gives an n=1, m=2 model
+        # 257 * 513^2 nodes, about 1.6 GB of node states
+        std = operator_from_json({
+            "kind": "standard", "dims": {"n": 1, "m": 2},
+            "b_hat": [0.5], "d_hat": [[1.0, 0.0], [0.0, 1.0]], "e_hat": [0.0, 0.0],
+        })
+        with pytest.raises(NonDerivableError, match=str(257 * 513 * 513)):
             derive_singular_from_standard(std)
 
     def test_lattice_field_affine_exact_with_extrapolation(self):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -224,3 +227,16 @@ def test_flux_coefficients_exact_on_power_law_steady_state():
     v = solver.u_centers ** (2.0 - 2.0 * b0)
     residual = solver._matrix @ v
     assert np.max(np.abs(residual[1:-1])) < 1e-10
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # SciPy is imported inside the oracle functions that use it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys, kimura_lab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -25,6 +25,8 @@ from kimura_lab.simulate import (
     PathConfig,
     bundle_to_csv,
     bundle_to_kimb,
+    grid_bracket,
+    grid_steps,
     read_kimb,
     _advance_block,
     _block_rng,
@@ -199,6 +201,22 @@ class TestBundles:
             else:
                 with pytest.raises(ValueError, match="not a multiple of dt"):
                     PathConfig(dt=0.1, seed=1, n_paths=4, **kw)
+
+    @pytest.mark.parametrize("t, dt, k, lam", [
+        (0.3, 0.1, 3, 0.0),
+        (5.0 + 3e-9, 0.1, 50, 0.0),
+        (0.255, 0.01, 25, 0.5),
+        (0.0005, 0.001, 0, 0.5),
+    ])
+    def test_grid_bracket_splits_a_time_into_step_and_fraction(self, t, dt, k, lam):
+        # pins: the one off-grid rule, and grid_steps as its lam = 0 case
+        got_k, got_lam = grid_bracket(t, dt)
+        assert got_k == k and got_lam == pytest.approx(lam, abs=1e-9)
+        if lam:
+            with pytest.raises(ValueError, match="not a multiple of dt"):
+                grid_steps(t, dt)
+        else:
+            assert got_lam == 0.0 and grid_steps(t, dt) == k
 
     def test_record_times_validated(self):
         with pytest.raises(ValueError):
