@@ -122,6 +122,13 @@ def _path_config(doc: dict, seed: int) -> PathConfig:
         )
 
 
+def _check_stderr_paths(ctx: str, config: PathConfig) -> None:
+    if config.n_paths < 2:
+        raise ConfigError(
+            f"{ctx}: a standard error needs sim.n_paths >= 2, got {config.n_paths}"
+        )
+
+
 def _load_model(doc: dict):
     model = _require(doc, "model", "config")
     if isinstance(model, str):
@@ -370,6 +377,7 @@ def _cmd_girsanov(doc, seed, out_dir, threads) -> tuple[int, dict]:
     if not isinstance(model, StandardOperatorSpec):
         raise ConfigError("girsanov runs need a standard-form model")
     config = _path_config(doc, seed)
+    _check_stderr_paths("girsanov", config)
     with _checked("girsanov"):
         t = float(doc.get("t", config.horizon))
         n_steps = grid_steps(t, config.dt)
@@ -424,10 +432,18 @@ def _cmd_oracle_compare(doc, seed, out_dir, threads) -> tuple[int, dict]:
         dt = float(sim.get("dt", 1e-3))
         bins = int(doc.get("bins", 64))
         box_hi = float(doc.get("box_hi", max(6.0 * max(b0 * t, 1e-3), x0 + 6.0)))
+        for key, value in (("b0", b0), ("box_hi", box_hi)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{key} must be positive and finite, got {value}")
+        if not 0.0 <= x0 < math.inf:
+            raise ValueError(f"x0 must be nonnegative and finite, got {x0}")
+        if bins < 1:
+            raise ValueError(f"bins must be at least 1, got {bins}")
         config = PathConfig(
             dt=dt, seed=seed, n_paths=n_paths, horizon=t, scheme=scheme,
             record=(0.0, t),
         )
+    _check_stderr_paths("oracle-compare", config)
 
     std = operator_from_json(
         {"kind": "standard", "dims": {"n": 1, "m": 0}, "b_hat": [b0]}

@@ -468,7 +468,9 @@ class DomainSpec:
     ``{x_i = 0}`` faces), which is where simulated paths are allowed to live;
     :meth:`membership` tests the open set alone.  ``interior_boundary_distance``
     is a signed distance to the non-degenerate boundary only (positive inside,
-    negative outside, +inf when there is none).
+    negative outside, +inf when there is none).  ``has_exit_boundary`` is
+    False when there is none, so that a path can never leave: a box whose
+    bounds are all infinite but for the closed faces ``x_i = 0``.
     """
 
     dims: StateSpaceDims
@@ -481,6 +483,7 @@ class DomainSpec:
     interior_boundary_distance: Callable[[np.ndarray], np.ndarray] = field(
         compare=False, default=None
     )
+    has_exit_boundary: bool = field(compare=False, default=True)
 
     def membership(self, states: np.ndarray) -> np.ndarray:
         """The open set: the underline set without the degenerate faces."""
@@ -542,6 +545,9 @@ class DomainSpec:
             params={},
             contains_underline=underline,
             interior_boundary_distance=distance,
+            has_exit_boundary=bool(
+                np.isfinite(hi).any() or (np.isfinite(lo) & ~deg_lo_open).any()
+            ),
         )
 
     @staticmethod

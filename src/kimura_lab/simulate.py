@@ -23,7 +23,8 @@ copies of a block from several starts are stepped as one array of at most
 them for every start in it.  Each start's paths are therefore bit-equal to a
 bundle of that start alone, while a scan of many small starts takes a few
 large steps instead of many small ones.  The exact scheme draws from the
-state, so its starts are never packed.
+state, so its starts are never packed; on a domain no path can leave it
+steps from one record time to the next in one draw.
 """
 
 from __future__ import annotations
@@ -374,6 +375,13 @@ def simulate_bundle(
     marks the paths alive before step ``k``, and ``logw`` is the running
     per-path log weight (None without a drift-change field).  They must write
     only into per-path or per-block slots (blocks may run concurrently).
+
+    On a domain without an exit boundary (``domain.has_exit_boundary`` is
+    False) no path can leave, so the exit test is skipped.  There, and with
+    no observers, the exact scheme jumps: it draws each record interval in
+    one exact transition, from the previous record time's states, and draws
+    nothing after the last record time.  Same law, fewer draws; with
+    ``record="all"`` the draws are those of the per-step loop.
     """
     dims = coeffs.dims
     starts = [z0] if isinstance(z0, Point) else list(z0)
@@ -416,6 +424,9 @@ def simulate_bundle(
     for obs in observers:
         obs.prepare(n_paths, dims, config)
 
+    can_exit = domain.has_exit_boundary
+    jump = params_exact is not None and not can_exit and not observers
+
     def run_group(block: int, group: slice) -> None:
         """Step block ``block`` of the starts in ``group`` as one array."""
         lo = block * RNG_BLOCK
@@ -434,6 +445,13 @@ def simulate_bundle(
             states_rec[group, sl, record_idx[0]] = by_start(cur)
             if log_weights is not None:
                 log_weights[group, sl, record_idx[0]] = 0.0
+        if jump:
+            k_prev = 0
+            for k in sorted(record_idx.keys() - {0}):
+                cur = params_exact.sample(rng, cur[:, 0], (k - k_prev) * config.dt)[:, None]
+                states_rec[group, sl, record_idx[k]] = by_start(cur)
+                k_prev = k
+            return
         for k in range(1, n_steps + 1):
             if params_exact is None:
                 xi = rng.standard_normal((nb, total))
@@ -443,7 +461,7 @@ def simulate_bundle(
             new = np.where(alive[:, None], new, cur)
             if theta is not None:
                 logw = logw + np.where(alive, dlogw, 0.0)
-            inside = domain.contains_underline(new)
+            inside = domain.contains_underline(new) if can_exit else alive
             newly = alive & ~inside
             if newly.any():
                 idx = np.flatnonzero(newly)

@@ -214,10 +214,13 @@ def load_config(name):
 
 
 def assert_config_error(tmp_path, capsys, doc):
+    """Assert the run exits 2 with a config diagnostic; returns its message."""
     code, _ = run(tmp_path, doc)
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert json.loads(err[-1])["kind"] == "config"
+    diag = json.loads(err[-1])
+    assert diag["kind"] == "config"
+    return diag["message"]
 
 
 @pytest.mark.parametrize("name", ["harnack_scan.json", "oracle_compare.json"])
@@ -292,16 +295,47 @@ def test_seed_flag_outside_u64_is_config_error(tmp_path, capsys, seed):
     assert json.loads(err[-1])["kind"] == "config"
 
 
+ORACLE_DOC = {
+    "command": "oracle-compare",
+    "seed": 9,
+    "sim": {"n_paths": 64, "dt": 0.01, "scheme": "exact-1d-gamma"},
+}
+GIRSANOV_DOC = {
+    "command": "girsanov",
+    "model": MODEL_HALF,
+    "z0": [1.0],
+    "t": 0.1,
+    "sim": {"dt": 0.01, "n_paths": 2000, "horizon": 0.1},
+}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("b0", -0.5),
+    ("x0", -1.0),
+    ("bins", -3),
+    ("bins", 0),  # no bin at all, once reported as an L1 error of 1.0
+    ("box_hi", -1.0),
+])
+def test_bad_oracle_compare_value_is_config_error_naming_its_key(
+    tmp_path, capsys, key, value
+):
+    message = assert_config_error(tmp_path, capsys, {**ORACLE_DOC, key: value})
+    assert key in message
+
+
+@pytest.mark.parametrize("doc", [ORACLE_DOC, {**GIRSANOV_DOC, "seed": 5}],
+                         ids=["oracle-compare", "girsanov"])
+def test_one_path_run_is_config_error(tmp_path, capsys, doc):
+    # a standard error over one path is NaN, which is not JSON
+    doc = json.loads(json.dumps(doc))
+    doc["sim"]["n_paths"] = 1
+    assert "n_paths" in assert_config_error(tmp_path, capsys, doc)
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
 def test_girsanov_at_the_largest_seed(tmp_path):
     # the weighted bundle's seed + 1 wraps to 0 instead of leaving U64
-    doc = {
-        "command": "girsanov",
-        "model": MODEL_HALF,
-        "z0": [1.0],
-        "t": 0.1,
-        "sim": {"dt": 0.01, "n_paths": 2000, "horizon": 0.1},
-    }
-    code, out = run(tmp_path, doc, "--seed", str(2**64 - 1))
+    code, out = run(tmp_path, GIRSANOV_DOC, "--seed", str(2**64 - 1))
     assert code == 0
     assert json.loads((out / "results.json").read_text())["seed"] == 2**64 - 1
 

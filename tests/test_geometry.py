@@ -342,6 +342,22 @@ class TestDomains:
         assert dom.contains_underline(pts).all()
         assert np.isposinf(dom.interior_boundary_distance(pts)).all()
 
+    @pytest.mark.parametrize("builder, can_exit", [
+        (lambda: DomainSpec.full_space(StateSpaceDims(2, 1)), False),
+        (lambda: DomainSpec.box(StateSpaceDims(1, 1), [(0.0, None), (None, None)]), False),
+        (lambda: DomainSpec.from_json(DomainSpec.full_space(StateSpaceDims(1, 0)).to_json()),
+         False),
+        (lambda: DomainSpec.box(StateSpaceDims(1, 0), [(0.0, 4.0)]), True),
+        # a positive floor on a degenerate axis is an exit boundary
+        (lambda: DomainSpec.box(StateSpaceDims(1, 0), [(0.5, None)]), True),
+        (lambda: DomainSpec.box(StateSpaceDims(1, 1), [(0.0, None), (-1.0, None)]), True),
+        (lambda: DomainSpec.ball(StateSpaceDims(1, 0), p1(1.0), 0.5), True),
+        (lambda: DomainSpec.halfspace_intersection(
+            StateSpaceDims(0, 2), [[1.0, 0.0]], [1.5], [(None, None), (None, None)]), True),
+    ])
+    def test_exit_boundary_is_set_by_the_constructor(self, builder, can_exit):
+        assert builder().has_exit_boundary is can_exit
+
     def test_ball_domain(self):
         dims = StateSpaceDims(1, 0)
         dom = DomainSpec.ball(dims, p1(1.0), 0.5)

@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from kimura_lab.operators import (
     derive_singular_from_standard,
     operator_from_json,
 )
-from kimura_lab.oracle import Besq1dModel, besq_mean
+from kimura_lab.oracle import Besq1dModel, besq_mean, besq_transition_mass
 from kimura_lab.sde import (
     build_sde_coefficients,
     build_standard_sde_coefficients,
@@ -28,6 +29,7 @@ from kimura_lab.simulate import (
     grid_bracket,
     grid_steps,
     read_kimb,
+    _ExactGammaParams,
     _advance_block,
     _block_rng,
     simulate_bundle,
@@ -588,3 +590,127 @@ class TestPackedStarts:
             simulate_bundle(coeffs, [Point((1.0,), ()), Point((5.0,), ())], BOX04, cfg)
         with pytest.raises(ValueError, match="one start"):
             simulate_bundle(coeffs, STARTS_1D[:2], BOX04, cfg, observers=(object(),))
+
+
+# ---------------------------------------------------------------------------
+# Domains with no exit boundary
+# ---------------------------------------------------------------------------
+
+
+class NoOpObserver:
+    """Watches every step and records nothing; forces the per-step loop."""
+
+    def prepare(self, n_paths, dims, config):
+        pass
+
+    def observe(self, sl, k, t, prev, new, alive, logw=None):
+        pass
+
+
+def exact_coeffs(b0=0.5):
+    return build_standard_sde_coefficients(make_std_1d(b0=b0))
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` and return the list of argument tuples it sees."""
+    seen, original = [], getattr(owner, name)
+
+    def counted(*args):
+        seen.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return seen
+
+
+class TestNoExitBoundary:
+    @pytest.mark.parametrize("scheme", ["euler-projected", "euler-implicit-sqrt"])
+    def test_stepping_skips_the_exit_test_with_equal_bytes(self, scheme):
+        coeffs = build_sde_coefficients(make_sing_1d(b0=0.5))
+        cfg = PathConfig(dt=1e-2, seed=12, n_paths=500, horizon=0.3, scheme=scheme,
+                         record="all")
+        calls = []
+
+        def counted(states):
+            calls.append(len(states))
+            return FULL1.contains_underline(states)
+
+        watched = replace(FULL1, contains_underline=counted)
+        bundle = simulate_bundle(coeffs, Point((0.2,), ()), watched, cfg)
+        assert calls == [1]  # the start check only
+        tested = replace(FULL1, has_exit_boundary=True)
+        assert_same_bundle(bundle, simulate_bundle(coeffs, Point((0.2,), ()), tested, cfg))
+
+    def test_exact_jump_marginals_match_the_transition_law(self):
+        # pins: each record interval is one draw of the exact BESQ law
+        record = (0.0, 0.25, 0.5, 1.0)
+        cfg = PathConfig(dt=1e-3, seed=71, n_paths=100_000, horizon=1.0,
+                         scheme="exact-1d-gamma", record=record)
+        bundle = simulate_bundle(exact_coeffs(), ORIGIN, FULL1, cfg)
+        model = Besq1dModel(b0=0.5)
+        for t in record[1:]:
+            x = bundle.states_at(t)[:, 0]
+            edges = np.linspace(0.0, 6.0 * t, 65)
+            emp = np.histogram(x, bins=edges)[0] / len(x)
+            true = besq_transition_mass(model, t, edges)
+            tail = abs(float((x >= edges[-1]).mean()) - (1.0 - float(true.sum())))
+            assert float(np.abs(emp - true).sum()) + tail <= 0.05, t
+
+    def test_exact_jump_composes_by_the_markov_property(self):
+        # pins: X_1 is drawn from X_0.5, not afresh from the start, so
+        # E[X_1 | X_0.5] = X_0.5 + b0 / 2 and Cov(X_0.5, X_1) = Var(X_0.5)
+        cfg = PathConfig(dt=1e-3, seed=72, n_paths=100_000, horizon=1.0,
+                         scheme="exact-1d-gamma", record=(0.0, 0.5, 1.0))
+        bundle = simulate_bundle(exact_coeffs(), ORIGIN, FULL1, cfg)
+        xs, x1 = bundle.states_at(0.5)[:, 0], bundle.states_at(1.0)[:, 0]
+        u = xs - xs.mean()
+        # Cov(X_s, X_1) - Var(X_s) is the mean of u * (X_1 - X_s - mean)
+        inc = x1 - xs
+        mean, se = mean_se(u * (inc - inc.mean()))
+        assert abs(mean) <= 3.0 * se
+        # the conditional mean of the increment is 0.25 on every quartile of X_s
+        quart = np.searchsorted(np.quantile(xs, [0.25, 0.5, 0.75]), xs)
+        for q in range(4):
+            mean, se = mean_se(inc[quart == q])
+            assert abs(mean - 0.25) <= 3.0 * se, q
+
+    def test_exact_every_step_recorded_equals_the_per_step_loop(self):
+        # pins: with record="all" the jump draws once per step with the same
+        # arguments, bit-equal to the loop that an observer forces
+        cfg = PathConfig(dt=1e-2, seed=73, n_paths=300, horizon=0.2,
+                         scheme="exact-1d-gamma", record="all")
+        jumped = simulate_bundle(exact_coeffs(), Point((0.4,), ()), FULL1, cfg)
+        stepped = simulate_bundle(exact_coeffs(), Point((0.4,), ()), FULL1, cfg,
+                                  observers=(NoOpObserver(),))
+        assert_same_bundle(jumped, stepped)
+
+    def test_exact_jump_is_thread_independent(self):
+        # pins: the jump draws from the (seed, block) streams only
+        cfg = PathConfig(dt=1e-2, seed=74, n_paths=RNG_BLOCK + 10, horizon=1.0,
+                         scheme="exact-1d-gamma", record=(0.0, 0.5, 1.0))
+        one = simulate_bundle(exact_coeffs(), ORIGIN, FULL1, cfg, n_threads=1)
+        two = simulate_bundle(exact_coeffs(), ORIGIN, FULL1, cfg, n_threads=2)
+        assert_same_bundle(one, two)
+
+    def test_exact_run_on_a_bounded_box_still_exits_on_the_grid(self, monkeypatch):
+        # pins: a finite edge keeps the per-step loop and its grid exits
+        seen = count_calls(monkeypatch, _ExactGammaParams, "sample")
+        cfg = PathConfig(dt=1e-2, seed=75, n_paths=400, horizon=0.5,
+                         scheme="exact-1d-gamma", record=(0.0, 0.5))
+        bundle = simulate_bundle(exact_coeffs(), Point((3.5,), ()), BOX04, cfg)
+        assert len(seen) == cfg.n_steps
+        assert (bundle.tau[bundle.exited] < 0.5).any() and (bundle.tau <= 0.5).all()
+        steps = bundle.tau / cfg.dt
+        assert np.allclose(steps, np.round(steps), rtol=0.0, atol=1e-9)
+        assert (bundle.exit_state[bundle.exited, 0] >= 4.0).all()
+
+    def test_exact_jump_draws_once_per_record_interval(self, monkeypatch):
+        # pins: three record times after the start are three draws a block,
+        # each over its own interval
+        seen = count_calls(monkeypatch, _ExactGammaParams, "sample")
+        cfg = PathConfig(dt=1e-3, seed=76, n_paths=2 * RNG_BLOCK + 5, horizon=1.0,
+                         scheme="exact-1d-gamma", record=(0.25, 0.5, 1.0))
+        bundle = simulate_bundle(exact_coeffs(), ORIGIN, FULL1, cfg)
+        assert len(seen) == 3 * 3
+        assert [args[3] for args in seen[:3]] == pytest.approx([0.25, 0.25, 0.5])
+        assert not bundle.exited.any() and (bundle.tau == 1.0).all()
