@@ -33,10 +33,15 @@ FD_STEP = 1e-5
 
 
 class ScalarField:
-    """Scalar coefficient field with batched evaluation and partials."""
+    """Scalar coefficient field with batched evaluation and partials.
+
+    ``value`` is the field's float when it is constant (what
+    ``evaluate_batch`` returns at every state), else None.
+    """
 
     is_constant = False
     is_zero = False
+    value: float | None = None
 
     def evaluate_batch(self, states: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -71,6 +76,7 @@ class AffineField(ScalarField):
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.is_zero = self.c0 == 0.0 and not self.coeffs.any()
         self.is_constant = not self.coeffs.any()
+        self.value = self.c0 if self.is_constant else None
 
     def evaluate_batch(self, states: np.ndarray) -> np.ndarray:
         states = np.asarray(states, dtype=float)
@@ -100,6 +106,7 @@ class TrigField(ScalarField):
         self.phase = float(phase)
         self.is_zero = self.c0 == 0.0 and self.amplitude == 0.0
         self.is_constant = self.amplitude == 0.0
+        self.value = self.c0 if self.is_constant else None
 
     def evaluate_batch(self, states: np.ndarray) -> np.ndarray:
         states = np.asarray(states, dtype=float)

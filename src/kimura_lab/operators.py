@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -169,6 +169,7 @@ class SingularOperatorSpec(_OperatorBase):
     c: FieldMatrix
     d: FieldMatrix
     constants: AssumptionConstants | None = None
+    derived_from: StandardOperatorSpec | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n, m = self.dims.n, self.dims.m
@@ -271,6 +272,50 @@ def _diffusion_matrix(states, a, at, cross, d) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _reader(states: np.ndarray):
+    """``read(field)`` at ``states``: None for a zero field, the float of one
+    with a ``value``, else its batch of values; each field is evaluated once."""
+    memo: dict[ScalarField, object] = {}  # fields hash by identity
+
+    def read(entry: ScalarField):
+        if entry not in memo:
+            if entry.is_zero:
+                memo[entry] = None
+            elif entry.value is not None:
+                memo[entry] = entry.value
+            else:
+                memo[entry] = entry.evaluate_batch(states)
+        return memo[entry]
+
+    return read
+
+
+def _prod(read, *factors):
+    """Left-to-right product of fields (read by ``read``) and arrays; None, with
+    nothing evaluated, when a factor is None or a zero field."""
+    if any(f is None or (isinstance(f, ScalarField) and f.is_zero) for f in factors):
+        return None
+    out = None
+    for f in factors:
+        val = read(f) if isinstance(f, ScalarField) else f
+        out = val if out is None else out * val
+    return out
+
+
+def _sum(terms):
+    """Left-to-right sum of the terms that are not None; None when none is."""
+    out = None
+    for t in terms:
+        if t is not None:
+            out = t if out is None else out + t
+    return out
+
+
+# Each identity adds its terms in the order its formula writes them and
+# leaves out a term with a zero factor, reading a constant field as its
+# float: skipping an exact zero leaves the sum's bits as they were.
+
+
 def drift_identity_g(op: SingularOperatorSpec, states: np.ndarray) -> np.ndarray:
     """Bounded part of the degenerate-axis drift, shape (..., n).
 
@@ -280,22 +325,24 @@ def drift_identity_g(op: SingularOperatorSpec, states: np.ndarray) -> np.ndarray
     """
     n, m = op.dims.n, op.dims.m
     states = np.asarray(states, dtype=float)
-    a = op.a_diag.evaluate_batch(states)
-    at = op.a_tilde.evaluate_batch(states)
-    b = op.b.evaluate_batch(states)
-    slope = np.empty_like(b)
+    read = _reader(states)
+    g = np.zeros(states.shape[:-1] + (n,))
     for i in range(n):
-        inner = op.a_diag[i].partial(i).evaluate_batch(states)
+        terms = [read(op.a_diag[i].partial(i))]
         for j in range(n):
-            dat = op.a_tilde[i, j].partial(j).evaluate_batch(states)
-            inner = inner + at[..., i, j] + states[..., j] * dat
-            inner = inner + at[..., i, j] * (b[..., j] - 1.0)
+            at = op.a_tilde[i, j]
+            terms.append(read(at))
+            terms.append(_prod(read, states[..., j], at.partial(j)))
+            if not at.is_zero:
+                b_j = read(op.b[j])
+                terms.append(read(at) * ((0.0 if b_j is None else b_j) - 1.0))
             if i == j:
-                inner = inner + at[..., i, i]
-        for l in range(m):
-            inner = inner + op.c[i, l].partial(n + l).evaluate_batch(states)
-        slope[..., i] = inner
-    return b * a + states[..., :n] * slope
+                terms.append(read(at))
+        terms += [read(op.c[i, l].partial(n + l)) for l in range(m)]
+        g_i = _sum([_prod(read, op.b[i], op.a_diag[i]), _prod(read, states[..., i], _sum(terms))])
+        if g_i is not None:
+            g[..., i] = g_i
+    return g
 
 
 def drift_identity_e(op: SingularOperatorSpec, states: np.ndarray) -> np.ndarray:
@@ -305,19 +352,17 @@ def drift_identity_e(op: SingularOperatorSpec, states: np.ndarray) -> np.ndarray
     """
     n, m = op.dims.n, op.dims.m
     states = np.asarray(states, dtype=float)
+    read = _reader(states)
     e = np.zeros(states.shape[:-1] + (m,))
-    if m == 0:
-        return e
-    b = op.b.evaluate_batch(states)
-    cval = op.c.evaluate_batch(states)
     for l in range(m):
-        acc = np.zeros(states.shape[:-1])
+        terms = []
         for i in range(n):
-            acc = acc + states[..., i] * op.c[i, l].partial(i).evaluate_batch(states)
-            acc = acc + b[..., i] * cval[..., i, l]
-        for k in range(m):
-            acc = acc + op.d[l, k].partial(n + k).evaluate_batch(states)
-        e[..., l] = acc
+            terms.append(_prod(read, states[..., i], op.c[i, l].partial(i)))
+            terms.append(_prod(read, op.b[i], op.c[i, l]))
+        terms += [read(op.d[l, k].partial(n + k)) for k in range(m)]
+        e_l = _sum(terms)
+        if e_l is not None:
+            e[..., l] = e_l
     return e
 
 
@@ -333,36 +378,26 @@ def drift_identity_f(op: SingularOperatorSpec, states: np.ndarray) -> np.ndarray
     """
     n, m = op.dims.n, op.dims.m
     states = np.asarray(states, dtype=float)
-    total = n + m
-    f = np.zeros(states.shape[:-1] + (total, n))
-    if n == 0:
-        return f
-    db = np.stack(
-        [
-            np.stack([op.b[j].partial(axis).evaluate_batch(states) for axis in range(total)], axis=-1)
-            for j in range(n)
-        ],
-        axis=-2,
-    )  # (..., j, axis)
-    a = op.a_diag.evaluate_batch(states)
-    at = op.a_tilde.evaluate_batch(states)
-    cval = op.c.evaluate_batch(states)
-    dval = op.d.evaluate_batch(states)
+    read = _reader(states)
+    f = np.zeros(states.shape[:-1] + (n + m, n))
     for j in range(n):
+        db = [read(op.b[j].partial(axis)) for axis in range(n + m)]
+        rows = []
         for i in range(n):
-            acc = a[..., i] * db[..., j, i]
-            for k in range(n):
-                acc = acc + states[..., k] * at[..., i, k] * db[..., j, k]
-            for l in range(m):
-                acc = acc + cval[..., i, l] * db[..., j, n + l]
-            f[..., i, j] = acc
+            rows.append(
+                [_prod(read, op.a_diag[i], db[i])]
+                + [_prod(read, states[..., k], op.a_tilde[i, k], db[k]) for k in range(n)]
+                + [_prod(read, op.c[i, l], db[n + l]) for l in range(m)]
+            )
         for l in range(m):
-            acc = np.zeros(states.shape[:-1])
-            for i in range(n):
-                acc = acc + states[..., i] * cval[..., i, l] * db[..., j, i]
-            for k in range(m):
-                acc = acc + dval[..., l, k] * db[..., j, n + k]
-            f[..., n + l, j] = acc
+            rows.append(
+                [_prod(read, states[..., i], op.c[i, l], db[i]) for i in range(n)]
+                + [_prod(read, op.d[l, k], db[n + k]) for k in range(m)]
+            )
+        for r, terms in enumerate(rows):
+            f_rj = _sum(terms)
+            if f_rj is not None:
+                f[..., r, j] = f_rj
     return f
 
 
@@ -700,6 +735,43 @@ class LatticeField(ScalarField):
         return self._partials[axis]
 
 
+def _lattice_axes(
+    box: Sequence[tuple[float, float]], spacing: float, what: str, face: int | None = None
+) -> list[np.ndarray]:
+    """Uniform axes over ``box`` at about ``spacing``, with at least two nodes
+    on each axis, or only the node 0 on axis ``face``; more than
+    ``MAX_LATTICE_NODES`` nodes in all raises :class:`NonDerivableError`
+    before any is built."""
+    counts = [max(int(round((hi - lo) / spacing)) + 1, 2) for lo, hi in box]
+    if face is not None:
+        counts[face] = 1
+    n_nodes = math.prod(counts)
+    if n_nodes > MAX_LATTICE_NODES:
+        raise NonDerivableError(
+            f"the {what} would have {n_nodes} nodes, more than "
+            f"{MAX_LATTICE_NODES}; pass a smaller lattice_box or a coarser lattice_spacing"
+        )
+    return [
+        np.zeros(1) if axis == face else np.linspace(lo, hi, count)
+        for axis, ((lo, hi), count) in enumerate(zip(box, counts))
+    ]
+
+
+def _nodes(axes: Sequence[np.ndarray]) -> np.ndarray:
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def _exact_weight(std: StandardOperatorSpec, i: int) -> ScalarField:
+    """``b_i = b^_i - x_i/2 sum_l d_yl c^_il``, the drift weight when ``a^ = 0``:
+    ``b^_i`` itself when every ``d_yl c^_il`` vanishes."""
+    n = std.dims.n
+    slopes = [std.c_hat[i, l].partial(n + l) for l in range(std.dims.m)]
+    slopes = [s for s in slopes if not s.is_zero]
+    if not slopes:
+        return std.b_hat[i]
+    return _ScaledField([(1.0, None, std.b_hat[i])] + [(-0.5, i, s) for s in slopes])
+
+
 def derive_singular_from_standard(
     std: StandardOperatorSpec,
     lattice_box: Sequence[tuple[float, float]] | None = None,
@@ -714,11 +786,24 @@ def derive_singular_from_standard(
 
         ``(I + diag(x) a_hat) b = b_hat - g(0)``
 
-    with ``g(0)`` the identity at zero weights.  The solve runs on a uniform
-    lattice (default spacing 1/64 per axis) and ``b`` is the multilinear
-    interpolant; its derivatives come from central differences of the solved
-    node values.  A lattice of more than ``MAX_LATTICE_NODES`` nodes raises
-    :class:`NonDerivableError` before any node is built.
+    with ``g(0)`` the identity at zero weights.
+
+    When ``a_hat`` is zero the system is the identity and ``b`` is exact:
+    ``b_i = b_hat_i - x_i/2 sum_l d_yl c_hat_il``, which is ``b_hat`` itself
+    when every ``d_yl c_hat_il`` vanishes.  Its values and partials are
+    analytic everywhere, inside the lattice box or not.
+
+    Otherwise the solve runs on a uniform lattice (default box ``[0, 4]`` per
+    degenerate axis and ``[-4, 4]`` per free axis, spacing 1/64) and ``b`` is
+    the multilinear interpolant, extrapolated linearly outside the box; its
+    derivatives come from central differences of the solved node values.
+
+    With declared constants, each ``b_i`` must reach the floor ``b_bar`` (up
+    to 1e-9) at the lattice nodes on its face ``x_i = 0``, else
+    :class:`InvalidWeightError`; for an exact weight only those face nodes
+    are built.  A lattice, or a face of one, of more than
+    ``MAX_LATTICE_NODES`` nodes raises :class:`NonDerivableError` before any
+    node is built.  The result records ``std`` as ``derived_from``.
     """
     dims = std.dims
     n = dims.n
@@ -730,67 +815,82 @@ def derive_singular_from_standard(
         c=_half_matrix(std.c_hat),
         d=std.d_hat,
         constants=std.constants,
+        derived_from=std,
     )
     if n == 0:
         return base  # no weights to solve for
     if lattice_box is None:
         lattice_box = [(0.0, 4.0)] * n + [(-4.0, 4.0)] * dims.m
-    counts = [max(int(round((hi - lo) / lattice_spacing)) + 1, 2) for lo, hi in lattice_box]
-    n_nodes = math.prod(counts)
-    if n_nodes > MAX_LATTICE_NODES:
-        raise NonDerivableError(
-            f"the drift-weight lattice would have {n_nodes} nodes, more than "
-            f"{MAX_LATTICE_NODES}; pass a smaller lattice_box or a coarser lattice_spacing"
-        )
-    axes = [np.linspace(lo, hi, count) for (lo, hi), count in zip(lattice_box, counts)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    states = np.stack(grids, axis=-1).reshape(-1, dims.total)
 
-    M = np.eye(n) + states[:, :n, None] * std.a_hat.evaluate_batch(states)
-    rhs = std.b_hat.evaluate_batch(states) - drift_identity_g(base, states)
-    try:
-        b_nodes = np.linalg.solve(M, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise NonDerivableError(f"pointwise drift-weight system is singular: {exc}")
-    conds = np.abs(np.linalg.det(M))
-    if float(conds.min()) < 1e-14:
-        raise NonDerivableError("pointwise drift-weight system is numerically singular")
+    if std.a_hat.is_zero:
+        b = FieldVector([_exact_weight(std, i) for i in range(n)])
+        face_values = []
+        if std.constants is not None:
+            for i in range(n):
+                face = _lattice_axes(lattice_box, lattice_spacing, "drift-weight face", face=i)
+                face_values.append(b[i].evaluate_batch(_nodes(face)))
+    else:
+        axes = _lattice_axes(lattice_box, lattice_spacing, "drift-weight lattice")
+        states = _nodes(axes)
+        M = np.eye(n) + states[:, :n, None] * std.a_hat.evaluate_batch(states)
+        rhs = std.b_hat.evaluate_batch(states) - drift_identity_g(base, states)
+        try:
+            b_nodes = np.linalg.solve(M, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise NonDerivableError(f"pointwise drift-weight system is singular: {exc}")
+        conds = np.abs(np.linalg.det(M))
+        if float(conds.min()) < 1e-14:
+            raise NonDerivableError("pointwise drift-weight system is numerically singular")
+        shape = tuple(len(a) for a in axes)
+        b = FieldVector([LatticeField(axes, b_nodes[:, i].reshape(shape)) for i in range(n)])
+        face_values = [b_nodes[states[:, i] <= FACE_TOL, i] for i in range(n)]
 
-    shape = tuple(len(a) for a in axes)
-    b_fields = [
-        LatticeField(axes, b_nodes[:, i].reshape(shape)) for i in range(n)
-    ]
     if std.constants is not None:
-        for i in range(n):
-            on_face = states[:, i] <= FACE_TOL
-            if on_face.any():
-                floor = float(b_nodes[on_face, i].min())
+        for i, values in enumerate(face_values):
+            if values.size:
+                floor = float(values.min())
                 if floor < std.constants.b_bar - 1e-9:
                     raise InvalidWeightError(
                         f"solved drift weight b_{i} reaches {floor:.6g} on the "
                         f"degenerate face, below the declared floor "
                         f"{std.constants.b_bar}"
                     )
-    return replace(base, b=FieldVector(b_fields))
+    return replace(base, b=b)
 
 
 class _ScaledField(ScalarField):
-    def __init__(self, base: ScalarField, factor: float):
-        self.base = base
-        self.factor = float(factor)
-        self.is_zero = base.is_zero or self.factor == 0.0
-        self.is_constant = base.is_constant
+    """``sum_t factor_t * base_t(z) * z[axis_t]`` over terms ``(factor, axis,
+    base)``, a term whose ``axis`` is None having no coordinate factor: the
+    combinations a derivation builds from a standard spec's fields, with
+    analytic partials by the product rule."""
+
+    def __init__(self, terms: Sequence[tuple[float, int | None, ScalarField]]):
+        self.terms = [(float(f), axis, base) for f, axis, base in terms]
+        live = [t for t in self.terms if t[0] != 0.0 and not t[2].is_zero]
+        self.is_zero = not live
+        self.is_constant = all(axis is None and base.is_constant for _, axis, base in live)
+        if self.is_constant and live and all(base.value is not None for _, _, base in live):
+            self.value = _sum([f * base.value for f, _, base in live])
 
     def evaluate_batch(self, states: np.ndarray) -> np.ndarray:
-        return self.factor * self.base.evaluate_batch(states)
+        states = np.asarray(states, dtype=float)
+        out = None
+        for factor, axis, base in self.terms:
+            term = factor * base.evaluate_batch(states)
+            if axis is not None:
+                term = term * states[..., axis]
+            out = term if out is None else out + term
+        return out
 
     def partial(self, axis: int) -> ScalarField:
-        return _ScaledField(self.base.partial(axis), self.factor)
+        terms = [(f, k, base.partial(axis)) for f, k, base in self.terms]
+        terms += [(f, None, base) for f, k, base in self.terms if k == axis]
+        return _ScaledField(terms)
 
 
 def _half_matrix(mat: FieldMatrix) -> FieldMatrix:
     return FieldMatrix(
-        [[_ScaledField(e, 0.5) for e in row] for row in mat.entries],
+        [[_ScaledField([(0.5, None, e)]) for e in row] for row in mat.entries],
         shape=mat.shape,
     )
 

@@ -119,11 +119,17 @@ class _Coefficients:
             return np.broadcast_to(self.plan.sigma, states.shape[:-1] + self.plan.sigma.shape)
         return dispersion_sqrt_batch(self.source.diffusion_matrix(states))
 
-    def noise_batch(self, states: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """``sigma(z) xi`` per state for a block of standard normals ``xi``."""
+    def noise_batch(
+        self, states: np.ndarray, xi: np.ndarray, sigma: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``sigma(z) xi`` per state for a block of standard normals ``xi``;
+        ``sigma`` passes in :meth:`sigma_batch` for these states when the
+        caller already has it."""
         if self.plan.sigma_diag is not None:
             return xi * self.plan.sigma_diag
-        return np.einsum("pij,pj->pi", self.sigma_batch(states), xi)
+        if sigma is None:
+            sigma = self.sigma_batch(states)
+        return np.einsum("pij,pj->pi", sigma, xi)
 
 
 @dataclass(frozen=True)
@@ -182,6 +188,7 @@ def _theta_rhs(
     states: np.ndarray,
     log_clamp_eps: float,
     log_sum: np.ndarray | None = None,
+    drift: np.ndarray | None = None,
 ) -> np.ndarray:
     n, m = sing.dims.n, sing.dims.m
     states = np.asarray(states, dtype=float)
@@ -195,7 +202,10 @@ def _theta_rhs(
         rhs[..., :n] = np.sqrt(np.maximum(states[..., :n], 0.0)) * log_sum[..., :n]
     if m:
         # Free rows: the divergence-side minus the standard-side free drift.
-        sing_free = sing.source.free_drift(states, log_clamp_eps, log_sum)
+        if drift is None:
+            sing_free = sing.source.free_drift(states, log_clamp_eps, log_sum)
+        else:
+            sing_free = drift[..., n:]
         rhs[..., n:] = sing_free - std.source.free_drift(states)
     return rhs
 
@@ -211,12 +221,15 @@ class GirsanovField:
     logarithms so it extends continuously by 0 onto each degenerate face (the
     degenerate rows carry a ``sqrt(x_i)`` factor).  ``divisor`` is the
     diagonal of a constant, diagonal and nonsingular standard-side
-    dispersion, for which the solve is a division.
+    dispersion, for which the solve is a division.  ``shares_root`` says that
+    the two sides have the same state-dependent ``D``, so a root the step
+    took for its noise serves the solve too.
     """
 
     std: StandardSdeCoefficients
     sing: SdeCoefficients
     divisor: np.ndarray | None = None
+    shares_root: bool = False
 
     @property
     def dims(self) -> StateSpaceDims:
@@ -227,14 +240,18 @@ class GirsanovField:
         states: np.ndarray,
         log_clamp_eps: float = 1e-12,
         log_sum: np.ndarray | None = None,
+        sigma: np.ndarray | None = None,
+        drift: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Drift change per state; ``log_sum`` passes in the divergence side's
-        ``log_drift`` for these states when the caller already has it."""
+        """Drift change per state.  When the caller already has them for
+        these states, ``log_sum`` passes in the divergence side's
+        ``log_drift``, ``drift`` its ``drift_batch`` with that log drift, and
+        ``sigma`` its ``sigma_batch`` (used when :attr:`shares_root`)."""
         states = np.asarray(states, dtype=float)
-        rhs = _theta_rhs(self.std, self.sing, states, log_clamp_eps, log_sum)
+        rhs = _theta_rhs(self.std, self.sing, states, log_clamp_eps, log_sum, drift)
         if self.divisor is not None:
             return rhs / self.divisor
-        sig = self.std.sigma_batch(states)
+        sig = sigma if sigma is not None and self.shares_root else self.std.sigma_batch(states)
         try:
             return np.linalg.solve(sig, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
@@ -249,7 +266,9 @@ def make_girsanov_field(
 
     The pairing is mandatory: the free rows of the linear system need the
     standard-side drift ``e^``, so a divergence-form model alone cannot
-    produce a theta field.
+    produce a theta field.  A divergence side derived from this standard
+    side (``derived_from``) has its ``D``: ``a = 1``, ``a~ = a^``,
+    ``2 c = c^`` and ``d = d^``, so a state-dependent root is shared.
     """
     if isinstance(std, StandardOperatorSpec):
         std = build_standard_sde_coefficients(std)
@@ -259,4 +278,5 @@ def make_girsanov_field(
         raise DimensionMismatchError("model pair dims mismatch")
     diag = std.plan.sigma_diag
     divisor = diag if diag is not None and diag.all() else None
-    return GirsanovField(std=std, sing=sing, divisor=divisor)
+    shares_root = sing.source.derived_from is std.source and std.plan.sigma is None
+    return GirsanovField(std=std, sing=sing, divisor=divisor, shares_root=shares_root)

@@ -312,18 +312,21 @@ def _advance_block(
     dt = config.dt
     eps = config.log_clamp_eps
     sqdt = np.sqrt(dt)
-    logw_delta = None
+    logw_delta = sigma = None
     if theta is None:
         drift = coeffs.drift_batch(states, eps)
     else:
-        # theta.sing is coeffs: f . ln x serves the drift and theta
+        # theta.sing is coeffs: f . ln x and the drift serve theta too, and
+        # a shared root the noise and theta
         log_sum = coeffs.source.log_drift(states, eps)
         drift = coeffs.drift_batch(states, eps, log_sum)
-        th = theta.theta_batch(states, eps, log_sum)
+        if theta.shares_root:
+            sigma = coeffs.sigma_batch(states)
+        th = theta.theta_batch(states, eps, log_sum, sigma, drift)
         logw_delta = -np.einsum("pi,pi->p", th, sqdt * xi) - 0.5 * dt * np.einsum(
             "pi,pi->p", th, th
         )
-    noise = coeffs.noise_batch(states, xi)
+    noise = coeffs.noise_batch(states, xi, sigma)
     new = states + drift * dt
     if config.scheme == "euler-implicit-sqrt":
         # drift-implicit in the sqrt chart on x-rows

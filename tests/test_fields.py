@@ -3,6 +3,8 @@ import pytest
 
 from kimura_lab.fields import (
     AffineField,
+    CallableField,
+    ConstantField,
     FieldMatrix,
     FieldVector,
     SmoothBump,
@@ -36,6 +38,20 @@ def test_trig_partial_is_cosine():
     d = f.partial(1).evaluate_batch(z)[0]
     assert d == pytest.approx(2.0 * 3.0 * np.cos(3.0 * 0.7 + 0.1))
     assert f.partial(0).evaluate_batch(z)[0] == 0.0
+
+
+@pytest.mark.parametrize("field, value", [
+    (ConstantField(0.7), 0.7), (AffineField(-1.5, [0.0, 0.0]), -1.5),
+    (TrigField(0.25, 0.0, axis=1, frequency=3.0), 0.25),
+    (AffineField(1.0, [0.0, 0.1]), None), (TrigField(0.0, 1.0, axis=0, frequency=1.0), None),
+    (CallableField(lambda s: s[..., 0]), None),
+])
+def test_value_is_the_float_of_a_constant_field(field, value):
+    # the drift identities read a constant field as this float
+    assert field.value == value and field.is_constant == (value is not None)
+    if value is not None:
+        z = np.array([[0.3, -4.0], [7.0, 2.5]])
+        assert np.all(field.evaluate_batch(z) == value)
 
 
 def test_fd_partial_matches_analytic():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -486,13 +487,77 @@ class TestDeriveSingular:
 
     def test_oversized_default_lattice_raises_before_building(self):
         # the default box at spacing 1/64 gives an n=1, m=2 model
-        # 257 * 513^2 nodes, about 1.6 GB of node states
+        # 257 * 513^2 nodes, about 1.6 GB of node states; a^ != 0 needs them
         std = operator_from_json({
-            "kind": "standard", "dims": {"n": 1, "m": 2},
+            "kind": "standard", "dims": {"n": 1, "m": 2}, "a_hat": [[0.2]],
             "b_hat": [0.5], "d_hat": [[1.0, 0.0], [0.0, 1.0]], "e_hat": [0.0, 0.0],
         })
         with pytest.raises(NonDerivableError, match=str(257 * 513 * 513)):
             derive_singular_from_standard(std)
+
+    def test_exact_weight_model_too_large_for_the_lattice_derives(self):
+        # the same n=1, m=2 model with a^ = 0 needs no lattice: b is b^, and
+        # the floor is checked at the 513^2 nodes of the face x = 0
+        std = operator_from_json({
+            "kind": "standard", "dims": {"n": 1, "m": 2},
+            "b_hat": [0.5], "d_hat": [[1.0, 0.0], [0.0, 1.0]], "e_hat": [0.0, 0.0],
+            "constants": {"delta": 0.5, "K": 5.0, "b_bar": 0.5},
+        })
+        sing = derive_singular_from_standard(std)
+        assert sing.b[0] is std.b_hat[0]
+        assert sing.derived_from is std
+
+    def test_exact_weight_is_the_trig_field_itself(self):
+        # a lattice read this b at x = 6 as 3.22 (exact 0.62) and at x = 21
+        # as 21.9 (exact 1.08)
+        trig = TrigField(1.0, 0.5, 0, 3.0)
+        std = StandardOperatorSpec(
+            dims=StateSpaceDims(1, 0), a_hat=FieldMatrix.zeros(1, 1),
+            b_hat=FieldVector([trig]), c_hat=FieldMatrix.zeros(1, 0),
+            d_hat=FieldMatrix.zeros(0, 0), e_hat=FieldVector([]),
+        )
+        sing = derive_singular_from_standard(std)
+        xs = np.linspace(0.0, 25.0, 1001)[:, None]
+        x = xs[:, 0]
+        assert np.max(np.abs(sing.b[0].evaluate_batch(xs) - (1.0 + 0.5 * np.sin(3.0 * x)))) < 1e-12
+        db = sing.b[0].partial(0).evaluate_batch(xs)
+        assert np.max(np.abs(db - 1.5 * np.cos(3.0 * x))) < 1e-12
+
+    def test_exact_weight_carries_the_cross_slope(self):
+        # a^ = 0, c^ = 0.2 + 0.15 y: b = b^ - x/2 * 0.15, and g reproduces b^
+        # everywhere, far outside the old solve box included
+        b_hat = AffineField(1.0, [0.2, 0.1])
+        std = StandardOperatorSpec(
+            dims=StateSpaceDims(1, 1), a_hat=FieldMatrix.zeros(1, 1),
+            b_hat=FieldVector([b_hat]),
+            c_hat=FieldMatrix([[AffineField(0.2, [0.0, 0.15])]]),
+            d_hat=FieldMatrix([[1.0]]), e_hat=FieldVector([0.0]),
+        )
+        sing = derive_singular_from_standard(std)
+        rng = np.random.Generator(np.random.Philox(key=41))
+        z = np.column_stack([rng.uniform(0.0, 25.0, 500), rng.uniform(-10.0, 10.0, 500)])
+        z[:2] = [[0.0, -10.0], [25.0, 10.0]]
+        x, y = z[:, 0], z[:, 1]
+        expected = 1.0 + 0.2 * x + 0.1 * y - 0.075 * x
+        assert np.max(np.abs(sing.b[0].evaluate_batch(z) - expected)) < 1e-12
+        assert np.max(np.abs(sing.b[0].partial(0).evaluate_batch(z) - 0.125)) < 1e-12
+        assert np.max(np.abs(sing.b[0].partial(1).evaluate_batch(z) - 0.1)) < 1e-12
+        g = drift_identity_g(sing, z)[:, 0]
+        assert np.max(np.abs(g - b_hat.evaluate_batch(z))) < 1e-12
+
+    def test_exact_weight_floor_is_checked_off_the_axis(self):
+        # b^ = 1 + 0.2 y meets the floor 0.5 at y = 0 but falls to 0.2 at
+        # y = -4 on the face x = 0
+        std = StandardOperatorSpec(
+            dims=StateSpaceDims(1, 1), a_hat=FieldMatrix.zeros(1, 1),
+            b_hat=FieldVector([AffineField(1.0, [0.0, 0.2])]),
+            c_hat=FieldMatrix.zeros(1, 1), d_hat=FieldMatrix([[1.0]]),
+            e_hat=FieldVector([0.0]), constants=AssumptionConstants(0.5, 5.0, 0.5),
+        )
+        with pytest.raises(InvalidWeightError, match="0.2"):
+            derive_singular_from_standard(std)
+        ok = replace(std, b_hat=FieldVector([AffineField(1.0, [0.0, 0.1])]))
+        derive_singular_from_standard(ok)  # 0.6 at y = -4
 
     def test_lattice_field_affine_exact_with_extrapolation(self):
         axes = [np.linspace(0.0, 1.0, 9), np.linspace(-1.0, 1.0, 9)]

@@ -1,13 +1,15 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import make_sing_1d, make_std_1d
 
+from kimura_lab import operators, simulate
 from kimura_lab.errors import EllipticityViolationError, InvalidMatrixError
-from kimura_lab.fields import FieldMatrix, FieldVector, TestFunction
+from kimura_lab.fields import ConstantField, FieldMatrix, FieldVector, ScalarField, TestFunction
 from kimura_lab.geometry import DomainSpec, Point, StateSpaceDims
 from kimura_lab.operators import (
     SingularOperatorSpec,
@@ -436,7 +438,12 @@ class TestStepPlan:
         expected = _unfolded_theta(std_op, sing_op, states, EPS).tobytes()
         assert pair.theta_batch(states, EPS).tobytes() == expected
         shared = pair.sing.source.log_drift(states, EPS)
-        assert shared.tobytes() == _unfolded_log_sum(sing_op, states, EPS).tobytes()
+        unfolded = _unfolded_log_sum(sing_op, states, EPS)
+        if sing_op.b.is_constant:
+            # an exact constant weight has no log drift on either side
+            assert shared is None and not unfolded.any()
+        else:
+            assert shared.tobytes() == unfolded.tobytes()
         assert pair.theta_batch(states, EPS, shared).tobytes() == expected
         assert pair.sing.drift_batch(states, EPS, shared).tobytes() == (
             _unfolded_drift(sing_op, states, EPS).tobytes()
@@ -484,7 +491,7 @@ class TestStepPlan:
             return gradient(values, *args, **kwargs)
 
         monkeypatch.setattr(np, "gradient", counting)
-        std_op = operator_from_json(GIRSANOV_MODEL)
+        std_op = operator_from_json(dict(GIRSANOV_MODEL, a_hat=[[0.3]]))  # a^ != 0: a lattice
         pair = make_girsanov_field(std_op, derive_singular_from_standard(std_op))
         cfg = PathConfig(dt=1e-2, seed=3, n_paths=64, horizon=1.0, record="ends")
         simulate_bundle(pair.sing, Point((1.0,), ()), DomainSpec.full_space(std_op.dims),
@@ -501,8 +508,164 @@ class TestStepPlan:
             return gradient(values, *args, **kwargs)
 
         monkeypatch.setattr(np, "gradient", counting)
-        sing_op = derive_singular_from_standard(operator_from_json(VALIDATE_MODEL))
+        sing_op = derive_singular_from_standard(
+            operator_from_json(dict(VALIDATE_MODEL, a_hat=[[0.2]]))  # a^ != 0: a lattice
+        )
         states = _probe_states(sing_op.dims)
         for _ in range(2):
             build_sde_coefficients(sing_op).drift_batch(states, EPS)
         assert calls == {0: 1, 1: 1}  # the weight's x and y axes
+
+
+# ---------------------------------------------------------------------------
+# The fold against opaque fields, and the shared dispersion root
+# ---------------------------------------------------------------------------
+
+
+class _Opaque(ScalarField):
+    """A field that hides what it is: it delegates values and partials, but
+    claims to be neither zero nor constant, so every identity term runs."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def evaluate_batch(self, states):
+        return self.inner.evaluate_batch(states)
+
+    def partial(self, axis):
+        return _Opaque(self.inner.partial(axis))
+
+
+def _opaque_vec(vec):
+    return FieldVector([_Opaque(e) for e in vec.entries])
+
+
+def _opaque_mat(mat):
+    return FieldMatrix([[_Opaque(e) for e in row] for row in mat.entries], shape=mat.shape)
+
+
+def _opaque_pair(std_op, sing_op):
+    std = StandardOperatorSpec(
+        dims=std_op.dims, a_hat=_opaque_mat(std_op.a_hat), b_hat=_opaque_vec(std_op.b_hat),
+        c_hat=_opaque_mat(std_op.c_hat), d_hat=_opaque_mat(std_op.d_hat),
+        e_hat=_opaque_vec(std_op.e_hat),
+    )
+    sing = SingularOperatorSpec(
+        dims=sing_op.dims, a_diag=_opaque_vec(sing_op.a_diag),
+        a_tilde=_opaque_mat(sing_op.a_tilde), b=_opaque_vec(sing_op.b),
+        c=_opaque_mat(sing_op.c), d=_opaque_mat(sing_op.d),
+    )
+    return make_girsanov_field(std, sing)
+
+
+COUPLED_PAIR = {  # n=1, m=1 with a^ and c^: a state-dependent D on both sides
+    "kind": "standard", "dims": {"n": 1, "m": 1}, "a_hat": [[0.2]],
+    "b_hat": [0.8], "c_hat": [[0.3]], "d_hat": [[1.0]], "e_hat": [0.1],
+}
+
+
+@pytest.mark.parametrize(
+    "model",
+    [GIRSANOV_MODEL, VALIDATE_MODEL, AFFINE_STANDARD, COUPLED_MODELS["n1m1"], COUPLED_PAIR],
+    ids=["girsanov", "validate", "affine", "coupled", "coupled-pair"],
+)
+def test_folded_step_matches_opaque_fields(model):
+    std_op = operator_from_json(model)
+    sing_op = derive_singular_from_standard(std_op)
+    pair = make_girsanov_field(std_op, sing_op)
+    ref = _opaque_pair(std_op, sing_op)
+    assert ref.sing.plan.drift is None and ref.std.plan.sigma is None
+    states = _probe_states(std_op.dims)
+    # a large c^ makes D indefinite far out; keep the states with a root
+    states = states[np.linalg.eigvalsh(std_op.diffusion_matrix(states))[:, 0] > 0.0]
+    log_sum = pair.sing.source.log_drift(states, EPS)
+    ref_log_sum = ref.sing.source.log_drift(states, EPS)
+    if log_sum is None:
+        assert sing_op.b.is_constant and not ref_log_sum.any()
+    else:
+        assert log_sum.tobytes() == ref_log_sum.tobytes()
+    drift = pair.sing.drift_batch(states, EPS, log_sum)
+    assert drift.tobytes() == ref.sing.drift_batch(states, EPS).tobytes()
+    theta = ref.theta_batch(states, EPS).tobytes()
+    assert pair.theta_batch(states, EPS).tobytes() == theta
+    # as a step calls it, with the log drift, root and drift it already has
+    sigma = pair.sing.sigma_batch(states)
+    assert pair.theta_batch(states, EPS, log_sum, sigma, drift).tobytes() == theta
+
+
+@pytest.mark.parametrize(
+    "model, per_step", [(VALIDATE_MODEL, 0), (AFFINE_STANDARD, 1)], ids=["folded", "affine"]
+)
+def test_weighted_step_assembles_the_free_drift_once(monkeypatch, model, per_step):
+    # theta's free rows read the step's drift; a folded drift needs no e
+    calls = Counter()
+    identity = operators.drift_identity_e
+
+    def counting(*args):
+        calls["e"] += 1
+        return identity(*args)
+
+    monkeypatch.setattr(operators, "drift_identity_e", counting)
+    std_op = operator_from_json(model)
+    pair = make_girsanov_field(std_op, derive_singular_from_standard(std_op))
+    calls.clear()
+    cfg = PathConfig(dt=1e-2, seed=3, n_paths=64, horizon=0.5, record="ends")
+    simulate_bundle(pair.sing, Point((1.0,), (0.0,)), DomainSpec.full_space(std_op.dims),
+                    cfg, theta=pair)
+    assert calls["e"] == per_step * 50
+
+
+def test_weighted_girsanov_step_evaluates_no_constant_field(monkeypatch):
+    calls = Counter()
+    evaluate, advance = ConstantField.evaluate_batch, simulate._advance_block
+
+    def counting_evaluate(self, states):
+        calls["evaluate_batch"] += 1
+        return evaluate(self, states)
+
+    def counting_advance(*args):
+        calls["steps"] += 1
+        before = calls["evaluate_batch"]
+        out = advance(*args)
+        calls["in steps"] += calls["evaluate_batch"] - before
+        return out
+
+    monkeypatch.setattr(ConstantField, "evaluate_batch", counting_evaluate)
+    monkeypatch.setattr(simulate, "_advance_block", counting_advance)
+    std_op = operator_from_json(GIRSANOV_MODEL)
+    pair = make_girsanov_field(std_op, derive_singular_from_standard(std_op))
+    cfg = PathConfig(dt=1e-2, seed=3, n_paths=64, horizon=1.0, record="ends")
+    bundle = simulate_bundle(pair.sing, Point((1.0,), ()), DomainSpec.full_space(std_op.dims),
+                             cfg, theta=pair)
+    assert bundle.log_weights is not None
+    assert calls["steps"] == 100 and calls["in steps"] == 0
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_derived_pair_shares_its_dispersion_root(monkeypatch, threads):
+    std_op = operator_from_json(COUPLED_PAIR)
+    pair = make_girsanov_field(std_op, derive_singular_from_standard(std_op))
+    assert pair.shares_root and pair.divisor is None
+    # a pair not derived from each other keeps two roots
+    assert not make_girsanov_field(std_op, replace(pair.sing.source, derived_from=None)).shares_root
+    calls = Counter()
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    cfg = PathConfig(dt=1e-2, seed=3, n_paths=64, horizon=0.5, record="all")
+    start, domain = Point((1.0,), (0.0,)), DomainSpec.full_space(std_op.dims)
+
+    def run(theta):
+        calls.clear()
+        bundle = simulate_bundle(theta.sing, start, domain, cfg, theta=theta, n_threads=threads)
+        return bundle, calls["eigh"]
+
+    shared, shared_calls = run(pair)
+    apart, apart_calls = run(replace(pair, shares_root=False))
+    assert cfg.n_steps == 50 and (shared_calls, apart_calls) == (50, 100)
+    assert shared.states.tobytes() == apart.states.tobytes()
+    assert shared.log_weights.tobytes() == apart.log_weights.tobytes()
