@@ -1,0 +1,106 @@
+"""Time one scheme step per model class: the per-step table of ROADMAP.md.
+
+Each row is one ``simulate._advance_block`` call on a 4096-path block with
+``dt = 1e-3``, timed as the best of 5 repeats of 200 calls and printed in
+milliseconds per call.  The states are ``1 + 0.5 U(0, 1)`` on the degenerate
+axis and standard normal on the free one; the normals are drawn once.  The
+models are those of the committed configs (girsanov, harnack, validate) plus
+the validate model with ``a^ = 0.2`` and ``c^ = 0.3``, each derived model
+with and without its drift-change field ``theta``.  The last two rows time
+the exact scheme's draw and one block's normal draw.  Takes no options; the
+full table takes about half a minute on a 2-core machine.
+
+    python3 scripts/step_rates.py
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+import time
+from dataclasses import replace
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from kimura_lab import simulate  # noqa: E402
+from kimura_lab.operators import derive_singular_from_standard, operator_from_json  # noqa: E402
+from kimura_lab.sde import (  # noqa: E402
+    build_sde_coefficients,
+    build_standard_sde_coefficients,
+    make_girsanov_field,
+)
+from kimura_lab.simulate import RNG_BLOCK, PathConfig  # noqa: E402
+
+REPEATS, CALLS = 5, 200
+CONFIG = PathConfig(dt=1e-3, seed=0, n_paths=RNG_BLOCK, horizon=1.0)
+
+
+def _model(name: str) -> dict:
+    with open(os.path.join(ROOT, "configs", name)) as fh:
+        return json.load(fh)["model"]
+
+
+def _best_ms(fn) -> float:
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for _ in range(CALLS):
+            fn()
+        best = min(best, time.perf_counter() - start)
+    return 1e3 * best / CALLS
+
+
+def _step(coeffs, theta=None, scheme=CONFIG.scheme):
+    rng = np.random.Generator(np.random.Philox(key=1))
+    dims = coeffs.dims
+    states = np.empty((RNG_BLOCK, dims.total))
+    states[:, : dims.n] = 1.0 + 0.5 * rng.random((RNG_BLOCK, dims.n))
+    states[:, dims.n :] = rng.standard_normal((RNG_BLOCK, dims.m))
+    xi = rng.standard_normal((RNG_BLOCK, dims.total))
+    config = replace(CONFIG, scheme=scheme)
+    return lambda: simulate._advance_block(coeffs, theta, config, states, xi, 1)
+
+
+def _derived_rows(label: str, std_op) -> list:
+    pair = make_girsanov_field(std_op, derive_singular_from_standard(std_op))
+    return [
+        (f"derived {label}", _step(pair.sing)),
+        (f"derived {label} with theta", _step(pair.sing, pair)),
+    ]
+
+
+def main() -> None:
+    girsanov = operator_from_json(_model("girsanov_consistency.json"))
+    harnack = build_sde_coefficients(operator_from_json(_model("harnack_scan.json")))
+    validate = _model("validate_model.json")
+    coupled = dict(validate, a_hat=[[0.2]], c_hat=[[0.3]])
+    exact = simulate._ExactGammaParams(harnack)
+    x = np.full(RNG_BLOCK, 1.0)
+    rows = [
+        ("standard 1D (girsanov config)", _step(build_standard_sde_coefficients(girsanov))),
+        ("singular 1D, constant b (harnack config)", _step(harnack)),
+        ("the same, euler-implicit-sqrt", _step(harnack, scheme="euler-implicit-sqrt")),
+        *_derived_rows("1D (girsanov config)", girsanov),
+        *_derived_rows("n=1, m=1 (validate config)", operator_from_json(validate)),
+        *_derived_rows("n=1, m=1 with a^ = 0.2, c^ = 0.3", operator_from_json(coupled)),
+        (
+            f"exact scheme: noncentral_chisquare, {RNG_BLOCK} draws",
+            lambda rng=simulate._block_rng(0, 0): exact.sample(rng, x, CONFIG.dt),
+        ),
+        (
+            f"one standard_normal(({RNG_BLOCK}, 1)) draw from a block's Philox",
+            lambda rng=simulate._block_rng(0, 0): rng.standard_normal((RNG_BLOCK, 1)),
+        ),
+    ]
+    print(f"ms per call at {RNG_BLOCK} paths, dt = {CONFIG.dt}, best of {REPEATS} x {CALLS}")
+    print("| model | ms/step |\n|---|---|")
+    for label, fn in rows:
+        print(f"| {label} | {_best_ms(fn):.3f} |", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -69,7 +69,8 @@ class ConstantField(ScalarField):
 
 
 class AffineField(ScalarField):
-    """``c0 + sum_k coeffs[k] * z[k]``."""
+    """``c0 + sum_k coeffs[k] * z[k]``, summed over the nonzero coefficients in
+    axis order: with one of them, the bits of ``c0 + states @ coeffs``."""
 
     def __init__(self, c0: float, coeffs: Sequence[float]):
         self.c0 = float(c0)
@@ -77,6 +78,7 @@ class AffineField(ScalarField):
         self.is_zero = self.c0 == 0.0 and not self.coeffs.any()
         self.is_constant = not self.coeffs.any()
         self.value = self.c0 if self.is_constant else None
+        self._terms = [(k, float(c)) for k, c in enumerate(self.coeffs) if c != 0.0]
 
     def evaluate_batch(self, states: np.ndarray) -> np.ndarray:
         states = np.asarray(states, dtype=float)
@@ -85,7 +87,13 @@ class AffineField(ScalarField):
                 f"affine field expects {self.coeffs.shape[0]} coords, "
                 f"got {states.shape[-1]}"
             )
-        return self.c0 + states @ self.coeffs
+        if not self._terms:
+            return np.full(states.shape[:-1], self.c0)
+        (k, c), *rest = self._terms
+        total = c * states[..., k]
+        for k, c in rest:
+            total += c * states[..., k]
+        return self.c0 + total
 
     def partial(self, axis: int) -> ScalarField:
         return ConstantField(float(self.coeffs[axis]))
@@ -190,6 +198,8 @@ class FieldVector:
         states = np.asarray(states, dtype=float)
         if not self.entries:
             return np.zeros(states.shape[:-1] + (0,))
+        if len(self.entries) == 1:
+            return self.entries[0].evaluate_batch(states)[..., None]
         return np.stack([e.evaluate_batch(states) for e in self.entries], axis=-1)
 
     @staticmethod

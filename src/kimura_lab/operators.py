@@ -135,7 +135,8 @@ class StandardOperatorSpec(_OperatorBase):
         """``(b^, e^)``, shape (..., n+m).  The standard form has no log drift;
         the other arguments are those of the divergence side and unused."""
         states = np.asarray(states, dtype=float)
-        return np.concatenate([self.b_hat.evaluate_batch(states), self.free_drift(states)], -1)
+        b = self.b_hat.evaluate_batch(states)
+        return np.concatenate([b, self.free_drift(states)], -1) if self.dims.m else b
 
     def free_drift(self, states: np.ndarray) -> np.ndarray:
         """Free rows of :meth:`drift`, ``e^``, shape (..., m)."""
@@ -151,6 +152,12 @@ class StandardOperatorSpec(_OperatorBase):
         """:meth:`diffusion_matrix` has no state dependence: its ``sqrt(x)``
         blocks ``a^`` and ``c^`` vanish and ``d^`` is constant."""
         return self.a_hat.is_zero and self.c_hat.is_zero and self.d_hat.is_constant
+
+    # the standard form has no log drift, so no log couplings to vary
+    log_coupling_is_constant = True
+
+    def log_coupling(self, states: np.ndarray) -> None:
+        return None
 
 
 @dataclass(frozen=True)
@@ -177,6 +184,18 @@ class SingularOperatorSpec(_OperatorBase):
             raise DimensionMismatchError("a/b shapes do not match dims")
         if self.c.shape != (n, m) or self.d.shape != (m, m):
             raise DimensionMismatchError("c/d shapes do not match dims")
+        # With a~ = 0 and every partial of a_ii and c_il zero, b_i a_ii is the
+        # only term of drift_identity_g left; ``_speed`` keeps the floats a_ii
+        # (None when some other term may not vanish, or a factor is zero).
+        speed = None
+        if (
+            self.a_tilde.is_zero and self.a_diag.is_constant and self.c.is_constant
+            and not any(e.is_zero for e in self.a_diag.entries + self.b.entries)
+            and all(self.a_diag[i].partial(i).is_zero for i in range(n))
+            and all(self.c[i, l].partial(n + l).is_zero for i in range(n) for l in range(m))
+        ):
+            speed = self.a_diag.evaluate_batch(np.ones((1, self.dims.total)))[0]
+        object.__setattr__(self, "_speed", speed)
 
     def diffusion_matrix(self, states: np.ndarray) -> np.ndarray:
         """``D`` of :func:`_diffusion_matrix` with cross coefficient ``2 c``."""
@@ -186,16 +205,26 @@ class SingularOperatorSpec(_OperatorBase):
             2.0 * self.c.evaluate_batch(states), self.d.evaluate_batch(states),
         )
 
-    def log_drift(self, states, log_clamp_eps=0.0) -> np.ndarray | None:
+    def log_coupling(self, states: np.ndarray) -> np.ndarray | None:
+        """:func:`drift_identity_f` at ``states``; None when ``b`` is
+        constant, as ``f`` then vanishes."""
+        return None if self.b.is_constant else drift_identity_f(self, states)
+
+    def log_drift(self, states, log_clamp_eps=0.0, coupling=None) -> np.ndarray | None:
         """``sum_j f_rj ln max(x_j, eps)`` for every row ``r``, shape (..., n+m);
-        None when ``b`` is constant, as ``f`` then vanishes.  With ``eps = 0``
-        a state on a face ``x_j = 0`` gives an infinite log."""
-        if self.b.is_constant:
-            return None
+        None when ``b`` is constant, as ``f`` then vanishes.  ``coupling``
+        passes in a state-free ``f`` of shape (n+m, n) when the caller holds
+        one.  With ``eps = 0`` a state on a face ``x_j = 0`` gives an
+        infinite log."""
+        if coupling is None:
+            coupling = self.log_coupling(states)
+            if coupling is None:
+                return None
         states = np.asarray(states, dtype=float)
         with np.errstate(divide="ignore"):
             logs = np.log(np.maximum(states[..., : self.dims.n], log_clamp_eps))
-        return np.einsum("...rj,...j->...r", drift_identity_f(self, states), logs)
+        # one contraction for a per-state and a state-free f: the same sums
+        return np.einsum("...rj,...j->...r", coupling, logs)
 
     def drift(self, states, log_clamp_eps=0.0, log_sum=None) -> np.ndarray:
         """``(g + x * (f . ln x), e + f . ln x)``, shape (..., n+m), with the
@@ -205,14 +234,21 @@ class SingularOperatorSpec(_OperatorBase):
         states = np.asarray(states, dtype=float)
         if log_sum is None:
             log_sum = self.log_drift(states, log_clamp_eps)
-        g = drift_identity_g(self, states)
+        if self._speed is None:
+            g = drift_identity_g(self, states)
+        else:
+            g = self.b.evaluate_batch(states) * self._speed
         if log_sum is not None:
             g = g + states[..., :n] * log_sum[..., :n]
+        if not self.dims.m:
+            return g
         return np.concatenate([g, self.free_drift(states, log_clamp_eps, log_sum)], -1)
 
     def free_drift(self, states, log_clamp_eps=0.0, log_sum=None) -> np.ndarray:
         """Free rows of :meth:`drift`, ``e + f_y . ln x``, shape (..., m)."""
         states = np.asarray(states, dtype=float)
+        if not self.dims.m:
+            return np.zeros(states.shape[:-1] + (0,))
         if log_sum is None:
             log_sum = self.log_drift(states, log_clamp_eps)
         e = drift_identity_e(self, states)
@@ -232,6 +268,21 @@ class SingularOperatorSpec(_OperatorBase):
         return (
             self.a_tilde.is_zero and self.c.is_zero
             and self.a_diag.is_constant and self.d.is_constant
+        )
+
+    @property
+    def log_coupling_is_constant(self) -> bool:
+        """:meth:`log_coupling` has no state dependence: ``a~`` and ``c``
+        vanish, ``a`` and ``d`` are constant and so is every partial of
+        ``b``, leaving ``f_ij = a_ii d_xi b_j`` and
+        ``f_(n+l)j = sum_k d_lk d_yk b_j``."""
+        return (
+            self.a_tilde.is_zero and self.c.is_zero
+            and self.a_diag.is_constant and self.d.is_constant
+            and all(
+                b.partial(axis).is_constant
+                for b in self.b.entries for axis in range(self.dims.total)
+            )
         )
 
     def measure(self) -> WeightedMeasure:

@@ -7,7 +7,10 @@ degenerate rows read ``dX_i = (g_i + X_i sum_j f_ij ln X_j) dt
 Each operator spec assembles its own drift (``drift``) and diffusion matrix
 ``D`` (``diffusion_matrix``).  This module compiles a spec into a step plan,
 takes the dispersion root ``sigma`` of ``D``, and builds the drift-change
-field ``theta`` tying the two equations together.
+field ``theta`` tying the two equations together.  The plan keeps what the
+spec calls state-free, evaluated once: the drift, the root of ``D`` (or its
+diagonal) and the log couplings ``f``, so a step evaluates only the fields
+that vary and no drift identity whose result is fixed.
 """
 
 from __future__ import annotations
@@ -79,12 +82,16 @@ class StepPlan:
 
     ``sigma`` is the dispersion root when the spec's ``D`` is state-free, and
     ``sigma_diag`` its diagonal when that root is diagonal.  ``drift`` is the
-    spec's drift when it is state-free.
+    spec's drift when it is state-free.  ``coupling`` is the divergence
+    side's log coupling ``f``, shape (n+m, n), when it is state-free and does
+    not vanish: a step's log drift is then ``ln max(x, eps)`` contracted with
+    it, and no drift identity runs.
     """
 
     sigma: np.ndarray | None = None
     sigma_diag: np.ndarray | None = None
     drift: np.ndarray | None = None
+    coupling: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -103,11 +110,14 @@ class _Coefficients:
         otherwise the source operator's ``drift`` with ``ln max(x, eps)``.
 
         ``log_sum`` passes in the source's ``log_drift`` for these states
-        when the caller already has it.  A folded model has constant fields,
+        when the caller already has it; otherwise a plan with a state-free
+        ``coupling`` contracts it here.  A folded model has constant fields,
         so no log drift.
         """
         states = np.asarray(states, dtype=float)
         if self.plan.drift is None:
+            if log_sum is None and self.plan.coupling is not None:
+                log_sum = self.source.log_drift(states, log_clamp_eps, self.plan.coupling)
             return self.source.drift(states, log_clamp_eps, log_sum)
         out = np.empty(states.shape)
         out[...] = self.plan.drift
@@ -142,6 +152,11 @@ class SdeCoefficients(_Coefficients):
     drift_batch = _Coefficients.drift_batch
     sigma_batch = _Coefficients.sigma_batch
 
+    def log_drift(self, states: np.ndarray, log_clamp_eps: float = 1e-12) -> np.ndarray | None:
+        """The source's ``log_drift`` ``f . ln max(x, eps)``, with the step
+        plan's ``coupling`` as ``f`` when it is state-free."""
+        return self.source.log_drift(states, log_clamp_eps, self.plan.coupling)
+
 
 @dataclass(frozen=True)
 class StandardSdeCoefficients(_Coefficients):
@@ -155,8 +170,8 @@ class StandardSdeCoefficients(_Coefficients):
 
 def _compile(cls, spec):
     """Coefficients of class ``cls`` for ``spec``, with the step plan folding
-    the spec's drift and dispersion root, each evaluated once at a probe
-    state, when the spec says it is state-free."""
+    the spec's drift, dispersion root and log coupling, each evaluated once
+    at a probe state, when the spec says it is state-free."""
     probe = np.ones((1, spec.dims.total))
     drift = spec.drift(probe)[0] if spec.drift_is_constant else None
     sigma = diag = None
@@ -164,7 +179,11 @@ def _compile(cls, spec):
         sigma = dispersion_sqrt_batch(spec.diffusion_matrix(probe)[0])
         diag = np.diag(sigma).copy()
         diag = diag if np.array_equal(sigma, np.diag(diag)) else None
-    return cls(spec.dims, spec, StepPlan(sigma=sigma, sigma_diag=diag, drift=drift))
+    coupling = spec.log_coupling(probe) if spec.log_coupling_is_constant else None
+    if coupling is not None:
+        coupling = coupling[0]
+    plan = StepPlan(sigma=sigma, sigma_diag=diag, drift=drift, coupling=coupling)
+    return cls(spec.dims, spec, plan)
 
 
 def build_sde_coefficients(op: SingularOperatorSpec) -> SdeCoefficients:
@@ -189,17 +208,25 @@ def _theta_rhs(
     log_clamp_eps: float,
     log_sum: np.ndarray | None = None,
     drift: np.ndarray | None = None,
+    root_x: np.ndarray | None = None,
 ) -> np.ndarray:
+    """A fresh array: the degenerate rows alone when there are no free ones."""
     n, m = sing.dims.n, sing.dims.m
     states = np.asarray(states, dtype=float)
     if log_sum is None:
-        log_sum = sing.source.log_drift(states, log_clamp_eps)
-    rhs = np.zeros(states.shape[:-1] + (n + m,))
+        log_sum = sing.log_drift(states, log_clamp_eps)
     if log_sum is not None:
         # Degenerate rows: g = b^ by derivation, so the drift gap is
         # x_i (f . ln x)_i.  Its quotient by sqrt(x_i) is written as
         # sqrt(x_i) (f . ln x)_i, which stays finite on the face x_i = 0.
-        rhs[..., :n] = np.sqrt(np.maximum(states[..., :n], 0.0)) * log_sum[..., :n]
+        if root_x is None:
+            root_x = np.sqrt(np.maximum(states[..., :n], 0.0))
+        x_rows = root_x * log_sum[..., :n]
+        if not m:
+            return x_rows
+    rhs = np.zeros(states.shape[:-1] + (n + m,))
+    if log_sum is not None:
+        rhs[..., :n] = x_rows
     if m:
         # Free rows: the divergence-side minus the standard-side free drift.
         if drift is None:
@@ -242,15 +269,18 @@ class GirsanovField:
         log_sum: np.ndarray | None = None,
         sigma: np.ndarray | None = None,
         drift: np.ndarray | None = None,
+        root_x: np.ndarray | None = None,
     ) -> np.ndarray:
         """Drift change per state.  When the caller already has them for
         these states, ``log_sum`` passes in the divergence side's
-        ``log_drift``, ``drift`` its ``drift_batch`` with that log drift, and
-        ``sigma`` its ``sigma_batch`` (used when :attr:`shares_root`)."""
+        ``log_drift``, ``drift`` its ``drift_batch`` with that log drift,
+        ``sigma`` its ``sigma_batch`` (used when :attr:`shares_root`) and
+        ``root_x`` the degenerate coordinates' ``sqrt(max(x, 0))``."""
         states = np.asarray(states, dtype=float)
-        rhs = _theta_rhs(self.std, self.sing, states, log_clamp_eps, log_sum, drift)
+        rhs = _theta_rhs(self.std, self.sing, states, log_clamp_eps, log_sum, drift, root_x)
         if self.divisor is not None:
-            return rhs / self.divisor
+            rhs /= self.divisor
+            return rhs
         sig = sigma if sigma is not None and self.shares_root else self.std.sigma_batch(states)
         try:
             return np.linalg.solve(sig, rhs[..., None])[..., 0]

@@ -290,6 +290,25 @@ class _ExactGammaParams:
         return s * rng.noncentral_chisquare(2.0 * self.b0, x / s)
 
 
+def _log_weight_increment(
+    th: np.ndarray, xi: np.ndarray, sqdt: float, dt: float
+) -> np.ndarray:
+    """``-theta . xi sqrt(dt) - |theta|^2 dt / 2`` per path, each dot product
+    summed from +0 as ``einsum`` sums it.  With one noise column the sum is
+    ``-((0 + p) + q)`` for ``p = theta xi sqrt(dt)`` and ``q = |theta|^2 dt / 2``,
+    and as ``q`` is never -0 that has the bits of ``-(p + q)``."""
+    if th.shape[1] != 1:
+        return -np.einsum("pi,pi->p", th, sqdt * xi) - 0.5 * dt * np.einsum(
+            "pi,pi->p", th, th
+        )
+    th = th[:, 0]
+    out = th * (sqdt * xi[:, 0])
+    q = th * th
+    q *= 0.5 * dt
+    out += q
+    return np.negative(out, out=out)
+
+
 def _advance_block(
     coeffs,
     theta: GirsanovField | None,
@@ -313,35 +332,34 @@ def _advance_block(
     eps = config.log_clamp_eps
     sqdt = np.sqrt(dt)
     logw_delta = sigma = None
+    # sqrt(x) of the noise term, both schemes, and of theta's degenerate rows
+    root_x = np.sqrt(np.maximum(states[:, :n], 0.0))
     if theta is None:
         drift = coeffs.drift_batch(states, eps)
     else:
         # theta.sing is coeffs: f . ln x and the drift serve theta too, and
         # a shared root the noise and theta
-        log_sum = coeffs.source.log_drift(states, eps)
+        log_sum = coeffs.log_drift(states, eps)
         drift = coeffs.drift_batch(states, eps, log_sum)
         if theta.shares_root:
             sigma = coeffs.sigma_batch(states)
-        th = theta.theta_batch(states, eps, log_sum, sigma, drift)
-        logw_delta = -np.einsum("pi,pi->p", th, sqdt * xi) - 0.5 * dt * np.einsum(
-            "pi,pi->p", th, th
-        )
+        th = theta.theta_batch(states, eps, log_sum, sigma, drift, root_x)
+        logw_delta = _log_weight_increment(th, xi, sqdt, dt)
     noise = coeffs.noise_batch(states, xi, sigma)
     new = states + drift * dt
     if config.scheme == "euler-implicit-sqrt":
         # drift-implicit in the sqrt chart on x-rows
         D = coeffs.source.diffusion_matrix(states)
         for i in range(n):
-            y = np.sqrt(np.maximum(states[:, i], 0.0))
-            B = y + 0.5 * noise[:, i] * sqdt
+            B = root_x[:, i] + 0.5 * noise[:, i] * sqdt
             disc = B * B + 2.0 * (drift[:, i] - 0.25 * D[..., i, i]) * dt
             ynew = 0.5 * (B + np.sqrt(np.maximum(disc, 0.0)))
             new[:, i] = ynew * ynew
     elif n:
-        root_x = np.sqrt(np.maximum(states[:, :n], 0.0))
         new[:, :n] += root_x * noise[:, :n] * sqdt
-        new[:, :n] = np.maximum(new[:, :n], 0.0)
-    new[:, n:] += noise[:, n:] * sqdt
+        np.maximum(new[:, :n], 0.0, out=new[:, :n])
+    if coeffs.dims.m:
+        new[:, n:] += noise[:, n:] * sqdt
     if not np.isfinite(new).all():
         bad = int(np.flatnonzero(~np.isfinite(new).all(axis=1))[0])
         raise NumericFailureError(
@@ -461,23 +479,29 @@ def simulate_bundle(
                 new, dlogw = _advance_block(coeffs, theta, config, cur, xi, k)
             else:
                 new = params_exact.sample(rng, cur[:, 0], config.dt)[:, None]
-            new = np.where(alive[:, None], new, cur)
-            if theta is not None:
-                logw = logw + np.where(alive, dlogw, 0.0)
-            inside = domain.contains_underline(new) if can_exit else alive
-            newly = alive & ~inside
-            if newly.any():
-                idx = np.flatnonzero(newly)
-                start, path = group.start + idx // nb, lo + idx % nb
-                tau[start, path] = k * config.dt
-                exited[start, path] = True
-                exit_state[start, path] = new[idx]
+            # with no exit boundary every path stays alive: no freeze
+            alive_after = alive
+            if can_exit:
+                new = np.where(alive[:, None], new, cur)
+                if theta is not None:
+                    logw = logw + np.where(alive, dlogw, 0.0)
+                inside = domain.contains_underline(new)
+                newly = alive & ~inside
+                if newly.any():
+                    idx = np.flatnonzero(newly)
+                    start, path = group.start + idx // nb, lo + idx % nb
+                    tau[start, path] = k * config.dt
+                    exited[start, path] = True
+                    exit_state[start, path] = new[idx]
+                alive_after = alive & inside
+            elif theta is not None:
+                logw = logw + dlogw
             for obs in observers:
                 obs.observe(
                     sl, k, k * config.dt, cur, new, alive,
                     logw=logw if theta is not None else None,
                 )
-            alive = alive & inside
+            alive = alive_after
             cur = new
             if k in record_idx:
                 states_rec[group, sl, record_idx[k]] = by_start(cur)

@@ -16,6 +16,7 @@ from kimura_lab.density import subdomain_alive_at
 from kimura_lab.feynman_kac import (
     BoundaryData,
     estimate_dirichlet,
+    estimate_dirichlet_nodes,
     estimate_semigroup,
     martingale_residual,
 )
@@ -30,7 +31,7 @@ from kimura_lab.geometry import (
     mu_ball,
     mu_ball_comparator,
 )
-from kimura_lab.harnack import LatticeSpec, memoize_estimator, scale_invariant_scan
+from kimura_lab.harnack import LatticeSpec, scale_invariant_scan
 from kimura_lab.operators import derive_singular_from_standard
 from kimura_lab.oracle import (
     Besq1dModel,
@@ -358,13 +359,9 @@ def test_criterion_07_domination_and_monotonicity():
 
 
 def _fk_estimator(coeffs, gdata, domain, n_paths, dt, seed):
+    # one bundle per scan; each node is bit-equal to its own estimate_dirichlet
     config = PathConfig(dt=dt, seed=seed, n_paths=n_paths, horizon=1.0)
-
-    def u(t, z):
-        return estimate_dirichlet(coeffs, gdata, t, z, 0.0, domain, config)
-
-    memo = memoize_estimator(u)
-    return lambda nodes: [memo(t, z) for t, z in nodes]
+    return lambda nodes: estimate_dirichlet_nodes(coeffs, gdata, nodes, 0.0, domain, config)
 
 
 def test_criterion_08_cylinder_ratio_probes():

@@ -118,3 +118,33 @@ def test_bump_vanishes_smoothly_at_edge():
     edge = np.array([[0.999999], [1.0], [1.2]])
     assert np.all(bump.value(edge) < 1e-6)
     assert np.all(np.abs(bump.gradient(edge)) < 1e-3)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_affine_with_one_coefficient_has_the_matmul_bits(axis):
+    coeffs = np.zeros(3)
+    coeffs[axis] = -0.37
+    states = np.random.default_rng(axis).normal(size=(2, 50, 3)) * 10.0
+    field = AffineField(1.25, coeffs)
+    assert field.evaluate_batch(states).tobytes() == (1.25 + states @ coeffs).tobytes()
+
+
+def test_affine_with_several_coefficients_is_within_an_ulp_of_matmul():
+    coeffs = np.array([0.2, 0.0, 1.7, 0.05])
+    states = np.random.default_rng(7).uniform(0.0, 30.0, size=(500, 4))
+    out = AffineField(0.8, coeffs).evaluate_batch(states)
+    np.testing.assert_array_max_ulp(out, 0.8 + states @ coeffs, maxulp=1)
+
+
+def test_affine_with_zero_coefficients_is_its_constant_in_the_batch_shape():
+    states = np.full((3, 4, 2), np.inf)  # no coordinate is read
+    out = AffineField(-0.6, [0.0, 0.0]).evaluate_batch(states)
+    assert out.shape == (3, 4) and np.all(out == -0.6)
+
+
+def test_one_entry_vector_keeps_a_trailing_axis():
+    entry = AffineField(0.5, [1.0, 2.0])
+    states = np.arange(24.0).reshape(3, 4, 2)
+    out = FieldVector([entry]).evaluate_batch(states)
+    assert out.shape == (3, 4, 1)
+    assert out[..., 0].tobytes() == entry.evaluate_batch(states).tobytes()

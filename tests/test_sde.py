@@ -325,8 +325,9 @@ AFFINE_STANDARD = {
     "e_hat": [{"family": "affine", "c0": 0.2, "coeffs": [-0.4, 0.25]}],
 }
 EPS = 1e-12
-# x = 0, x below the log clamp, x past the [0, 4] solve box; y past [-4, 4]
-X_PROBES = [0.0, 1e-14, 0.3, 1.7, 5.5, 21.0]
+# x = 0, x below the log clamp, x = 1 (ln x = 0), x past the [0, 4] solve
+# box; y past [-4, 4]
+X_PROBES = [0.0, 1e-14, 0.3, 1.0, 1.7, 5.5, 21.0, 25.0]
 Y_PROBES = [-4.5, 0.2, 6.0]
 
 
@@ -562,12 +563,22 @@ COUPLED_PAIR = {  # n=1, m=1 with a^ and c^: a state-dependent D on both sides
     "kind": "standard", "dims": {"n": 1, "m": 1}, "a_hat": [[0.2]],
     "b_hat": [0.8], "c_hat": [[0.3]], "d_hat": [[1.0]], "e_hat": [0.1],
 }
+TRIG_MODEL = {  # b^ = 1 + 0.5 sin 3x: the partial of b varies, f does not fold
+    "kind": "standard", "dims": {"n": 1, "m": 0},
+    "b_hat": [{"family": "trig", "c0": 1.0, "amplitude": 0.5, "axis": 0, "frequency": 3.0}],
+}
+NEGATIVE_SLOPE = {  # f < 0 and a zero free row of f: the signs of zeros
+    "kind": "standard", "dims": {"n": 1, "m": 1},
+    "b_hat": [{"family": "affine", "c0": 6.0, "coeffs": [-0.2]}], "d_hat": [[1.0]],
+    "e_hat": [0.3],
+}
 
 
 @pytest.mark.parametrize(
     "model",
-    [GIRSANOV_MODEL, VALIDATE_MODEL, AFFINE_STANDARD, COUPLED_MODELS["n1m1"], COUPLED_PAIR],
-    ids=["girsanov", "validate", "affine", "coupled", "coupled-pair"],
+    [GIRSANOV_MODEL, VALIDATE_MODEL, AFFINE_STANDARD, COUPLED_MODELS["n1m1"], COUPLED_PAIR,
+     TRIG_MODEL, NEGATIVE_SLOPE],
+    ids=["girsanov", "validate", "affine", "coupled", "coupled-pair", "trig", "negative-slope"],
 )
 def test_folded_step_matches_opaque_fields(model):
     std_op = operator_from_json(model)
@@ -575,22 +586,68 @@ def test_folded_step_matches_opaque_fields(model):
     pair = make_girsanov_field(std_op, sing_op)
     ref = _opaque_pair(std_op, sing_op)
     assert ref.sing.plan.drift is None and ref.std.plan.sigma is None
+    assert ref.sing.plan.coupling is None
+    # f folds exactly when the spec calls it state-free and b varies
+    folds = sing_op.log_coupling_is_constant and not sing_op.b.is_constant
+    assert (pair.sing.plan.coupling is not None) == folds
+    assert folds == (model in (GIRSANOV_MODEL, AFFINE_STANDARD, NEGATIVE_SLOPE))
     states = _probe_states(std_op.dims)
     # a large c^ makes D indefinite far out; keep the states with a root
     states = states[np.linalg.eigvalsh(std_op.diffusion_matrix(states))[:, 0] > 0.0]
-    log_sum = pair.sing.source.log_drift(states, EPS)
-    ref_log_sum = ref.sing.source.log_drift(states, EPS)
+    assert states[:, 0].min() == 0.0 and states[:, 0].max() >= 21.0
+    log_sum = pair.sing.log_drift(states, EPS)
+    ref_log_sum = ref.sing.log_drift(states, EPS)
     if log_sum is None:
         assert sing_op.b.is_constant and not ref_log_sum.any()
     else:
         assert log_sum.tobytes() == ref_log_sum.tobytes()
+        assert log_sum.tobytes() == _unfolded_log_sum(sing_op, states, EPS).tobytes()
     drift = pair.sing.drift_batch(states, EPS, log_sum)
     assert drift.tobytes() == ref.sing.drift_batch(states, EPS).tobytes()
+    assert drift.tobytes() == _unfolded_drift(sing_op, states, EPS).tobytes()
+    assert pair.sing.drift_batch(states, EPS).tobytes() == drift.tobytes()
     theta = ref.theta_batch(states, EPS).tobytes()
     assert pair.theta_batch(states, EPS).tobytes() == theta
-    # as a step calls it, with the log drift, root and drift it already has
+    # as a step calls it, with the log drift, root, drift and sqrt(x) it has
     sigma = pair.sing.sigma_batch(states)
-    assert pair.theta_batch(states, EPS, log_sum, sigma, drift).tobytes() == theta
+    root_x = np.sqrt(np.maximum(states[:, :1], 0.0))
+    assert pair.theta_batch(states, EPS, log_sum, sigma, drift, root_x).tobytes() == theta
+    # one step, weighted and not, from the same normals
+    xi = np.random.Generator(np.random.Philox(key=9)).standard_normal(states.shape)
+    cfg = PathConfig(dt=1e-3, seed=0, n_paths=len(states), horizon=1.0)
+    for field, ref_field in ((pair, ref), (None, None)):
+        new, dlogw = simulate._advance_block(pair.sing, field, cfg, states, xi, 1)
+        ref_new, ref_dlogw = simulate._advance_block(ref.sing, ref_field, cfg, states, xi, 1)
+        assert new.tobytes() == ref_new.tobytes()
+        assert (dlogw is None) == (ref_dlogw is None) == (field is None)
+        if field is not None:
+            assert dlogw.tobytes() == ref_dlogw.tobytes()
+
+
+def test_one_column_log_weight_increment_has_the_einsum_bits():
+    # every sign of zero and nonzero in theta and in the normal
+    values = [0.0, -0.0, 0.7, -1.3]
+    th, xi = (a.reshape(-1, 1) for a in np.meshgrid(values, values + [1e-300]))
+    sqdt, dt = math.sqrt(1e-3), 1e-3
+    ref = -np.einsum("pi,pi->p", th, sqdt * xi) - 0.5 * dt * np.einsum("pi,pi->p", th, th)
+    assert simulate._log_weight_increment(th, xi, sqdt, dt).tobytes() == ref.tobytes()
+
+
+def test_weighted_girsanov_step_runs_no_drift_identity(monkeypatch):
+    # f and g fold at build time: the step calls no identity
+    std_op = operator_from_json(GIRSANOV_MODEL)
+    pair = make_girsanov_field(std_op, derive_singular_from_standard(std_op))
+    calls = Counter()
+    for name in ("drift_identity_g", "drift_identity_e", "drift_identity_f"):
+        def counting(*args, _name=name, _fn=getattr(operators, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(operators, name, counting)
+    cfg = PathConfig(dt=1e-2, seed=3, n_paths=64, horizon=1.0, record="ends")
+    bundle = simulate_bundle(pair.sing, Point((1.0,), ()), DomainSpec.full_space(std_op.dims),
+                             cfg, theta=pair)
+    assert bundle.log_weights[:, -1].any() and not calls
 
 
 @pytest.mark.parametrize(

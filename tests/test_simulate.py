@@ -641,6 +641,47 @@ class TestNoExitBoundary:
         tested = replace(FULL1, has_exit_boundary=True)
         assert_same_bundle(bundle, simulate_bundle(coeffs, Point((0.2,), ()), tested, cfg))
 
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "theta"])
+    @pytest.mark.parametrize("model", [
+        {"kind": "standard", "dims": {"n": 1, "m": 0},
+         "b_hat": [{"family": "affine", "c0": 1.0, "coeffs": [0.2]}]},
+        {"kind": "standard", "dims": {"n": 1, "m": 1},
+         "b_hat": [{"family": "affine", "c0": 0.8, "coeffs": [0.3, 0.0]}], "e_hat": [0.1]},
+    ], ids=["1d", "n1m1"])
+    def test_full_space_skips_the_freeze_with_the_bytes_of_a_box_no_path_leaves(
+        self, model, weighted
+    ):
+        # pins: with no exit boundary nothing is frozen and nobody dies; a
+        # box too wide to leave runs that bookkeeping and gives the same paths
+        std_op = operator_from_json(model)
+        pair = make_girsanov_field(std_op, derive_singular_from_standard(std_op))
+        dims = std_op.dims
+        wide = DomainSpec.box(dims, [(0.0, 1e6)] + [(-1e6, 1e6)] * dims.m)
+        full = DomainSpec.full_space(dims)
+        assert wide.has_exit_boundary and not full.has_exit_boundary
+        cfg = PathConfig(dt=1e-2, seed=31, n_paths=300, horizon=0.5, record="all")
+        start = Point((0.6,), (0.0,) * dims.m)
+        theta = pair if weighted else None
+
+        class AliveObserver(NoOpObserver):
+            def __init__(self):
+                self.seen = []
+
+            def observe(self, sl, k, t, prev, new, alive, logw=None):
+                self.seen.append((alive.shape == (len(new),) and bool(alive.all()),
+                                  logw is not None))
+
+        watch = AliveObserver()
+        free = simulate_bundle(pair.sing, start, full, cfg, theta=theta, observers=(watch,))
+        boxed = simulate_bundle(pair.sing, start, wide, cfg, theta=theta)
+        assert watch.seen == [(True, weighted)] * cfg.n_steps
+        assert not boxed.exited.any()
+        for name in ("states", "log_weights", "tau", "exited", "exit_state"):
+            x, y = getattr(free, name), getattr(boxed, name)
+            assert (x is None) == (y is None) == (name == "log_weights" and not weighted)
+            if x is not None:
+                assert x.tobytes() == y.tobytes(), name
+
     def test_exact_jump_marginals_match_the_transition_law(self):
         # pins: each record interval is one draw of the exact BESQ law
         record = (0.0, 0.25, 0.5, 1.0)
