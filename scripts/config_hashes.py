@@ -4,10 +4,11 @@ Runs each ``configs/*.json`` through ``kimura_lab.cli.main`` at
 ``--threads 1`` and ``--threads 2``, each into a fresh temporary directory,
 and compares the sha256 of every file the run writes with
 ``configs/SHA256SUMS`` (``sha256sum`` format; names are
-``<config stem>/<file>``).  Prints one line per file and thread count and
-exits 1 on any mismatch, on a listed file that was not written, on a written
-file that is not listed, or on a run that does not exit 0.  Takes no options;
-the full run takes about two minutes on a 2-core machine.
+``<config stem>/<file>``).  Prints one line per file and thread count, with
+the run's in-process wall seconds (``cli.main`` alone, imports already
+done), and exits 1 on any mismatch, on a listed file that was not written,
+on a written file that is not listed, or on a run that does not exit 0.
+Takes no options; the full run takes under a minute on a 2-core machine.
 
     python3 scripts/config_hashes.py
 """
@@ -21,6 +22,7 @@ import io
 import os
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -45,12 +47,16 @@ def _sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _run(config: str, threads: int) -> tuple[int, dict[str, str]]:
-    """Exit code and ``{file name: sha256}`` of one run in a fresh directory."""
+def _run(config: str, threads: int) -> tuple[int, float, dict[str, str]]:
+    """Exit code, wall seconds of ``main`` and ``{file name: sha256}`` of one
+    run in a fresh directory."""
     with tempfile.TemporaryDirectory() as out:
         with contextlib.redirect_stdout(io.StringIO()):
+            start = time.perf_counter()
             code = main(["--config", config, "--out", out, "--threads", str(threads)])
-        return code, {name: _sha256(os.path.join(out, name)) for name in sorted(os.listdir(out))}
+            wall = time.perf_counter() - start
+        written = {name: _sha256(os.path.join(out, name)) for name in sorted(os.listdir(out))}
+        return code, wall, written
 
 
 def main_check() -> int:
@@ -60,10 +66,11 @@ def main_check() -> int:
     for config in sorted(glob.glob(os.path.join(ROOT, "configs", "*.json"))):
         stem = os.path.splitext(os.path.basename(config))[0]
         for threads in THREADS:
-            code, written = _run(config, threads)
+            code, wall, written = _run(config, threads)
+            run = f"threads={threads}  {wall:7.3f} s"
             if code != 0:
                 failures += 1
-                print(f"FAIL  {stem}  threads={threads}  exit code {code}")
+                print(f"FAIL  {stem}  {run}  exit code {code}")
             for name, digest in written.items():
                 key = f"{stem}/{name}"
                 seen.add(key)
@@ -71,11 +78,11 @@ def main_check() -> int:
                 ok = digest == want
                 failures += not ok
                 note = "" if ok else ("  not listed" if want is None else f"  expected {want}")
-                print(f"{'ok  ' if ok else 'FAIL'}  {key}  threads={threads}  {digest}{note}")
+                print(f"{'ok  ' if ok else 'FAIL'}  {key}  {run}  {digest}{note}")
             for key in sorted(k for k in expected if k.startswith(f"{stem}/")):
                 if key.split("/", 1)[1] not in written:
                     failures += 1
-                    print(f"FAIL  {key}  threads={threads}  not written")
+                    print(f"FAIL  {key}  {run}  not written")
     for key in sorted(set(expected) - seen):
         if not os.path.exists(os.path.join(ROOT, "configs", key.split("/", 1)[0] + ".json")):
             failures += 1

@@ -196,6 +196,11 @@ class SingularOperatorSpec(_OperatorBase):
         ):
             speed = self.a_diag.evaluate_batch(np.ones((1, self.dims.total)))[0]
         object.__setattr__(self, "_speed", speed)
+        # With every c_il and every d_yk d_lk a zero field, each term of
+        # drift_identity_e vanishes and ``e`` is its +0.0 block.
+        object.__setattr__(self, "_e_is_zero", self.c.is_zero and all(
+            self.d[l, k].partial(n + k).is_zero for l in range(m) for k in range(m)
+        ))
 
     def diffusion_matrix(self, states: np.ndarray) -> np.ndarray:
         """``D`` of :func:`_diffusion_matrix` with cross coefficient ``2 c``."""
@@ -251,7 +256,10 @@ class SingularOperatorSpec(_OperatorBase):
             return np.zeros(states.shape[:-1] + (0,))
         if log_sum is None:
             log_sum = self.log_drift(states, log_clamp_eps)
-        e = drift_identity_e(self, states)
+        if self._e_is_zero:
+            e = np.zeros(states.shape[:-1] + (self.dims.m,))
+        else:
+            e = drift_identity_e(self, states)
         return e if log_sum is None else e + log_sum[..., self.dims.n :]
 
     @property

@@ -7,8 +7,12 @@ their integrated closed forms, and a deterministic weighted finite-volume
 solver in the square-root chart that embodies the weak (energy-form)
 formulation of the 1D problem.
 
-SciPy is imported inside the functions that use it, so importing the
-package (and the command line) does not load it.
+The exact-law oracles use NumPy and ``math`` only: the cell masses come from
+``_gammainc``, a vectorized regularized incomplete gamma (series and
+continued fraction), and the log-gammas from ``math.lgamma``.  SciPy is
+loaded only by the grid solver (``scipy.sparse``), inside the functions that
+use it, so importing the package or running any command but a grid solve
+does not load it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import UnstableConfigurationError
+from .errors import NumericFailureError, UnstableConfigurationError
 
 __all__ = [
     "Besq1dModel",
@@ -36,6 +40,14 @@ __all__ = [
 ]
 
 _SERIES_RTOL = 1e-12
+# _gammainc: per-element stopping tolerance, iteration cap (both expansions
+# need O(sqrt(a)) terms near x = a, so this covers shapes up to about 1e6),
+# and the modified-Lentz floor that keeps the continued fraction off zero
+_GAMMAINC_TOL = 2.0 * np.finfo(float).eps
+_GAMMAINC_MAX_ITER = 10_000
+_LENTZ_TINY = 1e-300
+# the most cells one _gammainc table of besq_transition_mass holds
+_MASS_TABLE_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -57,6 +69,115 @@ class Besq1dModel:
             raise ValueError("start point must be nonnegative")
 
 
+def _gammainc(a, x) -> np.ndarray:
+    """Regularized lower incomplete gamma ``P(a, x)``, ``a`` and ``x``
+    broadcast together.
+
+    ``x < a + 1`` sums the power series (DLMF 8.7.1); ``x >= a + 1`` takes
+    ``1 - Q`` from the modified-Lentz continued fraction for ``Q`` (DLMF
+    8.9.2; Press et al., *Numerical Recipes* 6.2).  Both multiply the
+    prefactor ``exp(a ln x - x - lgamma(a))``.  ``P(a, 0) = 0`` and
+    ``P(a, inf) = 1``.  Each element stops on its own test (a term below
+    ``2 eps`` of its sum, a Lentz factor within ``2 eps`` of 1) and leaves
+    the loop.  Against SciPy's ``gammainc`` the absolute error is below
+    ``1e-13`` for ``a <= 200``; it grows with ``a`` through the rounding of
+    ``a ln x`` in the prefactor (about ``1e-11`` at ``a = 1e4``).  A shape
+    that is not finite and positive, or an ``x`` that is NaN or negative,
+    raises :class:`NumericFailureError`; an element still open after
+    ``_GAMMAINC_MAX_ITER`` iterations raises
+    :class:`UnstableConfigurationError`.
+    """
+    a = np.asarray(a, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if not (np.all(np.isfinite(a) & (a > 0.0)) and np.all(x >= 0.0)):
+        raise NumericFailureError(
+            "incomplete gamma needs finite positive shapes and arguments x >= 0"
+        )
+    shape = np.broadcast_shapes(a.shape, x.shape)
+    # one lgamma per shape, before broadcasting
+    log_gamma = np.asarray(np.frompyfunc(math.lgamma, 1, 1)(a), dtype=float)
+    a, x, log_gamma = (np.broadcast_to(v, shape).ravel() for v in (a, x, log_gamma))
+
+    def prefactor(pick):
+        return np.exp(a[pick] * np.log(x[pick]) - x[pick] - log_gamma[pick])
+
+    out = np.where(x == math.inf, 1.0, 0.0)
+    inner = (x > 0.0) & (x < math.inf)
+    lower = inner & (x < a + 1.0)
+    out[lower] = prefactor(lower) * _lower_series(a[lower], x[lower])
+    upper = inner & ~lower
+    out[upper] = 1.0 - prefactor(upper) * _upper_fraction(a[upper], x[upper])
+    return out.reshape(shape)
+
+
+def _lower_series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``sum_n x^n / (a (a+1) ... (a+n))``: ``P(a, x)`` over its prefactor."""
+    total = np.empty(a.shape)
+    live = np.arange(a.size)
+    ap = a.copy()
+    term = 1.0 / a
+    acc = term.copy()
+    for _ in range(_GAMMAINC_MAX_ITER):
+        if not live.size:
+            break
+        ap += 1.0
+        term *= x / ap
+        acc += term
+        done = np.abs(term) < _GAMMAINC_TOL * np.abs(acc)
+        if done.any():
+            total[live[done]] = acc[done]
+            keep = ~done
+            live, ap, x, term, acc = live[keep], ap[keep], x[keep], term[keep], acc[keep]
+    _raise_if_open(live)
+    return total
+
+
+def _upper_fraction(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``1 / (x + 1 - a - 1 (1 - a) / (x + 3 - a - 2 (2 - a) / ...))`` by the
+    modified Lentz method: ``Q(a, x)`` over its prefactor."""
+    total = np.empty(a.shape)
+    live = np.arange(a.size)
+    b = x + 1.0 - a
+    c = np.full(a.shape, 1.0 / _LENTZ_TINY)
+    d = 1.0 / b
+    h = d.copy()
+    for i in range(1, _GAMMAINC_MAX_ITER + 1):
+        if not live.size:
+            break
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d[np.abs(d) < _LENTZ_TINY] = _LENTZ_TINY
+        c = b + an / c
+        c[np.abs(c) < _LENTZ_TINY] = _LENTZ_TINY
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        done = np.abs(delta - 1.0) < _GAMMAINC_TOL
+        if done.any():
+            total[live[done]] = h[done]
+            keep = ~done
+            live, a, b, c, d, h = live[keep], a[keep], b[keep], c[keep], d[keep], h[keep]
+    _raise_if_open(live)
+    return total
+
+
+def _raise_if_open(live: np.ndarray) -> None:
+    if live.size:
+        raise UnstableConfigurationError(
+            f"incomplete gamma: {live.size} element(s) still open after "
+            f"{_GAMMAINC_MAX_ITER} iterations"
+        )
+
+
+def _poisson_rows(lam: float) -> int:
+    """How many Poisson terms ``k = 0, 1, ...`` the series at rate ``lam``
+    may read: one at ``lam = 0``, where only ``k = 0`` has weight."""
+    if lam == 0.0:
+        return 1
+    return int(lam + 12.0 * math.sqrt(lam + 1.0) + 60.0) + 1
+
+
 def _poisson_gamma_series(
     model: Besq1dModel, t: float, term_fn: Callable[[int], np.ndarray]
 ) -> np.ndarray:
@@ -65,22 +186,12 @@ def _poisson_gamma_series(
     Truncates once past the Poisson mode with all current terms below
     ``1e-12`` of the running sum.
     """
-    from scipy.special import gammaln
-
     lam = model.x0 / t
-    k_cap = int(lam + 12.0 * math.sqrt(lam + 1.0) + 60.0)
     total = None
     comp = None
     log_lam = math.log(lam) if lam > 0.0 else -math.inf
-    for k in range(k_cap + 1):
-        if lam == 0.0:
-            log_pois = 0.0 if k == 0 else -math.inf
-        else:
-            log_pois = -lam + k * log_lam - gammaln(k + 1.0)
-        if log_pois == -math.inf:
-            if k > 0:
-                break
-            continue
+    for k in range(_poisson_rows(lam)):
+        log_pois = 0.0 if lam == 0.0 else -lam + k * log_lam - math.lgamma(k + 1.0)
         term = math.exp(log_pois) * term_fn(k)
         if total is None:
             total = np.zeros_like(term)
@@ -94,7 +205,7 @@ def _poisson_gamma_series(
             scale = np.max(np.abs(total), initial=0.0)
             if scale > 0.0 and np.max(np.abs(term)) < _SERIES_RTOL * scale:
                 break
-    return total if total is not None else np.zeros(1)
+    return total
 
 
 def besq_transition_density(model: Besq1dModel, t: float, x) -> np.ndarray | float:
@@ -103,8 +214,6 @@ def besq_transition_density(model: Besq1dModel, t: float, x) -> np.ndarray | flo
     From the boundary this is the Gamma(``b0``, ``t``) density; from interior
     starts it is the Poisson-Gamma mixture with rate ``x0 / t``.
     """
-    from scipy.special import gammaln
-
     if t <= 0.0:
         raise ValueError("t must be positive")
     x = np.asarray(x, dtype=float)
@@ -119,7 +228,7 @@ def besq_transition_density(model: Besq1dModel, t: float, x) -> np.ndarray | flo
                 xv > 0.0,
                 (shape - 1.0) * np.log(np.maximum(xv, 1e-300))
                 - xv / t
-                - gammaln(shape)
+                - math.lgamma(shape)
                 - shape * log_t,
                 -np.inf if shape > 1.0 else np.nan,
             )
@@ -138,17 +247,29 @@ def besq_transition_density(model: Besq1dModel, t: float, x) -> np.ndarray | flo
 
 
 def besq_transition_mass(model: Besq1dModel, t: float, edges) -> np.ndarray:
-    """Exact probability mass of each cell ``[edges[i], edges[i+1])``."""
-    from scipy.special import gammainc
+    """Exact probability mass of each cell ``[edges[i], edges[i+1])``.
 
+    The Gamma CDFs at the edges, for every Poisson shape ``k + b0`` the
+    series may read, come from broadcast :func:`_gammainc` calls over blocks
+    of ``k`` of at most ``_MASS_TABLE_CELLS`` cells: one call in all but very
+    long series or very fine bins.
+    """
     edges = np.asarray(edges, dtype=float)
     if np.any(np.diff(edges) <= 0.0):
         raise ValueError("edges must be increasing")
+    z = np.maximum(edges, 0.0) / t
+    n_rows = _poisson_rows(model.x0 / t)
+    rows = max(1, min(n_rows, _MASS_TABLE_CELLS // max(z.size, 1)))
+    start, table = 0, np.empty(0)
 
     def term(k: int) -> np.ndarray:
-        shape = k + model.b0
-        cdf = gammainc(shape, np.maximum(edges, 0.0) / t)
-        return np.diff(cdf)
+        # the series reads k = 0, 1, ... in turn
+        nonlocal start, table
+        if k - start >= len(table):
+            start = k
+            shapes = np.arange(k, min(k + rows, n_rows)) + model.b0
+            table = np.diff(_gammainc(shapes[:, None], z), axis=1)
+        return table[k - start]
 
     return _poisson_gamma_series(model, t, term)
 
@@ -188,14 +309,12 @@ def lq_closed_form(q: float, t: float, n_dims: int) -> float:
 
 def gaussian_abs_moment(alpha: float, t: float, n_dims: int) -> float:
     """``E |Z|^alpha`` for ``Z ~ N(0, t I_n)``: ``C(alpha, n) t^(alpha/2)``."""
-    from scipy.special import gammaln
-
     if alpha <= -n_dims:
         raise ValueError("moment diverges")
     log_c = (
         (alpha / 2.0) * math.log(2.0)
-        + gammaln((n_dims + alpha) / 2.0)
-        - gammaln(n_dims / 2.0)
+        + math.lgamma((n_dims + alpha) / 2.0)
+        - math.lgamma(n_dims / 2.0)
     )
     return math.exp(log_c) * t ** (alpha / 2.0)
 

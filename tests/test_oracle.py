@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -5,16 +6,18 @@ import sys
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 from scipy.integrate import quad
 
 from conftest import make_std_1d
 
-from kimura_lab.errors import UnstableConfigurationError
+from kimura_lab import oracle
+from kimura_lab.errors import NumericFailureError, UnstableConfigurationError
 from kimura_lab.geometry import DomainSpec, Point, StateSpaceDims
 from kimura_lab.oracle import (
     Besq1dModel,
     Grid1dSolver,
+    _gammainc,
     besq_mean,
     besq_transition_density,
     besq_transition_mass,
@@ -107,6 +110,86 @@ class TestTransitionDensity:
             d2 = (q(t, x + hx) - 2 * q(t, x) + q(t, x - hx)) / hx**2
             rhs = x * d2 + b0 * d1
             assert dq_dt == pytest.approx(rhs, rel=1e-4)
+
+
+def _scipy_mass(model, t, edges):
+    """The Poisson-Gamma cell-mass series as built on SciPy's gammainc."""
+    lam = model.x0 / t
+    k_cap = int(lam + 12.0 * math.sqrt(lam + 1.0) + 60.0)
+    log_lam = math.log(lam) if lam > 0.0 else -math.inf
+    total = comp = None
+    for k in range(k_cap + 1):
+        if lam == 0.0:
+            log_pois = 0.0 if k == 0 else -math.inf
+        else:
+            log_pois = -lam + k * log_lam - special.gammaln(k + 1.0)
+        if log_pois == -math.inf:
+            break
+        term = math.exp(log_pois) * np.diff(
+            special.gammainc(k + model.b0, np.maximum(edges, 0.0) / t)
+        )
+        if total is None:
+            total, comp = np.zeros_like(term), np.zeros_like(term)
+        y = term - comp
+        s = total + y
+        comp = (s - total) - y
+        total = s
+        if k >= lam and np.max(np.abs(term)) < 1e-12 * np.max(np.abs(total)):
+            break
+    return total
+
+
+class TestIncompleteGamma:
+    SHAPES = np.array([0.05, 0.1, 0.5, 0.7, 1.0, 1.5, 2.5, 5.0, 10.0, 30.0, 60.0, 100.0, 200.0])
+
+    def test_matches_scipy_on_grid(self):
+        x = np.concatenate([[0.0], np.logspace(-8.0, 3.3, 2000)])
+        got = _gammainc(self.SHAPES[:, None], x)
+        assert got.shape == (len(self.SHAPES), len(x))
+        assert np.max(np.abs(got - special.gammainc(self.SHAPES[:, None], x))) <= 1e-13
+
+    def test_zero_and_infinite_arguments(self):
+        got = _gammainc(self.SHAPES[:, None], np.array([0.0, np.inf]))
+        assert got[:, 0].tolist() == [0.0] * len(self.SHAPES)
+        assert got[:, 1].tolist() == [1.0] * len(self.SHAPES)
+        assert float(_gammainc(0.3, 0.0)) == 0.0 and float(_gammainc(0.3, np.inf)) == 1.0
+
+    def test_closed_forms_below_and_at_unit_shape(self):
+        # P(1/2, x) = erf(sqrt(x)) and P(1, x) = 1 - exp(-x), on both branches
+        x = np.array([1e-6, 0.01, 0.3, 1.2, 1.6, 4.0, 25.0])
+        half = np.array([math.erf(math.sqrt(v)) for v in x])
+        assert np.max(np.abs(_gammainc(0.5, x) - half)) <= 1e-14
+        assert np.max(np.abs(_gammainc(1.0, x) + np.expm1(-x))) <= 1e-14
+
+    @pytest.mark.parametrize("x0", [0.0, 0.6, 6.0, 50.0])
+    def test_cell_masses_match_scipy_series(self, x0):
+        model = Besq1dModel(b0=0.5, x0=x0)
+        edges = np.linspace(0.0, x0 + 6.0, 65)
+        got = besq_transition_mass(model, 1.0, edges)
+        assert np.max(np.abs(got - _scipy_mass(model, 1.0, edges))) <= 1e-13
+
+    def test_cell_masses_in_row_blocks_match_one_table(self, monkeypatch):
+        model = Besq1dModel(b0=0.5, x0=6.0)
+        edges = np.linspace(0.0, 12.0, 65)
+        one = besq_transition_mass(model, 1.0, edges)
+        monkeypatch.setattr(oracle, "_MASS_TABLE_CELLS", 3 * 65)
+        assert besq_transition_mass(model, 1.0, edges).tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("a, x", [(np.inf, 1.0), (np.nan, 1.0), (0.0, 1.0), (1.0, np.nan)])
+    def test_non_finite_input_raises(self, a, x):
+        with pytest.raises(NumericFailureError):
+            _gammainc(np.array([1.0, a]), x)
+
+    def test_non_finite_shape_raises_from_the_cell_masses(self):
+        with pytest.raises(NumericFailureError):
+            besq_transition_mass(Besq1dModel(b0=np.inf), 1.0, np.linspace(0.0, 3.0, 5))
+
+    @pytest.mark.parametrize("x", [1.5, 4.0], ids=["series", "fraction"])
+    def test_iteration_cap_raises(self, monkeypatch, x):
+        # a non-integer shape: the fraction for an integer one ends exactly
+        monkeypatch.setattr(oracle, "_GAMMAINC_MAX_ITER", 3)
+        with pytest.raises(UnstableConfigurationError):
+            _gammainc(2.5, x)
 
 
 class TestGaussianReference:
@@ -230,7 +313,7 @@ def test_flux_coefficients_exact_on_power_law_steady_state():
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # SciPy is imported inside the oracle functions that use it
+    # SciPy is imported inside the grid-solver functions that use it
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = (
         "import sys, kimura_lab.cli; "
@@ -240,3 +323,23 @@ def test_importing_the_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_oracle_compare_runs_without_scipy(tmp_path):
+    # the exact-law oracles use NumPy and math only
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    config = tmp_path / "oracle.json"
+    config.write_text(json.dumps({
+        "command": "oracle-compare", "seed": 5, "b0": 0.5, "x0": 0.6, "t": 1.0, "bins": 16,
+        "sim": {"n_paths": 8000, "dt": 0.01, "scheme": "exact-1d-gamma"},
+    }))
+    code = (
+        "import sys; from kimura_lab.cli import main; "
+        f"code = main(['--config', {str(config)!r}, '--out', {str(tmp_path)!r}]); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    # exit code 0: the L1 gap and the mean passed against the exact law
+    assert out.stdout.strip().splitlines()[-1] == "0 []"

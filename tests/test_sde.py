@@ -651,10 +651,13 @@ def test_weighted_girsanov_step_runs_no_drift_identity(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "model, per_step", [(VALIDATE_MODEL, 0), (AFFINE_STANDARD, 1)], ids=["folded", "affine"]
+    "model, per_step",
+    [(VALIDATE_MODEL, 0), (AFFINE_STANDARD, 0), (COUPLED_PAIR, 1)],
+    ids=["folded", "affine", "coupled-pair"],
 )
 def test_weighted_step_assembles_the_free_drift_once(monkeypatch, model, per_step):
-    # theta's free rows read the step's drift; a folded drift needs no e
+    # theta's free rows read the step's drift; a folded drift needs no e, nor
+    # does a zero e (c = 0, d free of y), and a coupled pair's e is built once
     calls = Counter()
     identity = operators.drift_identity_e
 
@@ -670,6 +673,25 @@ def test_weighted_step_assembles_the_free_drift_once(monkeypatch, model, per_ste
     simulate_bundle(pair.sing, Point((1.0,), (0.0,)), DomainSpec.full_space(std_op.dims),
                     cfg, theta=pair)
     assert calls["e"] == per_step * 50
+
+
+@pytest.mark.parametrize(
+    "d, zero_e",
+    [(1.5, True), ({"family": "affine", "c0": 1.0, "coeffs": [0.2, 0.3]}, False)],
+    ids=["constant-d", "d-varies-in-y"],
+)
+def test_free_drift_of_a_zero_e_has_the_identity_bits(d, zero_e):
+    # c = 0: e vanishes unless d varies along y
+    op = operator_from_json({
+        "kind": "singular", "dims": {"n": 1, "m": 1},
+        "b": [{"family": "affine", "c0": 0.5, "coeffs": [0.1, 0.05]}], "d": [[d]],
+    })
+    states = _probe_states(op.dims)
+    e = drift_identity_e(op, states)
+    assert e.any() != zero_e
+    log_sum = op.log_drift(states, EPS)
+    assert op.free_drift(states, EPS).tobytes() == (e + log_sum[:, 1:]).tobytes()
+    assert op.free_drift(states, EPS, log_sum).tobytes() == (e + log_sum[:, 1:]).tobytes()
 
 
 def test_weighted_girsanov_step_evaluates_no_constant_field(monkeypatch):
