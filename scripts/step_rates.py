@@ -7,8 +7,14 @@ axis and standard normal on the free one; the normals are drawn once.  The
 models are those of the committed configs (girsanov, harnack, validate) plus
 the validate model with ``a^ = 0.2`` and ``c^ = 0.3``, each derived model
 with and without its drift-change field ``theta``.  The last two rows time
-the exact scheme's draw and one block's normal draw.  Takes no options; the
-full table takes about half a minute on a 2-core machine.
+the exact scheme's draw and one block's normal draw.
+
+A second table times a harnack-model scan through ``simulate.simulate_bundle``
+in nanoseconds per path-step: 15 starts on the ``[0, 4]`` box of
+``configs/harnack_scan.json``, 100 steps of ``dt = 2e-3`` with exits, as one
+packed bundle and as 15 one-start bundles, at 512 and 4096 paths a start
+(best of 5 repeats of 3 scans).  Takes no options; both tables take about a
+minute on a 2-core machine.
 
     python3 scripts/step_rates.py
 """
@@ -27,6 +33,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from kimura_lab import simulate  # noqa: E402
+from kimura_lab.geometry import DomainSpec, Point  # noqa: E402
 from kimura_lab.operators import derive_singular_from_standard, operator_from_json  # noqa: E402
 from kimura_lab.sde import (  # noqa: E402
     build_sde_coefficients,
@@ -35,23 +42,28 @@ from kimura_lab.sde import (  # noqa: E402
 )
 from kimura_lab.simulate import RNG_BLOCK, PathConfig  # noqa: E402
 
-REPEATS, CALLS = 5, 200
+REPEATS, CALLS, SCAN_CALLS = 5, 200, 3
 CONFIG = PathConfig(dt=1e-3, seed=0, n_paths=RNG_BLOCK, horizon=1.0)
+SCAN_STARTS = 15
+
+
+def _config(name: str) -> dict:
+    with open(os.path.join(ROOT, "configs", name)) as fh:
+        return json.load(fh)
 
 
 def _model(name: str) -> dict:
-    with open(os.path.join(ROOT, "configs", name)) as fh:
-        return json.load(fh)["model"]
+    return _config(name)["model"]
 
 
-def _best_ms(fn) -> float:
+def _best_s(fn, calls: int = CALLS) -> float:
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        for _ in range(CALLS):
+        for _ in range(calls):
             fn()
         best = min(best, time.perf_counter() - start)
-    return 1e3 * best / CALLS
+    return best / calls
 
 
 def _step(coeffs, theta=None, scheme=CONFIG.scheme):
@@ -71,6 +83,27 @@ def _derived_rows(label: str, std_op) -> list:
         (f"derived {label}", _step(pair.sing)),
         (f"derived {label} with theta", _step(pair.sing, pair)),
     ]
+
+
+def _scan_rows(coeffs) -> list:
+    domain = DomainSpec.from_json(_config("harnack_scan.json")["domain"])
+    starts = [Point((x,), ()) for x in np.linspace(0.2, 3.8, SCAN_STARTS)]
+    rows = []
+    for n_paths in (512, RNG_BLOCK):
+        config = PathConfig(dt=2e-3, seed=0, n_paths=n_paths, horizon=0.2, record="ends")
+        path_steps = SCAN_STARTS * n_paths * config.n_steps
+
+        def packed(config=config):
+            simulate.simulate_bundle(coeffs, starts, domain, config)
+
+        def alone(config=config):
+            for z in starts:
+                simulate.simulate_bundle(coeffs, z, domain, config)
+
+        label = f"{SCAN_STARTS} starts x {n_paths} paths"
+        rows += [(f"{label}, one packed bundle", packed, path_steps),
+                 (f"{label}, one bundle a start", alone, path_steps)]
+    return rows
 
 
 def main() -> None:
@@ -99,7 +132,11 @@ def main() -> None:
     print(f"ms per call at {RNG_BLOCK} paths, dt = {CONFIG.dt}, best of {REPEATS} x {CALLS}")
     print("| model | ms/step |\n|---|---|")
     for label, fn in rows:
-        print(f"| {label} | {_best_ms(fn):.3f} |", flush=True)
+        print(f"| {label} | {1e3 * _best_s(fn):.3f} |", flush=True)
+    print(f"\nharnack-model scan through simulate_bundle, best of {REPEATS} x {SCAN_CALLS}")
+    print("| scan | ns/path-step |\n|---|---|")
+    for label, fn, path_steps in _scan_rows(harnack):
+        print(f"| {label} | {1e9 * _best_s(fn, SCAN_CALLS) / path_steps:.2f} |", flush=True)
 
 
 if __name__ == "__main__":

@@ -17,13 +17,13 @@ run the blocks.
 The streams do not depend on the start point, so one bundle may hold several
 start points under one configuration; start ``s`` owns paths
 ``s * n_paths .. (s + 1) * n_paths - 1`` and draws exactly the normals its own
-bundle would.  Starts with fewer than ``RNG_BLOCK`` paths are packed: the
-copies of a block from several starts are stepped as one array of at most
-``RNG_BLOCK`` rows, which draws the block's normals once per step and repeats
-them for every start in it.  Each start's paths are therefore bit-equal to a
-bundle of that start alone, while a scan of many small starts takes a few
-large steps instead of many small ones.  The exact scheme draws from the
-state, so its starts are never packed; on a domain no path can leave it
+bundle would.  Starts are packed: the copies of a block from as many starts
+as fit in ``PACK_ROWS`` rows are stepped as one array, which draws the
+block's normals once per step and repeats them for every start in it; full
+``RNG_BLOCK``-path blocks pack too.  Each start's paths are therefore
+bit-equal to a bundle of that start alone, while a scan of many starts takes
+a few large steps instead of many small ones.  The exact scheme draws from
+the state, so its starts are never packed; on a domain no path can leave it
 steps from one record time to the next in one draw.
 """
 
@@ -34,7 +34,6 @@ import hashlib
 import json
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -61,6 +60,9 @@ __all__ = [
 ]
 
 RNG_BLOCK = 4096
+# rows of one packed step array: from 16 blocks up a scan steps no faster,
+# while the step's temporaries grow with the budget
+PACK_ROWS = 16 * RNG_BLOCK
 SCHEMES = ("euler-projected", "euler-implicit-sqrt", "exact-1d-gamma")
 RECORD_MODES = ("auto", "all", "ends")
 _AUTO_RECORD_BUDGET = 64_000_000  # floats
@@ -389,7 +391,9 @@ def simulate_bundle(
     ``z0`` may be a sequence of start points: the bundle then holds
     ``config.n_paths`` paths per start, start by start, and
     :meth:`PathBundle.per_start` splits it into bundles that are bit-equal
-    to simulating each start alone.
+    to simulating each start alone.  A block of up to ``PACK_ROWS // nb``
+    starts (``nb`` the block's paths) steps as one array and draws its
+    normals once per step; the groups, not the blocks, are what threads run.
 
     ``observers`` (one start point only) receive per-step callbacks
     ``observe(block_slice, k, t, prev, new, alive, logw=None)``: ``alive``
@@ -511,12 +515,15 @@ def simulate_bundle(
     groups = []
     for block in range((n_paths + RNG_BLOCK - 1) // RNG_BLOCK):
         nb = min(RNG_BLOCK, n_paths - block * RNG_BLOCK)
-        size = 1 if params_exact is not None else RNG_BLOCK // nb
+        size = 1 if params_exact is not None else PACK_ROWS // nb
         groups += [(block, slice(s, min(s + size, n_starts))) for s in range(0, n_starts, size)]
     if n_threads <= 1 or len(groups) == 1:
         for group in groups:
             run_group(*group)
     else:
+        # imported here: a run that starts no pool skips its import cost
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             list(pool.map(lambda group: run_group(*group), groups))
 

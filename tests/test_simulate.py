@@ -22,6 +22,7 @@ from kimura_lab.sde import (
     make_girsanov_field,
 )
 from kimura_lab.simulate import (
+    PACK_ROWS,
     RNG_BLOCK,
     PathConfig,
     bundle_to_csv,
@@ -515,7 +516,7 @@ def assert_packed_matches_alone(coeffs, starts, domain, config, theta=None, n_th
 
 class TestPackedStarts:
     @pytest.mark.parametrize("n_threads", [1, 2])
-    @pytest.mark.parametrize("n_paths", [512, 5000])  # packed; a full block + a packed one
+    @pytest.mark.parametrize("n_paths", [512, 5000])  # one block; a full block + a partial one
     def test_harnack_model_with_exits(self, n_paths, n_threads):
         coeffs = build_sde_coefficients(make_sing_1d(b0=0.5))
         cfg = PathConfig(dt=2e-3, seed=42, n_paths=n_paths, horizon=0.3, record=(0.0, 0.1, 0.3))
@@ -559,13 +560,55 @@ class TestPackedStarts:
         cfg = PathConfig(dt=5e-3, seed=3, n_paths=1000, horizon=0.2)
         assert_packed_matches_alone(coeffs, starts, domain, cfg, n_threads=2)
 
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "theta"])
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    # one group; a block split at the row budget into a full group and a partial one
+    @pytest.mark.parametrize("n_starts", [6, PACK_ROWS // RNG_BLOCK + 3])
+    def test_full_blocks_pack_up_to_the_row_budget(self, n_starts, n_threads, weighted):
+        pair = make_girsanov_field(
+            make_std_1d(b0=1.0, slope=0.2), make_sing_1d(b0=1.0, slope=0.2)
+        )
+        starts = [Point((x,), ()) for x in np.linspace(0.0, 3.9, n_starts)]
+        cfg = PathConfig(dt=5e-3, seed=5, n_paths=RNG_BLOCK, horizon=0.05)
+        parts = assert_packed_matches_alone(pair.sing, starts, BOX04, cfg,
+                                            theta=pair if weighted else None,
+                                            n_threads=n_threads)
+        assert parts[-1].exited.any()
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["one-group", "two-groups"])
+    def test_a_group_draws_its_block_once_per_step(self, monkeypatch, extra):
+        # pins: one standard_normal call per group and step, however many
+        # starts the group holds; block 0 is full, block 1 has 100 paths
+        block_rng, draws = _block_rng, []
+
+        class CountedRng:
+            def __init__(self, seed, block):
+                self.rng = block_rng(seed, block)
+
+            def standard_normal(self, shape):
+                draws.append(shape)
+                return self.rng.standard_normal(shape)
+
+        monkeypatch.setattr("kimura_lab.simulate._block_rng", CountedRng)
+        coeffs = build_sde_coefficients(make_sing_1d(b0=0.5))
+        cfg = PathConfig(dt=1e-2, seed=6, n_paths=RNG_BLOCK + 100, horizon=0.05)
+        n_starts = PACK_ROWS // RNG_BLOCK + extra
+        starts = [Point((x,), ()) for x in np.linspace(0.0, 3.9, n_starts)]
+        simulate_bundle(coeffs, starts, BOX04, cfg)
+        expected = [(RNG_BLOCK, 1)] * (1 + extra) + [(100, 1)]
+        assert sorted(draws) == sorted(expected * cfg.n_steps)
+
     def test_more_threads_than_cores_write_disjoint_slots(self):
         coeffs = build_sde_coefficients(make_sing_1d(b0=0.5))
-        cfg = PathConfig(dt=5e-3, seed=23, n_paths=2000, horizon=0.1)  # two starts a group
+        # two full blocks of 18 starts split at the row budget, and one
+        # 500-path block: five groups on four threads
+        cfg = PathConfig(dt=5e-3, seed=23, n_paths=2 * RNG_BLOCK + 500, horizon=0.1)
+        starts = STARTS_1D * 3
+        assert len(starts) > PACK_ROWS // RNG_BLOCK
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            assert_packed_matches_alone(coeffs, STARTS_1D * 2, BOX04, cfg, n_threads=4)
+            assert_packed_matches_alone(coeffs, starts, BOX04, cfg, n_threads=4)
         finally:
             sys.setswitchinterval(interval)
 
