@@ -9,6 +9,7 @@ the run's in-process wall seconds (``cli.main`` alone, imports already
 done), and exits 1 on any mismatch, on a listed file that was not written,
 on a written file that is not listed, or on a run that does not exit 0.
 Takes no options; the full run takes under a minute on a 2-core machine.
+The tier-1 tests run :func:`check` on the configs that take a few seconds.
 
     python3 scripts/config_hashes.py
 """
@@ -32,9 +33,10 @@ from kimura_lab.cli import main  # noqa: E402
 THREADS = (1, 2)
 
 
-def _read_sums(path: str) -> dict[str, str]:
+def read_expected() -> dict[str, str]:
+    """``{<config stem>/<file>: sha256}`` from ``configs/SHA256SUMS``."""
     sums = {}
-    with open(path) as fh:
+    with open(os.path.join(ROOT, "configs", "SHA256SUMS")) as fh:
         for line in fh:
             if line.strip():
                 digest, name = line.split()
@@ -59,31 +61,39 @@ def _run(config: str, threads: int) -> tuple[int, float, dict[str, str]]:
         return code, wall, written
 
 
+def check(stem: str, threads: int, expected: dict[str, str]) -> tuple[list[str], int]:
+    """Report lines and failure count of ``configs/<stem>.json`` run at
+    ``threads`` against the ``expected`` sums of :func:`read_expected`."""
+    code, wall, written = _run(os.path.join(ROOT, "configs", f"{stem}.json"), threads)
+    run = f"threads={threads}  {wall:7.3f} s"
+    lines, failures = [], 0
+    if code != 0:
+        failures += 1
+        lines.append(f"FAIL  {stem}  {run}  exit code {code}")
+    for name, digest in written.items():
+        key = f"{stem}/{name}"
+        want = expected.get(key)
+        ok = digest == want
+        failures += not ok
+        note = "" if ok else ("  not listed" if want is None else f"  expected {want}")
+        lines.append(f"{'ok  ' if ok else 'FAIL'}  {key}  {run}  {digest}{note}")
+    for key in sorted(k for k in expected if k.startswith(f"{stem}/")):
+        if key.split("/", 1)[1] not in written:
+            failures += 1
+            lines.append(f"FAIL  {key}  {run}  not written")
+    return lines, failures
+
+
 def main_check() -> int:
-    expected = _read_sums(os.path.join(ROOT, "configs", "SHA256SUMS"))
-    seen = set()
+    expected = read_expected()
     failures = 0
     for config in sorted(glob.glob(os.path.join(ROOT, "configs", "*.json"))):
         stem = os.path.splitext(os.path.basename(config))[0]
         for threads in THREADS:
-            code, wall, written = _run(config, threads)
-            run = f"threads={threads}  {wall:7.3f} s"
-            if code != 0:
-                failures += 1
-                print(f"FAIL  {stem}  {run}  exit code {code}")
-            for name, digest in written.items():
-                key = f"{stem}/{name}"
-                seen.add(key)
-                want = expected.get(key)
-                ok = digest == want
-                failures += not ok
-                note = "" if ok else ("  not listed" if want is None else f"  expected {want}")
-                print(f"{'ok  ' if ok else 'FAIL'}  {key}  {run}  {digest}{note}")
-            for key in sorted(k for k in expected if k.startswith(f"{stem}/")):
-                if key.split("/", 1)[1] not in written:
-                    failures += 1
-                    print(f"FAIL  {key}  {run}  not written")
-    for key in sorted(set(expected) - seen):
+            lines, failed = check(stem, threads, expected)
+            print("\n".join(lines))
+            failures += failed
+    for key in sorted(expected):
         if not os.path.exists(os.path.join(ROOT, "configs", key.split("/", 1)[0] + ".json")):
             failures += 1
             print(f"FAIL  {key}  no such config")

@@ -122,6 +122,13 @@ def _path_config(doc: dict, seed: int) -> PathConfig:
         )
 
 
+def _finite(**values) -> None:
+    """ValueError for a given value (a time, a radius) that is not finite."""
+    for key, v in values.items():
+        if v is not None and not math.isfinite(v):
+            raise ValueError(f"{key} must be finite, got {v}")
+
+
 def _check_stderr_paths(ctx: str, config: PathConfig) -> None:
     if config.n_paths < 2:
         raise ConfigError(
@@ -178,7 +185,10 @@ def _payoff(doc, dims: StateSpaceDims):
         return lambda states: np.ones(np.asarray(states).shape[0])
 
     def index(key) -> int:
-        i = int(doc[key])
+        value = doc[key]
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError(f"{key} index must be a whole number, got {value!r}")
+        i = int(value)
         if not 0 <= i < dims.total:
             raise ValueError(f"{key} index {i} outside 0..{dims.total - 1}")
         return i
@@ -275,6 +285,7 @@ def _cmd_fk(doc, seed, out_dir, threads) -> tuple[int, dict]:
         t1 = float(doc.get("t1", 0.0))
         t_cut = doc.get("t_cut")
         t_cut = None if t_cut is None else float(t_cut)
+        _finite(t=t, t1=t1, t_cut=t_cut)
     mode = doc.get("mode", "semigroup")
     if mode == "semigroup":
         f = _payoff(doc.get("f"), model.dims)
@@ -344,8 +355,11 @@ def _cmd_harnack(doc, seed, out_dir, threads) -> tuple[int, dict]:
         lat = _section(doc, "lattice")
         lattice = LatticeSpec(int(lat.get("n_time", 3)), int(lat.get("n_space", 5)))
         t1 = float(doc.get("t1", 0.0))
-    if not (R > 0.0 and all(0.0 < f < 1.0 for f in fractions)):
-        raise ConfigError(f"need R > 0 and rho_fractions in (0, 1), got R={R}, {fractions}")
+        _finite(s=s, R=R, c=c, t1=t1)
+    if not (R > 0.0 and c > 0.0 and all(0.0 < f < 1.0 for f in fractions)):
+        raise ConfigError(
+            f"need R > 0, c > 0 and rho_fractions in (0, 1), got R={R}, c={c}, {fractions}"
+        )
     g_state = _payoff(doc.get("g"), dims)
     gdata = BoundaryData(lambda times, states: g_state(states))
 

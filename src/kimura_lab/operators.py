@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -153,12 +154,6 @@ class StandardOperatorSpec(_OperatorBase):
         blocks ``a^`` and ``c^`` vanish and ``d^`` is constant."""
         return self.a_hat.is_zero and self.c_hat.is_zero and self.d_hat.is_constant
 
-    # the standard form has no log drift, so no log couplings to vary
-    log_coupling_is_constant = True
-
-    def log_coupling(self, states: np.ndarray) -> None:
-        return None
-
 
 @dataclass(frozen=True)
 class SingularOperatorSpec(_OperatorBase):
@@ -184,23 +179,15 @@ class SingularOperatorSpec(_OperatorBase):
             raise DimensionMismatchError("a/b shapes do not match dims")
         if self.c.shape != (n, m) or self.d.shape != (m, m):
             raise DimensionMismatchError("c/d shapes do not match dims")
-        # With a~ = 0 and every partial of a_ii and c_il zero, b_i a_ii is the
-        # only term of drift_identity_g left; ``_speed`` keeps the floats a_ii
-        # (None when some other term may not vanish, or a factor is zero).
-        speed = None
-        if (
-            self.a_tilde.is_zero and self.a_diag.is_constant and self.c.is_constant
-            and not any(e.is_zero for e in self.a_diag.entries + self.b.entries)
-            and all(self.a_diag[i].partial(i).is_zero for i in range(n))
-            and all(self.c[i, l].partial(n + l).is_zero for i in range(n) for l in range(m))
-        ):
-            speed = self.a_diag.evaluate_batch(np.ones((1, self.dims.total)))[0]
-        object.__setattr__(self, "_speed", speed)
-        # With every c_il and every d_yk d_lk a zero field, each term of
-        # drift_identity_e vanishes and ``e`` is its +0.0 block.
-        object.__setattr__(self, "_e_is_zero", self.c.is_zero and all(
-            self.d[l, k].partial(n + k).is_zero for l in range(m) for k in range(m)
-        ))
+        # g, e and f, built once from this spec's fields as ``(index, term)``
+        # pairs of their live terms; ``_f_matrix`` is f when it has live
+        # terms and all are floats, with +0.0 where a term is left out
+        g, e, f = _identity_terms(self)
+        f_matrix = None
+        if f and all(isinstance(term, float) for _, term in f):
+            f_matrix = _evaluate(f, np.zeros(n + m), (n + m, n), {})
+        for name, value in (("_g", g), ("_e", e), ("_f", f), ("_f_matrix", f_matrix)):
+            object.__setattr__(self, name, value)
 
     def diffusion_matrix(self, states: np.ndarray) -> np.ndarray:
         """``D`` of :func:`_diffusion_matrix` with cross coefficient ``2 c``."""
@@ -210,26 +197,24 @@ class SingularOperatorSpec(_OperatorBase):
             2.0 * self.c.evaluate_batch(states), self.d.evaluate_batch(states),
         )
 
-    def log_coupling(self, states: np.ndarray) -> np.ndarray | None:
-        """:func:`drift_identity_f` at ``states``; None when ``b`` is
-        constant, as ``f`` then vanishes."""
-        return None if self.b.is_constant else drift_identity_f(self, states)
-
-    def log_drift(self, states, log_clamp_eps=0.0, coupling=None) -> np.ndarray | None:
+    def log_drift(self, states, log_clamp_eps=0.0) -> np.ndarray | None:
         """``sum_j f_rj ln max(x_j, eps)`` for every row ``r``, shape (..., n+m);
-        None when ``b`` is constant, as ``f`` then vanishes.  ``coupling``
-        passes in a state-free ``f`` of shape (n+m, n) when the caller holds
-        one.  With ``eps = 0`` a state on a face ``x_j = 0`` gives an
-        infinite log."""
-        if coupling is None:
-            coupling = self.log_coupling(states)
-            if coupling is None:
-                return None
-        states = np.asarray(states, dtype=float)
+        None when no term of :func:`drift_identity_f` is live, as when ``b``
+        is constant.  A state-free ``f`` is contracted as the one matrix
+        built with the spec.  With ``eps = 0`` a state on a face ``x_j = 0``
+        gives an infinite log."""
+        return self._log_drift(np.asarray(states, dtype=float), log_clamp_eps, {})
+
+    def _log_drift(self, states, log_clamp_eps, memo) -> np.ndarray | None:
+        if not self._f:
+            return None
+        f = self._f_matrix
+        if f is None:
+            f = _evaluate(self._f, states, (self.dims.total, self.dims.n), memo)
         with np.errstate(divide="ignore"):
             logs = np.log(np.maximum(states[..., : self.dims.n], log_clamp_eps))
         # one contraction for a per-state and a state-free f: the same sums
-        return np.einsum("...rj,...j->...r", coupling, logs)
+        return np.einsum("...rj,...j->...r", f, logs)
 
     def drift(self, states, log_clamp_eps=0.0, log_sum=None) -> np.ndarray:
         """``(g + x * (f . ln x), e + f . ln x)``, shape (..., n+m), with the
@@ -237,37 +222,33 @@ class SingularOperatorSpec(_OperatorBase):
         the caller already has it for these states."""
         n = self.dims.n
         states = np.asarray(states, dtype=float)
+        memo = {}
         if log_sum is None:
-            log_sum = self.log_drift(states, log_clamp_eps)
-        if self._speed is None:
-            g = drift_identity_g(self, states)
-        else:
-            g = self.b.evaluate_batch(states) * self._speed
+            log_sum = self._log_drift(states, log_clamp_eps, memo)
+        g = _evaluate(self._g, states, (n,), memo)
         if log_sum is not None:
             g = g + states[..., :n] * log_sum[..., :n]
         if not self.dims.m:
             return g
-        return np.concatenate([g, self.free_drift(states, log_clamp_eps, log_sum)], -1)
+        return np.concatenate([g, self._free_drift(states, log_sum, memo)], -1)
 
     def free_drift(self, states, log_clamp_eps=0.0, log_sum=None) -> np.ndarray:
         """Free rows of :meth:`drift`, ``e + f_y . ln x``, shape (..., m)."""
         states = np.asarray(states, dtype=float)
-        if not self.dims.m:
-            return np.zeros(states.shape[:-1] + (0,))
-        if log_sum is None:
-            log_sum = self.log_drift(states, log_clamp_eps)
-        if self._e_is_zero:
-            e = np.zeros(states.shape[:-1] + (self.dims.m,))
-        else:
-            e = drift_identity_e(self, states)
+        memo = {}
+        if log_sum is None and self.dims.m:
+            log_sum = self._log_drift(states, log_clamp_eps, memo)
+        return self._free_drift(states, log_sum, memo)
+
+    def _free_drift(self, states, log_sum, memo) -> np.ndarray:
+        e = _evaluate(self._e, states, (self.dims.m,), memo)
         return e if log_sum is None else e + log_sum[..., self.dims.n :]
 
     @property
     def drift_is_constant(self) -> bool:
-        """:meth:`drift` has no state dependence: every field is constant and
-        ``a~ = 0``, so ``g = b a``, ``e`` is constant and ``f`` vanishes."""
-        fields = (self.a_diag, self.b, self.c, self.d)
-        return self.a_tilde.is_zero and all(f.is_constant for f in fields)
+        """:meth:`drift` has no state dependence: every term of ``g`` and
+        ``e`` is a float and ``f`` has no live term."""
+        return not self._f and all(isinstance(t, float) for _, t in self._g + self._e)
 
     @property
     def diffusion_is_constant(self) -> bool:
@@ -276,21 +257,6 @@ class SingularOperatorSpec(_OperatorBase):
         return (
             self.a_tilde.is_zero and self.c.is_zero
             and self.a_diag.is_constant and self.d.is_constant
-        )
-
-    @property
-    def log_coupling_is_constant(self) -> bool:
-        """:meth:`log_coupling` has no state dependence: ``a~`` and ``c``
-        vanish, ``a`` and ``d`` are constant and so is every partial of
-        ``b``, leaving ``f_ij = a_ii d_xi b_j`` and
-        ``f_(n+l)j = sum_k d_lk d_yk b_j``."""
-        return (
-            self.a_tilde.is_zero and self.c.is_zero
-            and self.a_diag.is_constant and self.d.is_constant
-            and all(
-                b.partial(axis).is_constant
-                for b in self.b.entries for axis in range(self.dims.total)
-            )
         )
 
     def measure(self) -> WeightedMeasure:
@@ -331,48 +297,154 @@ def _diffusion_matrix(states, a, at, cross, d) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _reader(states: np.ndarray):
-    """``read(field)`` at ``states``: None for a zero field, the float of one
-    with a ``value``, else its batch of values; each field is evaluated once."""
-    memo: dict[ScalarField, object] = {}  # fields hash by identity
+class _Coordinate(ScalarField):
+    """``z[axis]``."""
 
-    def read(entry: ScalarField):
-        if entry not in memo:
-            if entry.is_zero:
-                memo[entry] = None
-            elif entry.value is not None:
-                memo[entry] = entry.value
-            else:
-                memo[entry] = entry.evaluate_batch(states)
-        return memo[entry]
+    def __init__(self, axis: int):
+        self.axis = axis
 
-    return read
+    def evaluate_batch(self, states: np.ndarray) -> np.ndarray:
+        return np.array(np.asarray(states, dtype=float)[..., self.axis])
+
+    def partial(self, axis: int) -> ScalarField:
+        return ConstantField(1.0 if axis == self.axis else 0.0)
 
 
-def _prod(read, *factors):
-    """Left-to-right product of fields (read by ``read``) and arrays; None, with
-    nothing evaluated, when a factor is None or a zero field."""
-    if any(f is None or (isinstance(f, ScalarField) and f.is_zero) for f in factors):
-        return None
-    out = None
-    for f in factors:
-        val = read(f) if isinstance(f, ScalarField) else f
-        out = val if out is None else out * val
-    return out
+class _Combination(ScalarField):
+    """Left-to-right sum or product of ``parts``, floats and fields of which
+    at least one is a field; built by :func:`_sum` and :func:`_prod`."""
+
+    def __init__(self, parts: list):
+        self.parts = parts
+
+    def evaluate_batch(self, states: np.ndarray) -> np.ndarray:
+        return self._batch(np.asarray(states, dtype=float), {})
+
+    def _batch(self, states: np.ndarray, memo: dict) -> np.ndarray:
+        out = None
+        for part in self.parts:
+            value = _value(part, states, memo)
+            out = value if out is None else self._combine(out, value)
+        return out
+
+    @classmethod
+    def _build(cls, parts: list):
+        """``parts`` with a leading run of floats combined now, in the order
+        a call would combine them; a lone part as itself."""
+        while len(parts) > 1 and isinstance(parts[0], float) and isinstance(parts[1], float):
+            parts[:2] = [cls._combine(parts[0], parts[1])]
+        return parts[0] if len(parts) == 1 else cls(parts)
+
+
+class _Sum(_Combination):
+    _combine = staticmethod(operator.add)
+
+    def partial(self, axis: int) -> ScalarField:
+        return _as_field(_sum([p.partial(axis) for p in self.parts if not isinstance(p, float)]))
+
+
+class _Prod(_Combination):
+    _combine = staticmethod(operator.mul)
+
+    def partial(self, axis: int) -> ScalarField:
+        # the product rule, one term per field factor
+        parts = self.parts
+        return _as_field(_sum([
+            _prod(*parts[:k], p.partial(axis), *parts[k + 1 :])
+            for k, p in enumerate(parts) if not isinstance(p, float)
+        ]))
+
+
+def _live(term):
+    """None for a zero field, the float of a constant field with a
+    ``value``; any other term (None, a float, a field) as it is."""
+    if isinstance(term, ScalarField):
+        return None if term.is_zero else term if term.value is None else float(term.value)
+    return term
 
 
 def _sum(terms):
-    """Left-to-right sum of the terms that are not None; None when none is."""
-    out = None
-    for t in terms:
-        if t is not None:
-            out = t if out is None else out + t
+    """Sum of the live ``terms``: None when none is, a float when all are
+    floats.  Leaving out an exact zero leaves the sum's bits as they were."""
+    parts = [t for t in map(_live, terms) if t is not None]
+    return _Sum._build(parts) if parts else None
+
+
+def _prod(*factors):
+    """Product of ``factors``: None when one is not live, a float when all
+    are floats.  A factor 1.0 is left out, which changes no bit."""
+    parts = [_live(f) for f in factors]
+    if any(f is None for f in parts):
+        return None
+    return _Prod._build([f for f in parts if not (isinstance(f, float) and f == 1.0)] or [1.0])
+
+
+def _as_field(term) -> ScalarField:
+    """A built term as a field: a zero field for None, a constant for a float."""
+    if term is None or isinstance(term, float):
+        return ConstantField(0.0 if term is None else term)
+    return term
+
+
+def _value(term, states: np.ndarray, memo: dict):
+    """``term`` at ``states``: a float as it is, a coordinate as a view of
+    ``states`` and any other field evaluated once per ``memo`` (fields hash
+    by identity), so a field shared by several terms is read once a call."""
+    if isinstance(term, float):
+        return term
+    if isinstance(term, _Coordinate):
+        return states[..., term.axis]
+    if term not in memo:
+        is_built = isinstance(term, _Combination)
+        memo[term] = term._batch(states, memo) if is_built else term.evaluate_batch(states)
+    return memo[term]
+
+
+def _evaluate(terms, states: np.ndarray, shape: tuple, memo: dict) -> np.ndarray:
+    """The ``(index, term)`` pairs of an identity at ``states``, shape
+    (...,) + ``shape``, with +0.0 where no term is live."""
+    out = np.zeros(states.shape[:-1] + shape)
+    for index, term in terms:
+        out[(Ellipsis,) + index] = _value(term, states, memo)
     return out
 
 
-# Each identity adds its terms in the order its formula writes them and
-# leaves out a term with a zero factor, reading a constant field as its
-# float: skipping an exact zero leaves the sum's bits as they were.
+def _identity_terms(op: SingularOperatorSpec) -> tuple[list, list, list]:
+    """The live terms of ``g``, ``e`` and ``f`` as ``(index, term)`` pairs.
+
+    Each row is built once from the formula of :func:`drift_identity_g`,
+    ``_e`` or ``_f``, adding in the order the formula writes: a term with a
+    zero factor is left out and a constant field is read as its float."""
+    n, m = op.dims.n, op.dims.m
+    a, at, b, c, d = op.a_diag, op.a_tilde, op.b, op.c, op.d
+    x = [_Coordinate(i) for i in range(n)]
+    g, e, f = [], [], []
+    for i in range(n):
+        terms = [a[i].partial(i)]
+        for j in range(n):
+            a_ij = at[i, j]
+            terms += [a_ij, _prod(x[j], a_ij.partial(j)), _prod(a_ij, _sum([b[j], -1.0]))]
+            terms += [a_ij] if i == j else []
+        terms += [c[i, l].partial(n + l) for l in range(m)]
+        g.append(((i,), _sum([_prod(b[i], a[i]), _prod(x[i], _sum(terms))])))
+    for l in range(m):
+        terms = []
+        for i in range(n):
+            terms += [_prod(x[i], c[i, l].partial(i)), _prod(b[i], c[i, l])]
+        e.append(((l,), _sum(terms + [d[l, k].partial(n + k) for k in range(m)])))
+    for j in range(n):
+        db = [b[j].partial(axis) for axis in range(n + m)]
+        for i in range(n):
+            f.append(((i, j), _sum(
+                [_prod(a[i], db[i])] + [_prod(x[k], at[i, k], db[k]) for k in range(n)]
+                + [_prod(c[i, l], db[n + l]) for l in range(m)]
+            )))
+        for l in range(m):
+            f.append(((n + l, j), _sum(
+                [_prod(x[i], c[i, l], db[i]) for i in range(n)]
+                + [_prod(d[l, k], db[n + k]) for k in range(m)]
+            )))
+    return tuple([(index, t) for index, t in rows if t is not None] for rows in (g, e, f))
 
 
 def drift_identity_g(op: SingularOperatorSpec, states: np.ndarray) -> np.ndarray:
@@ -382,26 +454,7 @@ def drift_identity_g(op: SingularOperatorSpec, states: np.ndarray) -> np.ndarray
     + x_j d_xj a~_ij + a~_ij (b_j - 1)) + sum_l d_yl c_il)``, affine in ``b``:
     ``g(b) = g(0) + (diag(a) + diag(x) a~) b``.
     """
-    n, m = op.dims.n, op.dims.m
-    states = np.asarray(states, dtype=float)
-    read = _reader(states)
-    g = np.zeros(states.shape[:-1] + (n,))
-    for i in range(n):
-        terms = [read(op.a_diag[i].partial(i))]
-        for j in range(n):
-            at = op.a_tilde[i, j]
-            terms.append(read(at))
-            terms.append(_prod(read, states[..., j], at.partial(j)))
-            if not at.is_zero:
-                b_j = read(op.b[j])
-                terms.append(read(at) * ((0.0 if b_j is None else b_j) - 1.0))
-            if i == j:
-                terms.append(read(at))
-        terms += [read(op.c[i, l].partial(n + l)) for l in range(m)]
-        g_i = _sum([_prod(read, op.b[i], op.a_diag[i]), _prod(read, states[..., i], _sum(terms))])
-        if g_i is not None:
-            g[..., i] = g_i
-    return g
+    return _evaluate(op._g, np.asarray(states, dtype=float), (op.dims.n,), {})
 
 
 def drift_identity_e(op: SingularOperatorSpec, states: np.ndarray) -> np.ndarray:
@@ -409,20 +462,7 @@ def drift_identity_e(op: SingularOperatorSpec, states: np.ndarray) -> np.ndarray
 
     ``e_l = sum_i (x_i d_xi c_il + b_i c_il) + sum_k d_yk d_lk``.
     """
-    n, m = op.dims.n, op.dims.m
-    states = np.asarray(states, dtype=float)
-    read = _reader(states)
-    e = np.zeros(states.shape[:-1] + (m,))
-    for l in range(m):
-        terms = []
-        for i in range(n):
-            terms.append(_prod(read, states[..., i], op.c[i, l].partial(i)))
-            terms.append(_prod(read, op.b[i], op.c[i, l]))
-        terms += [read(op.d[l, k].partial(n + k)) for k in range(m)]
-        e_l = _sum(terms)
-        if e_l is not None:
-            e[..., l] = e_l
-    return e
+    return _evaluate(op._e, np.asarray(states, dtype=float), (op.dims.m,), {})
 
 
 def drift_identity_f(op: SingularOperatorSpec, states: np.ndarray) -> np.ndarray:
@@ -435,29 +475,8 @@ def drift_identity_f(op: SingularOperatorSpec, states: np.ndarray) -> np.ndarray
     Free rows: ``f_(n+l)j = sum_i x_i c_il d_xi b_j + sum_k d_lk d_yk b_j``.
     All rows vanish identically when ``b`` is constant.
     """
-    n, m = op.dims.n, op.dims.m
-    states = np.asarray(states, dtype=float)
-    read = _reader(states)
-    f = np.zeros(states.shape[:-1] + (n + m, n))
-    for j in range(n):
-        db = [read(op.b[j].partial(axis)) for axis in range(n + m)]
-        rows = []
-        for i in range(n):
-            rows.append(
-                [_prod(read, op.a_diag[i], db[i])]
-                + [_prod(read, states[..., k], op.a_tilde[i, k], db[k]) for k in range(n)]
-                + [_prod(read, op.c[i, l], db[n + l]) for l in range(m)]
-            )
-        for l in range(m):
-            rows.append(
-                [_prod(read, states[..., i], op.c[i, l], db[i]) for i in range(n)]
-                + [_prod(read, op.d[l, k], db[n + k]) for k in range(m)]
-            )
-        for r, terms in enumerate(rows):
-            f_rj = _sum(terms)
-            if f_rj is not None:
-                f[..., r, j] = f_rj
-    return f
+    dims = op.dims
+    return _evaluate(op._f, np.asarray(states, dtype=float), (dims.total, dims.n), {})
 
 
 # ---------------------------------------------------------------------------
@@ -823,12 +842,10 @@ def _nodes(axes: Sequence[np.ndarray]) -> np.ndarray:
 def _exact_weight(std: StandardOperatorSpec, i: int) -> ScalarField:
     """``b_i = b^_i - x_i/2 sum_l d_yl c^_il``, the drift weight when ``a^ = 0``:
     ``b^_i`` itself when every ``d_yl c^_il`` vanishes."""
-    n = std.dims.n
-    slopes = [std.c_hat[i, l].partial(n + l) for l in range(std.dims.m)]
-    slopes = [s for s in slopes if not s.is_zero]
-    if not slopes:
-        return std.b_hat[i]
-    return _ScaledField([(1.0, None, std.b_hat[i])] + [(-0.5, i, s) for s in slopes])
+    n, x_i = std.dims.n, _Coordinate(i)
+    slopes = [_prod(-0.5, std.c_hat[i, l].partial(n + l), x_i) for l in range(std.dims.m)]
+    slopes = [s for s in slopes if s is not None]
+    return _as_field(_sum([std.b_hat[i]] + slopes)) if slopes else std.b_hat[i]
 
 
 def derive_singular_from_standard(
@@ -917,40 +934,9 @@ def derive_singular_from_standard(
     return replace(base, b=b)
 
 
-class _ScaledField(ScalarField):
-    """``sum_t factor_t * base_t(z) * z[axis_t]`` over terms ``(factor, axis,
-    base)``, a term whose ``axis`` is None having no coordinate factor: the
-    combinations a derivation builds from a standard spec's fields, with
-    analytic partials by the product rule."""
-
-    def __init__(self, terms: Sequence[tuple[float, int | None, ScalarField]]):
-        self.terms = [(float(f), axis, base) for f, axis, base in terms]
-        live = [t for t in self.terms if t[0] != 0.0 and not t[2].is_zero]
-        self.is_zero = not live
-        self.is_constant = all(axis is None and base.is_constant for _, axis, base in live)
-        if self.is_constant and live and all(base.value is not None for _, _, base in live):
-            self.value = _sum([f * base.value for f, _, base in live])
-
-    def evaluate_batch(self, states: np.ndarray) -> np.ndarray:
-        states = np.asarray(states, dtype=float)
-        out = None
-        for factor, axis, base in self.terms:
-            term = factor * base.evaluate_batch(states)
-            if axis is not None:
-                term = term * states[..., axis]
-            out = term if out is None else out + term
-        return out
-
-    def partial(self, axis: int) -> ScalarField:
-        terms = [(f, k, base.partial(axis)) for f, k, base in self.terms]
-        terms += [(f, None, base) for f, k, base in self.terms if k == axis]
-        return _ScaledField(terms)
-
-
 def _half_matrix(mat: FieldMatrix) -> FieldMatrix:
     return FieldMatrix(
-        [[_ScaledField([(0.5, None, e)]) for e in row] for row in mat.entries],
-        shape=mat.shape,
+        [[_as_field(_prod(0.5, e)) for e in row] for row in mat.entries], shape=mat.shape
     )
 
 

@@ -4,13 +4,14 @@ The divergence-compatible operator induces a stochastic equation whose
 degenerate rows read ``dX_i = (g_i + X_i sum_j f_ij ln X_j) dt
 + sqrt(X_i) sum_j sigma_ij dW_j`` and whose free rows read
 ``dY_l = (e_l + sum_j f_(n+l)j ln X_j) dt + sum_j sigma_(n+l)j dW_j``.
-Each operator spec assembles its own drift (``drift``) and diffusion matrix
-``D`` (``diffusion_matrix``).  This module compiles a spec into a step plan,
-takes the dispersion root ``sigma`` of ``D``, and builds the drift-change
-field ``theta`` tying the two equations together.  The plan keeps what the
-spec calls state-free, evaluated once: the drift, the root of ``D`` (or its
-diagonal) and the log couplings ``f``, so a step evaluates only the fields
-that vary and no drift identity whose result is fixed.
+Each operator spec assembles its own drift (``drift``, with the log drift
+``log_drift``) and diffusion matrix ``D`` (``diffusion_matrix``); the
+divergence side builds the live terms of its drift identities once, so a
+state-free term, or a state-free ``f``, is already a float there.  This
+module compiles a spec into a step plan, takes the dispersion root ``sigma``
+of ``D``, and builds the drift-change field ``theta`` tying the two equations
+together.  The plan keeps what the spec calls state-free, evaluated once: the
+drift and the root of ``D`` (or its diagonal).
 """
 
 from __future__ import annotations
@@ -82,16 +83,13 @@ class StepPlan:
 
     ``sigma`` is the dispersion root when the spec's ``D`` is state-free, and
     ``sigma_diag`` its diagonal when that root is diagonal.  ``drift`` is the
-    spec's drift when it is state-free.  ``coupling`` is the divergence
-    side's log coupling ``f``, shape (n+m, n), when it is state-free and does
-    not vanish: a step's log drift is then ``ln max(x, eps)`` contracted with
-    it, and no drift identity runs.
+    spec's drift when it is state-free.  A state-free log coupling ``f`` is
+    the divergence-side spec's own, built with it (see its ``log_drift``).
     """
 
     sigma: np.ndarray | None = None
     sigma_diag: np.ndarray | None = None
     drift: np.ndarray | None = None
-    coupling: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -110,14 +108,10 @@ class _Coefficients:
         otherwise the source operator's ``drift`` with ``ln max(x, eps)``.
 
         ``log_sum`` passes in the source's ``log_drift`` for these states
-        when the caller already has it; otherwise a plan with a state-free
-        ``coupling`` contracts it here.  A folded model has constant fields,
-        so no log drift.
+        when the caller already has it.  A folded drift has no log drift.
         """
         states = np.asarray(states, dtype=float)
         if self.plan.drift is None:
-            if log_sum is None and self.plan.coupling is not None:
-                log_sum = self.source.log_drift(states, log_clamp_eps, self.plan.coupling)
             return self.source.drift(states, log_clamp_eps, log_sum)
         out = np.empty(states.shape)
         out[...] = self.plan.drift
@@ -152,11 +146,6 @@ class SdeCoefficients(_Coefficients):
     drift_batch = _Coefficients.drift_batch
     sigma_batch = _Coefficients.sigma_batch
 
-    def log_drift(self, states: np.ndarray, log_clamp_eps: float = 1e-12) -> np.ndarray | None:
-        """The source's ``log_drift`` ``f . ln max(x, eps)``, with the step
-        plan's ``coupling`` as ``f`` when it is state-free."""
-        return self.source.log_drift(states, log_clamp_eps, self.plan.coupling)
-
 
 @dataclass(frozen=True)
 class StandardSdeCoefficients(_Coefficients):
@@ -170,8 +159,8 @@ class StandardSdeCoefficients(_Coefficients):
 
 def _compile(cls, spec):
     """Coefficients of class ``cls`` for ``spec``, with the step plan folding
-    the spec's drift, dispersion root and log coupling, each evaluated once
-    at a probe state, when the spec says it is state-free."""
+    the spec's drift and dispersion root, each evaluated once at a probe
+    state, when the spec says it is state-free."""
     probe = np.ones((1, spec.dims.total))
     drift = spec.drift(probe)[0] if spec.drift_is_constant else None
     sigma = diag = None
@@ -179,10 +168,7 @@ def _compile(cls, spec):
         sigma = dispersion_sqrt_batch(spec.diffusion_matrix(probe)[0])
         diag = np.diag(sigma).copy()
         diag = diag if np.array_equal(sigma, np.diag(diag)) else None
-    coupling = spec.log_coupling(probe) if spec.log_coupling_is_constant else None
-    if coupling is not None:
-        coupling = coupling[0]
-    plan = StepPlan(sigma=sigma, sigma_diag=diag, drift=drift, coupling=coupling)
+    plan = StepPlan(sigma=sigma, sigma_diag=diag, drift=drift)
     return cls(spec.dims, spec, plan)
 
 
@@ -214,7 +200,7 @@ def _theta_rhs(
     n, m = sing.dims.n, sing.dims.m
     states = np.asarray(states, dtype=float)
     if log_sum is None:
-        log_sum = sing.log_drift(states, log_clamp_eps)
+        log_sum = sing.source.log_drift(states, log_clamp_eps)
     if log_sum is not None:
         # Degenerate rows: g = b^ by derivation, so the drift gap is
         # x_i (f . ln x)_i.  Its quotient by sqrt(x_i) is written as

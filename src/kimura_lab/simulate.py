@@ -90,8 +90,8 @@ class PathConfig:
     record: str | tuple[float, ...] = "auto"
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0 or self.horizon <= 0.0:
-            raise ValueError("dt and horizon must be positive")
+        if not (0.0 < self.dt < math.inf and 0.0 < self.horizon < math.inf):
+            raise ValueError("dt and horizon must be positive and finite")
         if not (0.0 < self.log_clamp_eps < 1.0):
             raise ValueError("log_clamp_eps must lie in (0, 1)")
         if self.n_paths < 1:
@@ -124,7 +124,10 @@ def grid_bracket(t: float, dt: float) -> tuple[int, float]:
     The one rule for times off the ``dt`` grid: an estimator reads a time
     with ``lam > 0`` by blending each path's values ``p`` at step ``k`` and
     ``q`` at step ``k + 1`` as ``p + lam (q - p)``, so equal values stay exact.
+    A time or step that is not finite raises ValueError.
     """
+    if not (math.isfinite(t) and math.isfinite(dt)):
+        raise ValueError(f"time {t} and step {dt} must be finite")
     k = int(round(t / dt))
     if abs(k * dt - t) <= 1e-9 * max(1.0, abs(t)):
         return k, 0.0
@@ -341,7 +344,7 @@ def _advance_block(
     else:
         # theta.sing is coeffs: f . ln x and the drift serve theta too, and
         # a shared root the noise and theta
-        log_sum = coeffs.log_drift(states, eps)
+        log_sum = coeffs.source.log_drift(states, eps)
         drift = coeffs.drift_batch(states, eps, log_sum)
         if theta.shares_root:
             sigma = coeffs.sigma_batch(states)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -273,9 +274,26 @@ def test_unknown_scheme_is_config_error(tmp_path, capsys, name):
     ("density", ("measure",), "operatr"),
     # a t1 after the scan's earliest lattice time (about 0.4733)
     ("harnack_scan.json", ("t1",), 0.48),
+    # times and steps that are not finite
+    ("simulate", ("sim", "horizon"), math.inf),
+    ("simulate", ("sim", "dt"), math.inf),
+    ("girsanov", ("t",), math.inf),
+    ("density", ("t",), math.inf),
+    ("fk", ("t",), math.nan),
+    ("harnack_scan.json", ("s",), math.nan),
+    ("harnack_scan.json", ("t1",), math.nan),
+    # a cylinder factor c that gives no probe radius
+    ("harnack_scan.json", ("c",), math.nan),
+    ("harnack_scan.json", ("c",), -0.5),
+    # a payoff index that is not a whole number
+    ("fk", ("f",), {"coordinate": 0.5}),
+    ("fk", ("f",), {"exp-neg": False}),
+    # a whole index past any float
+    ("fk", ("f",), {"coordinate": 10**400}),
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, name, path, value):
-    docs = {"density": DENSITY_DOC, "fk": FK_DOC, "simulate": SIMULATE_DOC}
+    docs = {"density": DENSITY_DOC, "fk": FK_DOC, "simulate": SIMULATE_DOC,
+            "girsanov": {**GIRSANOV_DOC, "seed": 5}}
     doc = json.loads(json.dumps(docs[name] if name in docs else load_config(name)))
     node = doc
     for key in path[:-1]:

@@ -1,3 +1,5 @@
+import gc
+import itertools
 import math
 from collections import Counter
 from dataclasses import replace
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_sing_1d, make_std_1d
+from drift_reference import reference_e, reference_f, reference_g
 
 from kimura_lab import operators, simulate
 from kimura_lab.errors import EllipticityViolationError, InvalidMatrixError
@@ -332,21 +335,20 @@ Y_PROBES = [-4.5, 0.2, 6.0]
 
 
 def _probe_states(dims):
-    if dims.m == 0:
-        return np.array(X_PROBES)[:, None]
-    return np.array([[x, y] for x in X_PROBES for y in Y_PROBES])
+    axes = [X_PROBES] * dims.n + [Y_PROBES] * dims.m
+    return np.array(list(itertools.product(*axes)), dtype=float)
 
 
 def _unfolded_log_sum(op, states, eps):
     n = op.dims.n
     logs = np.log(np.maximum(states[..., :n], eps))
-    return np.einsum("...rj,...j->...r", drift_identity_f(op, states), logs)
+    return np.einsum("...rj,...j->...r", reference_f(op, states), logs)
 
 
 def _unfolded_drift(op, states, eps):
     n = op.dims.n
     out = np.concatenate(
-        [drift_identity_g(op, states), drift_identity_e(op, states)], axis=-1
+        [reference_g(op, states), reference_e(op, states)], axis=-1
     )
     log_sum = _unfolded_log_sum(op, states, eps)
     out[..., :n] += states[..., :n] * log_sum[..., :n]
@@ -365,7 +367,7 @@ def _unfolded_theta(std_op, sing_op, states, eps):
     rhs = np.zeros(states.shape)
     rhs[:, :n] = np.sqrt(np.maximum(states[:, :n], 0.0)) * log_sum[:, :n]
     rhs[:, n:] = (
-        drift_identity_e(sing_op, states) + log_sum[:, n:]
+        reference_e(sing_op, states) + log_sum[:, n:]
         - std_op.e_hat.evaluate_batch(states)
     )
     sig = dispersion_sqrt_batch(std_op.diffusion_matrix(states))
@@ -417,9 +419,7 @@ class TestStepPlan:
         coeffs = build_sde_coefficients(op)
         assert coeffs.plan.drift is None and coeffs.plan.sigma is None
         states = _probe_states(op.dims)
-        expected = np.concatenate(
-            [drift_identity_g(op, states), drift_identity_e(op, states)], axis=-1
-        )
+        expected = np.concatenate([reference_g(op, states), reference_e(op, states)], axis=-1)
         assert coeffs.drift_batch(states, EPS).tobytes() == expected.tobytes()
 
     def test_affine_standard(self):
@@ -586,17 +586,16 @@ def test_folded_step_matches_opaque_fields(model):
     pair = make_girsanov_field(std_op, sing_op)
     ref = _opaque_pair(std_op, sing_op)
     assert ref.sing.plan.drift is None and ref.std.plan.sigma is None
-    assert ref.sing.plan.coupling is None
-    # f folds exactly when the spec calls it state-free and b varies
-    folds = sing_op.log_coupling_is_constant and not sing_op.b.is_constant
-    assert (pair.sing.plan.coupling is not None) == folds
+    # f folds to one matrix exactly when its built terms are all floats
+    assert ref.sing.source._f_matrix is None
+    folds = sing_op._f_matrix is not None
     assert folds == (model in (GIRSANOV_MODEL, AFFINE_STANDARD, NEGATIVE_SLOPE))
     states = _probe_states(std_op.dims)
     # a large c^ makes D indefinite far out; keep the states with a root
     states = states[np.linalg.eigvalsh(std_op.diffusion_matrix(states))[:, 0] > 0.0]
     assert states[:, 0].min() == 0.0 and states[:, 0].max() >= 21.0
-    log_sum = pair.sing.log_drift(states, EPS)
-    ref_log_sum = ref.sing.log_drift(states, EPS)
+    log_sum = pair.sing.source.log_drift(states, EPS)
+    ref_log_sum = ref.sing.source.log_drift(states, EPS)
     if log_sum is None:
         assert sing_op.b.is_constant and not ref_log_sum.any()
     else:
@@ -624,6 +623,84 @@ def test_folded_step_matches_opaque_fields(model):
             assert dlogw.tobytes() == ref_dlogw.tobytes()
 
 
+SINGULAR_N2M1 = {  # every coefficient of g, e and f live, n = 2 for the a~ sums
+    "kind": "singular", "dims": {"n": 2, "m": 1},
+    "a_diag": [{"family": "affine", "c0": 1.0, "coeffs": [0.1, 0.0, 0.05]}, 1.5],
+    "a_tilde": [[0.2, {"family": "affine", "c0": 0.1, "coeffs": [0.0, 0.05, 0.0]}],
+                [{"family": "affine", "c0": 0.1, "coeffs": [0.0, 0.05, 0.0]}, 0.3]],
+    "b": [{"family": "affine", "c0": 0.8, "coeffs": [0.1, -0.05, 0.2]},
+          {"family": "trig", "c0": 1.1, "amplitude": 0.2, "axis": 2, "frequency": 2.0}],
+    "c": [[{"family": "affine", "c0": 0.3, "coeffs": [0.1, 0.0, 0.2]}], [0.0]],
+    "d": [[{"family": "affine", "c0": 1.0, "coeffs": [0.0, 0.0, 0.1]}]],
+}
+
+
+@pytest.mark.parametrize(
+    "model",
+    [GIRSANOV_MODEL, VALIDATE_MODEL, AFFINE_STANDARD, COUPLED_MODELS["n1m1"], COUPLED_PAIR,
+     TRIG_MODEL, NEGATIVE_SLOPE, HARNACK_MODEL, SINGULAR_N2M1],
+    ids=["girsanov", "validate", "affine", "coupled", "coupled-pair", "trig", "negative-slope",
+         "harnack", "singular-n2m1"],
+)
+def test_built_identities_match_the_reference(model):
+    # the spec's built g, e and f against a term-by-term reading of the
+    # formulas, with the fields as given and as opaque callables
+    op = operator_from_json(model)
+    if model["kind"] == "standard":
+        op = derive_singular_from_standard(op)
+    opaque = SingularOperatorSpec(
+        dims=op.dims, a_diag=_opaque_vec(op.a_diag), a_tilde=_opaque_mat(op.a_tilde),
+        b=_opaque_vec(op.b), c=_opaque_mat(op.c), d=_opaque_mat(op.d),
+    )
+    for spec in (op, opaque):
+        states = _probe_states(spec.dims)
+        for built, reference in ((drift_identity_g, reference_g), (drift_identity_e, reference_e),
+                                 (drift_identity_f, reference_f)):
+            assert built(spec, states).tobytes() == reference(spec, states).tobytes()
+
+
+def test_state_free_f_with_a_cross_coupling_folds():
+    # c != 0 and b varying only in y: f = [[c d_y b], [d d_y b]] is state-free
+    op = operator_from_json({
+        "kind": "singular", "dims": {"n": 1, "m": 1}, "c": [[0.25]], "d": [[1.0]],
+        "b": [{"family": "affine", "c0": 0.8, "coeffs": [0.0, 0.1]}],
+    })
+    assert op._f_matrix.tolist() == [[0.25 * 0.1], [0.1]]
+    assert not op.drift_is_constant
+    ref = SingularOperatorSpec(
+        dims=op.dims, a_diag=_opaque_vec(op.a_diag), a_tilde=_opaque_mat(op.a_tilde),
+        b=_opaque_vec(op.b), c=_opaque_mat(op.c), d=_opaque_mat(op.d),
+    )
+    assert ref._f_matrix is None
+    states = _probe_states(op.dims)
+    states = states[np.linalg.eigvalsh(op.diffusion_matrix(states))[:, 0] > 0.0]
+    assert states[:, 0].min() == 0.0
+    assert op.log_drift(states, EPS).tobytes() == ref.log_drift(states, EPS).tobytes()
+    xi = np.random.Generator(np.random.Philox(key=9)).standard_normal(states.shape)
+    cfg = PathConfig(dt=1e-3, seed=0, n_paths=len(states), horizon=1.0)
+    new, _ = simulate._advance_block(build_sde_coefficients(op), None, cfg, states, xi, 1)
+    ref_new, _ = simulate._advance_block(build_sde_coefficients(ref), None, cfg, states, xi, 1)
+    assert new.tobytes() == ref_new.tobytes()
+
+
+@pytest.mark.parametrize("model", [GIRSANOV_MODEL, COUPLED_PAIR], ids=["girsanov", "coupled-pair"])
+def test_weighted_step_leaves_no_reference_cycles(model):
+    std_op = operator_from_json(model)
+    pair = make_girsanov_field(std_op, derive_singular_from_standard(std_op))
+    rng = np.random.Generator(np.random.Philox(key=2))
+    states = np.ones((256, std_op.dims.total))
+    xi = rng.standard_normal(states.shape)
+    cfg = PathConfig(dt=1e-3, seed=0, n_paths=len(states), horizon=1.0)
+    gc.collect()
+    gc.disable()
+    try:
+        for k in range(20):
+            states, dlogw = simulate._advance_block(pair.sing, pair, cfg, states, xi, k)
+        assert dlogw.any() and gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_one_column_log_weight_increment_has_the_einsum_bits():
     # every sign of zero and nonzero in theta and in the normal
     values = [0.0, -0.0, 0.7, -1.3]
@@ -634,20 +711,26 @@ def test_one_column_log_weight_increment_has_the_einsum_bits():
 
 
 def test_weighted_girsanov_step_runs_no_drift_identity(monkeypatch):
-    # f and g fold at build time: the step calls no identity
+    # f folds to one matrix and g is the lone term b at build time: the step
+    # evaluates only that term, never a full g or f identity
     std_op = operator_from_json(GIRSANOV_MODEL)
     pair = make_girsanov_field(std_op, derive_singular_from_standard(std_op))
-    calls = Counter()
-    for name in ("drift_identity_g", "drift_identity_e", "drift_identity_f"):
-        def counting(*args, _name=name, _fn=getattr(operators, name)):
-            calls[_name] += 1
-            return _fn(*args)
+    source = pair.sing.source
+    assert source._g == [((0,), source.b[0])] and not source.b[0].is_constant
+    assert source._f and source._f_matrix is not None
+    seen = []
+    evaluate = operators._evaluate
 
-        monkeypatch.setattr(operators, name, counting)
+    def counting(terms, *args):
+        seen.append(terms)
+        return evaluate(terms, *args)
+
+    monkeypatch.setattr(operators, "_evaluate", counting)
     cfg = PathConfig(dt=1e-2, seed=3, n_paths=64, horizon=1.0, record="ends")
     bundle = simulate_bundle(pair.sing, Point((1.0,), ()), DomainSpec.full_space(std_op.dims),
                              cfg, theta=pair)
-    assert bundle.log_weights[:, -1].any() and not calls
+    assert bundle.log_weights[:, -1].any() and seen
+    assert all(terms is source._g for terms in seen)
 
 
 @pytest.mark.parametrize(
@@ -656,23 +739,26 @@ def test_weighted_girsanov_step_runs_no_drift_identity(monkeypatch):
     ids=["folded", "affine", "coupled-pair"],
 )
 def test_weighted_step_assembles_the_free_drift_once(monkeypatch, model, per_step):
-    # theta's free rows read the step's drift; a folded drift needs no e, nor
-    # does a zero e (c = 0, d free of y), and a coupled pair's e is built once
+    # theta's free rows read the step's drift; a folded drift needs no e, a
+    # zero e (c = 0, d free of y) has no live term to evaluate, and a coupled
+    # pair's e terms are evaluated once a step
     calls = Counter()
-    identity = operators.drift_identity_e
-
-    def counting(*args):
-        calls["e"] += 1
-        return identity(*args)
-
-    monkeypatch.setattr(operators, "drift_identity_e", counting)
+    evaluate = operators._evaluate
     std_op = operator_from_json(model)
     pair = make_girsanov_field(std_op, derive_singular_from_standard(std_op))
-    calls.clear()
+
+    def counting(terms, *args):
+        if terms is pair.sing.source._e:
+            calls["e"] += 1
+            calls["live"] += bool(terms)
+        return evaluate(terms, *args)
+
+    monkeypatch.setattr(operators, "_evaluate", counting)
     cfg = PathConfig(dt=1e-2, seed=3, n_paths=64, horizon=0.5, record="ends")
     simulate_bundle(pair.sing, Point((1.0,), (0.0,)), DomainSpec.full_space(std_op.dims),
                     cfg, theta=pair)
-    assert calls["e"] == per_step * 50
+    assert calls["live"] == per_step * 50
+    assert calls["e"] == (0 if model is VALIDATE_MODEL else 50)
 
 
 @pytest.mark.parametrize(
@@ -687,7 +773,7 @@ def test_free_drift_of_a_zero_e_has_the_identity_bits(d, zero_e):
         "b": [{"family": "affine", "c0": 0.5, "coeffs": [0.1, 0.05]}], "d": [[d]],
     })
     states = _probe_states(op.dims)
-    e = drift_identity_e(op, states)
+    e = reference_e(op, states)
     assert e.any() != zero_e
     log_sum = op.log_drift(states, EPS)
     assert op.free_drift(states, EPS).tobytes() == (e + log_sum[:, 1:]).tobytes()
