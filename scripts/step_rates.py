@@ -6,8 +6,11 @@ milliseconds per call.  The states are ``1 + 0.5 U(0, 1)`` on the degenerate
 axis and standard normal on the free one; the normals are drawn once.  The
 models are those of the committed configs (girsanov, harnack, validate) plus
 the validate model with ``a^ = 0.2`` and ``c^ = 0.3``, each derived model
-with and without its drift-change field ``theta``.  The last two rows time
-the exact scheme's draw and one block's normal draw.
+with and without its drift-change field ``theta``.  Beside the girsanov rows
+stand one block's normal draw and one step of the ``girsanov`` command's
+pair: a draw, then the standard and the weighted equation on it, as
+``simulate_bundle`` steps the two.  The last row times the exact scheme's
+draw.
 
 A second table times a harnack-model scan through ``simulate.simulate_bundle``
 in nanoseconds per path-step: 15 starts on the ``[0, 4]`` box of
@@ -37,7 +40,6 @@ from kimura_lab.geometry import DomainSpec, Point  # noqa: E402
 from kimura_lab.operators import derive_singular_from_standard, operator_from_json  # noqa: E402
 from kimura_lab.sde import (  # noqa: E402
     build_sde_coefficients,
-    build_standard_sde_coefficients,
     make_girsanov_field,
 )
 from kimura_lab.simulate import RNG_BLOCK, PathConfig  # noqa: E402
@@ -66,15 +68,31 @@ def _best_s(fn, calls: int = CALLS) -> float:
     return best / calls
 
 
-def _step(coeffs, theta=None, scheme=CONFIG.scheme):
+def _states_and_normals(dims) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.Generator(np.random.Philox(key=1))
-    dims = coeffs.dims
     states = np.empty((RNG_BLOCK, dims.total))
     states[:, : dims.n] = 1.0 + 0.5 * rng.random((RNG_BLOCK, dims.n))
     states[:, dims.n :] = rng.standard_normal((RNG_BLOCK, dims.m))
-    xi = rng.standard_normal((RNG_BLOCK, dims.total))
+    return states, rng.standard_normal((RNG_BLOCK, dims.total))
+
+
+def _step(coeffs, theta=None, scheme=CONFIG.scheme):
+    states, xi = _states_and_normals(coeffs.dims)
     config = replace(CONFIG, scheme=scheme)
     return lambda: simulate._advance_block(coeffs, theta, config, states, xi, 1)
+
+
+def _pair_step(pair):
+    """One draw, then the standard and the weighted step on it."""
+    states, _ = _states_and_normals(pair.dims)
+    rng = simulate._block_rng(0, 0)
+
+    def step():
+        xi = rng.standard_normal((RNG_BLOCK, pair.dims.total))
+        simulate._advance_block(pair.std, None, CONFIG, states, xi, 1)
+        simulate._advance_block(pair.sing, pair, CONFIG, states, xi, 1)
+
+    return step
 
 
 def _derived_rows(label: str, std_op) -> list:
@@ -113,20 +131,22 @@ def main() -> None:
     coupled = dict(validate, a_hat=[[0.2]], c_hat=[[0.3]])
     exact = simulate._ExactGammaParams(harnack)
     x = np.full(RNG_BLOCK, 1.0)
+    pair = make_girsanov_field(girsanov, derive_singular_from_standard(girsanov))
     rows = [
-        ("standard 1D (girsanov config)", _step(build_standard_sde_coefficients(girsanov))),
+        ("standard 1D (girsanov config)", _step(pair.std)),
+        *_derived_rows("1D (girsanov config)", girsanov),
+        (
+            f"one standard_normal(({RNG_BLOCK}, 1)) draw from a block's Philox",
+            lambda rng=simulate._block_rng(0, 0): rng.standard_normal((RNG_BLOCK, 1)),
+        ),
+        ("girsanov pair: one draw, standard and weighted step on it", _pair_step(pair)),
         ("singular 1D, constant b (harnack config)", _step(harnack)),
         ("the same, euler-implicit-sqrt", _step(harnack, scheme="euler-implicit-sqrt")),
-        *_derived_rows("1D (girsanov config)", girsanov),
         *_derived_rows("n=1, m=1 (validate config)", operator_from_json(validate)),
         *_derived_rows("n=1, m=1 with a^ = 0.2, c^ = 0.3", operator_from_json(coupled)),
         (
             f"exact scheme: noncentral_chisquare, {RNG_BLOCK} draws",
             lambda rng=simulate._block_rng(0, 0): exact.sample(rng, x, CONFIG.dt),
-        ),
-        (
-            f"one standard_normal(({RNG_BLOCK}, 1)) draw from a block's Philox",
-            lambda rng=simulate._block_rng(0, 0): rng.standard_normal((RNG_BLOCK, 1)),
         ),
     ]
     print(f"ms per call at {RNG_BLOCK} paths, dt = {CONFIG.dt}, best of {REPEATS} x {CALLS}")

@@ -25,6 +25,13 @@ bit-equal to a bundle of that start alone, while a scan of many starts takes
 a few large steps instead of many small ones.  The exact scheme draws from
 the state, so its starts are never packed; on a domain no path can leave it
 steps from one record time to the next in one draw.
+
+Several equations of one dimension share a block's normals as starts do: a
+bundle of the standard equation and its weighted divergence-form twin steps
+both on each draw, so the drift-change check compares them under common
+random numbers for the cost of one draw.  Rows are ordered by equation, then
+start, then path; ``PathBundle.per_equation`` splits them into one bundle per
+equation, each bit-equal to a run of that equation alone.
 """
 
 from __future__ import annotations
@@ -171,7 +178,9 @@ class PathBundle:
     ``tau`` is the grid exit time (= horizon when the path never left),
     ``exit_state`` the first recorded point outside the domain (the frozen
     state), and ``log_weights`` the running log of the change-of-measure
-    weight (zeros when no drift-change field was attached).
+    weight (None when no drift-change field was attached, zeros on the rows
+    of an equation it does not weight).  ``weighted`` holds one flag per
+    equation: whether the drift-change field weights its rows.
     """
 
     config: PathConfig
@@ -183,31 +192,54 @@ class PathBundle:
     exit_state: np.ndarray
     log_weights: np.ndarray | None
     fingerprint: str
+    weighted: tuple[bool, ...]
 
     @property
     def n_paths(self) -> int:
         return self.states.shape[0]
 
     @property
+    def n_equations(self) -> int:
+        return len(self.weighted)
+
+    @property
     def n_starts(self) -> int:
-        return self.n_paths // self.config.n_paths
+        return self.n_paths // (self.n_equations * self.config.n_paths)
 
     @property
     def dims_total(self) -> int:
         return self.states.shape[2]
 
+    def _rows(self, lo: int, hi: int) -> "PathBundle":
+        """Paths ``lo .. hi - 1`` as a bundle, a view of this bundle's paths."""
+        per_path = ("states", "tau", "exited", "exit_state", "log_weights")
+        return replace(self, **{
+            f: None if getattr(self, f) is None else getattr(self, f)[lo:hi]
+            for f in per_path
+        })
+
+    def per_equation(self) -> list["PathBundle"]:
+        """One bundle per equation, each a view of this bundle's paths and
+        bit-equal to simulating that equation alone; an equation the
+        drift-change field does not weight gets ``log_weights`` None."""
+        n = self.n_paths // self.n_equations
+        parts = []
+        for e, w in enumerate(self.weighted):
+            part = self._rows(e * n, (e + 1) * n)
+            parts.append(replace(
+                part,
+                weighted=(w,),
+                fingerprint=_bundle_fingerprint(self.config, self.domain, (w,)),
+                log_weights=part.log_weights if w else None,
+            ))
+        return parts
+
     def per_start(self) -> list["PathBundle"]:
         """One bundle per start point, each a view of this bundle's paths."""
+        if self.n_equations > 1:
+            raise ValueError("split a bundle of several equations with per_equation first")
         n = self.config.n_paths
-        per_path = ("states", "tau", "exited", "exit_state", "log_weights")
-
-        def part(a, s):
-            return None if a is None else a[s * n:(s + 1) * n]
-
-        return [
-            replace(self, **{f: part(getattr(self, f), s) for f in per_path})
-            for s in range(self.n_starts)
-        ]
+        return [self._rows(s * n, (s + 1) * n) for s in range(self.n_starts)]
 
     def rng_stream_id(self, i: int) -> tuple[int, int, int]:
         """Counter-based stream of path ``i``: (seed, block key, column).
@@ -250,12 +282,19 @@ class PathBundle:
         return out, stop_time
 
 
-def _resolve_record(config: PathConfig, dims_total: int, n_starts: int) -> np.ndarray:
+def _bundle_fingerprint(
+    config: PathConfig, domain: DomainSpec, weighted: tuple[bool, ...]
+) -> str:
+    theta = weighted[0] if len(weighted) == 1 else list(weighted)
+    return config_fingerprint(config, domain=domain.to_json(), theta=theta)
+
+
+def _resolve_record(config: PathConfig, dims_total: int, n_lanes: int) -> np.ndarray:
     grid = config.grid()
     record = config.record
     if record == "auto":
-        # the bundle records every start's paths
-        budget = n_starts * config.n_paths * (config.n_steps + 1) * dims_total
+        # the bundle records the paths of every equation and start
+        budget = n_lanes * config.n_paths * (config.n_steps + 1) * dims_total
         record = "all" if budget <= _AUTO_RECORD_BUDGET else "ends"
     if record == "all":
         return grid
@@ -374,7 +413,7 @@ def _advance_block(
 
 
 def simulate_bundle(
-    coeffs: SdeCoefficients | StandardSdeCoefficients,
+    coeffs: SdeCoefficients | StandardSdeCoefficients | Sequence,
     z0: Point | Sequence[Point],
     domain: DomainSpec,
     config: PathConfig,
@@ -386,10 +425,9 @@ def simulate_bundle(
 
     The exit time is the first grid time whose state leaves the domain (plus
     its degenerate faces); the path freezes at that state.  When ``theta`` is
-    given, each path accumulates ``-theta . dW - |theta|^2 dt / 2`` while
-    alive, the running log of the drift-change martingale weight; the paths
-    must be those of the field's own divergence side (``theta.sing is
-    coeffs``).
+    given, each path of its own divergence side (the equation that is
+    ``theta.sing``) accumulates ``-theta . dW - |theta|^2 dt / 2`` while
+    alive, the running log of the drift-change martingale weight.
 
     ``z0`` may be a sequence of start points: the bundle then holds
     ``config.n_paths`` paths per start, start by start, and
@@ -398,20 +436,36 @@ def simulate_bundle(
     starts (``nb`` the block's paths) steps as one array and draws its
     normals once per step; the groups, not the blocks, are what threads run.
 
-    ``observers`` (one start point only) receive per-step callbacks
-    ``observe(block_slice, k, t, prev, new, alive, logw=None)``: ``alive``
-    marks the paths alive before step ``k``, and ``logw`` is the running
-    per-path log weight (None without a drift-change field).  They must write
-    only into per-path or per-block slots (blocks may run concurrently).
+    ``coeffs`` may likewise be a sequence of equations of one dimension.
+    They share each block's normals as starts do: every step of a group is
+    one draw, on which each equation advances its own states, exit test and
+    weight.  Rows are ordered by equation, then start, then path, and
+    :meth:`PathBundle.per_equation` splits the bundle into one bundle per
+    equation, each bit-equal to simulating that equation alone.  One
+    equation is the one-lane case of the same loop.
+
+    ``observers`` (one equation and one start point only) receive per-step
+    callbacks ``observe(block_slice, k, t, prev, new, alive, logw=None)``:
+    ``alive`` marks the paths alive before step ``k``, and ``logw`` is the
+    running per-path log weight (None without a drift-change field).  They
+    must write only into per-path or per-block slots (blocks may run
+    concurrently).
 
     On a domain without an exit boundary (``domain.has_exit_boundary`` is
     False) no path can leave, so the exit test is skipped.  There, and with
     no observers, the exact scheme jumps: it draws each record interval in
     one exact transition, from the previous record time's states, and draws
     nothing after the last record time.  Same law, fewer draws; with
-    ``record="all"`` the draws are those of the per-step loop.
+    ``record="all"`` the draws are those of the per-step loop.  The exact
+    scheme draws from the state, so it steps one equation only.
     """
-    dims = coeffs.dims
+    eqs = list(coeffs) if isinstance(coeffs, (list, tuple)) else [coeffs]
+    n_eqs = len(eqs)
+    if not eqs:
+        raise ValueError("need at least one equation")
+    dims = eqs[0].dims
+    if any(eq.dims != dims for eq in eqs):
+        raise DimensionMismatchError("equations sharing a draw need one dimension")
     starts = [z0] if isinstance(z0, Point) else list(z0)
     if not starts:
         raise ValueError("need at least one start point")
@@ -423,31 +477,38 @@ def simulate_bundle(
     for z in starts:
         if not domain.contains_point_underline(z):
             raise InvalidStartError(f"start point {z} is outside the domain")
-    if observers and len(starts) > 1:
-        raise ValueError("observers watch a bundle with one start point")
-    if theta is not None and theta.sing is not coeffs:
+    if observers and (len(starts) > 1 or n_eqs > 1):
+        raise ValueError("observers watch a bundle with one equation and one start point")
+    # theta weights the one equation it belongs to
+    thetas = [theta if theta is not None and eq is theta.sing else None for eq in eqs]
+    weighted = tuple(th is not None for th in thetas)
+    if theta is not None and not any(weighted):
         raise ValueError("a drift-change field weights the paths of its own theta.sing")
-    if theta is not None and config.scheme == "exact-1d-gamma":
-        raise ValueError("drift-change weights are not defined for exact sampling")
+    if config.scheme == "exact-1d-gamma":
+        if theta is not None:
+            raise ValueError("drift-change weights are not defined for exact sampling")
+        if n_eqs > 1:
+            raise ValueError("exact sampling draws from the state: one equation only")
 
     params_exact = (
-        _ExactGammaParams(coeffs) if config.scheme == "exact-1d-gamma" else None
+        _ExactGammaParams(eqs[0]) if config.scheme == "exact-1d-gamma" else None
     )
     n_steps = config.n_steps
     total = dims.total
     n_starts = len(starts)
-    record_times = _resolve_record(config, total, n_starts)
+    record_times = _resolve_record(config, total, n_eqs * n_starts)
     record_idx = {grid_steps(t, config.dt): r for r, t in enumerate(record_times)}
     n_rec = len(record_times)
     n_paths = config.n_paths
     origins = np.stack([z.vector for z in starts])
 
-    # leading axes (start, path); flattened start by start for the bundle
-    states_rec = np.empty((n_starts, n_paths, n_rec, total))
-    tau = np.full((n_starts, n_paths), config.dt * n_steps)
-    exited = np.zeros((n_starts, n_paths), dtype=bool)
-    exit_state = np.repeat(origins[:, None, :], n_paths, axis=1)
-    log_weights = np.zeros((n_starts, n_paths, n_rec)) if theta is not None else None
+    # leading axes (equation, start, path); flattened in that order for the bundle
+    lead = (n_eqs, n_starts, n_paths)
+    states_rec = np.empty(lead + (n_rec, total))
+    tau = np.full(lead, config.dt * n_steps)
+    exited = np.zeros(lead, dtype=bool)
+    exit_state = np.broadcast_to(origins[None, :, None, :], lead + (total,)).copy()
+    log_weights = np.zeros(lead + (n_rec,)) if theta is not None else None
 
     for obs in observers:
         obs.prepare(n_paths, dims, config)
@@ -456,64 +517,67 @@ def simulate_bundle(
     jump = params_exact is not None and not can_exit and not observers
 
     def run_group(block: int, group: slice) -> None:
-        """Step block ``block`` of the starts in ``group`` as one array."""
+        """Step block ``block`` of the starts in ``group`` as one array per
+        equation, every equation on the same draw."""
         lo = block * RNG_BLOCK
         hi = min(lo + RNG_BLOCK, n_paths)
         nb = hi - lo
         sl = slice(lo, hi)
         rng = _block_rng(config.seed, block)
-        cur = np.repeat(origins[group], nb, axis=0)
-        alive = np.ones(len(cur), dtype=bool)
-        logw = np.zeros(len(cur))
+        start_states = np.repeat(origins[group], nb, axis=0)
+        cur = [start_states] * n_eqs
+        alive = [np.ones(len(start_states), dtype=bool)] * n_eqs
+        logw = [np.zeros(len(start_states))] * n_eqs
 
         def by_start(a: np.ndarray) -> np.ndarray:
             return a.reshape((-1, nb) + a.shape[1:])
 
         if 0 in record_idx:
-            states_rec[group, sl, record_idx[0]] = by_start(cur)
-            if log_weights is not None:
-                log_weights[group, sl, record_idx[0]] = 0.0
+            states_rec[:, group, sl, record_idx[0]] = by_start(start_states)
         if jump:
             k_prev = 0
+            x = start_states
             for k in sorted(record_idx.keys() - {0}):
-                cur = params_exact.sample(rng, cur[:, 0], (k - k_prev) * config.dt)[:, None]
-                states_rec[group, sl, record_idx[k]] = by_start(cur)
+                x = params_exact.sample(rng, x[:, 0], (k - k_prev) * config.dt)[:, None]
+                states_rec[0, group, sl, record_idx[k]] = by_start(x)
                 k_prev = k
             return
         for k in range(1, n_steps + 1):
             if params_exact is None:
                 xi = rng.standard_normal((nb, total))
-                new, dlogw = _advance_block(coeffs, theta, config, cur, xi, k)
-            else:
-                new = params_exact.sample(rng, cur[:, 0], config.dt)[:, None]
-            # with no exit boundary every path stays alive: no freeze
-            alive_after = alive
-            if can_exit:
-                new = np.where(alive[:, None], new, cur)
-                if theta is not None:
-                    logw = logw + np.where(alive, dlogw, 0.0)
-                inside = domain.contains_underline(new)
-                newly = alive & ~inside
-                if newly.any():
-                    idx = np.flatnonzero(newly)
-                    start, path = group.start + idx // nb, lo + idx % nb
-                    tau[start, path] = k * config.dt
-                    exited[start, path] = True
-                    exit_state[start, path] = new[idx]
-                alive_after = alive & inside
-            elif theta is not None:
-                logw = logw + dlogw
-            for obs in observers:
-                obs.observe(
-                    sl, k, k * config.dt, cur, new, alive,
-                    logw=logw if theta is not None else None,
-                )
-            alive = alive_after
-            cur = new
-            if k in record_idx:
-                states_rec[group, sl, record_idx[k]] = by_start(cur)
-                if log_weights is not None:
-                    log_weights[group, sl, record_idx[k]] = by_start(logw)
+            for e, (eq, lane_theta) in enumerate(zip(eqs, thetas)):
+                if params_exact is None:
+                    new, dlogw = _advance_block(eq, lane_theta, config, cur[e], xi, k)
+                else:
+                    new = params_exact.sample(rng, cur[e][:, 0], config.dt)[:, None]
+                # with no exit boundary every path stays alive: no freeze
+                alive_after = alive[e]
+                if can_exit:
+                    new = np.where(alive[e][:, None], new, cur[e])
+                    if lane_theta is not None:
+                        logw[e] = logw[e] + np.where(alive[e], dlogw, 0.0)
+                    inside = domain.contains_underline(new)
+                    newly = alive[e] & ~inside
+                    if newly.any():
+                        idx = np.flatnonzero(newly)
+                        start, path = group.start + idx // nb, lo + idx % nb
+                        tau[e, start, path] = k * config.dt
+                        exited[e, start, path] = True
+                        exit_state[e, start, path] = new[idx]
+                    alive_after = alive[e] & inside
+                elif lane_theta is not None:
+                    logw[e] = logw[e] + dlogw
+                for obs in observers:
+                    obs.observe(
+                        sl, k, k * config.dt, cur[e], new, alive[e],
+                        logw=logw[e] if lane_theta is not None else None,
+                    )
+                alive[e] = alive_after
+                cur[e] = new
+                if k in record_idx:
+                    states_rec[e, group, sl, record_idx[k]] = by_start(new)
+                    if lane_theta is not None:
+                        log_weights[e, group, sl, record_idx[k]] = by_start(logw[e])
 
     groups = []
     for block in range((n_paths + RNG_BLOCK - 1) // RNG_BLOCK):
@@ -531,9 +595,8 @@ def simulate_bundle(
             list(pool.map(lambda group: run_group(*group), groups))
 
     def flat(a: np.ndarray | None) -> np.ndarray | None:
-        return None if a is None else a.reshape((n_starts * n_paths,) + a.shape[2:])
+        return None if a is None else a.reshape((n_eqs * n_starts * n_paths,) + a.shape[3:])
 
-    fp = config_fingerprint(config, domain=domain.to_json(), theta=theta is not None)
     return PathBundle(
         config=config,
         domain=domain,
@@ -543,7 +606,8 @@ def simulate_bundle(
         exited=flat(exited),
         exit_state=flat(exit_state),
         log_weights=flat(log_weights),
-        fingerprint=fp,
+        fingerprint=_bundle_fingerprint(config, domain, weighted),
+        weighted=weighted,
     )
 
 

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from kimura_lab import cli
 from kimura_lab.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -290,6 +291,9 @@ def test_unknown_scheme_is_config_error(tmp_path, capsys, name):
     ("fk", ("f",), {"exp-neg": False}),
     # a whole index past any float
     ("fk", ("f",), {"coordinate": 10**400}),
+    # validation grid bounds that are not finite
+    ("validate_model.json", ("grid", "x_hi"), math.nan),
+    ("validate_model.json", ("grid", "x_hi"), math.inf),
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, name, path, value):
     docs = {"density": DENSITY_DOC, "fk": FK_DOC, "simulate": SIMULATE_DOC,
@@ -351,11 +355,42 @@ def test_one_path_run_is_config_error(tmp_path, capsys, doc):
     assert not (tmp_path / "out" / "results.json").exists()
 
 
-def test_girsanov_at_the_largest_seed(tmp_path):
-    # the weighted bundle's seed + 1 wraps to 0 instead of leaving U64
+def spy_girsanov_bundles(monkeypatch):
+    """The per-equation bundles of every ``simulate_bundle`` call the
+    command line makes."""
+    seen, inner = [], cli.simulate_bundle
+
+    def spy(*args, **kwargs):
+        bundle = inner(*args, **kwargs)
+        seen.append(bundle.per_equation())
+        return bundle
+
+    monkeypatch.setattr(cli, "simulate_bundle", spy)
+    return seen
+
+
+def test_girsanov_at_the_largest_seed(tmp_path, monkeypatch):
+    # both equations step in one pass on the draws of the seed itself
+    seen = spy_girsanov_bundles(monkeypatch)
     code, out = run(tmp_path, GIRSANOV_DOC, "--seed", str(2**64 - 1))
     assert code == 0
     assert json.loads((out / "results.json").read_text())["seed"] == 2**64 - 1
+    [lanes] = seen
+    assert [lane.rng_stream_id(0)[0] for lane in lanes] == [2**64 - 1] * 2
+
+
+def test_girsanov_with_no_drift_change_has_a_paired_stderr_of_zero(tmp_path, monkeypatch):
+    # a constant b^ gives theta = 0: the two equations take the same steps,
+    # every weight is 1 and the per-path difference is 0
+    seen = spy_girsanov_bundles(monkeypatch)
+    code, out = run(tmp_path, {**GIRSANOV_DOC, "seed": 5})
+    assert code == 0
+    [(std, sing)] = seen
+    assert std.states.tobytes() == sing.states.tobytes()
+    assert not sing.log_weights.any()
+    results = json.loads((out / "results.json").read_text())
+    assert results["paired_stderr"] == 0.0 and results["difference"] == 0.0
+    assert results["within_3_stderr"] is True
 
 
 def test_bad_thread_variable_is_config_error(tmp_path, capsys, monkeypatch):
@@ -526,8 +561,9 @@ def assert_girsanov_consistent(tmp_path, doc):
 
 
 # theta's free rows carry e + f_y ln x - e^; the opposite sign gives a
-# weighted mean of -0.68 against +0.70 (n1m1) and a gap of 0.50 against a
-# combined stderr of 0.017 (coupled, where the free row also has a log drift)
+# weighted mean of -0.68 against +0.70 (n1m1) and a gap of 0.50 against an
+# independent-draw stderr of 0.017 (coupled, where the free row also has a
+# log drift)
 FREE_AXIS_GIRSANOV = {
     "n1m1": {
         "seed": 11,

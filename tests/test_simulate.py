@@ -636,6 +636,82 @@ class TestPackedStarts:
 
 
 # ---------------------------------------------------------------------------
+# Equations that share a block's normals
+# ---------------------------------------------------------------------------
+
+GIRSANOV_MODEL = {  # configs/girsanov_consistency.json
+    "kind": "standard", "dims": {"n": 1, "m": 0},
+    "b_hat": [{"family": "affine", "c0": 1.0, "coeffs": [0.2]}],
+}
+
+
+def girsanov_pair():
+    std_op = operator_from_json(GIRSANOV_MODEL)
+    return make_girsanov_field(std_op, derive_singular_from_standard(std_op))
+
+
+def assert_lanes_match_alone(eqs, starts, domain, config, theta, n_threads=1):
+    bundle = simulate_bundle(eqs, starts, domain, config, theta=theta, n_threads=n_threads)
+    assert bundle.n_equations == len(eqs)
+    assert bundle.n_paths == len(eqs) * bundle.n_starts * config.n_paths
+    lanes = bundle.per_equation()
+    for eq, lane in zip(eqs, lanes):
+        own = theta if eq is theta.sing else None
+        alone = simulate_bundle(eq, starts, domain, config, theta=own, n_threads=n_threads)
+        assert_same_bundle(lane, alone)
+    return lanes
+
+
+class TestSharedNoiseEquations:
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_each_lane_is_its_equation_alone(self, n_threads):
+        # a full block and a partial one; only the divergence side is weighted
+        pair = girsanov_pair()
+        cfg = PathConfig(dt=5e-3, seed=13, n_paths=RNG_BLOCK + 300, horizon=0.25,
+                         record=(0.0, 0.1, 0.25))
+        std, sing = assert_lanes_match_alone((pair.std, pair.sing), Point((1.0,), ()),
+                                             FULL1, cfg, pair, n_threads=n_threads)
+        assert std.log_weights is None and np.abs(sing.log_weights[:, -1]).max() > 0.0
+        assert std.states.tobytes() != sing.states.tobytes()
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_lanes_exit_a_box_at_their_own_steps(self, n_threads):
+        # packed starts too: rows run by equation, then start, then path
+        pair = girsanov_pair()
+        cfg = PathConfig(dt=5e-3, seed=17, n_paths=700, horizon=0.3)
+        std, sing = assert_lanes_match_alone((pair.std, pair.sing), STARTS_1D[2:5], BOX04,
+                                             cfg, pair, n_threads=n_threads)
+        assert std.exited.any() and sing.exited.any()
+        assert (std.tau != sing.tau).any()
+
+    def test_exact_scheme_and_observers_take_one_equation(self):
+        coeffs = exact_coeffs()
+        cfg = PathConfig(dt=1e-2, seed=1, n_paths=8, horizon=0.1)
+        with pytest.raises(ValueError, match="one equation"):
+            simulate_bundle((coeffs, coeffs), ORIGIN, FULL1,
+                            replace(cfg, scheme="exact-1d-gamma"))
+        with pytest.raises(ValueError, match="one equation"):
+            simulate_bundle((coeffs, coeffs), ORIGIN, FULL1, cfg,
+                            observers=(NoOpObserver(),))
+        bundle = simulate_bundle((coeffs, coeffs), ORIGIN, FULL1, cfg)
+        with pytest.raises(ValueError, match="per_equation"):
+            bundle.per_start()
+
+    def test_common_draws_shrink_the_stderr_of_the_difference(self):
+        # the committed girsanov model: the paired stderr of f_std - w f_sing
+        # against the hypot of the two means' stderrs under independent draws
+        pair = girsanov_pair()
+        cfg = PathConfig(dt=1e-3, seed=7, n_paths=16_384, horizon=1.0, record=(0.0, 1.0))
+        std, sing = simulate_bundle((pair.std, pair.sing), Point((1.0,), ()), FULL1, cfg,
+                                    theta=pair, n_threads=2).per_equation()
+        f_std = np.exp(-std.states_at(1.0)[:, 0])
+        f_sing = np.exp(sing.log_weights[:, -1]) * np.exp(-sing.states_at(1.0)[:, 0])
+        paired = mean_se(f_std - f_sing)[1]
+        independent = math.hypot(mean_se(f_std)[1], mean_se(f_sing)[1])
+        assert paired < independent / 5.0
+
+
+# ---------------------------------------------------------------------------
 # Domains with no exit boundary
 # ---------------------------------------------------------------------------
 
