@@ -9,7 +9,8 @@ the run's in-process wall seconds (``cli.main`` alone, imports already
 done), and exits 1 on any mismatch, on a listed file that was not written,
 on a written file that is not listed, or on a run that does not exit 0.
 Takes no options; the full run takes under a minute on a 2-core machine.
-The tier-1 tests run :func:`check` on the configs that take a few seconds.
+The tier-1 tests run :func:`check` on every config: the quick ones at both
+thread counts, ``girsanov_consistency`` at one thread.
 
     python3 scripts/config_hashes.py
 """

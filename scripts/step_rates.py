@@ -1,23 +1,31 @@
 """Time one scheme step per model class: the per-step table of ROADMAP.md.
 
-Each row is one ``simulate._advance_block`` call on a 4096-path block with
+Each row of the first table is one step of a bundle's stepping loop
+(``simulate._Lanes.step``) over the workspace of a 4096-path block with
 ``dt = 1e-3``, timed as the best of 5 repeats of 200 calls and printed in
-milliseconds per call.  The states are ``1 + 0.5 U(0, 1)`` on the degenerate
-axis and standard normal on the free one; the normals are drawn once.  The
-models are those of the committed configs (girsanov, harnack, validate) plus
-the validate model with ``a^ = 0.2`` and ``c^ = 0.3``, each derived model
-with and without its drift-change field ``theta``.  Beside the girsanov rows
-stand one block's normal draw and one step of the ``girsanov`` command's
-pair: a draw, then the standard and the weighted equation on it, as
-``simulate_bundle`` steps the two.  The last row times the exact scheme's
-draw.
+milliseconds per call.  The states are ``1 + 0.5 U(0, 1)`` on the
+degenerate axis and standard normal on the free one; the normals are drawn
+once.  The models are those of the committed configs (girsanov, harnack,
+validate) plus the validate model with ``a^ = 0.2`` and ``c^ = 0.3``, each
+derived model with and without its drift-change field ``theta``.  Beside
+the girsanov rows stand one block's normal draw, one step of the
+``girsanov`` command's pair (a one-step draw, then both equations as two
+lanes on it, as ``simulate_bundle`` steps them) and the same pair per step
+of a whole bundle through ``simulate.simulate_bundle`` (4096 paths, 1000
+steps, the command's eleven record times; best of 5 bundles).  The last row
+times the exact scheme's draw.
 
-A second table times a harnack-model scan through ``simulate.simulate_bundle``
-in nanoseconds per path-step: 15 starts on the ``[0, 4]`` box of
+A second table times a harnack-model scan through ``simulate_bundle`` in
+nanoseconds per path-step: 15 starts on the ``[0, 4]`` box of
 ``configs/harnack_scan.json``, 100 steps of ``dt = 2e-3`` with exits, as one
 packed bundle and as 15 one-start bundles, at 512 and 4096 paths a start
-(best of 5 repeats of 3 scans).  Takes no options; both tables take about a
-minute on a 2-core machine.
+(best of 5 repeats of 3 scans).
+
+A last line runs ``configs/harnack_scan.json`` through ``cli.main`` at
+``--threads 1`` in a fresh process and prints the wall seconds and minor
+page faults (``resource.getrusage``) of that call, imports excluded: the
+first large packed groups of a process are where page faults show.  Takes
+no options; it all takes about a minute on a 2-core machine.
 
     python3 scripts/step_rates.py
 """
@@ -26,6 +34,7 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 import sys
 import time
 from dataclasses import replace
@@ -42,7 +51,7 @@ from kimura_lab.sde import (  # noqa: E402
     build_sde_coefficients,
     make_girsanov_field,
 )
-from kimura_lab.simulate import RNG_BLOCK, PathConfig  # noqa: E402
+from kimura_lab.simulate import RNG_BLOCK, PathConfig, _Lanes, _Workspace  # noqa: E402
 
 REPEATS, CALLS, SCAN_CALLS = 5, 200, 3
 CONFIG = PathConfig(dt=1e-3, seed=0, n_paths=RNG_BLOCK, horizon=1.0)
@@ -76,23 +85,65 @@ def _states_and_normals(dims) -> tuple[np.ndarray, np.ndarray]:
     return states, rng.standard_normal((RNG_BLOCK, dims.total))
 
 
+def _workspace(eqs, thetas, config):
+    """A one-step draw's workspace for ``eqs`` on one block of fixed states."""
+    states, xi = _states_and_normals(eqs[0].dims)
+    lanes = _Lanes(eqs, thetas, config)
+    ws = _Workspace(lanes, states, RNG_BLOCK, 1)
+    ws.xi[0] = xi
+    lanes.read_draw(ws, 1)
+    return lanes, ws
+
+
 def _step(coeffs, theta=None, scheme=CONFIG.scheme):
-    states, xi = _states_and_normals(coeffs.dims)
-    config = replace(CONFIG, scheme=scheme)
-    return lambda: simulate._advance_block(coeffs, theta, config, states, xi, 1)
+    lanes, ws = _workspace([coeffs], [theta], replace(CONFIG, scheme=scheme))
+    return lambda: lanes.step(ws, 1, 0)
 
 
 def _pair_step(pair):
-    """One draw, then the standard and the weighted step on it."""
-    states, _ = _states_and_normals(pair.dims)
+    """A one-step draw, then the standard and the weighted lane on it."""
+    lanes, ws = _workspace([pair.std, pair.sing], [None, pair], CONFIG)
     rng = simulate._block_rng(0, 0)
 
     def step():
-        xi = rng.standard_normal((RNG_BLOCK, pair.dims.total))
-        simulate._advance_block(pair.std, None, CONFIG, states, xi, 1)
-        simulate._advance_block(pair.sing, pair, CONFIG, states, xi, 1)
+        lanes.draw(ws, rng, 1)
+        lanes.step(ws, 1, 0)
 
     return step
+
+
+def _pair_bundle(pair):
+    """The ``girsanov`` command's bundle, timed per step."""
+    config = replace(CONFIG, record=tuple(0.1 * i for i in range(11)))
+    start, domain = Point((1.0,), ()), DomainSpec.full_space(pair.dims)
+
+    def run():
+        simulate.simulate_bundle((pair.std, pair.sing), start, domain, config, theta=pair)
+
+    return run, config.n_steps
+
+
+def _fresh_scan() -> str:
+    """Wall seconds and minor page faults of ``cli.main`` on
+    ``configs/harnack_scan.json`` at one thread, in a fresh process."""
+    code = """
+import contextlib, io, resource, sys, tempfile, time
+sys.path.insert(0, sys.argv[1])
+from kimura_lab.cli import main
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    start = time.perf_counter()
+    main(["--config", sys.argv[2], "--out", out, "--threads", "1"])
+    wall = time.perf_counter() - start
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+print(f"{wall:.3f} {faults}")
+"""
+    config = os.path.join(ROOT, "configs", "harnack_scan.json")
+    out = subprocess.run(
+        [sys.executable, "-c", code, os.path.join(ROOT, "src"), config],
+        check=True, capture_output=True, text=True,
+    ).stdout.split()
+    return f"{out[0]} s, {int(out[1]):,} minor page faults"
 
 
 def _derived_rows(label: str, std_op) -> list:
@@ -132,6 +183,7 @@ def main() -> None:
     exact = simulate._ExactGammaParams(harnack)
     x = np.full(RNG_BLOCK, 1.0)
     pair = make_girsanov_field(girsanov, derive_singular_from_standard(girsanov))
+    bundle, bundle_steps = _pair_bundle(pair)
     rows = [
         ("standard 1D (girsanov config)", _step(pair.std)),
         *_derived_rows("1D (girsanov config)", girsanov),
@@ -139,7 +191,7 @@ def main() -> None:
             f"one standard_normal(({RNG_BLOCK}, 1)) draw from a block's Philox",
             lambda rng=simulate._block_rng(0, 0): rng.standard_normal((RNG_BLOCK, 1)),
         ),
-        ("girsanov pair: one draw, standard and weighted step on it", _pair_step(pair)),
+        ("girsanov pair: a one-step draw, both lanes stepped on it", _pair_step(pair)),
         ("singular 1D, constant b (harnack config)", _step(harnack)),
         ("the same, euler-implicit-sqrt", _step(harnack, scheme="euler-implicit-sqrt")),
         *_derived_rows("n=1, m=1 (validate config)", operator_from_json(validate)),
@@ -153,10 +205,15 @@ def main() -> None:
     print("| model | ms/step |\n|---|---|")
     for label, fn in rows:
         print(f"| {label} | {1e3 * _best_s(fn):.3f} |", flush=True)
+    per_step = _best_s(bundle, 1) / bundle_steps
+    print(f"| girsanov pair per step of a {bundle_steps}-step bundle (simulate_bundle) "
+          f"| {1e3 * per_step:.3f} |", flush=True)
     print(f"\nharnack-model scan through simulate_bundle, best of {REPEATS} x {SCAN_CALLS}")
     print("| scan | ns/path-step |\n|---|---|")
     for label, fn, path_steps in _scan_rows(harnack):
         print(f"| {label} | {1e9 * _best_s(fn, SCAN_CALLS) / path_steps:.2f} |", flush=True)
+    print(f"\nconfigs/harnack_scan.json, cli.main at one thread in a fresh process: "
+          f"{_fresh_scan()}")
 
 
 if __name__ == "__main__":

@@ -293,8 +293,11 @@ def check_symmetry(
 ):
     """Kernel-smoothed density from ``z0`` at ``z1`` and vice versa.
 
-    Both directions reuse the same bandwidth; an untrusted flag is raised when
-    fewer than 100 samples land in the kernel support.  Returns two
+    The two directions are the two starts of one bundle at ``config.seed``,
+    so they step on common random numbers and each step draws once; at
+    ``z0 = z1`` the two estimates are equal.  Both directions reuse the same
+    bandwidth; an untrusted flag is raised when fewer than 100 samples land
+    in the kernel support.  Returns two
     :class:`~kimura_lab.feynman_kac.Estimate` objects.
     """
     from .feynman_kac import Estimate
@@ -302,11 +305,10 @@ def check_symmetry(
     dims = measure.dims
     domain = DomainSpec.full_space(dims)
     cfg = replace(config, horizon=t, record=(0.0, t))
+    both = simulate_bundle(coeffs, [z0, z1], domain, cfg, n_threads=n_threads)
     out = []
     shared_h = bandwidth
-    for start, target, seed_shift in ((z0, z1, 0), (z1, z0, 1)):
-        cfg_i = replace(cfg, seed=(config.seed + seed_shift) % 2**64)
-        bundle = simulate_bundle(coeffs, start, domain, cfg_i, n_threads=n_threads)
+    for bundle, target in zip(both.per_start(), (z1, z0)):
         if shared_h is None:
             shared_h = _silverman(_chart(bundle.states_at(t), dims.n))
         value, stderr, count = kde_density_at(

@@ -46,6 +46,11 @@ class ScalarField:
     def evaluate_batch(self, states: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def evaluate_into(self, states: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """:meth:`evaluate_batch` written into ``out``, shape (...,)."""
+        np.copyto(out, self.evaluate_batch(states))
+        return out
+
     def partial(self, axis: int) -> "ScalarField":
         return FDPartialField(self, axis)
 
@@ -82,18 +87,22 @@ class AffineField(ScalarField):
 
     def evaluate_batch(self, states: np.ndarray) -> np.ndarray:
         states = np.asarray(states, dtype=float)
+        return self.evaluate_into(states, np.empty(states.shape[:-1]))
+
+    def evaluate_into(self, states: np.ndarray, out: np.ndarray) -> np.ndarray:
         if states.shape[-1] != self.coeffs.shape[0]:
             raise DimensionMismatchError(
                 f"affine field expects {self.coeffs.shape[0]} coords, "
                 f"got {states.shape[-1]}"
             )
         if not self._terms:
-            return np.full(states.shape[:-1], self.c0)
-        (k, c), *rest = self._terms
-        total = c * states[..., k]
-        for k, c in rest:
-            total += c * states[..., k]
-        return self.c0 + total
+            out[...] = self.c0
+            return out
+        k, c = self._terms[0]
+        np.multiply(states[..., k], c, out=out)
+        for k, c in self._terms[1:]:
+            out += c * states[..., k]
+        return np.add(out, self.c0, out=out)
 
     def partial(self, axis: int) -> ScalarField:
         return ConstantField(float(self.coeffs[axis]))

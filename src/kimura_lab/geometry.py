@@ -466,6 +466,8 @@ class DomainSpec:
     ``contains_underline`` tests the open set together with the degenerate
     boundary portion (the part of the topological boundary lying inside
     ``{x_i = 0}`` faces), which is where simulated paths are allowed to live;
+    called as ``contains_underline(states, out=mask)`` it writes its answer
+    into a boolean ``mask`` of shape ``states.shape[:-1]``;
     :meth:`membership` tests the open set alone.  ``interior_boundary_distance``
     is a signed distance to the non-degenerate boundary only (positive inside,
     negative outside, +inf when there is none).  ``has_exit_boundary`` is
@@ -524,9 +526,15 @@ class DomainSpec:
         # a face x_i = 0 is closed: s > nextafter(0, -inf) is s >= 0
         above = np.where(deg_lo_open, np.nextafter(0.0, -np.inf), lo)
 
-        def underline(states: np.ndarray) -> np.ndarray:
+        def underline(states: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             states = np.asarray(states, dtype=float)
-            return np.all((states > above) & (states < hi), axis=-1)
+            if states.shape[-1] != 1:
+                return np.all((states > above) & (states < hi), axis=-1, out=out)
+            # one coordinate: the two bounds' test is the answer
+            col = states[..., 0]
+            out = np.greater(col, above[0], out=out)
+            out &= col < hi[0]
+            return out
 
         def distance(states: np.ndarray) -> np.ndarray:
             states = np.asarray(states, dtype=float)
@@ -571,12 +579,15 @@ class DomainSpec:
                 for (lo, hi), (clo, chi) in zip(box, bounding_box)
             )
 
-        def underline(states: np.ndarray) -> np.ndarray:
+        def underline(states: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             states = np.asarray(states, dtype=float)
             ok = b.contains_batch(states)
             for i in range(dims.n):
                 ok = ok & (states[..., i] >= 0.0)
-            return ok
+            if out is None:
+                return ok
+            np.copyto(out, ok)
+            return out
 
         def distance(states: np.ndarray) -> np.ndarray:
             states = np.asarray(states, dtype=float)
@@ -614,11 +625,11 @@ class DomainSpec:
         if np.any(norms == 0.0):
             raise ValueError("zero normal vector")
 
-        def underline(states: np.ndarray) -> np.ndarray:
+        def underline(states: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             states = np.asarray(states, dtype=float)
             ok = base.contains_underline(states)
             slack = cvec - states @ A.T
-            return ok & np.all(slack > 0.0, axis=-1)
+            return np.logical_and(ok, np.all(slack > 0.0, axis=-1), out=out)
 
         def distance(states: np.ndarray) -> np.ndarray:
             states = np.asarray(states, dtype=float)

@@ -54,6 +54,7 @@ __all__ = [
     "CheckResult",
     "derive_singular_from_standard",
     "LatticeField",
+    "Scratch",
     "operator_from_json",
 ]
 
@@ -67,6 +68,19 @@ VALIDATION_SEED = 0
 FACE_TOL = 1e-10
 # the most nodes a derived drift weight's solve lattice may have
 MAX_LATTICE_NODES = 2**20
+
+
+class Scratch(dict):
+    """Arrays a step lends to its kernels by name, kept from one step to the
+    next so that a stepping loop allocates each once.  A kernel called on its
+    own gets a fresh, empty one.  Not shared between threads."""
+
+    def take(self, name: str, shape: tuple) -> np.ndarray:
+        """The array kept under ``name``, made anew when it has another shape."""
+        a = self.get(name)
+        if a is None or a.shape != shape:
+            a = self[name] = np.empty(shape)
+        return a
 
 
 @dataclass(frozen=True)
@@ -136,8 +150,16 @@ class StandardOperatorSpec(_OperatorBase):
         """``(b^, e^)``, shape (..., n+m).  The standard form has no log drift;
         the other arguments are those of the divergence side and unused."""
         states = np.asarray(states, dtype=float)
-        b = self.b_hat.evaluate_batch(states)
-        return np.concatenate([b, self.free_drift(states)], -1) if self.dims.m else b
+        out = np.empty(states.shape[:-1] + (self.dims.total,))
+        self.drift_into(states, log_clamp_eps, out, Scratch())
+        return out
+
+    def drift_into(self, states, log_clamp_eps, out, scratch, log_sum=None) -> None:
+        """:meth:`drift` written into ``out``, each entry straight into its
+        column; returns None, the log drift the standard form does not have."""
+        for i, entry in enumerate(self.b_hat.entries + self.e_hat.entries):
+            entry.evaluate_into(states, out[..., i])
+        return None
 
     def free_drift(self, states: np.ndarray) -> np.ndarray:
         """Free rows of :meth:`drift`, ``e^``, shape (..., m)."""
@@ -203,44 +225,68 @@ class SingularOperatorSpec(_OperatorBase):
         is constant.  A state-free ``f`` is contracted as the one matrix
         built with the spec.  With ``eps = 0`` a state on a face ``x_j = 0``
         gives an infinite log."""
-        return self._log_drift(np.asarray(states, dtype=float), log_clamp_eps, {})
+        return self._log_drift(np.asarray(states, dtype=float), log_clamp_eps, {}, Scratch())
 
-    def _log_drift(self, states, log_clamp_eps, memo) -> np.ndarray | None:
+    def _log_drift(self, states, log_clamp_eps, memo, scratch) -> np.ndarray | None:
+        """:meth:`log_drift` in the scratch array ``log_sum``."""
         if not self._f:
             return None
+        n, lead = self.dims.n, states.shape[:-1]
         f = self._f_matrix
         if f is None:
-            f = _evaluate(self._f, states, (self.dims.total, self.dims.n), memo)
-        with np.errstate(divide="ignore"):
-            logs = np.log(np.maximum(states[..., : self.dims.n], log_clamp_eps))
+            f = _evaluate(self._f, states, (self.dims.total, n), memo,
+                          scratch.take("f", lead + (self.dims.total, n)))
+        logs = np.maximum(states[..., :n], log_clamp_eps, out=scratch.take("logs", lead + (n,)))
+        if log_clamp_eps > 0.0:
+            np.log(logs, out=logs)
+        else:
+            with np.errstate(divide="ignore"):
+                np.log(logs, out=logs)
+        out = scratch.take("log_sum", states.shape)
+        if f.shape[-2:] == (1, 1):
+            # einsum's one-term sum: +0.0 plus the product, which turns a
+            # product of -0.0 into +0.0
+            np.multiply(logs, f[..., 0], out=out)
+            return np.add(out, 0.0, out=out)
         # one contraction for a per-state and a state-free f: the same sums
-        return np.einsum("...rj,...j->...r", f, logs)
+        return np.einsum("...rj,...j->...r", f, logs, out=out)
 
     def drift(self, states, log_clamp_eps=0.0, log_sum=None) -> np.ndarray:
         """``(g + x * (f . ln x), e + f . ln x)``, shape (..., n+m), with the
         :meth:`log_drift` ``f . ln x``; ``log_sum`` passes in that result when
         the caller already has it for these states."""
-        n = self.dims.n
         states = np.asarray(states, dtype=float)
+        out = np.empty(states.shape[:-1] + (self.dims.total,))
+        self.drift_into(states, log_clamp_eps, out, Scratch(), log_sum)
+        return out
+
+    def drift_into(self, states, log_clamp_eps, out, scratch, log_sum=None):
+        """:meth:`drift` written into ``out``; returns the log drift it read
+        (None when there is none), computed into ``scratch`` unless given.
+
+        Every live term of ``g`` and ``e`` is written into its slot of
+        ``out`` before the log drift is added to the rows."""
+        n, m = self.dims.n, self.dims.m
         memo = {}
         if log_sum is None:
-            log_sum = self._log_drift(states, log_clamp_eps, memo)
-        g = _evaluate(self._g, states, (n,), memo)
+            log_sum = self._log_drift(states, log_clamp_eps, memo, scratch)
+        g = _evaluate(self._g, states, (n,), memo, out[..., :n])
+        if m:
+            _evaluate(self._e, states, (m,), memo, out[..., n:])
         if log_sum is not None:
-            g = g + states[..., :n] * log_sum[..., :n]
-        if not self.dims.m:
-            return g
-        return np.concatenate([g, self._free_drift(states, log_sum, memo)], -1)
+            x_log = np.multiply(states[..., :n], log_sum[..., :n],
+                                out=scratch.take("x_log", states.shape[:-1] + (n,)))
+            np.add(g, x_log, out=g)
+            if m:
+                np.add(out[..., n:], log_sum[..., n:], out=out[..., n:])
+        return log_sum
 
     def free_drift(self, states, log_clamp_eps=0.0, log_sum=None) -> np.ndarray:
         """Free rows of :meth:`drift`, ``e + f_y . ln x``, shape (..., m)."""
         states = np.asarray(states, dtype=float)
         memo = {}
         if log_sum is None and self.dims.m:
-            log_sum = self._log_drift(states, log_clamp_eps, memo)
-        return self._free_drift(states, log_sum, memo)
-
-    def _free_drift(self, states, log_sum, memo) -> np.ndarray:
+            log_sum = self._log_drift(states, log_clamp_eps, memo, Scratch())
         e = _evaluate(self._e, states, (self.dims.m,), memo)
         return e if log_sum is None else e + log_sum[..., self.dims.n :]
 
@@ -400,12 +446,24 @@ def _value(term, states: np.ndarray, memo: dict):
     return memo[term]
 
 
-def _evaluate(terms, states: np.ndarray, shape: tuple, memo: dict) -> np.ndarray:
+def _evaluate(terms, states: np.ndarray, shape: tuple, memo: dict, out=None) -> np.ndarray:
     """The ``(index, term)`` pairs of an identity at ``states``, shape
-    (...,) + ``shape``, with +0.0 where no term is live."""
-    out = np.zeros(states.shape[:-1] + shape)
+    (...,) + ``shape``, with +0.0 where no term is live; written into
+    ``out`` when given.
+
+    A field not yet in ``memo`` is evaluated straight into its slot, which
+    then stands for it in ``memo``: the caller changes no slot while it
+    still reads ``memo``."""
+    if out is None:
+        out = np.empty(states.shape[:-1] + shape)
+    if len(terms) < math.prod(shape):
+        out[...] = 0.0
     for index, term in terms:
-        out[(Ellipsis,) + index] = _value(term, states, memo)
+        slot = out[(Ellipsis,) + index]
+        if isinstance(term, (float, _Coordinate, _Combination)) or term in memo:
+            slot[...] = _value(term, states, memo)
+        else:
+            memo[term] = term.evaluate_into(states, slot)
     return out
 
 

@@ -12,6 +12,13 @@ module compiles a spec into a step plan, takes the dispersion root ``sigma``
 of ``D``, and builds the drift-change field ``theta`` tying the two equations
 together.  The plan keeps what the spec calls state-free, evaluated once: the
 drift and the root of ``D`` (or its diagonal).
+
+Each equation's drift and noise, and the field's ``theta``, are kernels
+(``drift_into``, ``noise_into``, ``theta_into``) that write into arrays the
+caller lends, with a :class:`~kimura_lab.operators.Scratch` for what they
+need on the way: a stepping loop runs them on its workspace, and
+``drift_batch``, ``noise_batch`` and ``theta_batch`` run them on fresh
+arrays.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .errors import (
 )
 from .geometry import StateSpaceDims
 from .operators import (
+    Scratch,
     SingularOperatorSpec,
     StandardOperatorSpec,
 )
@@ -111,11 +119,18 @@ class _Coefficients:
         when the caller already has it.  A folded drift has no log drift.
         """
         states = np.asarray(states, dtype=float)
-        if self.plan.drift is None:
-            return self.source.drift(states, log_clamp_eps, log_sum)
         out = np.empty(states.shape)
-        out[...] = self.plan.drift
+        self.drift_into(states, log_clamp_eps, out, Scratch(), log_sum)
         return out
+
+    def drift_into(self, states, log_clamp_eps, out, scratch, log_sum=None):
+        """The drift kernel: :meth:`drift_batch` written into ``out``, with
+        any array it needs on the way taken from ``scratch``.  Returns the
+        log drift it read, None when the model has none."""
+        if self.plan.drift is not None:
+            np.copyto(out, self.plan.drift)
+            return None
+        return self.source.drift_into(states, log_clamp_eps, out, scratch, log_sum)
 
     def sigma_batch(self, states: np.ndarray) -> np.ndarray:
         states = np.asarray(states, dtype=float)
@@ -129,11 +144,16 @@ class _Coefficients:
         """``sigma(z) xi`` per state for a block of standard normals ``xi``;
         ``sigma`` passes in :meth:`sigma_batch` for these states when the
         caller already has it."""
+        return self.noise_into(states, xi, np.empty(np.shape(xi)), sigma)
+
+    def noise_into(self, states, xi, out, sigma=None) -> np.ndarray:
+        """The noise kernel: :meth:`noise_batch` written into ``out``.  A
+        state-free root (``plan.sigma``) reads ``states`` for its shape only."""
         if self.plan.sigma_diag is not None:
-            return xi * self.plan.sigma_diag
+            return np.multiply(xi, self.plan.sigma_diag, out=out)
         if sigma is None:
             sigma = self.sigma_batch(states)
-        return np.einsum("pij,pj->pi", sigma, xi)
+        return np.einsum("pij,pj->pi", sigma, xi, out=out)
 
 
 @dataclass(frozen=True)
@@ -187,40 +207,27 @@ def build_standard_sde_coefficients(std: StandardOperatorSpec) -> StandardSdeCoe
 # ---------------------------------------------------------------------------
 
 
-def _theta_rhs(
-    std: StandardSdeCoefficients,
-    sing: SdeCoefficients,
-    states: np.ndarray,
-    log_clamp_eps: float,
-    log_sum: np.ndarray | None = None,
-    drift: np.ndarray | None = None,
-    root_x: np.ndarray | None = None,
-) -> np.ndarray:
-    """A fresh array: the degenerate rows alone when there are no free ones."""
+def _theta_rhs(std, sing, states, log_clamp_eps, out, scratch, log_sum, drift, root_x) -> None:
+    """The drift gap in the noise coordinates, written into ``out``."""
     n, m = sing.dims.n, sing.dims.m
-    states = np.asarray(states, dtype=float)
     if log_sum is None:
-        log_sum = sing.source.log_drift(states, log_clamp_eps)
-    if log_sum is not None:
+        log_sum = sing.source._log_drift(states, log_clamp_eps, {}, scratch)
+    if log_sum is None:
+        out[..., :n] = 0.0
+    else:
         # Degenerate rows: g = b^ by derivation, so the drift gap is
         # x_i (f . ln x)_i.  Its quotient by sqrt(x_i) is written as
         # sqrt(x_i) (f . ln x)_i, which stays finite on the face x_i = 0.
         if root_x is None:
             root_x = np.sqrt(np.maximum(states[..., :n], 0.0))
-        x_rows = root_x * log_sum[..., :n]
-        if not m:
-            return x_rows
-    rhs = np.zeros(states.shape[:-1] + (n + m,))
-    if log_sum is not None:
-        rhs[..., :n] = x_rows
+        np.multiply(root_x, log_sum[..., :n], out=out[..., :n])
     if m:
         # Free rows: the divergence-side minus the standard-side free drift.
         if drift is None:
             sing_free = sing.source.free_drift(states, log_clamp_eps, log_sum)
         else:
             sing_free = drift[..., n:]
-        rhs[..., n:] = sing_free - std.source.free_drift(states)
-    return rhs
+        np.subtract(sing_free, std.source.free_drift(states), out=out[..., n:])
 
 
 @dataclass(frozen=True)
@@ -263,15 +270,25 @@ class GirsanovField:
         ``sigma`` its ``sigma_batch`` (used when :attr:`shares_root`) and
         ``root_x`` the degenerate coordinates' ``sqrt(max(x, 0))``."""
         states = np.asarray(states, dtype=float)
-        rhs = _theta_rhs(self.std, self.sing, states, log_clamp_eps, log_sum, drift, root_x)
+        return self.theta_into(states, log_clamp_eps, np.empty(states.shape), Scratch(),
+                               log_sum, sigma, drift, root_x)
+
+    def theta_into(
+        self, states, log_clamp_eps, out, scratch, log_sum=None, sigma=None, drift=None,
+        root_x=None,
+    ) -> np.ndarray:
+        """The drift-change kernel: :meth:`theta_batch` written into ``out``,
+        with any array it needs on the way taken from ``scratch``."""
+        _theta_rhs(self.std, self.sing, states, log_clamp_eps, out, scratch, log_sum, drift,
+                   root_x)
         if self.divisor is not None:
-            rhs /= self.divisor
-            return rhs
+            return np.divide(out, self.divisor, out=out)
         sig = sigma if sigma is not None and self.shares_root else self.std.sigma_batch(states)
         try:
-            return np.linalg.solve(sig, rhs[..., None])[..., 0]
+            out[...] = np.linalg.solve(sig, out[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise EllipticityViolationError(f"standard dispersion is singular: {exc}")
+        return out
 
 
 def make_girsanov_field(

@@ -18,13 +18,16 @@ The streams do not depend on the start point, so one bundle may hold several
 start points under one configuration; start ``s`` owns paths
 ``s * n_paths .. (s + 1) * n_paths - 1`` and draws exactly the normals its own
 bundle would.  Starts are packed: the copies of a block from as many starts
-as fit in ``PACK_ROWS`` rows are stepped as one array, which draws the
-block's normals once per step and repeats them for every start in it; full
+as fit in ``PACK_ROWS`` rows form one group, stepped as one array on the
+block's normals, which a step broadcasts over the starts; full
 ``RNG_BLOCK``-path blocks pack too.  Each start's paths are therefore
 bit-equal to a bundle of that start alone, while a scan of many starts takes
-a few large steps instead of many small ones.  The exact scheme draws from
-the state, so its starts are never packed; on a domain no path can leave it
-steps from one record time to the next in one draw.
+a few large steps instead of many small ones.  A group draws its block's
+normals as many steps at a time as fit ``DRAW_FLOATS`` floats, never past the
+last step, which gives the bytes of one draw a step.  The exact scheme draws
+from the state, one step at a time, so its starts are never packed; on a
+domain no path can leave it steps from one record time to the next in one
+draw.
 
 Several equations of one dimension share a block's normals as starts do: a
 bundle of the standard equation and its weighted divergence-form twin steps
@@ -32,6 +35,17 @@ both on each draw, so the drift-change check compares them under common
 random numbers for the cost of one draw.  Rows are ordered by equation, then
 start, then path; ``PathBundle.per_equation`` splits them into one bundle per
 equation, each bit-equal to a run of that equation alone.
+
+Each equation is a lane of every group, and each group steps in one
+workspace, made when the group starts: the states of every lane, the draw,
+its noise and the arrays the kernels need on the way.  The equations'
+kernels (``drift_into``, ``noise_into`` and ``theta_into`` of
+:mod:`kimura_lab.sde`) write into it with ``out=``; the scheme update, the
+finiteness test, the freeze, the exit test, the log weights and the record
+write each run once a step over every lane.  A step thus allocates nothing
+the size of its group, so a large group pays no page faults step after
+step.  The ufuncs are those of the unfolded assembly in the same order, so
+every output is byte-identical to it.
 """
 
 from __future__ import annotations
@@ -52,6 +66,7 @@ from .errors import (
     NumericFailureError,
 )
 from .geometry import DomainSpec, Point, StateSpaceDims
+from .operators import Scratch
 from .sde import GirsanovField, SdeCoefficients, StandardSdeCoefficients
 
 __all__ = [
@@ -68,8 +83,10 @@ __all__ = [
 
 RNG_BLOCK = 4096
 # rows of one packed step array: from 16 blocks up a scan steps no faster,
-# while the step's temporaries grow with the budget
+# while the group's workspace grows with the budget
 PACK_ROWS = 16 * RNG_BLOCK
+# normals of one draw: as many steps of a block as fit, at least one
+DRAW_FLOATS = 16_384
 SCHEMES = ("euler-projected", "euler-implicit-sqrt", "exact-1d-gamma")
 RECORD_MODES = ("auto", "all", "ends")
 _AUTO_RECORD_BUDGET = 64_000_000  # floats
@@ -334,82 +351,225 @@ class _ExactGammaParams:
         return s * rng.noncentral_chisquare(2.0 * self.b0, x / s)
 
 
-def _log_weight_increment(
-    th: np.ndarray, xi: np.ndarray, sqdt: float, dt: float
-) -> np.ndarray:
-    """``-theta . xi sqrt(dt) - |theta|^2 dt / 2`` per path, each dot product
-    summed from +0 as ``einsum`` sums it.  With one noise column the sum is
-    ``-((0 + p) + q)`` for ``p = theta xi sqrt(dt)`` and ``q = |theta|^2 dt / 2``,
-    and as ``q`` is never -0 that has the bits of ``-(p + q)``."""
+def _log_weight_drop(th, sxi, dt: float, out: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``theta . xi sqrt(dt) + |theta|^2 dt / 2`` per path, the amount by
+    which a step lowers the log weight, written into ``out`` from
+    ``sxi = sqrt(dt) xi``, with ``q`` for ``|theta|^2 dt / 2``.
+
+    Each dot product is summed from +0 as ``einsum`` sums it, so the
+    weight's increment ``-theta . xi sqrt(dt) - |theta|^2 dt / 2`` has the
+    bits of the negated drop, and ``logw - drop`` those of ``logw +
+    increment``.  With one noise column ``sxi`` may hold one block's rows,
+    repeated for every start of ``th``, and the drop is ``(0 + p) + q`` for
+    ``p = theta sxi``: as ``q`` is never -0, the bits of ``p + q``."""
     if th.shape[1] != 1:
-        return -np.einsum("pi,pi->p", th, sqdt * xi) - 0.5 * dt * np.einsum(
-            "pi,pi->p", th, th
-        )
+        np.einsum("pi,pi->p", th, sxi, out=out)
+        np.einsum("pi,pi->p", th, th, out=q)
+        q *= 0.5 * dt
+        return np.add(out, q, out=out)
     th = th[:, 0]
-    out = th * (sqdt * xi[:, 0])
-    q = th * th
+    nb = sxi.shape[0]
+    np.multiply(th.reshape(-1, nb), sxi[:, 0], out=out.reshape(-1, nb))
+    np.multiply(th, th, out=q)
     q *= 0.5 * dt
-    out += q
-    return np.negative(out, out=out)
+    return np.add(out, q, out=out)
 
 
-def _advance_block(
-    coeffs,
-    theta: GirsanovField | None,
-    config: PathConfig,
-    states: np.ndarray,
-    xi: np.ndarray,
-    step_index: int,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """One Euler step of a block from standard normals ``xi``; returns
-    ``(new_states, log_weight_delta)``, the delta None without ``theta``.
+class _Lanes:
+    """The equations of one bundle, compiled once for stepping.
 
-    ``states`` may stack the copies of one block from several starts; ``xi``
-    holds one row per block path and is repeated for each copy.  A single
-    step is a one-row call.
+    A lane is one equation over the rows of a group: the copies of one
+    block for each start the group packs.  What each step plan folds
+    decides here, once, what a step does per lane: a folded drift is never
+    evaluated (with every lane folded the update adds ``drift * dt``, made
+    here), a state-free root makes the noise a function of the normals
+    alone, made once a draw and once for all lanes when their roots are
+    equal, and only a weighted lane runs theta.  The scheme update and the
+    finiteness test run once for every lane.
     """
-    n = coeffs.dims.n
-    nb = xi.shape[0]
-    if states.shape[0] > nb:
-        xi = np.tile(xi, (states.shape[0] // nb, 1))
-    dt = config.dt
-    eps = config.log_clamp_eps
-    sqdt = np.sqrt(dt)
-    logw_delta = sigma = None
-    # sqrt(x) of the noise term, both schemes, and of theta's degenerate rows
-    root_x = np.sqrt(np.maximum(states[:, :n], 0.0))
-    if theta is None:
-        drift = coeffs.drift_batch(states, eps)
-    else:
-        # theta.sing is coeffs: f . ln x and the drift serve theta too, and
-        # a shared root the noise and theta
-        log_sum = coeffs.source.log_drift(states, eps)
-        drift = coeffs.drift_batch(states, eps, log_sum)
-        if theta.shares_root:
-            sigma = coeffs.sigma_batch(states)
-        th = theta.theta_batch(states, eps, log_sum, sigma, drift, root_x)
-        logw_delta = _log_weight_increment(th, xi, sqdt, dt)
-    noise = coeffs.noise_batch(states, xi, sigma)
-    new = states + drift * dt
-    if config.scheme == "euler-implicit-sqrt":
-        # drift-implicit in the sqrt chart on x-rows
-        D = coeffs.source.diffusion_matrix(states)
-        for i in range(n):
-            B = root_x[:, i] + 0.5 * noise[:, i] * sqdt
-            disc = B * B + 2.0 * (drift[:, i] - 0.25 * D[..., i, i]) * dt
-            ynew = 0.5 * (B + np.sqrt(np.maximum(disc, 0.0)))
-            new[:, i] = ynew * ynew
-    elif n:
-        new[:, :n] += root_x * noise[:, :n] * sqdt
-        np.maximum(new[:, :n], 0.0, out=new[:, :n])
-    if coeffs.dims.m:
-        new[:, n:] += noise[:, n:] * sqdt
-    if not np.isfinite(new).all():
-        bad = int(np.flatnonzero(~np.isfinite(new).all(axis=1))[0])
-        raise NumericFailureError(
-            f"non-finite state at step {step_index} (block path {bad % nb})"
+
+    def __init__(self, eqs: list, thetas: list, config: PathConfig):
+        self.eqs, self.thetas = eqs, thetas
+        self.dims = eqs[0].dims
+        self.dt, self.eps = config.dt, config.log_clamp_eps
+        self.sqdt = np.sqrt(config.dt)
+        self.implicit = config.scheme == "euler-implicit-sqrt"
+        self.folded = [eq.plan.drift is not None for eq in eqs]
+        self.drift_dt = None
+        if all(self.folded):
+            self.drift_dt = np.stack([eq.plan.drift * config.dt for eq in eqs])[:, None, :]
+        # the lanes whose noise a draw gives; the others take the root of their state
+        self.free_noise = [e for e, eq in enumerate(eqs) if eq.plan.sigma is not None]
+        self.shared_noise = len(self.free_noise) == len(eqs) and all(
+            np.array_equal(eq.plan.sigma, eqs[0].plan.sigma) for eq in eqs
         )
-    return new, logw_delta
+        if self.shared_noise:
+            self.free_noise = [0]
+        weighted = [e for e, th in enumerate(thetas) if th is not None]
+        self.weighted = slice(weighted[0], weighted[-1] + 1) if weighted else None
+        # the lanes a step visits one by one: (lane, equation, theta, folded)
+        self.visited = [
+            (e, eq, theta, folded)
+            for e, (eq, theta, folded) in enumerate(zip(eqs, thetas, self.folded))
+            if not folded or eq.plan.sigma is None or theta is not None
+        ]
+
+    def draw(self, ws: "_Workspace", rng: np.random.Generator, c: int) -> None:
+        """The normals of the block's next ``c`` steps in one draw, bit-equal
+        to ``c`` draws of one step, and what they give every lane."""
+        rng.standard_normal(out=ws.xi[:c])
+        self.read_draw(ws, c)
+
+    def read_draw(self, ws: "_Workspace", c: int) -> None:
+        """From the first ``c`` steps of normals in ``ws.xi``: the noise of
+        each lane whose root is state-free and, for the weights, ``sqrt(dt)``
+        times the normals."""
+        xi = ws.xi[:c]
+        flat = xi.reshape(-1, self.dims.total)
+        for e in self.free_noise:
+            self.eqs[e].noise_into(flat, flat, ws.noise_draw[e, :c].reshape(flat.shape))
+        if ws.sxi is not None:
+            np.multiply(xi, self.sqdt, out=ws.sxi[:c])
+
+    def step(self, ws: "_Workspace", k: int, j: int) -> None:
+        """Step ``k`` of every lane of ``ws``, from ``cur`` into ``new``, on
+        the normals ``j`` of the last draw, with the weighted lanes'
+        log-weight drops in ``drop``."""
+        n, m, d = self.dims.n, self.dims.m, self.dims.total
+        cur, new, rx, scratch = ws.cur, ws.new, ws.rx, ws.scratch
+        if n:
+            np.maximum(cur[..., :n] if m else cur, 0.0, out=rx)
+            np.sqrt(rx, out=rx)
+        xi = ws.xi[j]
+        if ws.xi_rows is not None:
+            # the block's normals once for every start's rows
+            np.copyto(ws.xi_rows.reshape(ws.starts, ws.nb, d), xi)
+            xi = ws.xi_rows
+        if ws.noise is None:
+            noise = ws.noise_draw[:, j, None]
+        else:
+            noise = ws.noise
+            for e in self.free_noise:
+                np.copyto(noise[e], ws.noise_draw[e, j])
+        for e, eq, theta, folded in self.visited:
+            states = cur[e]
+            log_sum = sigma = None
+            if not folded:
+                log_sum = eq.drift_into(states, self.eps, ws.drift[e], scratch)
+            if eq.plan.sigma is None:
+                sigma = eq.sigma_batch(states)
+                eq.noise_into(states, xi, noise[e].reshape(states.shape), sigma)
+            if theta is not None:
+                th = theta.theta_into(states, self.eps, ws.theta, scratch, log_sum, sigma,
+                                      ws.drift[e], rx[e])
+                sxi = ws.sxi[j]
+                if d != 1 and ws.sxi_rows is not None:
+                    # the dot products of several columns run over the rows
+                    np.copyto(ws.sxi_rows.reshape(ws.starts, ws.nb, d), sxi)
+                    sxi = ws.sxi_rows
+                _log_weight_drop(th, sxi, self.dt, ws.drop[e - self.weighted.start],
+                                 ws.theta_sq)
+        # the scheme update, once for every lane
+        if self.drift_dt is not None:
+            np.add(cur, self.drift_dt, out=new)
+        else:
+            np.multiply(ws.drift, self.dt, out=new)
+            np.add(cur, new, out=new)
+        if self.implicit:
+            self._implicit_rows(ws, noise)
+        elif n:
+            # x += sqrt(x) noise_x sqrt(dt), then the projection onto x >= 0
+            term = ws.rx_by_start
+            np.multiply(term, noise[..., :n] if m else noise, out=term)
+            term *= self.sqdt
+            x_new = new[..., :n] if m else new
+            np.add(x_new, rx, out=x_new)
+            np.maximum(x_new, 0.0, out=x_new)
+        if m:
+            y_new = new.reshape(ws.by_start + (d,))[..., n:]
+            y_term = np.multiply(noise[..., n:], self.sqdt,
+                                 out=scratch.take("y_term", noise.shape[:-1] + (m,)))
+            np.add(y_new, y_term, out=y_new)
+        # a finite sum has no infinite or NaN term; a sum that overflows on
+        # finite states only sends the test on to the exact one
+        if not math.isfinite(np.add.reduce(new, axis=None)):
+            finite = np.isfinite(new).all(axis=-1).ravel()
+            if not finite.all():
+                bad = int(np.flatnonzero(~finite)[0])
+                raise NumericFailureError(
+                    f"non-finite state at step {k} (block path {bad % ws.nb})"
+                )
+
+    def _implicit_rows(self, ws: "_Workspace", noise: np.ndarray) -> None:
+        """The degenerate rows of the drift-implicit step in the sqrt chart."""
+        d, rows = self.dims.total, ws.rows
+        for e, eq in enumerate(self.eqs):
+            D = eq.source.diffusion_matrix(ws.cur[e])
+            lane_noise = noise[min(e, noise.shape[0] - 1)]
+            lane_noise = np.broadcast_to(lane_noise, (ws.starts, ws.nb, d)).reshape(rows, d)
+            root_x, drift, new = ws.rx[e], ws.drift[e], ws.new[e]
+            for i in range(self.dims.n):
+                B = root_x[:, i] + 0.5 * lane_noise[:, i] * self.sqdt
+                disc = B * B + 2.0 * (drift[:, i] - 0.25 * D[..., i, i]) * self.dt
+                ynew = 0.5 * (B + np.sqrt(np.maximum(disc, 0.0)))
+                new[:, i] = ynew * ynew
+
+
+class _Workspace:
+    """One group's arrays, made once and written in place by every step.
+
+    ``cur`` and ``new`` hold the states of every lane, shape
+    (lanes, rows, d) with rows by start and then block path; they swap
+    after each step.  ``xi`` holds one draw of normals, shape
+    (steps, nb, d), and ``noise_draw`` the noise it gives each lane of
+    state-free root.  ``alive`` and ``dead`` mark the paths of every lane;
+    ``logw`` holds the log weights of the weighted lanes and ``drop`` what
+    the last step takes off them.
+    """
+
+    def __init__(self, lanes: _Lanes, start: np.ndarray, nb: int, draw_steps: int):
+        n_lanes, (rows, d), n = len(lanes.eqs), start.shape, lanes.dims.n
+        self.nb, self.rows, self.starts = nb, rows, rows // nb
+        # (lane, start, block path): the shape that repeats a block's noise
+        self.by_start = (n_lanes, self.starts, nb)
+        self.cur = np.empty((n_lanes, rows, d))
+        self.cur[...] = start
+        self.new = np.empty_like(self.cur)
+        self.rx = np.empty((n_lanes, rows, n))
+        self.rx_by_start = self.rx.reshape(self.by_start + (n,))
+        self.drift = None
+        if lanes.drift_dt is None or lanes.implicit or lanes.weighted is not None:
+            self.drift = np.empty((n_lanes, rows, d))
+            for e, eq in enumerate(lanes.eqs):
+                if lanes.folded[e]:
+                    self.drift[e] = eq.plan.drift
+        self.xi = np.empty((draw_steps, nb, d))
+        noise_lanes = 1 if lanes.shared_noise else n_lanes
+        self.noise_draw = np.empty((noise_lanes, draw_steps, nb, d))
+        state_noise = len(lanes.free_noise) < noise_lanes
+        self.noise = np.empty(self.by_start + (d,)) if state_noise else None
+        # the block's normals repeated for every start, where a kernel reads
+        # them row by row: the noise of a state-dependent root, and theta's
+        # dot products of several columns
+        self.xi_rows = self.sxi_rows = None
+        if state_noise and self.starts > 1:
+            self.xi_rows = np.empty((rows, d))
+        self.sxi = self.logw = self.drop = self.theta = self.theta_sq = None
+        if lanes.weighted is not None:
+            self.sxi = np.empty((draw_steps, nb, d))
+            if d != 1 and self.starts > 1:
+                self.sxi_rows = np.empty((rows, d))
+            n_weighted = lanes.weighted.stop - lanes.weighted.start
+            self.logw = np.zeros((n_weighted, rows))
+            self.drop = np.zeros((n_weighted, rows))
+            self.theta = np.empty((rows, d))
+            self.theta_sq = np.empty(rows)
+        self.alive = np.ones((n_lanes, rows), dtype=bool)
+        self.dead = np.zeros((n_lanes, rows), dtype=bool)
+        self.any_dead = False
+        self.inside = np.empty(n_lanes * rows, dtype=bool)
+        self.stay = np.empty(n_lanes * rows, dtype=bool)
+        self.scratch = Scratch()
 
 
 def simulate_bundle(
@@ -433,8 +593,9 @@ def simulate_bundle(
     ``config.n_paths`` paths per start, start by start, and
     :meth:`PathBundle.per_start` splits it into bundles that are bit-equal
     to simulating each start alone.  A block of up to ``PACK_ROWS // nb``
-    starts (``nb`` the block's paths) steps as one array and draws its
-    normals once per step; the groups, not the blocks, are what threads run.
+    starts (``nb`` the block's paths) is a group that steps as one array in
+    one workspace and draws its normals a chunk of steps at a time; the
+    groups, not the blocks, are what threads run.
 
     ``coeffs`` may likewise be a sequence of equations of one dimension.
     They share each block's normals as starts do: every step of a group is
@@ -447,9 +608,10 @@ def simulate_bundle(
     ``observers`` (one equation and one start point only) receive per-step
     callbacks ``observe(block_slice, k, t, prev, new, alive, logw=None)``:
     ``alive`` marks the paths alive before step ``k``, and ``logw`` is the
-    running per-path log weight (None without a drift-change field).  They
-    must write only into per-path or per-block slots (blocks may run
-    concurrently).
+    running per-path log weight (None without a drift-change field).  The
+    arrays are views of the group's workspace, which the next step
+    overwrites, so an observer copies what it keeps.  They must write only
+    into per-path or per-block slots (blocks may run concurrently).
 
     On a domain without an exit boundary (``domain.has_exit_boundary`` is
     False) no path can leave, so the exit test is skipped.  There, and with
@@ -516,68 +678,89 @@ def simulate_bundle(
     can_exit = domain.has_exit_boundary
     jump = params_exact is not None and not can_exit and not observers
 
+    lanes = _Lanes(eqs, thetas, config)
+    dt = config.dt
+
     def run_group(block: int, group: slice) -> None:
-        """Step block ``block`` of the starts in ``group`` as one array per
-        equation, every equation on the same draw."""
+        """Step block ``block`` of the starts in ``group`` in one workspace,
+        every equation a lane on the same draw."""
         lo = block * RNG_BLOCK
         hi = min(lo + RNG_BLOCK, n_paths)
         nb = hi - lo
         sl = slice(lo, hi)
         rng = _block_rng(config.seed, block)
+        n_st = group.stop - group.start
         start_states = np.repeat(origins[group], nb, axis=0)
-        cur = [start_states] * n_eqs
-        alive = [np.ones(len(start_states), dtype=bool)] * n_eqs
-        logw = [np.zeros(len(start_states))] * n_eqs
-
-        def by_start(a: np.ndarray) -> np.ndarray:
-            return a.reshape((-1, nb) + a.shape[1:])
 
         if 0 in record_idx:
-            states_rec[:, group, sl, record_idx[0]] = by_start(start_states)
+            states_rec[:, group, sl, record_idx[0]] = start_states.reshape(n_st, nb, total)
         if jump:
             k_prev = 0
             x = start_states
             for k in sorted(record_idx.keys() - {0}):
-                x = params_exact.sample(rng, x[:, 0], (k - k_prev) * config.dt)[:, None]
-                states_rec[0, group, sl, record_idx[k]] = by_start(x)
+                x = params_exact.sample(rng, x[:, 0], (k - k_prev) * dt)[:, None]
+                states_rec[0, group, sl, record_idx[k]] = x.reshape(n_st, nb, total)
                 k_prev = k
             return
-        for k in range(1, n_steps + 1):
-            if params_exact is None:
-                xi = rng.standard_normal((nb, total))
-            for e, (eq, lane_theta) in enumerate(zip(eqs, thetas)):
-                if params_exact is None:
-                    new, dlogw = _advance_block(eq, lane_theta, config, cur[e], xi, k)
+        # the normals of as many steps as fit DRAW_FLOATS, never past the
+        # last; the exact scheme draws from the state, a step at a time
+        draw_steps = min(max(DRAW_FLOATS // (nb * total), 1), n_steps)
+        if params_exact is not None:
+            draw_steps = 1
+        ws = _Workspace(lanes, start_states, nb, draw_steps)
+        w = lanes.weighted
+
+        def settle(k: int) -> None:
+            """Freeze, weigh, test for exit, observe and record step ``k``."""
+            cur, new, alive = ws.cur, ws.new, ws.alive
+            leaving = None
+            # only a domain with an exit boundary has dead paths
+            if ws.any_dead:
+                np.copyto(new, cur, where=ws.dead[..., None])
+            if w is not None:
+                if ws.any_dead:
+                    np.subtract(ws.logw, ws.drop, out=ws.logw, where=alive[w])
                 else:
-                    new = params_exact.sample(rng, cur[e][:, 0], config.dt)[:, None]
-                # with no exit boundary every path stays alive: no freeze
-                alive_after = alive[e]
-                if can_exit:
-                    new = np.where(alive[e][:, None], new, cur[e])
-                    if lane_theta is not None:
-                        logw[e] = logw[e] + np.where(alive[e], dlogw, 0.0)
-                    inside = domain.contains_underline(new)
-                    newly = alive[e] & ~inside
-                    if newly.any():
-                        idx = np.flatnonzero(newly)
-                        start, path = group.start + idx // nb, lo + idx % nb
-                        tau[e, start, path] = k * config.dt
-                        exited[e, start, path] = True
-                        exit_state[e, start, path] = new[idx]
-                    alive_after = alive[e] & inside
-                elif lane_theta is not None:
-                    logw[e] = logw[e] + dlogw
-                for obs in observers:
-                    obs.observe(
-                        sl, k, k * config.dt, cur[e], new, alive[e],
-                        logw=logw[e] if lane_theta is not None else None,
-                    )
-                alive[e] = alive_after
-                cur[e] = new
-                if k in record_idx:
-                    states_rec[e, group, sl, record_idx[k]] = by_start(new)
-                    if lane_theta is not None:
-                        log_weights[e, group, sl, record_idx[k]] = by_start(logw[e])
+                    ws.logw -= ws.drop
+            if can_exit:
+                flat = new.reshape(-1, total)
+                inside = domain.contains_underline(flat, out=ws.inside)
+                stay = np.logical_or(ws.dead.reshape(-1), inside, out=ws.stay)
+                if not stay.all():
+                    leaving = np.flatnonzero(~stay)
+                    lane, row = leaving // ws.rows, leaving % ws.rows
+                    start, path = group.start + row // nb, lo + row % nb
+                    tau[lane, start, path] = k * dt
+                    exited[lane, start, path] = True
+                    exit_state[lane, start, path] = flat[leaving]
+            for obs in observers:
+                obs.observe(sl, k, k * dt, cur[0], new[0], alive[0],
+                            logw=ws.logw[0] if w is not None else None)
+            if leaving is not None:
+                alive.reshape(-1)[leaving] = False
+                ws.dead.reshape(-1)[leaving] = True
+                ws.any_dead = True
+            if k in record_idx:
+                r = record_idx[k]
+                states_rec[:, group, sl, r] = new.reshape(n_eqs, n_st, nb, total)
+                if w is not None:
+                    log_weights[w, group, sl, r] = ws.logw.reshape(-1, n_st, nb)
+            ws.cur, ws.new = new, cur
+
+        if params_exact is not None:
+            # one draw a step, from the state
+            for k in range(1, n_steps + 1):
+                ws.new[0, :, 0] = params_exact.sample(rng, ws.cur[0, :, 0], dt)
+                settle(k)
+            return
+        k = 0
+        while k < n_steps:
+            c = min(draw_steps, n_steps - k)
+            lanes.draw(ws, rng, c)
+            for j in range(c):
+                k += 1
+                lanes.step(ws, k, j)
+                settle(k)
 
     groups = []
     for block in range((n_paths + RNG_BLOCK - 1) // RNG_BLOCK):

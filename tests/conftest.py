@@ -7,6 +7,7 @@ from kimura_lab.fields import AffineField, ConstantField, FieldMatrix, FieldVect
 from kimura_lab.geometry import DomainSpec, Point, StateSpaceDims
 from kimura_lab.operators import SingularOperatorSpec, StandardOperatorSpec
 from kimura_lab.sde import build_sde_coefficients, build_standard_sde_coefficients
+from kimura_lab.simulate import _Lanes, _Workspace
 
 
 def make_std_1d(b0=0.5, slope=0.0, a_hat=0.0):
@@ -52,6 +53,18 @@ def make_flat_1d_free():
         d_hat=FieldMatrix([[ConstantField(1.0)]]),
         e_hat=FieldVector([ConstantField(0.0)]),
     )
+
+
+def advance(coeffs, theta, config, states, xi, k=1):
+    """One step of the rows ``states`` on the normals ``xi``, one per row,
+    through a bundle's own step: ``(new states, log-weight increments)``,
+    the increments None without ``theta``."""
+    lanes = _Lanes([coeffs], [theta], config)
+    ws = _Workspace(lanes, np.asarray(states, dtype=float), len(xi), 1)
+    ws.xi[0] = xi
+    lanes.read_draw(ws, 1)
+    lanes.step(ws, k, 0)
+    return ws.new[0], None if theta is None else -ws.drop[0]
 
 
 def mean_se(x):

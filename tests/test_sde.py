@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_sing_1d, make_std_1d
+from conftest import advance, make_sing_1d, make_std_1d
 from drift_reference import reference_e, reference_f, reference_g
 
 from kimura_lab import operators, simulate
@@ -615,8 +615,8 @@ def test_folded_step_matches_opaque_fields(model):
     xi = np.random.Generator(np.random.Philox(key=9)).standard_normal(states.shape)
     cfg = PathConfig(dt=1e-3, seed=0, n_paths=len(states), horizon=1.0)
     for field, ref_field in ((pair, ref), (None, None)):
-        new, dlogw = simulate._advance_block(pair.sing, field, cfg, states, xi, 1)
-        ref_new, ref_dlogw = simulate._advance_block(ref.sing, ref_field, cfg, states, xi, 1)
+        new, dlogw = advance(pair.sing, field, cfg, states, xi)
+        ref_new, ref_dlogw = advance(ref.sing, ref_field, cfg, states, xi)
         assert new.tobytes() == ref_new.tobytes()
         assert (dlogw is None) == (ref_dlogw is None) == (field is None)
         if field is not None:
@@ -678,8 +678,8 @@ def test_state_free_f_with_a_cross_coupling_folds():
     assert op.log_drift(states, EPS).tobytes() == ref.log_drift(states, EPS).tobytes()
     xi = np.random.Generator(np.random.Philox(key=9)).standard_normal(states.shape)
     cfg = PathConfig(dt=1e-3, seed=0, n_paths=len(states), horizon=1.0)
-    new, _ = simulate._advance_block(build_sde_coefficients(op), None, cfg, states, xi, 1)
-    ref_new, _ = simulate._advance_block(build_sde_coefficients(ref), None, cfg, states, xi, 1)
+    new, _ = advance(build_sde_coefficients(op), None, cfg, states, xi)
+    ref_new, _ = advance(build_sde_coefficients(ref), None, cfg, states, xi)
     assert new.tobytes() == ref_new.tobytes()
 
 
@@ -695,19 +695,28 @@ def test_weighted_step_leaves_no_reference_cycles(model):
     gc.disable()
     try:
         for k in range(20):
-            states, dlogw = simulate._advance_block(pair.sing, pair, cfg, states, xi, k)
+            states, dlogw = advance(pair.sing, pair, cfg, states, xi, k + 1)
         assert dlogw.any() and gc.collect() == 0
     finally:
         gc.enable()
 
 
 def test_one_column_log_weight_increment_has_the_einsum_bits():
-    # every sign of zero and nonzero in theta and in the normal
+    # every sign of zero and nonzero in theta and in the normal; the step
+    # keeps the drop, whose negation is the increment, and passes the
+    # block's normals once for several starts' rows
     values = [0.0, -0.0, 0.7, -1.3]
     th, xi = (a.reshape(-1, 1) for a in np.meshgrid(values, values + [1e-300]))
     sqdt, dt = math.sqrt(1e-3), 1e-3
-    ref = -np.einsum("pi,pi->p", th, sqdt * xi) - 0.5 * dt * np.einsum("pi,pi->p", th, th)
-    assert simulate._log_weight_increment(th, xi, sqdt, dt).tobytes() == ref.tobytes()
+    for starts in (1, 2):
+        rows, sxi = np.concatenate([th, th[::-1]][:starts]), np.tile(sqdt * xi, (starts, 1))
+        ref = -np.einsum("pi,pi->p", rows, sxi) - 0.5 * dt * np.einsum("pi,pi->p", rows, rows)
+        drop = np.empty(len(rows))
+        got = simulate._log_weight_drop(rows, sqdt * xi, dt, drop, np.empty(len(rows)))
+        assert got is drop and (-drop).tobytes() == ref.tobytes()
+        # a log weight lowered by the drop is the log weight plus the increment
+        logw = np.linspace(-1.0, 1.0, len(rows))
+        assert (logw - drop).tobytes() == (logw + ref).tobytes()
 
 
 def test_weighted_girsanov_step_runs_no_drift_identity(monkeypatch):
@@ -782,21 +791,21 @@ def test_free_drift_of_a_zero_e_has_the_identity_bits(d, zero_e):
 
 def test_weighted_girsanov_step_evaluates_no_constant_field(monkeypatch):
     calls = Counter()
-    evaluate, advance = ConstantField.evaluate_batch, simulate._advance_block
+    evaluate, step = ConstantField.evaluate_batch, simulate._Lanes.step
 
     def counting_evaluate(self, states):
         calls["evaluate_batch"] += 1
         return evaluate(self, states)
 
-    def counting_advance(*args):
+    def counting_step(*args):
         calls["steps"] += 1
         before = calls["evaluate_batch"]
-        out = advance(*args)
+        out = step(*args)
         calls["in steps"] += calls["evaluate_batch"] - before
         return out
 
     monkeypatch.setattr(ConstantField, "evaluate_batch", counting_evaluate)
-    monkeypatch.setattr(simulate, "_advance_block", counting_advance)
+    monkeypatch.setattr(simulate._Lanes, "step", counting_step)
     std_op = operator_from_json(GIRSANOV_MODEL)
     pair = make_girsanov_field(std_op, derive_singular_from_standard(std_op))
     cfg = PathConfig(dt=1e-2, seed=3, n_paths=64, horizon=1.0, record="ends")

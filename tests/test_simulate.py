@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_sing_1d, make_std_1d, mean_se
+from conftest import advance, make_sing_1d, make_std_1d, mean_se
 
 from kimura_lab.errors import InvalidStartError, NumericFailureError
 from kimura_lab.fields import CallableField, FieldMatrix, FieldVector
@@ -22,6 +22,7 @@ from kimura_lab.sde import (
     make_girsanov_field,
 )
 from kimura_lab.simulate import (
+    DRAW_FLOATS,
     PACK_ROWS,
     RNG_BLOCK,
     PathConfig,
@@ -31,7 +32,6 @@ from kimura_lab.simulate import (
     grid_steps,
     read_kimb,
     _ExactGammaParams,
-    _advance_block,
     _block_rng,
     simulate_bundle,
 )
@@ -56,7 +56,7 @@ def frozen_model():
 def one_step(coeffs, x: float, xi: float, dt: float = 0.01) -> float:
     """One projected-Euler step of a 1D path: a one-row block step."""
     cfg = PathConfig(dt=dt, seed=0, n_paths=1, horizon=dt)
-    new, _ = _advance_block(coeffs, None, cfg, np.array([[x]]), np.array([[xi]]), 1)
+    new, _ = advance(coeffs, None, cfg, np.array([[x]]), np.array([[xi]]))
     return float(new[0, 0])
 
 
@@ -87,11 +87,9 @@ class TestSingleStep:
         xi = np.array([[0.8], [-1.1], [-2.4], [0.3], [1.7]])
         cfg = PathConfig(dt=1e-2, seed=0, n_paths=5, horizon=1.0, scheme=scheme)
         for coeffs in cases:
-            block, _ = _advance_block(coeffs, None, cfg, states, xi, 1)
+            block, _ = advance(coeffs, None, cfg, states, xi)
             for row in range(len(states)):
-                one, _ = _advance_block(
-                    coeffs, None, cfg, states[row:row + 1], xi[row:row + 1], 1
-                )
+                one, _ = advance(coeffs, None, cfg, states[row:row + 1], xi[row:row + 1])
                 assert one[0].tobytes() == block[row].tobytes()
 
 
@@ -575,28 +573,41 @@ class TestPackedStarts:
                                             n_threads=n_threads)
         assert parts[-1].exited.any()
 
+    @pytest.mark.parametrize("n_threads", [1, 2])
     @pytest.mark.parametrize("extra", [0, 1], ids=["one-group", "two-groups"])
-    def test_a_group_draws_its_block_once_per_step(self, monkeypatch, extra):
-        # pins: one standard_normal call per group and step, however many
-        # starts the group holds; block 0 is full, block 1 has 100 paths
+    def test_every_normal_is_drawn_once_in_chunks(self, monkeypatch, extra, n_threads):
+        # pins: a group draws its block's normals as many steps at a time as
+        # fit DRAW_FLOATS, never past the last step, bit-equal to one draw a
+        # step.  Block 0 is full: 45 steps are 11 draws of 4 and one of 1.
+        # Block 1 has 100 paths: one draw of all 45 steps.  Paths exit the
+        # box inside a draw.
         block_rng, draws = _block_rng, []
 
         class CountedRng:
             def __init__(self, seed, block):
                 self.rng = block_rng(seed, block)
 
-            def standard_normal(self, shape):
-                draws.append(shape)
-                return self.rng.standard_normal(shape)
+            def standard_normal(self, size=None, out=None):
+                draws.append(np.shape(out) if size is None else size)
+                return self.rng.standard_normal(size, out=out)
 
-        monkeypatch.setattr("kimura_lab.simulate._block_rng", CountedRng)
         coeffs = build_sde_coefficients(make_sing_1d(b0=0.5))
-        cfg = PathConfig(dt=1e-2, seed=6, n_paths=RNG_BLOCK + 100, horizon=0.05)
+        cfg = PathConfig(dt=1e-2, seed=6, n_paths=RNG_BLOCK + 100, horizon=0.45)
         n_starts = PACK_ROWS // RNG_BLOCK + extra
         starts = [Point((x,), ()) for x in np.linspace(0.0, 3.9, n_starts)]
-        simulate_bundle(coeffs, starts, BOX04, cfg)
-        expected = [(RNG_BLOCK, 1)] * (1 + extra) + [(100, 1)]
-        assert sorted(draws) == sorted(expected * cfg.n_steps)
+        monkeypatch.setattr("kimura_lab.simulate._block_rng", CountedRng)
+        chunked = simulate_bundle(coeffs, starts, BOX04, cfg, n_threads=n_threads)
+        assert DRAW_FLOATS // RNG_BLOCK == 4 and cfg.n_steps == 45
+        full = [(4, RNG_BLOCK, 1)] * 11 + [(1, RNG_BLOCK, 1)]
+        expected = full * (1 + extra) + [(45, 100, 1)]
+        assert sorted(draws) == sorted(expected)
+        assert 0 < chunked.exited.mean() < 1
+        monkeypatch.setattr("kimura_lab.simulate.DRAW_FLOATS", 1)
+        draws.clear()
+        per_step = simulate_bundle(coeffs, starts, BOX04, cfg, n_threads=n_threads)
+        assert sorted(draws) == sorted([(1, RNG_BLOCK, 1)] * (1 + extra) * 45
+                                       + [(1, 100, 1)] * 45)
+        assert_same_bundle(chunked, per_step)
 
     def test_more_threads_than_cores_write_disjoint_slots(self):
         coeffs = build_sde_coefficients(make_sing_1d(b0=0.5))
