@@ -3,7 +3,9 @@
 Each row of the first table is one step of a bundle's stepping loop
 (``simulate._Lanes.step``) over the workspace of a 4096-path block with
 ``dt = 1e-3``, timed as the best of 5 repeats of 200 calls and printed in
-milliseconds per call.  The states are ``1 + 0.5 U(0, 1)`` on the
+milliseconds per call.  Each table is timed round-robin: every repeat runs
+each of its rows once, in turn, so a burst of host noise costs one repeat of
+several rows rather than every repeat of one row.  The states are ``1 + 0.5 U(0, 1)`` on the
 degenerate axis and standard normal on the free one; the normals are drawn
 once.  The models are those of the committed configs (girsanov, harnack,
 validate) plus the validate model with ``a^ = 0.2`` and ``c^ = 0.3``, each
@@ -67,14 +69,17 @@ def _model(name: str) -> dict:
     return _config(name)["model"]
 
 
-def _best_s(fn, calls: int = CALLS) -> float:
-    best = float("inf")
+def _best_s(rows) -> list[float]:
+    """Best seconds per call of each ``(fn, calls)`` row over ``REPEATS``
+    repeats, each of which times every row once, in turn."""
+    best = [float("inf")] * len(rows)
     for _ in range(REPEATS):
-        start = time.perf_counter()
-        for _ in range(calls):
-            fn()
-        best = min(best, time.perf_counter() - start)
-    return best / calls
+        for i, (fn, calls) in enumerate(rows):
+            start = time.perf_counter()
+            for _ in range(calls):
+                fn()
+            best[i] = min(best[i], (time.perf_counter() - start) / calls)
+    return best
 
 
 def _states_and_normals(dims) -> tuple[np.ndarray, np.ndarray]:
@@ -184,7 +189,7 @@ def main() -> None:
     x = np.full(RNG_BLOCK, 1.0)
     pair = make_girsanov_field(girsanov, derive_singular_from_standard(girsanov))
     bundle, bundle_steps = _pair_bundle(pair)
-    rows = [
+    steps = [
         ("standard 1D (girsanov config)", _step(pair.std)),
         *_derived_rows("1D (girsanov config)", girsanov),
         (
@@ -201,17 +206,22 @@ def main() -> None:
             lambda rng=simulate._block_rng(0, 0): exact.sample(rng, x, CONFIG.dt),
         ),
     ]
+    # (label, fn, calls, steps per call)
+    rows = [(label, fn, CALLS, 1) for label, fn in steps] + [
+        (f"girsanov pair per step of a {bundle_steps}-step bundle (simulate_bundle)",
+         bundle, 1, bundle_steps),
+    ]
     print(f"ms per call at {RNG_BLOCK} paths, dt = {CONFIG.dt}, best of {REPEATS} x {CALLS}")
     print("| model | ms/step |\n|---|---|")
-    for label, fn in rows:
-        print(f"| {label} | {1e3 * _best_s(fn):.3f} |", flush=True)
-    per_step = _best_s(bundle, 1) / bundle_steps
-    print(f"| girsanov pair per step of a {bundle_steps}-step bundle (simulate_bundle) "
-          f"| {1e3 * per_step:.3f} |", flush=True)
+    best = _best_s([(fn, calls) for _, fn, calls, _ in rows])
+    for (label, _, _, per), s in zip(rows, best):
+        print(f"| {label} | {1e3 * s / per:.3f} |", flush=True)
     print(f"\nharnack-model scan through simulate_bundle, best of {REPEATS} x {SCAN_CALLS}")
     print("| scan | ns/path-step |\n|---|---|")
-    for label, fn, path_steps in _scan_rows(harnack):
-        print(f"| {label} | {1e9 * _best_s(fn, SCAN_CALLS) / path_steps:.2f} |", flush=True)
+    scan = _scan_rows(harnack)
+    best = _best_s([(fn, SCAN_CALLS) for _, fn, _ in scan])
+    for (label, _, path_steps), s in zip(scan, best):
+        print(f"| {label} | {1e9 * s / path_steps:.2f} |", flush=True)
     print(f"\nconfigs/harnack_scan.json, cli.main at one thread in a fresh process: "
           f"{_fresh_scan()}")
 

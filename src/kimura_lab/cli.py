@@ -92,6 +92,15 @@ def _section(doc: dict, key: str) -> dict:
     return value
 
 
+def _output(doc: dict) -> dict:
+    """The config's ``output`` object, whose file names are non-empty strings."""
+    out = _section(doc, "output")
+    for key in ("results", "csv", "bundle"):
+        if key in out and not (isinstance(out[key], str) and out[key]):
+            raise ConfigError(f"output.{key} must be a file name, got {json.dumps(out[key])}")
+    return out
+
+
 @contextmanager
 def _checked(ctx: str):
     """Raise a value that a conversion (``float``, ``int``) or a validating
@@ -219,7 +228,7 @@ def _write_results(out_dir: str, doc: dict, name: str = "results.json") -> str:
 
 def _write_csv(out_dir: str, doc: dict, default: str, header, rows) -> str:
     """Write ``rows`` under the config's ``output.csv`` name; returns the name."""
-    name = _section(doc, "output").get("csv", default)
+    name = _output(doc).get("csv", default)
     with open(os.path.join(out_dir, name), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -263,7 +272,7 @@ def _cmd_simulate(doc, seed, out_dir, threads) -> tuple[int, dict]:
     model, variant, coeffs, domain, config = _load_run(doc, seed)
     z0 = _point(doc, "z0", model.dims)
     bundle = simulate_bundle(coeffs, z0, domain, config, n_threads=threads)
-    out = _section(doc, "output")
+    out = _output(doc)
     bundle_path = os.path.join(out_dir, out.get("bundle", "bundle.kimb"))
     bundle_to_kimb(bundle, bundle_path, model.dims)
     if "csv" in out:
@@ -283,13 +292,18 @@ def _cmd_simulate(doc, seed, out_dir, threads) -> tuple[int, dict]:
 def _cmd_fk(doc, seed, out_dir, threads) -> tuple[int, dict]:
     model, _, coeffs, domain, config = _load_run(doc, seed)
     z0 = _point(doc, "z0", model.dims)
+    _check_stderr_paths("fk", config)
+    mode = doc.get("mode", "semigroup")
     with _checked("fk"):
         t = float(_require(doc, "t", "config"))
         t1 = float(doc.get("t1", 0.0))
         t_cut = doc.get("t_cut")
         t_cut = None if t_cut is None else float(t_cut)
         _finite(t=t, t1=t1, t_cut=t_cut)
-    mode = doc.get("mode", "semigroup")
+        if mode == "semigroup" and not t > 0.0:
+            raise ValueError(f"a semigroup needs t > 0, got t = {t}")
+        if mode == "dirichlet" and not t >= t1:
+            raise ValueError(f"a Dirichlet run needs t >= t1, got t = {t}, t1 = {t1}")
     if mode == "semigroup":
         f = _payoff(doc.get("f"), model.dims)
         est = estimate_semigroup(coeffs, f, t, z0, domain, config, n_threads=threads)
@@ -349,6 +363,7 @@ def _cmd_harnack(doc, seed, out_dir, threads) -> tuple[int, dict]:
     model, _, coeffs, domain, config = _load_run(doc, seed)
     dims = model.dims
     z = _point(doc, "z", dims)
+    _check_stderr_paths("harnack", config)
     with _checked("harnack"):
         s = float(_require(doc, "s", "config"))
         R = float(_require(doc, "R", "config"))
@@ -359,9 +374,10 @@ def _cmd_harnack(doc, seed, out_dir, threads) -> tuple[int, dict]:
         lattice = LatticeSpec(int(lat.get("n_time", 3)), int(lat.get("n_space", 5)))
         t1 = float(doc.get("t1", 0.0))
         _finite(s=s, R=R, c=c, t1=t1)
-    if not (R > 0.0 and c > 0.0 and all(0.0 < f < 1.0 for f in fractions)):
+    if not (R > 0.0 and c > 0.0 and fractions and all(0.0 < f < 1.0 for f in fractions)):
         raise ConfigError(
-            f"need R > 0, c > 0 and rho_fractions in (0, 1), got R={R}, c={c}, {fractions}"
+            f"need R > 0, c > 0 and a non-empty rho_fractions in (0, 1), "
+            f"got R={R}, c={c}, {fractions}"
         )
     g_state = _payoff(doc.get("g"), dims)
     gdata = BoundaryData(lambda times, states: g_state(states))
@@ -551,11 +567,11 @@ def main(argv=None) -> int:
         resolved = dict(doc)
         resolved["seed"] = seed
         chash = _config_hash(resolved)
+        out_name = _output(doc).get("results", "results.json")
         os.makedirs(args.out, exist_ok=True)
         code, result = _HANDLERS[command](resolved, seed, args.out, threads)
         payload = {"command": command, "config_hash": chash, "seed": seed}
         payload.update(result)
-        out_name = _section(doc, "output").get("results", "results.json")
         path = _write_results(args.out, payload, out_name)
         print(f"{command} {'ok' if code == 0 else 'FAIL'} config={chash} -> {path}")
         return code

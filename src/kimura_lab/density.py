@@ -56,6 +56,13 @@ class GridSpec:
     box: tuple[tuple[float, float], ...]
     cells_per_axis: int = 64
 
+    def __post_init__(self) -> None:
+        if self.cells_per_axis < 1:
+            raise ValueError(f"a grid needs at least one cell per axis, got {self.cells_per_axis}")
+        for lo, hi in self.box:
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise ValueError(f"a grid box axis needs finite lo < hi, got [{lo}, {hi}]")
+
     def edges(self) -> list[np.ndarray]:
         return [
             np.linspace(lo, hi, self.cells_per_axis + 1) for lo, hi in self.box

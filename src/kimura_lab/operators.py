@@ -146,24 +146,16 @@ class StandardOperatorSpec(_OperatorBase):
             self.d_hat.evaluate_batch(states),
         )
 
-    def drift(self, states, log_clamp_eps=0.0, log_sum=None) -> np.ndarray:
-        """``(b^, e^)``, shape (..., n+m).  The standard form has no log drift;
-        the other arguments are those of the divergence side and unused."""
+    def drift(self, states, log_clamp_eps=0.0, log_sum=None, out=None, scratch=None):
+        """``(b^, e^)``, shape (..., n+m), each entry written into its column
+        of ``out`` (fresh when omitted).  The other arguments are those of
+        the divergence side, unused: the standard form has no log drift."""
         states = np.asarray(states, dtype=float)
-        out = np.empty(states.shape[:-1] + (self.dims.total,))
-        self.drift_into(states, log_clamp_eps, out, Scratch())
-        return out
-
-    def drift_into(self, states, log_clamp_eps, out, scratch, log_sum=None) -> None:
-        """:meth:`drift` written into ``out``, each entry straight into its
-        column; returns None, the log drift the standard form does not have."""
+        if out is None:
+            out = np.empty(states.shape[:-1] + (self.dims.total,))
         for i, entry in enumerate(self.b_hat.entries + self.e_hat.entries):
             entry.evaluate_into(states, out[..., i])
-        return None
-
-    def free_drift(self, states: np.ndarray) -> np.ndarray:
-        """Free rows of :meth:`drift`, ``e^``, shape (..., m)."""
-        return self.e_hat.evaluate_batch(np.asarray(states, dtype=float))
+        return out
 
     @property
     def drift_is_constant(self) -> bool:
@@ -219,13 +211,15 @@ class SingularOperatorSpec(_OperatorBase):
             2.0 * self.c.evaluate_batch(states), self.d.evaluate_batch(states),
         )
 
-    def log_drift(self, states, log_clamp_eps=0.0) -> np.ndarray | None:
-        """``sum_j f_rj ln max(x_j, eps)`` for every row ``r``, shape (..., n+m);
+    def log_drift(self, states, log_clamp_eps=0.0, scratch=None) -> np.ndarray | None:
+        """``sum_j f_rj ln max(x_j, eps)`` for every row ``r``, shape (..., n+m),
+        in the array ``log_sum`` of ``scratch`` (a fresh one when omitted);
         None when no term of :func:`drift_identity_f` is live, as when ``b``
         is constant.  A state-free ``f`` is contracted as the one matrix
         built with the spec.  With ``eps = 0`` a state on a face ``x_j = 0``
         gives an infinite log."""
-        return self._log_drift(np.asarray(states, dtype=float), log_clamp_eps, {}, Scratch())
+        scratch = Scratch() if scratch is None else scratch
+        return self._log_drift(np.asarray(states, dtype=float), log_clamp_eps, {}, scratch)
 
     def _log_drift(self, states, log_clamp_eps, memo, scratch) -> np.ndarray | None:
         """:meth:`log_drift` in the scratch array ``log_sum``."""
@@ -251,22 +245,20 @@ class SingularOperatorSpec(_OperatorBase):
         # one contraction for a per-state and a state-free f: the same sums
         return np.einsum("...rj,...j->...r", f, logs, out=out)
 
-    def drift(self, states, log_clamp_eps=0.0, log_sum=None) -> np.ndarray:
+    def drift(self, states, log_clamp_eps=0.0, log_sum=None, out=None, scratch=None):
         """``(g + x * (f . ln x), e + f . ln x)``, shape (..., n+m), with the
-        :meth:`log_drift` ``f . ln x``; ``log_sum`` passes in that result when
-        the caller already has it for these states."""
-        states = np.asarray(states, dtype=float)
-        out = np.empty(states.shape[:-1] + (self.dims.total,))
-        self.drift_into(states, log_clamp_eps, out, Scratch(), log_sum)
-        return out
-
-    def drift_into(self, states, log_clamp_eps, out, scratch, log_sum=None):
-        """:meth:`drift` written into ``out``; returns the log drift it read
-        (None when there is none), computed into ``scratch`` unless given.
+        :meth:`log_drift` ``f . ln x``, written into ``out`` (fresh when
+        omitted) with the arrays it needs on the way from ``scratch``.
+        ``log_sum`` passes in that log drift when the caller has it for
+        these states; otherwise each field is read once for it and ``g``.
 
         Every live term of ``g`` and ``e`` is written into its slot of
         ``out`` before the log drift is added to the rows."""
+        states = np.asarray(states, dtype=float)
         n, m = self.dims.n, self.dims.m
+        if out is None:
+            out = np.empty(states.shape[:-1] + (self.dims.total,))
+        scratch = Scratch() if scratch is None else scratch
         memo = {}
         if log_sum is None:
             log_sum = self._log_drift(states, log_clamp_eps, memo, scratch)
@@ -279,16 +271,7 @@ class SingularOperatorSpec(_OperatorBase):
             np.add(g, x_log, out=g)
             if m:
                 np.add(out[..., n:], log_sum[..., n:], out=out[..., n:])
-        return log_sum
-
-    def free_drift(self, states, log_clamp_eps=0.0, log_sum=None) -> np.ndarray:
-        """Free rows of :meth:`drift`, ``e + f_y . ln x``, shape (..., m)."""
-        states = np.asarray(states, dtype=float)
-        memo = {}
-        if log_sum is None and self.dims.m:
-            log_sum = self._log_drift(states, log_clamp_eps, memo, Scratch())
-        e = _evaluate(self._e, states, (self.dims.m,), memo)
-        return e if log_sum is None else e + log_sum[..., self.dims.n :]
+        return out
 
     @property
     def drift_is_constant(self) -> bool:
@@ -637,6 +620,8 @@ def make_validation_grid(
     points_per_axis: int = 9,
 ) -> np.ndarray:
     """Tensor sample grid over ``[0, x_hi]^n x y_box^m``, boundary included."""
+    if points_per_axis < 1:
+        raise ValueError(f"a grid needs at least one point per axis, got {points_per_axis}")
     axes = []
     for _ in range(dims.n):
         axes.append(np.linspace(0.0, x_hi, points_per_axis))

@@ -13,12 +13,12 @@ of ``D``, and builds the drift-change field ``theta`` tying the two equations
 together.  The plan keeps what the spec calls state-free, evaluated once: the
 drift and the root of ``D`` (or its diagonal).
 
-Each equation's drift and noise, and the field's ``theta``, are kernels
-(``drift_into``, ``noise_into``, ``theta_into``) that write into arrays the
-caller lends, with a :class:`~kimura_lab.operators.Scratch` for what they
-need on the way: a stepping loop runs them on its workspace, and
-``drift_batch``, ``noise_batch`` and ``theta_batch`` run them on fresh
-arrays.
+Each equation's drift and noise, and the field's ``theta``, have one entry
+each (``drift_batch``, ``noise_batch``, ``theta_batch``).  Each writes into
+an ``out`` the caller lends, the drift and theta with a
+:class:`~kimura_lab.operators.Scratch` for what they need on the way, and
+makes fresh ones when given none: a stepping loop runs them on its
+workspace, a library caller on one block of states.
 """
 
 from __future__ import annotations
@@ -110,27 +110,23 @@ class _Coefficients:
     plan: StepPlan
 
     def drift_batch(
-        self, states: np.ndarray, log_clamp_eps: float = 1e-12, log_sum: np.ndarray | None = None
+        self, states: np.ndarray, log_clamp_eps: float = 1e-12, log_sum: np.ndarray | None = None,
+        out: np.ndarray | None = None, scratch: Scratch | None = None,
     ) -> np.ndarray:
         """Full drift vector: the step plan's fold when the model has one,
-        otherwise the source operator's ``drift`` with ``ln max(x, eps)``.
+        otherwise the source operator's ``drift`` with ``ln max(x, eps)``,
+        in ``out`` (fresh when omitted), with arrays lent by ``scratch``.
 
         ``log_sum`` passes in the source's ``log_drift`` for these states
         when the caller already has it.  A folded drift has no log drift.
         """
         states = np.asarray(states, dtype=float)
-        out = np.empty(states.shape)
-        self.drift_into(states, log_clamp_eps, out, Scratch(), log_sum)
+        if self.plan.drift is None:
+            return self.source.drift(states, log_clamp_eps, log_sum, out, scratch)
+        if out is None:
+            out = np.empty(states.shape)
+        np.copyto(out, self.plan.drift)
         return out
-
-    def drift_into(self, states, log_clamp_eps, out, scratch, log_sum=None):
-        """The drift kernel: :meth:`drift_batch` written into ``out``, with
-        any array it needs on the way taken from ``scratch``.  Returns the
-        log drift it read, None when the model has none."""
-        if self.plan.drift is not None:
-            np.copyto(out, self.plan.drift)
-            return None
-        return self.source.drift_into(states, log_clamp_eps, out, scratch, log_sum)
 
     def sigma_batch(self, states: np.ndarray) -> np.ndarray:
         states = np.asarray(states, dtype=float)
@@ -139,16 +135,15 @@ class _Coefficients:
         return dispersion_sqrt_batch(self.source.diffusion_matrix(states))
 
     def noise_batch(
-        self, states: np.ndarray, xi: np.ndarray, sigma: np.ndarray | None = None
+        self, states: np.ndarray, xi: np.ndarray, sigma: np.ndarray | None = None,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """``sigma(z) xi`` per state for a block of standard normals ``xi``;
-        ``sigma`` passes in :meth:`sigma_batch` for these states when the
-        caller already has it."""
-        return self.noise_into(states, xi, np.empty(np.shape(xi)), sigma)
-
-    def noise_into(self, states, xi, out, sigma=None) -> np.ndarray:
-        """The noise kernel: :meth:`noise_batch` written into ``out``.  A
-        state-free root (``plan.sigma``) reads ``states`` for its shape only."""
+        """``sigma(z) xi`` per state for a block of standard normals ``xi``,
+        in ``out`` (fresh when omitted); ``sigma`` passes in :meth:`sigma_batch`
+        for these states when the caller has it.  A state-free root
+        (``plan.sigma``) reads ``states`` for its shape only."""
+        if out is None:
+            out = np.empty(np.shape(xi))
         if self.plan.sigma_diag is not None:
             return np.multiply(xi, self.plan.sigma_diag, out=out)
         if sigma is None:
@@ -207,29 +202,6 @@ def build_standard_sde_coefficients(std: StandardOperatorSpec) -> StandardSdeCoe
 # ---------------------------------------------------------------------------
 
 
-def _theta_rhs(std, sing, states, log_clamp_eps, out, scratch, log_sum, drift, root_x) -> None:
-    """The drift gap in the noise coordinates, written into ``out``."""
-    n, m = sing.dims.n, sing.dims.m
-    if log_sum is None:
-        log_sum = sing.source._log_drift(states, log_clamp_eps, {}, scratch)
-    if log_sum is None:
-        out[..., :n] = 0.0
-    else:
-        # Degenerate rows: g = b^ by derivation, so the drift gap is
-        # x_i (f . ln x)_i.  Its quotient by sqrt(x_i) is written as
-        # sqrt(x_i) (f . ln x)_i, which stays finite on the face x_i = 0.
-        if root_x is None:
-            root_x = np.sqrt(np.maximum(states[..., :n], 0.0))
-        np.multiply(root_x, log_sum[..., :n], out=out[..., :n])
-    if m:
-        # Free rows: the divergence-side minus the standard-side free drift.
-        if drift is None:
-            sing_free = sing.source.free_drift(states, log_clamp_eps, log_sum)
-        else:
-            sing_free = drift[..., n:]
-        np.subtract(sing_free, std.source.free_drift(states), out=out[..., n:])
-
-
 @dataclass(frozen=True)
 class GirsanovField:
     """Batched drift-change field for path weighting.
@@ -263,24 +235,37 @@ class GirsanovField:
         sigma: np.ndarray | None = None,
         drift: np.ndarray | None = None,
         root_x: np.ndarray | None = None,
+        out: np.ndarray | None = None,
+        scratch: Scratch | None = None,
     ) -> np.ndarray:
-        """Drift change per state.  When the caller already has them for
+        """Drift change per state, in ``out`` (fresh when omitted), with
+        arrays lent by ``scratch``.  When the caller already has them for
         these states, ``log_sum`` passes in the divergence side's
         ``log_drift``, ``drift`` its ``drift_batch`` with that log drift,
         ``sigma`` its ``sigma_batch`` (used when :attr:`shares_root`) and
         ``root_x`` the degenerate coordinates' ``sqrt(max(x, 0))``."""
         states = np.asarray(states, dtype=float)
-        return self.theta_into(states, log_clamp_eps, np.empty(states.shape), Scratch(),
-                               log_sum, sigma, drift, root_x)
-
-    def theta_into(
-        self, states, log_clamp_eps, out, scratch, log_sum=None, sigma=None, drift=None,
-        root_x=None,
-    ) -> np.ndarray:
-        """The drift-change kernel: :meth:`theta_batch` written into ``out``,
-        with any array it needs on the way taken from ``scratch``."""
-        _theta_rhs(self.std, self.sing, states, log_clamp_eps, out, scratch, log_sum, drift,
-                   root_x)
+        n = self.dims.n
+        if out is None:
+            out = np.empty(states.shape)
+        scratch = Scratch() if scratch is None else scratch
+        if log_sum is None:
+            log_sum = self.sing.source.log_drift(states, log_clamp_eps, scratch)
+        if log_sum is None:
+            out[..., :n] = 0.0
+        else:
+            # Degenerate rows: g = b^ by derivation, so the drift gap is
+            # x_i (f . ln x)_i.  Its quotient by sqrt(x_i) is written as
+            # sqrt(x_i) (f . ln x)_i, which stays finite on the face x_i = 0.
+            if root_x is None:
+                root_x = np.sqrt(np.maximum(states[..., :n], 0.0))
+            np.multiply(root_x, log_sum[..., :n], out=out[..., :n])
+        if self.dims.m:
+            # Free rows: the divergence-side minus the standard-side free drift.
+            if drift is None:
+                drift = self.sing.drift_batch(states, log_clamp_eps, log_sum, scratch=scratch)
+            e_hat = self.std.source.e_hat.evaluate_batch(states)
+            np.subtract(drift[..., n:], e_hat, out=out[..., n:])
         if self.divisor is not None:
             return np.divide(out, self.divisor, out=out)
         sig = sigma if sigma is not None and self.shares_root else self.std.sigma_batch(states)

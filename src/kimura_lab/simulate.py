@@ -39,13 +39,14 @@ equation, each bit-equal to a run of that equation alone.
 Each equation is a lane of every group, and each group steps in one
 workspace, made when the group starts: the states of every lane, the draw,
 its noise and the arrays the kernels need on the way.  The equations'
-kernels (``drift_into``, ``noise_into`` and ``theta_into`` of
-:mod:`kimura_lab.sde`) write into it with ``out=``; the scheme update, the
-finiteness test, the freeze, the exit test, the log weights and the record
-write each run once a step over every lane.  A step thus allocates nothing
-the size of its group, so a large group pays no page faults step after
-step.  The ufuncs are those of the unfolded assembly in the same order, so
-every output is byte-identical to it.
+kernels (``drift_batch``, ``noise_batch`` and ``theta_batch`` of
+:mod:`kimura_lab.sde`) write into it with ``out=``, a weighted lane's drift
+and theta reading one log drift; the scheme update, the finiteness test,
+the freeze, the exit test, the log weights and the record write each run
+once a step over every lane.  A step thus allocates nothing the size of
+its group, so a large group pays no page faults step after step.  The
+ufuncs are those of the unfolded assembly in the same order, so every
+output is byte-identical to it.
 """
 
 from __future__ import annotations
@@ -427,7 +428,7 @@ class _Lanes:
         xi = ws.xi[:c]
         flat = xi.reshape(-1, self.dims.total)
         for e in self.free_noise:
-            self.eqs[e].noise_into(flat, flat, ws.noise_draw[e, :c].reshape(flat.shape))
+            self.eqs[e].noise_batch(flat, flat, out=ws.noise_draw[e, :c].reshape(flat.shape))
         if ws.sxi is not None:
             np.multiply(xi, self.sqdt, out=ws.sxi[:c])
 
@@ -454,14 +455,17 @@ class _Lanes:
         for e, eq, theta, folded in self.visited:
             states = cur[e]
             log_sum = sigma = None
+            if theta is not None:
+                # one log drift for the drift and theta
+                log_sum = eq.source.log_drift(states, self.eps, scratch)
             if not folded:
-                log_sum = eq.drift_into(states, self.eps, ws.drift[e], scratch)
+                eq.drift_batch(states, self.eps, log_sum, out=ws.drift[e], scratch=scratch)
             if eq.plan.sigma is None:
                 sigma = eq.sigma_batch(states)
-                eq.noise_into(states, xi, noise[e].reshape(states.shape), sigma)
+                eq.noise_batch(states, xi, sigma, out=noise[e].reshape(states.shape))
             if theta is not None:
-                th = theta.theta_into(states, self.eps, ws.theta, scratch, log_sum, sigma,
-                                      ws.drift[e], rx[e])
+                th = theta.theta_batch(states, self.eps, log_sum, sigma, ws.drift[e], rx[e],
+                                       out=ws.theta, scratch=scratch)
                 sxi = ws.sxi[j]
                 if d != 1 and ws.sxi_rows is not None:
                     # the dot products of several columns run over the rows

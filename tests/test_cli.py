@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from kimura_lab import cli
+from kimura_lab import cli, simulate
 from kimura_lab.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -307,6 +307,43 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, name, path, value):
     else:
         node[path[-1]] = value
     assert_config_error(tmp_path, capsys, doc)
+
+
+@pytest.mark.parametrize("name, edits", [
+    # a horizon t - t1 the estimators refuse
+    ("fk", {"t": 0.0}),
+    ("fk", {"mode": "dirichlet", "t1": 0.3}),
+    # grids with no cell, no point or a reversed box
+    ("validate_model.json", {"grid.points_per_axis": 0}),
+    ("density", {"grid.cells": 0}),
+    ("density", {"grid.box": [[4.0, 0.0]]}),
+    ("harnack_scan.json", {"rho_fractions": []}),
+    # output names that are not file names
+    ("fk", {"output.results": 5}),
+    ("density", {"output.csv": ["a"]}),
+    ("simulate", {"output.bundle": 5}),
+    # a standard error needs two paths
+    ("fk", {"sim.n_paths": 1}),
+    ("harnack_scan.json", {"sim.n_paths": 1}),
+], ids=lambda v: v if isinstance(v, str) else ",".join(f"{k}={v[k]}" for k in v))
+def test_value_the_library_would_reject_is_refused_before_any_step(
+    tmp_path, capsys, monkeypatch, name, edits
+):
+    docs = {"density": DENSITY_DOC, "fk": FK_DOC, "simulate": SIMULATE_DOC}
+    doc = json.loads(json.dumps(docs[name] if name in docs else load_config(name)))
+    for dotted, value in edits.items():
+        *parents, key = dotted.split(".")
+        node = doc
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        node[key] = value
+
+    def no_step(*args):
+        raise AssertionError("a path was stepped")
+
+    monkeypatch.setattr(simulate._Lanes, "__init__", no_step)
+    assert_config_error(tmp_path, capsys, doc)
+    assert not (tmp_path / "out" / "results.json").exists()
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64 + 5)])

@@ -93,7 +93,6 @@ class TestDrift:
         )
         states = np.column_stack([x, y])
         np.testing.assert_allclose(op.drift(states), expected, rtol=1e-12)
-        np.testing.assert_allclose(op.free_drift(states), expected[:, 1:], rtol=1e-12)
 
 
 class TestApplyStandard:

@@ -15,6 +15,7 @@ from kimura_lab.errors import EllipticityViolationError, InvalidMatrixError
 from kimura_lab.fields import ConstantField, FieldMatrix, FieldVector, ScalarField, TestFunction
 from kimura_lab.geometry import DomainSpec, Point, StateSpaceDims
 from kimura_lab.operators import (
+    Scratch,
     SingularOperatorSpec,
     StandardOperatorSpec,
     apply_generator_batch,
@@ -25,6 +26,8 @@ from kimura_lab.operators import (
     operator_from_json,
 )
 from kimura_lab.sde import (
+    GirsanovField,
+    SdeCoefficients,
     StandardSdeCoefficients,
     build_sde_coefficients,
     build_standard_sde_coefficients,
@@ -785,8 +788,8 @@ def test_free_drift_of_a_zero_e_has_the_identity_bits(d, zero_e):
     e = reference_e(op, states)
     assert e.any() != zero_e
     log_sum = op.log_drift(states, EPS)
-    assert op.free_drift(states, EPS).tobytes() == (e + log_sum[:, 1:]).tobytes()
-    assert op.free_drift(states, EPS, log_sum).tobytes() == (e + log_sum[:, 1:]).tobytes()
+    assert op.drift(states, EPS)[:, 1:].tobytes() == (e + log_sum[:, 1:]).tobytes()
+    assert op.drift(states, EPS, log_sum)[:, 1:].tobytes() == (e + log_sum[:, 1:]).tobytes()
 
 
 def test_weighted_girsanov_step_evaluates_no_constant_field(monkeypatch):
@@ -843,3 +846,72 @@ def test_derived_pair_shares_its_dispersion_root(monkeypatch, threads):
     assert cfg.n_steps == 50 and (shared_calls, apart_calls) == (50, 100)
     assert shared.states.tobytes() == apart.states.tobytes()
     assert shared.log_weights.tobytes() == apart.log_weights.tobytes()
+
+
+def test_the_step_calls_each_kernel_entry(monkeypatch):
+    # the girsanov command's pair: both lanes' drifts vary with the state, so
+    # each step runs both drifts and theta through their one entry
+    std_op = operator_from_json(GIRSANOV_MODEL)
+    pair = make_girsanov_field(std_op, derive_singular_from_standard(std_op))
+    assert pair.std.plan.drift is None and pair.sing.plan.drift is None
+    calls = Counter()
+
+    def counting(cls, name):
+        kernel = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[cls.__name__, name] += 1
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for cls, name in [(SdeCoefficients, "drift_batch"), (StandardSdeCoefficients, "drift_batch"),
+                      (GirsanovField, "theta_batch")]:
+        counting(cls, name)
+    cfg = PathConfig(dt=1e-2, seed=3, n_paths=64, horizon=1.0, record="ends")
+    simulate_bundle((pair.std, pair.sing), Point((1.0,), ()),
+                    DomainSpec.full_space(std_op.dims), cfg, theta=pair)
+    assert cfg.n_steps == 100
+    assert calls == {("SdeCoefficients", "drift_batch"): 100,
+                     ("StandardSdeCoefficients", "drift_batch"): 100,
+                     ("GirsanovField", "theta_batch"): 100}
+
+
+FOLDED_PAIR = {  # constant b^ and e^: both sides fold their drift and root
+    "kind": "standard", "dims": {"n": 1, "m": 1}, "b_hat": [0.5], "d_hat": [[1.5]],
+    "e_hat": [-0.3],
+}
+
+
+@pytest.mark.parametrize("model, folded", [
+    (FOLDED_PAIR, (True, True)), (GIRSANOV_MODEL, (False, False)),
+    (COUPLED_PAIR, (True, False)),  # a~ puts x into the divergence side's g
+], ids=["folded", "girsanov", "coupled-pair"])
+def test_each_kernel_returns_the_out_it_is_given(model, folded):
+    std_op = operator_from_json(model)
+    pair = make_girsanov_field(std_op, derive_singular_from_standard(std_op))
+    assert (pair.std.plan.drift is not None, pair.sing.plan.drift is not None) == folded
+    states = _probe_states(std_op.dims)
+    states = states[np.linalg.eigvalsh(std_op.diffusion_matrix(states))[:, 0] > 0.0]
+    xi = np.random.Generator(np.random.Philox(key=5)).standard_normal(states.shape)
+    scratch = Scratch()  # one for every call, as a step lends it
+
+    def into(kernel, *args, **kwargs):
+        out = np.full(states.shape, np.nan)
+        assert kernel(*args, out=out, **kwargs) is out
+        return out
+
+    for eq in (pair.std, pair.sing):
+        fresh = eq.drift_batch(states, EPS)
+        assert into(eq.drift_batch, states, EPS, scratch=scratch).tobytes() == fresh.tobytes()
+        assert into(eq.noise_batch, states, xi).tobytes() == eq.noise_batch(states, xi).tobytes()
+    theta = pair.theta_batch(states, EPS)
+    assert into(pair.theta_batch, states, EPS, scratch=scratch).tobytes() == theta.tobytes()
+    # the step's route: one log drift read by the drift and by theta
+    log_sum = pair.sing.source.log_drift(states, EPS, scratch)
+    drift = into(pair.sing.drift_batch, states, EPS, log_sum, scratch=scratch)
+    assert drift.tobytes() == pair.sing.drift_batch(states, EPS).tobytes()
+    sigma = pair.sing.sigma_batch(states)
+    root_x = np.sqrt(np.maximum(states[:, :1], 0.0))
+    got = into(pair.theta_batch, states, EPS, log_sum, sigma, drift, root_x, scratch=scratch)
+    assert got.tobytes() == theta.tobytes()
