@@ -114,6 +114,14 @@ def _checked(ctx: str):
         raise ConfigError(f"{ctx}: missing key {exc}") from exc
 
 
+def _whole(key: str, value) -> int:
+    """``value`` as an int; ValueError naming ``key`` for a bool or a
+    fraction, which ``int`` would take as 1 or truncate."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _path_config(doc: dict, seed: int) -> PathConfig:
     sim = _section(doc, "sim")
     for key in ("dt", "n_paths", "horizon"):
@@ -123,7 +131,7 @@ def _path_config(doc: dict, seed: int) -> PathConfig:
         return PathConfig(
             dt=float(sim["dt"]),
             seed=seed,
-            n_paths=int(sim["n_paths"]),
+            n_paths=_whole("sim.n_paths", sim["n_paths"]),
             horizon=float(sim["horizon"]),
             scheme=sim.get("scheme", "euler-projected"),
             log_clamp_eps=float(sim.get("log_clamp_eps", 1e-12)),
@@ -194,10 +202,7 @@ def _payoff(doc, dims: StateSpaceDims):
         return lambda states: np.ones(np.asarray(states).shape[0])
 
     def index(key) -> int:
-        value = doc[key]
-        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-            raise ValueError(f"{key} index must be a whole number, got {value!r}")
-        i = int(value)
+        i = _whole(f"{key} index", doc[key])
         if not 0 <= i < dims.total:
             raise ValueError(f"{key} index {i} outside 0..{dims.total - 1}")
         return i
@@ -252,7 +257,7 @@ def _cmd_validate(doc, seed, out_dir, threads) -> tuple[int, dict]:
             op.dims,
             x_hi=x_hi,
             y_box=(y_lo, y_hi),
-            points_per_axis=int(grid_cfg.get("points_per_axis", 9)),
+            points_per_axis=_whole("grid.points_per_axis", grid_cfg.get("points_per_axis", 9)),
         )
     report = validate_assumptions(op, grid)
     result = {
@@ -304,6 +309,8 @@ def _cmd_fk(doc, seed, out_dir, threads) -> tuple[int, dict]:
             raise ValueError(f"a semigroup needs t > 0, got t = {t}")
         if mode == "dirichlet" and not t >= t1:
             raise ValueError(f"a Dirichlet run needs t >= t1, got t = {t}, t1 = {t1}")
+        if mode == "dirichlet" and t_cut is not None and not t_cut > t1:
+            raise ValueError(f"a Dirichlet run needs t_cut > t1, got t_cut = {t_cut}, t1 = {t1}")
     if mode == "semigroup":
         f = _payoff(doc.get("f"), model.dims)
         est = estimate_semigroup(coeffs, f, t, z0, domain, config, n_threads=threads)
@@ -327,7 +334,7 @@ def _cmd_density(doc, seed, out_dir, threads) -> tuple[int, dict]:
         t = float(doc.get("t", config.horizon))
         grid = GridSpec(
             box=tuple(tuple(float(v) for v in b) for b in _require(grid_doc, "box", "grid")),
-            cells_per_axis=int(grid_doc.get("cells", 64)),
+            cells_per_axis=_whole("grid.cells", grid_doc.get("cells", 64)),
         )
         # steps after t change no state nor stop time at t
         cfg = replace(config, record=(0.0, t), horizon=max(t, config.dt))
@@ -371,7 +378,10 @@ def _cmd_harnack(doc, seed, out_dir, threads) -> tuple[int, dict]:
         d = float(doc.get("d", math.sqrt(0.8)))
         fractions = [float(f) for f in doc.get("rho_fractions", (0.1, 0.2, 0.4))]
         lat = _section(doc, "lattice")
-        lattice = LatticeSpec(int(lat.get("n_time", 3)), int(lat.get("n_space", 5)))
+        lattice = LatticeSpec(
+            _whole("lattice.n_time", lat.get("n_time", 3)),
+            _whole("lattice.n_space", lat.get("n_space", 5)),
+        )
         t1 = float(doc.get("t1", 0.0))
         _finite(s=s, R=R, c=c, t1=t1)
     if not (R > 0.0 and c > 0.0 and fractions and all(0.0 < f < 1.0 for f in fractions)):
@@ -458,9 +468,9 @@ def _cmd_oracle_compare(doc, seed, out_dir, threads) -> tuple[int, dict]:
         b0 = float(doc.get("b0", 0.5))
         x0 = float(doc.get("x0", 0.0))
         t = float(doc.get("t", 1.0))
-        n_paths = int(sim.get("n_paths", 100_000))
+        n_paths = _whole("sim.n_paths", sim.get("n_paths", 100_000))
         dt = float(sim.get("dt", 1e-3))
-        bins = int(doc.get("bins", 64))
+        bins = _whole("bins", doc.get("bins", 64))
         box_hi = float(doc.get("box_hi", max(6.0 * max(b0 * t, 1e-3), x0 + 6.0)))
         for key, value in (("b0", b0), ("box_hi", box_hi)):
             if not 0.0 < value < math.inf:
@@ -561,7 +571,7 @@ def main(argv=None) -> int:
         if seed is None:
             raise ConfigError("a seed is mandatory (config 'seed' or --seed)")
         with _checked("seed"):
-            seed = int(seed)
+            seed = _whole("seed", seed)
             if not 0 <= seed < 2**64:
                 raise ValueError(f"a seed is a U64, got {seed}")
         resolved = dict(doc)

@@ -241,8 +241,8 @@ def estimate_dirichlet(
     n_threads: int = 1,
 ) -> Estimate:
     """Stopped-boundary representation ``E[g(t - stop, Z(stop))]`` with
-    ``stop = (t - t1) ^ tau``; with ``t_cut`` the payoff is truncated by the
-    indicator ``stop < t_cut - t1``.
+    ``stop = (t - t1) ^ tau``; with ``t_cut`` (later than ``t1``) the payoff is
+    truncated by the indicator ``stop < t_cut - t1``.
     """
     return estimate_dirichlet_nodes(
         coeffs, gdata, [(t, z0)], t1, domain, config, t_cut=t_cut, n_threads=n_threads
@@ -271,6 +271,8 @@ def estimate_dirichlet_nodes(
     estimate is ``E[M(stop) g(t - stop, Z(stop))]``, with ``M`` from
     :func:`weights_from_log`, and the weights blend like the payoffs.
     """
+    if t_cut is not None and not t_cut > t1:
+        raise ValueError("t_cut must be > t1")
     dom = domain.to_json()
 
     def fingerprint(t: float) -> str:

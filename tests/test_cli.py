@@ -232,6 +232,22 @@ def test_unknown_scheme_is_config_error(tmp_path, capsys, name):
     assert_config_error(tmp_path, capsys, doc)
 
 
+# whole-number values given as a fraction, a bool or an infinity, which int()
+# would truncate, read as 1 or fail on with an OverflowError
+WHOLE_NUMBER_CASES = [
+    ("fk", ("seed",), 7.5),
+    ("fk", ("seed",), True),
+    ("fk", ("sim", "n_paths"), 2000.9),
+    ("oracle_compare.json", ("bins",), 8.7),
+    ("oracle_compare.json", ("bins",), math.inf),
+    ("oracle_compare.json", ("sim", "n_paths"), True),
+    ("density", ("grid", "cells"), 16.5),
+    ("validate_model.json", ("grid", "points_per_axis"), 7.5),
+    ("harnack_scan.json", ("lattice", "n_time"), 3.5),
+    ("harnack_scan.json", ("lattice", "n_space"), True),
+]
+
+
 @pytest.mark.parametrize("name, path, value", [
     ("harnack_scan.json", ("sim", "dt"), "abc"),
     ("harnack_scan.json", ("R",), "quarter"),
@@ -294,7 +310,7 @@ def test_unknown_scheme_is_config_error(tmp_path, capsys, name):
     # validation grid bounds that are not finite
     ("validate_model.json", ("grid", "x_hi"), math.nan),
     ("validate_model.json", ("grid", "x_hi"), math.inf),
-])
+] + WHOLE_NUMBER_CASES)
 def test_bad_config_value_is_config_error(tmp_path, capsys, name, path, value):
     docs = {"density": DENSITY_DOC, "fk": FK_DOC, "simulate": SIMULATE_DOC,
             "girsanov": {**GIRSANOV_DOC, "seed": 5}}
@@ -306,13 +322,19 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, name, path, value):
         del node[path[-1]]
     else:
         node[path[-1]] = value
-    assert_config_error(tmp_path, capsys, doc)
+    message = assert_config_error(tmp_path, capsys, doc)
+    if (name, path, value) in WHOLE_NUMBER_CASES:
+        assert f"{path[-1]} must be a whole number" in message
+    assert not (tmp_path / "out" / "results.json").exists()
 
 
 @pytest.mark.parametrize("name, edits", [
     # a horizon t - t1 the estimators refuse
     ("fk", {"t": 0.0}),
     ("fk", {"mode": "dirichlet", "t1": 0.3}),
+    # a cut at or before t1, which truncates every payoff
+    ("fk", {"mode": "dirichlet", "t1": 0.0, "t_cut": -1.0}),
+    ("fk", {"mode": "dirichlet", "t1": 0.1, "t_cut": 0.1}),
     # grids with no cell, no point or a reversed box
     ("validate_model.json", {"grid.points_per_axis": 0}),
     ("density", {"grid.cells": 0}),

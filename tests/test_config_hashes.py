@@ -16,7 +16,7 @@ _spec = importlib.util.spec_from_file_location(
 config_hashes = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(config_hashes)
 
-QUICK = ["validate_model", "oracle_compare", "harnack_scan"]
+QUICK = ["validate_model", "oracle_compare", "harnack_scan", "density_weighted"]
 
 
 @pytest.mark.parametrize(

@@ -8,13 +8,8 @@ from conftest import make_sing_1d, make_std_1d
 from kimura_lab.density import (
     GridSpec,
     check_mass,
-    check_symmetry,
     estimate_density,
-    fit_scaling,
-    holder_moment,
-    lq_statistic,
     subdomain_alive_at,
-    upper_bound_check,
 )
 from kimura_lab.geometry import (
     DomainSpec,
@@ -83,93 +78,24 @@ class TestHistogram:
         assert l1 < 0.06
 
 
-class TestStatistics:
-    def test_lq_unit_exponent_is_mass(self, half_bundle):
-        grid = GridSpec(box=((0.0, 12.0),), cells_per_axis=64)
-        measure = WeightedMeasure.constant(DIMS1, [0.5])
-        est = estimate_density(half_bundle, 1.0, grid, measure=measure)
-        assert lq_statistic(est, 1.0) == pytest.approx(est.in_box_mass, rel=1e-12)
-
-    def test_lq_scaling_exponent_small_for_weighted_density(self, half_bundle):
-        # the weighted-chart norm grows like t^((1-q)/(2q)) for this model
-        grid = GridSpec(box=((0.0, 12.0),), cells_per_axis=64)
-        measure = WeightedMeasure.constant(DIMS1, [0.5])
-        q = 1.2
-        times = (0.25, 0.5, 1.0)
-        stats = [
-            lq_statistic(estimate_density(half_bundle, t, grid, measure=measure), q)
-            for t in times
-        ]
-        rep = fit_scaling(times, stats)
-        expected = (1.0 - q) / (2.0 * q)
-        assert rep.exponent == pytest.approx(expected, abs=0.05)
-        assert rep.r2 > 0.9
-
-    def test_holder_zero_moment_is_survival(self, half_bundle):
-        assert holder_moment(half_bundle, ORIGIN, 0.0, 1.0) == 1.0
-
-    def test_holder_scaling_superlinear(self, half_bundle):
-        times = (0.25, 0.5, 1.0)
-        stats = [holder_moment(half_bundle, ORIGIN, 4.0, t) for t in times]
-        rep = fit_scaling(times, stats)
-        assert rep.exponent > 1.5
-        assert rep.r2 > 0.9
-
-    def test_fit_scaling_recovers_power_law(self):
-        times = np.array([0.1, 0.2, 0.4, 0.8])
-        rep = fit_scaling(times, 3.0 * times**1.7)
-        assert rep.exponent == pytest.approx(1.7, rel=1e-12)
-        assert rep.r2 == pytest.approx(1.0)
-
-
 class TestSymmetry:
     def test_bidirectional_kernel_estimates_agree(self):
+        # p(t, z0, z1) = p(t, z1, z0) against mu: each start's histogram in
+        # one cell centred on the other start, both starts in one bundle
         coeffs = build_sde_coefficients(make_sing_1d(b0=1.0))
         measure = WeightedMeasure.constant(DIMS1, [1.0])
-        cfg = PathConfig(dt=2e-3, seed=73, n_paths=150_000, horizon=0.5)
-        a, b = check_symmetry(
-            coeffs, measure, Point((0.8,), ()), Point((1.6,), ()), 0.5, cfg
-        )
-        assert a.trusted and b.trusted
-        diff = abs(a.value - b.value)
-        assert diff <= 3.0 * math.hypot(a.stderr, b.stderr)
-
-    def test_same_point_is_identical(self):
-        coeffs = build_sde_coefficients(make_sing_1d(b0=1.0))
-        measure = WeightedMeasure.constant(DIMS1, [1.0])
-        cfg = PathConfig(dt=2.5e-3, seed=74, n_paths=20_000, horizon=0.25)
-        z = Point((1.0,), ())
-        a, b = check_symmetry(coeffs, measure, z, z, 0.25, cfg)
-        assert a.value > 0.0
-        # both directions are two starts of one bundle on common draws
-        assert (a.value, a.stderr, a.n_effective) == (b.value, b.stderr, b.n_effective)
-
-
-class TestUpperEnvelope:
-    def test_ratio_finite_and_stable(self, half_bundle):
-        measure = WeightedMeasure.constant(DIMS1, [0.5])
-        grid = GridSpec(box=((0.0, 6.0),), cells_per_axis=32)
-        maxima = []
-        for t in (0.25, 1.0):
-            est = estimate_density(half_bundle, t, grid, measure=measure)
-            report = upper_bound_check(est, measure, ORIGIN)
-            assert report["cells_used"] > 5
-            assert np.isfinite(report["max_ratio"])
-            maxima.append(report["max_ratio"])
-        assert max(maxima) / min(maxima) < 4.0
-
-    def test_gaussian_comparator_ratio_bounded(self):
-        # closed form: the flat-kernel ratio equals
-        # (2/sqrt(2 pi v)) exp(-3 d^2/(8 t)) with v the variance rate
-        t, v = 0.5, 1.0
-        d = np.linspace(0.0, 3.0, 13)
-        kernel = (2 * math.pi * v * t) ** -0.5 * np.exp(-(d**2) / (2 * v * t))
-        envelope = np.exp(-(d**2) / (8 * t)) / math.sqrt(
-            (2 * math.sqrt(t)) * (2 * math.sqrt(t))
-        )
-        ratio = kernel / envelope
-        assert np.all(ratio <= ratio[0] + 1e-12)
-        assert ratio[0] == pytest.approx(2.0 / math.sqrt(2 * math.pi * v), rel=1e-12)
+        t, z0, z1 = 0.5, 0.8, 1.6
+        cfg = PathConfig(dt=2e-3, seed=73, n_paths=150_000, horizon=t, record=(0.0, t))
+        both = simulate_bundle(coeffs, [Point((z0,), ()), Point((z1,), ())], FULL1, cfg)
+        reads = []
+        for part, target in zip(both.per_start(), (z1, z0)):
+            grid = GridSpec(box=((target - 0.025, target + 0.025),), cells_per_axis=1)
+            est = estimate_density(part, t, grid, measure=measure)
+            c, value = float(est.counts[0]), float(est.values[0])
+            assert c >= 100
+            reads.append((value, value * math.sqrt((1.0 - c / est.n_paths) / c)))
+        (a, se_a), (b, se_b) = reads
+        assert abs(a - b) <= 3.0 * math.hypot(se_a, se_b)
 
 
 class TestDomination:

@@ -169,6 +169,14 @@ class TestDirichletNodes:
             estimate_dirichlet_nodes(coeffs_sing_half, gdata, [(0.5, ORIGIN), (0.1, ORIGIN)],
                                      0.2, BOX04, cfg(n_paths=64))
 
+    @pytest.mark.parametrize("t_cut", [0.2, -1.0])
+    def test_cut_at_or_before_t1_is_rejected(self, coeffs_sing_half, t_cut):
+        # such a cut truncates every payoff, so the estimate would read 0
+        gdata = BoundaryData(lambda times, states: np.ones(states.shape[0]))
+        with pytest.raises(ValueError):
+            estimate_dirichlet_nodes(coeffs_sing_half, gdata, [(0.5, ORIGIN)],
+                                     0.2, BOX04, cfg(n_paths=64), t_cut=t_cut)
+
     @pytest.mark.parametrize("n_paths", [512, 5000])
     def test_weighted_nodes_match_each_node_alone(self, n_paths):
         eps = 0.2
