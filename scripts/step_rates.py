@@ -26,8 +26,12 @@ packed bundle and as 15 one-start bundles, at 512 and 4096 paths a start
 A last line runs ``configs/harnack_scan.json`` through ``cli.main`` at
 ``--threads 1`` in a fresh process and prints the wall seconds and minor
 page faults (``resource.getrusage``) of that call, imports excluded: the
-first large packed groups of a process are where page faults show.  Takes
-no options; it all takes about a minute on a 2-core machine.
+first large packed groups of a process are where page faults show.  A
+second line gives the package's start-up cost: the median over 5 fresh
+processes of ``import kimura_lab.cli`` after a bare ``import numpy``, with
+the median of that ``import numpy`` beside it, after one untimed process
+that caches the bytecode.  Takes no options; it all takes about a minute
+on a 2-core machine.
 
     python3 scripts/step_rates.py
 """
@@ -55,7 +59,7 @@ from kimura_lab.sde import (  # noqa: E402
 )
 from kimura_lab.simulate import RNG_BLOCK, PathConfig, _Lanes, _Workspace  # noqa: E402
 
-REPEATS, CALLS, SCAN_CALLS = 5, 200, 3
+REPEATS, CALLS, SCAN_CALLS, STARTS = 5, 200, 3, 5
 CONFIG = PathConfig(dt=1e-3, seed=0, n_paths=RNG_BLOCK, horizon=1.0)
 SCAN_STARTS = 15
 
@@ -151,6 +155,31 @@ print(f"{wall:.3f} {faults}")
     return f"{out[0]} s, {int(out[1]):,} minor page faults"
 
 
+def _fresh_import() -> str:
+    """Median milliseconds of ``import kimura_lab.cli`` after a bare
+    ``import numpy``, and of that ``import numpy``, over ``STARTS`` fresh
+    processes."""
+    code = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+start = time.perf_counter()
+import numpy
+mid = time.perf_counter()
+import kimura_lab.cli
+print(mid - start, time.perf_counter() - mid)
+"""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", code, os.path.join(ROOT, "src")],
+            check=True, capture_output=True, text=True, env=env,
+        ).stdout.split()
+        for _ in range(STARTS + 1)
+    ][1:]
+    numpy_ms, package_ms = 1e3 * np.median(np.array(runs, dtype=float), axis=0)
+    return f"{package_ms:.1f} ms (a bare import numpy: {numpy_ms:.1f} ms)"
+
+
 def _derived_rows(label: str, std_op) -> list:
     pair = make_girsanov_field(std_op, derive_singular_from_standard(std_op))
     return [
@@ -224,6 +253,8 @@ def main() -> None:
         print(f"| {label} | {1e9 * s / path_steps:.2f} |", flush=True)
     print(f"\nconfigs/harnack_scan.json, cli.main at one thread in a fresh process: "
           f"{_fresh_scan()}")
+    print(f"import kimura_lab.cli after numpy, median of {STARTS} fresh processes: "
+          f"{_fresh_import()}")
 
 
 if __name__ == "__main__":

@@ -554,10 +554,13 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        threads = args.threads
+        threads, source = args.threads, "--threads"
         if threads is None:
-            with _checked("KIMURA_LAB_THREADS"):
-                threads = int(os.environ.get("KIMURA_LAB_THREADS", "1"))
+            source = "KIMURA_LAB_THREADS"
+            with _checked(source):
+                threads = int(os.environ.get(source, "1"))
+        if threads < 1:
+            raise ConfigError(f"{source} is a worker cap of at least 1, got {threads}")
         if not isinstance(doc, dict):
             raise ConfigError("a config must be a JSON object")
         command = doc.get("command")

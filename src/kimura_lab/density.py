@@ -8,13 +8,13 @@ symmetry of the kernel directly testable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError
 from .geometry import DomainSpec, WeightedMeasure, sqrt_chart_quadrature
+from .records import record
 from .simulate import PathBundle
 
 __all__ = [
@@ -28,7 +28,7 @@ __all__ = [
 CELL_QUADRATURE_POINTS = 8  # midpoint nodes per axis in each histogram cell
 
 
-@dataclass(frozen=True)
+@record
 class GridSpec:
     """Tensor lattice over a box with a fixed cell count per axis."""
 
@@ -48,7 +48,7 @@ class GridSpec:
         ]
 
 
-@dataclass(frozen=True)
+@record
 class DensityEstimate:
     """Histogram density against the weighted measure at one time slice.
 

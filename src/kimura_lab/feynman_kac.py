@@ -10,7 +10,7 @@ than merely statistically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,6 +23,7 @@ from .errors import (
 from .fields import TestFunction
 from .geometry import DomainSpec, Point, StateSpaceDims
 from .operators import SingularOperatorSpec, apply_generator_batch
+from .records import record
 from .sde import GirsanovField, SdeCoefficients, StandardSdeCoefficients
 from .simulate import (
     PathBundle,
@@ -51,7 +52,7 @@ UNTRUSTED_ESS = 100.0
 LOG_WEIGHT_CAP = 700.0
 
 
-@dataclass(frozen=True)
+@record
 class Estimate:
     """Monte Carlo estimate with error bar and weighting diagnostics."""
 
@@ -274,10 +275,17 @@ def estimate_dirichlet_nodes(
     if t_cut is not None and not t_cut > t1:
         raise ValueError("t_cut must be > t1")
     dom = domain.to_json()
+    fingerprints: dict[str, str] = {}
 
     def fingerprint(t: float) -> str:
-        return config_fingerprint(config, op="dirichlet", t=t, t1=t1, domain=dom,
-                                  theta=theta is not None)
+        # one dump and hash per distinct t, keyed by repr: 0.0 == -0.0, yet
+        # the two dump differently
+        key = repr(t)
+        if key not in fingerprints:
+            fingerprints[key] = config_fingerprint(
+                config, op="dirichlet", t=t, t1=t1, domain=dom, theta=theta is not None
+            )
+        return fingerprints[key]
 
     out: list[Estimate | None] = [None] * len(nodes)
     by_start: dict[tuple[float, ...], list[int]] = {}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,6 +22,7 @@ from .errors import (
     InvalidHarnackParametersError,
     InvalidWeightError,
 )
+from .records import record
 
 __all__ = [
     "StateSpaceDims",
@@ -46,7 +47,7 @@ __all__ = [
 _TWO_THIRDS_SQRT = math.sqrt(2.0 / 3.0)
 
 
-@dataclass(frozen=True)
+@record
 class StateSpaceDims:
     """Number of degenerate (n) and free (m) coordinates, n + m >= 1."""
 
@@ -64,7 +65,7 @@ class StateSpaceDims:
         return self.n + self.m
 
 
-@dataclass(frozen=True)
+@record
 class Point:
     """A state ``z = (x, y)`` with nonnegative degenerate coordinates x."""
 
@@ -185,7 +186,7 @@ def rho_batch(z0: Point, states: np.ndarray) -> np.ndarray:
     return d
 
 
-@dataclass(frozen=True)
+@record
 class MetricBall:
     """Ball around ``center`` of positive ``radius`` in the chosen metric."""
 
@@ -227,7 +228,7 @@ def ball_box(ball: MetricBall) -> list[tuple[float, float]]:
     return box
 
 
-@dataclass(frozen=True)
+@record
 class SpaceTimeCylinder:
     """Time slab ``(t_lo, t_hi)`` times a metric ball: the cylinders of the
     two-cylinder ratio probes."""
@@ -241,7 +242,7 @@ class SpaceTimeCylinder:
             raise ValueError(f"empty time slab ({self.t_lo}, {self.t_hi})")
 
 
-@dataclass(frozen=True)
+@record
 class WeightedMeasure:
     """Measure with density ``prod_i x_i^(b_i(z) - 1)`` against Lebesgue.
 
@@ -275,7 +276,7 @@ class WeightedMeasure:
         return w
 
 
-@dataclass(frozen=True)
+@record
 class QuadratureConfig:
     """Tensor-product midpoint rule resolution (points per axis)."""
 
@@ -459,7 +460,7 @@ def _decode_bound(v, default: float) -> float:
     return default if v is None else float(v)
 
 
-@dataclass(frozen=True)
+@record
 class DomainSpec:
     """Open subdomain of the state space with its boundary split.
 

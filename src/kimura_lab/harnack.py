@@ -10,7 +10,6 @@ their stability across scales and lattice refinements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -22,6 +21,7 @@ from .geometry import (
     ball_box,
     cylinder_sets,
 )
+from .records import record
 
 __all__ = [
     "LatticeSpec",
@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class LatticeSpec:
     """Sample lattice resolution for one cylinder (times x per-axis nodes)."""
 
@@ -53,7 +53,7 @@ class LatticeSpec:
         return LatticeSpec(2 * self.n_time - 1, 2 * self.n_space - 1)
 
 
-@dataclass(frozen=True)
+@record
 class HarnackReport:
     """Sup/inf of a candidate solution over an (earlier, later) cylinder pair."""
 
@@ -222,7 +222,7 @@ def scale_invariant_scan(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ChainGeometry:
     """Closed-form window after ``k`` chained cylinder steps of base radius r:
     time offsets ``alpha_k = (1 - 4^-k) r^2`` and ``beta_k = (2/3) alpha_k``,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +38,7 @@ from .geometry import (
     WeightedMeasure,
     sqrt_chart_quadrature,
 )
+from .records import record
 
 __all__ = [
     "AssumptionConstants",
@@ -83,7 +84,7 @@ class Scratch(dict):
         return a
 
 
-@dataclass(frozen=True)
+@record
 class AssumptionConstants:
     """Ellipticity floor ``delta``, uniform bound ``K``, boundary-weight floor."""
 
@@ -111,7 +112,7 @@ class _OperatorBase:
         return self.diffusion_matrix(states) * s[..., :, None] * s[..., None, :]
 
 
-@dataclass(frozen=True)
+@record
 class StandardOperatorSpec(_OperatorBase):
     """Coefficients of the standard (non-divergence) generator.
 
@@ -169,7 +170,7 @@ class StandardOperatorSpec(_OperatorBase):
         return self.a_hat.is_zero and self.c_hat.is_zero and self.d_hat.is_constant
 
 
-@dataclass(frozen=True)
+@record
 class SingularOperatorSpec(_OperatorBase):
     """Coefficients of the divergence-compatible generator with log drift.
 
@@ -597,15 +598,21 @@ def bilinear_form(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
+    """One named assumption check of :func:`validate_assumptions`."""
+
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
+    """The checks of :func:`validate_assumptions`, the extremes of the
+    ellipticity form and the assumption constants inferred from the grid
+    (None unless the form and the boundary weight are positive)."""
+
     passed: bool
     checks: tuple[CheckResult, ...]
     inferred: AssumptionConstants | None

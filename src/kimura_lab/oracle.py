@@ -18,12 +18,12 @@ does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import NumericFailureError, UnstableConfigurationError
+from .records import record
 
 __all__ = [
     "Besq1dModel",
@@ -50,7 +50,7 @@ _LENTZ_TINY = 1e-300
 _MASS_TABLE_CELLS = 2**16
 
 
-@dataclass(frozen=True)
+@record
 class Besq1dModel:
     """1D model ``x u'' + b0 u'`` started at ``x0 >= 0``.
 
@@ -402,7 +402,7 @@ class Grid1dSolver:
         return float(np.sum(values * self.mu_cells))
 
 
-@dataclass(frozen=True)
+@record
 class Solution1D:
     """Space-time field produced by the grid solver (values are mu-densities
     when the initial data was a mass-normalized spike)."""

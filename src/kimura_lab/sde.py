@@ -23,8 +23,6 @@ workspace, a library caller on one block of states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -38,6 +36,7 @@ from .operators import (
     SingularOperatorSpec,
     StandardOperatorSpec,
 )
+from .records import record
 
 __all__ = [
     "SdeCoefficients",
@@ -85,7 +84,7 @@ def dispersion_sqrt_batch(D: np.ndarray) -> np.ndarray:
     return root[0] if single else root
 
 
-@dataclass(frozen=True)
+@record
 class StepPlan:
     """What a scheme step needs from one model, resolved once at build time.
 
@@ -100,7 +99,7 @@ class StepPlan:
     drift: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
+@record
 class _Coefficients:
     """Fields shared by both equations, read from the source operator's
     ``drift`` and ``diffusion_matrix``."""
@@ -151,7 +150,7 @@ class _Coefficients:
         return np.einsum("pij,pj->pi", sigma, xi, out=out)
 
 
-@dataclass(frozen=True)
+@record
 class SdeCoefficients(_Coefficients):
     """All simulation-level fields of the divergence-compatible equation."""
 
@@ -162,7 +161,7 @@ class SdeCoefficients(_Coefficients):
     sigma_batch = _Coefficients.sigma_batch
 
 
-@dataclass(frozen=True)
+@record
 class StandardSdeCoefficients(_Coefficients):
     """Simulation-level fields of the standard (bounded-drift) equation."""
 
@@ -202,7 +201,7 @@ def build_standard_sde_coefficients(std: StandardOperatorSpec) -> StandardSdeCoe
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class GirsanovField:
     """Batched drift-change field for path weighting.
 

@@ -56,7 +56,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -68,6 +68,7 @@ from .errors import (
 )
 from .geometry import DomainSpec, Point, StateSpaceDims
 from .operators import Scratch
+from .records import record
 from .sde import GirsanovField, SdeCoefficients, StandardSdeCoefficients
 
 __all__ = [
@@ -93,7 +94,7 @@ RECORD_MODES = ("auto", "all", "ends")
 _AUTO_RECORD_BUDGET = 64_000_000  # floats
 
 
-@dataclass(frozen=True)
+@record
 class PathConfig:
     """Simulation grid, scheme, and reproducibility knobs.
 
@@ -188,7 +189,7 @@ def config_fingerprint(config: PathConfig, **extra) -> str:
     ).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
+@record
 class PathBundle:
     """Immutable result of one simulation run.
 

@@ -457,6 +457,31 @@ def test_bad_thread_variable_is_config_error(tmp_path, capsys, monkeypatch):
     assert_config_error(tmp_path, capsys, FK_DOC)
 
 
+@pytest.mark.parametrize("flag, env", [
+    ("0", None),
+    ("-3", None),
+    (None, "0"),
+    (None, "-3"),
+    ("0", "2"),
+])
+def test_thread_cap_below_one_is_config_error(tmp_path, capsys, monkeypatch, flag, env):
+    # a cap below 1 would otherwise step serially without a word
+    if env is not None:
+        monkeypatch.setenv("KIMURA_LAB_THREADS", env)
+
+    def no_step(*args):
+        raise AssertionError("a path was stepped")
+
+    monkeypatch.setattr(simulate._Lanes, "__init__", no_step)
+    extra = () if flag is None else ("--threads", flag)
+    code, out = run(tmp_path, FK_DOC, *extra)
+    assert code == 2
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["kind"] == "config"
+    assert ("--threads" if flag is not None else "KIMURA_LAB_THREADS") in diag["message"]
+    assert not (out / "results.json").exists()
+
+
 def test_config_that_is_not_an_object_is_config_error(tmp_path, capsys):
     assert_config_error(tmp_path, capsys, [FK_DOC])
 
