@@ -104,8 +104,8 @@ def _workspace(eqs, thetas, config):
     return lanes, ws
 
 
-def _step(coeffs, theta=None, scheme=CONFIG.scheme):
-    lanes, ws = _workspace([coeffs], [theta], replace(CONFIG, scheme=scheme))
+def _step(coeffs, theta=None):
+    lanes, ws = _workspace([coeffs], [theta], CONFIG)
     return lambda: lanes.step(ws, 1, 0)
 
 
@@ -227,7 +227,6 @@ def main() -> None:
         ),
         ("girsanov pair: a one-step draw, both lanes stepped on it", _pair_step(pair)),
         ("singular 1D, constant b (harnack config)", _step(harnack)),
-        ("the same, euler-implicit-sqrt", _step(harnack, scheme="euler-implicit-sqrt")),
         *_derived_rows("n=1, m=1 (validate config)", operator_from_json(validate)),
         *_derived_rows("n=1, m=1 with a^ = 0.2, c^ = 0.3", operator_from_json(coupled)),
         (

@@ -188,44 +188,26 @@ def rho_batch(z0: Point, states: np.ndarray) -> np.ndarray:
 
 @record
 class MetricBall:
-    """Ball around ``center`` of positive ``radius`` in the chosen metric."""
+    """Open ball ``rho(center, z) < radius`` of the intrinsic metric."""
 
     center: Point
     radius: float
-    metric: str = "intrinsic"  # "intrinsic" | "euclidean"
 
     def __post_init__(self) -> None:
         if self.radius <= 0.0:
             raise ValueError("ball radius must be positive")
-        if self.metric not in ("intrinsic", "euclidean"):
-            raise ValueError(f"unknown metric {self.metric!r}")
 
     def contains_batch(self, states: np.ndarray) -> np.ndarray:
-        if self.metric == "intrinsic":
-            return rho_batch(self.center, states) < self.radius
-        diff = np.asarray(states, dtype=float) - self.center.vector
-        return np.linalg.norm(diff, axis=-1) < self.radius
+        return rho_batch(self.center, states) < self.radius
 
 
 def ball_box(ball: MetricBall) -> list[tuple[float, float]]:
-    """Per-axis bounding intervals of a ball, clipped to the state space.
+    """Per-axis intervals of a ball, clipped to the state space.
 
-    For the intrinsic max-metric the box IS the ball; for Euclidean balls it
-    is the circumscribed box (use a membership indicator on top).
+    The metric is a max over per-axis terms, so the box IS the ball.
     """
-    c = ball.center
-    box: list[tuple[float, float]] = []
-    if ball.metric == "intrinsic":
-        for a in c.x:
-            box.append(coordinate_interval(a, ball.radius))
-        for a in c.y:
-            box.append((a - ball.radius, a + ball.radius))
-    else:
-        for a in c.x:
-            box.append((max(a - ball.radius, 0.0), a + ball.radius))
-        for a in c.y:
-            box.append((a - ball.radius, a + ball.radius))
-    return box
+    c, r = ball.center, ball.radius
+    return [coordinate_interval(a, r) for a in c.x] + [(a - r, a + r) for a in c.y]
 
 
 @record
@@ -346,13 +328,10 @@ def mu_box(
     measure: WeightedMeasure,
     box: Sequence[tuple[float, float]],
     quadrature: QuadratureConfig = QuadratureConfig(),
-    indicator: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> float:
     """Weighted measure of an axis-aligned box by tensor midpoint quadrature.
 
-    One :func:`sqrt_chart_quadrature` cell per axis.  An optional
-    ``indicator`` restricts the integral to a sub-region (batched predicate on
-    states).
+    One :func:`sqrt_chart_quadrature` cell per axis.
     """
     dims = measure.dims
     box = [(float(lo), float(hi)) for lo, hi in box]
@@ -365,9 +344,7 @@ def mu_box(
         if hi <= lo:
             return 0.0
         edges.append(np.sqrt([max(lo, 0.0), hi]) if i < dims.n else np.array([lo, hi]))
-    states, weights = sqrt_chart_quadrature(measure, edges, quadrature.points_per_axis)
-    if indicator is not None:
-        weights = weights * indicator(states)
+    _, weights = sqrt_chart_quadrature(measure, edges, quadrature.points_per_axis)
     return float(weights.sum())
 
 
@@ -378,16 +355,12 @@ def mu_ball(
 ) -> float:
     """Weighted measure of a metric ball intersected with the state space.
 
-    Intrinsic balls are boxes in the original coordinates, so no membership
-    indicator is needed and the midpoint rule retains second order; Euclidean
-    balls integrate an indicator over the circumscribed box.
+    The ball is the box :func:`ball_box`, so the midpoint rule of
+    :func:`mu_box` keeps second order.
     """
     if ball.center.dims != measure.dims:
         raise DimensionMismatchError("ball center does not match measure dims")
-    indicator = None
-    if ball.metric == "euclidean":
-        indicator = lambda states: ball.contains_batch(states).astype(float)
-    return mu_box(measure, ball_box(ball), quadrature, indicator=indicator)
+    return mu_box(measure, ball_box(ball), quadrature)
 
 
 def mu_ball_comparator(
@@ -399,8 +372,6 @@ def mu_ball_comparator(
     ``I = {i : x0_i <= r0}``.  The crossover radius ``r0`` is a configuration
     knob (only the existence of a small enough value is guaranteed).
     """
-    if ball.metric != "intrinsic":
-        raise ValueError("comparator applies to intrinsic balls only")
     z0 = ball.center
     r = ball.radius
     b = measure.weights_at(z0.vector[None, :])[0]
@@ -569,11 +540,10 @@ class DomainSpec:
         dims: StateSpaceDims,
         center: Point,
         radius: float,
-        metric: str = "intrinsic",
         bounding_box: Sequence[tuple[float, float]] | None = None,
     ) -> "DomainSpec":
-        b = MetricBall(center, radius, metric)
-        box = tuple((lo, hi) for lo, hi in ball_box(b))
+        b = MetricBall(center, radius)
+        box = tuple(ball_box(b))
         if bounding_box is not None:
             box = tuple(
                 (max(lo, _decode_bound(clo, -np.inf)), min(hi, _decode_bound(chi, np.inf)))
@@ -582,29 +552,17 @@ class DomainSpec:
 
         def underline(states: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             states = np.asarray(states, dtype=float)
-            ok = b.contains_batch(states)
-            for i in range(dims.n):
-                ok = ok & (states[..., i] >= 0.0)
-            if out is None:
-                return ok
-            np.copyto(out, ok)
-            return out
+            faces = np.all(states[..., : dims.n] >= 0.0, axis=-1)
+            return np.logical_and(b.contains_batch(states), faces, out=out)
 
         def distance(states: np.ndarray) -> np.ndarray:
-            states = np.asarray(states, dtype=float)
-            if metric == "intrinsic":
-                return radius - rho_batch(center, states)
-            return radius - np.linalg.norm(states - center.vector, axis=-1)
+            return radius - rho_batch(center, states)
 
         return DomainSpec(
             dims=dims,
             bounding_box=box,
             shape="ball",
-            params={
-                "center": list(center.vector),
-                "radius": radius,
-                "metric": metric,
-            },
+            params={"center": list(center.vector), "radius": radius},
             contains_underline=underline,
             interior_boundary_distance=distance,
         )
@@ -667,14 +625,10 @@ class DomainSpec:
         if shape == "box":
             return DomainSpec.box(dims, box)
         if shape == "ball":
+            if doc.get("metric", "intrinsic") != "intrinsic":
+                raise ValueError(f"unknown ball metric {doc['metric']!r}")
             center = Point.from_vector(dims, doc["center"])
-            return DomainSpec.ball(
-                dims,
-                center,
-                float(doc["radius"]),
-                doc.get("metric", "intrinsic"),
-                bounding_box=box,
-            )
+            return DomainSpec.ball(dims, center, float(doc["radius"]), bounding_box=box)
         if shape == "halfspace-intersection":
             return DomainSpec.halfspace_intersection(
                 dims, doc["normals"], doc["offsets"], box

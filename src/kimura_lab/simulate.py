@@ -1,13 +1,12 @@
 """Time-discrete simulation of the degenerate SDEs with boundary-aware schemes.
 
-Paths are advanced on a fixed grid with one of three schemes: projected Euler
-(default; the degenerate coordinates are clipped at 0 after each step), a
-drift-implicit square-root step for stiff drift near the boundary, and exact
-transition sampling for the separable constant-coefficient one-dimensional
-model.  Exit from a domain is detected on the grid (first grid point outside
-the domain together with its degenerate faces), after which the path freezes;
-no bridge correction is applied, so the exit time carries an O(sqrt(dt)) bias
-that is measured rather than corrected.
+Paths are advanced on a fixed grid with one of two schemes: projected Euler
+(default; the degenerate coordinates are clipped at 0 after each step) and
+exact transition sampling for the separable constant-coefficient
+one-dimensional model.  Exit from a domain is detected on the grid (first
+grid point outside the domain together with its degenerate faces), after
+which the path freezes; no bridge correction is applied, so the exit time
+carries an O(sqrt(dt)) bias that is measured rather than corrected.
 
 Randomness is counter-based: normals come from independent Philox streams
 keyed by ``(seed, block_index)`` over fixed-size path blocks, so results are
@@ -89,7 +88,7 @@ RNG_BLOCK = 4096
 PACK_ROWS = 16 * RNG_BLOCK
 # normals of one draw: as many steps of a block as fit, at least one
 DRAW_FLOATS = 16_384
-SCHEMES = ("euler-projected", "euler-implicit-sqrt", "exact-1d-gamma")
+SCHEMES = ("euler-projected", "exact-1d-gamma")
 RECORD_MODES = ("auto", "all", "ends")
 _AUTO_RECORD_BUDGET = 64_000_000  # floats
 
@@ -395,7 +394,6 @@ class _Lanes:
         self.dims = eqs[0].dims
         self.dt, self.eps = config.dt, config.log_clamp_eps
         self.sqdt = np.sqrt(config.dt)
-        self.implicit = config.scheme == "euler-implicit-sqrt"
         self.folded = [eq.plan.drift is not None for eq in eqs]
         self.drift_dt = None
         if all(self.folded):
@@ -480,9 +478,7 @@ class _Lanes:
         else:
             np.multiply(ws.drift, self.dt, out=new)
             np.add(cur, new, out=new)
-        if self.implicit:
-            self._implicit_rows(ws, noise)
-        elif n:
+        if n:
             # x += sqrt(x) noise_x sqrt(dt), then the projection onto x >= 0
             term = ws.rx_by_start
             np.multiply(term, noise[..., :n] if m else noise, out=term)
@@ -504,20 +500,6 @@ class _Lanes:
                 raise NumericFailureError(
                     f"non-finite state at step {k} (block path {bad % ws.nb})"
                 )
-
-    def _implicit_rows(self, ws: "_Workspace", noise: np.ndarray) -> None:
-        """The degenerate rows of the drift-implicit step in the sqrt chart."""
-        d, rows = self.dims.total, ws.rows
-        for e, eq in enumerate(self.eqs):
-            D = eq.source.diffusion_matrix(ws.cur[e])
-            lane_noise = noise[min(e, noise.shape[0] - 1)]
-            lane_noise = np.broadcast_to(lane_noise, (ws.starts, ws.nb, d)).reshape(rows, d)
-            root_x, drift, new = ws.rx[e], ws.drift[e], ws.new[e]
-            for i in range(self.dims.n):
-                B = root_x[:, i] + 0.5 * lane_noise[:, i] * self.sqdt
-                disc = B * B + 2.0 * (drift[:, i] - 0.25 * D[..., i, i]) * self.dt
-                ynew = 0.5 * (B + np.sqrt(np.maximum(disc, 0.0)))
-                new[:, i] = ynew * ynew
 
 
 class _Workspace:
@@ -543,7 +525,7 @@ class _Workspace:
         self.rx = np.empty((n_lanes, rows, n))
         self.rx_by_start = self.rx.reshape(self.by_start + (n,))
         self.drift = None
-        if lanes.drift_dt is None or lanes.implicit or lanes.weighted is not None:
+        if lanes.drift_dt is None or lanes.weighted is not None:
             self.drift = np.empty((n_lanes, rows, d))
             for e, eq in enumerate(lanes.eqs):
                 if lanes.folded[e]:
@@ -626,6 +608,8 @@ def simulate_bundle(
     ``record="all"`` the draws are those of the per-step loop.  The exact
     scheme draws from the state, so it steps one equation only.
     """
+    if n_threads < 1:
+        raise ValueError(f"n_threads must be >= 1, got {n_threads}")
     eqs = list(coeffs) if isinstance(coeffs, (list, tuple)) else [coeffs]
     n_eqs = len(eqs)
     if not eqs:
@@ -772,7 +756,7 @@ def simulate_bundle(
         nb = min(RNG_BLOCK, n_paths - block * RNG_BLOCK)
         size = 1 if params_exact is not None else PACK_ROWS // nb
         groups += [(block, slice(s, min(s + size, n_starts))) for s in range(0, n_starts, size)]
-    if n_threads <= 1 or len(groups) == 1:
+    if n_threads == 1 or len(groups) == 1:
         for group in groups:
             run_group(*group)
     else:

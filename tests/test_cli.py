@@ -39,6 +39,9 @@ SIMULATE_DOC = {
     "z0": [0.0],
     "sim": {"dt": 0.01, "n_paths": 200, "horizon": 1.0},
 }
+# a ball of the intrinsic metric about SIMULATE_DOC's start
+BALL_DOMAIN = {"dims": {"n": 1, "m": 0}, "box": [[0.0, 4.0]], "shape": "ball",
+               "center": [0.0], "radius": 0.5}
 MISSING = object()  # a parameter value that deletes the key instead
 
 
@@ -193,6 +196,16 @@ def test_oracle_compare_small_run(tmp_path):
     assert results["mean_within_3_stderr"] is True
 
 
+def test_ball_domain_runs_with_or_without_its_metric_key(tmp_path):
+    outputs = []
+    for i, domain in enumerate([BALL_DOMAIN, {**BALL_DOMAIN, "metric": "intrinsic"}]):
+        (tmp_path / str(i)).mkdir()
+        code, out = run(tmp_path / str(i), {**SIMULATE_DOC, "domain": domain})
+        assert code == 0
+        outputs.append((out / "bundle.kimb").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_numeric_failure_exit_code(tmp_path, capsys):
     doc = {
         "command": "simulate",
@@ -228,8 +241,10 @@ def assert_config_error(tmp_path, capsys, doc):
 @pytest.mark.parametrize("name", ["harnack_scan.json", "oracle_compare.json"])
 def test_unknown_scheme_is_config_error(tmp_path, capsys, name):
     doc = load_config(name)
-    doc["sim"]["scheme"] = "bogus"
-    assert_config_error(tmp_path, capsys, doc)
+    # a deleted scheme is refused, not run as another
+    for scheme in ("bogus", "euler-implicit-sqrt"):
+        doc["sim"]["scheme"] = scheme
+        assert "scheme must be one of" in assert_config_error(tmp_path, capsys, doc)
 
 
 # whole-number values given as a fraction, a bool or an infinity, which int()
@@ -310,7 +325,11 @@ WHOLE_NUMBER_CASES = [
     # validation grid bounds that are not finite
     ("validate_model.json", ("grid", "x_hi"), math.nan),
     ("validate_model.json", ("grid", "x_hi"), math.inf),
-] + WHOLE_NUMBER_CASES)
+] + WHOLE_NUMBER_CASES + [
+    # a ball of a metric other than the intrinsic one, which must not run
+    # as the intrinsic ball (the same domain without "metric" runs)
+    ("simulate", ("domain",), {**BALL_DOMAIN, "metric": "euclidean"}),
+])
 def test_bad_config_value_is_config_error(tmp_path, capsys, name, path, value):
     docs = {"density": DENSITY_DOC, "fk": FK_DOC, "simulate": SIMULATE_DOC,
             "girsanov": {**GIRSANOV_DOC, "seed": 5}}

@@ -172,13 +172,6 @@ class TestWeightedMeasure:
         ratio = (vals[1] - vals[0]) / (vals[2] - vals[1])
         assert 3.5 <= ratio <= 4.5
 
-    def test_euclidean_ball_measure(self):
-        m = WeightedMeasure.constant(StateSpaceDims(0, 2), [])
-        ball = MetricBall(Point((), (0.0, 0.0)), 1.0, metric="euclidean")
-        assert mu_ball(m, ball, QuadratureConfig(256)) == pytest.approx(
-            math.pi, rel=2e-2
-        )
-
     def test_comparator_flat_weight_interior(self):
         m = WeightedMeasure.constant(StateSpaceDims(1, 1), [1.0])
         ball = MetricBall(Point((0.5,), (0.0,)), 0.05)
@@ -400,6 +393,16 @@ class TestDomains:
         assert np.array_equal(
             dom.contains_underline(pts), back.contains_underline(pts)
         )
+
+    def test_ball_json_takes_the_intrinsic_metric_only(self):
+        doc = json.loads(DomainSpec.ball(StateSpaceDims(1, 0), p1(1.0), 0.5).to_json())
+        assert "metric" not in doc
+        for extra in ({}, {"metric": "intrinsic"}):
+            assert DomainSpec.from_json({**doc, **extra}).params == {
+                "center": [1.0], "radius": 0.5}
+        # a Euclidean ball must not run as the intrinsic box
+        with pytest.raises(ValueError, match="euclidean"):
+            DomainSpec.from_json({**doc, "metric": "euclidean"})
 
 
 def test_rho_rejects_dimension_mismatch():

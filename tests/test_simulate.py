@@ -75,7 +75,7 @@ class TestSingleStep:
         coeffs = build_sde_coefficients(make_sing_1d(b0=0.5))
         assert one_step(coeffs, 0.01, -10.0) == 0.0
 
-    @pytest.mark.parametrize("scheme", ["euler-projected", "euler-implicit-sqrt"])
+    @pytest.mark.parametrize("scheme", ["euler-projected"])
     def test_single_step_is_the_block_step_row(self, scheme):
         std_op = make_std_1d(b0=1.0, slope=0.2, a_hat=0.3)  # state-dependent sigma
         cases = [
@@ -296,15 +296,6 @@ class TestWeakOrder:
 
 
 class TestSchemes:
-    def test_implicit_sqrt_runs_and_stays_nonnegative(self):
-        coeffs = build_standard_sde_coefficients(make_std_1d(b0=0.5))
-        cfg = PathConfig(dt=2e-3, seed=31, n_paths=20_000, horizon=0.5,
-                         scheme="euler-implicit-sqrt", record=(0.0, 0.5))
-        bundle = simulate_bundle(coeffs, ORIGIN, FULL1, cfg)
-        x = bundle.states_at(0.5)[:, 0]
-        assert float(x.min()) >= 0.0
-        assert abs(float(x.mean()) - 0.25) < 0.02
-
     def test_exact_scheme_matches_transition_law(self):
         coeffs = build_standard_sde_coefficients(make_std_1d(b0=0.5))
         cfg = PathConfig(dt=0.25, seed=32, n_paths=100_000, horizon=1.0,
@@ -644,6 +635,9 @@ class TestPackedStarts:
             simulate_bundle(coeffs, [Point((1.0,), ()), Point((5.0,), ())], BOX04, cfg)
         with pytest.raises(ValueError, match="one start"):
             simulate_bundle(coeffs, STARTS_1D[:2], BOX04, cfg, observers=(object(),))
+        for n_threads in (0, -2):
+            with pytest.raises(ValueError, match="n_threads"):
+                simulate_bundle(coeffs, STARTS_1D[:2], BOX04, cfg, n_threads=n_threads)
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +748,7 @@ def count_calls(monkeypatch, owner, name):
 
 
 class TestNoExitBoundary:
-    @pytest.mark.parametrize("scheme", ["euler-projected", "euler-implicit-sqrt"])
+    @pytest.mark.parametrize("scheme", ["euler-projected"])
     def test_stepping_skips_the_exit_test_with_equal_bytes(self, scheme):
         coeffs = build_sde_coefficients(make_sing_1d(b0=0.5))
         cfg = PathConfig(dt=1e-2, seed=12, n_paths=500, horizon=0.3, scheme=scheme,
