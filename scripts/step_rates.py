@@ -30,8 +30,13 @@ first large packed groups of a process are where page faults show.  A
 second line gives the package's start-up cost: the median over 5 fresh
 processes of ``import kimura_lab.cli`` after a bare ``import numpy``, with
 the median of that ``import numpy`` beside it, after one untimed process
-that caches the bytecode.  Takes no options; it all takes about a minute
-on a 2-core machine.
+that caches the bytecode.  A last line gives the interpreter's exit after
+``cli.main`` on ``configs/oracle_compare.json``: the median over 5 fresh
+processes of the time from the child's last line, which prints
+``time.monotonic()`` after ``main`` returns, until the parent has reaped
+it, with the number of collections (``gc.callbacks``) during
+``import kimura_lab.cli`` beside it.  Takes no options; it all takes about a
+minute on a 2-core machine.
 
     python3 scripts/step_rates.py
 """
@@ -180,6 +185,39 @@ print(mid - start, time.perf_counter() - mid)
     return f"{package_ms:.1f} ms (a bare import numpy: {numpy_ms:.1f} ms)"
 
 
+def _fresh_exit() -> str:
+    """Median milliseconds from the end of ``cli.main`` on
+    ``configs/oracle_compare.json`` until the parent has reaped the process,
+    over ``STARTS`` fresh processes, and the collections during
+    ``import kimura_lab.cli``."""
+    code = """
+import contextlib, gc, io, sys, tempfile, time
+sys.path.insert(0, sys.argv[1])
+begun = []
+tally = lambda phase, info: begun.append(phase == "start")
+gc.callbacks.append(tally)
+import kimura_lab.cli
+gc.callbacks.remove(tally)
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    kimura_lab.cli.main(["--config", sys.argv[2], "--out", out, "--threads", "1"])
+print(sum(begun), time.monotonic(), flush=True)
+"""
+    config = os.path.join(ROOT, "configs", "oracle_compare.json")
+    exits, counts = [], []
+    for _ in range(STARTS):
+        child = subprocess.Popen(
+            [sys.executable, "-c", code, os.path.join(ROOT, "src"), config],
+            stdout=subprocess.PIPE, text=True,
+        )
+        out = child.communicate()[0].split()
+        if child.returncode:
+            raise subprocess.CalledProcessError(child.returncode, child.args)
+        exits.append(time.monotonic() - float(out[1]))
+        counts.append(int(out[0]))
+    return (f"{1e3 * np.median(exits):.1f} ms "
+            f"({int(np.median(counts))} collections during import kimura_lab.cli)")
+
+
 def _derived_rows(label: str, std_op) -> list:
     pair = make_girsanov_field(std_op, derive_singular_from_standard(std_op))
     return [
@@ -254,6 +292,8 @@ def main() -> None:
           f"{_fresh_scan()}")
     print(f"import kimura_lab.cli after numpy, median of {STARTS} fresh processes: "
           f"{_fresh_import()}")
+    print(f"interpreter exit after cli.main on configs/oracle_compare.json, median of "
+          f"{STARTS} fresh processes: {_fresh_exit()}")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,9 @@ Exit codes: 0 success, 2 configuration/validation failure, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
+import gc
 import hashlib
 import json
 import math
@@ -92,10 +94,13 @@ def _section(doc: dict, key: str) -> dict:
     return value
 
 
+_OUTPUT_NAMES = ("results", "csv", "bundle")
+
+
 def _output(doc: dict) -> dict:
     """The config's ``output`` object, whose file names are non-empty strings."""
     out = _section(doc, "output")
-    for key in ("results", "csv", "bundle"):
+    for key in _OUTPUT_NAMES:
         if key in out and not (isinstance(out[key], str) and out[key]):
             raise ConfigError(f"output.{key} must be a file name, got {json.dumps(out[key])}")
     return out
@@ -105,10 +110,11 @@ def _output(doc: dict) -> dict:
 def _checked(ctx: str):
     """Raise a value that a conversion (``float``, ``int``) or a validating
     constructor (``PathConfig``, ``LatticeSpec``, ...) rejects in this block,
-    or a key that a JSON reader misses, as a config error about ``ctx``."""
+    a key that a JSON reader misses, or a file that cannot be opened, read or
+    made, as a config error about ``ctx``."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OSError) as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
     except KeyError as exc:
         raise ConfigError(f"{ctx}: missing key {exc}") from exc
@@ -155,10 +161,10 @@ def _check_stderr_paths(ctx: str, config: PathConfig) -> None:
 
 def _load_model(doc: dict):
     model = _require(doc, "model", "config")
-    if isinstance(model, str):
-        with open(model) as fh:
-            model = json.load(fh)
     with _checked("model"):
+        if isinstance(model, str):
+            with open(model) as fh:
+                model = json.load(fh)
         return operator_from_json(model)
 
 
@@ -166,10 +172,10 @@ def _load_domain(doc: dict, dims: StateSpaceDims) -> DomainSpec:
     if "domain" not in doc:
         return DomainSpec.full_space(dims)
     dom = doc["domain"]
-    if isinstance(dom, str):
-        with open(dom) as fh:
-            dom = json.load(fh)
     with _checked("domain"):
+        if isinstance(dom, str):
+            with open(dom) as fh:
+                dom = json.load(fh)
         return DomainSpec.from_json(dom)
 
 
@@ -532,6 +538,11 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    # Shutdown collects everything NumPy and the package leave tracked (tens
+    # of ms); frozen objects are skipped.  Freezing only at exit leaves a
+    # caller's collector as it was, and unregistering first keeps one hook.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = argparse.ArgumentParser(
         prog="kimura-lab",
         description="Run configured degenerate-diffusion experiments.",
@@ -580,8 +591,14 @@ def main(argv=None) -> int:
         resolved = dict(doc)
         resolved["seed"] = seed
         chash = _config_hash(resolved)
-        out_name = _output(doc).get("results", "results.json")
-        os.makedirs(args.out, exist_ok=True)
+        output = _output(doc)
+        out_name = output.get("results", "results.json")
+        with _checked("--out"):
+            os.makedirs(args.out, exist_ok=True)
+        for key in _OUTPUT_NAMES:
+            folder = os.path.dirname(os.path.join(args.out, output.get(key, "")))
+            if not os.path.isdir(folder):
+                raise ConfigError(f"output.{key}: {folder!r} is not a directory")
         code, result = _HANDLERS[command](resolved, seed, args.out, threads)
         payload = {"command": command, "config_hash": chash, "seed": seed}
         payload.update(result)

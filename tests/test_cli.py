@@ -1,6 +1,10 @@
+import atexit
+import gc
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -501,6 +505,37 @@ def test_thread_cap_below_one_is_config_error(tmp_path, capsys, monkeypatch, fla
     assert not (out / "results.json").exists()
 
 
+@pytest.mark.parametrize("case", [
+    "model-missing", "model-not-json", "domain-missing", "out-is-a-file",
+    "results-in-no-directory",
+])
+def test_unusable_file_is_config_error_before_any_step(tmp_path, capsys, monkeypatch, case):
+    # a file the config names, or the output location, that cannot be read or
+    # written; the results name is checked before the run, not after it
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("not JSON")
+    key, edits, out = {
+        "model-missing": ("model", {"model": str(tmp_path / "absent.json")}, "out"),
+        "model-not-json": ("model", {"model": str(garbage)}, "out"),
+        "domain-missing": ("domain", {"domain": str(tmp_path / "absent.json")}, "out"),
+        "out-is-a-file": ("--out", {}, garbage.name),
+        "results-in-no-directory": (
+            "output.results", {"output": {"results": "nodir/r.json"}}, "out"),
+    }[case]
+
+    def no_step(*args):
+        raise AssertionError("a path was stepped")
+
+    monkeypatch.setattr(simulate._Lanes, "__init__", no_step)
+    cfg = write_config(tmp_path, {**FK_DOC, **edits})
+    assert main(["--config", cfg, "--out", str(tmp_path / out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    diag = json.loads(line)
+    assert diag["kind"] == "config"
+    assert diag["message"].startswith(f"{key}: ")
+    assert not list(tmp_path.rglob("results.json")) and not list(tmp_path.rglob("r.json"))
+
+
 def test_config_that_is_not_an_object_is_config_error(tmp_path, capsys):
     assert_config_error(tmp_path, capsys, [FK_DOC])
 
@@ -696,3 +731,67 @@ FREE_AXIS_GIRSANOV = {
 def test_girsanov_command_consistency_with_free_axis(tmp_path, case):
     doc = {"command": "girsanov", "f": {"coordinate": 1}, **FREE_AXIS_GIRSANOV[case]}
     assert_girsanov_consistent(tmp_path, doc)
+
+
+def test_main_leaves_the_collector_as_it_was(tmp_path):
+    # main registers gc.freeze to run at interpreter exit and runs nothing
+    # during the call
+    cfg = write_config(tmp_path, FK_DOC)
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    for out in ("a", "b"):
+        assert main(["--config", cfg, "--out", str(tmp_path / out)]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+
+
+def test_exit_hook_freezes_once_after_main_in_a_fresh_process(tmp_path):
+    # exit handlers run last in, first out: one registered before main runs
+    # after main's hook and sees the frozen objects.  Two calls leave one
+    # hook (gc.freeze is counted through a wrapper that main looks up), main
+    # itself froze nothing, and its results are those of an in-process run.
+    cfg = write_config(tmp_path, FK_DOC)
+    code = (
+        "import atexit, gc, sys\n"
+        "from kimura_lab.cli import main\n"
+        "calls, freeze = [], gc.freeze\n"
+        "gc.freeze = lambda: calls.append(freeze())\n"
+        "atexit.register(lambda: print('at exit', len(calls), gc.get_freeze_count() > 0))\n"
+        "codes = [main(['--config', sys.argv[1], '--out', out]) for out in sys.argv[2:]]\n"
+        "print('after main', codes, gc.get_freeze_count())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, cfg, str(tmp_path / "child"), str(tmp_path / "again")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["after main [0, 0] 0", "at exit 1 True"]
+    assert main(["--config", cfg, "--out", str(tmp_path / "here")]) == 0
+    child = (tmp_path / "child" / "results.json").read_bytes()
+    assert json.loads(child)["estimate"]["value"] == 1.0
+    assert child == (tmp_path / "here" / "results.json").read_bytes()
+
+
+def test_library_use_leaves_the_collector_alone():
+    # the exit hook belongs to the command line: importing the package and
+    # simulating a bundle leave the collector as it was, after the call and
+    # at interpreter exit, where a handler registered first runs last
+    code = (
+        "import atexit, gc, json, sys\n"
+        "before = gc.isenabled(), gc.get_freeze_count()\n"
+        "atexit.register(lambda: print(before == (gc.isenabled(), gc.get_freeze_count())))\n"
+        "import kimura_lab\n"
+        "from kimura_lab.operators import operator_from_json\n"
+        "coeffs = kimura_lab.build_standard_sde_coefficients("
+        "operator_from_json(json.loads(sys.argv[1])))\n"
+        "config = kimura_lab.PathConfig(dt=0.01, seed=1, n_paths=100, horizon=0.1)\n"
+        "kimura_lab.simulate_bundle(coeffs, kimura_lab.Point((0.5,), ()),\n"
+        "    kimura_lab.DomainSpec.full_space(coeffs.dims), config)\n"
+        "print(before == (gc.isenabled(), gc.get_freeze_count()))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(MODEL_HALF)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True"]
