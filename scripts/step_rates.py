@@ -12,10 +12,17 @@ validate) plus the validate model with ``a^ = 0.2`` and ``c^ = 0.3``, each
 derived model with and without its drift-change field ``theta``.  Beside
 the girsanov rows stand one block's normal draw, one step of the
 ``girsanov`` command's pair (a one-step draw, then both equations as two
-lanes on it, as ``simulate_bundle`` steps them) and the same pair per step
+lanes on it, as ``simulate_bundle`` steps them), the pair's step as a
+bundle runs it, its calls bound once and replayed, at 8 and at 4096 paths
+(a fixed cost per step against the array work), and the same pair per step
 of a whole bundle through ``simulate.simulate_bundle`` (4096 paths, 1000
 steps, the command's eleven record times; best of 5 bundles).  The last row
 times the exact scheme's draw.
+
+A row of its own times the node reads of the ``configs/harnack_scan.json``
+scan at 512 paths a start, without its bundle: one
+``feynman_kac.estimate_dirichlet_nodes`` call on every node of the scan,
+with the bundle simulated once beforehand and handed back (best of 5 x 20).
 
 A second table times a harnack-model scan through ``simulate_bundle`` in
 nanoseconds per path-step: 15 starts on the ``[0, 4]`` box of
@@ -49,14 +56,17 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from kimura_lab import simulate  # noqa: E402
+from kimura_lab import feynman_kac, simulate  # noqa: E402
+from kimura_lab.fields import field_from_json  # noqa: E402
 from kimura_lab.geometry import DomainSpec, Point  # noqa: E402
+from kimura_lab.harnack import LatticeSpec, scale_invariant_scan  # noqa: E402
 from kimura_lab.operators import derive_singular_from_standard, operator_from_json  # noqa: E402
 from kimura_lab.sde import (  # noqa: E402
     build_sde_coefficients,
@@ -124,6 +134,54 @@ def _pair_step(pair):
         lanes.step(ws, 1, 0)
 
     return step
+
+
+def _bound_pair_step(pair, n_paths: int):
+    """The pair's step on one draw as a bundle runs it: its calls bound
+    once, then replayed."""
+    states, xi = _states_and_normals(pair.dims)
+    config = replace(CONFIG, n_paths=n_paths)
+    lanes = _Lanes([pair.std, pair.sing], [None, pair], config)
+    ws = _Workspace(lanes, states[:n_paths], n_paths, 1)
+    ws.xi[0] = xi[:n_paths]
+    lanes.read_draw(ws, 1)
+    return lanes.bind_step(ws, ws.cur, ws.new, 0).run
+
+
+def _node_reads():
+    """The reads of the harnack scan's nodes, without the bundle, and the
+    number of nodes."""
+    doc = _config("harnack_scan.json")
+    coeffs = build_sde_coefficients(operator_from_json(doc["model"]))
+    domain = DomainSpec.from_json(doc["domain"])
+    sim = doc["sim"]
+    config = PathConfig(dt=sim["dt"], seed=doc["seed"], n_paths=512, horizon=sim["horizon"])
+    g = field_from_json(doc["g"], 1)
+    gdata = feynman_kac.BoundaryData(lambda times, states: g.evaluate_batch(states))
+    nodes = []
+
+    def capture(scan_nodes):
+        nodes.extend(scan_nodes)
+        return [feynman_kac.Estimate(1.0, 0.0, 1, 1.0, "")] * len(scan_nodes)
+
+    c, R = doc["c"], doc["R"]
+    scale_invariant_scan(capture, doc["s"], Point(tuple(doc["z"]), ()), R, c, doc["d"],
+                         [f * c * R for f in doc["rho_fractions"]],
+                         LatticeSpec(**doc["lattice"]))
+    bundles = []
+
+    def once(*args, **kwargs):
+        if not bundles:
+            bundles.append(simulate.simulate_bundle(*args, **kwargs))
+        return bundles[0]
+
+    def reads():
+        # the bundle of the first call handed back, only while reading
+        with mock.patch.object(feynman_kac, "simulate_bundle", once):
+            feynman_kac.estimate_dirichlet_nodes(coeffs, gdata, nodes, 0.0, domain, config)
+
+    reads()
+    return reads, len(nodes)
 
 
 def _pair_bundle(pair):
@@ -264,6 +322,8 @@ def main() -> None:
             lambda rng=simulate._block_rng(0, 0): rng.standard_normal((RNG_BLOCK, 1)),
         ),
         ("girsanov pair: a one-step draw, both lanes stepped on it", _pair_step(pair)),
+        *[(f"girsanov pair: the bound step's calls replayed, {n} paths",
+           _bound_pair_step(pair, n)) for n in (8, RNG_BLOCK)],
         ("singular 1D, constant b (harnack config)", _step(harnack)),
         *_derived_rows("n=1, m=1 (validate config)", operator_from_json(validate)),
         *_derived_rows("n=1, m=1 with a^ = 0.2, c^ = 0.3", operator_from_json(coupled)),
@@ -282,6 +342,9 @@ def main() -> None:
     best = _best_s([(fn, calls) for _, fn, calls, _ in rows])
     for (label, _, _, per), s in zip(rows, best):
         print(f"| {label} | {1e3 * s / per:.3f} |", flush=True)
+    reads, n_nodes = _node_reads()
+    print(f"\nnode reads of the {n_nodes}-node configs/harnack_scan.json scan at 512 paths "
+          f"a start, without its bundle: {1e3 * _best_s([(reads, 20)])[0]:.2f} ms")
     print(f"\nharnack-model scan through simulate_bundle, best of {REPEATS} x {SCAN_CALLS}")
     print("| scan | ns/path-step |\n|---|---|")
     scan = _scan_rows(harnack)

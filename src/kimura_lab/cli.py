@@ -282,13 +282,20 @@ def _cmd_validate(doc, seed, out_dir, threads) -> tuple[int, dict]:
 def _cmd_simulate(doc, seed, out_dir, threads) -> tuple[int, dict]:
     model, variant, coeffs, domain, config = _load_run(doc, seed)
     z0 = _point(doc, "z0", model.dims)
+    if not isinstance(config.record, str) and all(
+        grid_steps(t, config.dt) != config.n_steps for t in config.record
+    ):
+        raise ConfigError(
+            f"sim.record must hold the horizon {config.horizon}, whose states "
+            "the simulate command reports"
+        )
     bundle = simulate_bundle(coeffs, z0, domain, config, n_threads=threads)
     out = _output(doc)
     bundle_path = os.path.join(out_dir, out.get("bundle", "bundle.kimb"))
     bundle_to_kimb(bundle, bundle_path, model.dims)
     if "csv" in out:
         bundle_to_csv(bundle, os.path.join(out_dir, out["csv"]), dims=model.dims)
-    final = bundle.states_at(config.horizon)
+    final = bundle.states[:, -1]
     result = {
         "variant": variant,
         "n_paths": bundle.n_paths,

@@ -5,6 +5,13 @@ Every estimator here runs stopped paths and reduces per-path payoffs into an
 size under weights.  Cross-checks pin common random numbers through the
 configuration seed, so monotonicity-style properties hold pathwise rather
 than merely statistically.
+
+The Dirichlet nodes of one call share one bundle and are read once per
+distinct node time and run of consecutive starts with a node at that time:
+one stop-state read and one boundary-data call over the paths of the run,
+and the estimates of its starts as row-wise reductions of a
+(starts, paths) array, which give the bits of each start's paths reduced
+alone.
 """
 
 from __future__ import annotations
@@ -50,6 +57,8 @@ __all__ = [
 
 UNTRUSTED_ESS = 100.0
 LOG_WEIGHT_CAP = 700.0
+# paths of one read of the Dirichlet nodes: its arrays stay in cache
+READ_PATHS = 16_384
 
 
 @record
@@ -82,26 +91,39 @@ class Estimate:
 
 def _reduce(samples: np.ndarray, weights: np.ndarray | None, fingerprint: str,
             flag: str = "", extra: dict | None = None) -> Estimate:
-    samples = np.asarray(samples, dtype=float)
-    n = samples.shape[0]
-    value = float(samples.mean())
-    stderr = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    """One estimate from the per-path ``samples`` (and ``weights``)."""
+    w = None if weights is None else np.asarray(weights, dtype=float)[None]
+    return _reduce_rows(np.asarray(samples, dtype=float)[None], w, [fingerprint],
+                        flag, extra)[0]
+
+
+def _reduce_rows(samples: np.ndarray, weights: np.ndarray | None, fingerprints: Sequence[str],
+                 flag: str = "", extra: dict | None = None) -> list[Estimate]:
+    """One estimate per row of ``samples``, shape (rows, paths), with the
+    weights of the same shape; each reduction runs along a row, which gives
+    the bits of the row reduced alone."""
+    rows, n = samples.shape
+    values = samples.mean(axis=1)
+    stderrs = samples.std(ddof=1, axis=1) / math.sqrt(n) if n > 1 else np.zeros(rows)
     if weights is None:
-        ess = float(n)
+        ess = [float(n)] * rows
     else:
-        w = np.asarray(weights, dtype=float)
-        denom = float(np.sum(w * w))
-        ess = float(np.sum(w)) ** 2 / denom if denom > 0.0 else 0.0
-    return Estimate(
-        value=value,
-        stderr=stderr,
-        n_paths=n,
-        n_effective=ess,
-        fingerprint=fingerprint,
-        trusted=ess >= UNTRUSTED_ESS,
-        flag=flag,
-        extra=extra or {},
-    )
+        denoms = np.sum(weights * weights, axis=1)
+        sums = np.sum(weights, axis=1)
+        ess = [float(s) ** 2 / float(d) if d > 0.0 else 0.0 for s, d in zip(sums, denoms)]
+    return [
+        Estimate(
+            value=float(value),
+            stderr=float(stderr),
+            n_paths=n,
+            n_effective=e,
+            fingerprint=fp,
+            trusted=e >= UNTRUSTED_ESS,
+            flag=flag,
+            extra=dict(extra or {}),
+        )
+        for value, stderr, e, fp in zip(values, stderrs, ess, fingerprints)
+    ]
 
 
 class BoundaryData:
@@ -266,11 +288,15 @@ def estimate_dirichlet_nodes(
     One bundle on ``config.dt`` serves every node: each distinct start point
     is one of its start points, and each node reads its horizon ``t - t1``
     from its own start's paths, blending the bracketing grid steps when the
-    horizon is off the grid (:func:`simulate.grid_bracket`).  Every estimate,
-    fingerprint included, is bit-equal to a call with that node alone.  With
-    ``theta`` the payoff carries the drift-change weight ``M(stop)``: the
-    estimate is ``E[M(stop) g(t - stop, Z(stop))]``, with ``M`` from
-    :func:`weights_from_log`, and the weights blend like the payoffs.
+    horizon is off the grid (:func:`simulate.grid_bracket`).  The reads run
+    once per distinct node time and run of consecutive starts with a node at
+    that time (of at most ``READ_PATHS`` paths): the stopped states and
+    ``gdata`` over the run's paths, and each start's mean and standard error
+    along its row.  Every estimate, fingerprint included, is bit-equal to a call with that
+    node alone.  With ``theta`` the payoff carries the drift-change weight
+    ``M(stop)``: the estimate is ``E[M(stop) g(t - stop, Z(stop))]``, with
+    ``M`` from :func:`weights_from_log`, and the weights blend like the
+    payoffs.
     """
     if t_cut is not None and not t_cut > t1:
         raise ValueError("t_cut must be > t1")
@@ -288,7 +314,13 @@ def estimate_dirichlet_nodes(
         return fingerprints[key]
 
     out: list[Estimate | None] = [None] * len(nodes)
-    by_start: dict[tuple[float, ...], list[int]] = {}
+    # each distinct start point, by its index in the bundle, and each
+    # node's start
+    starts: dict[tuple[float, ...], int] = {}
+    points: list[Point] = []
+    start_of: dict[int, int] = {}
+    # the nodes at each distinct time, keyed as the fingerprints are
+    at_time: dict[str, tuple[float, list[int]]] = {}
     for i, (t, z0) in enumerate(nodes):
         horizon = t - t1
         if horizon < 0.0:
@@ -297,36 +329,63 @@ def estimate_dirichlet_nodes(
             v = float(gdata(np.array([t1]), z0.vector[None, :])[0])
             out[i] = Estimate(v, 0.0, config.n_paths, float(config.n_paths), fingerprint(t))
         else:
-            by_start.setdefault(tuple(z0.vector), []).append(i)
-    if not by_start:
+            start_of[i] = starts.setdefault(tuple(z0.vector), len(points))
+            if start_of[i] == len(points):
+                points.append(z0)
+            at_time.setdefault(repr(t), (t, []))[1].append(i)
+    if not starts:
         return out
-    cfg = _grid_run(config, [nodes[i][0] - t1 for m in by_start.values() for i in m])
+    cfg = _grid_run(config, [t - t1 for t, _ in at_time.values()])
     bundle = simulate_bundle(
-        coeffs, [nodes[m[0]][1] for m in by_start.values()], domain, cfg, theta=theta,
-        n_threads=n_threads,
+        coeffs, points, domain, cfg, theta=theta, n_threads=n_threads,
     )
+    n = cfg.n_paths
+    views: dict[tuple[int, int], PathBundle] = {}
 
-    def read(part: PathBundle, t: float, k: int) -> np.ndarray:
-        """The node's payoff at grid step ``k``, stacked over its weight with
-        ``theta``."""
-        stop_state, stop_time = part.stop_states(k * cfg.dt)
-        payoff = gdata(t - stop_time, stop_state)
-        if t_cut is not None:
-            payoff = payoff * (stop_time < t_cut - t1)
-        if theta is None:
-            return payoff
-        # the log weight freezes at exit, so at step k it is log M(k dt ^ tau)
-        w = weights_from_log(part.log_weights[:, part.record_index(k * cfg.dt)])
-        return np.stack((w * payoff, w))
+    def read_starts(t: float, lo: int, hi: int, members: list[int]) -> None:
+        """The estimates of the nodes at ``t`` of the starts ``lo .. hi - 1``."""
+        if (lo, hi) not in views:
+            views[lo, hi] = bundle.starts(lo, hi)
+        part = views[lo, hi]
 
-    for members, part in zip(by_start.values(), bundle.per_start()):
-        for i in members:
-            t = nodes[i][0]
-            vals = _read_at(t - t1, cfg.dt, lambda k: read(part, t, k))
+        def read(k: int) -> np.ndarray:
+            """The payoffs of grid step ``k``, a row per start, stacked over
+            their weights with ``theta``."""
+            stop_state, stop_time = part.stop_states(k * cfg.dt)
+            payoff = gdata(t - stop_time, stop_state)
+            if t_cut is not None:
+                payoff = payoff * (stop_time < t_cut - t1)
             if theta is None:
-                out[i] = _reduce(vals, None, fingerprint(t))
+                return payoff.reshape(hi - lo, n)
+            # the log weight freezes at exit, so at step k it is log M(k dt ^ tau)
+            w = weights_from_log(part.log_weights[:, part.record_index(k * cfg.dt)])
+            return np.stack((w * payoff, w)).reshape(2, hi - lo, n)
+
+        vals = _read_at(t - t1, cfg.dt, read)
+        fps = [fingerprint(t)] * (hi - lo)
+        if theta is None:
+            ests = _reduce_rows(vals, None, fps)
+        else:
+            ests = _reduce_rows(vals[0], vals[1], fps)
+        for i in members:
+            if lo <= start_of[i] < hi:
+                out[i] = ests[start_of[i] - lo]
+
+    # one read per run of consecutive starts with a node at a time, of at
+    # most READ_PATHS paths, so that its arrays stay in cache; the reads of
+    # one run follow each other
+    per_read = max(READ_PATHS // n, 1)
+    reads = []
+    for t, members in at_time.values():
+        runs: list[list[int]] = []
+        for s in sorted({start_of[i] for i in members}):
+            if runs and runs[-1][1] == s and s - runs[-1][0] < per_read:
+                runs[-1][1] += 1
             else:
-                out[i] = _reduce(vals[0], vals[1], fingerprint(t))
+                runs.append([s, s + 1])
+        reads += [(lo, hi, t, members) for lo, hi in runs]
+    for lo, hi, t, members in sorted(reads, key=lambda read: read[:2]):
+        read_starts(t, lo, hi, members)
     return out
 
 

@@ -13,6 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .calls import NOW, assign
 from .errors import DimensionMismatchError, InvalidMatrixError
 
 __all__ = [
@@ -46,9 +47,10 @@ class ScalarField:
     def evaluate_batch(self, states: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def evaluate_into(self, states: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """:meth:`evaluate_batch` written into ``out``, shape (...,)."""
-        np.copyto(out, self.evaluate_batch(states))
+    def evaluate_into(self, states: np.ndarray, out: np.ndarray, *, calls=NOW) -> np.ndarray:
+        """:meth:`evaluate_batch` written into ``out``, shape (...,); a
+        field with no binder of its own binds that one call."""
+        calls.add(assign, out, self.evaluate_batch, states)
         return out
 
     def partial(self, axis: int) -> "ScalarField":
@@ -89,20 +91,24 @@ class AffineField(ScalarField):
         states = np.asarray(states, dtype=float)
         return self.evaluate_into(states, np.empty(states.shape[:-1]))
 
-    def evaluate_into(self, states: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def evaluate_into(self, states: np.ndarray, out: np.ndarray, *, calls=NOW) -> np.ndarray:
         if states.shape[-1] != self.coeffs.shape[0]:
             raise DimensionMismatchError(
                 f"affine field expects {self.coeffs.shape[0]} coords, "
                 f"got {states.shape[-1]}"
             )
         if not self._terms:
-            out[...] = self.c0
+            calls.add(np.copyto, out, self.c0)
             return out
         k, c = self._terms[0]
-        np.multiply(states[..., k], c, out=out)
-        for k, c in self._terms[1:]:
-            out += c * states[..., k]
-        return np.add(out, self.c0, out=out)
+        calls.add(np.multiply, states[..., k], c, out=out)
+        if len(self._terms) > 1:
+            term = np.empty(out.shape)
+            for k, c in self._terms[1:]:
+                calls.add(np.multiply, states[..., k], c, out=term)
+                calls.add(np.add, out, term, out=out)
+        calls.add(np.add, out, self.c0, out=out)
+        return out
 
     def partial(self, axis: int) -> ScalarField:
         return ConstantField(float(self.coeffs[axis]))

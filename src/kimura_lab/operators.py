@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .calls import NOW
 from .errors import (
     DimensionMismatchError,
     InvalidWeightError,
@@ -69,6 +70,12 @@ VALIDATION_SEED = 0
 FACE_TOL = 1e-10
 # the most nodes a derived drift weight's solve lattice may have
 MAX_LATTICE_NODES = 2**20
+
+
+def _log_of_faces(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``ln x`` with no warning for the ``-inf`` of a face ``x = 0``."""
+    with np.errstate(divide="ignore"):
+        return np.log(x, out=out)
 
 
 class Scratch(dict):
@@ -147,7 +154,7 @@ class StandardOperatorSpec(_OperatorBase):
             self.d_hat.evaluate_batch(states),
         )
 
-    def drift(self, states, log_clamp_eps=0.0, log_sum=None, out=None, scratch=None):
+    def drift(self, states, log_clamp_eps=0.0, log_sum=None, out=None, scratch=None, *, calls=NOW):
         """``(b^, e^)``, shape (..., n+m), each entry written into its column
         of ``out`` (fresh when omitted).  The other arguments are those of
         the divergence side, unused: the standard form has no log drift."""
@@ -155,7 +162,7 @@ class StandardOperatorSpec(_OperatorBase):
         if out is None:
             out = np.empty(states.shape[:-1] + (self.dims.total,))
         for i, entry in enumerate(self.b_hat.entries + self.e_hat.entries):
-            entry.evaluate_into(states, out[..., i])
+            entry.evaluate_into(states, out[..., i], calls=calls)
         return out
 
     @property
@@ -212,7 +219,8 @@ class SingularOperatorSpec(_OperatorBase):
             2.0 * self.c.evaluate_batch(states), self.d.evaluate_batch(states),
         )
 
-    def log_drift(self, states, log_clamp_eps=0.0, scratch=None) -> np.ndarray | None:
+    def log_drift(self, states, log_clamp_eps=0.0, scratch=None, *,
+                  calls=NOW) -> np.ndarray | None:
         """``sum_j f_rj ln max(x_j, eps)`` for every row ``r``, shape (..., n+m),
         in the array ``log_sum`` of ``scratch`` (a fresh one when omitted);
         None when no term of :func:`drift_identity_f` is live, as when ``b``
@@ -220,33 +228,32 @@ class SingularOperatorSpec(_OperatorBase):
         built with the spec.  With ``eps = 0`` a state on a face ``x_j = 0``
         gives an infinite log."""
         scratch = Scratch() if scratch is None else scratch
-        return self._log_drift(np.asarray(states, dtype=float), log_clamp_eps, {}, scratch)
+        return self._log_drift(np.asarray(states, dtype=float), log_clamp_eps, {}, scratch, calls)
 
-    def _log_drift(self, states, log_clamp_eps, memo, scratch) -> np.ndarray | None:
-        """:meth:`log_drift` in the scratch array ``log_sum``."""
+    def _log_drift(self, states, log_clamp_eps, memo, scratch, calls) -> np.ndarray | None:
+        """:meth:`log_drift` bound into the scratch array ``log_sum``."""
         if not self._f:
             return None
         n, lead = self.dims.n, states.shape[:-1]
         f = self._f_matrix
         if f is None:
             f = _evaluate(self._f, states, (self.dims.total, n), memo,
-                          scratch.take("f", lead + (self.dims.total, n)))
-        logs = np.maximum(states[..., :n], log_clamp_eps, out=scratch.take("logs", lead + (n,)))
-        if log_clamp_eps > 0.0:
-            np.log(logs, out=logs)
-        else:
-            with np.errstate(divide="ignore"):
-                np.log(logs, out=logs)
+                          scratch.take("f", lead + (self.dims.total, n)), calls=calls)
+        logs = scratch.take("logs", lead + (n,))
+        calls.add(np.maximum, states[..., :n], log_clamp_eps, out=logs)
+        calls.add(np.log if log_clamp_eps > 0.0 else _log_of_faces, logs, out=logs)
         out = scratch.take("log_sum", states.shape)
         if f.shape[-2:] == (1, 1):
             # einsum's one-term sum: +0.0 plus the product, which turns a
             # product of -0.0 into +0.0
-            np.multiply(logs, f[..., 0], out=out)
-            return np.add(out, 0.0, out=out)
+            calls.add(np.multiply, logs, f[..., 0], out=out)
+            calls.add(np.add, out, 0.0, out=out)
+            return out
         # one contraction for a per-state and a state-free f: the same sums
-        return np.einsum("...rj,...j->...r", f, logs, out=out)
+        calls.add(np.einsum, "...rj,...j->...r", f, logs, out=out)
+        return out
 
-    def drift(self, states, log_clamp_eps=0.0, log_sum=None, out=None, scratch=None):
+    def drift(self, states, log_clamp_eps=0.0, log_sum=None, out=None, scratch=None, *, calls=NOW):
         """``(g + x * (f . ln x), e + f . ln x)``, shape (..., n+m), with the
         :meth:`log_drift` ``f . ln x``, written into ``out`` (fresh when
         omitted) with the arrays it needs on the way from ``scratch``.
@@ -262,16 +269,16 @@ class SingularOperatorSpec(_OperatorBase):
         scratch = Scratch() if scratch is None else scratch
         memo = {}
         if log_sum is None:
-            log_sum = self._log_drift(states, log_clamp_eps, memo, scratch)
-        g = _evaluate(self._g, states, (n,), memo, out[..., :n])
+            log_sum = self._log_drift(states, log_clamp_eps, memo, scratch, calls)
+        g = _evaluate(self._g, states, (n,), memo, out[..., :n], calls=calls)
         if m:
-            _evaluate(self._e, states, (m,), memo, out[..., n:])
+            _evaluate(self._e, states, (m,), memo, out[..., n:], calls=calls)
         if log_sum is not None:
-            x_log = np.multiply(states[..., :n], log_sum[..., :n],
-                                out=scratch.take("x_log", states.shape[:-1] + (n,)))
-            np.add(g, x_log, out=g)
+            x_log = scratch.take("x_log", states.shape[:-1] + (n,))
+            calls.add(np.multiply, states[..., :n], log_sum[..., :n], out=x_log)
+            calls.add(np.add, g, x_log, out=g)
             if m:
-                np.add(out[..., n:], log_sum[..., n:], out=out[..., n:])
+                calls.add(np.add, out[..., n:], log_sum[..., n:], out=out[..., n:])
         return out
 
     @property
@@ -348,14 +355,11 @@ class _Combination(ScalarField):
         self.parts = parts
 
     def evaluate_batch(self, states: np.ndarray) -> np.ndarray:
-        return self._batch(np.asarray(states, dtype=float), {})
+        states = np.asarray(states, dtype=float)
+        return self.evaluate_into(states, np.empty(states.shape[:-1]))
 
-    def _batch(self, states: np.ndarray, memo: dict) -> np.ndarray:
-        out = None
-        for part in self.parts:
-            value = _value(part, states, memo)
-            out = value if out is None else self._combine(out, value)
-        return out
+    def evaluate_into(self, states: np.ndarray, out: np.ndarray, *, calls=NOW) -> np.ndarray:
+        return _value(self, states, {}, calls, out)
 
     @classmethod
     def _build(cls, parts: list):
@@ -367,14 +371,14 @@ class _Combination(ScalarField):
 
 
 class _Sum(_Combination):
-    _combine = staticmethod(operator.add)
+    _combine, _ufunc = staticmethod(operator.add), np.add
 
     def partial(self, axis: int) -> ScalarField:
         return _as_field(_sum([p.partial(axis) for p in self.parts if not isinstance(p, float)]))
 
 
 class _Prod(_Combination):
-    _combine = staticmethod(operator.mul)
+    _combine, _ufunc = staticmethod(operator.mul), np.multiply
 
     def partial(self, axis: int) -> ScalarField:
         # the product rule, one term per field factor
@@ -416,21 +420,35 @@ def _as_field(term) -> ScalarField:
     return term
 
 
-def _value(term, states: np.ndarray, memo: dict):
+def _value(term, states: np.ndarray, memo: dict, calls, out=None):
     """``term`` at ``states``: a float as it is, a coordinate as a view of
-    ``states`` and any other field evaluated once per ``memo`` (fields hash
-    by identity), so a field shared by several terms is read once a call."""
+    ``states`` and any other field bound once per ``memo`` (fields hash by
+    identity), so a field shared by several terms is read once a call.  A
+    field not yet in ``memo`` is bound into ``out`` (an array of its own
+    when omitted), which then stands for it in ``memo``; a sum or product
+    folds its parts left to right, as they are written."""
     if isinstance(term, float):
         return term
     if isinstance(term, _Coordinate):
         return states[..., term.axis]
     if term not in memo:
-        is_built = isinstance(term, _Combination)
-        memo[term] = term._batch(states, memo) if is_built else term.evaluate_batch(states)
+        out = np.empty(states.shape[:-1]) if out is None else out
+        if isinstance(term, _Combination):
+            acc = None
+            for part in term.parts:
+                value = _value(part, states, memo, calls)
+                if acc is not None:
+                    calls.add(term._ufunc, acc, value, out=out)
+                    value = out
+                acc = value
+        else:
+            term.evaluate_into(states, out, calls=calls)
+        memo[term] = out
     return memo[term]
 
 
-def _evaluate(terms, states: np.ndarray, shape: tuple, memo: dict, out=None) -> np.ndarray:
+def _evaluate(terms, states: np.ndarray, shape: tuple, memo: dict, out=None, *,
+              calls=NOW) -> np.ndarray:
     """The ``(index, term)`` pairs of an identity at ``states``, shape
     (...,) + ``shape``, with +0.0 where no term is live; written into
     ``out`` when given.
@@ -441,13 +459,12 @@ def _evaluate(terms, states: np.ndarray, shape: tuple, memo: dict, out=None) -> 
     if out is None:
         out = np.empty(states.shape[:-1] + shape)
     if len(terms) < math.prod(shape):
-        out[...] = 0.0
+        calls.add(np.copyto, out, 0.0)
     for index, term in terms:
         slot = out[(Ellipsis,) + index]
-        if isinstance(term, (float, _Coordinate, _Combination)) or term in memo:
-            slot[...] = _value(term, states, memo)
-        else:
-            memo[term] = term.evaluate_into(states, slot)
+        value = _value(term, states, memo, calls, slot)
+        if value is not slot:
+            calls.add(np.copyto, slot, value)
     return out
 
 

@@ -17,14 +17,19 @@ Each equation's drift and noise, and the field's ``theta``, have one entry
 each (``drift_batch``, ``noise_batch``, ``theta_batch``).  Each writes into
 an ``out`` the caller lends, the drift and theta with a
 :class:`~kimura_lab.operators.Scratch` for what they need on the way, and
-makes fresh ones when given none: a stepping loop runs them on its
-workspace, a library caller on one block of states.
+makes fresh ones when given none.  Each entry is a binder
+(:mod:`kimura_lab.calls`): given ``calls=``, it appends its NumPy calls
+instead of running them, so a stepping loop binds it to its workspace once
+and replays it every step, while a library caller runs it once on one
+block of states.  A state-dependent root stays an eager call
+(:meth:`_Coefficients.bound_sigma`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .calls import NOW, assign
 from .errors import (
     DimensionMismatchError,
     EllipticityViolationError,
@@ -110,7 +115,7 @@ class _Coefficients:
 
     def drift_batch(
         self, states: np.ndarray, log_clamp_eps: float = 1e-12, log_sum: np.ndarray | None = None,
-        out: np.ndarray | None = None, scratch: Scratch | None = None,
+        out: np.ndarray | None = None, scratch: Scratch | None = None, *, calls=NOW,
     ) -> np.ndarray:
         """Full drift vector: the step plan's fold when the model has one,
         otherwise the source operator's ``drift`` with ``ln max(x, eps)``,
@@ -121,10 +126,10 @@ class _Coefficients:
         """
         states = np.asarray(states, dtype=float)
         if self.plan.drift is None:
-            return self.source.drift(states, log_clamp_eps, log_sum, out, scratch)
+            return self.source.drift(states, log_clamp_eps, log_sum, out, scratch, calls=calls)
         if out is None:
             out = np.empty(states.shape)
-        np.copyto(out, self.plan.drift)
+        calls.add(np.copyto, out, self.plan.drift)
         return out
 
     def sigma_batch(self, states: np.ndarray) -> np.ndarray:
@@ -133,9 +138,19 @@ class _Coefficients:
             return np.broadcast_to(self.plan.sigma, states.shape[:-1] + self.plan.sigma.shape)
         return dispersion_sqrt_batch(self.source.diffusion_matrix(states))
 
+    def bound_sigma(self, states: np.ndarray, calls) -> np.ndarray:
+        """The root at ``states`` as the calls see it: a state-free root as
+        it is, else an array that a bound call of :meth:`sigma_batch`
+        refreshes."""
+        if self.plan.sigma is not None:
+            return self.sigma_batch(states)
+        sigma = np.empty(states.shape + (states.shape[-1],))
+        calls.add(assign, sigma, self.sigma_batch, states)
+        return sigma
+
     def noise_batch(
         self, states: np.ndarray, xi: np.ndarray, sigma: np.ndarray | None = None,
-        out: np.ndarray | None = None,
+        out: np.ndarray | None = None, *, calls=NOW,
     ) -> np.ndarray:
         """``sigma(z) xi`` per state for a block of standard normals ``xi``,
         in ``out`` (fresh when omitted); ``sigma`` passes in :meth:`sigma_batch`
@@ -144,10 +159,12 @@ class _Coefficients:
         if out is None:
             out = np.empty(np.shape(xi))
         if self.plan.sigma_diag is not None:
-            return np.multiply(xi, self.plan.sigma_diag, out=out)
+            calls.add(np.multiply, xi, self.plan.sigma_diag, out=out)
+            return out
         if sigma is None:
-            sigma = self.sigma_batch(states)
-        return np.einsum("pij,pj->pi", sigma, xi, out=out)
+            sigma = self.bound_sigma(np.asarray(states, dtype=float), calls)
+        calls.add(np.einsum, "pij,pj->pi", sigma, xi, out=out)
+        return out
 
 
 @record
@@ -236,6 +253,8 @@ class GirsanovField:
         root_x: np.ndarray | None = None,
         out: np.ndarray | None = None,
         scratch: Scratch | None = None,
+        *,
+        calls=NOW,
     ) -> np.ndarray:
         """Drift change per state, in ``out`` (fresh when omitted), with
         arrays lent by ``scratch``.  When the caller already has them for
@@ -249,30 +268,41 @@ class GirsanovField:
             out = np.empty(states.shape)
         scratch = Scratch() if scratch is None else scratch
         if log_sum is None:
-            log_sum = self.sing.source.log_drift(states, log_clamp_eps, scratch)
+            log_sum = self.sing.source.log_drift(states, log_clamp_eps, scratch, calls=calls)
         if log_sum is None:
-            out[..., :n] = 0.0
+            calls.add(np.copyto, out[..., :n], 0.0)
         else:
             # Degenerate rows: g = b^ by derivation, so the drift gap is
             # x_i (f . ln x)_i.  Its quotient by sqrt(x_i) is written as
             # sqrt(x_i) (f . ln x)_i, which stays finite on the face x_i = 0.
             if root_x is None:
-                root_x = np.sqrt(np.maximum(states[..., :n], 0.0))
-            np.multiply(root_x, log_sum[..., :n], out=out[..., :n])
+                root_x = np.empty(states.shape[:-1] + (n,))
+                calls.add(np.maximum, states[..., :n], 0.0, out=root_x)
+                calls.add(np.sqrt, root_x, out=root_x)
+            calls.add(np.multiply, root_x, log_sum[..., :n], out=out[..., :n])
         if self.dims.m:
             # Free rows: the divergence-side minus the standard-side free drift.
             if drift is None:
-                drift = self.sing.drift_batch(states, log_clamp_eps, log_sum, scratch=scratch)
-            e_hat = self.std.source.e_hat.evaluate_batch(states)
-            np.subtract(drift[..., n:], e_hat, out=out[..., n:])
+                drift = self.sing.drift_batch(states, log_clamp_eps, log_sum, scratch=scratch,
+                                              calls=calls)
+            e_hat = np.empty(states.shape[:-1] + (self.dims.m,))
+            for l, entry in enumerate(self.std.source.e_hat.entries):
+                entry.evaluate_into(states, e_hat[..., l], calls=calls)
+            calls.add(np.subtract, drift[..., n:], e_hat, out=out[..., n:])
         if self.divisor is not None:
-            return np.divide(out, self.divisor, out=out)
-        sig = sigma if sigma is not None and self.shares_root else self.std.sigma_batch(states)
-        try:
-            out[...] = np.linalg.solve(sig, out[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise EllipticityViolationError(f"standard dispersion is singular: {exc}")
+            calls.add(np.divide, out, self.divisor, out=out)
+            return out
+        shared = sigma is not None and self.shares_root
+        calls.add(_solve, sigma if shared else self.std.bound_sigma(states, calls), out)
         return out
+
+
+def _solve(sigma: np.ndarray, rhs: np.ndarray) -> None:
+    """``sigma^-1 rhs`` per state, written over ``rhs``."""
+    try:
+        rhs[...] = np.linalg.solve(sigma, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise EllipticityViolationError(f"standard dispersion is singular: {exc}")
 
 
 def make_girsanov_field(

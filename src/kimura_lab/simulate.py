@@ -22,11 +22,11 @@ block's normals, which a step broadcasts over the starts; full
 ``RNG_BLOCK``-path blocks pack too.  Each start's paths are therefore
 bit-equal to a bundle of that start alone, while a scan of many starts takes
 a few large steps instead of many small ones.  A group draws its block's
-normals as many steps at a time as fit ``DRAW_FLOATS`` floats, never past the
-last step, which gives the bytes of one draw a step.  The exact scheme draws
-from the state, one step at a time, so its starts are never packed; on a
-domain no path can leave it steps from one record time to the next in one
-draw.
+normals as many steps at a time as fit ``DRAW_FLOATS`` floats, at most
+``BOUND_SLOTS`` and never past the last step, which gives the bytes of one
+draw a step.  The exact scheme draws from the state, one step at a time, so
+its starts are never packed; on a domain no path can leave it steps from one
+record time to the next in one draw.
 
 Several equations of one dimension share a block's normals as starts do: a
 bundle of the standard equation and its weighted divergence-form twin steps
@@ -46,6 +46,15 @@ once a step over every lane.  A step thus allocates nothing the size of
 its group, so a large group pays no page faults step after step.  The
 ufuncs are those of the unfolded assembly in the same order, so every
 output is byte-identical to it.
+
+A group binds its step once (:mod:`kimura_lab.calls`): the first step
+from each of its two state arrays on each slot of a draw makes the list of
+the step's NumPy calls, each lane's kernels bound once per state array,
+and every later step replays it; the freeze, the weight update and the
+exit test after a step are bound the same way, before and after the first
+exit.  Only what depends on the data runs in Python every step: the
+finiteness test, the first exit, the observers and the record writes.
+Capping a draw at ``BOUND_SLOTS`` steps bounds what a group binds.
 """
 
 from __future__ import annotations
@@ -65,6 +74,7 @@ from .errors import (
     InvalidStartError,
     NumericFailureError,
 )
+from .calls import NOW, Calls
 from .geometry import DomainSpec, Point, StateSpaceDims
 from .operators import Scratch
 from .records import record
@@ -88,6 +98,9 @@ RNG_BLOCK = 4096
 PACK_ROWS = 16 * RNG_BLOCK
 # normals of one draw: as many steps of a block as fit, at least one
 DRAW_FLOATS = 16_384
+# steps of one draw at most: a group binds the calls of a step once for
+# each slot of a draw
+BOUND_SLOTS = 8
 SCHEMES = ("euler-projected", "exact-1d-gamma")
 RECORD_MODES = ("auto", "all", "ends")
 _AUTO_RECORD_BUDGET = 64_000_000  # floats
@@ -99,7 +112,8 @@ class PathConfig:
 
     ``record`` selects which grid times are stored in the bundle: "all",
     "ends" (initial and final), an explicit tuple of grid times, or "auto"
-    (all when the bundle stays small, ends otherwise).
+    (all when the bundle stays small, ends otherwise).  Explicit times that
+    fall on one grid step are recorded once, at the first of them.
 
     A config is checked once, when it is built: the seed is a U64, the
     horizon lies on the ``dt`` grid, and every explicit record time lies on
@@ -254,10 +268,15 @@ class PathBundle:
 
     def per_start(self) -> list["PathBundle"]:
         """One bundle per start point, each a view of this bundle's paths."""
+        return [self.starts(s, s + 1) for s in range(self.n_starts)]
+
+    def starts(self, lo: int, hi: int) -> "PathBundle":
+        """The paths of start points ``lo .. hi - 1`` as a bundle, a view of
+        this bundle's paths."""
         if self.n_equations > 1:
             raise ValueError("split a bundle of several equations with per_equation first")
         n = self.config.n_paths
-        return [self._rows(s * n, (s + 1) * n) for s in range(self.n_starts)]
+        return self._rows(lo * n, hi * n)
 
     def rng_stream_id(self, i: int) -> tuple[int, int, int]:
         """Counter-based stream of path ``i``: (seed, block key, column).
@@ -318,7 +337,11 @@ def _resolve_record(config: PathConfig, dims_total: int, n_lanes: int) -> np.nda
         return grid
     if record == "ends":
         return np.array([grid[0], grid[-1]])
-    return np.asarray(sorted(set(float(t) for t in record)), dtype=float)
+    # one column per grid step, at the first time that falls on it
+    by_step: dict[int, float] = {}
+    for t in sorted(set(float(t) for t in record)):
+        by_step.setdefault(grid_steps(t, config.dt), t)
+    return np.asarray(list(by_step.values()), dtype=float)
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -352,7 +375,8 @@ class _ExactGammaParams:
         return s * rng.noncentral_chisquare(2.0 * self.b0, x / s)
 
 
-def _log_weight_drop(th, sxi, dt: float, out: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _log_weight_drop(th, sxi, dt: float, out: np.ndarray, q: np.ndarray, *,
+                     calls=NOW) -> np.ndarray:
     """``theta . xi sqrt(dt) + |theta|^2 dt / 2`` per path, the amount by
     which a step lowers the log weight, written into ``out`` from
     ``sxi = sqrt(dt) xi``, with ``q`` for ``|theta|^2 dt / 2``.
@@ -364,20 +388,21 @@ def _log_weight_drop(th, sxi, dt: float, out: np.ndarray, q: np.ndarray) -> np.n
     repeated for every start of ``th``, and the drop is ``(0 + p) + q`` for
     ``p = theta sxi``: as ``q`` is never -0, the bits of ``p + q``."""
     if th.shape[1] != 1:
-        np.einsum("pi,pi->p", th, sxi, out=out)
-        np.einsum("pi,pi->p", th, th, out=q)
-        q *= 0.5 * dt
-        return np.add(out, q, out=out)
-    th = th[:, 0]
-    nb = sxi.shape[0]
-    np.multiply(th.reshape(-1, nb), sxi[:, 0], out=out.reshape(-1, nb))
-    np.multiply(th, th, out=q)
-    q *= 0.5 * dt
-    return np.add(out, q, out=out)
+        calls.add(np.einsum, "pi,pi->p", th, sxi, out=out)
+        calls.add(np.einsum, "pi,pi->p", th, th, out=q)
+    else:
+        th = th[:, 0]
+        nb = sxi.shape[0]
+        calls.add(np.multiply, th.reshape(-1, nb), sxi[:, 0], out=out.reshape(-1, nb))
+        calls.add(np.multiply, th, th, out=q)
+    calls.add(np.multiply, q, 0.5 * dt, out=q)
+    calls.add(np.add, out, q, out=out)
+    return out
 
 
 class _Lanes:
-    """The equations of one bundle, compiled once for stepping.
+    """The equations of one bundle, compiled once for stepping, and the
+    binder of their step (:meth:`bind_step`).
 
     A lane is one equation over the rows of a group: the copies of one
     block for each start the group packs.  What each step plan folds
@@ -434,84 +459,116 @@ class _Lanes:
     def step(self, ws: "_Workspace", k: int, j: int) -> None:
         """Step ``k`` of every lane of ``ws``, from ``cur`` into ``new``, on
         the normals ``j`` of the last draw, with the weighted lanes'
-        log-weight drops in ``drop``."""
+        log-weight drops in ``drop``: :meth:`bind_step` run once."""
+        self.bind_step(ws, ws.cur, ws.new, j).run()
+        self.check_finite(ws.new, k, ws.nb)
+
+    def bind_step(self, ws: "_Workspace", cur: np.ndarray, new: np.ndarray, j: int,
+                  kernels: dict | None = None) -> Calls:
+        """The calls of a step of every lane of ``ws`` from ``cur`` into
+        ``new`` on the normals ``j`` of a draw.
+
+        ``kernels`` keeps each lane's kernels on ``cur`` (:meth:`_bind_lane`),
+        which no draw changes, so that the steps from ``cur`` on every slot
+        of a draw bind them once.  A lane's noise is bound after its theta,
+        which does not read it."""
         n, m, d = self.dims.n, self.dims.m, self.dims.total
-        cur, new, rx, scratch = ws.cur, ws.new, ws.rx, ws.scratch
+        kernels = {} if kernels is None else kernels
+        rx, calls = ws.rx, Calls()
         if n:
-            np.maximum(cur[..., :n] if m else cur, 0.0, out=rx)
-            np.sqrt(rx, out=rx)
+            calls.add(np.maximum, cur[..., :n] if m else cur, 0.0, out=rx)
+            calls.add(np.sqrt, rx, out=rx)
         xi = ws.xi[j]
         if ws.xi_rows is not None:
             # the block's normals once for every start's rows
-            np.copyto(ws.xi_rows.reshape(ws.starts, ws.nb, d), xi)
+            calls.add(np.copyto, ws.xi_rows.reshape(ws.starts, ws.nb, d), xi)
             xi = ws.xi_rows
         if ws.noise is None:
             noise = ws.noise_draw[:, j, None]
         else:
             noise = ws.noise
             for e in self.free_noise:
-                np.copyto(noise[e], ws.noise_draw[e, j])
+                calls.add(np.copyto, noise[e], ws.noise_draw[e, j])
         for e, eq, theta, folded in self.visited:
-            states = cur[e]
-            log_sum = sigma = None
-            if theta is not None:
-                # one log drift for the drift and theta
-                log_sum = eq.source.log_drift(states, self.eps, scratch)
-            if not folded:
-                eq.drift_batch(states, self.eps, log_sum, out=ws.drift[e], scratch=scratch)
+            if e not in kernels:
+                kernels[e] = self._bind_lane(ws, cur[e], e, eq, theta, folded)
+            lane, sigma, th = kernels[e]
+            calls += lane
             if eq.plan.sigma is None:
-                sigma = eq.sigma_batch(states)
-                eq.noise_batch(states, xi, sigma, out=noise[e].reshape(states.shape))
+                eq.noise_batch(cur[e], xi, sigma, out=noise[e].reshape(cur[e].shape), calls=calls)
             if theta is not None:
-                th = theta.theta_batch(states, self.eps, log_sum, sigma, ws.drift[e], rx[e],
-                                       out=ws.theta, scratch=scratch)
                 sxi = ws.sxi[j]
                 if d != 1 and ws.sxi_rows is not None:
                     # the dot products of several columns run over the rows
-                    np.copyto(ws.sxi_rows.reshape(ws.starts, ws.nb, d), sxi)
+                    calls.add(np.copyto, ws.sxi_rows.reshape(ws.starts, ws.nb, d), sxi)
                     sxi = ws.sxi_rows
                 _log_weight_drop(th, sxi, self.dt, ws.drop[e - self.weighted.start],
-                                 ws.theta_sq)
+                                 ws.theta_sq, calls=calls)
         # the scheme update, once for every lane
         if self.drift_dt is not None:
-            np.add(cur, self.drift_dt, out=new)
+            calls.add(np.add, cur, self.drift_dt, out=new)
         else:
-            np.multiply(ws.drift, self.dt, out=new)
-            np.add(cur, new, out=new)
+            calls.add(np.multiply, ws.drift, self.dt, out=new)
+            calls.add(np.add, cur, new, out=new)
         if n:
             # x += sqrt(x) noise_x sqrt(dt), then the projection onto x >= 0
             term = ws.rx_by_start
-            np.multiply(term, noise[..., :n] if m else noise, out=term)
-            term *= self.sqdt
+            calls.add(np.multiply, term, noise[..., :n] if m else noise, out=term)
+            calls.add(np.multiply, term, self.sqdt, out=term)
             x_new = new[..., :n] if m else new
-            np.add(x_new, rx, out=x_new)
-            np.maximum(x_new, 0.0, out=x_new)
+            calls.add(np.add, x_new, rx, out=x_new)
+            calls.add(np.maximum, x_new, 0.0, out=x_new)
         if m:
             y_new = new.reshape(ws.by_start + (d,))[..., n:]
-            y_term = np.multiply(noise[..., n:], self.sqdt,
-                                 out=scratch.take("y_term", noise.shape[:-1] + (m,)))
-            np.add(y_new, y_term, out=y_new)
+            y_term = ws.scratch.take("y_term", noise.shape[:-1] + (m,))
+            calls.add(np.multiply, noise[..., n:], self.sqdt, out=y_term)
+            calls.add(np.add, y_new, y_term, out=y_new)
+        return calls
+
+    def _bind_lane(self, ws: "_Workspace", states: np.ndarray, e: int, eq, theta,
+                   folded: bool) -> tuple:
+        """Lane ``e``'s kernels on its ``states``: ``(calls, root, theta)``,
+        the calls of its log drift, drift, root and theta, the array of its
+        root (None when state-free) and that of its theta (None unweighted)."""
+        scratch, calls = ws.scratch, Calls()
+        log_sum = sigma = th = None
+        if theta is not None:
+            # one log drift for the drift and theta
+            log_sum = eq.source.log_drift(states, self.eps, scratch, calls=calls)
+        if not folded:
+            eq.drift_batch(states, self.eps, log_sum, out=ws.drift[e], scratch=scratch,
+                           calls=calls)
+        if eq.plan.sigma is None:
+            sigma = eq.bound_sigma(states, calls)
+        if theta is not None:
+            th = theta.theta_batch(states, self.eps, log_sum, sigma, ws.drift[e], ws.rx[e],
+                                   out=ws.theta, scratch=scratch, calls=calls)
+        return calls, sigma, th
+
+    @staticmethod
+    def check_finite(new: np.ndarray, k: int, nb: int) -> None:
+        """NumericFailureError at step ``k`` when a state of ``new`` is not
+        finite."""
         # a finite sum has no infinite or NaN term; a sum that overflows on
         # finite states only sends the test on to the exact one
         if not math.isfinite(np.add.reduce(new, axis=None)):
             finite = np.isfinite(new).all(axis=-1).ravel()
             if not finite.all():
                 bad = int(np.flatnonzero(~finite)[0])
-                raise NumericFailureError(
-                    f"non-finite state at step {k} (block path {bad % ws.nb})"
-                )
+                raise NumericFailureError(f"non-finite state at step {k} (block path {bad % nb})")
 
 
 class _Workspace:
     """One group's arrays, made once and written in place by every step.
 
     ``cur`` and ``new`` hold the states of every lane, shape
-    (lanes, rows, d) with rows by start and then block path; they swap
-    after each step.  ``xi`` holds one draw of normals, shape
-    (steps, nb, d), and ``noise_draw`` the noise it gives each lane of
-    state-free root.  ``alive`` and ``dead`` mark the paths of every lane;
-    ``logw`` holds the log weights of the weighted lanes and ``drop`` what
-    the last step takes off them.
+    (lanes, rows, d) with rows by start and then block path; the steps of
+    a bundle read one and write the other, in turn.  ``xi`` holds one draw
+    of normals, shape (steps, nb, d), and ``noise_draw`` the noise it gives
+    each lane of state-free root.  ``alive`` and ``dead`` mark the paths of
+    every lane, ``leaving`` those that the last step took out of the domain
+    and ``tau`` their exit times; ``logw`` holds the log weights of the
+    weighted lanes and ``drop`` what the last step takes off them.
     """
 
     def __init__(self, lanes: _Lanes, start: np.ndarray, nb: int, draw_steps: int):
@@ -555,7 +612,8 @@ class _Workspace:
         self.dead = np.zeros((n_lanes, rows), dtype=bool)
         self.any_dead = False
         self.inside = np.empty(n_lanes * rows, dtype=bool)
-        self.stay = np.empty(n_lanes * rows, dtype=bool)
+        self.leaving = np.empty(n_lanes * rows, dtype=bool)
+        self.tau = np.empty(n_lanes * rows)
         self.scratch = Scratch()
 
 
@@ -691,65 +749,98 @@ def simulate_bundle(
                 states_rec[0, group, sl, record_idx[k]] = x.reshape(n_st, nb, total)
                 k_prev = k
             return
-        # the normals of as many steps as fit DRAW_FLOATS, never past the
-        # last; the exact scheme draws from the state, a step at a time
-        draw_steps = min(max(DRAW_FLOATS // (nb * total), 1), n_steps)
+        # the normals of as many steps as fit DRAW_FLOATS, at most
+        # BOUND_SLOTS and never past the last; the exact scheme draws from
+        # the state, a step at a time
+        draw_steps = min(max(DRAW_FLOATS // (nb * total), 1), BOUND_SLOTS, n_steps)
         if params_exact is not None:
             draw_steps = 1
         ws = _Workspace(lanes, start_states, nb, draw_steps)
         w = lanes.weighted
+        # the group's two state arrays; a step from parity p reads bufs[p]
+        # and writes bufs[1 - p]
+        bufs = (ws.cur, ws.new)
+        settles: dict = {}
 
-        def settle(k: int) -> None:
-            """Freeze, weigh, test for exit, observe and record step ``k``."""
-            cur, new, alive = ws.cur, ws.new, ws.alive
-            leaving = None
-            # only a domain with an exit boundary has dead paths
-            if ws.any_dead:
-                np.copyto(new, cur, where=ws.dead[..., None])
+        def bind_settle(p: int, dead: bool) -> Calls:
+            """The freeze, the weight update and the exit test after a step
+            from parity ``p``; the freeze and the mask on the weights only
+            once a path is ``dead``."""
+            cur, new, calls = bufs[p], bufs[1 - p], Calls()
+            if dead:
+                calls.add(np.copyto, new, cur, where=ws.dead[..., None])
             if w is not None:
-                if ws.any_dead:
-                    np.subtract(ws.logw, ws.drop, out=ws.logw, where=alive[w])
-                else:
-                    ws.logw -= ws.drop
+                where = ws.alive[w] if dead else True
+                calls.add(np.subtract, ws.logw, ws.drop, out=ws.logw, where=where)
             if can_exit:
-                flat = new.reshape(-1, total)
-                inside = domain.contains_underline(flat, out=ws.inside)
-                stay = np.logical_or(ws.dead.reshape(-1), inside, out=ws.stay)
-                if not stay.all():
-                    leaving = np.flatnonzero(~stay)
-                    lane, row = leaving // ws.rows, leaving % ws.rows
-                    start, path = group.start + row // nb, lo + row % nb
-                    tau[lane, start, path] = k * dt
-                    exited[lane, start, path] = True
-                    exit_state[lane, start, path] = flat[leaving]
+                # a path leaves when it is alive and its new state is outside
+                calls.add(domain.contains_underline, new.reshape(-1, total), out=ws.inside)
+                calls.add(np.greater, ws.alive.reshape(-1), ws.inside, out=ws.leaving)
+            return calls
+
+        def settle(k: int, p: int) -> None:
+            """Freeze, weigh, test for exit, observe and record step ``k``,
+            taken from parity ``p``."""
+            cur, new, alive = bufs[p], bufs[1 - p], ws.alive
+            key = (p, ws.any_dead)
+            calls = settles.get(key)
+            if calls is None:
+                calls = settles[key] = bind_settle(*key)
+            for call in calls:
+                call()
+            leaving = can_exit and ws.leaving.any()
             for obs in observers:
                 obs.observe(sl, k, k * dt, cur[0], new[0], alive[0],
                             logw=ws.logw[0] if w is not None else None)
-            if leaving is not None:
-                alive.reshape(-1)[leaving] = False
-                ws.dead.reshape(-1)[leaving] = True
+            if leaving:
+                ws.tau[ws.leaving] = k * dt
+                np.logical_and(alive.reshape(-1), ws.inside, out=alive.reshape(-1))
+                np.logical_not(alive, out=ws.dead)
                 ws.any_dead = True
             if k in record_idx:
                 r = record_idx[k]
                 states_rec[:, group, sl, r] = new.reshape(n_eqs, n_st, nb, total)
                 if w is not None:
                     log_weights[w, group, sl, r] = ws.logw.reshape(-1, n_st, nb)
-            ws.cur, ws.new = new, cur
 
+        def finish(p: int) -> None:
+            """Exit flags, times and states of the group's paths, from its
+            dead paths, whose states froze at their exit."""
+            if ws.any_dead:
+                dead = ws.dead.reshape(n_eqs, n_st, nb)
+                exited[:, group, sl] = dead
+                np.copyto(tau[:, group, sl], ws.tau.reshape(n_eqs, n_st, nb), where=dead)
+                np.copyto(exit_state[:, group, sl], bufs[p].reshape(n_eqs, n_st, nb, total),
+                          where=dead[..., None])
+
+        p = 0
         if params_exact is not None:
             # one draw a step, from the state
             for k in range(1, n_steps + 1):
-                ws.new[0, :, 0] = params_exact.sample(rng, ws.cur[0, :, 0], dt)
-                settle(k)
+                bufs[1 - p][0, :, 0] = params_exact.sample(rng, bufs[p][0, :, 0], dt)
+                settle(k, p)
+                p ^= 1
+            finish(p)
             return
+        # a step's calls per parity and slot of the draw, bound on first use
+        # over each lane's kernels, bound once per parity
+        steps: dict = {}
+        kernels = ({}, {})
         k = 0
         while k < n_steps:
             c = min(draw_steps, n_steps - k)
             lanes.draw(ws, rng, c)
             for j in range(c):
                 k += 1
-                lanes.step(ws, k, j)
-                settle(k)
+                calls = steps.get((p, j))
+                if calls is None:
+                    calls = steps[p, j] = lanes.bind_step(ws, bufs[p], bufs[1 - p], j, kernels[p])
+                for call in calls:
+                    call()
+                lanes.check_finite(bufs[1 - p], k, nb)
+                settle(k, p)
+                p ^= 1
+        finish(p)
 
     groups = []
     for block in range((n_paths + RNG_BLOCK - 1) // RNG_BLOCK):

@@ -151,6 +151,44 @@ def test_simulate_record_mode_from_config(tmp_path, record, n_rec):
     assert back["states"].shape[1] == n_rec
 
 
+def test_simulate_records_times_on_one_grid_step_once(tmp_path):
+    # 0.1 and 0.1 + 1e-13 are both step 10 at dt = 0.01: one column, written
+    sim = {"dt": 0.01, "n_paths": 20, "horizon": 0.2, "record": [0.1, 0.1000000000001, 0.2]}
+    doc = dict(SIMULATE_DOC, sim=sim)
+    files = []
+    for name in ("a", "b"):
+        cfg = write_config(tmp_path, doc, f"{name}.json")
+        assert main(["--config", cfg, "--out", str(tmp_path / name)]) == 0
+        files.append(str(tmp_path / name / "bundle.kimb"))
+    from kimura_lab.simulate import read_kimb
+
+    with open(files[0], "rb") as a, open(files[1], "rb") as b:
+        assert a.read() == b.read()
+    back = read_kimb(files[0])
+    assert back["times"].tolist() == [0.1, 0.2]
+    assert back["states"].shape[1] == 2 and all(map(math.isfinite, back["states"].ravel()))
+
+
+def test_simulate_record_without_the_horizon_is_refused_before_any_step(
+    tmp_path, capsys, monkeypatch
+):
+    # the command reports the states at the horizon, so it must be recorded
+    doc = dict(SIMULATE_DOC, sim={**SIMULATE_DOC["sim"], "record": [0.0, 0.1]})
+
+    def no_step(*args):
+        raise AssertionError("a path was stepped")
+
+    monkeypatch.setattr(simulate._Lanes, "__init__", no_step)
+    assert "sim.record" in assert_config_error(tmp_path, capsys, doc)
+    assert not (tmp_path / "out" / "bundle.kimb").exists()
+    monkeypatch.undo()
+    doc["sim"]["record"] = [0.0, 0.1, 1.0]
+    code, out = run(tmp_path, doc)
+    assert code == 0
+    results = json.loads((out / "results.json").read_text())
+    assert len(results["mean_final_state"]) == 1
+
+
 def test_thread_count_does_not_change_artifacts(tmp_path):
     doc = {
         "command": "fk",

@@ -13,6 +13,7 @@ from kimura_lab.errors import (
     WeightBlowupError,
 )
 from kimura_lab.feynman_kac import (
+    READ_PATHS,
     BoundaryData,
     estimate_dirichlet,
     estimate_dirichlet_nodes,
@@ -275,6 +276,115 @@ class TestOneTimeGrid:
         pair = make_girsanov_field(make_std_1d(b0=0.5), make_sing_1d(b0=0.5))
         a, b = (exp_moment_diagnostic(pair.std, pair, z, t, c) for t in (0.2033, 0.2039))
         assert a.fingerprint != b.fingerprint
+
+
+class TestBatchedNodeReads:
+    """The reads of :func:`estimate_dirichlet_nodes`, once per distinct node
+    time and run of consecutive starts, against the per-node chain they
+    replace: the node's start slice, its stop states at each bracketing
+    step, ``gdata``, the blend and the slice's mean and standard error."""
+
+    @staticmethod
+    def _bundle_and_estimates(monkeypatch, *args, **kwargs):
+        import kimura_lab.feynman_kac as fk
+
+        runs = []
+        simulate = fk.simulate_bundle
+
+        def recording(coeffs, z0, domain, config, **kw):
+            runs.append((z0, config, simulate(coeffs, z0, domain, config, **kw)))
+            return runs[-1][2]
+
+        monkeypatch.setattr(fk, "simulate_bundle", recording)
+        ests = estimate_dirichlet_nodes(*args, **kwargs)
+        assert len(runs) == 1
+        return runs[0], ests
+
+    @staticmethod
+    def _per_node(run, gdata, nodes, t1, t_cut, weighted):
+        """``(value, stderr, n_effective)`` of each node in hex, by the
+        per-node chain."""
+        points, config, bundle = run
+        parts = bundle.per_start()
+        keys = [tuple(z.vector) for z in points]
+        out = []
+        for t, z0 in nodes:
+            part = parts[keys.index(tuple(z0.vector))]
+
+            def read(k, t=t, part=part):
+                stop_state, stop_time = part.stop_states(k * config.dt)
+                payoff = gdata(t - stop_time, stop_state)
+                if t_cut is not None:
+                    payoff = payoff * (stop_time < t_cut - t1)
+                if not weighted:
+                    return payoff
+                w = weights_from_log(part.log_weights[:, part.record_index(k * config.dt)])
+                return np.stack((w * payoff, w))
+
+            h = t - t1
+            k = math.floor(h / config.dt + 1e-9)
+            lam = h / config.dt - k
+            vals = read(k)
+            if abs(lam) > 1e-9:
+                vals = vals + lam * (read(k + 1) - vals)
+            samples, w = (vals, None) if not weighted else (vals[0], vals[1])
+            n = samples.shape[0]
+            value = float(samples.mean())
+            stderr = float(samples.std(ddof=1) / math.sqrt(n))
+            ess = float(n) if w is None else float(np.sum(w)) ** 2 / float(np.sum(w * w))
+            out.append((value.hex(), stderr.hex(), ess.hex()))
+        return out
+
+    @pytest.mark.parametrize("n_paths", [7, 1000, 9000])
+    @pytest.mark.parametrize("t_cut", [None, 0.27])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "theta"])
+    def test_reads_match_the_per_node_chain(self, monkeypatch, n_paths, t_cut, weighted):
+        pair = make_girsanov_field(make_std_1d(b0=1.0, slope=0.2),
+                                   make_sing_1d(b0=1.0, slope=0.2))
+        calls = []
+
+        def g(times, states):
+            calls.append(len(times))
+            return 1.0 + 0.25 * states[:, 0] + 0.1 * times
+
+        gdata = BoundaryData(g)
+        t1 = 0.1
+        z = [Point((x,), ()) for x in (0.5, 2.0, 3.9)]
+        # grid-aligned (0.2, 0.25, 0.3) and off-grid (0.2234) times; 0.2 is
+        # shared by the consecutive starts 0 and 1 (z[0], z[2]), 0.3 by the
+        # starts 0 and 2; a duplicate node; t == t1
+        nodes = [(0.2, z[0]), (0.2, z[2]), (0.2234, z[1]), (0.25, z[2]), (t1, z[1]),
+                 (0.3, z[0]), (0.2, z[0]), (0.3, z[1])]
+        c = cfg(n_paths=n_paths, dt=0.01, seed=13)
+        run, ests = self._bundle_and_estimates(
+            monkeypatch, pair.sing, gdata, nodes, t1, BOX04, c, t_cut=t_cut,
+            theta=pair if weighted else None,
+        )
+        assert run[2].exited.any()
+        # one call per distinct time, run of consecutive starts (of at most
+        # READ_PATHS paths) and bracketing step, and one for t == t1
+        runs_at_02 = 1 if 2 * n_paths <= READ_PATHS else 2
+        assert len(calls) == runs_at_02 + 2 + 1 + 1 + 2
+        bundle_nodes = [node for node in nodes if node[0] > t1]
+        got = [(e.value.hex(), e.stderr.hex(), e.n_effective.hex())
+               for e, node in zip(ests, nodes) if node[0] > t1]
+        assert got == self._per_node(run, gdata, bundle_nodes, t1, t_cut, weighted)
+        assert ests[0] == ests[6]
+
+    def test_gdata_reads_only_the_starts_with_a_node_at_its_time(self):
+        # the data is undefined far out at late stop times: never read there
+        # for the start near 0, always for the start near the exit face
+        def g(times, states):
+            return np.where((states[:, 0] > 2.0) & (times > 0.015), np.nan, 1.0)
+
+        gdata = BoundaryData(g)
+        near, far = Point((0.5,), ()), Point((3.9,), ())
+        c = cfg(n_paths=500, dt=0.01, seed=3)
+        coeffs = build_sde_coefficients(make_sing_1d(0.5))
+        ests = estimate_dirichlet_nodes(coeffs, gdata, [(0.1, near), (0.02, far)], 0.0, BOX04, c)
+        assert [e.value for e in ests] == [1.0, 1.0]
+        with pytest.raises(BoundaryDataGapError):
+            estimate_dirichlet_nodes(coeffs, gdata, [(0.1, near), (0.1, far)], 0.0, BOX04, c)
 
 
 class TestInhomogeneous:

@@ -724,7 +724,7 @@ def test_one_column_log_weight_increment_has_the_einsum_bits():
 
 def test_weighted_girsanov_step_runs_no_drift_identity(monkeypatch):
     # f folds to one matrix and g is the lone term b at build time: the step
-    # evaluates only that term, never a full g or f identity
+    # binds only that term, never a full g or f identity
     std_op = operator_from_json(GIRSANOV_MODEL)
     pair = make_girsanov_field(std_op, derive_singular_from_standard(std_op))
     source = pair.sing.source
@@ -733,9 +733,9 @@ def test_weighted_girsanov_step_runs_no_drift_identity(monkeypatch):
     seen = []
     evaluate = operators._evaluate
 
-    def counting(terms, *args):
+    def counting(terms, *args, **kwargs):
         seen.append(terms)
-        return evaluate(terms, *args)
+        return evaluate(terms, *args, **kwargs)
 
     monkeypatch.setattr(operators, "_evaluate", counting)
     cfg = PathConfig(dt=1e-2, seed=3, n_paths=64, horizon=1.0, record="ends")
@@ -746,31 +746,34 @@ def test_weighted_girsanov_step_runs_no_drift_identity(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "model, per_step",
+    "model, live",
     [(VALIDATE_MODEL, 0), (AFFINE_STANDARD, 0), (COUPLED_PAIR, 1)],
     ids=["folded", "affine", "coupled-pair"],
 )
-def test_weighted_step_assembles_the_free_drift_once(monkeypatch, model, per_step):
+def test_weighted_step_assembles_the_free_drift_once(monkeypatch, model, live):
     # theta's free rows read the step's drift; a folded drift needs no e, a
     # zero e (c = 0, d free of y) has no live term to evaluate, and a coupled
-    # pair's e terms are evaluated once a step
+    # pair's e terms are bound into the step once, for each of the two
+    # state arrays a step reads, whatever the number of steps
     calls = Counter()
     evaluate = operators._evaluate
     std_op = operator_from_json(model)
     pair = make_girsanov_field(std_op, derive_singular_from_standard(std_op))
 
-    def counting(terms, *args):
+    def counting(terms, *args, **kwargs):
         if terms is pair.sing.source._e:
             calls["e"] += 1
             calls["live"] += bool(terms)
-        return evaluate(terms, *args)
+        return evaluate(terms, *args, **kwargs)
 
     monkeypatch.setattr(operators, "_evaluate", counting)
-    cfg = PathConfig(dt=1e-2, seed=3, n_paths=64, horizon=0.5, record="ends")
-    simulate_bundle(pair.sing, Point((1.0,), (0.0,)), DomainSpec.full_space(std_op.dims),
-                    cfg, theta=pair)
-    assert calls["live"] == per_step * 50
-    assert calls["e"] == (0 if model is VALIDATE_MODEL else 50)
+    start, domain = Point((1.0,), (0.0,)), DomainSpec.full_space(std_op.dims)
+    for horizon in (0.5, 1.0):
+        calls.clear()
+        cfg = PathConfig(dt=1e-2, seed=3, n_paths=64, horizon=horizon, record="ends")
+        simulate_bundle(pair.sing, start, domain, cfg, theta=pair)
+        assert calls["live"] == live * 2
+        assert calls["e"] == (0 if model is VALIDATE_MODEL else 2)
 
 
 @pytest.mark.parametrize(
@@ -793,29 +796,30 @@ def test_free_drift_of_a_zero_e_has_the_identity_bits(d, zero_e):
 
 
 def test_weighted_girsanov_step_evaluates_no_constant_field(monkeypatch):
+    # neither the binding of a step nor its 100 replays evaluate one; 64
+    # paths draw BOUND_SLOTS = 8 steps at a time, and as 8 is even each slot
+    # is stepped from one state array, so the step is bound once a slot
     calls = Counter()
-    evaluate, step = ConstantField.evaluate_batch, simulate._Lanes.step
+    evaluate, bind_step = ConstantField.evaluate_batch, simulate._Lanes.bind_step
 
     def counting_evaluate(self, states):
         calls["evaluate_batch"] += 1
         return evaluate(self, states)
 
-    def counting_step(*args):
-        calls["steps"] += 1
-        before = calls["evaluate_batch"]
-        out = step(*args)
-        calls["in steps"] += calls["evaluate_batch"] - before
-        return out
+    def counting_bind_step(*args):
+        calls["binds"] += 1
+        return bind_step(*args)
 
-    monkeypatch.setattr(ConstantField, "evaluate_batch", counting_evaluate)
-    monkeypatch.setattr(simulate._Lanes, "step", counting_step)
     std_op = operator_from_json(GIRSANOV_MODEL)
     pair = make_girsanov_field(std_op, derive_singular_from_standard(std_op))
+    monkeypatch.setattr(ConstantField, "evaluate_batch", counting_evaluate)
+    monkeypatch.setattr(simulate._Lanes, "bind_step", counting_bind_step)
     cfg = PathConfig(dt=1e-2, seed=3, n_paths=64, horizon=1.0, record="ends")
     bundle = simulate_bundle(pair.sing, Point((1.0,), ()), DomainSpec.full_space(std_op.dims),
                              cfg, theta=pair)
     assert bundle.log_weights is not None
-    assert calls["steps"] == 100 and calls["in steps"] == 0
+    assert calls["binds"] == simulate.BOUND_SLOTS == 8
+    assert calls["evaluate_batch"] == 0
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -850,7 +854,8 @@ def test_derived_pair_shares_its_dispersion_root(monkeypatch, threads):
 
 def test_the_step_calls_each_kernel_entry(monkeypatch):
     # the girsanov command's pair: both lanes' drifts vary with the state, so
-    # each step runs both drifts and theta through their one entry
+    # the step binds both drifts and theta through their one entry, once for
+    # each of the two state arrays it steps from; the 100 steps replay them
     std_op = operator_from_json(GIRSANOV_MODEL)
     pair = make_girsanov_field(std_op, derive_singular_from_standard(std_op))
     assert pair.std.plan.drift is None and pair.sing.plan.drift is None
@@ -872,9 +877,9 @@ def test_the_step_calls_each_kernel_entry(monkeypatch):
     simulate_bundle((pair.std, pair.sing), Point((1.0,), ()),
                     DomainSpec.full_space(std_op.dims), cfg, theta=pair)
     assert cfg.n_steps == 100
-    assert calls == {("SdeCoefficients", "drift_batch"): 100,
-                     ("StandardSdeCoefficients", "drift_batch"): 100,
-                     ("GirsanovField", "theta_batch"): 100}
+    assert calls == {("SdeCoefficients", "drift_batch"): 2,
+                     ("StandardSdeCoefficients", "drift_batch"): 2,
+                     ("GirsanovField", "theta_batch"): 2}
 
 
 FOLDED_PAIR = {  # constant b^ and e^: both sides fold their drift and root
@@ -915,3 +920,115 @@ def test_each_kernel_returns_the_out_it_is_given(model, folded):
     root_x = np.sqrt(np.maximum(states[:, :1], 0.0))
     got = into(pair.theta_batch, states, EPS, log_sum, sigma, drift, root_x, scratch=scratch)
     assert got.tobytes() == theta.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The bound step against the eager one
+# ---------------------------------------------------------------------------
+
+
+def _eager_run(eqs, thetas, starts, domain, config):
+    """Final states, final log weights and exit flags by lane, start and
+    path: each block stepped by the eager ``_Lanes.step`` on one-step draws,
+    with the freeze, the weight update and the exit test kept here."""
+    lanes = simulate._Lanes(eqs, thetas, config)
+    origins = np.stack([z.vector for z in starts])
+    blocks = []
+    for lo in range(0, config.n_paths, simulate.RNG_BLOCK):
+        nb = min(simulate.RNG_BLOCK, config.n_paths - lo)
+        ws = simulate._Workspace(lanes, np.repeat(origins, nb, axis=0), nb, 1)
+        rng = simulate._block_rng(config.seed, lo // simulate.RNG_BLOCK)
+        dead = np.zeros(ws.alive.shape, dtype=bool)
+        for k in range(1, config.n_steps + 1):
+            lanes.draw(ws, rng, 1)
+            lanes.step(ws, k, 0)
+            np.copyto(ws.new, ws.cur, where=dead[..., None])
+            if ws.logw is not None:
+                np.subtract(ws.logw, ws.drop, out=ws.logw, where=~dead[lanes.weighted])
+            dead |= ~domain.contains_underline(ws.new)
+            ws.cur, ws.new = ws.new, ws.cur
+        by_start = (len(eqs), len(starts), nb)
+        logw = np.zeros(by_start)
+        if ws.logw is not None:
+            logw[lanes.weighted] = ws.logw.reshape((-1,) + by_start[1:])
+        blocks.append((ws.cur.reshape(by_start + (-1,)), logw, dead.reshape(by_start)))
+    return [np.concatenate(parts, axis=2) for parts in zip(*blocks)]
+
+
+def _lanes_of(name):
+    """Equations and drift-change field of one row of the model matrix."""
+    if name == "harnack":
+        return [build_sde_coefficients(operator_from_json(HARNACK_MODEL))], None
+    model = {"girsanov": GIRSANOV_MODEL, "validate": VALIDATE_MODEL, "folded": FOLDED_PAIR,
+             "coupled-pair": COUPLED_PAIR, "coupled-apart": COUPLED_PAIR}[name]
+    std_op = operator_from_json(model)
+    pair = make_girsanov_field(std_op, derive_singular_from_standard(std_op))
+    if name == "coupled-apart":
+        pair = replace(pair, shares_root=False)
+    return [pair.std, pair.sing], pair
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", [
+    "girsanov",       # both drifts unfolded, theta by divisor
+    "validate",       # m = 1, a trig free drift, theta by divisor
+    "folded",         # m = 1, both drifts and roots folded
+    "coupled-pair",   # a state-dependent eigh root shared with theta's solve
+    "coupled-apart",  # the same pair, theta solving with a root of its own
+    "harnack",        # one folded lane, no theta
+])
+def test_bound_step_matches_the_eager_step(name, threads):
+    # a full block (draws of 4 steps) and a 64-path block (draws of
+    # BOUND_SLOTS = 8 steps), each slot of a draw bound apart, three packed
+    # starts and exits from a box, 24 steps
+    eqs, theta = _lanes_of(name)
+    dims = eqs[0].dims
+    domain = DomainSpec.box(dims, [(0.0, 3.0)] + [(None, None)] * dims.m)
+    starts = [Point((x,), (0.0,) * dims.m) for x in (0.5, 1.5, 2.8)]
+    cfg = PathConfig(dt=1e-2, seed=29, n_paths=simulate.RNG_BLOCK + 64, horizon=0.24,
+                     record="ends")
+    thetas = [theta if theta is not None and eq is theta.sing else None for eq in eqs]
+    states, logw, exited = _eager_run(eqs, thetas, starts, domain, cfg)
+    bundle = simulate_bundle(eqs, starts, domain, cfg, theta=theta, n_threads=threads)
+    assert exited.any() and not exited.all()
+    assert bundle.exited.tobytes() == exited.tobytes()
+    assert bundle.states[:, -1].tobytes() == states.tobytes()
+    if theta is not None:
+        assert logw.any() and bundle.log_weights[:, -1].tobytes() == logw.tobytes()
+
+
+def test_bound_kernels_run_no_entry_per_step(monkeypatch):
+    # once a group has bound its step, the steps replay NumPy calls: the
+    # kernels' entries are called as often for 50 steps as for 100
+    calls = Counter()
+
+    def counting(cls, name):
+        entry = cls.__dict__[name]
+
+        def wrapper(*args, **kwargs):
+            calls[cls.__name__, name] += 1
+            return entry(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    from kimura_lab.fields import AffineField
+
+    std_op = operator_from_json(GIRSANOV_MODEL)
+    pair = make_girsanov_field(std_op, derive_singular_from_standard(std_op))
+    for cls, name in [(SdeCoefficients, "drift_batch"), (StandardSdeCoefficients, "drift_batch"),
+                      (GirsanovField, "theta_batch"), (SingularOperatorSpec, "log_drift"),
+                      (AffineField, "evaluate_into")]:
+        counting(cls, name)
+    counts = []
+    for horizon in (0.5, 1.0):
+        calls.clear()
+        cfg = PathConfig(dt=1e-2, seed=3, n_paths=64, horizon=horizon, record="ends")
+        simulate_bundle((pair.std, pair.sing), Point((1.0,), ()),
+                        DomainSpec.full_space(std_op.dims), cfg, theta=pair)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert set(counts[0]) == {("SdeCoefficients", "drift_batch"),
+                              ("StandardSdeCoefficients", "drift_batch"),
+                              ("GirsanovField", "theta_batch"),
+                              ("SingularOperatorSpec", "log_drift"),
+                              ("AffineField", "evaluate_into")}

@@ -22,6 +22,7 @@ from kimura_lab.sde import (
     make_girsanov_field,
 )
 from kimura_lab.simulate import (
+    BOUND_SLOTS,
     DRAW_FLOATS,
     PACK_ROWS,
     RNG_BLOCK,
@@ -232,6 +233,20 @@ class TestBundles:
     def test_config_is_checked_when_built(self, change, message):
         with pytest.raises(ValueError, match=message):
             PathConfig(**{**dict(dt=1e-2, seed=1, n_paths=10, horizon=0.1), **change})
+
+
+    def test_record_times_on_one_grid_step_are_recorded_once(self):
+        # 0.1 and 0.1 + 1e-13 are both step 10: one column, at the first time
+        cfg = PathConfig(dt=0.01, seed=4, n_paths=64, horizon=0.2,
+                         record=(0.1, 0.1000000000001, 0.2))
+        coeffs = build_sde_coefficients(make_sing_1d(b0=0.5))
+        start = Point((1.0,), ())
+        a, b = (simulate_bundle(coeffs, start, FULL1, cfg) for _ in range(2))
+        assert a.record_times.tolist() == [0.1, 0.2]
+        assert np.isfinite(a.states).all() and a.states.tobytes() == b.states.tobytes()
+        assert a.states_at(0.1000000000001).tobytes() == a.states_at(0.1).tobytes()
+        every = simulate_bundle(coeffs, start, FULL1, replace(cfg, record="all"))
+        assert a.states_at(0.1).tobytes() == every.states_at(0.1).tobytes()
 
 
 class TestWeights:
@@ -568,10 +583,10 @@ class TestPackedStarts:
     @pytest.mark.parametrize("extra", [0, 1], ids=["one-group", "two-groups"])
     def test_every_normal_is_drawn_once_in_chunks(self, monkeypatch, extra, n_threads):
         # pins: a group draws its block's normals as many steps at a time as
-        # fit DRAW_FLOATS, never past the last step, bit-equal to one draw a
-        # step.  Block 0 is full: 45 steps are 11 draws of 4 and one of 1.
-        # Block 1 has 100 paths: one draw of all 45 steps.  Paths exit the
-        # box inside a draw.
+        # fit DRAW_FLOATS, at most BOUND_SLOTS and never past the last step,
+        # bit-equal to one draw a step.  Block 0 is full: 45 steps are 11
+        # draws of 4 and one of 1.  Block 1 has 100 paths: 5 draws of 8 and
+        # one of 5.  Paths exit the box inside a draw.
         block_rng, draws = _block_rng, []
 
         class CountedRng:
@@ -588,9 +603,9 @@ class TestPackedStarts:
         starts = [Point((x,), ()) for x in np.linspace(0.0, 3.9, n_starts)]
         monkeypatch.setattr("kimura_lab.simulate._block_rng", CountedRng)
         chunked = simulate_bundle(coeffs, starts, BOX04, cfg, n_threads=n_threads)
-        assert DRAW_FLOATS // RNG_BLOCK == 4 and cfg.n_steps == 45
+        assert DRAW_FLOATS // RNG_BLOCK == 4 and BOUND_SLOTS == 8 and cfg.n_steps == 45
         full = [(4, RNG_BLOCK, 1)] * 11 + [(1, RNG_BLOCK, 1)]
-        expected = full * (1 + extra) + [(45, 100, 1)]
+        expected = full * (1 + extra) + [(8, 100, 1)] * 5 + [(5, 100, 1)]
         assert sorted(draws) == sorted(expected)
         assert 0 < chunked.exited.mean() < 1
         monkeypatch.setattr("kimura_lab.simulate.DRAW_FLOATS", 1)
