@@ -16,11 +16,17 @@ lanes on it, as ``simulate_bundle`` steps them), the pair's step as a
 bundle runs it, its calls bound once and replayed, at 8 and at 4096 paths
 (a fixed cost per step against the array work), and the same pair per step
 of a whole bundle through ``simulate.simulate_bundle`` (4096 paths, 1000
-steps, the command's eleven record times; best of 5 bundles).  The last row
-times the exact scheme's draw.
+steps, the command's eleven record times; best of 5 bundles).  After the harnack
+row stands one whole step of a harnack group at the size of the
+harnack-scan benchmark workload, 15 starts of 512 paths on the ``[0, 4]``
+box of ``configs/harnack_scan.json``, with 30 % of its paths (drawn at
+random) dead: the bound step with its finiteness test, the freeze, the exit
+test and the count of the paths that left, as ``simulate_bundle`` replays
+them on a step with no exit, record or observer.  The last row times the
+exact scheme's draw.
 
-A row of its own times the node reads of the ``configs/harnack_scan.json``
-scan at 512 paths a start, without its bundle: one
+Rows of their own time the node reads of the ``configs/harnack_scan.json``
+scan at 512, 2,000 and 10,000 paths a start, without its bundle: one
 ``feynman_kac.estimate_dirichlet_nodes`` call on every node of the scan,
 with the bundle simulated once beforehand and handed back (best of 5 x 20).
 
@@ -77,6 +83,9 @@ from kimura_lab.simulate import RNG_BLOCK, PathConfig, _Lanes, _Workspace  # noq
 REPEATS, CALLS, SCAN_CALLS, STARTS = 5, 200, 3, 5
 CONFIG = PathConfig(dt=1e-3, seed=0, n_paths=RNG_BLOCK, horizon=1.0)
 SCAN_STARTS = 15
+# paths a start of the harnack-scan benchmark workload, and of the read rows
+SCAN_PATHS = 512
+READ_PATHS = (512, 2_000, 10_000)
 
 
 def _config(name: str) -> dict:
@@ -148,14 +157,40 @@ def _bound_pair_step(pair, n_paths: int):
     return lanes.bind_step(ws, ws.cur, ws.new, 0).run
 
 
-def _node_reads():
-    """The reads of the harnack scan's nodes, without the bundle, and the
-    number of nodes."""
+def _group_step(coeffs):
+    """One whole step of a harnack group of ``SCAN_STARTS`` starts of
+    ``SCAN_PATHS`` paths, 30 % of them dead, as a bundle replays it on a
+    step with no exit, record or observer."""
+    domain = DomainSpec.from_json(_config("harnack_scan.json")["domain"])
+    config = PathConfig(dt=2e-3, seed=0, n_paths=SCAN_PATHS, horizon=1.0)
+    lanes = _Lanes([coeffs], [None], config)
+    starts = np.linspace(0.2, 3.8, SCAN_STARTS)[:, None]
+    ws = _Workspace(lanes, np.repeat(starts, SCAN_PATHS, axis=0), SCAN_PATHS, 1)
+    lanes.draw(ws, simulate._block_rng(0, 0), 1)
+    np.less(np.random.Generator(np.random.Philox(key=3)).random(ws.dead.shape), 0.3,
+            out=ws.dead)
+    np.logical_not(ws.dead, out=ws.alive)
+    np.copyto(ws.frozen, ws.dead[..., None])
+    calls = lanes.bind_step(ws, ws.cur, ws.new, 0) + lanes.bind_settle(
+        ws, ws.cur, ws.new, domain.projected_underline(), True)
+
+    def step():
+        for call in calls:
+            call()
+        np.count_nonzero(ws.leaving)
+
+    return step
+
+
+def _node_reads(n_paths: int):
+    """The reads of the harnack scan's nodes at ``n_paths`` paths a start,
+    without the bundle, and the number of nodes."""
     doc = _config("harnack_scan.json")
     coeffs = build_sde_coefficients(operator_from_json(doc["model"]))
     domain = DomainSpec.from_json(doc["domain"])
     sim = doc["sim"]
-    config = PathConfig(dt=sim["dt"], seed=doc["seed"], n_paths=512, horizon=sim["horizon"])
+    config = PathConfig(dt=sim["dt"], seed=doc["seed"], n_paths=n_paths,
+                        horizon=sim["horizon"])
     g = field_from_json(doc["g"], 1)
     gdata = feynman_kac.BoundaryData(lambda times, states: g.evaluate_batch(states))
     nodes = []
@@ -288,7 +323,7 @@ def _scan_rows(coeffs) -> list:
     domain = DomainSpec.from_json(_config("harnack_scan.json")["domain"])
     starts = [Point((x,), ()) for x in np.linspace(0.2, 3.8, SCAN_STARTS)]
     rows = []
-    for n_paths in (512, RNG_BLOCK):
+    for n_paths in (SCAN_PATHS, RNG_BLOCK):
         config = PathConfig(dt=2e-3, seed=0, n_paths=n_paths, horizon=0.2, record="ends")
         path_steps = SCAN_STARTS * n_paths * config.n_steps
 
@@ -325,6 +360,8 @@ def main() -> None:
         *[(f"girsanov pair: the bound step's calls replayed, {n} paths",
            _bound_pair_step(pair, n)) for n in (8, RNG_BLOCK)],
         ("singular 1D, constant b (harnack config)", _step(harnack)),
+        (f"harnack group step, {SCAN_STARTS} starts x {SCAN_PATHS} paths, 30 % dead: "
+         "bound step, finiteness test, freeze, exit test", _group_step(harnack)),
         *_derived_rows("n=1, m=1 (validate config)", operator_from_json(validate)),
         *_derived_rows("n=1, m=1 with a^ = 0.2, c^ = 0.3", operator_from_json(coupled)),
         (
@@ -342,9 +379,12 @@ def main() -> None:
     best = _best_s([(fn, calls) for _, fn, calls, _ in rows])
     for (label, _, _, per), s in zip(rows, best):
         print(f"| {label} | {1e3 * s / per:.3f} |", flush=True)
-    reads, n_nodes = _node_reads()
-    print(f"\nnode reads of the {n_nodes}-node configs/harnack_scan.json scan at 512 paths "
-          f"a start, without its bundle: {1e3 * _best_s([(reads, 20)])[0]:.2f} ms")
+    print("\nnode reads of the configs/harnack_scan.json scan, without its bundle")
+    print("| paths a start | ms |\n|---|---|")
+    for n_paths in READ_PATHS:
+        reads, n_nodes = _node_reads(n_paths)
+        print(f"| {n_paths:,} ({n_nodes} nodes) | {1e3 * _best_s([(reads, 20)])[0]:.2f} |",
+              flush=True)
     print(f"\nharnack-model scan through simulate_bundle, best of {REPEATS} x {SCAN_CALLS}")
     print("| scan | ns/path-step |\n|---|---|")
     scan = _scan_rows(harnack)

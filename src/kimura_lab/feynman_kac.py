@@ -103,8 +103,15 @@ def _reduce_rows(samples: np.ndarray, weights: np.ndarray | None, fingerprints: 
     weights of the same shape; each reduction runs along a row, which gives
     the bits of the row reduced alone."""
     rows, n = samples.shape
-    values = samples.mean(axis=1)
-    stderrs = samples.std(ddof=1, axis=1) / math.sqrt(n) if n > 1 else np.zeros(rows)
+    # the ufuncs of ``samples.mean(axis=1)`` and ``samples.std(ddof=1,
+    # axis=1)`` without their Python layers, the row sums taken once
+    values = np.add.reduce(samples, axis=1) / n
+    if n > 1:
+        dev = samples - values[:, None]
+        np.square(dev, out=dev)
+        stderrs = np.sqrt(np.add.reduce(dev, axis=1) / (n - 1)) / math.sqrt(n)
+    else:
+        stderrs = np.zeros(rows)
     if weights is None:
         ess = [float(n)] * rows
     else:

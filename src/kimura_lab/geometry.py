@@ -445,6 +445,8 @@ class DomainSpec:
     negative outside, +inf when there is none).  ``has_exit_boundary`` is
     False when there is none, so that a path can never leave: a box whose
     bounds are all infinite but for the closed faces ``x_i = 0``.
+    ``projected`` pairs the ``contains_underline`` a constructor built with
+    its narrowing to projected states (:meth:`projected_underline`).
     """
 
     dims: StateSpaceDims
@@ -458,6 +460,18 @@ class DomainSpec:
         compare=False, default=None
     )
     has_exit_boundary: bool = field(compare=False, default=True)
+    projected: tuple | None = field(compare=False, default=None, repr=False)
+
+    def projected_underline(self) -> Callable:
+        """``contains_underline`` for the states a projected step gives:
+        finite, with degenerate coordinates ``>= 0`` (a start may hold
+        ``-0.0``).  A box tests only the bounds such a state can cross, which
+        leaves out its closed faces ``x_i = 0`` and its infinite bounds; any
+        other spec, or one whose ``contains_underline`` was replaced, gets
+        that function."""
+        if self.projected is not None and self.projected[0] is self.contains_underline:
+            return self.projected[1]
+        return self.contains_underline
 
     def membership(self, states: np.ndarray) -> np.ndarray:
         """The open set: the underline set without the degenerate faces."""
@@ -508,6 +522,19 @@ class DomainSpec:
             out &= col < hi[0]
             return out
 
+        # the bounds a projected state can cross: every finite one but a
+        # closed face
+        crossable = [(np.greater, i, lo[i]) for i in range(dims.total)
+                     if np.isfinite(lo[i]) and not deg_lo_open[i]]
+        crossable += [(np.less, i, hi[i]) for i in range(dims.total) if np.isfinite(hi[i])]
+
+        def projected(states: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+            (op, i, bound), *rest = crossable
+            out = op(states[..., i], bound, out=out)
+            for op, i, bound in rest:
+                out &= op(states[..., i], bound)
+            return out
+
         def distance(states: np.ndarray) -> np.ndarray:
             states = np.asarray(states, dtype=float)
             d = np.full(states.shape[:-1], np.inf)
@@ -525,9 +552,8 @@ class DomainSpec:
             params={},
             contains_underline=underline,
             interior_boundary_distance=distance,
-            has_exit_boundary=bool(
-                np.isfinite(hi).any() or (np.isfinite(lo) & ~deg_lo_open).any()
-            ),
+            has_exit_boundary=bool(crossable),
+            projected=(underline, projected) if crossable else None,
         )
 
     @staticmethod

@@ -261,7 +261,8 @@ class GirsanovField:
         these states, ``log_sum`` passes in the divergence side's
         ``log_drift``, ``drift`` its ``drift_batch`` with that log drift,
         ``sigma`` its ``sigma_batch`` (used when :attr:`shares_root`) and
-        ``root_x`` the degenerate coordinates' ``sqrt(max(x, 0))``."""
+        ``root_x`` the degenerate coordinates' ``sqrt(x)`` of a projected
+        state, whose ``x`` is ``>= 0`` or ``-0.0``."""
         states = np.asarray(states, dtype=float)
         n = self.dims.n
         if out is None:

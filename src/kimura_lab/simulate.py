@@ -47,14 +47,22 @@ its group, so a large group pays no page faults step after step.  The
 ufuncs are those of the unfolded assembly in the same order, so every
 output is byte-identical to it.
 
-A group binds its step once (:mod:`kimura_lab.calls`): the first step
-from each of its two state arrays on each slot of a draw makes the list of
-the step's NumPy calls, each lane's kernels bound once per state array,
-and every later step replays it; the freeze, the weight update and the
-exit test after a step are bound the same way, before and after the first
-exit.  Only what depends on the data runs in Python every step: the
-finiteness test, the first exit, the observers and the record writes.
-Capping a draw at ``BOUND_SLOTS`` steps bounds what a group binds.
+Every state a step starts from is projected (or a start point): finite,
+with ``x >= 0``.  So the root is ``sqrt(x)`` with no projection of its own,
+and the exit test is the domain's narrowing to such states
+(:meth:`DomainSpec.projected_underline`): a box tests only the bounds they
+can cross, not its closed faces ``x_i = 0``.
+
+A group binds its steps once (:mod:`kimura_lab.calls`): the first step
+from each of its two state arrays on each slot of a draw, before and after
+the first exit, makes the list of the step's NumPy calls, each lane's
+kernels bound once per state array, and every later such step replays it.
+The list holds the scheme update, the finiteness test, the freeze (a
+``putmask`` of the dead paths, once one is dead), the weight update and the
+exit test.  Python then counts the paths that left, and only a step with an
+exit, an observer or a record write runs more of its own: it marks the
+exits, calls the observers and writes the records.  Capping a draw at
+``BOUND_SLOTS`` steps bounds what a group binds.
 """
 
 from __future__ import annotations
@@ -74,7 +82,7 @@ from .errors import (
     InvalidStartError,
     NumericFailureError,
 )
-from .calls import NOW, Calls
+from .calls import NOW, Calls, assign
 from .geometry import DomainSpec, Point, StateSpaceDims
 from .operators import Scratch
 from .records import record
@@ -460,13 +468,14 @@ class _Lanes:
         """Step ``k`` of every lane of ``ws``, from ``cur`` into ``new``, on
         the normals ``j`` of the last draw, with the weighted lanes'
         log-weight drops in ``drop``: :meth:`bind_step` run once."""
+        ws.k = k
         self.bind_step(ws, ws.cur, ws.new, j).run()
-        self.check_finite(ws.new, k, ws.nb)
 
     def bind_step(self, ws: "_Workspace", cur: np.ndarray, new: np.ndarray, j: int,
                   kernels: dict | None = None) -> Calls:
         """The calls of a step of every lane of ``ws`` from ``cur`` into
-        ``new`` on the normals ``j`` of a draw.
+        ``new`` on the normals ``j`` of a draw, the finiteness test of
+        ``new`` last.
 
         ``kernels`` keeps each lane's kernels on ``cur`` (:meth:`_bind_lane`),
         which no draw changes, so that the steps from ``cur`` on every slot
@@ -476,8 +485,10 @@ class _Lanes:
         kernels = {} if kernels is None else kernels
         rx, calls = ws.rx, Calls()
         if n:
-            calls.add(np.maximum, cur[..., :n] if m else cur, 0.0, out=rx)
-            calls.add(np.sqrt, rx, out=rx)
+            # a step starts from a projected state or a start: finite, with
+            # x >= 0 or x = -0.0, whose root -0.0 reaches only sums that add
+            # +0, so the root needs no projection of its own
+            calls.add(np.sqrt, cur[..., :n] if m else cur, out=rx)
         xi = ws.xi[j]
         if ws.xi_rows is not None:
             # the block's normals once for every start's rows
@@ -523,6 +534,25 @@ class _Lanes:
             y_term = ws.scratch.take("y_term", noise.shape[:-1] + (m,))
             calls.add(np.multiply, noise[..., n:], self.sqdt, out=y_term)
             calls.add(np.add, y_new, y_term, out=y_new)
+        calls.add(self.check_finite, new, ws)
+        return calls
+
+    def bind_settle(self, ws: "_Workspace", cur: np.ndarray, new: np.ndarray, exit_test,
+                    dead: bool) -> Calls:
+        """The calls that settle a step of ``ws`` from ``cur`` into ``new``:
+        once a path is ``dead``, the freeze of the dead paths at their state
+        in ``cur``; the weight update, of the live paths only once one is
+        dead; and ``exit_test``, None on a domain no path can leave."""
+        calls, w = Calls(), self.weighted
+        if dead:
+            calls.add(np.putmask, new, ws.frozen, cur)
+        if w is not None:
+            where = ws.alive[w] if dead else True
+            calls.add(np.subtract, ws.logw, ws.drop, out=ws.logw, where=where)
+        if exit_test is not None:
+            # a path leaves when it is alive and its new state is outside
+            calls.add(exit_test, new.reshape(-1, self.dims.total), out=ws.inside)
+            calls.add(np.greater, ws.alive.reshape(-1), ws.inside, out=ws.leaving)
         return calls
 
     def _bind_lane(self, ws: "_Workspace", states: np.ndarray, e: int, eq, theta,
@@ -546,16 +576,17 @@ class _Lanes:
         return calls, sigma, th
 
     @staticmethod
-    def check_finite(new: np.ndarray, k: int, nb: int) -> None:
-        """NumericFailureError at step ``k`` when a state of ``new`` is not
-        finite."""
+    def check_finite(new: np.ndarray, ws: "_Workspace") -> None:
+        """NumericFailureError at step ``ws.k`` when a state of ``new`` is
+        not finite."""
         # a finite sum has no infinite or NaN term; a sum that overflows on
         # finite states only sends the test on to the exact one
         if not math.isfinite(np.add.reduce(new, axis=None)):
             finite = np.isfinite(new).all(axis=-1).ravel()
             if not finite.all():
                 bad = int(np.flatnonzero(~finite)[0])
-                raise NumericFailureError(f"non-finite state at step {k} (block path {bad % nb})")
+                raise NumericFailureError(
+                    f"non-finite state at step {ws.k} (block path {bad % ws.nb})")
 
 
 class _Workspace:
@@ -566,9 +597,11 @@ class _Workspace:
     a bundle read one and write the other, in turn.  ``xi`` holds one draw
     of normals, shape (steps, nb, d), and ``noise_draw`` the noise it gives
     each lane of state-free root.  ``alive`` and ``dead`` mark the paths of
-    every lane, ``leaving`` those that the last step took out of the domain
+    every lane, ``frozen`` is ``dead`` over every coordinate of ``new``,
+    ``leaving`` marks the paths that the last step took out of the domain
     and ``tau`` their exit times; ``logw`` holds the log weights of the
-    weighted lanes and ``drop`` what the last step takes off them.
+    weighted lanes and ``drop`` what the last step takes off them.  ``k``
+    is the step being taken.
     """
 
     def __init__(self, lanes: _Lanes, start: np.ndarray, nb: int, draw_steps: int):
@@ -610,7 +643,9 @@ class _Workspace:
             self.theta_sq = np.empty(rows)
         self.alive = np.ones((n_lanes, rows), dtype=bool)
         self.dead = np.zeros((n_lanes, rows), dtype=bool)
+        self.frozen = np.zeros((n_lanes, rows, d), dtype=bool)
         self.any_dead = False
+        self.k = 0
         self.inside = np.empty(n_lanes * rows, dtype=bool)
         self.leaving = np.empty(n_lanes * rows, dtype=bool)
         self.tau = np.empty(n_lanes * rows)
@@ -723,6 +758,8 @@ def simulate_bundle(
         obs.prepare(n_paths, dims, config)
 
     can_exit = domain.has_exit_boundary
+    # the exit test of a projected state
+    exit_test = domain.projected_underline() if can_exit else None
     jump = params_exact is not None and not can_exit and not observers
 
     lanes = _Lanes(eqs, thetas, config)
@@ -760,42 +797,20 @@ def simulate_bundle(
         # the group's two state arrays; a step from parity p reads bufs[p]
         # and writes bufs[1 - p]
         bufs = (ws.cur, ws.new)
-        settles: dict = {}
 
-        def bind_settle(p: int, dead: bool) -> Calls:
-            """The freeze, the weight update and the exit test after a step
-            from parity ``p``; the freeze and the mask on the weights only
-            once a path is ``dead``."""
-            cur, new, calls = bufs[p], bufs[1 - p], Calls()
-            if dead:
-                calls.add(np.copyto, new, cur, where=ws.dead[..., None])
-            if w is not None:
-                where = ws.alive[w] if dead else True
-                calls.add(np.subtract, ws.logw, ws.drop, out=ws.logw, where=where)
-            if can_exit:
-                # a path leaves when it is alive and its new state is outside
-                calls.add(domain.contains_underline, new.reshape(-1, total), out=ws.inside)
-                calls.add(np.greater, ws.alive.reshape(-1), ws.inside, out=ws.leaving)
-            return calls
-
-        def settle(k: int, p: int) -> None:
-            """Freeze, weigh, test for exit, observe and record step ``k``,
-            taken from parity ``p``."""
+        def settle(k: int, p: int, leaving: bool) -> None:
+            """Observe step ``k``, taken from parity ``p``, mark the paths it
+            took out of the domain and record it, after its bound freeze,
+            weight update and exit test."""
             cur, new, alive = bufs[p], bufs[1 - p], ws.alive
-            key = (p, ws.any_dead)
-            calls = settles.get(key)
-            if calls is None:
-                calls = settles[key] = bind_settle(*key)
-            for call in calls:
-                call()
-            leaving = can_exit and ws.leaving.any()
             for obs in observers:
                 obs.observe(sl, k, k * dt, cur[0], new[0], alive[0],
                             logw=ws.logw[0] if w is not None else None)
             if leaving:
-                ws.tau[ws.leaving] = k * dt
+                np.copyto(ws.tau, k * dt, where=ws.leaving)
                 np.logical_and(alive.reshape(-1), ws.inside, out=alive.reshape(-1))
                 np.logical_not(alive, out=ws.dead)
+                np.copyto(ws.frozen, ws.dead[..., None])
                 ws.any_dead = True
             if k in record_idx:
                 r = record_idx[k]
@@ -813,32 +828,43 @@ def simulate_bundle(
                 np.copyto(exit_state[:, group, sl], bufs[p].reshape(n_eqs, n_st, nb, total),
                           where=dead[..., None])
 
-        p = 0
-        if params_exact is not None:
-            # one draw a step, from the state
-            for k in range(1, n_steps + 1):
-                bufs[1 - p][0, :, 0] = params_exact.sample(rng, bufs[p][0, :, 0], dt)
-                settle(k, p)
-                p ^= 1
-            finish(p)
-            return
-        # a step's calls per parity and slot of the draw, bound on first use
-        # over each lane's kernels, bound once per parity
+        # each lane's kernels, bound once per parity, and the calls of a
+        # whole step per parity, slot of the draw and whether a path is dead,
+        # bound on first use
+        kernels: tuple = ({}, {})
         steps: dict = {}
-        kernels = ({}, {})
-        k = 0
+
+        def bind(p: int, j: int, dead: bool) -> Calls:
+            """A whole step from parity ``p`` on slot ``j`` of a draw: the
+            scheme's step and :meth:`_Lanes.bind_settle`."""
+            cur, new = bufs[p], bufs[1 - p]
+            if params_exact is None:
+                calls = lanes.bind_step(ws, cur, new, j, kernels[p])
+            else:
+                # one draw a step, from the state
+                calls = Calls()
+                calls.add(assign, new[0, :, 0], params_exact.sample, rng, cur[0, :, 0], dt)
+            return Calls(calls + lanes.bind_settle(ws, cur, new, exit_test, dead))
+
+        # the steps settled in Python whether or not a path leaves
+        watched = range(1, n_steps + 1) if observers else record_idx
+        p = k = 0
         while k < n_steps:
             c = min(draw_steps, n_steps - k)
-            lanes.draw(ws, rng, c)
+            if params_exact is None:
+                lanes.draw(ws, rng, c)
             for j in range(c):
                 k += 1
-                calls = steps.get((p, j))
+                key = (p, j, ws.any_dead)
+                calls = steps.get(key)
                 if calls is None:
-                    calls = steps[p, j] = lanes.bind_step(ws, bufs[p], bufs[1 - p], j, kernels[p])
+                    calls = steps[key] = bind(*key)
+                ws.k = k
                 for call in calls:
                     call()
-                lanes.check_finite(bufs[1 - p], k, nb)
-                settle(k, p)
+                leaving = can_exit and np.count_nonzero(ws.leaving) > 0
+                if leaving or k in watched:
+                    settle(k, p, leaving)
                 p ^= 1
         finish(p)
 

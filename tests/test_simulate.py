@@ -894,3 +894,127 @@ class TestNoExitBoundary:
         assert len(seen) == 3 * 3
         assert [args[3] for args in seen[:3]] == pytest.approx([0.25, 0.25, 0.5])
         assert not bundle.exited.any() and (bundle.tau == 1.0).all()
+
+
+# ---------------------------------------------------------------------------
+# Projected states: the root takes no projection, the exit test only the
+# bounds a projected state can cross
+# ---------------------------------------------------------------------------
+
+DIMS11 = StateSpaceDims(1, 1)
+# a closed face x = 0, a degenerate lower bound above 0, finite free-axis
+# bounds and an intrinsic ball
+PROJECTED_DOMAINS = {
+    "closed-face": (BOX04, [Point((0.2,), ()), Point((3.8,), ())]),
+    "raised-face": (DomainSpec.box(DIMS1, [(0.5, 4.0)]), [Point((0.6,), ()), Point((3.8,), ())]),
+    "n1m1-free-bounds": (DomainSpec.box(DIMS11, [(0.0, 3.0), (-1.0, 2.0)]),
+                         [Point((0.2,), (0.0,)), Point((2.8,), (1.8,))]),
+    "ball": (DomainSpec.ball(DIMS11, Point((1.0,), (0.0,)), 0.5),
+             [Point((1.0,), (0.0,)), Point((1.4,), (0.3,))]),
+}
+
+
+def projected_states(domain, rows: int, seed: int) -> np.ndarray:
+    """States a projected step can give in and around ``domain``: finite,
+    with degenerate coordinates >= 0 or -0.0, a third of every coordinate
+    exactly on 0, -0.0, a bound or a neighbour of a bound."""
+    dims = domain.dims
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    states = np.empty((rows, dims.total))
+    for i, (lo, hi) in enumerate(domain.bounding_box):
+        bounds = [v for v in (lo, hi) if math.isfinite(v)]
+        special = bounds + [np.nextafter(v, s) for v in bounds for s in (-np.inf, np.inf)]
+        if i < dims.n:
+            special = [v for v in special if v >= 0.0] + [0.0, -0.0]
+        span = [max(lo, -1.0) - 1.0, min(hi, 5.0) + 1.0]
+        if i < dims.n:
+            span[0] = 0.0
+        states[:, i] = rng.uniform(*span, rows)
+        pick = rng.random(rows) < 1 / 3
+        states[pick, i] = rng.choice(np.array(special), pick.sum())
+    return states
+
+
+class TestProjectedStates:
+    @pytest.mark.parametrize("exits", [False, True], ids=["full-space", "box"])
+    @pytest.mark.parametrize("model", ["girsanov", "harnack"])
+    def test_a_start_at_minus_zero_gives_the_bytes_of_plus_zero(self, model, exits):
+        # pins: the root is sqrt(x) with no projection before it; a start's
+        # -0.0 has the root -0.0, which reaches only sums that add +0
+        if model == "girsanov":
+            pair = girsanov_pair()
+            eqs, theta = (pair.std, pair.sing), pair
+        else:
+            eqs, theta = build_sde_coefficients(make_sing_1d(b0=0.5)), None
+        domain = DomainSpec.box(DIMS1, [(0.0, 0.3)]) if exits else FULL1
+        cfg = PathConfig(dt=1e-2, seed=31, n_paths=300, horizon=0.3, record="all")
+
+        def run(x0):
+            return simulate_bundle(eqs, [Point((x0,), ()), Point((0.1,), ())], domain, cfg,
+                                   theta=theta)
+
+        minus, plus = run(-0.0), run(0.0)
+        # the start went in as given
+        n = cfg.n_paths
+        first = np.arange(minus.n_paths) % (2 * n) < n
+        assert np.signbit(minus.states[first, 0]).all()
+        assert not np.signbit(plus.states[:, 0]).any()
+        assert minus.exited.any() == exits
+        if exits:
+            assert not minus.exited.all()
+        for name in ("tau", "exited", "log_weights"):
+            a, b = getattr(minus, name), getattr(plus, name)
+            assert (a is None) == (b is None)
+            assert a is None or a.tobytes() == b.tobytes(), name
+        assert minus.states[:, 1:].tobytes() == plus.states[:, 1:].tobytes()
+        left = minus.exited
+        assert minus.exit_state[left].tobytes() == plus.exit_state[left].tobytes()
+
+    @pytest.mark.parametrize("name", list(PROJECTED_DOMAINS))
+    def test_the_projected_exit_test_agrees_with_the_underline_test(self, name):
+        domain, _ = PROJECTED_DOMAINS[name]
+        test = domain.projected_underline()
+        # a box is narrowed; a ball keeps its underline test
+        assert (test is not domain.contains_underline) == (domain.shape == "box")
+        states = projected_states(domain, 20_000, seed=len(name))
+        want = domain.contains_underline(states)
+        assert want.any() and not want.all()
+        assert test(states).tobytes() == want.tobytes()
+        out = np.empty(len(states), dtype=bool)
+        assert test(states, out=out) is out and out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", list(PROJECTED_DOMAINS))
+    def test_exits_match_a_loop_that_calls_the_underline_test(self, name):
+        # a replaced contains_underline is the exit test the loop runs, so a
+        # counting copy of it makes a reference loop
+        domain, starts = PROJECTED_DOMAINS[name]
+        coeffs = build_sde_coefficients(
+            make_sing_1d(b0=0.5) if domain.dims.m == 0 else make_sing_coupled())
+        cfg = PathConfig(dt=1e-2, seed=37, n_paths=400, horizon=0.4, record="all")
+        calls = []
+
+        def counted(states, out=None):
+            calls.append(len(states))
+            return domain.contains_underline(states, out=out)
+
+        reference = replace(domain, contains_underline=counted)
+        assert reference.projected_underline() is counted
+        expected = simulate_bundle(coeffs, starts, reference, cfg)
+        # the start checks, then one test a step of the one packed group
+        assert calls == [1] * len(starts) + [len(starts) * cfg.n_paths] * cfg.n_steps
+        bundle = simulate_bundle(coeffs, starts, domain, cfg)
+        assert bundle.exited.any() and not bundle.exited.all()
+        assert_same_bundle(bundle, expected)
+
+    def test_other_domains_keep_their_underline_test(self):
+        full = DomainSpec.full_space(DIMS11)
+        half = DomainSpec.halfspace_intersection(DIMS11, [[1.0, 1.0]], [2.0],
+                                                 [(None, None), (None, None)])
+        ball, _ = PROJECTED_DOMAINS["ball"]
+        for domain in (full, half, ball):
+            assert domain.projected_underline() is domain.contains_underline
+        # a box read back from its JSON narrows as the one it was written from
+        for domain, _ in PROJECTED_DOMAINS.values():
+            back = DomainSpec.from_json(domain.to_json())
+            narrowed = back.projected_underline() is not back.contains_underline
+            assert narrowed == (domain.shape == "box")
