@@ -20,9 +20,10 @@ steps, the command's eleven record times; best of 5 bundles).  After the harnack
 row stands one whole step of a harnack group at the size of the
 harnack-scan benchmark workload, 15 starts of 512 paths on the ``[0, 4]``
 box of ``configs/harnack_scan.json``, with 30 % of its paths (drawn at
-random) dead: the bound step with its finiteness test, the freeze, the exit
-test and the count of the paths that left, as ``simulate_bundle`` replays
-them on a step with no exit, record or observer.  The last row times the
+random) dead: the bound step, the freeze, the exit test and the count of
+the paths that left, as ``simulate_bundle`` replays them on a step with no
+exit, record or observer (such a group tests its states for finiteness
+once, after its last step).  The last row times the
 exact scheme's draw.
 
 Rows of their own time the node reads of the ``configs/harnack_scan.json``
@@ -172,7 +173,7 @@ def _group_step(coeffs):
     np.logical_not(ws.dead, out=ws.alive)
     np.copyto(ws.frozen, ws.dead[..., None])
     calls = lanes.bind_step(ws, ws.cur, ws.new, 0) + lanes.bind_settle(
-        ws, ws.cur, ws.new, domain.projected_underline(), True)
+        ws, ws.cur, ws.new, domain, True)
 
     def step():
         for call in calls:
@@ -361,7 +362,7 @@ def main() -> None:
            _bound_pair_step(pair, n)) for n in (8, RNG_BLOCK)],
         ("singular 1D, constant b (harnack config)", _step(harnack)),
         (f"harnack group step, {SCAN_STARTS} starts x {SCAN_PATHS} paths, 30 % dead: "
-         "bound step, finiteness test, freeze, exit test", _group_step(harnack)),
+         "bound step, freeze, exit test", _group_step(harnack)),
         *_derived_rows("n=1, m=1 (validate config)", operator_from_json(validate)),
         *_derived_rows("n=1, m=1 with a^ = 0.2, c^ = 0.3", operator_from_json(coupled)),
         (

@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-__all__ = ["Calls", "NOW", "assign"]
+__all__ = ["Calls", "NOW", "assign", "numpy_only"]
 
 
 class Calls(list):
@@ -50,3 +50,13 @@ NOW = _Now()
 def assign(out: np.ndarray, fn, *args) -> None:
     """``fn(*args)`` written into ``out``: an eager entry bound as one call."""
     np.copyto(out, fn(*args))
+
+
+# the NumPy routines a bound call may run besides a ufunc
+_ROUTINES = (np.copyto, np.einsum, np.putmask)
+
+
+def numpy_only(calls: Calls) -> bool:
+    """Whether every call of ``calls`` is a NumPy ufunc or routine, so that
+    replaying them runs no Python: no eager entry, solve or closure."""
+    return all(isinstance(c.func, np.ufunc) or c.func in _ROUTINES for c in calls)

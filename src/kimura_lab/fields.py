@@ -101,13 +101,13 @@ class AffineField(ScalarField):
             calls.add(np.copyto, out, self.c0)
             return out
         k, c = self._terms[0]
-        calls.add(np.multiply, states[..., k], c, out=out)
+        calls.add(np.multiply, states[..., k], c, out)
         if len(self._terms) > 1:
             term = np.empty(out.shape)
             for k, c in self._terms[1:]:
-                calls.add(np.multiply, states[..., k], c, out=term)
-                calls.add(np.add, out, term, out=out)
-        calls.add(np.add, out, self.c0, out=out)
+                calls.add(np.multiply, states[..., k], c, term)
+                calls.add(np.add, out, term, out)
+        calls.add(np.add, out, self.c0, out)
         return out
 
     def partial(self, axis: int) -> ScalarField:

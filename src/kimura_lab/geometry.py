@@ -22,6 +22,7 @@ from .errors import (
     InvalidHarnackParametersError,
     InvalidWeightError,
 )
+from .calls import NOW
 from .records import record
 
 __all__ = [
@@ -431,6 +432,32 @@ def _decode_bound(v, default: float) -> float:
     return default if v is None else float(v)
 
 
+class _Bounds:
+    """A box's test of the states a projected step gives: each ``(ufunc,
+    axis, bound)`` compares one coordinate with one bound it can cross, and
+    a state is inside when every comparison holds."""
+
+    def __init__(self, bounds: list):
+        self.bounds = bounds
+
+    def __call__(self, states: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty(states.shape[:-1], dtype=bool)
+        self.bind(states, out, NOW)
+        return out
+
+    def bind(self, states: np.ndarray, out: np.ndarray, calls) -> None:
+        """The comparisons of ``states`` into ``out``, each further one
+        through a mask of its own."""
+        (op, i, bound), *rest = self.bounds
+        calls.add(op, states[..., i], bound, out)
+        if rest:
+            mask = np.empty(out.shape, dtype=bool)
+            for op, i, bound in rest:
+                calls.add(op, states[..., i], bound, mask)
+                calls.add(np.logical_and, out, mask, out)
+
+
 @record
 class DomainSpec:
     """Open subdomain of the state space with its boundary split.
@@ -472,6 +499,15 @@ class DomainSpec:
         if self.projected is not None and self.projected[0] is self.contains_underline:
             return self.projected[1]
         return self.contains_underline
+
+    def bind_projected_underline(self, states: np.ndarray, out: np.ndarray, calls) -> None:
+        """The calls of :meth:`projected_underline` on ``states`` into
+        ``out``: a box's NumPy comparisons, else one call of that function."""
+        test = self.projected_underline()
+        if isinstance(test, _Bounds):
+            test.bind(states, out, calls)
+        else:
+            calls.add(test, states, out=out)
 
     def membership(self, states: np.ndarray) -> np.ndarray:
         """The open set: the underline set without the degenerate faces."""
@@ -524,16 +560,10 @@ class DomainSpec:
 
         # the bounds a projected state can cross: every finite one but a
         # closed face
-        crossable = [(np.greater, i, lo[i]) for i in range(dims.total)
+        crossable = [(np.greater, i, float(lo[i])) for i in range(dims.total)
                      if np.isfinite(lo[i]) and not deg_lo_open[i]]
-        crossable += [(np.less, i, hi[i]) for i in range(dims.total) if np.isfinite(hi[i])]
-
-        def projected(states: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            (op, i, bound), *rest = crossable
-            out = op(states[..., i], bound, out=out)
-            for op, i, bound in rest:
-                out &= op(states[..., i], bound)
-            return out
+        crossable += [(np.less, i, float(hi[i])) for i in range(dims.total)
+                      if np.isfinite(hi[i])]
 
         def distance(states: np.ndarray) -> np.ndarray:
             states = np.asarray(states, dtype=float)
@@ -553,7 +583,7 @@ class DomainSpec:
             contains_underline=underline,
             interior_boundary_distance=distance,
             has_exit_boundary=bool(crossable),
-            projected=(underline, projected) if crossable else None,
+            projected=(underline, _Bounds(crossable)) if crossable else None,
         )
 
     @staticmethod

@@ -70,6 +70,9 @@ VALIDATION_SEED = 0
 FACE_TOL = 1e-10
 # the most nodes a derived drift weight's solve lattice may have
 MAX_LATTICE_NODES = 2**20
+# a nonzero ln x of a double is at least 2^-54 in size, so its product with
+# a factor of at least this size is never rounded to zero
+F_NO_UNDERFLOW = 2.0**-1000
 
 
 def _log_of_faces(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -241,13 +244,22 @@ class SingularOperatorSpec(_OperatorBase):
                           scratch.take("f", lead + (self.dims.total, n)), calls=calls)
         logs = scratch.take("logs", lead + (n,))
         calls.add(np.maximum, states[..., :n], log_clamp_eps, out=logs)
-        calls.add(np.log if log_clamp_eps > 0.0 else _log_of_faces, logs, out=logs)
+        calls.add(np.log if log_clamp_eps > 0.0 else _log_of_faces, logs, logs)
         out = scratch.take("log_sum", states.shape)
         if f.shape[-2:] == (1, 1):
             # einsum's one-term sum: +0.0 plus the product, which turns a
-            # product of -0.0 into +0.0
-            calls.add(np.multiply, logs, f[..., 0], out=out)
-            calls.add(np.add, out, 0.0, out=out)
+            # product of -0.0 into +0.0.  A state-free f is bound as its
+            # float; no log is -0.0, so with f >= F_NO_UNDERFLOW, whose
+            # product with a nonzero log cannot round to zero, no product is
+            # -0.0 and the sum is the product
+            if f.ndim == 2:
+                f = float(f[0, 0])
+                calls.add(np.multiply, logs, f, out)
+                if f < F_NO_UNDERFLOW:
+                    calls.add(np.add, out, 0.0, out)
+                return out
+            calls.add(np.multiply, logs, f[..., 0], out)
+            calls.add(np.add, out, 0.0, out)
             return out
         # one contraction for a per-state and a state-free f: the same sums
         calls.add(np.einsum, "...rj,...j->...r", f, logs, out=out)
@@ -275,10 +287,10 @@ class SingularOperatorSpec(_OperatorBase):
             _evaluate(self._e, states, (m,), memo, out[..., n:], calls=calls)
         if log_sum is not None:
             x_log = scratch.take("x_log", states.shape[:-1] + (n,))
-            calls.add(np.multiply, states[..., :n], log_sum[..., :n], out=x_log)
-            calls.add(np.add, g, x_log, out=g)
+            calls.add(np.multiply, states[..., :n], log_sum[..., :n], x_log)
+            calls.add(np.add, g, x_log, g)
             if m:
-                calls.add(np.add, out[..., n:], log_sum[..., n:], out=out[..., n:])
+                calls.add(np.add, out[..., n:], log_sum[..., n:], out[..., n:])
         return out
 
     @property
@@ -438,7 +450,7 @@ def _value(term, states: np.ndarray, memo: dict, calls, out=None):
             for part in term.parts:
                 value = _value(part, states, memo, calls)
                 if acc is not None:
-                    calls.add(term._ufunc, acc, value, out=out)
+                    calls.add(term._ufunc, acc, value, out)
                     value = out
                 acc = value
         else:

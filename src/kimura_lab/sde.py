@@ -159,7 +159,7 @@ class _Coefficients:
         if out is None:
             out = np.empty(np.shape(xi))
         if self.plan.sigma_diag is not None:
-            calls.add(np.multiply, xi, self.plan.sigma_diag, out=out)
+            calls.add(np.multiply, xi, self.plan.sigma_diag, out)
             return out
         if sigma is None:
             sigma = self.bound_sigma(np.asarray(states, dtype=float), calls)
@@ -279,8 +279,8 @@ class GirsanovField:
             if root_x is None:
                 root_x = np.empty(states.shape[:-1] + (n,))
                 calls.add(np.maximum, states[..., :n], 0.0, out=root_x)
-                calls.add(np.sqrt, root_x, out=root_x)
-            calls.add(np.multiply, root_x, log_sum[..., :n], out=out[..., :n])
+                calls.add(np.sqrt, root_x, root_x)
+            calls.add(np.multiply, root_x, log_sum[..., :n], out[..., :n])
         if self.dims.m:
             # Free rows: the divergence-side minus the standard-side free drift.
             if drift is None:
@@ -289,9 +289,11 @@ class GirsanovField:
             e_hat = np.empty(states.shape[:-1] + (self.dims.m,))
             for l, entry in enumerate(self.std.source.e_hat.entries):
                 entry.evaluate_into(states, e_hat[..., l], calls=calls)
-            calls.add(np.subtract, drift[..., n:], e_hat, out=out[..., n:])
+            calls.add(np.subtract, drift[..., n:], e_hat, out[..., n:])
         if self.divisor is not None:
-            calls.add(np.divide, out, self.divisor, out=out)
+            # one column divides by its float
+            divisor = float(self.divisor[0]) if self.divisor.size == 1 else self.divisor
+            calls.add(np.divide, out, divisor, out)
             return out
         shared = sigma is not None and self.shares_root
         calls.add(_solve, sigma if shared else self.std.bound_sigma(states, calls), out)

@@ -39,16 +39,17 @@ Each equation is a lane of every group, and each group steps in one
 workspace, made when the group starts: the states of every lane, the draw,
 its noise and the arrays the kernels need on the way.  The equations'
 kernels (``drift_batch``, ``noise_batch`` and ``theta_batch`` of
-:mod:`kimura_lab.sde`) write into it with ``out=``, a weighted lane's drift
-and theta reading one log drift; the scheme update, the finiteness test,
-the freeze, the exit test, the log weights and the record write each run
-once a step over every lane.  A step thus allocates nothing the size of
+:mod:`kimura_lab.sde`) write into it through ``out``, a weighted lane's
+drift and theta reading one log drift; the scheme update, the freeze, the
+exit test, the log weights and the record write each run once a step over
+every lane.  A step thus allocates nothing the size of
 its group, so a large group pays no page faults step after step.  The
 ufuncs are those of the unfolded assembly in the same order, so every
 output is byte-identical to it.
 
-Every state a step starts from is projected (or a start point): finite,
-with ``x >= 0``.  So the root is ``sqrt(x)`` with no projection of its own,
+Every state a step starts from is projected (or a start point): with
+``x >= 0``, and finite unless its group is to raise (below).  So the root
+is ``sqrt(x)`` with no projection of its own,
 and the exit test is the domain's narrowing to such states
 (:meth:`DomainSpec.projected_underline`): a box tests only the bounds they
 can cross, not its closed faces ``x_i = 0``.
@@ -57,12 +58,23 @@ A group binds its steps once (:mod:`kimura_lab.calls`): the first step
 from each of its two state arrays on each slot of a draw, before and after
 the first exit, makes the list of the step's NumPy calls, each lane's
 kernels bound once per state array, and every later such step replays it.
-The list holds the scheme update, the finiteness test, the freeze (a
-``putmask`` of the dead paths, once one is dead), the weight update and the
-exit test.  Python then counts the paths that left, and only a step with an
-exit, an observer or a record write runs more of its own: it marks the
-exits, calls the observers and writes the records.  Capping a draw at
-``BOUND_SLOTS`` steps bounds what a group binds.
+The list holds the scheme update, the freeze (a ``putmask`` of the dead
+paths, once one is dead), the weight update and the exit test, a box's
+comparisons bound as ufuncs.  Constants are bound as floats and ufuncs take
+their ``out`` positionally.  Python then counts the paths that left, and
+only a step with an exit, an observer or a record write runs more of its
+own: it marks the exits, calls the observers and writes the records.
+Capping a draw at ``BOUND_SLOTS`` steps bounds what a group binds.
+
+A state that is not finite stays so: NaN and +inf survive the update, the
+projection onto ``x >= 0`` and the freeze.  So a group whose lists are NumPy
+calls alone and that has no observers tests its states once, after its last
+step; only when that test fails does it step again from its starts, testing
+each step's states after the freeze, which raises NumericFailureError at
+the first step that left a state not finite.  A group whose lists hold an
+eager entry (``calls.assign``), a solve or a Python exit test, or that has
+observers, tests each step's states so; the exact scheme tests none.  A
+dead path's discarded step is never tested: the freeze replaces it.
 """
 
 from __future__ import annotations
@@ -82,7 +94,7 @@ from .errors import (
     InvalidStartError,
     NumericFailureError,
 )
-from .calls import NOW, Calls, assign
+from .calls import NOW, Calls, assign, numpy_only
 from .geometry import DomainSpec, Point, StateSpaceDims
 from .operators import Scratch
 from .records import record
@@ -401,10 +413,10 @@ def _log_weight_drop(th, sxi, dt: float, out: np.ndarray, q: np.ndarray, *,
     else:
         th = th[:, 0]
         nb = sxi.shape[0]
-        calls.add(np.multiply, th.reshape(-1, nb), sxi[:, 0], out=out.reshape(-1, nb))
-        calls.add(np.multiply, th, th, out=q)
-    calls.add(np.multiply, q, 0.5 * dt, out=q)
-    calls.add(np.add, out, q, out=out)
+        calls.add(np.multiply, th.reshape(-1, nb), sxi[:, 0], out.reshape(-1, nb))
+        calls.add(np.multiply, th, th, q)
+    calls.add(np.multiply, q, 0.5 * dt, q)
+    calls.add(np.add, out, q, out)
     return out
 
 
@@ -418,19 +430,22 @@ class _Lanes:
     evaluated (with every lane folded the update adds ``drift * dt``, made
     here), a state-free root makes the noise a function of the normals
     alone, made once a draw and once for all lanes when their roots are
-    equal, and only a weighted lane runs theta.  The scheme update and the
-    finiteness test run once for every lane.
+    equal, and only a weighted lane runs theta.  The scheme update runs once
+    for every lane.
     """
 
     def __init__(self, eqs: list, thetas: list, config: PathConfig):
         self.eqs, self.thetas = eqs, thetas
         self.dims = eqs[0].dims
         self.dt, self.eps = config.dt, config.log_clamp_eps
-        self.sqdt = np.sqrt(config.dt)
+        self.sqdt = float(np.sqrt(config.dt))
         self.folded = [eq.plan.drift is not None for eq in eqs]
         self.drift_dt = None
         if all(self.folded):
             self.drift_dt = np.stack([eq.plan.drift * config.dt for eq in eqs])[:, None, :]
+            if self.drift_dt.size == 1:
+                # one lane of one coordinate adds its float
+                self.drift_dt = float(self.drift_dt[0, 0, 0])
         # the lanes whose noise a draw gives; the others take the root of their state
         self.free_noise = [e for e, eq in enumerate(eqs) if eq.plan.sigma is not None]
         self.shared_noise = len(self.free_noise) == len(eqs) and all(
@@ -467,15 +482,17 @@ class _Lanes:
     def step(self, ws: "_Workspace", k: int, j: int) -> None:
         """Step ``k`` of every lane of ``ws``, from ``cur`` into ``new``, on
         the normals ``j`` of the last draw, with the weighted lanes'
-        log-weight drops in ``drop``: :meth:`bind_step` run once."""
+        log-weight drops in ``drop``: :meth:`bind_step` run once, then
+        :meth:`check_finite`."""
         ws.k = k
         self.bind_step(ws, ws.cur, ws.new, j).run()
+        self.check_finite(ws.new, ws)
 
     def bind_step(self, ws: "_Workspace", cur: np.ndarray, new: np.ndarray, j: int,
                   kernels: dict | None = None) -> Calls:
         """The calls of a step of every lane of ``ws`` from ``cur`` into
-        ``new`` on the normals ``j`` of a draw, the finiteness test of
-        ``new`` last.
+        ``new`` on the normals ``j`` of a draw.  They are NumPy calls alone
+        unless a kernel binds an eager entry (``calls.assign``) or a solve.
 
         ``kernels`` keeps each lane's kernels on ``cur`` (:meth:`_bind_lane`),
         which no draw changes, so that the steps from ``cur`` on every slot
@@ -485,10 +502,11 @@ class _Lanes:
         kernels = {} if kernels is None else kernels
         rx, calls = ws.rx, Calls()
         if n:
-            # a step starts from a projected state or a start: finite, with
-            # x >= 0 or x = -0.0, whose root -0.0 reaches only sums that add
-            # +0, so the root needs no projection of its own
-            calls.add(np.sqrt, cur[..., :n] if m else cur, out=rx)
+            # a step starts from a projected state or a start: x >= 0 or
+            # x = -0.0 (or NaN or +inf, which the group reports), whose root
+            # -0.0 reaches only sums that add +0, so the root needs no
+            # projection of its own
+            calls.add(np.sqrt, cur[..., :n] if m else cur, rx)
         xi = ws.xi[j]
         if ws.xi_rows is not None:
             # the block's normals once for every start's rows
@@ -517,42 +535,44 @@ class _Lanes:
                                  ws.theta_sq, calls=calls)
         # the scheme update, once for every lane
         if self.drift_dt is not None:
-            calls.add(np.add, cur, self.drift_dt, out=new)
+            calls.add(np.add, cur, self.drift_dt, new)
         else:
-            calls.add(np.multiply, ws.drift, self.dt, out=new)
-            calls.add(np.add, cur, new, out=new)
+            calls.add(np.multiply, ws.drift, self.dt, new)
+            calls.add(np.add, cur, new, new)
         if n:
             # x += sqrt(x) noise_x sqrt(dt), then the projection onto x >= 0
             term = ws.rx_by_start
-            calls.add(np.multiply, term, noise[..., :n] if m else noise, out=term)
-            calls.add(np.multiply, term, self.sqdt, out=term)
+            calls.add(np.multiply, term, noise[..., :n] if m else noise, term)
+            calls.add(np.multiply, term, self.sqdt, term)
             x_new = new[..., :n] if m else new
-            calls.add(np.add, x_new, rx, out=x_new)
+            calls.add(np.add, x_new, rx, x_new)
             calls.add(np.maximum, x_new, 0.0, out=x_new)
         if m:
             y_new = new.reshape(ws.by_start + (d,))[..., n:]
             y_term = ws.scratch.take("y_term", noise.shape[:-1] + (m,))
-            calls.add(np.multiply, noise[..., n:], self.sqdt, out=y_term)
-            calls.add(np.add, y_new, y_term, out=y_new)
-        calls.add(self.check_finite, new, ws)
+            calls.add(np.multiply, noise[..., n:], self.sqdt, y_term)
+            calls.add(np.add, y_new, y_term, y_new)
         return calls
 
-    def bind_settle(self, ws: "_Workspace", cur: np.ndarray, new: np.ndarray, exit_test,
-                    dead: bool) -> Calls:
+    def bind_settle(self, ws: "_Workspace", cur: np.ndarray, new: np.ndarray,
+                    domain: DomainSpec | None, dead: bool) -> Calls:
         """The calls that settle a step of ``ws`` from ``cur`` into ``new``:
         once a path is ``dead``, the freeze of the dead paths at their state
         in ``cur``; the weight update, of the live paths only once one is
-        dead; and ``exit_test``, None on a domain no path can leave."""
+        dead; and the exit test of ``domain``, None when no path can leave
+        it (:meth:`DomainSpec.bind_projected_underline`)."""
         calls, w = Calls(), self.weighted
         if dead:
             calls.add(np.putmask, new, ws.frozen, cur)
         if w is not None:
-            where = ws.alive[w] if dead else True
-            calls.add(np.subtract, ws.logw, ws.drop, out=ws.logw, where=where)
-        if exit_test is not None:
+            if dead:
+                calls.add(np.subtract, ws.logw, ws.drop, ws.logw, where=ws.alive[w])
+            else:
+                calls.add(np.subtract, ws.logw, ws.drop, ws.logw)
+        if domain is not None:
             # a path leaves when it is alive and its new state is outside
-            calls.add(exit_test, new.reshape(-1, self.dims.total), out=ws.inside)
-            calls.add(np.greater, ws.alive.reshape(-1), ws.inside, out=ws.leaving)
+            domain.bind_projected_underline(new.reshape(-1, self.dims.total), ws.inside, calls)
+            calls.add(np.greater, ws.alive.reshape(-1), ws.inside, ws.leaving)
         return calls
 
     def _bind_lane(self, ws: "_Workspace", states: np.ndarray, e: int, eq, theta,
@@ -576,17 +596,25 @@ class _Lanes:
         return calls, sigma, th
 
     @staticmethod
-    def check_finite(new: np.ndarray, ws: "_Workspace") -> None:
-        """NumericFailureError at step ``ws.k`` when a state of ``new`` is
-        not finite."""
+    def finite(states: np.ndarray) -> bool:
+        """Whether every state of ``states`` is finite."""
         # a finite sum has no infinite or NaN term; a sum that overflows on
         # finite states only sends the test on to the exact one
-        if not math.isfinite(np.add.reduce(new, axis=None)):
+        return math.isfinite(np.add.reduce(states, axis=None)) or bool(np.isfinite(states).all())
+
+    @staticmethod
+    def check_finite(new: np.ndarray, ws: "_Workspace") -> None:
+        """NumericFailureError at step ``ws.k`` when a state of ``new`` is
+        not finite, naming the first such path of the block.
+
+        The stepping loop tests its states after the freeze: each step's
+        when a step list holds a call that is not NumPy's or the bundle has
+        observers, else only the last ones (see :func:`simulate_bundle`)."""
+        if not _Lanes.finite(new):
             finite = np.isfinite(new).all(axis=-1).ravel()
-            if not finite.all():
-                bad = int(np.flatnonzero(~finite)[0])
-                raise NumericFailureError(
-                    f"non-finite state at step {ws.k} (block path {bad % ws.nb})")
+            bad = int(np.flatnonzero(~finite)[0])
+            raise NumericFailureError(
+                f"non-finite state at step {ws.k} (block path {bad % ws.nb})")
 
 
 class _Workspace:
@@ -758,9 +786,11 @@ def simulate_bundle(
         obs.prepare(n_paths, dims, config)
 
     can_exit = domain.has_exit_boundary
-    # the exit test of a projected state
-    exit_test = domain.projected_underline() if can_exit else None
+    # the domain whose exit test a step binds
+    exit_domain = domain if can_exit else None
     jump = params_exact is not None and not can_exit and not observers
+    # the exact scheme draws finite states from finite ones and tests none
+    tested = params_exact is None
 
     lanes = _Lanes(eqs, thetas, config)
     dt = config.dt
@@ -772,13 +802,13 @@ def simulate_bundle(
         hi = min(lo + RNG_BLOCK, n_paths)
         nb = hi - lo
         sl = slice(lo, hi)
-        rng = _block_rng(config.seed, block)
         n_st = group.stop - group.start
         start_states = np.repeat(origins[group], nb, axis=0)
 
         if 0 in record_idx:
             states_rec[:, group, sl, record_idx[0]] = start_states.reshape(n_st, nb, total)
         if jump:
+            rng = _block_rng(config.seed, block)
             k_prev = 0
             x = start_states
             for k in sorted(record_idx.keys() - {0}):
@@ -792,81 +822,103 @@ def simulate_bundle(
         draw_steps = min(max(DRAW_FLOATS // (nb * total), 1), BOUND_SLOTS, n_steps)
         if params_exact is not None:
             draw_steps = 1
-        ws = _Workspace(lanes, start_states, nb, draw_steps)
         w = lanes.weighted
-        # the group's two state arrays; a step from parity p reads bufs[p]
-        # and writes bufs[1 - p]
-        bufs = (ws.cur, ws.new)
 
-        def settle(k: int, p: int, leaving: bool) -> None:
-            """Observe step ``k``, taken from parity ``p``, mark the paths it
-            took out of the domain and record it, after its bound freeze,
-            weight update and exit test."""
-            cur, new, alive = bufs[p], bufs[1 - p], ws.alive
-            for obs in observers:
-                obs.observe(sl, k, k * dt, cur[0], new[0], alive[0],
-                            logw=ws.logw[0] if w is not None else None)
-            if leaving:
-                np.copyto(ws.tau, k * dt, where=ws.leaving)
-                np.logical_and(alive.reshape(-1), ws.inside, out=alive.reshape(-1))
-                np.logical_not(alive, out=ws.dead)
-                np.copyto(ws.frozen, ws.dead[..., None])
-                ws.any_dead = True
-            if k in record_idx:
-                r = record_idx[k]
-                states_rec[:, group, sl, r] = new.reshape(n_eqs, n_st, nb, total)
-                if w is not None:
-                    log_weights[w, group, sl, r] = ws.logw.reshape(-1, n_st, nb)
+        def walk(each: bool | None) -> tuple:
+            """Step the group from its starts in a new workspace: that
+            workspace, the last states and whether each step's states were
+            tested, after its freeze.  ``each`` None tests them only when a
+            step's list holds a call that is not NumPy's or there are
+            observers."""
+            rng = _block_rng(config.seed, block)
+            ws = _Workspace(lanes, start_states, nb, draw_steps)
+            # the group's two state arrays; a step from parity p reads
+            # bufs[p] and writes bufs[1 - p]
+            bufs = (ws.cur, ws.new)
 
-        def finish(p: int) -> None:
-            """Exit flags, times and states of the group's paths, from its
-            dead paths, whose states froze at their exit."""
-            if ws.any_dead:
-                dead = ws.dead.reshape(n_eqs, n_st, nb)
-                exited[:, group, sl] = dead
-                np.copyto(tau[:, group, sl], ws.tau.reshape(n_eqs, n_st, nb), where=dead)
-                np.copyto(exit_state[:, group, sl], bufs[p].reshape(n_eqs, n_st, nb, total),
-                          where=dead[..., None])
+            def settle(k: int, p: int, leaving: bool) -> None:
+                """Observe step ``k``, taken from parity ``p``, mark the paths
+                it took out of the domain and record it, after its bound
+                freeze, weight update and exit test."""
+                cur, new, alive = bufs[p], bufs[1 - p], ws.alive
+                for obs in observers:
+                    obs.observe(sl, k, k * dt, cur[0], new[0], alive[0],
+                                logw=ws.logw[0] if w is not None else None)
+                if leaving:
+                    np.copyto(ws.tau, k * dt, where=ws.leaving)
+                    np.logical_and(alive.reshape(-1), ws.inside, out=alive.reshape(-1))
+                    np.logical_not(alive, out=ws.dead)
+                    np.copyto(ws.frozen, ws.dead[..., None])
+                    ws.any_dead = True
+                if k in record_idx:
+                    r = record_idx[k]
+                    states_rec[:, group, sl, r] = new.reshape(n_eqs, n_st, nb, total)
+                    if w is not None:
+                        log_weights[w, group, sl, r] = ws.logw.reshape(-1, n_st, nb)
 
-        # each lane's kernels, bound once per parity, and the calls of a
-        # whole step per parity, slot of the draw and whether a path is dead,
-        # bound on first use
-        kernels: tuple = ({}, {})
-        steps: dict = {}
+            # each lane's kernels, bound once per parity, and the calls of a
+            # whole step per parity, slot of the draw and whether a path is
+            # dead, bound on first use
+            kernels: tuple = ({}, {})
+            steps: dict = {}
 
-        def bind(p: int, j: int, dead: bool) -> Calls:
-            """A whole step from parity ``p`` on slot ``j`` of a draw: the
-            scheme's step and :meth:`_Lanes.bind_settle`."""
-            cur, new = bufs[p], bufs[1 - p]
-            if params_exact is None:
-                calls = lanes.bind_step(ws, cur, new, j, kernels[p])
-            else:
-                # one draw a step, from the state
-                calls = Calls()
-                calls.add(assign, new[0, :, 0], params_exact.sample, rng, cur[0, :, 0], dt)
-            return Calls(calls + lanes.bind_settle(ws, cur, new, exit_test, dead))
+            def bind(p: int, j: int, dead: bool) -> Calls:
+                """A whole step from parity ``p`` on slot ``j`` of a draw: the
+                scheme's step, :meth:`_Lanes.bind_settle` and, with ``each``,
+                the finiteness test."""
+                cur, new = bufs[p], bufs[1 - p]
+                if params_exact is None:
+                    calls = lanes.bind_step(ws, cur, new, j, kernels[p])
+                else:
+                    # one draw a step, from the state
+                    calls = Calls()
+                    calls.add(assign, new[0, :, 0], params_exact.sample, rng, cur[0, :, 0], dt)
+                calls = Calls(calls + lanes.bind_settle(ws, cur, new, exit_domain, dead))
+                if each:
+                    calls.add(lanes.check_finite, new, ws)
+                return calls
 
-        # the steps settled in Python whether or not a path leaves
-        watched = range(1, n_steps + 1) if observers else record_idx
-        p = k = 0
-        while k < n_steps:
-            c = min(draw_steps, n_steps - k)
-            if params_exact is None:
-                lanes.draw(ws, rng, c)
-            for j in range(c):
-                k += 1
-                key = (p, j, ws.any_dead)
-                calls = steps.get(key)
-                if calls is None:
-                    calls = steps[key] = bind(*key)
-                ws.k = k
-                for call in calls:
-                    call()
-                leaving = can_exit and np.count_nonzero(ws.leaving) > 0
-                if leaving or k in watched:
-                    settle(k, p, leaving)
-                p ^= 1
-        finish(p)
+            if each is None:
+                first = bind(0, 0, False)
+                each = tested and (bool(observers) or not numpy_only(first))
+                if not each:
+                    steps[0, 0, False] = first
+            # the steps settled in Python whether or not a path leaves
+            watched = range(1, n_steps + 1) if observers else record_idx
+            p = k = 0
+            while k < n_steps:
+                c = min(draw_steps, n_steps - k)
+                if params_exact is None:
+                    lanes.draw(ws, rng, c)
+                for j in range(c):
+                    k += 1
+                    key = (p, j, ws.any_dead)
+                    calls = steps.get(key)
+                    if calls is None:
+                        calls = steps[key] = bind(*key)
+                    ws.k = k
+                    for call in calls:
+                        call()
+                    leaving = can_exit and np.count_nonzero(ws.leaving) > 0
+                    if leaving or k in watched:
+                        settle(k, p, leaving)
+                    p ^= 1
+            return ws, bufs[p], each
+
+        ws, last, each = walk(None)
+        if tested and not each and not lanes.finite(last):
+            # NaN and +inf survive the update, the projection onto x >= 0
+            # and the freeze, so a state that was not finite after some
+            # step's freeze is not finite now: the walk that tests each step
+            # raises at the first such step
+            ws, last, _ = walk(True)
+        if ws.any_dead:
+            # the exits, from the dead paths, whose states froze there
+            dead = ws.dead.reshape(n_eqs, n_st, nb)
+            exited[:, group, sl] = dead
+            np.copyto(tau[:, group, sl], ws.tau.reshape(n_eqs, n_st, nb), where=dead)
+            np.copyto(exit_state[:, group, sl], last.reshape(n_eqs, n_st, nb, total),
+                      where=dead[..., None])
 
     groups = []
     for block in range((n_paths + RNG_BLOCK - 1) // RNG_BLOCK):

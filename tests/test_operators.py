@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from conftest import make_flat_1d_free, make_sing_1d, make_std_1d
 
+from kimura_lab.calls import Calls
 from kimura_lab.errors import InvalidWeightError, NonDerivableError
 from kimura_lab.fields import (
     AffineField,
@@ -93,6 +94,34 @@ class TestDrift:
         )
         states = np.column_stack([x, y])
         np.testing.assert_allclose(op.drift(states), expected, rtol=1e-12)
+
+
+    # x = -0.0 and 0 hit the clamp, eps / 2 too; 1 gives ln x = +0.0
+    LOG_PROBES = [-0.0, 0.0, 0.5e-12, 1.0, 2.0, 1e300]
+
+    @pytest.mark.parametrize("eps", [1e-12, 0.0], ids=["clamped", "faces"])
+    @pytest.mark.parametrize("slope", [0.3, -0.2, 1e-310], ids=["positive", "negative", "tiny"])
+    def test_a_one_term_log_sum_is_the_einsum(self, slope, eps):
+        # pins: a state-free 1x1 f is bound as its float, and the sum drops
+        # einsum's + 0.0 only where no product can be -0.0: for an f > 0
+        # whose product with a nonzero log cannot round to zero; at
+        # x = nextafter(1, 0) a tiny f gives -0.0, which the + 0.0 mends
+        op = make_sing_1d(b0=0.5, slope=slope)  # f = slope, state-free
+        probes = self.LOG_PROBES + [float(np.nextafter(1.0, 0.0))]
+        states = np.array(probes)[:, None]
+        with np.errstate(divide="ignore"):
+            logs = np.log(np.maximum(states, eps))
+        f = np.broadcast_to(np.array([[slope]]), (len(probes), 1, 1))
+        want = np.einsum("...rj,...j->...r", f, logs)
+        calls = Calls()
+        got = op.log_drift(states, eps, calls=calls)
+        calls.run()
+        assert got.tobytes() == want.tobytes()
+        assert (np.add in [c.func for c in calls]) == (slope != 0.3)
+        if slope < 0:
+            # ln 1 = +0.0 times a negative f is -0.0, and + 0.0 makes it +0.0
+            assert got[probes.index(1.0), 0] == 0.0
+            assert not np.signbit(got[probes.index(1.0), 0])
 
 
 class TestApplyStandard:

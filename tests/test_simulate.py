@@ -1,4 +1,7 @@
+import functools
+import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -7,6 +10,7 @@ import pytest
 
 from conftest import advance, make_sing_1d, make_std_1d, mean_se
 
+from kimura_lab import simulate
 from kimura_lab.errors import InvalidStartError, NumericFailureError
 from kimura_lab.fields import CallableField, FieldMatrix, FieldVector
 from kimura_lab.geometry import DomainSpec, Point, StateSpaceDims
@@ -1018,3 +1022,148 @@ class TestProjectedStates:
             back = DomainSpec.from_json(domain.to_json())
             narrowed = back.projected_underline() is not back.contains_underline
             assert narrowed == (domain.shape == "box")
+
+
+# ---------------------------------------------------------------------------
+# The finiteness test: once a group when its steps are NumPy calls alone
+# ---------------------------------------------------------------------------
+
+# b^ = 1 + 1e200 x: a start at x = 1 is near 1e198 after one step of
+# dt = 1e-2 and overflows at the second; a start at 0 overflows at the third
+OVERFLOW = make_std_1d(b0=1.0, slope=1e200)
+# the same b^ read through its own Python entry (calls.assign) each step
+EAGER_OVERFLOW = replace(OVERFLOW, b_hat=FieldVector([
+    CallableField(lambda s: 1.0 + 1e200 * s[..., 0])]))
+# a box that a state leaves only by overflowing
+WIDE_BOX = DomainSpec.box(DIMS1, [(0.0, 1e300)])
+# two blocks, so that two threads each run a group
+OVERFLOW_CONFIG = PathConfig(dt=1e-2, seed=3, n_paths=RNG_BLOCK + 4, horizon=0.1, record="ends")
+
+
+def overflow_bundle(lanes: str, domain, n_threads: int, std_op=OVERFLOW):
+    std = build_standard_sde_coefficients(std_op)
+    if lanes == "one":
+        return simulate_bundle(std, Point((1.0,), ()), domain, OVERFLOW_CONFIG,
+                               n_threads=n_threads)
+    if lanes == "packed":
+        # the start at 0 overflows a step later than the one at 1
+        return simulate_bundle(std, [Point((0.0,), ()), Point((1.0,), ())], domain,
+                               OVERFLOW_CONFIG, n_threads=n_threads)
+    pair = make_girsanov_field(std_op, derive_singular_from_standard(std_op))
+    return simulate_bundle((pair.std, pair.sing), Point((1.0,), ()), domain, OVERFLOW_CONFIG,
+                           theta=pair, n_threads=n_threads)
+
+
+def record_tested_steps(monkeypatch) -> dict:
+    """Wrap ``_Lanes.check_finite`` and return ``{workspace: the steps
+    it tested, in order}``."""
+    seen, original = {}, simulate._Lanes.check_finite
+
+    def counted(new, ws):
+        seen.setdefault(ws, []).append(ws.k)
+        return original(new, ws)
+
+    monkeypatch.setattr(simulate._Lanes, "check_finite", staticmethod(counted))
+    return seen
+
+
+class TestFinitenessTest:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    @pytest.mark.parametrize("domain", [FULL1, WIDE_BOX], ids=["full-space", "box"])
+    @pytest.mark.parametrize("lanes", ["one", "pair", "packed"])
+    def test_an_overflow_raises_at_its_step(self, monkeypatch, lanes, domain, n_threads):
+        # pins: the group tests its last states only, then steps again
+        # testing each step, which names the step and path that a test of
+        # every step names
+        tested = record_tested_steps(monkeypatch)
+        with pytest.raises(NumericFailureError) as failure:
+            overflow_bundle(lanes, domain, n_threads)
+        assert str(failure.value) == "non-finite state at step 2 (block path 0)"
+        # each group that ran (one, or on two threads both, unless the
+        # first failure cancelled the second) stepped again in a new
+        # workspace testing each step, and raised at step 2
+        assert 1 <= len(tested) <= n_threads
+        assert all(steps == [1, 2] for steps in tested.values())
+
+    def test_a_finite_run_tests_no_step(self, monkeypatch):
+        tested = record_tested_steps(monkeypatch)
+        cfg = PathConfig(dt=1e-2, seed=5, n_paths=RNG_BLOCK + 4, horizon=0.3)
+        pair = girsanov_pair()
+        bundle = simulate_bundle((pair.std, pair.sing), STARTS_1D[:2], BOX04, cfg, theta=pair)
+        assert bundle.exited.any() and tested == {}
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("std_op", [OVERFLOW, EAGER_OVERFLOW], ids=["numpy", "eager"])
+    @pytest.mark.parametrize("lanes", ["one", "pair", "packed"])
+    def test_a_dead_paths_discarded_step_fails_no_run(self, lanes, std_op):
+        # every path leaves [0, 4] with a finite state, at step 1 (at 2
+        # from a start at 0); the step from there overflows, but the
+        # freeze discards it before any test reads it
+        bundle = overflow_bundle(lanes, BOX04, 1, std_op=std_op)
+        assert bundle.exited.all() and np.isfinite(bundle.exit_state).all()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_an_eager_field_tests_every_step(self, monkeypatch, n_threads):
+        # a field read through its own Python entry (calls.assign) keeps
+        # the test of every step, in a failing run and in a finite one
+        tested = record_tested_steps(monkeypatch)
+        with pytest.raises(NumericFailureError) as failure:
+            overflow_bundle("one", FULL1, n_threads, std_op=EAGER_OVERFLOW)
+        assert str(failure.value) == "non-finite state at step 2 (block path 0)"
+        assert 1 <= len(tested) <= n_threads
+        assert all(steps == [1, 2] for steps in tested.values())
+        tested.clear()
+        cfg = PathConfig(dt=1e-2, seed=5, n_paths=RNG_BLOCK + 4, horizon=0.3)
+        calm = replace(OVERFLOW, b_hat=FieldVector([CallableField(lambda s: 1.0 + s[..., 0])]))
+        simulate_bundle(build_standard_sde_coefficients(calm), Point((1.0,), ()), BOX04, cfg,
+                        n_threads=n_threads)
+        # each step of both groups, one workspace a group
+        assert list(tested.values()) == [list(range(1, cfg.n_steps + 1))] * 2
+
+
+# the NumPy routines a bound call may run besides a ufunc
+NUMPY_ROUTINES = (np.copyto, np.einsum, np.putmask)
+
+
+@pytest.mark.parametrize("config", ["girsanov_consistency", "harnack_scan"])
+def test_committed_models_replay_numpy_alone(monkeypatch, config):
+    # every call a step of the committed models binds, with and without a
+    # dead path, is a NumPy ufunc or routine bound directly, and a ufunc
+    # takes its out positionally and no where=True; np.maximum takes out=,
+    # as NumPy 2.4 deprecates a third positional argument to it
+    bound = []
+    for name in ("bind_step", "bind_settle"):
+        original = getattr(simulate._Lanes, name)
+
+        def spy(*args, original=original, **kwargs):
+            calls = original(*args, **kwargs)
+            bound.extend(calls)
+            return calls
+
+        monkeypatch.setattr(simulate._Lanes, name, spy)
+    tested = record_tested_steps(monkeypatch)
+    with open(os.path.join(os.path.dirname(__file__), "..", "configs", f"{config}.json")) as fh:
+        doc = json.load(fh)
+    op = operator_from_json(doc["model"])
+    cfg = PathConfig(dt=1e-2, seed=9, n_paths=300, horizon=0.3)
+    if config == "girsanov_consistency":
+        pair = make_girsanov_field(op, derive_singular_from_standard(op))
+        simulate_bundle((pair.std, pair.sing), Point.from_vector(op.dims, doc["z0"]),
+                        DomainSpec.full_space(op.dims), cfg, theta=pair)
+    else:
+        starts = [Point((0.2,), ()), Point((3.8,), ())]
+        bundle = simulate_bundle(build_sde_coefficients(op), starts,
+                                 DomainSpec.from_json(doc["domain"]), cfg)
+        assert bundle.exited.any()
+    assert bound and tested == {}
+    for call in bound:
+        assert isinstance(call, functools.partial)
+        fn = call.func
+        assert isinstance(fn, np.ufunc) or fn in NUMPY_ROUTINES, fn
+        if isinstance(fn, np.ufunc):
+            assert fn is np.maximum or "out" not in call.keywords
+            assert call.keywords.get("where") is not True
