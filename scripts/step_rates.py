@@ -38,8 +38,9 @@ packed bundle and as 15 one-start bundles, at 512 and 4096 paths a start
 (best of 5 repeats of 3 scans).
 
 A last line runs ``configs/harnack_scan.json`` through ``cli.main`` at
-``--threads 1`` in a fresh process and prints the wall seconds and minor
-page faults (``resource.getrusage``) of that call, imports excluded: the
+``--threads 1`` in 5 fresh processes, after one untimed one, and prints the
+median and quartiles of the wall seconds of that call, imports excluded,
+and the median of its minor page faults (``resource.getrusage``): the
 first large packed groups of a process are where page faults show.  A
 second line gives the package's start-up cost: the median over 5 fresh
 processes of ``import kimura_lab.cli`` after a bare ``import numpy``, with
@@ -173,7 +174,7 @@ def _group_step(coeffs):
     np.logical_not(ws.dead, out=ws.alive)
     np.copyto(ws.frozen, ws.dead[..., None])
     calls = lanes.bind_step(ws, ws.cur, ws.new, 0) + lanes.bind_settle(
-        ws, ws.cur, ws.new, domain, True)
+        ws, ws.cur, ws.new, domain.exit_test, True)
 
     def step():
         for call in calls:
@@ -232,8 +233,9 @@ def _pair_bundle(pair):
 
 
 def _fresh_scan() -> str:
-    """Wall seconds and minor page faults of ``cli.main`` on
-    ``configs/harnack_scan.json`` at one thread, in a fresh process."""
+    """Median and quartiles of the wall seconds, and the median of the minor
+    page faults, of ``cli.main`` on ``configs/harnack_scan.json`` at one
+    thread, over ``STARTS`` fresh processes after one untimed one."""
     code = """
 import contextlib, io, resource, sys, tempfile, time
 sys.path.insert(0, sys.argv[1])
@@ -247,11 +249,17 @@ with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringI
 print(f"{wall:.3f} {faults}")
 """
     config = os.path.join(ROOT, "configs", "harnack_scan.json")
-    out = subprocess.run(
-        [sys.executable, "-c", code, os.path.join(ROOT, "src"), config],
-        check=True, capture_output=True, text=True,
-    ).stdout.split()
-    return f"{out[0]} s, {int(out[1]):,} minor page faults"
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", code, os.path.join(ROOT, "src"), config],
+            check=True, capture_output=True, text=True,
+        ).stdout.split()
+        for _ in range(STARTS + 1)
+    ][1:]
+    wall, faults = np.array(runs, dtype=float).T
+    q1, median, q3 = np.percentile(wall, [25, 50, 75])
+    return (f"median {median:.3f} s (quartiles {q1:.3f}-{q3:.3f} s), "
+            f"{int(np.median(faults)):,} minor page faults")
 
 
 def _fresh_import() -> str:
@@ -392,7 +400,7 @@ def main() -> None:
     best = _best_s([(fn, SCAN_CALLS) for _, fn, _ in scan])
     for (label, _, path_steps), s in zip(scan, best):
         print(f"| {label} | {1e9 * s / path_steps:.2f} |", flush=True)
-    print(f"\nconfigs/harnack_scan.json, cli.main at one thread in a fresh process: "
+    print(f"\nconfigs/harnack_scan.json, cli.main at one thread, {STARTS} fresh processes: "
           f"{_fresh_scan()}")
     print(f"import kimura_lab.cli after numpy, median of {STARTS} fresh processes: "
           f"{_fresh_import()}")

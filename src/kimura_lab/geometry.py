@@ -433,14 +433,17 @@ def _decode_bound(v, default: float) -> float:
 
 
 class _Bounds:
-    """A box's test of the states a projected step gives: each ``(ufunc,
-    axis, bound)`` compares one coordinate with one bound it can cross, and
-    a state is inside when every comparison holds."""
+    """A domain's test of states: each ``(ufunc, axis, bound)`` compares one
+    coordinate with one bound, and a half-space intersection compares each
+    column of ``states @ normals`` with its offset, ``< c``.  A state is
+    inside when every comparison holds."""
 
-    def __init__(self, bounds: list):
+    def __init__(self, bounds: list, halfspaces: tuple | None = None):
         self.bounds = bounds
+        self.halfspaces = halfspaces
 
     def __call__(self, states: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        states = np.asarray(states, dtype=float)
         if out is None:
             out = np.empty(states.shape[:-1], dtype=bool)
         self.bind(states, out, NOW)
@@ -449,13 +452,60 @@ class _Bounds:
     def bind(self, states: np.ndarray, out: np.ndarray, calls) -> None:
         """The comparisons of ``states`` into ``out``, each further one
         through a mask of its own."""
-        (op, i, bound), *rest = self.bounds
-        calls.add(op, states[..., i], bound, out)
+        tests = [(op, states[..., i], bound) for op, i, bound in self.bounds]
+        if self.halfspaces is not None:
+            normals, offsets = self.halfspaces
+            dots = np.empty(states.shape[:-1] + (len(offsets),))
+            calls.add(np.matmul, states, normals, dots)
+            tests += [(np.less, dots[..., j], c) for j, c in enumerate(offsets)]
+        (op, col, bound), *rest = tests
+        calls.add(op, col, bound, out)
         if rest:
             mask = np.empty(out.shape, dtype=bool)
-            for op, i, bound in rest:
-                calls.add(op, states[..., i], bound, mask)
+            for op, col, bound in rest:
+                calls.add(op, col, bound, mask)
                 calls.add(np.logical_and, out, mask, out)
+
+
+def _box_bounds(dims: StateSpaceDims, bounds: Sequence[tuple[float, float]]) -> tuple:
+    """``bounds`` with None read as the state space's own bound, checked."""
+    bounds = tuple(
+        (_decode_bound(lo, 0.0 if i < dims.n else -np.inf), _decode_bound(hi, np.inf))
+        for i, (lo, hi) in enumerate(bounds)
+    )
+    if len(bounds) != dims.total:
+        raise DimensionMismatchError("bounding box does not match dims")
+    if any(lo < 0.0 for lo, _ in bounds[: dims.n]):
+        raise ValueError("degenerate-axis lower bounds must be >= 0")
+    return bounds
+
+
+def _domain(dims: StateSpaceDims, box: tuple, shape: str, params: dict,
+            halfspaces: tuple | None = None) -> "DomainSpec":
+    """The domain of the states inside the open ``box``, closed at each face
+    ``x_i = 0`` it reaches, and below the ``halfspaces`` ``(normals, offsets)``
+    (``states @ normals < offsets``).  Its ``exit_test`` leaves out the
+    comparisons no projected state can fail: the closed faces and the
+    infinite bounds."""
+    tests, exits = [], []
+    for i, (lo, hi) in enumerate(box):
+        face = i < dims.n and lo == 0.0
+        # a closed face is s > nextafter(0, -inf), that is s >= 0
+        above = (np.greater, i, float(np.nextafter(0.0, -np.inf)) if face else float(lo))
+        below = (np.less, i, float(hi))
+        tests += [above, below]
+        if math.isfinite(lo) and not face:
+            exits.append(above)
+        if math.isfinite(hi):
+            exits.append(below)
+    return DomainSpec(
+        dims=dims,
+        bounding_box=box,
+        shape=shape,
+        params=params,
+        contains_underline=_Bounds(tests, halfspaces),
+        exit_test=_Bounds(exits, halfspaces) if exits or halfspaces else None,
+    )
 
 
 @record
@@ -467,13 +517,14 @@ class DomainSpec:
     ``{x_i = 0}`` faces), which is where simulated paths are allowed to live;
     called as ``contains_underline(states, out=mask)`` it writes its answer
     into a boolean ``mask`` of shape ``states.shape[:-1]``;
-    :meth:`membership` tests the open set alone.  ``interior_boundary_distance``
-    is a signed distance to the non-degenerate boundary only (positive inside,
-    negative outside, +inf when there is none).  ``has_exit_boundary`` is
-    False when there is none, so that a path can never leave: a box whose
-    bounds are all infinite but for the closed faces ``x_i = 0``.
-    ``projected`` pairs the ``contains_underline`` a constructor built with
-    its narrowing to projected states (:meth:`projected_underline`).
+    :meth:`membership` tests the open set alone.  Every shape is a box of
+    NumPy comparisons: a ball is the box of :func:`ball_box` within its
+    ``bounding_box``, and a half-space intersection adds its half-spaces.
+    ``exit_test`` is ``contains_underline`` for the states a projected step
+    gives (finite, with degenerate coordinates ``>= 0``; a start may hold
+    ``-0.0``): only the comparisons such a state can fail, and None when
+    there are none, so that a path can never leave.  ``exit_test.bind(states,
+    out, calls)`` binds its calls (:mod:`kimura_lab.calls`).
     """
 
     dims: StateSpaceDims
@@ -483,31 +534,7 @@ class DomainSpec:
     contains_underline: Callable[[np.ndarray], np.ndarray] = field(
         compare=False, default=None
     )
-    interior_boundary_distance: Callable[[np.ndarray], np.ndarray] = field(
-        compare=False, default=None
-    )
-    has_exit_boundary: bool = field(compare=False, default=True)
-    projected: tuple | None = field(compare=False, default=None, repr=False)
-
-    def projected_underline(self) -> Callable:
-        """``contains_underline`` for the states a projected step gives:
-        finite, with degenerate coordinates ``>= 0`` (a start may hold
-        ``-0.0``).  A box tests only the bounds such a state can cross, which
-        leaves out its closed faces ``x_i = 0`` and its infinite bounds; any
-        other spec, or one whose ``contains_underline`` was replaced, gets
-        that function."""
-        if self.projected is not None and self.projected[0] is self.contains_underline:
-            return self.projected[1]
-        return self.contains_underline
-
-    def bind_projected_underline(self, states: np.ndarray, out: np.ndarray, calls) -> None:
-        """The calls of :meth:`projected_underline` on ``states`` into
-        ``out``: a box's NumPy comparisons, else one call of that function."""
-        test = self.projected_underline()
-        if isinstance(test, _Bounds):
-            test.bind(states, out, calls)
-        else:
-            calls.add(test, states, out=out)
+    exit_test: _Bounds | None = field(compare=False, default=None, repr=False)
 
     def membership(self, states: np.ndarray) -> np.ndarray:
         """The open set: the underline set without the degenerate faces."""
@@ -528,63 +555,7 @@ class DomainSpec:
     def box(
         dims: StateSpaceDims, bounds: Sequence[tuple[float, float]]
     ) -> "DomainSpec":
-        bounds = tuple(
-            (
-                _decode_bound(lo, 0.0 if i < dims.n else -np.inf),
-                _decode_bound(hi, np.inf),
-            )
-            for i, (lo, hi) in enumerate(bounds)
-        )
-        if len(bounds) != dims.total:
-            raise DimensionMismatchError("bounding box does not match dims")
-        for i in range(dims.n):
-            if bounds[i][0] < 0.0:
-                raise ValueError("degenerate-axis lower bounds must be >= 0")
-        lo = np.array([b[0] for b in bounds])
-        hi = np.array([b[1] for b in bounds])
-        deg_lo_open = np.array(
-            [i < dims.n and bounds[i][0] == 0.0 for i in range(dims.total)]
-        )
-        # a face x_i = 0 is closed: s > nextafter(0, -inf) is s >= 0
-        above = np.where(deg_lo_open, np.nextafter(0.0, -np.inf), lo)
-
-        def underline(states: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            states = np.asarray(states, dtype=float)
-            if states.shape[-1] != 1:
-                return np.all((states > above) & (states < hi), axis=-1, out=out)
-            # one coordinate: the two bounds' test is the answer
-            col = states[..., 0]
-            out = np.greater(col, above[0], out=out)
-            out &= col < hi[0]
-            return out
-
-        # the bounds a projected state can cross: every finite one but a
-        # closed face
-        crossable = [(np.greater, i, float(lo[i])) for i in range(dims.total)
-                     if np.isfinite(lo[i]) and not deg_lo_open[i]]
-        crossable += [(np.less, i, float(hi[i])) for i in range(dims.total)
-                      if np.isfinite(hi[i])]
-
-        def distance(states: np.ndarray) -> np.ndarray:
-            states = np.asarray(states, dtype=float)
-            d = np.full(states.shape[:-1], np.inf)
-            for i in range(dims.total):
-                if np.isfinite(hi[i]):
-                    d = np.minimum(d, hi[i] - states[..., i])
-                if np.isfinite(lo[i]) and not deg_lo_open[i]:
-                    d = np.minimum(d, states[..., i] - lo[i])
-            return d
-
-        return DomainSpec(
-            dims=dims,
-            bounding_box=bounds,
-            shape="box",
-            params={},
-            contains_underline=underline,
-            interior_boundary_distance=distance,
-            has_exit_boundary=bool(crossable),
-            projected=(underline, _Bounds(crossable)) if crossable else None,
-        )
+        return _domain(dims, _box_bounds(dims, bounds), "box", {})
 
     @staticmethod
     def full_space(dims: StateSpaceDims) -> "DomainSpec":
@@ -598,30 +569,15 @@ class DomainSpec:
         radius: float,
         bounding_box: Sequence[tuple[float, float]] | None = None,
     ) -> "DomainSpec":
-        b = MetricBall(center, radius)
-        box = tuple(ball_box(b))
+        if center.dims != dims or (bounding_box is not None and len(bounding_box) != dims.total):
+            raise DimensionMismatchError("ball center or bounding box does not match dims")
+        box = tuple(ball_box(MetricBall(center, radius)))
         if bounding_box is not None:
             box = tuple(
                 (max(lo, _decode_bound(clo, -np.inf)), min(hi, _decode_bound(chi, np.inf)))
                 for (lo, hi), (clo, chi) in zip(box, bounding_box)
             )
-
-        def underline(states: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            states = np.asarray(states, dtype=float)
-            faces = np.all(states[..., : dims.n] >= 0.0, axis=-1)
-            return np.logical_and(b.contains_batch(states), faces, out=out)
-
-        def distance(states: np.ndarray) -> np.ndarray:
-            return radius - rho_batch(center, states)
-
-        return DomainSpec(
-            dims=dims,
-            bounding_box=box,
-            shape="ball",
-            params={"center": list(center.vector), "radius": radius},
-            contains_underline=underline,
-            interior_boundary_distance=distance,
-        )
+        return _domain(dims, box, "ball", {"center": list(center.vector), "radius": radius})
 
     @staticmethod
     def halfspace_intersection(
@@ -635,31 +591,12 @@ class DomainSpec:
         cvec = np.asarray(offsets, dtype=float)
         if A.ndim != 2 or A.shape[1] != dims.total or A.shape[0] != cvec.shape[0]:
             raise DimensionMismatchError("normals/offsets shapes are inconsistent")
-        base = DomainSpec.box(dims, bounding_box)
-        norms = np.linalg.norm(A, axis=1)
-        if np.any(norms == 0.0):
+        box = _box_bounds(dims, bounding_box)
+        if np.any(np.linalg.norm(A, axis=1) == 0.0):
             raise ValueError("zero normal vector")
-
-        def underline(states: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            states = np.asarray(states, dtype=float)
-            ok = base.contains_underline(states)
-            slack = cvec - states @ A.T
-            return np.logical_and(ok, np.all(slack > 0.0, axis=-1), out=out)
-
-        def distance(states: np.ndarray) -> np.ndarray:
-            states = np.asarray(states, dtype=float)
-            d = base.interior_boundary_distance(states)
-            slack = (cvec - states @ A.T) / norms
-            return np.minimum(d, slack.min(axis=-1))
-
-        return DomainSpec(
-            dims=dims,
-            bounding_box=base.bounding_box,
-            shape="halfspace-intersection",
-            params={"normals": A.tolist(), "offsets": cvec.tolist()},
-            contains_underline=underline,
-            interior_boundary_distance=distance,
-        )
+        return _domain(dims, box, "halfspace-intersection",
+                       {"normals": A.tolist(), "offsets": cvec.tolist()},
+                       (A.T, [float(c) for c in cvec]))
 
     # -- JSON ----------------------------------------------------------------
 

@@ -870,7 +870,8 @@ class LatticeField(ScalarField):
         states = np.asarray(states, dtype=float)
         flat = states.reshape(-1, states.shape[-1])
         t = (flat - self.los) / self.steps
-        idx = np.clip(np.floor(t).astype(int), 0, self.sizes - 2)
+        # clipped in float: the cast of a state past the int range overflows
+        idx = np.clip(np.floor(t), 0, self.sizes - 2).astype(int)
         frac = t - idx
         out = np.zeros(flat.shape[0])
         dims = len(self.axes)

@@ -50,21 +50,22 @@ output is byte-identical to it.
 Every state a step starts from is projected (or a start point): with
 ``x >= 0``, and finite unless its group is to raise (below).  So the root
 is ``sqrt(x)`` with no projection of its own,
-and the exit test is the domain's narrowing to such states
-(:meth:`DomainSpec.projected_underline`): a box tests only the bounds they
-can cross, not its closed faces ``x_i = 0``.
+and the exit test is the domain's ``exit_test``: of its NumPy comparisons,
+only those such a state can fail, not its closed faces ``x_i = 0`` or its
+infinite bounds.
 
 A group binds its steps once (:mod:`kimura_lab.calls`): the first step
 from each of its two state arrays on each slot of a draw, before and after
 the first exit, makes the list of the step's NumPy calls, each lane's
 kernels bound once per state array, and every later such step replays it.
 The list holds the scheme update, the freeze (a ``putmask`` of the dead
-paths, once one is dead), the weight update and the exit test, a box's
-comparisons bound as ufuncs.  Constants are bound as floats and ufuncs take
-their ``out`` positionally.  Python then counts the paths that left, and
-only a step with an exit, an observer or a record write runs more of its
-own: it marks the exits, calls the observers and writes the records.
-Capping a draw at ``BOUND_SLOTS`` steps bounds what a group binds.
+paths, once one is dead), the weight update and the exit test, the
+domain's comparisons bound as ufuncs.  Constants are bound as floats and
+ufuncs take their ``out`` positionally.  Python then counts the paths that
+left, and only a step with an exit, an observer or a record write runs
+more of its own: it marks the exits, calls the observers and writes the
+records.  Capping a draw at ``BOUND_SLOTS`` steps bounds what a group
+binds.
 
 A state that is not finite stays so: NaN and +inf survive the update, the
 projection onto ``x >= 0`` and the freeze.  So a group whose lists are NumPy
@@ -72,9 +73,9 @@ calls alone and that has no observers tests its states once, after its last
 step; only when that test fails does it step again from its starts, testing
 each step's states after the freeze, which raises NumericFailureError at
 the first step that left a state not finite.  A group whose lists hold an
-eager entry (``calls.assign``), a solve or a Python exit test, or that has
-observers, tests each step's states so; the exact scheme tests none.  A
-dead path's discarded step is never tested: the freeze replaces it.
+eager entry (``calls.assign``) or a solve, or that has observers, tests
+each step's states so; the exact scheme tests none.  A dead path's
+discarded step is never tested: the freeze replaces it.
 """
 
 from __future__ import annotations
@@ -555,12 +556,12 @@ class _Lanes:
         return calls
 
     def bind_settle(self, ws: "_Workspace", cur: np.ndarray, new: np.ndarray,
-                    domain: DomainSpec | None, dead: bool) -> Calls:
+                    exit_test, dead: bool) -> Calls:
         """The calls that settle a step of ``ws`` from ``cur`` into ``new``:
         once a path is ``dead``, the freeze of the dead paths at their state
         in ``cur``; the weight update, of the live paths only once one is
-        dead; and the exit test of ``domain``, None when no path can leave
-        it (:meth:`DomainSpec.bind_projected_underline`)."""
+        dead; and ``exit_test``, a domain's ``exit_test``, None when no
+        path can leave it."""
         calls, w = Calls(), self.weighted
         if dead:
             calls.add(np.putmask, new, ws.frozen, cur)
@@ -569,9 +570,9 @@ class _Lanes:
                 calls.add(np.subtract, ws.logw, ws.drop, ws.logw, where=ws.alive[w])
             else:
                 calls.add(np.subtract, ws.logw, ws.drop, ws.logw)
-        if domain is not None:
+        if exit_test is not None:
             # a path leaves when it is alive and its new state is outside
-            domain.bind_projected_underline(new.reshape(-1, self.dims.total), ws.inside, calls)
+            exit_test.bind(new.reshape(-1, self.dims.total), ws.inside, calls)
             calls.add(np.greater, ws.alive.reshape(-1), ws.inside, ws.leaving)
         return calls
 
@@ -721,8 +722,8 @@ def simulate_bundle(
     overwrites, so an observer copies what it keeps.  They must write only
     into per-path or per-block slots (blocks may run concurrently).
 
-    On a domain without an exit boundary (``domain.has_exit_boundary`` is
-    False) no path can leave, so the exit test is skipped.  There, and with
+    On a domain without an exit boundary (``domain.exit_test`` is None)
+    no path can leave, so the exit test is skipped.  There, and with
     no observers, the exact scheme jumps: it draws each record interval in
     one exact transition, from the previous record time's states, and draws
     nothing after the last record time.  Same law, fewer draws; with
@@ -785,9 +786,8 @@ def simulate_bundle(
     for obs in observers:
         obs.prepare(n_paths, dims, config)
 
-    can_exit = domain.has_exit_boundary
-    # the domain whose exit test a step binds
-    exit_domain = domain if can_exit else None
+    exit_test = domain.exit_test
+    can_exit = exit_test is not None
     jump = params_exact is not None and not can_exit and not observers
     # the exact scheme draws finite states from finite ones and tests none
     tested = params_exact is None
@@ -873,7 +873,7 @@ def simulate_bundle(
                     # one draw a step, from the state
                     calls = Calls()
                     calls.add(assign, new[0, :, 0], params_exact.sample, rng, cur[0, :, 0], dt)
-                calls = Calls(calls + lanes.bind_settle(ws, cur, new, exit_domain, dead))
+                calls = Calls(calls + lanes.bind_settle(ws, cur, new, exit_test, dead))
                 if each:
                     calls.add(lanes.check_finite, new, ws)
                 return calls

@@ -429,6 +429,20 @@ def test_value_the_library_would_reject_is_refused_before_any_step(
     assert not (tmp_path / "out" / "results.json").exists()
 
 
+@pytest.mark.parametrize("x0", [math.inf, math.nan])
+def test_a_start_that_is_not_finite_exits_2_before_any_step(tmp_path, capsys, monkeypatch, x0):
+    # the start check keeps the infinite bounds that a domain's exit test drops
+    def no_step(*args):
+        raise AssertionError("a path was stepped")
+
+    monkeypatch.setattr(simulate._Lanes, "__init__", no_step)
+    code, _ = run(tmp_path, {**FK_DOC, "z0": [x0]})
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(err[-1])["kind"] == "InvalidStartError"
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64 + 5)])
 def test_seed_flag_outside_u64_is_config_error(tmp_path, capsys, seed):
     code, _ = run(tmp_path, FK_DOC, "--seed", seed)

@@ -8,6 +8,7 @@ from conftest import make_sing_1d, make_std_1d
 
 from kimura_lab.density import GridSpec, _cell_measures, estimate_density
 from kimura_lab.errors import (
+    DimensionMismatchError,
     InvalidHarnackParametersError,
     InvalidWeightError,
 )
@@ -122,6 +123,9 @@ class TestIntrinsicDistance:
         )
         inside_ball = ball.contains_batch(pts)
         assert np.array_equal(inside_box, inside_ball)
+        # a ball domain is that box's comparisons
+        dom = DomainSpec.ball(StateSpaceDims(1, 1), ball.center, ball.radius)
+        assert np.array_equal(dom.contains_underline(pts), inside_ball)
 
 
 class TestWeightedMeasure:
@@ -319,21 +323,11 @@ class TestDomains:
         dom = DomainSpec.box(StateSpaceDims(1, 0), [(0.5, 2.0)])
         assert not dom.contains_point_underline(p1(0.5))
 
-    def test_boundary_distance_sign(self):
-        dom = DomainSpec.box(StateSpaceDims(1, 0), [(0.0, 2.0)])
-        inside = dom.interior_boundary_distance(np.array([[1.5]]))[0]
-        outside = dom.interior_boundary_distance(np.array([[2.5]]))[0]
-        assert inside == pytest.approx(0.5)
-        assert outside == pytest.approx(-0.5)
-        # the degenerate face does not count as interior boundary
-        near_zero = dom.interior_boundary_distance(np.array([[0.01]]))[0]
-        assert near_zero == pytest.approx(1.99)
-
     def test_full_space_never_exits(self):
         dom = DomainSpec.full_space(StateSpaceDims(1, 1))
         pts = np.array([[0.0, -50.0], [1e9, 3.0]])
         assert dom.contains_underline(pts).all()
-        assert np.isposinf(dom.interior_boundary_distance(pts)).all()
+        assert dom.exit_test is None
 
     @pytest.mark.parametrize("builder, can_exit", [
         (lambda: DomainSpec.full_space(StateSpaceDims(2, 1)), False),
@@ -349,14 +343,27 @@ class TestDomains:
             StateSpaceDims(0, 2), [[1.0, 0.0]], [1.5], [(None, None), (None, None)]), True),
     ])
     def test_exit_boundary_is_set_by_the_constructor(self, builder, can_exit):
-        assert builder().has_exit_boundary is can_exit
+        assert (builder().exit_test is not None) is can_exit
 
     def test_ball_domain(self):
         dims = StateSpaceDims(1, 0)
         dom = DomainSpec.ball(dims, p1(1.0), 0.5)
         assert dom.contains(p1(1.2))
         assert not dom.contains(p1(1.6))
-        assert dom.interior_boundary_distance(np.array([[1.0]]))[0] == pytest.approx(0.5)
+
+    def test_ball_domain_stays_inside_its_bounding_box(self):
+        dims = StateSpaceDims(1, 1)
+        dom = DomainSpec.ball(dims, Point((1.0,), (0.0,)), 0.5,
+                              bounding_box=[(None, 1.2), (-0.1, None)])
+        assert dom.bounding_box == ((0.25, 1.2), (-0.1, 0.5))
+        pts = np.array([[1.1, 0.0], [1.3, 0.0], [1.0, -0.2], [1.0, 0.4]])
+        assert dom.contains_underline(pts).tolist() == [True, False, False, True]
+        assert dom.exit_test(pts).tolist() == [True, False, False, True]
+        # a box of another length would leave an axis untested
+        with pytest.raises(DimensionMismatchError):
+            DomainSpec.ball(dims, Point((1.0,), (0.0,)), 0.5, bounding_box=[(None, None)])
+        with pytest.raises(DimensionMismatchError):
+            DomainSpec.ball(dims, Point((1.0,), ()), 0.5)
 
     def test_halfspace_intersection(self):
         dims = StateSpaceDims(0, 2)
@@ -406,7 +413,5 @@ class TestDomains:
 
 
 def test_rho_rejects_dimension_mismatch():
-    from kimura_lab.errors import DimensionMismatchError
-
     with pytest.raises(DimensionMismatchError):
         rho(Point((0.5,), ()), Point((0.5,), (1.0,)))

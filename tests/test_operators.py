@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -597,6 +598,19 @@ class TestDeriveSingular:
             f.evaluate_batch(pts), 1.0 + 2.0 * pts[:, 0] - 0.5 * pts[:, 1]
         )
         assert np.allclose(f.partial(0).evaluate_batch(pts), 2.0)
+
+    def test_lattice_field_extrapolates_a_runaway_state_from_the_near_end(self):
+        # pins: the cell index is clipped before its cast to int, so a state
+        # past the int range takes the last cell, with no invalid-cast warning
+        axes = [np.linspace(0.0, 1.0, 9), np.linspace(-1.0, 1.0, 9)]
+        g = np.meshgrid(*axes, indexing="ij")
+        f = LatticeField(axes, 1.0 + 2.0 * g[0] - 0.5 * g[1])
+        pts = np.array([[1e30, 0.3], [0.5, -1e30]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f.evaluate_batch(pts)
+        want = 1.0 + 2.0 * pts[:, 0] - 0.5 * pts[:, 1]
+        assert np.allclose(got, want, rtol=1e-9, atol=0.0)
 
 
 def test_operator_from_json_builds_and_evaluates():

@@ -11,6 +11,7 @@ import pytest
 from conftest import advance, make_sing_1d, make_std_1d, mean_se
 
 from kimura_lab import simulate
+from kimura_lab.calls import Calls, numpy_only
 from kimura_lab.errors import InvalidStartError, NumericFailureError
 from kimura_lab.fields import CallableField, FieldMatrix, FieldVector
 from kimura_lab.geometry import DomainSpec, Point, StateSpaceDims
@@ -781,7 +782,8 @@ class TestNoExitBoundary:
         watched = replace(FULL1, contains_underline=counted)
         bundle = simulate_bundle(coeffs, Point((0.2,), ()), watched, cfg)
         assert calls == [1]  # the start check only
-        tested = replace(FULL1, has_exit_boundary=True)
+        # the full test as the exit test: every step runs it, no path leaves
+        tested = replace(FULL1, exit_test=FULL1.contains_underline)
         assert_same_bundle(bundle, simulate_bundle(coeffs, Point((0.2,), ()), tested, cfg))
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "theta"])
@@ -801,7 +803,7 @@ class TestNoExitBoundary:
         dims = std_op.dims
         wide = DomainSpec.box(dims, [(0.0, 1e6)] + [(-1e6, 1e6)] * dims.m)
         full = DomainSpec.full_space(dims)
-        assert wide.has_exit_boundary and not full.has_exit_boundary
+        assert wide.exit_test is not None and full.exit_test is None
         cfg = PathConfig(dt=1e-2, seed=31, n_paths=300, horizon=0.5, record="all")
         start = Point((0.6,), (0.0,) * dims.m)
         theta = pair if weighted else None
@@ -907,7 +909,7 @@ class TestNoExitBoundary:
 
 DIMS11 = StateSpaceDims(1, 1)
 # a closed face x = 0, a degenerate lower bound above 0, finite free-axis
-# bounds and an intrinsic ball
+# bounds, an intrinsic ball and a half-space cut from a box with a free bound
 PROJECTED_DOMAINS = {
     "closed-face": (BOX04, [Point((0.2,), ()), Point((3.8,), ())]),
     "raised-face": (DomainSpec.box(DIMS1, [(0.5, 4.0)]), [Point((0.6,), ()), Point((3.8,), ())]),
@@ -915,7 +917,25 @@ PROJECTED_DOMAINS = {
                          [Point((0.2,), (0.0,)), Point((2.8,), (1.8,))]),
     "ball": (DomainSpec.ball(DIMS11, Point((1.0,), (0.0,)), 0.5),
              [Point((1.0,), (0.0,)), Point((1.4,), (0.3,))]),
+    "halfspace": (DomainSpec.halfspace_intersection(DIMS11, [[1.0, 1.0]], [2.0],
+                                                    [(0.0, 3.0), (-1.0, None)]),
+                  [Point((0.2,), (0.0,)), Point((1.0,), (0.8,))]),
 }
+
+
+class CountedTest:
+    """``test`` called from Python, as the exit test too, counting the rows
+    of each call."""
+
+    def __init__(self, test):
+        self.test, self.rows = test, []
+
+    def __call__(self, states, out=None):
+        self.rows.append(len(states))
+        return self.test(states, out=out)
+
+    def bind(self, states, out, calls):
+        calls.add(self, states, out=out)
 
 
 def projected_states(domain, rows: int, seed: int) -> np.ndarray:
@@ -977,9 +997,7 @@ class TestProjectedStates:
     @pytest.mark.parametrize("name", list(PROJECTED_DOMAINS))
     def test_the_projected_exit_test_agrees_with_the_underline_test(self, name):
         domain, _ = PROJECTED_DOMAINS[name]
-        test = domain.projected_underline()
-        # a box is narrowed; a ball keeps its underline test
-        assert (test is not domain.contains_underline) == (domain.shape == "box")
+        test = domain.exit_test
         states = projected_states(domain, 20_000, seed=len(name))
         want = domain.contains_underline(states)
         assert want.any() and not want.all()
@@ -989,39 +1007,38 @@ class TestProjectedStates:
 
     @pytest.mark.parametrize("name", list(PROJECTED_DOMAINS))
     def test_exits_match_a_loop_that_calls_the_underline_test(self, name):
-        # a replaced contains_underline is the exit test the loop runs, so a
-        # counting copy of it makes a reference loop
+        # the full underline test, called from Python as the exit test too,
+        # makes a reference loop
         domain, starts = PROJECTED_DOMAINS[name]
         coeffs = build_sde_coefficients(
             make_sing_1d(b0=0.5) if domain.dims.m == 0 else make_sing_coupled())
         cfg = PathConfig(dt=1e-2, seed=37, n_paths=400, horizon=0.4, record="all")
-        calls = []
-
-        def counted(states, out=None):
-            calls.append(len(states))
-            return domain.contains_underline(states, out=out)
-
-        reference = replace(domain, contains_underline=counted)
-        assert reference.projected_underline() is counted
+        counted = CountedTest(domain.contains_underline)
+        reference = replace(domain, contains_underline=counted, exit_test=counted)
         expected = simulate_bundle(coeffs, starts, reference, cfg)
         # the start checks, then one test a step of the one packed group
-        assert calls == [1] * len(starts) + [len(starts) * cfg.n_paths] * cfg.n_steps
+        assert counted.rows == [1] * len(starts) + [len(starts) * cfg.n_paths] * cfg.n_steps
         bundle = simulate_bundle(coeffs, starts, domain, cfg)
         assert bundle.exited.any() and not bundle.exited.all()
         assert_same_bundle(bundle, expected)
 
-    def test_other_domains_keep_their_underline_test(self):
-        full = DomainSpec.full_space(DIMS11)
-        half = DomainSpec.halfspace_intersection(DIMS11, [[1.0, 1.0]], [2.0],
-                                                 [(None, None), (None, None)])
-        ball, _ = PROJECTED_DOMAINS["ball"]
-        for domain in (full, half, ball):
-            assert domain.projected_underline() is domain.contains_underline
-        # a box read back from its JSON narrows as the one it was written from
-        for domain, _ in PROJECTED_DOMAINS.values():
-            back = DomainSpec.from_json(domain.to_json())
-            narrowed = back.projected_underline() is not back.contains_underline
-            assert narrowed == (domain.shape == "box")
+    @pytest.mark.parametrize("name", list(PROJECTED_DOMAINS))
+    def test_every_exit_test_binds_numpy_calls_alone(self, name):
+        # every shape's exit test replays as NumPy calls, so its groups test
+        # finiteness once; one read back from its JSON binds the same calls
+        domain, _ = PROJECTED_DOMAINS[name]
+        back = DomainSpec.from_json(domain.to_json())
+        states = projected_states(domain, 1000, seed=len(name))
+        bound = []
+        for spec in (domain, back):
+            calls, out = Calls(), np.empty(len(states), dtype=bool)
+            spec.exit_test.bind(states, out, calls)
+            assert numpy_only(calls)
+            calls.run()
+            bound.append(([(c.func, [a for a in c.args if isinstance(a, float)]) for c in calls],
+                          out.tobytes()))
+        assert bound[0] == bound[1]
+        assert DomainSpec.full_space(DIMS11).exit_test is None
 
 
 # ---------------------------------------------------------------------------
