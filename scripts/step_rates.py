@@ -20,10 +20,10 @@ steps, the command's eleven record times; best of 5 bundles).  After the harnack
 row stands one whole step of a harnack group at the size of the
 harnack-scan benchmark workload, 15 starts of 512 paths on the ``[0, 4]``
 box of ``configs/harnack_scan.json``, with 30 % of its paths (drawn at
-random) dead: the bound step, the freeze, the exit test and the count of
-the paths that left, as ``simulate_bundle`` replays them on a step with no
-exit, record or observer (such a group tests its states for finiteness
-once, after its last step).  The last row times the
+random) dead: the bound step and its settle (the freeze, the weight update,
+the exit test and the marks of the exits), as ``simulate_bundle`` replays
+them on a step with no record or observer (such a group tests its states
+for finiteness once, after its last step).  The last row times the
 exact scheme's draw.
 
 Rows of their own time the node reads of the ``configs/harnack_scan.json``
@@ -162,24 +162,23 @@ def _bound_pair_step(pair, n_paths: int):
 def _group_step(coeffs):
     """One whole step of a harnack group of ``SCAN_STARTS`` starts of
     ``SCAN_PATHS`` paths, 30 % of them dead, as a bundle replays it on a
-    step with no exit, record or observer."""
+    step with no record or observer."""
     domain = DomainSpec.from_json(_config("harnack_scan.json")["domain"])
     config = PathConfig(dt=2e-3, seed=0, n_paths=SCAN_PATHS, horizon=1.0)
     lanes = _Lanes([coeffs], [None], config)
     starts = np.linspace(0.2, 3.8, SCAN_STARTS)[:, None]
     ws = _Workspace(lanes, np.repeat(starts, SCAN_PATHS, axis=0), SCAN_PATHS, 1)
     lanes.draw(ws, simulate._block_rng(0, 0), 1)
-    np.less(np.random.Generator(np.random.Philox(key=3)).random(ws.dead.shape), 0.3,
-            out=ws.dead)
-    np.logical_not(ws.dead, out=ws.alive)
-    np.copyto(ws.frozen, ws.dead[..., None])
+    np.greater_equal(np.random.Generator(np.random.Philox(key=3)).random(ws.alive.shape), 0.3,
+                     out=ws.alive)
+    np.logical_not(ws.alive[..., None], out=ws.frozen)
+    ws.step[()] = 1
     calls = lanes.bind_step(ws, ws.cur, ws.new, 0) + lanes.bind_settle(
-        ws, ws.cur, ws.new, domain.exit_test, True)
+        ws, ws.cur, ws.new, domain.exit_test)
 
     def step():
         for call in calls:
             call()
-        np.count_nonzero(ws.leaving)
 
     return step
 

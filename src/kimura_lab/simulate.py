@@ -55,15 +55,16 @@ only those such a state can fail, not its closed faces ``x_i = 0`` or its
 infinite bounds.
 
 A group binds its steps once (:mod:`kimura_lab.calls`): the first step
-from each of its two state arrays on each slot of a draw, before and after
-the first exit, makes the list of the step's NumPy calls, each lane's
-kernels bound once per state array, and every later such step replays it.
-The list holds the scheme update, the freeze (a ``putmask`` of the dead
-paths, once one is dead), the weight update and the exit test, the
-domain's comparisons bound as ufuncs.  Constants are bound as floats and
-ufuncs take their ``out`` positionally.  Python then counts the paths that
-left, and only a step with an exit, an observer or a record write runs
-more of its own: it marks the exits, calls the observers and writes the
+from each of its two state arrays on each slot of a draw makes the list of
+the step's NumPy calls, each lane's kernels bound once per state array,
+and every later such step replays it.  The list holds the scheme update
+and the settle: on a domain a path can leave, the freeze (a ``putmask`` of
+the dead paths), the weight update of the live paths, the exit test (the
+domain's comparisons bound as ufuncs) and the marks of the exits it finds,
+their step and their death; else the weight update alone.  An exit thus
+adds no list and runs no Python.  Constants are bound as floats and ufuncs
+take their ``out`` positionally.  Only a step with an observer or a record
+write runs more of its own: it calls the observers and writes the
 records.  Capping a draw at ``BOUND_SLOTS`` steps bounds what a group
 binds.
 
@@ -485,7 +486,7 @@ class _Lanes:
         the normals ``j`` of the last draw, with the weighted lanes'
         log-weight drops in ``drop``: :meth:`bind_step` run once, then
         :meth:`check_finite`."""
-        ws.k = k
+        ws.step[()] = k
         self.bind_step(ws, ws.cur, ws.new, j).run()
         self.check_finite(ws.new, ws)
 
@@ -556,24 +557,29 @@ class _Lanes:
         return calls
 
     def bind_settle(self, ws: "_Workspace", cur: np.ndarray, new: np.ndarray,
-                    exit_test, dead: bool) -> Calls:
-        """The calls that settle a step of ``ws`` from ``cur`` into ``new``:
-        once a path is ``dead``, the freeze of the dead paths at their state
-        in ``cur``; the weight update, of the live paths only once one is
-        dead; and ``exit_test``, a domain's ``exit_test``, None when no
-        path can leave it."""
+                    exit_test) -> Calls:
+        """The calls that settle a step of ``ws`` from ``cur`` into ``new``.
+        With ``exit_test``, a domain's ``exit_test``: the freeze of the dead
+        paths at their state in ``cur``, the weight update of the live
+        paths, the exit test, and the exits it finds: their step into
+        ``exit_step`` and their mark in ``leaving``, ``alive`` and
+        ``frozen``.  With ``exit_test`` None, when no path can leave the
+        domain, the weight update alone."""
         calls, w = Calls(), self.weighted
-        if dead:
-            calls.add(np.putmask, new, ws.frozen, cur)
-        if w is not None:
-            if dead:
-                calls.add(np.subtract, ws.logw, ws.drop, ws.logw, where=ws.alive[w])
-            else:
+        if exit_test is None:
+            if w is not None:
                 calls.add(np.subtract, ws.logw, ws.drop, ws.logw)
-        if exit_test is not None:
-            # a path leaves when it is alive and its new state is outside
-            exit_test.bind(new.reshape(-1, self.dims.total), ws.inside, calls)
-            calls.add(np.greater, ws.alive.reshape(-1), ws.inside, ws.leaving)
+            return calls
+        alive = ws.alive.reshape(-1)
+        calls.add(np.putmask, new, ws.frozen, cur)
+        if w is not None:
+            calls.add(np.subtract, ws.logw, ws.drop, ws.logw, where=ws.alive[w])
+        # a path leaves when it is alive and its new state is outside
+        exit_test.bind(new.reshape(-1, self.dims.total), ws.inside, calls)
+        calls.add(np.greater, alive, ws.inside, ws.leaving)
+        calls.add(np.copyto, ws.exit_step, ws.step, where=ws.leaving)
+        calls.add(np.bitwise_xor, alive, ws.leaving, alive)
+        calls.add(np.logical_not, ws.alive[..., None], ws.frozen)
         return calls
 
     def _bind_lane(self, ws: "_Workspace", states: np.ndarray, e: int, eq, theta,
@@ -605,7 +611,7 @@ class _Lanes:
 
     @staticmethod
     def check_finite(new: np.ndarray, ws: "_Workspace") -> None:
-        """NumericFailureError at step ``ws.k`` when a state of ``new`` is
+        """NumericFailureError at step ``ws.step`` when a state of ``new`` is
         not finite, naming the first such path of the block.
 
         The stepping loop tests its states after the freeze: each step's
@@ -615,7 +621,7 @@ class _Lanes:
             finite = np.isfinite(new).all(axis=-1).ravel()
             bad = int(np.flatnonzero(~finite)[0])
             raise NumericFailureError(
-                f"non-finite state at step {ws.k} (block path {bad % ws.nb})")
+                f"non-finite state at step {int(ws.step)} (block path {bad % ws.nb})")
 
 
 class _Workspace:
@@ -625,12 +631,13 @@ class _Workspace:
     (lanes, rows, d) with rows by start and then block path; the steps of
     a bundle read one and write the other, in turn.  ``xi`` holds one draw
     of normals, shape (steps, nb, d), and ``noise_draw`` the noise it gives
-    each lane of state-free root.  ``alive`` and ``dead`` mark the paths of
-    every lane, ``frozen`` is ``dead`` over every coordinate of ``new``,
-    ``leaving`` marks the paths that the last step took out of the domain
-    and ``tau`` their exit times; ``logw`` holds the log weights of the
-    weighted lanes and ``drop`` what the last step takes off them.  ``k``
-    is the step being taken.
+    each lane of state-free root.  ``alive`` marks the live paths of every
+    lane and ``frozen`` the others over every coordinate of ``new``;
+    ``leaving`` marks the paths that the last step took out of the domain,
+    and ``exit_step`` holds the step at which each dead path left.
+    ``logw`` holds the log weights of the weighted lanes and ``drop`` what
+    the last step takes off them.  ``step``, a 0-d int64 that the stepping
+    loop sets, is the step being taken.
     """
 
     def __init__(self, lanes: _Lanes, start: np.ndarray, nb: int, draw_steps: int):
@@ -671,13 +678,11 @@ class _Workspace:
             self.theta = np.empty((rows, d))
             self.theta_sq = np.empty(rows)
         self.alive = np.ones((n_lanes, rows), dtype=bool)
-        self.dead = np.zeros((n_lanes, rows), dtype=bool)
         self.frozen = np.zeros((n_lanes, rows, d), dtype=bool)
-        self.any_dead = False
-        self.k = 0
+        self.step = np.zeros((), dtype=np.int64)
         self.inside = np.empty(n_lanes * rows, dtype=bool)
-        self.leaving = np.empty(n_lanes * rows, dtype=bool)
-        self.tau = np.empty(n_lanes * rows)
+        self.leaving = np.zeros(n_lanes * rows, dtype=bool)
+        self.exit_step = np.zeros(n_lanes * rows, dtype=np.int64)
         self.scratch = Scratch()
 
 
@@ -787,8 +792,7 @@ def simulate_bundle(
         obs.prepare(n_paths, dims, config)
 
     exit_test = domain.exit_test
-    can_exit = exit_test is not None
-    jump = params_exact is not None and not can_exit and not observers
+    jump = params_exact is not None and exit_test is None and not observers
     # the exact scheme draws finite states from finite ones and tests none
     tested = params_exact is None
 
@@ -824,6 +828,11 @@ def simulate_bundle(
             draw_steps = 1
         w = lanes.weighted
 
+        # one step list per slot of a draw and state array it reads: step k
+        # replays list (k - 1) % n_lists, from state array (k - 1) % 2, so
+        # a draw of an odd number of slots takes two lists a slot
+        n_lists = draw_steps * (1 + draw_steps % 2)
+
         def walk(each: bool | None) -> tuple:
             """Step the group from its starts in a new workspace: that
             workspace, the last states and whether each step's states were
@@ -832,78 +841,64 @@ def simulate_bundle(
             observers."""
             rng = _block_rng(config.seed, block)
             ws = _Workspace(lanes, start_states, nb, draw_steps)
-            # the group's two state arrays; a step from parity p reads
-            # bufs[p] and writes bufs[1 - p]
+            # the group's two state arrays, read and written in turn
             bufs = (ws.cur, ws.new)
 
-            def settle(k: int, p: int, leaving: bool) -> None:
-                """Observe step ``k``, taken from parity ``p``, mark the paths
-                it took out of the domain and record it, after its bound
-                freeze, weight update and exit test."""
-                cur, new, alive = bufs[p], bufs[1 - p], ws.alive
+            def settle(k: int, cur: np.ndarray, new: np.ndarray) -> None:
+                """Observe step ``k`` from ``cur`` into ``new`` and record it,
+                after its bound settle."""
                 for obs in observers:
-                    obs.observe(sl, k, k * dt, cur[0], new[0], alive[0],
+                    # alive: the paths alive before the step
+                    obs.observe(sl, k, k * dt, cur[0], new[0], ws.alive[0] | ws.leaving,
                                 logw=ws.logw[0] if w is not None else None)
-                if leaving:
-                    np.copyto(ws.tau, k * dt, where=ws.leaving)
-                    np.logical_and(alive.reshape(-1), ws.inside, out=alive.reshape(-1))
-                    np.logical_not(alive, out=ws.dead)
-                    np.copyto(ws.frozen, ws.dead[..., None])
-                    ws.any_dead = True
                 if k in record_idx:
                     r = record_idx[k]
                     states_rec[:, group, sl, r] = new.reshape(n_eqs, n_st, nb, total)
                     if w is not None:
                         log_weights[w, group, sl, r] = ws.logw.reshape(-1, n_st, nb)
 
-            # each lane's kernels, bound once per parity, and the calls of a
-            # whole step per parity, slot of the draw and whether a path is
-            # dead, bound on first use
+            # each lane's kernels, bound once per state array
             kernels: tuple = ({}, {})
-            steps: dict = {}
 
-            def bind(p: int, j: int, dead: bool) -> Calls:
-                """A whole step from parity ``p`` on slot ``j`` of a draw: the
-                scheme's step, :meth:`_Lanes.bind_settle` and, with ``each``,
-                the finiteness test."""
+            def bind(i: int) -> Calls:
+                """List ``i``, a whole step from ``bufs[i % 2]`` on slot ``i %
+                draw_steps`` of a draw: the scheme's step,
+                :meth:`_Lanes.bind_settle` and, with ``each``, the
+                finiteness test."""
+                p = i % 2
                 cur, new = bufs[p], bufs[1 - p]
                 if params_exact is None:
-                    calls = lanes.bind_step(ws, cur, new, j, kernels[p])
+                    calls = lanes.bind_step(ws, cur, new, i % draw_steps, kernels[p])
                 else:
                     # one draw a step, from the state
                     calls = Calls()
                     calls.add(assign, new[0, :, 0], params_exact.sample, rng, cur[0, :, 0], dt)
-                calls = Calls(calls + lanes.bind_settle(ws, cur, new, exit_test, dead))
+                calls = Calls(calls + lanes.bind_settle(ws, cur, new, exit_test))
                 if each:
                     calls.add(lanes.check_finite, new, ws)
                 return calls
 
+            steps: list = [None] * n_lists
             if each is None:
-                first = bind(0, 0, False)
-                each = tested and (bool(observers) or not numpy_only(first))
-                if not each:
-                    steps[0, 0, False] = first
-            # the steps settled in Python whether or not a path leaves
+                steps[0] = bind(0)
+                each = tested and (bool(observers) or not numpy_only(steps[0]))
+                if each:
+                    steps[0].add(lanes.check_finite, bufs[1], ws)
+            # the steps settled in Python
             watched = range(1, n_steps + 1) if observers else record_idx
-            p = k = 0
-            while k < n_steps:
-                c = min(draw_steps, n_steps - k)
-                if params_exact is None:
-                    lanes.draw(ws, rng, c)
-                for j in range(c):
-                    k += 1
-                    key = (p, j, ws.any_dead)
-                    calls = steps.get(key)
-                    if calls is None:
-                        calls = steps[key] = bind(*key)
-                    ws.k = k
-                    for call in calls:
-                        call()
-                    leaving = can_exit and np.count_nonzero(ws.leaving) > 0
-                    if leaving or k in watched:
-                        settle(k, p, leaving)
-                    p ^= 1
-            return ws, bufs[p], each
+            for k in range(1, n_steps + 1):
+                i = (k - 1) % n_lists
+                if i % draw_steps == 0 and params_exact is None:
+                    lanes.draw(ws, rng, min(draw_steps, n_steps - k + 1))
+                calls = steps[i]
+                if calls is None:
+                    calls = steps[i] = bind(i)
+                ws.step[()] = k
+                for call in calls:
+                    call()
+                if k in watched:
+                    settle(k, bufs[i % 2], bufs[1 - i % 2])
+            return ws, bufs[n_steps % 2], each
 
         ws, last, each = walk(None)
         if tested and not each and not lanes.finite(last):
@@ -912,13 +907,12 @@ def simulate_bundle(
             # step's freeze is not finite now: the walk that tests each step
             # raises at the first such step
             ws, last, _ = walk(True)
-        if ws.any_dead:
-            # the exits, from the dead paths, whose states froze there
-            dead = ws.dead.reshape(n_eqs, n_st, nb)
-            exited[:, group, sl] = dead
-            np.copyto(tau[:, group, sl], ws.tau.reshape(n_eqs, n_st, nb), where=dead)
-            np.copyto(exit_state[:, group, sl], last.reshape(n_eqs, n_st, nb, total),
-                      where=dead[..., None])
+        # the exits, from the dead paths, whose states froze there
+        dead = ~ws.alive.reshape(n_eqs, n_st, nb)
+        exited[:, group, sl] = dead
+        np.copyto(tau[:, group, sl], ws.exit_step.reshape(n_eqs, n_st, nb) * dt, where=dead)
+        np.copyto(exit_state[:, group, sl], last.reshape(n_eqs, n_st, nb, total),
+                  where=dead[..., None])
 
     groups = []
     for block in range((n_paths + RNG_BLOCK - 1) // RNG_BLOCK):

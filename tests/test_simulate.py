@@ -1077,7 +1077,7 @@ def record_tested_steps(monkeypatch) -> dict:
     seen, original = {}, simulate._Lanes.check_finite
 
     def counted(new, ws):
-        seen.setdefault(ws, []).append(ws.k)
+        seen.setdefault(ws, []).append(int(ws.step))
         return original(new, ws)
 
     monkeypatch.setattr(simulate._Lanes, "check_finite", staticmethod(counted))
@@ -1148,10 +1148,10 @@ NUMPY_ROUTINES = (np.copyto, np.einsum, np.putmask)
 
 @pytest.mark.parametrize("config", ["girsanov_consistency", "harnack_scan"])
 def test_committed_models_replay_numpy_alone(monkeypatch, config):
-    # every call a step of the committed models binds, with and without a
-    # dead path, is a NumPy ufunc or routine bound directly, and a ufunc
-    # takes its out positionally and no where=True; np.maximum takes out=,
-    # as NumPy 2.4 deprecates a third positional argument to it
+    # every call a step of the committed models binds, the marks of its
+    # exits included, is a NumPy ufunc or routine bound directly, and a
+    # ufunc takes its out positionally and no where=True; np.maximum takes
+    # out=, as NumPy 2.4 deprecates a third positional argument to it
     bound = []
     for name in ("bind_step", "bind_settle"):
         original = getattr(simulate._Lanes, name)
@@ -1184,3 +1184,76 @@ def test_committed_models_replay_numpy_alone(monkeypatch, config):
         if isinstance(fn, np.ufunc):
             assert fn is np.maximum or "out" not in call.keywords
             assert call.keywords.get("where") is not True
+
+
+# ---------------------------------------------------------------------------
+# Exits settled inside the bound step
+# ---------------------------------------------------------------------------
+
+VALIDATE_MODEL = {  # configs/validate_model.json
+    "kind": "standard", "dims": {"n": 1, "m": 1},
+    "b_hat": [0.5], "d_hat": [[1.0]],
+    "e_hat": [{"family": "trig", "c0": 0.0, "amplitude": 0.1, "axis": 1, "frequency": 2.0}],
+}
+
+
+def exiting_bundle(case: str):
+    """A bundle whose paths leave its box, stepped on ``case``'s draws."""
+    if case == "harnack-scan":
+        # 15 starts of one block of 512 paths: one group, 8 slots a draw;
+        # the first exit comes after the first draw
+        starts = [Point((x,), ()) for x in np.linspace(0.2, 3.0, 15)]
+        cfg = PathConfig(dt=2e-3, seed=0, n_paths=512, horizon=254 * 2e-3, record="ends")
+        assert cfg.n_steps == 254
+        return simulate_bundle(build_sde_coefficients(make_sing_1d(b0=0.5)), starts, BOX04, cfg)
+    if case == "pair-3-slots":
+        std_op = operator_from_json(VALIDATE_MODEL)
+        pair = make_girsanov_field(std_op, derive_singular_from_standard(std_op))
+        box = DomainSpec.box(DIMS11, [(0.0, 3.0), (-1.0, 2.0)])
+        cfg = PathConfig(dt=1e-2, seed=5, n_paths=2500, horizon=0.3, record="ends")
+        # two lanes of two coordinates: 3 steps of normals a draw
+        assert DRAW_FLOATS // (cfg.n_paths * 2) == 3
+        return simulate_bundle((pair.std, pair.sing), Point((2.5,), (1.5,)), box, cfg,
+                               theta=pair)
+    cfg = PathConfig(dt=1e-2, seed=75, n_paths=400, horizon=0.5, scheme="exact-1d-gamma")
+    return simulate_bundle(exact_coeffs(), Point((3.5,), ()), BOX04, cfg)
+
+
+class TestBoundSettle:
+    @pytest.mark.parametrize("case, lists", [
+        ("harnack-scan", 8),   # 8 slots, an even number: one list a slot
+        ("pair-3-slots", 6),   # 3 slots, an odd number: one list a slot and state array
+        ("exact", 2),          # one draw a step, from either state array
+    ])
+    def test_an_exit_adds_no_step_lists(self, monkeypatch, case, lists):
+        # pins: a group binds each list once, before and after its first
+        # exit alike; the exact scheme binds its step with no bind_step
+        binds = count_calls(monkeypatch, simulate._Lanes, "bind_settle")
+        bundle = exiting_bundle(case)
+        assert bundle.exited.any() and not bundle.exited.all()
+        assert len(binds) == lists
+
+    def test_an_observer_sees_the_paths_alive_before_each_step(self):
+        # pins: the exits a step finds are settled before the observers run,
+        # which still see those paths as alive before the step
+        cfg = PathConfig(dt=1e-2, seed=8, n_paths=300, horizon=0.5)
+
+        class AliveObserver(NoOpObserver):
+            def __init__(self):
+                self.seen = []
+
+            def observe(self, sl, k, t, prev, new, alive, logw=None):
+                assert sl == slice(0, cfg.n_paths)
+                self.seen.append((k, alive.copy()))
+
+        watch = AliveObserver()
+        bundle = simulate_bundle(build_sde_coefficients(make_sing_1d(b0=0.5)),
+                                 Point((3.5,), ()), BOX04, cfg, observers=(watch,))
+        assert [k for k, _ in watch.seen] == list(range(1, cfg.n_steps + 1))
+        for k, alive in watch.seen:
+            assert np.array_equal(alive, ~bundle.stopped_by((k - 1) * cfg.dt)), k
+        # some paths leave on the way, others stay to the end
+        assert not watch.seen[-1][1].all() and watch.seen[-1][1].any()
+        # an exit time is a whole number of steps: the bits of k * dt
+        tau = bundle.tau[bundle.exited]
+        assert len(tau) and np.array_equal(tau, np.round(tau / cfg.dt) * cfg.dt)
