@@ -17,14 +17,16 @@ bundle runs it, its calls bound once and replayed, at 8 and at 4096 paths
 (a fixed cost per step against the array work), and the same pair per step
 of a whole bundle through ``simulate.simulate_bundle`` (4096 paths, 1000
 steps, the command's eleven record times; best of 5 bundles).  After the harnack
-row stands one whole step of a harnack group at the size of the
+row stand two whole steps of a harnack group at the size of the
 harnack-scan benchmark workload, 15 starts of 512 paths on the ``[0, 4]``
 box of ``configs/harnack_scan.json``, with 30 % of its paths (drawn at
 random) dead: the bound step and its settle (the freeze, the weight update,
 the exit test and the marks of the exits), as ``simulate_bundle`` replays
 them on a step with no record or observer (such a group tests its states
-for finiteness once, after its last step).  The last row times the
-exact scheme's draw.
+for finiteness once, after its last step).  The first is the config's
+``n=1, m=0`` group; the second adds a free coordinate of unit ``d`` on
+``[-2, 2]``, so its freeze moves rows of two coordinates.  The last row
+times the exact scheme's draw.
 
 Rows of their own time the node reads of the ``configs/harnack_scan.json``
 scan at 512, 2,000 and 10,000 paths a start, without its bundle: one
@@ -73,7 +75,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from kimura_lab import feynman_kac, simulate  # noqa: E402
 from kimura_lab.fields import field_from_json  # noqa: E402
-from kimura_lab.geometry import DomainSpec, Point  # noqa: E402
+from kimura_lab.geometry import DomainSpec, Point, StateSpaceDims  # noqa: E402
 from kimura_lab.harnack import LatticeSpec, scale_invariant_scan  # noqa: E402
 from kimura_lab.operators import derive_singular_from_standard, operator_from_json  # noqa: E402
 from kimura_lab.sde import (  # noqa: E402
@@ -153,28 +155,39 @@ def _bound_pair_step(pair, n_paths: int):
     states, xi = _states_and_normals(pair.dims)
     config = replace(CONFIG, n_paths=n_paths)
     lanes = _Lanes([pair.std, pair.sing], [None, pair], config)
-    ws = _Workspace(lanes, states[:n_paths], n_paths, 1)
+    # on full space, so a step writes its states in place
+    ws = _Workspace(lanes, states[:n_paths], n_paths, 1, in_place=True)
     ws.xi[0] = xi[:n_paths]
     lanes.read_draw(ws, 1)
-    return lanes.bind_step(ws, ws.cur, ws.new, 0).run
+    return lanes.bind_step(ws, 0).run
 
 
-def _group_step(coeffs):
+def _harnack_group(m: int) -> tuple:
+    """The model and box of ``configs/harnack_scan.json`` with ``m`` free
+    coordinates: for ``m = 1``, one of unit ``d`` on ``[-2, 2]``."""
+    doc = _config("harnack_scan.json")
+    model, domain = doc["model"], DomainSpec.from_json(doc["domain"])
+    if m:
+        model = dict(model, dims={"n": 1, "m": 1}, d=[[1.0]])
+        domain = DomainSpec.box(StateSpaceDims(1, 1), [(0.0, 4.0), (-2.0, 2.0)])
+    return build_sde_coefficients(operator_from_json(model)), domain
+
+
+def _group_step(coeffs, domain):
     """One whole step of a harnack group of ``SCAN_STARTS`` starts of
-    ``SCAN_PATHS`` paths, 30 % of them dead, as a bundle replays it on a
-    step with no record or observer."""
-    domain = DomainSpec.from_json(_config("harnack_scan.json")["domain"])
+    ``SCAN_PATHS`` paths on ``domain``, 30 % of them dead, as a bundle
+    replays it on a step with no record or observer.  The starts lie on
+    the degenerate axis, with the free coordinates at 0."""
     config = PathConfig(dt=2e-3, seed=0, n_paths=SCAN_PATHS, horizon=1.0)
     lanes = _Lanes([coeffs], [None], config)
-    starts = np.linspace(0.2, 3.8, SCAN_STARTS)[:, None]
+    starts = np.zeros((SCAN_STARTS, coeffs.dims.total))
+    starts[:, 0] = np.linspace(0.2, 3.8, SCAN_STARTS)
     ws = _Workspace(lanes, np.repeat(starts, SCAN_PATHS, axis=0), SCAN_PATHS, 1)
     lanes.draw(ws, simulate._block_rng(0, 0), 1)
     np.greater_equal(np.random.Generator(np.random.Philox(key=3)).random(ws.alive.shape), 0.3,
                      out=ws.alive)
-    np.logical_not(ws.alive[..., None], out=ws.frozen)
     ws.step[()] = 1
-    calls = lanes.bind_step(ws, ws.cur, ws.new, 0) + lanes.bind_settle(
-        ws, ws.cur, ws.new, domain.exit_test)
+    calls = lanes.bind_step(ws, 0) + lanes.bind_settle(ws, domain.exit_test)
 
     def step():
         for call in calls:
@@ -368,8 +381,9 @@ def main() -> None:
         *[(f"girsanov pair: the bound step's calls replayed, {n} paths",
            _bound_pair_step(pair, n)) for n in (8, RNG_BLOCK)],
         ("singular 1D, constant b (harnack config)", _step(harnack)),
-        (f"harnack group step, {SCAN_STARTS} starts x {SCAN_PATHS} paths, 30 % dead: "
-         "bound step, freeze, exit test", _group_step(harnack)),
+        *[(f"harnack group step, n=1, m={m}, {SCAN_STARTS} starts x {SCAN_PATHS} paths, "
+           "30 % dead: bound step, freeze, exit test", _group_step(*_harnack_group(m)))
+          for m in (0, 1)],
         *_derived_rows("n=1, m=1 (validate config)", operator_from_json(validate)),
         *_derived_rows("n=1, m=1 with a^ = 0.2, c^ = 0.3", operator_from_json(coupled)),
         (

@@ -68,6 +68,10 @@ class ConstantField(ScalarField):
         states = np.asarray(states, dtype=float)
         return np.full(states.shape[:-1], self.value)
 
+    def evaluate_into(self, states: np.ndarray, out: np.ndarray, *, calls=NOW) -> np.ndarray:
+        calls.add(np.copyto, out, self.value)
+        return out
+
     def partial(self, axis: int) -> ScalarField:
         return ConstantField(0.0)
 
@@ -133,9 +137,15 @@ class TrigField(ScalarField):
 
     def evaluate_batch(self, states: np.ndarray) -> np.ndarray:
         states = np.asarray(states, dtype=float)
-        return self.c0 + self.amplitude * np.sin(
-            self.frequency * states[..., self.axis] + self.phase
-        )
+        return self.evaluate_into(states, np.empty(states.shape[:-1]))
+
+    def evaluate_into(self, states: np.ndarray, out: np.ndarray, *, calls=NOW) -> np.ndarray:
+        calls.add(np.multiply, states[..., self.axis], self.frequency, out)
+        calls.add(np.add, out, self.phase, out)
+        calls.add(np.sin, out, out)
+        calls.add(np.multiply, out, self.amplitude, out)
+        calls.add(np.add, out, self.c0, out)
+        return out
 
     def partial(self, axis: int) -> ScalarField:
         if axis != self.axis:

@@ -56,7 +56,6 @@ __all__ = [
     "CheckResult",
     "derive_singular_from_standard",
     "LatticeField",
-    "Scratch",
     "operator_from_json",
 ]
 
@@ -79,19 +78,6 @@ def _log_of_faces(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``ln x`` with no warning for the ``-inf`` of a face ``x = 0``."""
     with np.errstate(divide="ignore"):
         return np.log(x, out=out)
-
-
-class Scratch(dict):
-    """Arrays a step lends to its kernels by name, kept from one step to the
-    next so that a stepping loop allocates each once.  A kernel called on its
-    own gets a fresh, empty one.  Not shared between threads."""
-
-    def take(self, name: str, shape: tuple) -> np.ndarray:
-        """The array kept under ``name``, made anew when it has another shape."""
-        a = self.get(name)
-        if a is None or a.shape != shape:
-            a = self[name] = np.empty(shape)
-        return a
 
 
 @record
@@ -157,7 +143,7 @@ class StandardOperatorSpec(_OperatorBase):
             self.d_hat.evaluate_batch(states),
         )
 
-    def drift(self, states, log_clamp_eps=0.0, log_sum=None, out=None, scratch=None, *, calls=NOW):
+    def drift(self, states, log_clamp_eps=0.0, log_sum=None, out=None, *, calls=NOW):
         """``(b^, e^)``, shape (..., n+m), each entry written into its column
         of ``out`` (fresh when omitted).  The other arguments are those of
         the divergence side, unused: the standard form has no log drift."""
@@ -222,30 +208,27 @@ class SingularOperatorSpec(_OperatorBase):
             2.0 * self.c.evaluate_batch(states), self.d.evaluate_batch(states),
         )
 
-    def log_drift(self, states, log_clamp_eps=0.0, scratch=None, *,
-                  calls=NOW) -> np.ndarray | None:
+    def log_drift(self, states, log_clamp_eps=0.0, *, calls=NOW) -> np.ndarray | None:
         """``sum_j f_rj ln max(x_j, eps)`` for every row ``r``, shape (..., n+m),
-        in the array ``log_sum`` of ``scratch`` (a fresh one when omitted);
-        None when no term of :func:`drift_identity_f` is live, as when ``b``
-        is constant.  A state-free ``f`` is contracted as the one matrix
-        built with the spec.  With ``eps = 0`` a state on a face ``x_j = 0``
-        gives an infinite log."""
-        scratch = Scratch() if scratch is None else scratch
-        return self._log_drift(np.asarray(states, dtype=float), log_clamp_eps, {}, scratch, calls)
+        in an array made when it binds; None when no term of
+        :func:`drift_identity_f` is live, as when ``b`` is constant.  A
+        state-free ``f`` is contracted as the one matrix built with the
+        spec.  With ``eps = 0`` a state on a face ``x_j = 0`` gives an
+        infinite log."""
+        return self._log_drift(np.asarray(states, dtype=float), log_clamp_eps, {}, calls)
 
-    def _log_drift(self, states, log_clamp_eps, memo, scratch, calls) -> np.ndarray | None:
-        """:meth:`log_drift` bound into the scratch array ``log_sum``."""
+    def _log_drift(self, states, log_clamp_eps, memo, calls) -> np.ndarray | None:
+        """:meth:`log_drift`, reading its fields through ``memo``."""
         if not self._f:
             return None
-        n, lead = self.dims.n, states.shape[:-1]
+        n = self.dims.n
         f = self._f_matrix
         if f is None:
-            f = _evaluate(self._f, states, (self.dims.total, n), memo,
-                          scratch.take("f", lead + (self.dims.total, n)), calls=calls)
-        logs = scratch.take("logs", lead + (n,))
+            f = _evaluate(self._f, states, (self.dims.total, n), memo, calls=calls)
+        logs = np.empty(states.shape[:-1] + (n,))
         calls.add(np.maximum, states[..., :n], log_clamp_eps, out=logs)
         calls.add(np.log if log_clamp_eps > 0.0 else _log_of_faces, logs, logs)
-        out = scratch.take("log_sum", states.shape)
+        out = np.empty(states.shape)
         if f.shape[-2:] == (1, 1):
             # einsum's one-term sum: +0.0 plus the product, which turns a
             # product of -0.0 into +0.0.  A state-free f is bound as its
@@ -265,12 +248,12 @@ class SingularOperatorSpec(_OperatorBase):
         calls.add(np.einsum, "...rj,...j->...r", f, logs, out=out)
         return out
 
-    def drift(self, states, log_clamp_eps=0.0, log_sum=None, out=None, scratch=None, *, calls=NOW):
+    def drift(self, states, log_clamp_eps=0.0, log_sum=None, out=None, *, calls=NOW):
         """``(g + x * (f . ln x), e + f . ln x)``, shape (..., n+m), with the
         :meth:`log_drift` ``f . ln x``, written into ``out`` (fresh when
-        omitted) with the arrays it needs on the way from ``scratch``.
-        ``log_sum`` passes in that log drift when the caller has it for
-        these states; otherwise each field is read once for it and ``g``.
+        omitted).  ``log_sum`` passes in that log drift when the caller has
+        it for these states; otherwise each field is read once for it and
+        ``g``.
 
         Every live term of ``g`` and ``e`` is written into its slot of
         ``out`` before the log drift is added to the rows."""
@@ -278,15 +261,14 @@ class SingularOperatorSpec(_OperatorBase):
         n, m = self.dims.n, self.dims.m
         if out is None:
             out = np.empty(states.shape[:-1] + (self.dims.total,))
-        scratch = Scratch() if scratch is None else scratch
         memo = {}
         if log_sum is None:
-            log_sum = self._log_drift(states, log_clamp_eps, memo, scratch, calls)
+            log_sum = self._log_drift(states, log_clamp_eps, memo, calls)
         g = _evaluate(self._g, states, (n,), memo, out[..., :n], calls=calls)
         if m:
             _evaluate(self._e, states, (m,), memo, out[..., n:], calls=calls)
         if log_sum is not None:
-            x_log = scratch.take("x_log", states.shape[:-1] + (n,))
+            x_log = np.empty(states.shape[:-1] + (n,))
             calls.add(np.multiply, states[..., :n], log_sum[..., :n], x_log)
             calls.add(np.add, g, x_log, g)
             if m:

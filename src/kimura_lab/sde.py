@@ -15,9 +15,8 @@ drift and the root of ``D`` (or its diagonal).
 
 Each equation's drift and noise, and the field's ``theta``, have one entry
 each (``drift_batch``, ``noise_batch``, ``theta_batch``).  Each writes into
-an ``out`` the caller lends, the drift and theta with a
-:class:`~kimura_lab.operators.Scratch` for what they need on the way, and
-makes fresh ones when given none.  Each entry is a binder
+an ``out`` the caller lends, or a fresh one when given none, and makes the
+arrays it needs on the way when it binds.  Each entry is a binder
 (:mod:`kimura_lab.calls`): given ``calls=``, it appends its NumPy calls
 instead of running them, so a stepping loop binds it to its workspace once
 and replays it every step, while a library caller runs it once on one
@@ -36,11 +35,7 @@ from .errors import (
     InvalidMatrixError,
 )
 from .geometry import StateSpaceDims
-from .operators import (
-    Scratch,
-    SingularOperatorSpec,
-    StandardOperatorSpec,
-)
+from .operators import SingularOperatorSpec, StandardOperatorSpec
 from .records import record
 
 __all__ = [
@@ -115,18 +110,18 @@ class _Coefficients:
 
     def drift_batch(
         self, states: np.ndarray, log_clamp_eps: float = 1e-12, log_sum: np.ndarray | None = None,
-        out: np.ndarray | None = None, scratch: Scratch | None = None, *, calls=NOW,
+        out: np.ndarray | None = None, *, calls=NOW,
     ) -> np.ndarray:
         """Full drift vector: the step plan's fold when the model has one,
         otherwise the source operator's ``drift`` with ``ln max(x, eps)``,
-        in ``out`` (fresh when omitted), with arrays lent by ``scratch``.
+        in ``out`` (fresh when omitted).
 
         ``log_sum`` passes in the source's ``log_drift`` for these states
         when the caller already has it.  A folded drift has no log drift.
         """
         states = np.asarray(states, dtype=float)
         if self.plan.drift is None:
-            return self.source.drift(states, log_clamp_eps, log_sum, out, scratch, calls=calls)
+            return self.source.drift(states, log_clamp_eps, log_sum, out, calls=calls)
         if out is None:
             out = np.empty(states.shape)
         calls.add(np.copyto, out, self.plan.drift)
@@ -252,24 +247,22 @@ class GirsanovField:
         drift: np.ndarray | None = None,
         root_x: np.ndarray | None = None,
         out: np.ndarray | None = None,
-        scratch: Scratch | None = None,
         *,
         calls=NOW,
     ) -> np.ndarray:
-        """Drift change per state, in ``out`` (fresh when omitted), with
-        arrays lent by ``scratch``.  When the caller already has them for
-        these states, ``log_sum`` passes in the divergence side's
-        ``log_drift``, ``drift`` its ``drift_batch`` with that log drift,
-        ``sigma`` its ``sigma_batch`` (used when :attr:`shares_root`) and
-        ``root_x`` the degenerate coordinates' ``sqrt(x)`` of a projected
-        state, whose ``x`` is ``>= 0`` or ``-0.0``."""
+        """Drift change per state, in ``out`` (fresh when omitted).  When
+        the caller already has them for these states, ``log_sum`` passes in
+        the divergence side's ``log_drift``, ``drift`` its ``drift_batch``
+        with that log drift, ``sigma`` its ``sigma_batch`` (used when
+        :attr:`shares_root`) and ``root_x`` the degenerate coordinates'
+        ``sqrt(x)`` of a projected state, whose ``x`` is ``>= 0`` or
+        ``-0.0``."""
         states = np.asarray(states, dtype=float)
         n = self.dims.n
         if out is None:
             out = np.empty(states.shape)
-        scratch = Scratch() if scratch is None else scratch
         if log_sum is None:
-            log_sum = self.sing.source.log_drift(states, log_clamp_eps, scratch, calls=calls)
+            log_sum = self.sing.source.log_drift(states, log_clamp_eps, calls=calls)
         if log_sum is None:
             calls.add(np.copyto, out[..., :n], 0.0)
         else:
@@ -284,8 +277,7 @@ class GirsanovField:
         if self.dims.m:
             # Free rows: the divergence-side minus the standard-side free drift.
             if drift is None:
-                drift = self.sing.drift_batch(states, log_clamp_eps, log_sum, scratch=scratch,
-                                              calls=calls)
+                drift = self.sing.drift_batch(states, log_clamp_eps, log_sum, calls=calls)
             e_hat = np.empty(states.shape[:-1] + (self.dims.m,))
             for l, entry in enumerate(self.std.source.e_hat.entries):
                 entry.evaluate_into(states, e_hat[..., l], calls=calls)

@@ -36,8 +36,8 @@ start, then path; ``PathBundle.per_equation`` splits them into one bundle per
 equation, each bit-equal to a run of that equation alone.
 
 Each equation is a lane of every group, and each group steps in one
-workspace, made when the group starts: the states of every lane, the draw,
-its noise and the arrays the kernels need on the way.  The equations'
+workspace, made when the group starts: one state array of every lane, the
+draw, its noise and the arrays the kernels need on the way.  The equations'
 kernels (``drift_batch``, ``noise_batch`` and ``theta_batch`` of
 :mod:`kimura_lab.sde`) write into it through ``out``, a weighted lane's
 drift and theta reading one log drift; the scheme update, the freeze, the
@@ -54,14 +54,16 @@ and the exit test is the domain's ``exit_test``: of its NumPy comparisons,
 only those such a state can fail, not its closed faces ``x_i = 0`` or its
 infinite bounds.
 
-A group binds its steps once (:mod:`kimura_lab.calls`): the first step
-from each of its two state arrays on each slot of a draw makes the list of
-the step's NumPy calls, each lane's kernels bound once per state array,
-and every later such step replays it.  The list holds the scheme update
-and the settle: on a domain a path can leave, the freeze (a ``putmask`` of
-the dead paths), the weight update of the live paths, the exit test (the
-domain's comparisons bound as ufuncs) and the marks of the exits it finds,
-their step and their death; else the weight update alone.  An exit thus
+A group binds its steps once (:mod:`kimura_lab.calls`): the first step on
+each slot of a draw makes the list of the step's NumPy calls, each lane's
+kernels bound once for the group, and every later step on that slot
+replays it.  The list holds the scheme update and the settle.  On a domain
+no path can leave, the update writes the state array in place and the
+settle is the weight update alone.  Else the update writes a second array,
+and the settle is the freeze (one ``putmask`` of the live paths' whole
+rows into the state array), the weight update of the live paths, the exit
+test of the state array (the domain's comparisons bound as ufuncs) and the
+marks of the exits it finds, their step and their death.  An exit thus
 adds no list and runs no Python.  Constants are bound as floats and ufuncs
 take their ``out`` positionally.  Only a step with an observer or a record
 write runs more of its own: it calls the observers and writes the
@@ -76,7 +78,7 @@ each step's states after the freeze, which raises NumericFailureError at
 the first step that left a state not finite.  A group whose lists hold an
 eager entry (``calls.assign``) or a solve, or that has observers, tests
 each step's states so; the exact scheme tests none.  A dead path's
-discarded step is never tested: the freeze replaces it.
+discarded step is never tested: the freeze leaves it in the second array.
 """
 
 from __future__ import annotations
@@ -98,7 +100,6 @@ from .errors import (
 )
 from .calls import NOW, Calls, assign, numpy_only
 from .geometry import DomainSpec, Point, StateSpaceDims
-from .operators import Scratch
 from .records import record
 from .sde import GirsanovField, SdeCoefficients, StandardSdeCoefficients
 
@@ -482,26 +483,28 @@ class _Lanes:
             np.multiply(xi, self.sqdt, out=ws.sxi[:c])
 
     def step(self, ws: "_Workspace", k: int, j: int) -> None:
-        """Step ``k`` of every lane of ``ws``, from ``cur`` into ``new``, on
+        """Step ``k`` of every lane of ``ws``, from ``cur`` into ``out``, on
         the normals ``j`` of the last draw, with the weighted lanes'
         log-weight drops in ``drop``: :meth:`bind_step` run once, then
         :meth:`check_finite`."""
         ws.step[()] = k
-        self.bind_step(ws, ws.cur, ws.new, j).run()
-        self.check_finite(ws.new, ws)
+        self.bind_step(ws, j).run()
+        self.check_finite(ws.out, ws)
 
-    def bind_step(self, ws: "_Workspace", cur: np.ndarray, new: np.ndarray, j: int,
-                  kernels: dict | None = None) -> Calls:
-        """The calls of a step of every lane of ``ws`` from ``cur`` into
-        ``new`` on the normals ``j`` of a draw.  They are NumPy calls alone
-        unless a kernel binds an eager entry (``calls.assign``) or a solve.
+    def bind_step(self, ws: "_Workspace", j: int, kernels: dict | None = None) -> Calls:
+        """The calls of a step of every lane of ``ws`` from ``ws.cur`` into
+        ``ws.out`` on the normals ``j`` of a draw.  They are NumPy calls
+        alone unless a kernel binds an eager entry (``calls.assign``) or a
+        solve.
 
-        ``kernels`` keeps each lane's kernels on ``cur`` (:meth:`_bind_lane`),
-        which no draw changes, so that the steps from ``cur`` on every slot
-        of a draw bind them once.  A lane's noise is bound after its theta,
-        which does not read it."""
+        ``kernels`` keeps each lane's kernels (:meth:`_bind_lane`), which
+        read ``cur`` and no draw, so that the steps on every slot of a draw
+        bind them once.  A lane's noise is bound after its theta, which
+        does not read it; every kernel is bound before the update, which
+        may write ``cur``."""
         n, m, d = self.dims.n, self.dims.m, self.dims.total
         kernels = {} if kernels is None else kernels
+        cur, new = ws.cur, ws.out
         rx, calls = ws.rx, Calls()
         if n:
             # a step starts from a projected state or a start: x >= 0 or
@@ -522,7 +525,7 @@ class _Lanes:
                 calls.add(np.copyto, noise[e], ws.noise_draw[e, j])
         for e, eq, theta, folded in self.visited:
             if e not in kernels:
-                kernels[e] = self._bind_lane(ws, cur[e], e, eq, theta, folded)
+                kernels[e] = self._bind_lane(ws, e, eq, theta, folded)
             lane, sigma, th = kernels[e]
             calls += lane
             if eq.plan.sigma is None:
@@ -539,8 +542,8 @@ class _Lanes:
         if self.drift_dt is not None:
             calls.add(np.add, cur, self.drift_dt, new)
         else:
-            calls.add(np.multiply, ws.drift, self.dt, new)
-            calls.add(np.add, cur, new, new)
+            calls.add(np.multiply, ws.drift, self.dt, ws.new)
+            calls.add(np.add, cur, ws.new, new)
         if n:
             # x += sqrt(x) noise_x sqrt(dt), then the projection onto x >= 0
             term = ws.rx_by_start
@@ -551,55 +554,52 @@ class _Lanes:
             calls.add(np.maximum, x_new, 0.0, out=x_new)
         if m:
             y_new = new.reshape(ws.by_start + (d,))[..., n:]
-            y_term = ws.scratch.take("y_term", noise.shape[:-1] + (m,))
-            calls.add(np.multiply, noise[..., n:], self.sqdt, y_term)
-            calls.add(np.add, y_new, y_term, y_new)
+            calls.add(np.multiply, noise[..., n:], self.sqdt, ws.y_term)
+            calls.add(np.add, y_new, ws.y_term, y_new)
         return calls
 
-    def bind_settle(self, ws: "_Workspace", cur: np.ndarray, new: np.ndarray,
-                    exit_test) -> Calls:
-        """The calls that settle a step of ``ws`` from ``cur`` into ``new``.
-        With ``exit_test``, a domain's ``exit_test``: the freeze of the dead
-        paths at their state in ``cur``, the weight update of the live
-        paths, the exit test, and the exits it finds: their step into
-        ``exit_step`` and their mark in ``leaving``, ``alive`` and
-        ``frozen``.  With ``exit_test`` None, when no path can leave the
-        domain, the weight update alone."""
+    def bind_settle(self, ws: "_Workspace", exit_test) -> Calls:
+        """The calls that settle a step of ``ws``.  With ``exit_test``, a
+        domain's ``exit_test``: the freeze, which copies the live paths'
+        rows of ``new`` into ``cur`` and so keeps the dead ones where they
+        left, the weight update of the live paths, the exit test of
+        ``cur``, and the exits it finds: their step into ``exit_step`` and
+        their mark in ``leaving`` and ``alive``.  With ``exit_test`` None,
+        when no path can leave the domain and the step wrote ``cur`` in
+        place, the weight update alone."""
         calls, w = Calls(), self.weighted
         if exit_test is None:
             if w is not None:
                 calls.add(np.subtract, ws.logw, ws.drop, ws.logw)
             return calls
         alive = ws.alive.reshape(-1)
-        calls.add(np.putmask, new, ws.frozen, cur)
+        calls.add(np.putmask, ws.cur_rows, ws.alive, ws.new_rows)
         if w is not None:
             calls.add(np.subtract, ws.logw, ws.drop, ws.logw, where=ws.alive[w])
         # a path leaves when it is alive and its new state is outside
-        exit_test.bind(new.reshape(-1, self.dims.total), ws.inside, calls)
+        exit_test.bind(ws.cur.reshape(-1, self.dims.total), ws.inside, calls)
         calls.add(np.greater, alive, ws.inside, ws.leaving)
         calls.add(np.copyto, ws.exit_step, ws.step, where=ws.leaving)
         calls.add(np.bitwise_xor, alive, ws.leaving, alive)
-        calls.add(np.logical_not, ws.alive[..., None], ws.frozen)
         return calls
 
-    def _bind_lane(self, ws: "_Workspace", states: np.ndarray, e: int, eq, theta,
-                   folded: bool) -> tuple:
-        """Lane ``e``'s kernels on its ``states``: ``(calls, root, theta)``,
-        the calls of its log drift, drift, root and theta, the array of its
-        root (None when state-free) and that of its theta (None unweighted)."""
-        scratch, calls = ws.scratch, Calls()
+    def _bind_lane(self, ws: "_Workspace", e: int, eq, theta, folded: bool) -> tuple:
+        """Lane ``e``'s kernels on its states in ``ws.cur``: ``(calls, root,
+        theta)``, the calls of its log drift, drift, root and theta, the
+        array of its root (None when state-free) and that of its theta
+        (None unweighted)."""
+        states, calls = ws.cur[e], Calls()
         log_sum = sigma = th = None
         if theta is not None:
             # one log drift for the drift and theta
-            log_sum = eq.source.log_drift(states, self.eps, scratch, calls=calls)
+            log_sum = eq.source.log_drift(states, self.eps, calls=calls)
         if not folded:
-            eq.drift_batch(states, self.eps, log_sum, out=ws.drift[e], scratch=scratch,
-                           calls=calls)
+            eq.drift_batch(states, self.eps, log_sum, out=ws.drift[e], calls=calls)
         if eq.plan.sigma is None:
             sigma = eq.bound_sigma(states, calls)
         if theta is not None:
             th = theta.theta_batch(states, self.eps, log_sum, sigma, ws.drift[e], ws.rx[e],
-                                   out=ws.theta, scratch=scratch, calls=calls)
+                                   out=ws.theta, calls=calls)
         return calls, sigma, th
 
     @staticmethod
@@ -627,20 +627,24 @@ class _Lanes:
 class _Workspace:
     """One group's arrays, made once and written in place by every step.
 
-    ``cur`` and ``new`` hold the states of every lane, shape
-    (lanes, rows, d) with rows by start and then block path; the steps of
-    a bundle read one and write the other, in turn.  ``xi`` holds one draw
-    of normals, shape (steps, nb, d), and ``noise_draw`` the noise it gives
-    each lane of state-free root.  ``alive`` marks the live paths of every
-    lane and ``frozen`` the others over every coordinate of ``new``;
-    ``leaving`` marks the paths that the last step took out of the domain,
-    and ``exit_step`` holds the step at which each dead path left.
-    ``logw`` holds the log weights of the weighted lanes and ``drop`` what
-    the last step takes off them.  ``step``, a 0-d int64 that the stepping
-    loop sets, is the step being taken.
+    ``cur`` holds the states of every lane, shape (lanes, rows, d) with rows
+    by start and then block path.  A step reads it and writes ``out``:
+    ``cur`` itself when no path can leave the domain (``in_place``), else
+    ``new``, whose live paths the settle copies into ``cur``.
+    ``cur_rows`` and ``new_rows`` view each state as one row of ``8 d``
+    bytes, so that copy moves whole rows.  ``new`` also holds the drift
+    term of an update in place.  ``xi`` holds one draw of normals, shape
+    (steps, nb, d), and ``noise_draw`` the noise it gives each lane of
+    state-free root.  ``alive`` marks the live paths of every lane,
+    ``leaving`` the paths that the last step took out of the domain, and
+    ``exit_step`` holds the step at which each dead path left.  ``logw``
+    holds the log weights of the weighted lanes and ``drop`` what the last
+    step takes off them.  ``step``, a 0-d int64 that the stepping loop
+    sets, is the step being taken.
     """
 
-    def __init__(self, lanes: _Lanes, start: np.ndarray, nb: int, draw_steps: int):
+    def __init__(self, lanes: _Lanes, start: np.ndarray, nb: int, draw_steps: int,
+                 in_place: bool = False):
         n_lanes, (rows, d), n = len(lanes.eqs), start.shape, lanes.dims.n
         self.nb, self.rows, self.starts = nb, rows, rows // nb
         # (lane, start, block path): the shape that repeats a block's noise
@@ -648,6 +652,9 @@ class _Workspace:
         self.cur = np.empty((n_lanes, rows, d))
         self.cur[...] = start
         self.new = np.empty_like(self.cur)
+        self.out = self.cur if in_place else self.new
+        row = np.dtype((np.void, 8 * d))
+        self.cur_rows, self.new_rows = (a.view(row)[..., 0] for a in (self.cur, self.new))
         self.rx = np.empty((n_lanes, rows, n))
         self.rx_by_start = self.rx.reshape(self.by_start + (n,))
         self.drift = None
@@ -661,6 +668,8 @@ class _Workspace:
         self.noise_draw = np.empty((noise_lanes, draw_steps, nb, d))
         state_noise = len(lanes.free_noise) < noise_lanes
         self.noise = np.empty(self.by_start + (d,)) if state_noise else None
+        noise_rows = self.by_start if state_noise else (noise_lanes, 1, nb)
+        self.y_term = np.empty(noise_rows + (lanes.dims.m,)) if lanes.dims.m else None
         # the block's normals repeated for every start, where a kernel reads
         # them row by row: the noise of a state-dependent root, and theta's
         # dot products of several columns
@@ -678,12 +687,10 @@ class _Workspace:
             self.theta = np.empty((rows, d))
             self.theta_sq = np.empty(rows)
         self.alive = np.ones((n_lanes, rows), dtype=bool)
-        self.frozen = np.zeros((n_lanes, rows, d), dtype=bool)
         self.step = np.zeros((), dtype=np.int64)
         self.inside = np.empty(n_lanes * rows, dtype=bool)
         self.leaving = np.zeros(n_lanes * rows, dtype=bool)
         self.exit_step = np.zeros(n_lanes * rows, dtype=np.int64)
-        self.scratch = Scratch()
 
 
 def simulate_bundle(
@@ -828,90 +835,86 @@ def simulate_bundle(
             draw_steps = 1
         w = lanes.weighted
 
-        # one step list per slot of a draw and state array it reads: step k
-        # replays list (k - 1) % n_lists, from state array (k - 1) % 2, so
-        # a draw of an odd number of slots takes two lists a slot
-        n_lists = draw_steps * (1 + draw_steps % 2)
-
         def walk(each: bool | None) -> tuple:
             """Step the group from its starts in a new workspace: that
-            workspace, the last states and whether each step's states were
-            tested, after its freeze.  ``each`` None tests them only when a
-            step's list holds a call that is not NumPy's or there are
-            observers."""
+            workspace and whether each step's states were tested, after its
+            freeze.  ``each`` None tests them only when a step's list holds
+            a call that is not NumPy's or there are observers."""
             rng = _block_rng(config.seed, block)
-            ws = _Workspace(lanes, start_states, nb, draw_steps)
-            # the group's two state arrays, read and written in turn
-            bufs = (ws.cur, ws.new)
+            ws = _Workspace(lanes, start_states, nb, draw_steps, in_place=exit_test is None)
+            # the states before the step, for the observers
+            prev = np.empty_like(ws.cur) if observers else None
 
-            def settle(k: int, cur: np.ndarray, new: np.ndarray) -> None:
-                """Observe step ``k`` from ``cur`` into ``new`` and record it,
-                after its bound settle."""
+            def settle(k: int) -> None:
+                """Observe step ``k`` and record it, after its bound settle."""
                 for obs in observers:
                     # alive: the paths alive before the step
-                    obs.observe(sl, k, k * dt, cur[0], new[0], ws.alive[0] | ws.leaving,
+                    obs.observe(sl, k, k * dt, prev[0], ws.cur[0], ws.alive[0] | ws.leaving,
                                 logw=ws.logw[0] if w is not None else None)
                 if k in record_idx:
                     r = record_idx[k]
-                    states_rec[:, group, sl, r] = new.reshape(n_eqs, n_st, nb, total)
+                    states_rec[:, group, sl, r] = ws.cur.reshape(n_eqs, n_st, nb, total)
                     if w is not None:
                         log_weights[w, group, sl, r] = ws.logw.reshape(-1, n_st, nb)
 
-            # each lane's kernels, bound once per state array
-            kernels: tuple = ({}, {})
+            # each lane's kernels, bound once
+            kernels: dict = {}
 
-            def bind(i: int) -> Calls:
-                """List ``i``, a whole step from ``bufs[i % 2]`` on slot ``i %
-                draw_steps`` of a draw: the scheme's step,
+            def bind(j: int) -> Calls:
+                """List ``j``, a whole step on slot ``j`` of a draw: the
+                observers' copy of the states, the scheme's step,
                 :meth:`_Lanes.bind_settle` and, with ``each``, the
                 finiteness test."""
-                p = i % 2
-                cur, new = bufs[p], bufs[1 - p]
+                calls = Calls()
+                if observers:
+                    calls.add(np.copyto, prev, ws.cur)
                 if params_exact is None:
-                    calls = lanes.bind_step(ws, cur, new, i % draw_steps, kernels[p])
+                    calls += lanes.bind_step(ws, j, kernels)
                 else:
                     # one draw a step, from the state
-                    calls = Calls()
-                    calls.add(assign, new[0, :, 0], params_exact.sample, rng, cur[0, :, 0], dt)
-                calls = Calls(calls + lanes.bind_settle(ws, cur, new, exit_test))
+                    calls.add(assign, ws.out[0, :, 0], params_exact.sample, rng,
+                              ws.cur[0, :, 0], dt)
+                calls += lanes.bind_settle(ws, exit_test)
                 if each:
-                    calls.add(lanes.check_finite, new, ws)
+                    calls.add(lanes.check_finite, ws.cur, ws)
                 return calls
 
-            steps: list = [None] * n_lists
+            # one step list per slot of a draw: step k replays list
+            # (k - 1) % draw_steps
+            steps: list = [None] * draw_steps
             if each is None:
                 steps[0] = bind(0)
                 each = tested and (bool(observers) or not numpy_only(steps[0]))
                 if each:
-                    steps[0].add(lanes.check_finite, bufs[1], ws)
+                    steps[0].add(lanes.check_finite, ws.cur, ws)
             # the steps settled in Python
             watched = range(1, n_steps + 1) if observers else record_idx
             for k in range(1, n_steps + 1):
-                i = (k - 1) % n_lists
-                if i % draw_steps == 0 and params_exact is None:
+                j = (k - 1) % draw_steps
+                if j == 0 and params_exact is None:
                     lanes.draw(ws, rng, min(draw_steps, n_steps - k + 1))
-                calls = steps[i]
+                calls = steps[j]
                 if calls is None:
-                    calls = steps[i] = bind(i)
+                    calls = steps[j] = bind(j)
                 ws.step[()] = k
                 for call in calls:
                     call()
                 if k in watched:
-                    settle(k, bufs[i % 2], bufs[1 - i % 2])
-            return ws, bufs[n_steps % 2], each
+                    settle(k)
+            return ws, each
 
-        ws, last, each = walk(None)
-        if tested and not each and not lanes.finite(last):
+        ws, each = walk(None)
+        if tested and not each and not lanes.finite(ws.cur):
             # NaN and +inf survive the update, the projection onto x >= 0
             # and the freeze, so a state that was not finite after some
             # step's freeze is not finite now: the walk that tests each step
             # raises at the first such step
-            ws, last, _ = walk(True)
+            ws, _ = walk(True)
         # the exits, from the dead paths, whose states froze there
         dead = ~ws.alive.reshape(n_eqs, n_st, nb)
         exited[:, group, sl] = dead
         np.copyto(tau[:, group, sl], ws.exit_step.reshape(n_eqs, n_st, nb) * dt, where=dead)
-        np.copyto(exit_state[:, group, sl], last.reshape(n_eqs, n_st, nb, total),
+        np.copyto(exit_state[:, group, sl], ws.cur.reshape(n_eqs, n_st, nb, total),
                   where=dead[..., None])
 
     groups = []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kimura_lab.calls import Calls, numpy_only
 from kimura_lab.fields import (
     AffineField,
     CallableField,
@@ -148,3 +149,20 @@ def test_one_entry_vector_keeps_a_trailing_axis():
     out = FieldVector([entry]).evaluate_batch(states)
     assert out.shape == (3, 4, 1)
     assert out[..., 0].tobytes() == entry.evaluate_batch(states).tobytes()
+
+
+@pytest.mark.parametrize("field, closed_form", [
+    (TrigField(0.1, 0.3, 1, 1.5, 0.2), lambda s: 0.1 + 0.3 * np.sin(1.5 * s[..., 1] + 0.2)),
+    (ConstantField(0.7), lambda s: np.full(s.shape[:-1], 0.7)),
+], ids=["trig", "constant"])
+def test_a_field_binds_into_a_column_as_numpy_calls(field, closed_form):
+    # bound into a strided column, as a drift writes each entry, the field
+    # is NumPy calls alone, which give the bytes of its closed form
+    states = 3.0 * np.random.default_rng(11).normal(size=(257, 2))
+    out = np.full((257, 3), np.nan)
+    calls = Calls()
+    assert field.evaluate_into(states, out[:, 1], calls=calls) is not None
+    assert numpy_only(calls) and np.isnan(out).all()
+    calls.run()
+    assert out[:, 1].tobytes() == closed_form(states).tobytes()
+    assert field.evaluate_batch(states).tobytes() == closed_form(states).tobytes()

@@ -15,7 +15,6 @@ from kimura_lab.errors import EllipticityViolationError, InvalidMatrixError
 from kimura_lab.fields import ConstantField, FieldMatrix, FieldVector, ScalarField, TestFunction
 from kimura_lab.geometry import DomainSpec, Point, StateSpaceDims
 from kimura_lab.operators import (
-    Scratch,
     SingularOperatorSpec,
     StandardOperatorSpec,
     apply_generator_batch,
@@ -753,8 +752,8 @@ def test_weighted_girsanov_step_runs_no_drift_identity(monkeypatch):
 def test_weighted_step_assembles_the_free_drift_once(monkeypatch, model, live):
     # theta's free rows read the step's drift; a folded drift needs no e, a
     # zero e (c = 0, d free of y) has no live term to evaluate, and a coupled
-    # pair's e terms are bound into the step once, for each of the two
-    # state arrays a step reads, whatever the number of steps
+    # pair's e terms are bound into the step once a group, whatever the
+    # number of steps
     calls = Counter()
     evaluate = operators._evaluate
     std_op = operator_from_json(model)
@@ -772,8 +771,8 @@ def test_weighted_step_assembles_the_free_drift_once(monkeypatch, model, live):
         calls.clear()
         cfg = PathConfig(dt=1e-2, seed=3, n_paths=64, horizon=horizon, record="ends")
         simulate_bundle(pair.sing, start, domain, cfg, theta=pair)
-        assert calls["live"] == live * 2
-        assert calls["e"] == (0 if model is VALIDATE_MODEL else 2)
+        assert calls["live"] == live
+        assert calls["e"] == (0 if model is VALIDATE_MODEL else 1)
 
 
 @pytest.mark.parametrize(
@@ -797,8 +796,8 @@ def test_free_drift_of_a_zero_e_has_the_identity_bits(d, zero_e):
 
 def test_weighted_girsanov_step_evaluates_no_constant_field(monkeypatch):
     # neither the binding of a step nor its 100 replays evaluate one; 64
-    # paths draw BOUND_SLOTS = 8 steps at a time, and as 8 is even each slot
-    # is stepped from one state array, so the step is bound once a slot
+    # paths draw BOUND_SLOTS = 8 steps at a time, and the step is bound once
+    # a slot
     calls = Counter()
     evaluate, bind_step = ConstantField.evaluate_batch, simulate._Lanes.bind_step
 
@@ -854,8 +853,8 @@ def test_derived_pair_shares_its_dispersion_root(monkeypatch, threads):
 
 def test_the_step_calls_each_kernel_entry(monkeypatch):
     # the girsanov command's pair: both lanes' drifts vary with the state, so
-    # the step binds both drifts and theta through their one entry, once for
-    # each of the two state arrays it steps from; the 100 steps replay them
+    # the step binds both drifts and theta through their one entry, once a
+    # group; the 100 steps replay them
     std_op = operator_from_json(GIRSANOV_MODEL)
     pair = make_girsanov_field(std_op, derive_singular_from_standard(std_op))
     assert pair.std.plan.drift is None and pair.sing.plan.drift is None
@@ -877,9 +876,9 @@ def test_the_step_calls_each_kernel_entry(monkeypatch):
     simulate_bundle((pair.std, pair.sing), Point((1.0,), ()),
                     DomainSpec.full_space(std_op.dims), cfg, theta=pair)
     assert cfg.n_steps == 100
-    assert calls == {("SdeCoefficients", "drift_batch"): 2,
-                     ("StandardSdeCoefficients", "drift_batch"): 2,
-                     ("GirsanovField", "theta_batch"): 2}
+    assert calls == {("SdeCoefficients", "drift_batch"): 1,
+                     ("StandardSdeCoefficients", "drift_batch"): 1,
+                     ("GirsanovField", "theta_batch"): 1}
 
 
 FOLDED_PAIR = {  # constant b^ and e^: both sides fold their drift and root
@@ -899,7 +898,6 @@ def test_each_kernel_returns_the_out_it_is_given(model, folded):
     states = _probe_states(std_op.dims)
     states = states[np.linalg.eigvalsh(std_op.diffusion_matrix(states))[:, 0] > 0.0]
     xi = np.random.Generator(np.random.Philox(key=5)).standard_normal(states.shape)
-    scratch = Scratch()  # one for every call, as a step lends it
 
     def into(kernel, *args, **kwargs):
         out = np.full(states.shape, np.nan)
@@ -908,17 +906,17 @@ def test_each_kernel_returns_the_out_it_is_given(model, folded):
 
     for eq in (pair.std, pair.sing):
         fresh = eq.drift_batch(states, EPS)
-        assert into(eq.drift_batch, states, EPS, scratch=scratch).tobytes() == fresh.tobytes()
+        assert into(eq.drift_batch, states, EPS).tobytes() == fresh.tobytes()
         assert into(eq.noise_batch, states, xi).tobytes() == eq.noise_batch(states, xi).tobytes()
     theta = pair.theta_batch(states, EPS)
-    assert into(pair.theta_batch, states, EPS, scratch=scratch).tobytes() == theta.tobytes()
+    assert into(pair.theta_batch, states, EPS).tobytes() == theta.tobytes()
     # the step's route: one log drift read by the drift and by theta
-    log_sum = pair.sing.source.log_drift(states, EPS, scratch)
-    drift = into(pair.sing.drift_batch, states, EPS, log_sum, scratch=scratch)
+    log_sum = pair.sing.source.log_drift(states, EPS)
+    drift = into(pair.sing.drift_batch, states, EPS, log_sum)
     assert drift.tobytes() == pair.sing.drift_batch(states, EPS).tobytes()
     sigma = pair.sing.sigma_batch(states)
     root_x = np.sqrt(np.maximum(states[:, :1], 0.0))
-    got = into(pair.theta_batch, states, EPS, log_sum, sigma, drift, root_x, scratch=scratch)
+    got = into(pair.theta_batch, states, EPS, log_sum, sigma, drift, root_x)
     assert got.tobytes() == theta.tobytes()
 
 
@@ -930,7 +928,8 @@ def test_each_kernel_returns_the_out_it_is_given(model, folded):
 def _eager_run(eqs, thetas, starts, domain, config):
     """Final states, final log weights and exit flags by lane, start and
     path: each block stepped by the eager ``_Lanes.step`` on one-step draws,
-    with the freeze, the weight update and the exit test kept here."""
+    from ``cur`` into ``new``, with the freeze (coordinate by coordinate),
+    the weight update and the exit test kept here."""
     lanes = simulate._Lanes(eqs, thetas, config)
     origins = np.stack([z.vector for z in starts])
     blocks = []
@@ -946,7 +945,7 @@ def _eager_run(eqs, thetas, starts, domain, config):
             if ws.logw is not None:
                 np.subtract(ws.logw, ws.drop, out=ws.logw, where=~dead[lanes.weighted])
             dead |= ~domain.contains_underline(ws.new)
-            ws.cur, ws.new = ws.new, ws.cur
+            np.copyto(ws.cur, ws.new)
         by_start = (len(eqs), len(starts), nb)
         logw = np.zeros(by_start)
         if ws.logw is not None:
@@ -995,6 +994,36 @@ def test_bound_step_matches_the_eager_step(name, threads):
     assert bundle.states[:, -1].tobytes() == states.tobytes()
     if theta is not None:
         assert logw.any() and bundle.log_weights[:, -1].tobytes() == logw.tobytes()
+
+
+N1M2_PAIR = {  # two free coordinates: a state of 24 bytes, frozen as one row
+    "kind": "standard", "dims": {"n": 1, "m": 2},
+    "b_hat": [{"family": "affine", "c0": 0.6, "coeffs": [0.0, 0.1, -0.05]}],
+    "d_hat": [[1.0, 0.2], [0.2, 0.5]],
+    "e_hat": [0.1, {"family": "trig", "c0": 0.0, "amplitude": 0.2, "axis": 1,
+                    "frequency": 1.5}],
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_three_coordinate_box_bundle_matches_the_eager_step(threads):
+    # the pair on a box bounding the first free coordinate, which most
+    # exits cross, with theta solving on a root that is not diagonal
+    std_op = operator_from_json(N1M2_PAIR)
+    pair = make_girsanov_field(std_op, derive_singular_from_standard(std_op))
+    eqs = [pair.std, pair.sing]
+    domain = DomainSpec.box(std_op.dims, [(0.0, 3.0), (-0.8, 0.8), (None, None)])
+    starts = [Point((x,), (y, 0.0)) for x, y in ((0.5, 0.0), (1.5, 0.4), (2.8, -0.3))]
+    cfg = PathConfig(dt=1e-2, seed=29, n_paths=simulate.RNG_BLOCK + 64, horizon=0.24,
+                     record="ends")
+    states, logw, exited = _eager_run(eqs, [None, pair], starts, domain, cfg)
+    bundle = simulate_bundle(eqs, starts, domain, cfg, theta=pair, n_threads=threads)
+    assert exited.any() and not exited.all()
+    free_exits = np.abs(bundle.exit_state[bundle.exited, 1]) > 0.8
+    assert free_exits.any() and not free_exits.all()
+    assert bundle.exited.tobytes() == exited.tobytes()
+    assert bundle.states[:, -1].tobytes() == states.tobytes()
+    assert logw.any() and bundle.log_weights[:, -1].tobytes() == logw.tobytes()
 
 
 def test_bound_kernels_run_no_entry_per_step(monkeypatch):

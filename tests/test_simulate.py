@@ -1146,7 +1146,7 @@ class TestFinitenessTest:
 NUMPY_ROUTINES = (np.copyto, np.einsum, np.putmask)
 
 
-@pytest.mark.parametrize("config", ["girsanov_consistency", "harnack_scan"])
+@pytest.mark.parametrize("config", ["girsanov_consistency", "harnack_scan", "validate_model"])
 def test_committed_models_replay_numpy_alone(monkeypatch, config):
     # every call a step of the committed models binds, the marks of its
     # exits included, is a NumPy ufunc or routine bound directly, and a
@@ -1171,6 +1171,13 @@ def test_committed_models_replay_numpy_alone(monkeypatch, config):
         pair = make_girsanov_field(op, derive_singular_from_standard(op))
         simulate_bundle((pair.std, pair.sing), Point.from_vector(op.dims, doc["z0"]),
                         DomainSpec.full_space(op.dims), cfg, theta=pair)
+    elif config == "validate_model":
+        # a constant b^ beside a trig e^: each bound as its own ufuncs
+        pair = make_girsanov_field(op, derive_singular_from_standard(op))
+        box = DomainSpec.box(op.dims, [(0.0, 3.0), (-1.0, 2.0)])
+        bundle = simulate_bundle((pair.std, pair.sing), Point((1.0,), (0.5,)), box, cfg,
+                                 theta=pair)
+        assert bundle.exited.any()
     else:
         starts = [Point((0.2,), ()), Point((3.8,), ())]
         bundle = simulate_bundle(build_sde_coefficients(op), starts,
@@ -1221,9 +1228,9 @@ def exiting_bundle(case: str):
 
 class TestBoundSettle:
     @pytest.mark.parametrize("case, lists", [
-        ("harnack-scan", 8),   # 8 slots, an even number: one list a slot
-        ("pair-3-slots", 6),   # 3 slots, an odd number: one list a slot and state array
-        ("exact", 2),          # one draw a step, from either state array
+        ("harnack-scan", 8),   # 8 slots: one list a slot
+        ("pair-3-slots", 3),   # 3 slots, an odd number: still one list a slot
+        ("exact", 1),          # one draw a step, from the one state array
     ])
     def test_an_exit_adds_no_step_lists(self, monkeypatch, case, lists):
         # pins: a group binds each list once, before and after its first
@@ -1232,6 +1239,30 @@ class TestBoundSettle:
         bundle = exiting_bundle(case)
         assert bundle.exited.any() and not bundle.exited.all()
         assert len(binds) == lists
+
+    @pytest.mark.parametrize("domain", [BOX04, FULL1], ids=["exits", "in-place"])
+    def test_an_observer_sees_each_step_from_the_last(self, domain):
+        # pins: an observer's prev at step k is its new at step k - 1, and
+        # the start at step 1, whether a step writes a second array and
+        # freezes it into the states or writes the states in place
+        cfg = PathConfig(dt=1e-2, seed=8, n_paths=300, horizon=0.3)
+
+        class StepObserver(NoOpObserver):
+            def __init__(self):
+                self.seen = []
+
+            def observe(self, sl, k, t, prev, new, alive, logw=None):
+                self.seen.append((prev.copy(), new.copy()))
+
+        watch = StepObserver()
+        bundle = simulate_bundle(build_sde_coefficients(make_sing_1d(b0=0.5)),
+                                 Point((3.5,), ()), domain, cfg, observers=(watch,))
+        assert len(watch.seen) == cfg.n_steps
+        assert np.array_equal(watch.seen[0][0], np.full((cfg.n_paths, 1), 3.5))
+        for (_, new), (prev, _) in zip(watch.seen, watch.seen[1:]):
+            assert new.tobytes() == prev.tobytes()
+        assert watch.seen[-1][1].tobytes() == bundle.states[:, -1].tobytes()
+        assert bundle.exited.any() == (domain is BOX04)
 
     def test_an_observer_sees_the_paths_alive_before_each_step(self):
         # pins: the exits a step finds are settled before the observers run,

@@ -21,5 +21,6 @@ def test_the_rows_on_simulate_internals_build_and_run():
     girsanov = operator_from_json(step_rates._model("girsanov_consistency.json"))
     pair = make_girsanov_field(girsanov, derive_singular_from_standard(girsanov))
     for row in (step_rates._step(harnack), step_rates._bound_pair_step(pair, 8),
-                step_rates._group_step(harnack)):
+                step_rates._group_step(*step_rates._harnack_group(0)),
+                step_rates._group_step(*step_rates._harnack_group(1))):
         row()
