@@ -1,14 +1,15 @@
 """Time one scheme step per model class: the per-step table of ROADMAP.md.
 
-Each row of the first table is one step of a bundle's stepping loop
-(``simulate._Lanes.step``) over the workspace of a 4096-path block with
-``dt = 1e-3``, timed as the best of 5 repeats of 200 calls and printed in
-milliseconds per call.  Each table is timed round-robin: every repeat runs
-each of its rows once, in turn, so a burst of host noise costs one repeat of
-several rows rather than every repeat of one row.  The states are ``1 + 0.5 U(0, 1)`` on the
-degenerate axis and standard normal on the free one; the normals are drawn
-once.  The models are those of the committed configs (girsanov, harnack,
-validate) plus the validate model with ``a^ = 0.2`` and ``c^ = 0.3``, each
+Each row of the first table is one step of a bundle's stepping loop over
+the workspace of a 4096-path block with ``dt = 1e-3``: its calls bound once
+(``simulate._Lanes.bind_step``) and replayed, untested, as a group steps
+before it tests its last states.  Each is timed as the best of 5 repeats of
+200 calls and printed in milliseconds per call.  Each table is timed
+round-robin: every repeat runs each of its rows once, in turn, so a burst
+of host noise costs one repeat of several rows rather than every repeat of
+one row.  The states are ``1 + 0.5 U(0, 1)`` on the degenerate axis and
+standard normal on the free one; the normals are drawn once.  The models
+are those of the committed configs (girsanov, harnack, validate) plus the validate model with ``a^ = 0.2`` and ``c^ = 0.3``, each
 derived model with and without its drift-change field ``theta``.  Beside
 the girsanov rows stand one block's normal draw, one step of the
 ``girsanov`` command's pair (a one-step draw, then both equations as two
@@ -22,8 +23,8 @@ harnack-scan benchmark workload, 15 starts of 512 paths on the ``[0, 4]``
 box of ``configs/harnack_scan.json``, with 30 % of its paths (drawn at
 random) dead: the bound step and its settle (the freeze, the weight update,
 the exit test and the marks of the exits), as ``simulate_bundle`` replays
-them on a step with no record or observer (such a group tests its states
-for finiteness once, after its last step).  The first is the config's
+them on a step with no record or observer (a group tests its states for
+finiteness once, after its last step).  The first is the config's
 ``n=1, m=0`` group; the second adds a free coordinate of unit ``d`` on
 ``[-2, 2]``, so its freeze moves rows of two coordinates.  The last row
 times the exact scheme's draw.
@@ -133,18 +134,21 @@ def _workspace(eqs, thetas, config):
 
 
 def _step(coeffs, theta=None):
+    """One lane's step, its calls bound once and replayed."""
     lanes, ws = _workspace([coeffs], [theta], CONFIG)
-    return lambda: lanes.step(ws, 1, 0)
+    return lanes.bind_step(ws, 0).run
 
 
 def _pair_step(pair):
-    """A one-step draw, then the standard and the weighted lane on it."""
+    """A one-step draw, then the standard and the weighted lane on it, their
+    calls bound once and replayed."""
     lanes, ws = _workspace([pair.std, pair.sing], [None, pair], CONFIG)
     rng = simulate._block_rng(0, 0)
+    calls = lanes.bind_step(ws, 0)
 
     def step():
         lanes.draw(ws, rng, 1)
-        lanes.step(ws, 1, 0)
+        calls.run()
 
     return step
 

@@ -11,7 +11,8 @@ without ``calls=``, as a library caller does, gets :data:`NOW`, which runs
 each call as the kernel makes it: a kernel reads no array while it binds,
 so the calls run in the same order either way.  Work that cannot be bound, an
 eigen-decomposition or a lattice interpolation, is bound as one call to its
-own eager entry (:func:`assign`).
+own eager entry (:func:`assign`), which costs a Python call a step.  What a
+list holds changes its cost, not how the stepping loop tests its states.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-__all__ = ["Calls", "NOW", "assign", "numpy_only"]
+__all__ = ["Calls", "NOW", "assign"]
 
 
 class Calls(list):
@@ -50,13 +51,3 @@ NOW = _Now()
 def assign(out: np.ndarray, fn, *args) -> None:
     """``fn(*args)`` written into ``out``: an eager entry bound as one call."""
     np.copyto(out, fn(*args))
-
-
-# the NumPy routines a bound call may run besides a ufunc
-_ROUTINES = (np.copyto, np.einsum, np.putmask)
-
-
-def numpy_only(calls: Calls) -> bool:
-    """Whether every call of ``calls`` is a NumPy ufunc or routine, so that
-    replaying them runs no Python: no eager entry, solve or closure."""
-    return all(isinstance(c.func, np.ufunc) or c.func in _ROUTINES for c in calls)

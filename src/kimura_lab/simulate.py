@@ -71,14 +71,15 @@ records.  Capping a draw at ``BOUND_SLOTS`` steps bounds what a group
 binds.
 
 A state that is not finite stays so: NaN and +inf survive the update, the
-projection onto ``x >= 0`` and the freeze.  So a group whose lists are NumPy
-calls alone and that has no observers tests its states once, after its last
-step; only when that test fails does it step again from its starts, testing
-each step's states after the freeze, which raises NumericFailureError at
-the first step that left a state not finite.  A group whose lists hold an
-eager entry (``calls.assign``) or a solve, or that has observers, tests
-each step's states so; the exact scheme tests none.  A dead path's
-discarded step is never tested: the freeze leaves it in the second array.
+projection onto ``x >= 0`` and the freeze.  So every group, whatever its
+lists hold and whether or not it has observers, steps untested and tests its
+states once, after its last step.  Only when that test fails, or a step
+raises (an eager entry, ``calls.assign``, that refuses a state that is not
+finite), does it step again from its starts, testing each step's states
+after the freeze: that raises NumericFailureError at the first step that
+left a state not finite, and else the entry raises its own error again.  A
+dead path's discarded step is never tested: the freeze leaves it in the
+second array.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ from .errors import (
     InvalidStartError,
     NumericFailureError,
 )
-from .calls import NOW, Calls, assign, numpy_only
+from .calls import NOW, Calls, assign
 from .geometry import DomainSpec, Point, StateSpaceDims
 from .records import record
 from .sde import GirsanovField, SdeCoefficients, StandardSdeCoefficients
@@ -482,20 +483,13 @@ class _Lanes:
         if ws.sxi is not None:
             np.multiply(xi, self.sqdt, out=ws.sxi[:c])
 
-    def step(self, ws: "_Workspace", k: int, j: int) -> None:
-        """Step ``k`` of every lane of ``ws``, from ``cur`` into ``out``, on
-        the normals ``j`` of the last draw, with the weighted lanes'
-        log-weight drops in ``drop``: :meth:`bind_step` run once, then
-        :meth:`check_finite`."""
-        ws.step[()] = k
-        self.bind_step(ws, j).run()
-        self.check_finite(ws.out, ws)
-
     def bind_step(self, ws: "_Workspace", j: int, kernels: dict | None = None) -> Calls:
         """The calls of a step of every lane of ``ws`` from ``ws.cur`` into
-        ``ws.out`` on the normals ``j`` of a draw.  They are NumPy calls
-        alone unless a kernel binds an eager entry (``calls.assign``) or a
-        solve.
+        ``ws.out`` on the normals ``j`` of a draw, with the weighted lanes'
+        log-weight drops in ``ws.drop``.  They test no state: a group tests
+        its states alike whether a kernel binds NumPy calls alone or an
+        eager entry (``calls.assign``) or a solve (see
+        :meth:`check_finite`).
 
         ``kernels`` keeps each lane's kernels (:meth:`_bind_lane`), which
         read ``cur`` and no draw, so that the steps on every slot of a draw
@@ -614,9 +608,10 @@ class _Lanes:
         """NumericFailureError at step ``ws.step`` when a state of ``new`` is
         not finite, naming the first such path of the block.
 
-        The stepping loop tests its states after the freeze: each step's
-        when a step list holds a call that is not NumPy's or the bundle has
-        observers, else only the last ones (see :func:`simulate_bundle`)."""
+        A group tests its last states once (:meth:`finite`); only when that
+        test fails, or a step raises, does it step again from its starts
+        and test each step's states after the freeze with this (see
+        :func:`simulate_bundle`)."""
         if not _Lanes.finite(new):
             finite = np.isfinite(new).all(axis=-1).ravel()
             bad = int(np.flatnonzero(~finite)[0])
@@ -732,7 +727,9 @@ def simulate_bundle(
     running per-path log weight (None without a drift-change field).  The
     arrays are views of the group's workspace, which the next step
     overwrites, so an observer copies what it keeps.  They must write only
-    into per-path or per-block slots (blocks may run concurrently).
+    into per-path or per-block slots (blocks may run concurrently).  Before
+    a run raises NumericFailureError they may see states that are not
+    finite, and the steps of the failing group twice.
 
     On a domain without an exit boundary (``domain.exit_test`` is None)
     no path can leave, so the exit test is skipped.  There, and with
@@ -800,8 +797,6 @@ def simulate_bundle(
 
     exit_test = domain.exit_test
     jump = params_exact is not None and exit_test is None and not observers
-    # the exact scheme draws finite states from finite ones and tests none
-    tested = params_exact is None
 
     lanes = _Lanes(eqs, thetas, config)
     dt = config.dt
@@ -835,11 +830,9 @@ def simulate_bundle(
             draw_steps = 1
         w = lanes.weighted
 
-        def walk(each: bool | None) -> tuple:
-            """Step the group from its starts in a new workspace: that
-            workspace and whether each step's states were tested, after its
-            freeze.  ``each`` None tests them only when a step's list holds
-            a call that is not NumPy's or there are observers."""
+        def walk(each: bool) -> _Workspace:
+            """Step the group from its starts in a new workspace and return
+            it; with ``each``, test each step's states after its freeze."""
             rng = _block_rng(config.seed, block)
             ws = _Workspace(lanes, start_states, nb, draw_steps, in_place=exit_test is None)
             # the states before the step, for the observers
@@ -882,11 +875,6 @@ def simulate_bundle(
             # one step list per slot of a draw: step k replays list
             # (k - 1) % draw_steps
             steps: list = [None] * draw_steps
-            if each is None:
-                steps[0] = bind(0)
-                each = tested and (bool(observers) or not numpy_only(steps[0]))
-                if each:
-                    steps[0].add(lanes.check_finite, ws.cur, ws)
             # the steps settled in Python
             watched = range(1, n_steps + 1) if observers else record_idx
             for k in range(1, n_steps + 1):
@@ -901,15 +889,21 @@ def simulate_bundle(
                     call()
                 if k in watched:
                     settle(k)
-            return ws, each
+            return ws
 
-        ws, each = walk(None)
-        if tested and not each and not lanes.finite(ws.cur):
-            # NaN and +inf survive the update, the projection onto x >= 0
-            # and the freeze, so a state that was not finite after some
-            # step's freeze is not finite now: the walk that tests each step
-            # raises at the first such step
-            ws, _ = walk(True)
+        # NaN and +inf survive the update, the projection onto x >= 0 and
+        # the freeze, so a state that was not finite after some step's
+        # freeze is not finite at the end, nor when a later step reads it:
+        # the walk that tests each step raises at the first such step
+        try:
+            ws = walk(False)
+        except Exception:
+            # a step raised, say an eager entry that refuses a state that is
+            # not finite; if no state was, the entry raises its error again
+            walk(True)
+            raise
+        if not lanes.finite(ws.cur):
+            ws = walk(True)
         # the exits, from the dead paths, whose states froze there
         dead = ~ws.alive.reshape(n_eqs, n_st, nb)
         exited[:, group, sl] = dead

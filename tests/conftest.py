@@ -63,7 +63,9 @@ def advance(coeffs, theta, config, states, xi, k=1):
     ws = _Workspace(lanes, np.asarray(states, dtype=float), len(xi), 1)
     ws.xi[0] = xi
     lanes.read_draw(ws, 1)
-    lanes.step(ws, k, 0)
+    ws.step[()] = k
+    lanes.bind_step(ws, 0).run()
+    lanes.check_finite(ws.out, ws)
     return ws.new[0], None if theta is None else -ws.drop[0]
 
 

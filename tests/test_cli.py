@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from test_simulate import REFUSING_OVERFLOW
+
 from kimura_lab import cli, simulate
 from kimura_lab.cli import main
 
@@ -263,6 +265,28 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     code, _ = run(tmp_path, doc)
     assert code == 3
     assert "numeric" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_an_entry_that_refuses_a_state_exits_3(tmp_path, capsys, monkeypatch, threads):
+    # b^ = 1 + 1e200 x through an entry that raises ValueError on a state
+    # that is not finite: the run still ends in the numeric failure that
+    # names the overflow, not in the entry's error
+    monkeypatch.setattr(cli, "operator_from_json", lambda model: REFUSING_OVERFLOW)
+    doc = {
+        "command": "simulate",
+        "seed": 3,
+        "model": MODEL_HALF,
+        "z0": [1.0],
+        "sim": {"dt": 0.01, "n_paths": simulate.RNG_BLOCK + 4, "horizon": 0.1},
+    }
+    code, _ = run(tmp_path, doc, "--threads", threads)
+    assert code == 3
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["kind"] == "numeric"
+    assert diag["message"] == "non-finite state at step 2 (block path 0)"
 
 
 def load_config(name):

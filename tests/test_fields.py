@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from kimura_lab.calls import Calls, numpy_only
+from test_simulate import numpy_calls_alone
+
+from kimura_lab.calls import Calls
 from kimura_lab.fields import (
     AffineField,
     CallableField,
@@ -157,12 +159,13 @@ def test_one_entry_vector_keeps_a_trailing_axis():
 ], ids=["trig", "constant"])
 def test_a_field_binds_into_a_column_as_numpy_calls(field, closed_form):
     # bound into a strided column, as a drift writes each entry, the field
-    # is NumPy calls alone, which give the bytes of its closed form
+    # is NumPy calls alone, which give the bytes of its closed form; the
+    # calls pin a step's cost (no Python call), not how its group is tested
     states = 3.0 * np.random.default_rng(11).normal(size=(257, 2))
     out = np.full((257, 3), np.nan)
     calls = Calls()
     assert field.evaluate_into(states, out[:, 1], calls=calls) is not None
-    assert numpy_only(calls) and np.isnan(out).all()
+    assert numpy_calls_alone(calls) and np.isnan(out).all()
     calls.run()
     assert out[:, 1].tobytes() == closed_form(states).tobytes()
     assert field.evaluate_batch(states).tobytes() == closed_form(states).tobytes()

@@ -927,9 +927,10 @@ def test_each_kernel_returns_the_out_it_is_given(model, folded):
 
 def _eager_run(eqs, thetas, starts, domain, config):
     """Final states, final log weights and exit flags by lane, start and
-    path: each block stepped by the eager ``_Lanes.step`` on one-step draws,
-    from ``cur`` into ``new``, with the freeze (coordinate by coordinate),
-    the weight update and the exit test kept here."""
+    path: each block stepped on one-step draws by a step bound afresh and
+    tested for finiteness every time, from ``cur`` into ``new``, with the
+    freeze (coordinate by coordinate), the weight update and the exit test
+    kept here."""
     lanes = simulate._Lanes(eqs, thetas, config)
     origins = np.stack([z.vector for z in starts])
     blocks = []
@@ -940,7 +941,9 @@ def _eager_run(eqs, thetas, starts, domain, config):
         dead = np.zeros(ws.alive.shape, dtype=bool)
         for k in range(1, config.n_steps + 1):
             lanes.draw(ws, rng, 1)
-            lanes.step(ws, k, 0)
+            ws.step[()] = k
+            lanes.bind_step(ws, 0).run()
+            lanes.check_finite(ws.out, ws)
             np.copyto(ws.new, ws.cur, where=dead[..., None])
             if ws.logw is not None:
                 np.subtract(ws.logw, ws.drop, out=ws.logw, where=~dead[lanes.weighted])

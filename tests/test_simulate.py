@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 import os
@@ -11,8 +12,9 @@ import pytest
 from conftest import advance, make_sing_1d, make_std_1d, mean_se
 
 from kimura_lab import simulate
-from kimura_lab.calls import Calls, numpy_only
+from kimura_lab.calls import Calls
 from kimura_lab.errors import InvalidStartError, NumericFailureError
+from kimura_lab.feynman_kac import estimate_inhomogeneous
 from kimura_lab.fields import CallableField, FieldMatrix, FieldVector
 from kimura_lab.geometry import DomainSpec, Point, StateSpaceDims
 from kimura_lab.operators import (
@@ -1024,8 +1026,10 @@ class TestProjectedStates:
 
     @pytest.mark.parametrize("name", list(PROJECTED_DOMAINS))
     def test_every_exit_test_binds_numpy_calls_alone(self, name):
-        # every shape's exit test replays as NumPy calls, so its groups test
-        # finiteness once; one read back from its JSON binds the same calls
+        # every shape's exit test replays as NumPy calls, so it costs a
+        # step no Python call (this pins a cost: a group tests finiteness
+        # once whatever its lists hold); one read back from its JSON binds
+        # the same calls
         domain, _ = PROJECTED_DOMAINS[name]
         back = DomainSpec.from_json(domain.to_json())
         states = projected_states(domain, 1000, seed=len(name))
@@ -1033,7 +1037,7 @@ class TestProjectedStates:
         for spec in (domain, back):
             calls, out = Calls(), np.empty(len(states), dtype=bool)
             spec.exit_test.bind(states, out, calls)
-            assert numpy_only(calls)
+            assert numpy_calls_alone(calls)
             calls.run()
             bound.append(([(c.func, [a for a in c.args if isinstance(a, float)]) for c in calls],
                           out.tobytes()))
@@ -1042,7 +1046,7 @@ class TestProjectedStates:
 
 
 # ---------------------------------------------------------------------------
-# The finiteness test: once a group when its steps are NumPy calls alone
+# The finiteness test: once a group, then each step only to name a failure
 # ---------------------------------------------------------------------------
 
 # b^ = 1 + 1e200 x: a start at x = 1 is near 1e198 after one step of
@@ -1051,6 +1055,21 @@ OVERFLOW = make_std_1d(b0=1.0, slope=1e200)
 # the same b^ read through its own Python entry (calls.assign) each step
 EAGER_OVERFLOW = replace(OVERFLOW, b_hat=FieldVector([
     CallableField(lambda s: 1.0 + 1e200 * s[..., 0])]))
+
+
+def _refuse_not_finite(s):
+    if not np.isfinite(s).all():
+        raise ValueError("b^ of a state that is not finite")
+    return 1.0 + 1e200 * s[..., 0]
+
+
+# the eager b^ of an entry that refuses a state that is not finite: a
+# walk untested raises its ValueError at the step after the overflow
+REFUSING_OVERFLOW = replace(OVERFLOW, b_hat=FieldVector([CallableField(_refuse_not_finite)]))
+# states, tau, exited and exit states of the exact-scheme bundle on [0, 4]
+# of test_an_exact_scheme_group_tests_once_and_keeps_its_bytes, pinned
+# from a run that tested no state: the test of the last states moves no bit
+EXACT_BOX_SHA256 = "4378c71c411ff708bac4d24fa65bd380d903f09eff2808092287baf6c0965c77"
 # a box that a state leaves only by overflowing
 WIDE_BOX = DomainSpec.box(DIMS1, [(0.0, 1e300)])
 # two blocks, so that two threads each run a group
@@ -1123,10 +1142,12 @@ class TestFinitenessTest:
         assert bundle.exited.all() and np.isfinite(bundle.exit_state).all()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("n_threads", [1, 2])
-    def test_an_eager_field_tests_every_step(self, monkeypatch, n_threads):
-        # a field read through its own Python entry (calls.assign) keeps
-        # the test of every step, in a failing run and in a finite one
+    def test_an_eager_field_tests_once(self, monkeypatch, n_threads):
+        # a field read through its own Python entry (calls.assign) follows
+        # the one rule: a finite run tests its last states only, and a
+        # failing one steps again testing each step
         tested = record_tested_steps(monkeypatch)
         with pytest.raises(NumericFailureError) as failure:
             overflow_bundle("one", FULL1, n_threads, std_op=EAGER_OVERFLOW)
@@ -1136,14 +1157,86 @@ class TestFinitenessTest:
         tested.clear()
         cfg = PathConfig(dt=1e-2, seed=5, n_paths=RNG_BLOCK + 4, horizon=0.3)
         calm = replace(OVERFLOW, b_hat=FieldVector([CallableField(lambda s: 1.0 + s[..., 0])]))
-        simulate_bundle(build_standard_sde_coefficients(calm), Point((1.0,), ()), BOX04, cfg,
-                        n_threads=n_threads)
-        # each step of both groups, one workspace a group
-        assert list(tested.values()) == [list(range(1, cfg.n_steps + 1))] * 2
+        bundle = simulate_bundle(build_standard_sde_coefficients(calm), Point((1.0,), ()), BOX04,
+                                 cfg, n_threads=n_threads)
+        assert np.isfinite(bundle.states).all() and tested == {}
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    @pytest.mark.parametrize("lanes", ["one", "pair", "packed"])
+    def test_an_entry_that_refuses_a_state_ends_in_the_numeric_failure(
+            self, monkeypatch, lanes, n_threads):
+        # the untested walk ends in the entry's ValueError at step 3; the
+        # walk that tests each step names the overflow of step 2 instead
+        tested = record_tested_steps(monkeypatch)
+        with pytest.raises(NumericFailureError) as failure:
+            overflow_bundle(lanes, FULL1, n_threads, std_op=REFUSING_OVERFLOW)
+        assert str(failure.value) == "non-finite state at step 2 (block path 0)"
+        assert 1 <= len(tested) <= n_threads
+        assert all(steps == [1, 2] for steps in tested.values())
+
+    def test_an_entry_error_without_a_state_not_finite_is_raised_again(self):
+        # a step that raises on finite states raises alike in the walk that
+        # tests each step
+        def refuse(s):
+            raise ValueError("refused")
+
+        std = build_standard_sde_coefficients(
+            replace(OVERFLOW, b_hat=FieldVector([CallableField(refuse)])))
+        with pytest.raises(ValueError, match="refused"):
+            simulate_bundle(std, Point((1.0,), ()), FULL1, OVERFLOW_CONFIG)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_an_observer_group_tests_once(self, monkeypatch, n_threads):
+        # a source integral watches every step of its group from Python,
+        # yet the group tests its last states only; when they overflow it
+        # steps again and names the step that a test of every step names
+        tested = record_tested_steps(monkeypatch)
+
+        def source(t, states):
+            return states[:, 0]
+
+        std = build_standard_sde_coefficients(OVERFLOW)
+        with pytest.raises(NumericFailureError) as failure:
+            estimate_inhomogeneous(std, None, source, 0.1, Point((1.0,), ()), FULL1,
+                                   OVERFLOW_CONFIG, n_threads=n_threads)
+        assert str(failure.value) == "non-finite state at step 2 (block path 0)"
+        assert 1 <= len(tested) <= n_threads
+        assert all(steps == [1, 2] for steps in tested.values())
+        tested.clear()
+        calm = build_standard_sde_coefficients(make_std_1d(b0=1.0))
+        est = estimate_inhomogeneous(calm, None, source, 0.3, Point((1.0,), ()), BOX04,
+                                     replace(OVERFLOW_CONFIG, horizon=0.3), n_threads=n_threads)
+        assert math.isfinite(est.value) and tested == {}
+
+    def test_an_exact_scheme_group_tests_once_and_keeps_its_bytes(self, monkeypatch):
+        # on a box the exact scheme steps a draw at a time; like every
+        # group it tests its last states once, which changes no byte
+        cfg = PathConfig(dt=1e-2, seed=7, n_paths=RNG_BLOCK + 4, horizon=0.3,
+                         scheme="exact-1d-gamma")
+        coeffs = build_sde_coefficients(make_sing_1d(b0=0.5))
+        tested = record_tested_steps(monkeypatch)
+        bundle = simulate_bundle(coeffs, Point((1.0,), ()), BOX04, cfg)
+        assert bundle.exited.any() and not bundle.exited.all() and tested == {}
+        assert hashlib.sha256(b"".join(
+            getattr(bundle, f).tobytes() for f in ("states", "tau", "exited", "exit_state")
+        )).hexdigest() == EXACT_BOX_SHA256
 
 
 # the NumPy routines a bound call may run besides a ufunc
 NUMPY_ROUTINES = (np.copyto, np.einsum, np.putmask)
+
+
+def numpy_calls_alone(calls) -> bool:
+    """Whether every call of ``calls`` is a NumPy ufunc or routine bound
+    directly, so that replaying them runs no Python: no eager entry, solve
+    or closure.  This pins what a step costs; a group tests its states for
+    finiteness the same way whatever its calls are."""
+    return all(isinstance(c, functools.partial)
+               and (isinstance(c.func, np.ufunc) or c.func in NUMPY_ROUTINES) for c in calls)
 
 
 @pytest.mark.parametrize("config", ["girsanov_consistency", "harnack_scan", "validate_model"])
@@ -1151,7 +1244,9 @@ def test_committed_models_replay_numpy_alone(monkeypatch, config):
     # every call a step of the committed models binds, the marks of its
     # exits included, is a NumPy ufunc or routine bound directly, and a
     # ufunc takes its out positionally and no where=True; np.maximum takes
-    # out=, as NumPy 2.4 deprecates a third positional argument to it
+    # out=, as NumPy 2.4 deprecates a third positional argument to it.
+    # This pins the per-step cost (no Python call a step), not a code
+    # path: the groups test their last states once, as every group does
     bound = []
     for name in ("bind_step", "bind_settle"):
         original = getattr(simulate._Lanes, name)
@@ -1184,10 +1279,9 @@ def test_committed_models_replay_numpy_alone(monkeypatch, config):
                                  DomainSpec.from_json(doc["domain"]), cfg)
         assert bundle.exited.any()
     assert bound and tested == {}
+    assert numpy_calls_alone(bound), [getattr(c, "func", c) for c in bound]
     for call in bound:
-        assert isinstance(call, functools.partial)
         fn = call.func
-        assert isinstance(fn, np.ufunc) or fn in NUMPY_ROUTINES, fn
         if isinstance(fn, np.ufunc):
             assert fn is np.maximum or "out" not in call.keywords
             assert call.keywords.get("where") is not True

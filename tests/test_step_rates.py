@@ -20,7 +20,10 @@ def test_the_rows_on_simulate_internals_build_and_run():
     harnack = build_sde_coefficients(operator_from_json(step_rates._model("harnack_scan.json")))
     girsanov = operator_from_json(step_rates._model("girsanov_consistency.json"))
     pair = make_girsanov_field(girsanov, derive_singular_from_standard(girsanov))
-    for row in (step_rates._step(harnack), step_rates._bound_pair_step(pair, 8),
-                step_rates._group_step(*step_rates._harnack_group(0)),
-                step_rates._group_step(*step_rates._harnack_group(1))):
+    rows = [step_rates._step(harnack), step_rates._step(pair.std), step_rates._pair_step(pair),
+            step_rates._bound_pair_step(pair, 8),
+            step_rates._group_step(*step_rates._harnack_group(0)),
+            step_rates._group_step(*step_rates._harnack_group(1))]
+    rows += [fn for _, fn in step_rates._derived_rows("girsanov", girsanov)]
+    for row in rows:
         row()
