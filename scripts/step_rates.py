@@ -21,10 +21,10 @@ steps, the command's eleven record times; best of 5 bundles).  After the harnack
 row stand two whole steps of a harnack group at the size of the
 harnack-scan benchmark workload, 15 starts of 512 paths on the ``[0, 4]``
 box of ``configs/harnack_scan.json``, with 30 % of its paths (drawn at
-random) dead: the bound step and its settle (the freeze, the weight update,
-the exit test and the marks of the exits), as ``simulate_bundle`` replays
-them on a step with no record or observer (a group tests its states for
-finiteness once, after its last step).  The first is the config's
+random) dead: the block's draw, the bound step and its settle (the freeze,
+the weight update, the exit test and the marks of the exits), as
+``simulate_bundle`` replays them on a step with no record or observer (a
+group tests its states for finiteness once, after its last step).  The first is the config's
 ``n=1, m=0`` group; the second adds a free coordinate of unit ``d`` on
 ``[-2, 2]``, so its freeze moves rows of two coordinates.  The last row
 times the exact scheme's draw.
@@ -75,6 +75,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from kimura_lab import feynman_kac, simulate  # noqa: E402
+from kimura_lab.calls import Calls  # noqa: E402
 from kimura_lab.fields import field_from_json  # noqa: E402
 from kimura_lab.geometry import DomainSpec, Point, StateSpaceDims  # noqa: E402
 from kimura_lab.harnack import LatticeSpec, scale_invariant_scan  # noqa: E402
@@ -124,33 +125,28 @@ def _states_and_normals(dims) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _workspace(eqs, thetas, config):
-    """A one-step draw's workspace for ``eqs`` on one block of fixed states."""
+    """The workspace of ``eqs`` on one block of fixed states and normals."""
     states, xi = _states_and_normals(eqs[0].dims)
     lanes = _Lanes(eqs, thetas, config)
-    ws = _Workspace(lanes, states, RNG_BLOCK, 1)
-    ws.xi[0] = xi
-    lanes.read_draw(ws, 1)
+    ws = _Workspace(lanes, states, RNG_BLOCK)
+    ws.xi[...] = xi
     return lanes, ws
 
 
 def _step(coeffs, theta=None):
     """One lane's step, its calls bound once and replayed."""
     lanes, ws = _workspace([coeffs], [theta], CONFIG)
-    return lanes.bind_step(ws, 0).run
+    return lanes.bind_step(ws).run
 
 
 def _pair_step(pair):
     """A one-step draw, then the standard and the weighted lane on it, their
-    calls bound once and replayed."""
+    calls bound once and replayed, the draw among them as a group binds it."""
     lanes, ws = _workspace([pair.std, pair.sing], [None, pair], CONFIG)
-    rng = simulate._block_rng(0, 0)
-    calls = lanes.bind_step(ws, 0)
-
-    def step():
-        lanes.draw(ws, rng, 1)
-        calls.run()
-
-    return step
+    calls = Calls()
+    calls.add(simulate._block_rng(0, 0).standard_normal, out=ws.xi)
+    calls += lanes.bind_step(ws)
+    return calls.run
 
 
 def _bound_pair_step(pair, n_paths: int):
@@ -160,10 +156,9 @@ def _bound_pair_step(pair, n_paths: int):
     config = replace(CONFIG, n_paths=n_paths)
     lanes = _Lanes([pair.std, pair.sing], [None, pair], config)
     # on full space, so a step writes its states in place
-    ws = _Workspace(lanes, states[:n_paths], n_paths, 1, in_place=True)
-    ws.xi[0] = xi[:n_paths]
-    lanes.read_draw(ws, 1)
-    return lanes.bind_step(ws, 0).run
+    ws = _Workspace(lanes, states[:n_paths], n_paths, in_place=True)
+    ws.xi[...] = xi[:n_paths]
+    return lanes.bind_step(ws).run
 
 
 def _harnack_group(m: int) -> tuple:
@@ -186,12 +181,13 @@ def _group_step(coeffs, domain):
     lanes = _Lanes([coeffs], [None], config)
     starts = np.zeros((SCAN_STARTS, coeffs.dims.total))
     starts[:, 0] = np.linspace(0.2, 3.8, SCAN_STARTS)
-    ws = _Workspace(lanes, np.repeat(starts, SCAN_PATHS, axis=0), SCAN_PATHS, 1)
-    lanes.draw(ws, simulate._block_rng(0, 0), 1)
+    ws = _Workspace(lanes, np.repeat(starts, SCAN_PATHS, axis=0), SCAN_PATHS)
     np.greater_equal(np.random.Generator(np.random.Philox(key=3)).random(ws.alive.shape), 0.3,
                      out=ws.alive)
     ws.step[()] = 1
-    calls = lanes.bind_step(ws, 0) + lanes.bind_settle(ws, domain.exit_test)
+    calls = Calls()
+    calls.add(simulate._block_rng(0, 0).standard_normal, out=ws.xi)
+    calls += lanes.bind_step(ws) + lanes.bind_settle(ws, domain.exit_test)
 
     def step():
         for call in calls:
@@ -386,7 +382,7 @@ def main() -> None:
            _bound_pair_step(pair, n)) for n in (8, RNG_BLOCK)],
         ("singular 1D, constant b (harnack config)", _step(harnack)),
         *[(f"harnack group step, n=1, m={m}, {SCAN_STARTS} starts x {SCAN_PATHS} paths, "
-           "30 % dead: bound step, freeze, exit test", _group_step(*_harnack_group(m)))
+           "30 % dead: draw, bound step, freeze, exit test", _group_step(*_harnack_group(m)))
           for m in (0, 1)],
         *_derived_rows("n=1, m=1 (validate config)", operator_from_json(validate)),
         *_derived_rows("n=1, m=1 with a^ = 0.2, c^ = 0.3", operator_from_json(coupled)),

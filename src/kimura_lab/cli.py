@@ -230,10 +230,15 @@ def _point(doc: dict, key: str, dims: StateSpaceDims) -> Point:
 
 
 def _write_results(out_dir: str, doc: dict, name: str = "results.json") -> str:
+    """Write ``doc`` as strict JSON; a value that is not finite is a
+    NumericFailureError, raised before the file is opened."""
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericFailureError(f"{name}: {exc}") from None
     path = os.path.join(out_dir, name)
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
 
 

@@ -69,12 +69,14 @@ class HarnackReport:
     flag: str = ""
 
     def to_json(self) -> dict:
+        """The report as strict JSON values: a ratio that is not finite is
+        null, its flag saying why."""
         return {
             "sup": self.sup_value,
             "sup_stderr": self.sup_stderr,
             "inf": self.inf_value,
             "inf_stderr": self.inf_stderr,
-            "ratio": self.ratio,
+            "ratio": self.ratio if math.isfinite(self.ratio) else None,
             "radius": self.radius,
             "sup_time_window": list(self.sup_cylinder),
             "inf_time_window": list(self.inf_cylinder),

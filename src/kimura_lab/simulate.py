@@ -22,11 +22,9 @@ block's normals, which a step broadcasts over the starts; full
 ``RNG_BLOCK``-path blocks pack too.  Each start's paths are therefore
 bit-equal to a bundle of that start alone, while a scan of many starts takes
 a few large steps instead of many small ones.  A group draws its block's
-normals as many steps at a time as fit ``DRAW_FLOATS`` floats, at most
-``BOUND_SLOTS`` and never past the last step, which gives the bytes of one
-draw a step.  The exact scheme draws from the state, one step at a time, so
-its starts are never packed; on a domain no path can leave it steps from one
-record time to the next in one draw.
+normals one step at a time, inside its bound step (below).  The exact
+scheme draws from the state, so its starts are never packed; on a domain no
+path can leave it steps from one record time to the next in one draw.
 
 Several equations of one dimension share a block's normals as starts do: a
 bundle of the standard equation and its weighted divergence-form twin steps
@@ -54,11 +52,12 @@ and the exit test is the domain's ``exit_test``: of its NumPy comparisons,
 only those such a state can fail, not its closed faces ``x_i = 0`` or its
 infinite bounds.
 
-A group binds its steps once (:mod:`kimura_lab.calls`): the first step on
-each slot of a draw makes the list of the step's NumPy calls, each lane's
-kernels bound once for the group, and every later step on that slot
-replays it.  The list holds the scheme update and the settle.  On a domain
-no path can leave, the update writes the state array in place and the
+A group binds its step once (:mod:`kimura_lab.calls`), before its first
+step, as one list of NumPy calls that every step replays.  The list holds
+the block's draw of the step's normals, what they give the lanes (the
+noise of each lane of state-free root, and ``sqrt(dt)`` times the normals
+for the weights), each lane's kernels, the scheme update and the settle.
+On a domain no path can leave, the update writes the state array in place and the
 settle is the weight update alone.  Else the update writes a second array,
 and the settle is the freeze (one ``putmask`` of the live paths' whole
 rows into the state array), the weight update of the live paths, the exit
@@ -67,8 +66,7 @@ marks of the exits it finds, their step and their death.  An exit thus
 adds no list and runs no Python.  Constants are bound as floats and ufuncs
 take their ``out`` positionally.  Only a step with an observer or a record
 write runs more of its own: it calls the observers and writes the
-records.  Capping a draw at ``BOUND_SLOTS`` steps bounds what a group
-binds.
+records.
 
 A state that is not finite stays so: NaN and +inf survive the update, the
 projection onto ``x >= 0`` and the freeze.  So every group, whatever its
@@ -120,11 +118,6 @@ RNG_BLOCK = 4096
 # rows of one packed step array: from 16 blocks up a scan steps no faster,
 # while the group's workspace grows with the budget
 PACK_ROWS = 16 * RNG_BLOCK
-# normals of one draw: as many steps of a block as fit, at least one
-DRAW_FLOATS = 16_384
-# steps of one draw at most: a group binds the calls of a step once for
-# each slot of a draw
-BOUND_SLOTS = 8
 SCHEMES = ("euler-projected", "exact-1d-gamma")
 RECORD_MODES = ("auto", "all", "ends")
 _AUTO_RECORD_BUDGET = 64_000_000  # floats
@@ -433,9 +426,8 @@ class _Lanes:
     decides here, once, what a step does per lane: a folded drift is never
     evaluated (with every lane folded the update adds ``drift * dt``, made
     here), a state-free root makes the noise a function of the normals
-    alone, made once a draw and once for all lanes when their roots are
-    equal, and only a weighted lane runs theta.  The scheme update runs once
-    for every lane.
+    alone, made once for all lanes when their roots are equal, and only a
+    weighted lane runs theta.  The scheme update runs once for every lane.
     """
 
     def __init__(self, eqs: list, thetas: list, config: PathConfig):
@@ -450,7 +442,8 @@ class _Lanes:
             if self.drift_dt.size == 1:
                 # one lane of one coordinate adds its float
                 self.drift_dt = float(self.drift_dt[0, 0, 0])
-        # the lanes whose noise a draw gives; the others take the root of their state
+        # the lanes whose noise the normals alone give; the others take the
+        # root of their state
         self.free_noise = [e for e, eq in enumerate(eqs) if eq.plan.sigma is not None]
         self.shared_noise = len(self.free_noise) == len(eqs) and all(
             np.array_equal(eq.plan.sigma, eqs[0].plan.sigma) for eq in eqs
@@ -466,66 +459,46 @@ class _Lanes:
             if not folded or eq.plan.sigma is None or theta is not None
         ]
 
-    def draw(self, ws: "_Workspace", rng: np.random.Generator, c: int) -> None:
-        """The normals of the block's next ``c`` steps in one draw, bit-equal
-        to ``c`` draws of one step, and what they give every lane."""
-        rng.standard_normal(out=ws.xi[:c])
-        self.read_draw(ws, c)
-
-    def read_draw(self, ws: "_Workspace", c: int) -> None:
-        """From the first ``c`` steps of normals in ``ws.xi``: the noise of
-        each lane whose root is state-free and, for the weights, ``sqrt(dt)``
-        times the normals."""
-        xi = ws.xi[:c]
-        flat = xi.reshape(-1, self.dims.total)
-        for e in self.free_noise:
-            self.eqs[e].noise_batch(flat, flat, out=ws.noise_draw[e, :c].reshape(flat.shape))
-        if ws.sxi is not None:
-            np.multiply(xi, self.sqdt, out=ws.sxi[:c])
-
-    def bind_step(self, ws: "_Workspace", j: int, kernels: dict | None = None) -> Calls:
+    def bind_step(self, ws: "_Workspace") -> Calls:
         """The calls of a step of every lane of ``ws`` from ``ws.cur`` into
-        ``ws.out`` on the normals ``j`` of a draw, with the weighted lanes'
-        log-weight drops in ``ws.drop``.  They test no state: a group tests
-        its states alike whether a kernel binds NumPy calls alone or an
-        eager entry (``calls.assign``) or a solve (see
+        ``ws.out`` on the block's normals in ``ws.xi``, with the weighted
+        lanes' log-weight drops in ``ws.drop``.  They test no state: a group
+        tests its states alike whether a kernel binds NumPy calls alone or
+        an eager entry (``calls.assign``) or a solve (see
         :meth:`check_finite`).
 
-        ``kernels`` keeps each lane's kernels (:meth:`_bind_lane`), which
-        read ``cur`` and no draw, so that the steps on every slot of a draw
-        bind them once.  A lane's noise is bound after its theta, which
-        does not read it; every kernel is bound before the update, which
-        may write ``cur``."""
+        The first calls read the normals: the noise of each lane whose
+        root is state-free and, for the weights, ``sqrt(dt)`` times the
+        normals.  A lane's noise is bound after its theta, which does not
+        read it; every kernel is bound before the update, which may write
+        ``cur``."""
         n, m, d = self.dims.n, self.dims.m, self.dims.total
-        kernels = {} if kernels is None else kernels
-        cur, new = ws.cur, ws.out
-        rx, calls = ws.rx, Calls()
+        cur, new, noise = ws.cur, ws.out, ws.noise
+        xi, rx, calls = ws.xi, ws.rx, Calls()
+        for e in self.free_noise:
+            self.eqs[e].noise_batch(xi, xi, out=noise[e, 0], calls=calls)
+            if noise.shape[1] > 1:
+                # the block's noise for every start's rows
+                calls.add(np.copyto, noise[e, 1:], noise[e, 0])
+        if ws.sxi is not None:
+            calls.add(np.multiply, xi, self.sqdt, ws.sxi)
         if n:
             # a step starts from a projected state or a start: x >= 0 or
             # x = -0.0 (or NaN or +inf, which the group reports), whose root
             # -0.0 reaches only sums that add +0, so the root needs no
             # projection of its own
             calls.add(np.sqrt, cur[..., :n] if m else cur, rx)
-        xi = ws.xi[j]
         if ws.xi_rows is not None:
             # the block's normals once for every start's rows
             calls.add(np.copyto, ws.xi_rows.reshape(ws.starts, ws.nb, d), xi)
             xi = ws.xi_rows
-        if ws.noise is None:
-            noise = ws.noise_draw[:, j, None]
-        else:
-            noise = ws.noise
-            for e in self.free_noise:
-                calls.add(np.copyto, noise[e], ws.noise_draw[e, j])
         for e, eq, theta, folded in self.visited:
-            if e not in kernels:
-                kernels[e] = self._bind_lane(ws, e, eq, theta, folded)
-            lane, sigma, th = kernels[e]
+            lane, sigma, th = self._bind_lane(ws, e, eq, theta, folded)
             calls += lane
             if eq.plan.sigma is None:
                 eq.noise_batch(cur[e], xi, sigma, out=noise[e].reshape(cur[e].shape), calls=calls)
             if theta is not None:
-                sxi = ws.sxi[j]
+                sxi = ws.sxi
                 if d != 1 and ws.sxi_rows is not None:
                     # the dot products of several columns run over the rows
                     calls.add(np.copyto, ws.sxi_rows.reshape(ws.starts, ws.nb, d), sxi)
@@ -628,18 +601,19 @@ class _Workspace:
     ``new``, whose live paths the settle copies into ``cur``.
     ``cur_rows`` and ``new_rows`` view each state as one row of ``8 d``
     bytes, so that copy moves whole rows.  ``new`` also holds the drift
-    term of an update in place.  ``xi`` holds one draw of normals, shape
-    (steps, nb, d), and ``noise_draw`` the noise it gives each lane of
-    state-free root.  ``alive`` marks the live paths of every lane,
-    ``leaving`` the paths that the last step took out of the domain, and
-    ``exit_step`` holds the step at which each dead path left.  ``logw``
-    holds the log weights of the weighted lanes and ``drop`` what the last
-    step takes off them.  ``step``, a 0-d int64 that the stepping loop
+    term of an update in place.  ``xi`` holds the block's normals of a
+    step, shape (nb, d), and ``noise`` the noise of every lane, shape
+    (lanes, starts, nb, d); when every root is state-free it holds one
+    block's rows, (lanes, 1, nb, d), which the update broadcasts over the
+    starts, and one lane of them when the lanes share their root.
+    ``alive`` marks the live paths of every lane, ``leaving`` the paths
+    that the last step took out of the domain, and ``exit_step`` holds the
+    step at which each dead path left.  ``logw`` holds the log weights of
+    the weighted lanes and ``drop`` what the last step takes off them.  ``step``, a 0-d int64 that the stepping loop
     sets, is the step being taken.
     """
 
-    def __init__(self, lanes: _Lanes, start: np.ndarray, nb: int, draw_steps: int,
-                 in_place: bool = False):
+    def __init__(self, lanes: _Lanes, start: np.ndarray, nb: int, in_place: bool = False):
         n_lanes, (rows, d), n = len(lanes.eqs), start.shape, lanes.dims.n
         self.nb, self.rows, self.starts = nb, rows, rows // nb
         # (lane, start, block path): the shape that repeats a block's noise
@@ -658,12 +632,11 @@ class _Workspace:
             for e, eq in enumerate(lanes.eqs):
                 if lanes.folded[e]:
                     self.drift[e] = eq.plan.drift
-        self.xi = np.empty((draw_steps, nb, d))
+        self.xi = np.empty((nb, d))
         noise_lanes = 1 if lanes.shared_noise else n_lanes
-        self.noise_draw = np.empty((noise_lanes, draw_steps, nb, d))
         state_noise = len(lanes.free_noise) < noise_lanes
-        self.noise = np.empty(self.by_start + (d,)) if state_noise else None
         noise_rows = self.by_start if state_noise else (noise_lanes, 1, nb)
+        self.noise = np.empty(noise_rows + (d,))
         self.y_term = np.empty(noise_rows + (lanes.dims.m,)) if lanes.dims.m else None
         # the block's normals repeated for every start, where a kernel reads
         # them row by row: the noise of a state-dependent root, and theta's
@@ -673,7 +646,7 @@ class _Workspace:
             self.xi_rows = np.empty((rows, d))
         self.sxi = self.logw = self.drop = self.theta = self.theta_sq = None
         if lanes.weighted is not None:
-            self.sxi = np.empty((draw_steps, nb, d))
+            self.sxi = np.empty((nb, d))
             if d != 1 and self.starts > 1:
                 self.sxi_rows = np.empty((rows, d))
             n_weighted = lanes.weighted.stop - lanes.weighted.start
@@ -710,8 +683,8 @@ def simulate_bundle(
     :meth:`PathBundle.per_start` splits it into bundles that are bit-equal
     to simulating each start alone.  A block of up to ``PACK_ROWS // nb``
     starts (``nb`` the block's paths) is a group that steps as one array in
-    one workspace and draws its normals a chunk of steps at a time; the
-    groups, not the blocks, are what threads run.
+    one workspace and draws its normals a step at a time; the groups, not
+    the blocks, are what threads run.
 
     ``coeffs`` may likewise be a sequence of equations of one dimension.
     They share each block's normals as starts do: every step of a group is
@@ -822,19 +795,13 @@ def simulate_bundle(
                 states_rec[0, group, sl, record_idx[k]] = x.reshape(n_st, nb, total)
                 k_prev = k
             return
-        # the normals of as many steps as fit DRAW_FLOATS, at most
-        # BOUND_SLOTS and never past the last; the exact scheme draws from
-        # the state, a step at a time
-        draw_steps = min(max(DRAW_FLOATS // (nb * total), 1), BOUND_SLOTS, n_steps)
-        if params_exact is not None:
-            draw_steps = 1
         w = lanes.weighted
 
         def walk(each: bool) -> _Workspace:
             """Step the group from its starts in a new workspace and return
             it; with ``each``, test each step's states after its freeze."""
             rng = _block_rng(config.seed, block)
-            ws = _Workspace(lanes, start_states, nb, draw_steps, in_place=exit_test is None)
+            ws = _Workspace(lanes, start_states, nb, in_place=exit_test is None)
             # the states before the step, for the observers
             prev = np.empty_like(ws.cur) if observers else None
 
@@ -850,40 +817,26 @@ def simulate_bundle(
                     if w is not None:
                         log_weights[w, group, sl, r] = ws.logw.reshape(-1, n_st, nb)
 
-            # each lane's kernels, bound once
-            kernels: dict = {}
-
-            def bind(j: int) -> Calls:
-                """List ``j``, a whole step on slot ``j`` of a draw: the
-                observers' copy of the states, the scheme's step,
-                :meth:`_Lanes.bind_settle` and, with ``each``, the
-                finiteness test."""
-                calls = Calls()
-                if observers:
-                    calls.add(np.copyto, prev, ws.cur)
-                if params_exact is None:
-                    calls += lanes.bind_step(ws, j, kernels)
-                else:
-                    # one draw a step, from the state
-                    calls.add(assign, ws.out[0, :, 0], params_exact.sample, rng,
-                              ws.cur[0, :, 0], dt)
-                calls += lanes.bind_settle(ws, exit_test)
-                if each:
-                    calls.add(lanes.check_finite, ws.cur, ws)
-                return calls
-
-            # one step list per slot of a draw: step k replays list
-            # (k - 1) % draw_steps
-            steps: list = [None] * draw_steps
+            # the group's one step list: the observers' copy of the states,
+            # the scheme's step, :meth:`_Lanes.bind_settle` and, with
+            # ``each``, the finiteness test
+            calls = Calls()
+            if observers:
+                calls.add(np.copyto, prev, ws.cur)
+            if params_exact is None:
+                # the block's normals of the step, then the step on them
+                calls.add(rng.standard_normal, out=ws.xi)
+                calls += lanes.bind_step(ws)
+            else:
+                # one draw a step, from the state
+                calls.add(assign, ws.out[0, :, 0], params_exact.sample, rng,
+                          ws.cur[0, :, 0], dt)
+            calls += lanes.bind_settle(ws, exit_test)
+            if each:
+                calls.add(lanes.check_finite, ws.cur, ws)
             # the steps settled in Python
             watched = range(1, n_steps + 1) if observers else record_idx
             for k in range(1, n_steps + 1):
-                j = (k - 1) % draw_steps
-                if j == 0 and params_exact is None:
-                    lanes.draw(ws, rng, min(draw_steps, n_steps - k + 1))
-                calls = steps[j]
-                if calls is None:
-                    calls = steps[j] = bind(j)
                 ws.step[()] = k
                 for call in calls:
                     call()

@@ -60,11 +60,10 @@ def advance(coeffs, theta, config, states, xi, k=1):
     through a bundle's own step: ``(new states, log-weight increments)``,
     the increments None without ``theta``."""
     lanes = _Lanes([coeffs], [theta], config)
-    ws = _Workspace(lanes, np.asarray(states, dtype=float), len(xi), 1)
-    ws.xi[0] = xi
-    lanes.read_draw(ws, 1)
+    ws = _Workspace(lanes, np.asarray(states, dtype=float), len(xi))
+    ws.xi[...] = xi
     ws.step[()] = k
-    lanes.bind_step(ws, 0).run()
+    lanes.bind_step(ws).run()
     lanes.check_finite(ws.out, ws)
     return ws.new[0], None if theta is None else -ws.drop[0]
 

@@ -738,6 +738,41 @@ def test_harnack_command_runs_one_bundle(tmp_path, monkeypatch):
     assert runs == [(15, doc["sim"]["dt"])]
 
 
+def strict_json(text: str):
+    """``text`` parsed as strict JSON (RFC 8259): NaN and the infinities
+    are refused."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_an_unbounded_harnack_ratio_is_written_null(tmp_path):
+    # g = x - 2 changes sign on the box, so every inf lies under its noise
+    # floor: each ratio is infinite, written null beside the flag that
+    # says why
+    doc = load_config("harnack_scan.json")
+    doc["g"] = {"family": "affine", "c0": -2.0, "coeffs": [1.0]}
+    doc["sim"]["n_paths"] = 200
+    code, out = run(tmp_path, doc)
+    assert code == 0
+    results = strict_json((out / "results.json").read_text())
+    assert len(results["reports"]) == 3 and results["max_ratio"] is None
+    for report in results["reports"]:
+        assert report["ratio"] is None and report["flag"] == "unbounded-at-this-resolution"
+
+
+def test_a_result_that_is_not_finite_is_a_numeric_failure(tmp_path, monkeypatch, capsys):
+    # results.json is strict JSON: a value that is not finite ends the run
+    # with exit code 3 before the file is opened
+    monkeypatch.setitem(cli._HANDLERS, "validate",
+                        lambda doc, seed, out_dir, threads: (0, {"value": math.inf}))
+    code, out = run(tmp_path, {"command": "validate", "seed": 1, "model": MODEL_HALF})
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["kind"] == "numeric"
+    assert os.listdir(out) == []
+
+
 @pytest.mark.parametrize("mode", ["semigroup", "dirichlet"])
 def test_fk_time_off_the_grid_runs(tmp_path, mode):
     # pins: fk reads a t off the sim.dt grid by blending the bracketing steps

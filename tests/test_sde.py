@@ -795,9 +795,8 @@ def test_free_drift_of_a_zero_e_has_the_identity_bits(d, zero_e):
 
 
 def test_weighted_girsanov_step_evaluates_no_constant_field(monkeypatch):
-    # neither the binding of a step nor its 100 replays evaluate one; 64
-    # paths draw BOUND_SLOTS = 8 steps at a time, and the step is bound once
-    # a slot
+    # neither the binding of a step nor its 100 replays evaluate one; the
+    # group binds its one step list once
     calls = Counter()
     evaluate, bind_step = ConstantField.evaluate_batch, simulate._Lanes.bind_step
 
@@ -817,7 +816,7 @@ def test_weighted_girsanov_step_evaluates_no_constant_field(monkeypatch):
     bundle = simulate_bundle(pair.sing, Point((1.0,), ()), DomainSpec.full_space(std_op.dims),
                              cfg, theta=pair)
     assert bundle.log_weights is not None
-    assert calls["binds"] == simulate.BOUND_SLOTS == 8
+    assert calls["binds"] == 1
     assert calls["evaluate_batch"] == 0
 
 
@@ -927,22 +926,22 @@ def test_each_kernel_returns_the_out_it_is_given(model, folded):
 
 def _eager_run(eqs, thetas, starts, domain, config):
     """Final states, final log weights and exit flags by lane, start and
-    path: each block stepped on one-step draws by a step bound afresh and
-    tested for finiteness every time, from ``cur`` into ``new``, with the
-    freeze (coordinate by coordinate), the weight update and the exit test
-    kept here."""
+    path: each block's normals drawn here a step at a time, stepped by a
+    step bound afresh and tested for finiteness every time, from ``cur``
+    into ``new``, with the freeze (coordinate by coordinate), the weight
+    update and the exit test kept here."""
     lanes = simulate._Lanes(eqs, thetas, config)
     origins = np.stack([z.vector for z in starts])
     blocks = []
     for lo in range(0, config.n_paths, simulate.RNG_BLOCK):
         nb = min(simulate.RNG_BLOCK, config.n_paths - lo)
-        ws = simulate._Workspace(lanes, np.repeat(origins, nb, axis=0), nb, 1)
+        ws = simulate._Workspace(lanes, np.repeat(origins, nb, axis=0), nb)
         rng = simulate._block_rng(config.seed, lo // simulate.RNG_BLOCK)
         dead = np.zeros(ws.alive.shape, dtype=bool)
         for k in range(1, config.n_steps + 1):
-            lanes.draw(ws, rng, 1)
+            rng.standard_normal(out=ws.xi)
             ws.step[()] = k
-            lanes.bind_step(ws, 0).run()
+            lanes.bind_step(ws).run()
             lanes.check_finite(ws.out, ws)
             np.copyto(ws.new, ws.cur, where=dead[..., None])
             if ws.logw is not None:
@@ -980,9 +979,8 @@ def _lanes_of(name):
     "harnack",        # one folded lane, no theta
 ])
 def test_bound_step_matches_the_eager_step(name, threads):
-    # a full block (draws of 4 steps) and a 64-path block (draws of
-    # BOUND_SLOTS = 8 steps), each slot of a draw bound apart, three packed
-    # starts and exits from a box, 24 steps
+    # a full block and a 64-path block, three packed starts and exits from
+    # a box, 24 steps
     eqs, theta = _lanes_of(name)
     dims = eqs[0].dims
     domain = DomainSpec.box(dims, [(0.0, 3.0)] + [(None, None)] * dims.m)

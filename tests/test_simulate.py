@@ -29,8 +29,6 @@ from kimura_lab.sde import (
     make_girsanov_field,
 )
 from kimura_lab.simulate import (
-    BOUND_SLOTS,
-    DRAW_FLOATS,
     PACK_ROWS,
     RNG_BLOCK,
     PathConfig,
@@ -588,39 +586,27 @@ class TestPackedStarts:
 
     @pytest.mark.parametrize("n_threads", [1, 2])
     @pytest.mark.parametrize("extra", [0, 1], ids=["one-group", "two-groups"])
-    def test_every_normal_is_drawn_once_in_chunks(self, monkeypatch, extra, n_threads):
-        # pins: a group draws its block's normals as many steps at a time as
-        # fit DRAW_FLOATS, at most BOUND_SLOTS and never past the last step,
-        # bit-equal to one draw a step.  Block 0 is full: 45 steps are 11
-        # draws of 4 and one of 1.  Block 1 has 100 paths: 5 draws of 8 and
-        # one of 5.  Paths exit the box inside a draw.
-        block_rng, draws = _block_rng, []
-
-        class CountedRng:
-            def __init__(self, seed, block):
-                self.rng = block_rng(seed, block)
-
-            def standard_normal(self, size=None, out=None):
-                draws.append(np.shape(out) if size is None else size)
-                return self.rng.standard_normal(size, out=out)
-
+    def test_every_walk_draws_one_step_of_normals_a_step(self, monkeypatch, extra, n_threads):
+        # pins: a group binds one step list, the block's draw among its
+        # calls, so each walk draws n_steps arrays of (nb, d), the first
+        # n_steps * nb * d normals of its block's stream.  Block 0 is full
+        # and packs into 1 + extra groups, block 1 has 100 paths and packs
+        # into one.  Paths exit the box.
+        walks = record_draws(monkeypatch)
+        binds = count_calls(monkeypatch, simulate._Lanes, "bind_step")
         coeffs = build_sde_coefficients(make_sing_1d(b0=0.5))
         cfg = PathConfig(dt=1e-2, seed=6, n_paths=RNG_BLOCK + 100, horizon=0.45)
         n_starts = PACK_ROWS // RNG_BLOCK + extra
         starts = [Point((x,), ()) for x in np.linspace(0.0, 3.9, n_starts)]
-        monkeypatch.setattr("kimura_lab.simulate._block_rng", CountedRng)
-        chunked = simulate_bundle(coeffs, starts, BOX04, cfg, n_threads=n_threads)
-        assert DRAW_FLOATS // RNG_BLOCK == 4 and BOUND_SLOTS == 8 and cfg.n_steps == 45
-        full = [(4, RNG_BLOCK, 1)] * 11 + [(1, RNG_BLOCK, 1)]
-        expected = full * (1 + extra) + [(8, 100, 1)] * 5 + [(5, 100, 1)]
-        assert sorted(draws) == sorted(expected)
-        assert 0 < chunked.exited.mean() < 1
-        monkeypatch.setattr("kimura_lab.simulate.DRAW_FLOATS", 1)
-        draws.clear()
-        per_step = simulate_bundle(coeffs, starts, BOX04, cfg, n_threads=n_threads)
-        assert sorted(draws) == sorted([(1, RNG_BLOCK, 1)] * (1 + extra) * 45
-                                       + [(1, 100, 1)] * 45)
-        assert_same_bundle(chunked, per_step)
+        bundle = simulate_bundle(coeffs, starts, BOX04, cfg, n_threads=n_threads)
+        assert 0 < bundle.exited.mean() < 1
+        assert len(walks) == len(binds) == 2 + extra
+        assert sorted(block for block, _ in walks) == [0] * (1 + extra) + [1]
+        for block, draws in walks:
+            nb = (RNG_BLOCK, 100)[block]
+            assert [a.shape for a in draws] == [(nb, 1)] * cfg.n_steps
+            stream = _block_rng(cfg.seed, block).standard_normal((cfg.n_steps, nb, 1))
+            assert np.stack(draws).tobytes() == stream.tobytes()
 
     def test_more_threads_than_cores_write_disjoint_slots(self):
         coeffs = build_sde_coefficients(make_sing_1d(b0=0.5))
@@ -751,6 +737,26 @@ class NoOpObserver:
 
     def observe(self, sl, k, t, prev, new, alive, logw=None):
         pass
+
+
+def record_draws(monkeypatch) -> list:
+    """Wrap ``simulate._block_rng`` and return ``[(block, draws)]``, one
+    entry a walk of a group: its block and a copy of each array of normals
+    it draws, in order."""
+    walks = []
+
+    class RecordedRng:
+        def __init__(self, seed, block):
+            self.rng, self.draws = _block_rng(seed, block), []
+            walks.append((block, self.draws))
+
+        def standard_normal(self, size=None, out=None):
+            out = self.rng.standard_normal(size, out=out)
+            self.draws.append(out.copy())
+            return out
+
+    monkeypatch.setattr("kimura_lab.simulate._block_rng", RecordedRng)
+    return walks
 
 
 def exact_coeffs(b0=0.5):
@@ -1123,6 +1129,22 @@ class TestFinitenessTest:
         assert 1 <= len(tested) <= n_threads
         assert all(steps == [1, 2] for steps in tested.values())
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_the_testing_walk_draws_the_same_normals_again(self, monkeypatch):
+        # pins: the walk that tests each step binds its one step list anew
+        # and draws its block's stream from the start again, a step at a
+        # time, up to the failing step; at one thread block 0's group fails
+        # and block 1's never runs
+        walks = record_draws(monkeypatch)
+        binds = count_calls(monkeypatch, simulate._Lanes, "bind_step")
+        with pytest.raises(NumericFailureError, match="at step 2 "):
+            overflow_bundle("one", FULL1, 1)
+        (block, untested), (again, tested) = walks
+        assert block == again == 0 and len(binds) == 2
+        assert len(untested) == OVERFLOW_CONFIG.n_steps and len(tested) == 2
+        assert [a.tobytes() for a in tested] == [a.tobytes() for a in untested[:2]]
+
     def test_a_finite_run_tests_no_step(self, monkeypatch):
         tested = record_tested_steps(monkeypatch)
         cfg = PathConfig(dt=1e-2, seed=5, n_paths=RNG_BLOCK + 4, horizon=0.3)
@@ -1301,19 +1323,18 @@ VALIDATE_MODEL = {  # configs/validate_model.json
 def exiting_bundle(case: str):
     """A bundle whose paths leave its box, stepped on ``case``'s draws."""
     if case == "harnack-scan":
-        # 15 starts of one block of 512 paths: one group, 8 slots a draw;
-        # the first exit comes after the first draw
+        # 15 starts of one block of 512 paths: one group
         starts = [Point((x,), ()) for x in np.linspace(0.2, 3.0, 15)]
         cfg = PathConfig(dt=2e-3, seed=0, n_paths=512, horizon=254 * 2e-3, record="ends")
         assert cfg.n_steps == 254
         return simulate_bundle(build_sde_coefficients(make_sing_1d(b0=0.5)), starts, BOX04, cfg)
-    if case == "pair-3-slots":
+    if case == "pair":
         std_op = operator_from_json(VALIDATE_MODEL)
         pair = make_girsanov_field(std_op, derive_singular_from_standard(std_op))
         box = DomainSpec.box(DIMS11, [(0.0, 3.0), (-1.0, 2.0)])
         cfg = PathConfig(dt=1e-2, seed=5, n_paths=2500, horizon=0.3, record="ends")
-        # two lanes of two coordinates: 3 steps of normals a draw
-        assert DRAW_FLOATS // (cfg.n_paths * 2) == 3
+        # two lanes of two coordinates on one block: one group
+        assert cfg.n_paths < RNG_BLOCK
         return simulate_bundle((pair.std, pair.sing), Point((2.5,), (1.5,)), box, cfg,
                                theta=pair)
     cfg = PathConfig(dt=1e-2, seed=75, n_paths=400, horizon=0.5, scheme="exact-1d-gamma")
@@ -1321,18 +1342,18 @@ def exiting_bundle(case: str):
 
 
 class TestBoundSettle:
-    @pytest.mark.parametrize("case, lists", [
-        ("harnack-scan", 8),   # 8 slots: one list a slot
-        ("pair-3-slots", 3),   # 3 slots, an odd number: still one list a slot
-        ("exact", 1),          # one draw a step, from the one state array
+    @pytest.mark.parametrize("case", [
+        "harnack-scan",   # packed starts
+        "pair",           # two lanes of two coordinates
+        "exact",          # one draw a step, from the one state array
     ])
-    def test_an_exit_adds_no_step_lists(self, monkeypatch, case, lists):
-        # pins: a group binds each list once, before and after its first
+    def test_an_exit_adds_no_step_lists(self, monkeypatch, case):
+        # pins: a group binds its one list once, before and after its first
         # exit alike; the exact scheme binds its step with no bind_step
         binds = count_calls(monkeypatch, simulate._Lanes, "bind_settle")
         bundle = exiting_bundle(case)
         assert bundle.exited.any() and not bundle.exited.all()
-        assert len(binds) == lists
+        assert len(binds) == 1
 
     @pytest.mark.parametrize("domain", [BOX04, FULL1], ids=["exits", "in-place"])
     def test_an_observer_sees_each_step_from_the_last(self, domain):
