@@ -10,9 +10,10 @@ workspace once and replays the calls step after step.  A kernel called
 without ``calls=``, as a library caller does, gets :data:`NOW`, which runs
 each call as the kernel makes it: a kernel reads no array while it binds,
 so the calls run in the same order either way.  Work that cannot be bound, an
-eigen-decomposition or a lattice interpolation, is bound as one call to its
-own eager entry (:func:`assign`), which costs a Python call a step.  What a
-list holds changes its cost, not how the stepping loop tests its states.
+eigen-decomposition or a field with no binder of its own, is bound as one
+call to its own eager entry (:func:`assign`), which costs a Python call a
+step.  What a list holds changes its cost, not how the stepping loop tests
+its states.
 """
 
 from __future__ import annotations

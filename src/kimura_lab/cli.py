@@ -423,7 +423,11 @@ def _cmd_harnack(doc, seed, out_dir, threads) -> tuple[int, dict]:
     reports = scale_invariant_scan(
         u_nodes, s, z, R, c, d, [f * c * R for f in fractions], lattice
     )
-    rows = [[f"{rep.radius:.12g}", f"{rep.ratio:.12g}"] for rep in reports]
+    # a ratio that is not finite is an empty cell, as it is null in results.json
+    rows = [
+        [f"{r.radius:.12g}", f"{r.ratio:.12g}" if math.isfinite(r.ratio) else ""]
+        for r in reports
+    ]
     finite = [r.ratio for r in reports if math.isfinite(r.ratio)]
     result = {
         "reports": [r.to_json() for r in reports],

@@ -18,7 +18,8 @@ class InvalidHarnackParametersError(KimuraLabError):
 
 
 class NonDerivableError(KimuraLabError):
-    """The pointwise linear system tying the two operator forms is singular."""
+    """The derivation refuses a standard spec: the face sample on which its
+    drift weights meet their floor would be too large."""
 
 
 class EllipticityViolationError(KimuraLabError):

@@ -65,10 +65,11 @@ __all__ = [
 VALIDATION_TOL = 1e-8
 VALIDATION_DIRECTIONS = 128
 VALIDATION_SEED = 0
-# a lattice node with x_i at most this far from 0 lies on the face x_i = 0
-FACE_TOL = 1e-10
-# the most nodes a derived drift weight's solve lattice may have
-MAX_LATTICE_NODES = 2**20
+# a derived weight meets its floor on each face x_i = 0 over FACE_BOX (the
+# other degenerate axes, then the free axes) at FACE_SPACING
+FACE_BOX = ((0.0, 4.0), (-4.0, 4.0))
+FACE_SPACING = 1.0 / 64.0
+MAX_FACE_NODES = 2**20
 # a nonzero ln x of a double is at least 2^-54 in size, so its product with
 # a factor of at least this size is never rounded to zero
 F_NO_UNDERFLOW = 2.0**-1000
@@ -342,8 +343,9 @@ class _Coordinate(ScalarField):
 
 
 class _Combination(ScalarField):
-    """Left-to-right sum or product of ``parts``, floats and fields of which
-    at least one is a field; built by :func:`_sum` and :func:`_prod`."""
+    """Left-to-right sum, product or quotient of ``parts``, floats and
+    fields of which at least one is a field; built by :func:`_sum`,
+    :func:`_prod` and :func:`_quot`."""
 
     def __init__(self, parts: list):
         self.parts = parts
@@ -383,6 +385,15 @@ class _Prod(_Combination):
         ]))
 
 
+class _Quot(_Combination):
+    _combine, _ufunc = staticmethod(operator.truediv), np.divide
+
+    def partial(self, axis: int) -> ScalarField:
+        # the quotient rule as (u' - (u / v) v') / v, which reuses the quotient
+        du, dv = (None if isinstance(p, float) else p.partial(axis) for p in self.parts)
+        return _as_field(_quot(_sum([du, _prod(-1.0, self, dv)]), self.parts[1]))
+
+
 def _live(term):
     """None for a zero field, the float of a constant field with a
     ``value``; any other term (None, a float, a field) as it is."""
@@ -407,6 +418,15 @@ def _prod(*factors):
     return _Prod._build([f for f in parts if not (isinstance(f, float) and f == 1.0)] or [1.0])
 
 
+def _quot(num, den):
+    """Quotient ``num / den`` of a live ``den``: None when ``num`` is not
+    live, ``num`` as given when ``den`` is 1.0, which changes no bit."""
+    den = _live(den)
+    if _live(num) is None:
+        return None
+    return num if den == 1.0 else _Quot._build([_live(num), den])
+
+
 def _as_field(term) -> ScalarField:
     """A built term as a field: a zero field for None, a constant for a float."""
     if term is None or isinstance(term, float):
@@ -419,7 +439,7 @@ def _value(term, states: np.ndarray, memo: dict, calls, out=None):
     ``states`` and any other field bound once per ``memo`` (fields hash by
     identity), so a field shared by several terms is read once a call.  A
     field not yet in ``memo`` is bound into ``out`` (an array of its own
-    when omitted), which then stands for it in ``memo``; a sum or product
+    when omitted), which then stands for it in ``memo``; a combination
     folds its parts left to right, as they are written."""
     if isinstance(term, float):
         return term
@@ -831,9 +851,9 @@ class LatticeField(ScalarField):
     """Multilinear interpolation of node values on a uniform tensor lattice.
 
     Evaluation outside the lattice extrapolates linearly (exact for affine
-    data), so solved drift weights stay usable on rare path excursions past
-    the solve box.  Each axis's partial is differentiated once and kept, so
-    a stepping loop that asks for it on every step reuses it.
+    data).  Each axis's partial is differentiated once and kept.  No
+    derivation builds one: :func:`derive_singular_from_standard` solves its
+    weights pointwise.
     """
 
     def __init__(self, axes: Sequence[np.ndarray], values: np.ndarray):
@@ -875,46 +895,32 @@ class LatticeField(ScalarField):
         return self._partials[axis]
 
 
-def _lattice_axes(
-    box: Sequence[tuple[float, float]], spacing: float, what: str, face: int | None = None
-) -> list[np.ndarray]:
-    """Uniform axes over ``box`` at about ``spacing``, with at least two nodes
-    on each axis, or only the node 0 on axis ``face``; more than
-    ``MAX_LATTICE_NODES`` nodes in all raises :class:`NonDerivableError`
-    before any is built."""
-    counts = [max(int(round((hi - lo) / spacing)) + 1, 2) for lo, hi in box]
-    if face is not None:
-        counts[face] = 1
-    n_nodes = math.prod(counts)
-    if n_nodes > MAX_LATTICE_NODES:
+def _face_axes(dims: StateSpaceDims) -> list[np.ndarray]:
+    """The axes of ``FACE_BOX`` at ``FACE_SPACING``, degenerate axes first;
+    a face ``x_i = 0`` of more than ``MAX_FACE_NODES`` nodes raises
+    :class:`NonDerivableError`."""
+    box = [FACE_BOX[0]] * dims.n + [FACE_BOX[1]] * dims.m
+    axes = [np.linspace(lo, hi, round((hi - lo) / FACE_SPACING) + 1) for lo, hi in box]
+    n_nodes = math.prod(len(axis) for axis in axes[1:])  # a face keeps one node of its axis
+    if n_nodes > MAX_FACE_NODES:
         raise NonDerivableError(
-            f"the {what} would have {n_nodes} nodes, more than "
-            f"{MAX_LATTICE_NODES}; pass a smaller lattice_box or a coarser lattice_spacing"
+            f"the drift-weight face would have {n_nodes} nodes, more than {MAX_FACE_NODES}"
         )
-    return [
-        np.zeros(1) if axis == face else np.linspace(lo, hi, count)
-        for axis, ((lo, hi), count) in enumerate(zip(box, counts))
-    ]
+    return axes
 
 
-def _nodes(axes: Sequence[np.ndarray]) -> np.ndarray:
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+def _det(rows):
+    """Determinant of a square matrix of built terms (None for a zero entry),
+    expanded along its first row's live entries: a zero costs no minor."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return _sum([
+        _prod(-1.0 if j % 2 else 1.0, e, _det([row[:j] + row[j + 1 :] for row in rows[1:]]))
+        for j, e in enumerate(rows[0]) if e is not None
+    ])
 
 
-def _exact_weight(std: StandardOperatorSpec, i: int) -> ScalarField:
-    """``b_i = b^_i - x_i/2 sum_l d_yl c^_il``, the drift weight when ``a^ = 0``:
-    ``b^_i`` itself when every ``d_yl c^_il`` vanishes."""
-    n, x_i = std.dims.n, _Coordinate(i)
-    slopes = [_prod(-0.5, std.c_hat[i, l].partial(n + l), x_i) for l in range(std.dims.m)]
-    slopes = [s for s in slopes if s is not None]
-    return _as_field(_sum([std.b_hat[i]] + slopes)) if slopes else std.b_hat[i]
-
-
-def derive_singular_from_standard(
-    std: StandardOperatorSpec,
-    lattice_box: Sequence[tuple[float, float]] | None = None,
-    lattice_spacing: float = 1.0 / 64.0,
-) -> SingularOperatorSpec:
+def derive_singular_from_standard(std: StandardOperatorSpec) -> SingularOperatorSpec:
     """Translate a standard spec into the divergence-compatible form.
 
     Sets ``a_ii = 1``, ``a~ = a_hat``, ``c = c_hat / 2``, ``d = d_hat`` and
@@ -922,26 +928,20 @@ def derive_singular_from_standard(
     bounded drift part :func:`drift_identity_g` reproduce ``b_hat``.  With
     ``a = 1`` that identity is affine in ``b``, so ``b`` solves
 
-        ``(I + diag(x) a_hat) b = b_hat - g(0)``
+        ``M b = r``,  ``M = I + diag(x) a_hat``,  ``r = b_hat - g(0)``
 
-    with ``g(0)`` the identity at zero weights.
-
-    When ``a_hat`` is zero the system is the identity and ``b`` is exact:
-    ``b_i = b_hat_i - x_i/2 sum_l d_yl c_hat_il``, which is ``b_hat`` itself
-    when every ``d_yl c_hat_il`` vanishes.  Its values and partials are
-    analytic everywhere, inside the lattice box or not.
-
-    Otherwise the solve runs on a uniform lattice (default box ``[0, 4]`` per
-    degenerate axis and ``[-4, 4]`` per free axis, spacing 1/64) and ``b`` is
-    the multilinear interpolant, extrapolated linearly outside the box; its
-    derivatives come from central differences of the solved node values.
+    with ``g(0)`` the identity at zero weights.  ``b`` is built as a field
+    by Cramer's rule, ``b_i = det(M with column i replaced by r) / det(M)``:
+    the exact solve at every state, with its partials from the product and
+    quotient rules.  When ``a_hat`` is zero, ``M`` folds to ``I`` and ``b``
+    to ``r``: ``b_i = b_hat_i - x_i/2 sum_l d_yl c_hat_il``, which is
+    ``b_hat`` itself when every ``d_yl c_hat_il`` vanishes.
 
     With declared constants, each ``b_i`` must reach the floor ``b_bar`` (up
-    to 1e-9) at the lattice nodes on its face ``x_i = 0``, else
-    :class:`InvalidWeightError`; for an exact weight only those face nodes
-    are built.  A lattice, or a face of one, of more than
-    ``MAX_LATTICE_NODES`` nodes raises :class:`NonDerivableError` before any
-    node is built.  The result records ``std`` as ``derived_from``.
+    to 1e-9) at the nodes of :func:`_face_axes` on its face ``x_i = 0``, else
+    :class:`InvalidWeightError`; a face of too many nodes raises
+    :class:`NonDerivableError` before any weight is built.  The result
+    records ``std`` as ``derived_from``.
     """
     dims = std.dims
     n = dims.n
@@ -957,42 +957,28 @@ def derive_singular_from_standard(
     )
     if n == 0:
         return base  # no weights to solve for
-    if lattice_box is None:
-        lattice_box = [(0.0, 4.0)] * n + [(-4.0, 4.0)] * dims.m
-
-    if std.a_hat.is_zero:
-        b = FieldVector([_exact_weight(std, i) for i in range(n)])
-        face_values = []
-        if std.constants is not None:
-            for i in range(n):
-                face = _lattice_axes(lattice_box, lattice_spacing, "drift-weight face", face=i)
-                face_values.append(b[i].evaluate_batch(_nodes(face)))
-    else:
-        axes = _lattice_axes(lattice_box, lattice_spacing, "drift-weight lattice")
-        states = _nodes(axes)
-        M = np.eye(n) + states[:, :n, None] * std.a_hat.evaluate_batch(states)
-        rhs = std.b_hat.evaluate_batch(states) - drift_identity_g(base, states)
-        try:
-            b_nodes = np.linalg.solve(M, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise NonDerivableError(f"pointwise drift-weight system is singular: {exc}")
-        conds = np.abs(np.linalg.det(M))
-        if float(conds.min()) < 1e-14:
-            raise NonDerivableError("pointwise drift-weight system is numerically singular")
-        shape = tuple(len(a) for a in axes)
-        b = FieldVector([LatticeField(axes, b_nodes[:, i].reshape(shape)) for i in range(n)])
-        face_values = [b_nodes[states[:, i] <= FACE_TOL, i] for i in range(n)]
-
-    if std.constants is not None:
-        for i, values in enumerate(face_values):
-            if values.size:
-                floor = float(values.min())
-                if floor < std.constants.b_bar - 1e-9:
-                    raise InvalidWeightError(
-                        f"solved drift weight b_{i} reaches {floor:.6g} on the "
-                        f"degenerate face, below the declared floor "
-                        f"{std.constants.b_bar}"
-                    )
+    axes = None if std.constants is None else _face_axes(dims)
+    g0 = dict(base._g)
+    r = [_sum([std.b_hat[i], _prod(-1.0, g0[(i,)])]) if (i,) in g0 else std.b_hat[i]
+         for i in range(n)]
+    M = [[_sum([1.0 if i == j else None, _prod(_Coordinate(i), std.a_hat[i, j])])
+          for j in range(n)] for i in range(n)]
+    det = _det(M)
+    b = FieldVector([
+        _as_field(_quot(_det([row[:i] + [r_k] + row[i + 1 :] for row, r_k in zip(M, r)]), det))
+        for i in range(n)
+    ])
+    if axes is not None:
+        for i in range(n):
+            face = np.meshgrid(*axes[:i], np.zeros(1), *axes[i + 1 :], indexing="ij")
+            nodes = np.stack(face, axis=-1).reshape(-1, len(axes))
+            floor = float(b[i].evaluate_batch(nodes).min())
+            if not floor >= std.constants.b_bar - 1e-9:
+                raise InvalidWeightError(
+                    f"solved drift weight b_{i} reaches {floor:.6g} on the "
+                    f"degenerate face, below the declared floor "
+                    f"{std.constants.b_bar}"
+                )
     return replace(base, b=b)
 
 

@@ -1,4 +1,5 @@
 import atexit
+import csv
 import gc
 import json
 import math
@@ -760,6 +761,11 @@ def test_an_unbounded_harnack_ratio_is_written_null(tmp_path):
     assert len(results["reports"]) == 3 and results["max_ratio"] is None
     for report in results["reports"]:
         assert report["ratio"] is None and report["flag"] == "unbounded-at-this-resolution"
+    # the CSV marks the same ratios as empty cells
+    rows = list(csv.reader((out / "harnack.csv").read_text().splitlines()))
+    assert rows[0] == ["rho", "ratio"]
+    assert [row[1] for row in rows[1:]] == ["", "", ""]
+    assert [row[0] for row in rows[1:]] == [f"{r['radius']:.12g}" for r in results["reports"]]
 
 
 def test_a_result_that_is_not_finite_is_a_numeric_failure(tmp_path, monkeypatch, capsys):

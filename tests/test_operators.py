@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.integrate import quad
 
 from conftest import make_flat_1d_free, make_sing_1d, make_std_1d
 
+from kimura_lab import operators
 from kimura_lab.calls import Calls
 from kimura_lab.errors import InvalidWeightError, NonDerivableError
 from kimura_lab.fields import (
@@ -62,6 +64,59 @@ SING_COUPLED = SingularOperatorSpec(
     c=FieldMatrix([[C_COUPLED]]),
     d=FieldMatrix([[1.0]]),
 )
+
+
+# standard models whose derived weight solves a system with a^ != 0:
+# n=1 with m = 0, 1 and 2, and n=2, m=1 with a full, state-dependent a^
+POINTWISE_MODELS = {
+    "n1m0": {
+        "kind": "standard", "dims": {"n": 1, "m": 0},
+        "a_hat": [[{"family": "trig", "c0": 0.3, "amplitude": 0.1, "axis": 0, "frequency": 0.7}]],
+        "b_hat": [{"family": "affine", "c0": 1.0, "coeffs": [0.2]}],
+    },
+    "n1m1": {
+        "kind": "standard", "dims": {"n": 1, "m": 1},
+        "a_hat": [[{"family": "affine", "c0": 0.3, "coeffs": [0.1, 0.0]}]],
+        "b_hat": [{"family": "affine", "c0": 1.0, "coeffs": [0.2, 0.1]}],
+        "c_hat": [[{"family": "affine", "c0": 0.2, "coeffs": [0.0, 0.15]}]],
+        "e_hat": [0.0],
+    },
+    "n1m2": {
+        "kind": "standard", "dims": {"n": 1, "m": 2},
+        "a_hat": [[{"family": "affine", "c0": 0.2, "coeffs": [0.01, 0.02, 0.02]}]],
+        "b_hat": [{"family": "affine", "c0": 0.8, "coeffs": [0.1, 0.05, 0.05]}],
+        "c_hat": [[{"family": "affine", "c0": 0.3, "coeffs": [0.0, 0.1, 0.0]},
+                   {"family": "trig", "c0": 0.3, "amplitude": 0.1, "axis": 2, "frequency": 1.3}]],
+        "e_hat": [0.0, 0.0],
+    },
+    "n2m1": {
+        "kind": "standard", "dims": {"n": 2, "m": 1},
+        "a_hat": [
+            [{"family": "affine", "c0": 0.2, "coeffs": [0.01, 0.0, 0.0]},
+             {"family": "affine", "c0": 0.05, "coeffs": [0.0, 0.0, 0.01]}],
+            [{"family": "affine", "c0": 0.05, "coeffs": [0.0, 0.0, 0.01]},
+             {"family": "affine", "c0": 0.15, "coeffs": [0.0, 0.02, 0.0]}],
+        ],
+        "b_hat": [{"family": "affine", "c0": 0.8, "coeffs": [0.1, 0.0, 0.05]}, 0.6],
+        "c_hat": [[{"family": "affine", "c0": 0.3, "coeffs": [0.0, 0.0, 0.1]}], [0.2]],
+        "e_hat": [0.0],
+    },
+}
+# n2m1 with a steep a^: x_i a^_ij reaches about 60 at x = 25, y = 8, and
+# the identity's terms about 6e5, so its absolute rounding error is 1e-10
+POINTWISE_MODELS["n2m1-steep"] = dict(POINTWISE_MODELS["n2m1"], a_hat=[
+    [{"family": "affine", "c0": 0.2 + 0.05 * (i == j),
+      "coeffs": [0.03 * (k + 1) * (i + j + 1) / 4 for k in range(3)]} for j in range(2)]
+    for i in range(2)
+])
+
+
+def random_states(n, m, key, size=2000):
+    """States with x uniform on [0, 25] and y on [-8, 8], corners included."""
+    rng = np.random.Generator(np.random.Philox(key=key))
+    z = np.column_stack([rng.uniform(0.0, 25.0, (size, n)), rng.uniform(-8.0, 8.0, (size, m))])
+    z[:2] = [[0.0] * n + [-8.0] * m, [25.0] * n + [8.0] * m]
+    return z
 
 
 def coupled_generator(u, states):
@@ -305,9 +360,7 @@ class TestValidation:
         std = operator_from_json(
             {"kind": "standard", "dims": {"n": 1, "m": 1}, "b_hat": [1.0], "c_hat": [[0.5]]}
         )
-        sing = derive_singular_from_standard(
-            std, lattice_box=[(0.0, 1.0), (-1.0, 1.0)], lattice_spacing=0.125
-        )
+        sing = derive_singular_from_standard(std)
         x = 0.49
         forms = [_form_matrix(op, np.array([[x, 0.3]]))[0] for op in (std, sing)]
         for G in forms:
@@ -463,45 +516,60 @@ class TestDeriveSingular:
         a1 = 0.3
         std = make_std_1d(b0=1.0, a_hat=a1)
         sing = derive_singular_from_standard(std)
-        # b (1 + a1 x) = b_hat - x * a1  on the lattice
-        xs = np.linspace(0.0, 3.9, 17)[:, None]
+        # b (1 + a1 x) = b_hat - x * a1, solved at every state
+        xs = np.linspace(0.0, 25.0, 101)[:, None]
         expected = (1.0 - a1 * xs[:, 0]) / (1.0 + a1 * xs[:, 0])
         got = sing.b.evaluate_batch(xs)[:, 0]
-        assert np.allclose(got, expected, atol=2e-4)
-        assert got[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(got - expected)) < 1e-12
+        assert got[0] == 1.0
 
-    @pytest.mark.parametrize("model", ["1d", "coupled-n1m1"])
-    def test_round_trip_drift_identity_at_nodes(self, model):
-        if model == "1d":
-            std = make_std_1d(b0=1.0, a_hat=0.3)
-        else:
-            # a^ varies with x and c^ with y, so every term of the identity,
-            # 1/2 d_y c^ included, is nonzero
-            std = StandardOperatorSpec(
-                dims=StateSpaceDims(1, 1),
-                a_hat=FieldMatrix([[AffineField(0.3, [0.1, 0.0])]]),
-                b_hat=FieldVector([AffineField(1.0, [0.2, 0.1])]),
-                c_hat=FieldMatrix([[AffineField(0.2, [0.0, 0.15])]]),
-                d_hat=FieldMatrix([[1.0]]),
-                e_hat=FieldVector([0.0]),
-            )
+    def test_coupled_weight_is_the_hand_solved_identity(self):
+        # a^ varies with x and c^ with y, so every term of the identity,
+        # 1/2 d_y c^ included, is nonzero: b (1 + x a^) = b^ - x (a^
+        # + x d_x a^ + 1/2 d_y c^), with d_x a^ = 0.1 and d_y c^ = 0.15
+        std = operator_from_json(POINTWISE_MODELS["n1m1"])
         sing = derive_singular_from_standard(std)
-        axes = [a[::8] for a in sing.b[0].axes]
-        nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-        g = drift_identity_g(sing, nodes)
-        b_hat = std.b_hat.evaluate_batch(nodes)
-        assert np.max(np.abs(g - b_hat)) < 1e-10
-        if model == "coupled-n1m1":
-            # the scalar identity solved by hand: b (1 + x a^) = b^ - x (a^
-            # + x d_x a^ + 1/2 d_y c^), with d_x a^ = 0.1 and d_y c^ = 0.15
-            x, y = nodes[:, 0], nodes[:, 1]
-            a_hat = 0.3 + 0.1 * x
-            b_hat = 1.0 + 0.2 * x + 0.1 * y
-            expected = (b_hat - x * (a_hat + 0.1 * x + 0.075)) / (1.0 + x * a_hat)
-            assert np.max(np.abs(sing.b.evaluate_batch(nodes)[:, 0] - expected)) < 1e-10
+        z = random_states(1, 1, key=43)
+        x, y = z[:, 0], z[:, 1]
+        a_hat = 0.3 + 0.1 * x
+        b_hat = 1.0 + 0.2 * x + 0.1 * y
+        expected = (b_hat - x * (a_hat + 0.1 * x + 0.075)) / (1.0 + x * a_hat)
+        assert np.max(np.abs(sing.b.evaluate_batch(z)[:, 0] - expected)) < 1e-12
 
-    def test_weight_floor_violation_raises(self):
-        std = make_std_1d(b0=0.2)
+    @pytest.mark.parametrize("model", sorted(POINTWISE_MODELS))
+    def test_pointwise_weight_meets_the_identity(self, model):
+        # inside and far outside the [0, 4] x [-4, 4] box that a solve
+        # lattice once covered, to 1e-12 of the size of the identity's terms
+        std = operator_from_json(POINTWISE_MODELS[model])
+        sing = derive_singular_from_standard(std)
+        n = std.dims.n
+        z = random_states(n, std.dims.m, key=44)
+        b_hat = std.b_hat.evaluate_batch(z)
+        a_b = np.einsum("pij,pj->pi", np.abs(std.a_hat.evaluate_batch(z)),
+                        np.abs(sing.b.evaluate_batch(z)))
+        scale = 1.0 + np.abs(b_hat) + z[:, :n] * a_b
+        assert np.all(np.abs(drift_identity_g(sing, z) - b_hat) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("model", sorted(POINTWISE_MODELS))
+    def test_pointwise_weight_partials_match_central_differences(self, model):
+        std = operator_from_json(POINTWISE_MODELS[model])
+        sing = derive_singular_from_standard(std)
+        n, total = std.dims.n, std.dims.total
+        z = random_states(n, std.dims.m, key=45, size=200)
+        z[:, :n] += 1e-3  # both difference points on the state space
+        h = 1e-5
+        for i in range(n):
+            for axis in range(total):
+                up, dn = z.copy(), z.copy()
+                up[:, axis] += h
+                dn[:, axis] -= h
+                fd = (sing.b[i].evaluate_batch(up) - sing.b[i].evaluate_batch(dn)) / (2.0 * h)
+                got = sing.b[i].partial(axis).evaluate_batch(z)
+                np.testing.assert_allclose(got, fd, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("a_hat", [0.0, 0.3])
+    def test_weight_floor_violation_raises(self, a_hat):
+        std = make_std_1d(b0=0.2, a_hat=a_hat)
         std = StandardOperatorSpec(
             dims=std.dims,
             a_hat=std.a_hat,
@@ -514,19 +582,30 @@ class TestDeriveSingular:
         with pytest.raises(InvalidWeightError):
             derive_singular_from_standard(std)
 
-    def test_oversized_default_lattice_raises_before_building(self):
-        # the default box at spacing 1/64 gives an n=1, m=2 model
-        # 257 * 513^2 nodes, about 1.6 GB of node states; a^ != 0 needs them
+    def test_a_model_once_too_large_for_the_lattice_derives(self):
+        # n=1, m=2 with a^ != 0: a solve lattice at the old default box and
+        # spacing had 257 * 513^2 nodes and was refused; b is now a field
         std = operator_from_json({
             "kind": "standard", "dims": {"n": 1, "m": 2}, "a_hat": [[0.2]],
             "b_hat": [0.5], "d_hat": [[1.0, 0.0], [0.0, 1.0]], "e_hat": [0.0, 0.0],
+            "constants": {"delta": 0.1, "K": 5.0, "b_bar": 0.01},
         })
-        with pytest.raises(NonDerivableError, match=str(257 * 513 * 513)):
+        sing = derive_singular_from_standard(std)
+        z = random_states(1, 2, key=46)
+        assert np.max(np.abs(drift_identity_g(sing, z) - 0.5)) < 1e-12
+
+    def test_an_oversized_face_sample_raises_before_building(self):
+        # the floor of an n=1, m=3 model would be checked at 513^3 face nodes
+        std = operator_from_json({
+            "kind": "standard", "dims": {"n": 1, "m": 3}, "b_hat": [0.5],
+            "constants": {"delta": 0.5, "K": 5.0, "b_bar": 0.5},
+        })
+        with pytest.raises(NonDerivableError, match=str(513**3)):
             derive_singular_from_standard(std)
 
     def test_exact_weight_model_too_large_for_the_lattice_derives(self):
-        # the same n=1, m=2 model with a^ = 0 needs no lattice: b is b^, and
-        # the floor is checked at the 513^2 nodes of the face x = 0
+        # the same n=1, m=2 model with a^ = 0: b is b^, and the floor is
+        # checked at the 513^2 nodes of the face x = 0
         std = operator_from_json({
             "kind": "standard", "dims": {"n": 1, "m": 2},
             "b_hat": [0.5], "d_hat": [[1.0, 0.0], [0.0, 1.0]], "e_hat": [0.0, 0.0],
@@ -535,6 +614,30 @@ class TestDeriveSingular:
         sing = derive_singular_from_standard(std)
         assert sing.b[0] is std.b_hat[0]
         assert sing.derived_from is std
+
+    def test_a_diagonal_model_of_eight_axes_derives_in_few_minors(self, monkeypatch):
+        # _det expands over live entries alone: a full expansion of the nine
+        # 8 x 8 determinants would take about 1e6 calls
+        calls = []
+        det = operators._det
+        monkeypatch.setattr(operators, "_det", lambda rows: calls.append(rows) or det(rows))
+        for a_hat in (0.0, 0.1):
+            calls.clear()
+            std = operator_from_json({
+                "kind": "standard", "dims": {"n": 8, "m": 0}, "b_hat": [0.5] * 8,
+                "a_hat": [[a_hat if i == j else 0.0 for j in range(8)] for i in range(8)],
+            })
+            sing = derive_singular_from_standard(std)
+            assert len(calls) <= 9 * 8 * 8
+            z = random_states(8, 0, key=47, size=100)
+            assert np.max(np.abs(drift_identity_g(sing, z) - 0.5)) < 1e-12
+        # with constants, its 257^7-node face is refused before any det
+        calls.clear()
+        with pytest.raises(NonDerivableError, match=str(257**7)):
+            derive_singular_from_standard(
+                replace(std, constants=AssumptionConstants(0.5, 5.0, 0.5))
+            )
+        assert calls == []
 
     def test_exact_weight_is_the_trig_field_itself(self):
         # a lattice read this b at x = 6 as 3.22 (exact 0.62) and at x = 21
@@ -598,6 +701,23 @@ class TestDeriveSingular:
             f.evaluate_batch(pts), 1.0 + 2.0 * pts[:, 0] - 0.5 * pts[:, 1]
         )
         assert np.allclose(f.partial(0).evaluate_batch(pts), 2.0)
+
+    def test_lattice_field_differentiates_each_axis_once(self, monkeypatch):
+        counts = Counter()
+        gradient = np.gradient
+
+        def counting(values, *args, **kwargs):
+            counts[kwargs.get("axis")] += 1
+            return gradient(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "gradient", counting)
+        axes = [np.linspace(0.0, 1.0, 9), np.linspace(-1.0, 1.0, 9)]
+        g = np.meshgrid(*axes, indexing="ij")
+        f = LatticeField(axes, 1.0 + 2.0 * g[0] - 0.5 * g[1])
+        for _ in range(2):
+            assert f.partial(0) is f.partial(0)
+            f.partial(1)
+        assert counts == {0: 1, 1: 1}
 
     def test_lattice_field_extrapolates_a_runaway_state_from_the_near_end(self):
         # pins: the cell index is clipped before its cast to int, so a state

@@ -11,6 +11,7 @@ from conftest import advance, make_sing_1d, make_std_1d
 from drift_reference import reference_e, reference_f, reference_g
 
 from kimura_lab import operators, simulate
+from kimura_lab.calls import Calls, assign
 from kimura_lab.errors import EllipticityViolationError, InvalidMatrixError
 from kimura_lab.fields import ConstantField, FieldMatrix, FieldVector, ScalarField, TestFunction
 from kimura_lab.geometry import DomainSpec, Point, StateSpaceDims
@@ -160,14 +161,33 @@ def _sde_generator(coeffs, u, states):
     )
 
 
+@pytest.mark.parametrize("d_hat", [[[2.0]], [[2.0, 0.0], [0.0, 0.5]]], ids=["d2", "d3"])
+def test_diagonal_noise_is_the_row_product_in_any_layout(d_hat):
+    # the row is tiled to the block's shape once, in any layout, and gives
+    # the bytes of the row product
+    m = len(d_hat)
+    model = dict(VALIDATE_MODEL, dims={"n": 1, "m": m}, d_hat=d_hat, e_hat=[0.0] * m)
+    coeffs = build_sde_coefficients(derive_singular_from_standard(operator_from_json(model)))
+    row = coeffs.plan.sigma_diag
+    assert row.size == 1 + m and len(set(row)) > 1
+    xi = np.random.Generator(np.random.Philox(key=33)).standard_normal((64, 1 + m))
+    for block in (xi, np.asfortranarray(xi), xi[::2]):
+        assert coeffs.noise_batch(None, block).tobytes() == (block * row).tobytes()
+    # bound to a block, the calls read the block's later values
+    calls = Calls()
+    block = xi.copy()
+    out = coeffs.noise_batch(block, block, calls=calls)
+    block *= 3.0
+    calls.run()
+    assert out.tobytes() == (block * row).tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(COUPLED_MODELS))
 def test_sde_generators_match_operators_with_couplings(name):
     # each equation's generator is its operator, and a derived pair shares D
     std = operator_from_json(COUPLED_MODELS[name])
     n, m = std.dims.n, std.dims.m
-    sing = derive_singular_from_standard(
-        std, lattice_box=[(0.0, 2.0)] * n + [(-1.0, 1.0)] * m, lattice_spacing=1.0 / 8.0
-    )
+    sing = derive_singular_from_standard(std)
     rng = np.random.Generator(np.random.Philox(key=32))
     states = np.concatenate(
         [rng.uniform(0.1, 1.5, (20, n)), rng.uniform(-0.8, 0.8, (20, m))], axis=-1
@@ -485,39 +505,17 @@ class TestStepPlan:
         with pytest.raises(EllipticityViolationError):
             pair.theta_batch(np.array([[0.0]]))
 
-    def test_lattice_partials_are_differentiated_once(self, monkeypatch):
-        calls = Counter()
-        gradient = np.gradient
-
-        def counting(values, *args, **kwargs):
-            calls[(id(values), kwargs.get("axis"))] += 1
-            return gradient(values, *args, **kwargs)
-
-        monkeypatch.setattr(np, "gradient", counting)
-        std_op = operator_from_json(dict(GIRSANOV_MODEL, a_hat=[[0.3]]))  # a^ != 0: a lattice
-        pair = make_girsanov_field(std_op, derive_singular_from_standard(std_op))
-        cfg = PathConfig(dt=1e-2, seed=3, n_paths=64, horizon=1.0, record="ends")
-        simulate_bundle(pair.sing, Point((1.0,), ()), DomainSpec.full_space(std_op.dims),
-                        cfg, theta=pair)
-        assert cfg.n_steps == 100
-        assert calls and max(calls.values()) == 1
-
-    def test_lattice_weight_differentiates_each_axis_once_across_builds(self, monkeypatch):
-        calls = Counter()
-        gradient = np.gradient
-
-        def counting(values, *args, **kwargs):
-            calls[kwargs.get("axis")] += 1
-            return gradient(values, *args, **kwargs)
-
-        monkeypatch.setattr(np, "gradient", counting)
-        sing_op = derive_singular_from_standard(
-            operator_from_json(dict(VALIDATE_MODEL, a_hat=[[0.2]]))  # a^ != 0: a lattice
-        )
+    @pytest.mark.parametrize("model", [GIRSANOV_MODEL, VALIDATE_MODEL], ids=["1d", "n1m1"])
+    def test_pointwise_weight_binds_numpy_calls_alone(self, model):
+        # a^ != 0: the derived weight and its partials in the log drift bind
+        # as NumPy calls, none of them an eager entry (calls.assign)
+        sing_op = derive_singular_from_standard(operator_from_json(dict(model, a_hat=[[0.3]])))
         states = _probe_states(sing_op.dims)
-        for _ in range(2):
-            build_sde_coefficients(sing_op).drift_batch(states, EPS)
-        assert calls == {0: 1, 1: 1}  # the weight's x and y axes
+        calls = Calls()
+        out = build_sde_coefficients(sing_op).drift_batch(states, EPS, calls=calls)
+        assert calls and all(call.func is not assign for call in calls)
+        calls.run()
+        np.testing.assert_array_equal(out, build_sde_coefficients(sing_op).drift_batch(states, EPS))
 
 
 # ---------------------------------------------------------------------------
